@@ -20,26 +20,25 @@ from .errors import DomainError, ScaleMismatchError
 MERGE_TOL = 1e-12
 
 
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact rounding error of s = fl(a + b), elementwise (Neumaier's form)."""
+    return np.where(np.abs(a) >= np.abs(b), (a - s) + b, (b - s) + a)
+
+
 def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Running sums with a Neumaier compensation term folded into each entry.
 
     Returns out[k] = sum(values[: k + 1]) computed so that the error of each
     prefix stays at a few ulp even when terms cancel or differ wildly in
-    magnitude.
+    magnitude.  A 2-D array is summed down its first axis, each column on its
+    own.  Prefixes and their rounding errors both accumulate strictly in
+    order, so every entry is bit for bit that of the sequential Neumaier loop.
     """
     vals = np.asarray(values, dtype=float)
-    out = np.empty(vals.shape, dtype=float)
-    total = 0.0
-    comp = 0.0
-    for i, x in enumerate(vals):
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+    total = np.cumsum(vals, axis=0)
+    before = np.zeros_like(total)
+    before[1:] = total[:-1]
+    return total + np.cumsum(_two_sum_error(before, vals, total), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

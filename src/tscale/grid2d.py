@@ -79,6 +79,11 @@ class GridFn2:
         return GridFn2(self.domain.kappa(), self.values[:-1, :-1])
 
 
+def _cell_weights(domain: TimeScale2D) -> np.ndarray:
+    """mu1[a] * mu2[b] over the kappa x kappa cells, as one matrix."""
+    return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
+
+
 def _require_same_domain(f: GridFn2, g: GridFn2) -> None:
     if not f.domain.same_points(g.domain):
         raise ScaleMismatchError("grid functions live on different product scales")
@@ -144,12 +149,10 @@ def running_integral(f: GridFn2, axis: int) -> GridFn2:
     out = np.zeros_like(vals)
     if axis == 1:
         w = vals[:-1, :] * np.diff(d.scale1.points)[:, None]
-        for j in range(vals.shape[1]):
-            out[1:, j] = neumaier_cumsum(w[:, j])
+        out[1:, :] = neumaier_cumsum(w)
     elif axis == 2:
         w = vals[:, :-1] * np.diff(d.scale2.points)[None, :]
-        for i in range(vals.shape[0]):
-            out[i, 1:] = neumaier_cumsum(w[i, :])
+        out[:, 1:] = neumaier_cumsum(w.T).T
     else:
         raise DomainError(f"axis must be 1 or 2, got {axis}")
     return GridFn2(d, out)
@@ -247,6 +250,17 @@ class KernelOracle:
                             t[i1, i2, j1, j2] = self._fn(i1, i2, j1, j2)
             self._table = t
         return self._table
+
+
+def _kernel_rows(kernel: KernelOracle, table: np.ndarray | None, i: int) -> np.ndarray:
+    """k(i, j, a, b) for all j, a < i, b < n2 - 1 as a (n2, i, n2 - 1) array,
+    from the table when there is one, else evaluated point by point."""
+    if table is not None:
+        return table[i, :, :i, :-1]
+    n2 = kernel.domain.shape[1]
+    return np.array([[[kernel.eval(i, j, a, b) for b in range(n2 - 1)]
+                      for a in range(i)] for j in range(n2)],
+                    dtype=float).reshape(n2, i, n2 - 1)
 
 
 def darboux_sums(f: GridFn2, part: RectPartition) -> tuple[float, float]:

@@ -4,9 +4,12 @@ Each instance draws coefficient functions from one PCG64 stream in a fixed
 order, builds an extremal witness (exact equality, or strictly slack with a
 feedback factor drawn from [0, 1)), evaluates the matching bound, and then
 re-checks on every lattice point that the witness actually satisfies the
-inequality's hypothesis.  The re-check sums with NumPy block reductions,
-a different evaluation order than the compensated sums used to build the
-witness, so it is an independent confirmation rather than a replay.
+inequality's hypothesis.  The re-check takes every rectangle sum at once from
+plain 2-D block cumsums (cumsum along rows, then along columns), a different
+evaluation order than the compensated row sweep that builds the witness, so
+it is an independent confirmation rather than a replay.  The kernel re-check
+goes one row at a time, so that no temporary as large as the kernel table is
+allocated.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .bounds import (BoundCase, BoundInputs, BoundReport, ExponentVariant,
 from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
     realize_scalar
 from .errors import ConfigError, TscaleError
-from .grid2d import GridFn2, KernelOracle, TimeScale2D
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
+                     _kernel_rows)
 
 # Scaled tolerance for the independent hypothesis re-check.
 RECHECK_TOL = 1e-10
@@ -98,74 +102,53 @@ def _feedback(rng, mode: WitnessMode) -> float:
     return 1.0
 
 
-def _cell_weights(domain: TimeScale2D) -> np.ndarray:
-    return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
+def _block_sums(cells: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum of cells[:i, :j], one row and one column larger than cells."""
+    out = np.zeros((cells.shape[0] + 1, cells.shape[1] + 1))
+    out[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
+    return out
+
+
+def _excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest (lhs - rhs) / (1 + |rhs|) over the lattice."""
+    return float(((lhs - rhs) / (1.0 + np.abs(rhs))).max())
 
 
 def _recheck_pointwise(p: GridFn2, q: GridFn2, k: GridFn2, u: GridFn2) -> float:
-    wmu = _cell_weights(u.domain)
-    fed = k.values[:-1, :-1] * u.values[:-1, :-1] * wmu
-    worst = -math.inf
-    n1, n2 = u.domain.shape
-    for i in range(n1):
-        for j in range(n2):
-            rhs = p.values[i, j] + q.values[i, j] * float(fed[:i, :j].sum())
-            worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
-    return worst
+    fed = k.values[:-1, :-1] * u.values[:-1, :-1] * _cell_weights(u.domain)
+    return _excess(u.values, p.values + q.values * _block_sums(fed))
 
 
 def _recheck_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle, u: GridFn2) -> float:
-    wmu = _cell_weights(u.domain)
-    uw = u.values[:-1, :-1] * wmu
+    uw = u.values[:-1, :-1] * _cell_weights(u.domain)
     table = kernel.table()
-    worst = -math.inf
     n1, n2 = u.domain.shape
-    for i in range(n1):
-        for j in range(n2):
-            if table is not None:
-                slab = table[i, j, :i, :j]
-            else:
-                slab = np.array([[kernel.eval(i, j, a, b) for b in range(j)]
-                                 for a in range(i)], dtype=float).reshape(i, j)
-            rhs = p.values[i, j] + q.values[i, j] * float((slab * uw[:i, :j]).sum())
-            worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
-    return worst
+    j = np.arange(1, n2)
+    rhs = p.values.copy()
+    for i in range(1, n1):
+        # prefix[j, b] sums k(i, j, a, b') u(a, b') mu mu over a < i, b' <= b
+        prefix = (_kernel_rows(kernel, table, i) * uw[:i]).sum(axis=1).cumsum(axis=1)
+        rhs[i, 1:] += q.values[i, 1:] * prefix[j, j - 1]
+    return _excess(u.values, rhs)
 
 
 def _recheck_system(c1: float, c2: float, hs, u: GridFn2, v: GridFn2) -> float:
+    h1, h2, h3, h4 = (h.values[:-1, :-1] for h in hs)
+    uk, vk = u.values[:-1, :-1], v.values[:-1, :-1]
     wmu = _cell_weights(u.domain)
-    h1, h2, h3, h4 = hs
-    fed_u = (h1.values[:-1, :-1] * u.values[:-1, :-1]
-             + h2.values[:-1, :-1] * v.values[:-1, :-1]) * wmu
-    fed_v = (h3.values[:-1, :-1] * u.values[:-1, :-1]
-             + h4.values[:-1, :-1] * v.values[:-1, :-1]) * wmu
-    worst = -math.inf
-    n1, n2 = u.domain.shape
-    for i in range(n1):
-        for j in range(n2):
-            rhs_u = c1 + float(fed_u[:i, :j].sum())
-            rhs_v = c2 + float(fed_v[:i, :j].sum())
-            worst = max(worst,
-                        (u.values[i, j] - rhs_u) / (1.0 + abs(rhs_u)),
-                        (v.values[i, j] - rhs_v) / (1.0 + abs(rhs_v)))
-    return worst
+    return max(_excess(u.values, c1 + _block_sums((h1 * uk + h2 * vk) * wmu)),
+               _excess(v.values, c2 + _block_sums((h3 * uk + h4 * vk) * wmu)))
 
 
 def _recheck_integrodynamic(a, b, c: GridFn2, u: GridFn2, w: GridFn2) -> float:
+    if np.any(u.values[0, :] != 0.0) or np.any(u.values[:, 0] != 0.0):
+        return math.inf
     wmu = _cell_weights(u.domain)
     fed = c.values[:-1, :-1] * (u.values[:-1, :-1] + w.values[:-1, :-1]) * wmu
-    w_cells = w.values[:-1, :-1] * wmu
-    worst = -math.inf
-    n1, n2 = u.domain.shape
-    for i in range(n1):
-        for j in range(n2):
-            rhs_w = a.values[i] + b.values[j] + float(fed[:i, :j].sum())
-            worst = max(worst, (w.values[i, j] - rhs_w) / (1.0 + abs(rhs_w)))
-            u_ref = float(w_cells[:i, :j].sum())
-            worst = max(worst, abs(u.values[i, j] - u_ref) / (1.0 + abs(u_ref)))
-    if float(np.abs(u.values[0, :]).max()) != 0.0 or float(np.abs(u.values[:, 0]).max()) != 0.0:
-        worst = max(worst, math.inf)
-    return worst
+    rhs_w = a.values[:, None] + b.values[None, :] + _block_sums(fed)
+    u_ref = _block_sums(w.values[:-1, :-1] * wmu)
+    return max(_excess(w.values, rhs_w),
+               float((np.abs(u.values - u_ref) / (1.0 + np.abs(u_ref))).max()))
 
 
 def _relative_violation(report: BoundReport) -> float:

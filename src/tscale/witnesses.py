@@ -1,27 +1,24 @@
-"""Extremal test functions built by forward recursion on the lattice.
+"""Extremal test functions built by a forward sweep over lattice rows.
 
 Each builder solves its inequality hypothesis with equality, or with the
 feedback term shrunk by a factor in [0, 1) to sit strictly inside the
-hypothesis cone.  Every lattice value depends only on strictly smaller
-indices, so the recursions are explicit in row-major order.  Rectangle sums
-use compensated summation so the witnesses are as exact as the arithmetic
-allows.
+hypothesis cone.  Row i depends only on the rows below it, so the pointwise,
+system and integro-dynamic witnesses share one O(n1)-step row sweep that
+carries Neumaier-compensated column sums and takes each row's rectangle sums
+from one compensated prefix sum.  The kernel witness sees the outer point and
+contracts each row's kernel slab instead, O(N^2) in total like its table.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, _require_same_scale
+from .core import GridFn1, _require_same_scale, _two_sum_error, neumaier_cumsum
 from .errors import DomainError, ScaleMismatchError
-from .grid2d import GridFn2, KernelOracle, TimeScale2D, _require_same_domain
-
-
-def _cell_weights(domain: TimeScale2D) -> np.ndarray:
-    """mu1[a] * mu2[b] over the kappa x kappa cells, as one matrix."""
-    return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
+                     _kernel_rows, _require_same_domain)
 
 
 def _check_feedback(feedback_scale: float) -> float:
@@ -29,6 +26,30 @@ def _check_feedback(feedback_scale: float) -> float:
     if not 0.0 <= fs <= 1.0:
         raise DomainError("feedback_scale must lie in [0, 1]")
     return fs
+
+
+def _row_sweep(domain: TimeScale2D, fields: int,
+               row: Callable[[int, np.ndarray], np.ndarray]) -> None:
+    """Call row(i, sums) for i = 0, 1, ..., n1 - 1 in order.
+
+    sums[f, j] is the double integral of field f over [0, i) x [0, j): the
+    compensated sum of its integrand times mu1 * mu2 over that rectangle, so
+    sums[:, 0] and row 0 are zero.  row fills lattice row i and returns each
+    field's integrand on row i's kappa cells, shape (fields, n2 - 1).
+    """
+    n1, n2 = domain.shape
+    wmu = _cell_weights(domain)
+    col = np.zeros((fields, n2 - 1))    # column sums over the rows fed so far
+    comp = np.zeros((fields, n2 - 1))   # their accumulated rounding errors
+    sums = np.zeros((fields, n2))
+    for i in range(n1):
+        sums[:, 1:] = neumaier_cumsum((col + comp).T).T
+        cells = row(i, sums)
+        if i < n1 - 1:
+            fed = cells * wmu[i]
+            total = col + fed
+            comp += _two_sum_error(col, fed, total)
+            col = total
 
 
 def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
@@ -42,16 +63,13 @@ def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
     _require_same_domain(p, q)
     _require_same_domain(p, k)
     rho = _check_feedback(feedback_scale)
-    n1, n2 = p.domain.shape
-    wmu = _cell_weights(p.domain)
-    u = np.empty((n1, n2))
-    fed = np.empty((n1 - 1, n2 - 1))
-    for i in range(n1):
-        for j in range(n2):
-            s = math.fsum(fed[:i, :j].ravel()) if i and j else 0.0
-            u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
-            if i < n1 - 1 and j < n2 - 1:
-                fed[i, j] = k.values[i, j] * u[i, j] * wmu[i, j]
+    u = np.empty(p.domain.shape)
+
+    def row(i, sums):
+        u[i] = p.values[i] + rho * q.values[i] * sums[0]
+        return k.values[i, :-1] * u[i, :-1]
+
+    _row_sweep(p.domain, 1, row)
     return GridFn2(p.domain, u)
 
 
@@ -67,22 +85,14 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     n1, n2 = p.domain.shape
     wmu = _cell_weights(p.domain)
     table = kernel.table()
+    before = np.tri(n2, n2 - 1, -1)    # before[j, b] = 1 where b < j
     u = np.empty((n1, n2))
     uw = np.empty((n1 - 1, n2 - 1))
     for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                if table is not None:
-                    block = table[i, j, :i, :j] * uw[:i, :j]
-                else:
-                    block = np.array([[kernel.eval(i, j, a, b) * uw[a, b]
-                                       for b in range(j)] for a in range(i)])
-                s = math.fsum(block.ravel())
-            else:
-                s = 0.0
-            u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
-            if i < n1 - 1 and j < n2 - 1:
-                uw[i, j] = u[i, j] * wmu[i, j]
+        inner = np.einsum("jab,ab->jb", _kernel_rows(kernel, table, i), uw[:i])
+        u[i] = p.values[i] + rho * q.values[i] * (inner * before).sum(axis=1)
+        if i < n1 - 1:
+            uw[i] = u[i, :-1] * wmu[i]
     return GridFn2(p.domain, u)
 
 
@@ -97,25 +107,18 @@ def witness_system(c1: float, c2: float, h1: GridFn2, h2: GridFn2,
     for g in (h2, h3, h4):
         _require_same_domain(h1, g)
     rho = _check_feedback(feedback_scale)
-    n1, n2 = h1.domain.shape
-    wmu = _cell_weights(h1.domain)
-    u = np.empty((n1, n2))
-    v = np.empty((n1, n2))
-    fed_u = np.empty((n1 - 1, n2 - 1))
-    fed_v = np.empty((n1 - 1, n2 - 1))
-    for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                su = math.fsum(fed_u[:i, :j].ravel())
-                sv = math.fsum(fed_v[:i, :j].ravel())
-            else:
-                su = sv = 0.0
-            u[i, j] = float(c1) + rho * su
-            v[i, j] = float(c2) + rho * sv
-            if i < n1 - 1 and j < n2 - 1:
-                fed_u[i, j] = (h1.values[i, j] * u[i, j] + h2.values[i, j] * v[i, j]) * wmu[i, j]
-                fed_v[i, j] = (h3.values[i, j] * u[i, j] + h4.values[i, j] * v[i, j]) * wmu[i, j]
     dom = h1.domain
+    u = np.empty(dom.shape)
+    v = np.empty(dom.shape)
+
+    def row(i, sums):
+        u[i] = float(c1) + rho * sums[0]
+        v[i] = float(c2) + rho * sums[1]
+        ui, vi = u[i, :-1], v[i, :-1]
+        return np.stack((h1.values[i, :-1] * ui + h2.values[i, :-1] * vi,
+                         h3.values[i, :-1] * ui + h4.values[i, :-1] * vi))
+
+    _row_sweep(dom, 2, row)
     return GridFn2(dom, u), GridFn2(dom, v)
 
 
@@ -131,23 +134,15 @@ def witness_integrodynamic(a1d: GridFn1, b1d: GridFn1, c2d: GridFn2,
     if not (a1d.scale.same_points(dom.scale1) and b1d.scale.same_points(dom.scale2)):
         raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
     rho = _check_feedback(feedback_scale)
-    n1, n2 = dom.shape
-    wmu = _cell_weights(dom)
-    u = np.empty((n1, n2))
-    w = np.empty((n1, n2))
-    fed = np.empty((n1 - 1, n2 - 1))
-    w_cells = np.empty((n1 - 1, n2 - 1))
-    for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                w[i, j] = a1d.values[i] + b1d.values[j] + rho * math.fsum(fed[:i, :j].ravel())
-                u[i, j] = math.fsum(w_cells[:i, :j].ravel())
-            else:
-                w[i, j] = a1d.values[i] + b1d.values[j]
-                u[i, j] = 0.0
-            if i < n1 - 1 and j < n2 - 1:
-                fed[i, j] = c2d.values[i, j] * (u[i, j] + w[i, j]) * wmu[i, j]
-                w_cells[i, j] = w[i, j] * wmu[i, j]
+    u = np.empty(dom.shape)
+    w = np.empty(dom.shape)
+
+    def row(i, sums):
+        w[i] = a1d.values[i] + b1d.values + rho * sums[0]
+        u[i] = sums[1]
+        return np.stack((c2d.values[i, :-1] * (u[i, :-1] + w[i, :-1]), w[i, :-1]))
+
+    _row_sweep(dom, 2, row)
     return GridFn2(dom, u), GridFn2(dom, w)
 
 

@@ -1,0 +1,180 @@
+"""Loop implementations that the vectorized library code is checked against.
+
+These are the straightforward per-cell versions: every witness value takes
+one math.fsum over its whole rectangle, every re-check residual one block
+sum per lattice point, and the compensated cumulative sum runs the Neumaier
+recursion element by element.  They cost O(N^2) per lattice and live here
+only as references for the tests.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def cell_weights(domain) -> np.ndarray:
+    return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
+
+
+def neumaier_cumsum_loop(values) -> np.ndarray:
+    vals = np.asarray(values, dtype=float)
+    out = np.empty(vals.shape, dtype=float)
+    total = 0.0
+    comp = 0.0
+    for i, x in enumerate(vals):
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+        out[i] = total + comp
+    return out
+
+
+def witness_pointwise(p, q, k, rho=1.0) -> np.ndarray:
+    n1, n2 = p.domain.shape
+    wmu = cell_weights(p.domain)
+    u = np.empty((n1, n2))
+    fed = np.empty((n1 - 1, n2 - 1))
+    for i in range(n1):
+        for j in range(n2):
+            s = math.fsum(fed[:i, :j].ravel()) if i and j else 0.0
+            u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
+            if i < n1 - 1 and j < n2 - 1:
+                fed[i, j] = k.values[i, j] * u[i, j] * wmu[i, j]
+    return u
+
+
+def witness_kernel(p, q, kernel, rho=1.0) -> np.ndarray:
+    n1, n2 = p.domain.shape
+    wmu = cell_weights(p.domain)
+    table = kernel.table()
+    u = np.empty((n1, n2))
+    uw = np.empty((n1 - 1, n2 - 1))
+    for i in range(n1):
+        for j in range(n2):
+            if i and j:
+                if table is not None:
+                    block = table[i, j, :i, :j] * uw[:i, :j]
+                else:
+                    block = np.array([[kernel.eval(i, j, a, b) * uw[a, b]
+                                       for b in range(j)] for a in range(i)])
+                s = math.fsum(block.ravel())
+            else:
+                s = 0.0
+            u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
+            if i < n1 - 1 and j < n2 - 1:
+                uw[i, j] = u[i, j] * wmu[i, j]
+    return u
+
+
+def witness_system(c1, c2, h1, h2, h3, h4, rho=1.0) -> tuple[np.ndarray, np.ndarray]:
+    n1, n2 = h1.domain.shape
+    wmu = cell_weights(h1.domain)
+    u = np.empty((n1, n2))
+    v = np.empty((n1, n2))
+    fed_u = np.empty((n1 - 1, n2 - 1))
+    fed_v = np.empty((n1 - 1, n2 - 1))
+    for i in range(n1):
+        for j in range(n2):
+            if i and j:
+                su = math.fsum(fed_u[:i, :j].ravel())
+                sv = math.fsum(fed_v[:i, :j].ravel())
+            else:
+                su = sv = 0.0
+            u[i, j] = float(c1) + rho * su
+            v[i, j] = float(c2) + rho * sv
+            if i < n1 - 1 and j < n2 - 1:
+                fed_u[i, j] = (h1.values[i, j] * u[i, j] + h2.values[i, j] * v[i, j]) * wmu[i, j]
+                fed_v[i, j] = (h3.values[i, j] * u[i, j] + h4.values[i, j] * v[i, j]) * wmu[i, j]
+    return u, v
+
+
+def witness_integrodynamic(a1d, b1d, c2d, rho=1.0) -> tuple[np.ndarray, np.ndarray]:
+    n1, n2 = c2d.domain.shape
+    wmu = cell_weights(c2d.domain)
+    u = np.empty((n1, n2))
+    w = np.empty((n1, n2))
+    fed = np.empty((n1 - 1, n2 - 1))
+    w_cells = np.empty((n1 - 1, n2 - 1))
+    for i in range(n1):
+        for j in range(n2):
+            if i and j:
+                w[i, j] = a1d.values[i] + b1d.values[j] + rho * math.fsum(fed[:i, :j].ravel())
+                u[i, j] = math.fsum(w_cells[:i, :j].ravel())
+            else:
+                w[i, j] = a1d.values[i] + b1d.values[j]
+                u[i, j] = 0.0
+            if i < n1 - 1 and j < n2 - 1:
+                fed[i, j] = c2d.values[i, j] * (u[i, j] + w[i, j]) * wmu[i, j]
+                w_cells[i, j] = w[i, j] * wmu[i, j]
+    return u, w
+
+
+def recheck_pointwise(p, q, k, u) -> float:
+    wmu = cell_weights(u.domain)
+    fed = k.values[:-1, :-1] * u.values[:-1, :-1] * wmu
+    worst = -math.inf
+    n1, n2 = u.domain.shape
+    for i in range(n1):
+        for j in range(n2):
+            rhs = p.values[i, j] + q.values[i, j] * float(fed[:i, :j].sum())
+            worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
+    return worst
+
+
+def recheck_kernel(p, q, kernel, u) -> float:
+    wmu = cell_weights(u.domain)
+    uw = u.values[:-1, :-1] * wmu
+    table = kernel.table()
+    worst = -math.inf
+    n1, n2 = u.domain.shape
+    for i in range(n1):
+        for j in range(n2):
+            if table is not None:
+                slab = table[i, j, :i, :j]
+            else:
+                slab = np.array([[kernel.eval(i, j, a, b) for b in range(j)]
+                                 for a in range(i)], dtype=float).reshape(i, j)
+            rhs = p.values[i, j] + q.values[i, j] * float((slab * uw[:i, :j]).sum())
+            worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
+    return worst
+
+
+def recheck_system(c1, c2, hs, u, v) -> float:
+    wmu = cell_weights(u.domain)
+    h1, h2, h3, h4 = hs
+    fed_u = (h1.values[:-1, :-1] * u.values[:-1, :-1]
+             + h2.values[:-1, :-1] * v.values[:-1, :-1]) * wmu
+    fed_v = (h3.values[:-1, :-1] * u.values[:-1, :-1]
+             + h4.values[:-1, :-1] * v.values[:-1, :-1]) * wmu
+    worst = -math.inf
+    n1, n2 = u.domain.shape
+    for i in range(n1):
+        for j in range(n2):
+            rhs_u = c1 + float(fed_u[:i, :j].sum())
+            rhs_v = c2 + float(fed_v[:i, :j].sum())
+            worst = max(worst,
+                        (u.values[i, j] - rhs_u) / (1.0 + abs(rhs_u)),
+                        (v.values[i, j] - rhs_v) / (1.0 + abs(rhs_v)))
+    return worst
+
+
+def recheck_integrodynamic(a, b, c, u, w) -> float:
+    if np.any(u.values[0, :] != 0.0) or np.any(u.values[:, 0] != 0.0):
+        return math.inf
+    wmu = cell_weights(u.domain)
+    fed = c.values[:-1, :-1] * (u.values[:-1, :-1] + w.values[:-1, :-1]) * wmu
+    w_cells = w.values[:-1, :-1] * wmu
+    worst = -math.inf
+    n1, n2 = u.domain.shape
+    for i in range(n1):
+        for j in range(n2):
+            rhs_w = a.values[i] + b.values[j] + float(fed[:i, :j].sum())
+            worst = max(worst, (w.values[i, j] - rhs_w) / (1.0 + abs(rhs_w)))
+            u_ref = float(w_cells[:i, :j].sum())
+            worst = max(worst, abs(u.values[i, j] - u_ref) / (1.0 + abs(u_ref)))
+    return worst

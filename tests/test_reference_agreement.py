@@ -1,0 +1,269 @@
+"""The vectorized witnesses, re-checks and compensated sums against loop references.
+
+tests/references.py keeps the per-cell math.fsum recursions and the
+sequential Neumaier loop.  The row sweep sums in another order, so witnesses
+must agree to 1e-13 relative and re-check residuals to 1e-12; the vectorized
+Neumaier sum keeps the loop's order of operations and must agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import references as ref
+from tscale import (GridFn1, GridFn2, KernelOracle, TimeScale2D, explicit_scale,
+                    integer_segment, q_grid, running_integral)
+from tscale import grid2d, verify
+from tscale.core import neumaier_cumsum
+from tscale.witnesses import (witness_integrodynamic, witness_kernel,
+                              witness_pointwise, witness_system)
+
+WITNESS_RTOL = 1e-13
+RECHECK_TOL = 1e-12
+# Lattice shapes too thin for the drawn scales to hit reliably.
+EDGE_SHAPES = [(1, 6), (6, 1), (2, 2), (1, 1)]
+
+
+@st.composite
+def scales(draw, max_points=8):
+    """Integer, q and explicit scales of 1 to max_points points."""
+    n = draw(st.integers(1, max_points))
+    kind = draw(st.sampled_from(["integer", "q", "explicit"]))
+    if n == 1 or kind == "explicit":
+        ticks = draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n,
+                              unique=True))
+        return explicit_scale(np.sort(ticks) / 10.0)
+    if kind == "integer":
+        start = draw(st.integers(-5, 5))
+        return integer_segment(start, start + n - 1)
+    return q_grid(draw(st.sampled_from([1.05, 1.5, 2.0])), n - 1)
+
+
+def edge_domain(shape) -> TimeScale2D:
+    def axis(n):
+        return explicit_scale(np.arange(n) * 0.7)
+    return TimeScale2D(axis(shape[0]), axis(shape[1]))
+
+
+def draws(domain: TimeScale2D, seed: int):
+    """Nonnegative coefficients on the lattice, as the bounds assume."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def grid():
+        return GridFn2(domain, rng.uniform(0.0, 2.0, domain.shape))
+    return rng, grid
+
+
+def assert_close(new: np.ndarray, old: np.ndarray) -> None:
+    assert np.all(np.abs(new - old) <= WITNESS_RTOL * np.abs(old))
+
+
+def assert_residuals_match(new: float, old: float) -> None:
+    assert abs(new - old) <= RECHECK_TOL * (1.0 + abs(old))
+
+
+def check_pointwise(domain, seed, rho):
+    _, grid = draws(domain, seed)
+    p, q, k = grid(), grid(), grid()
+    u = witness_pointwise(p, q, k, rho)
+    assert_close(u.values, ref.witness_pointwise(p, q, k, rho))
+    # an oversized u gives a residual of the order of the excess
+    for cand in (u, GridFn2(domain, 1.01 * u.values)):
+        assert_residuals_match(verify._recheck_pointwise(p, q, k, cand),
+                               ref.recheck_pointwise(p, q, k, cand))
+
+
+def check_kernel(domain, seed, rho):
+    rng, grid = draws(domain, seed)
+    p, q = grid(), grid()
+    n1, n2 = domain.shape
+    kernel = KernelOracle.from_table(domain, rng.uniform(0.0, 2.0, (n1, n2, n1, n2)))
+    u = witness_kernel(p, q, kernel, rho)
+    assert_close(u.values, ref.witness_kernel(p, q, kernel, rho))
+    for cand in (u, GridFn2(domain, 1.01 * u.values)):
+        assert_residuals_match(verify._recheck_kernel(p, q, kernel, cand),
+                               ref.recheck_kernel(p, q, kernel, cand))
+
+
+def check_system(domain, seed, rho):
+    rng, grid = draws(domain, seed)
+    c1, c2 = rng.uniform(0.0, 2.0, 2)
+    hs = tuple(grid() for _ in range(4))
+    u, v = witness_system(c1, c2, *hs, feedback_scale=rho)
+    u_ref, v_ref = ref.witness_system(c1, c2, *hs, rho=rho)
+    assert_close(u.values, u_ref)
+    assert_close(v.values, v_ref)
+    for cu, cv in ((u, v), (u, GridFn2(domain, 1.01 * v.values))):
+        assert_residuals_match(verify._recheck_system(c1, c2, hs, cu, cv),
+                               ref.recheck_system(c1, c2, hs, cu, cv))
+
+
+def check_integrodynamic(domain, seed, rho):
+    rng, grid = draws(domain, seed)
+    a = GridFn1(domain.scale1, np.sort(rng.uniform(0.1, 2.0, domain.shape[0])))
+    b = GridFn1(domain.scale2, np.sort(rng.uniform(0.1, 2.0, domain.shape[1])))
+    c = grid()
+    u, w = witness_integrodynamic(a, b, c, rho)
+    u_ref, w_ref = ref.witness_integrodynamic(a, b, c, rho)
+    assert_close(u.values, u_ref)
+    assert_close(w.values, w_ref)
+    for cu, cw in ((u, w), (u, GridFn2(domain, 1.01 * w.values))):
+        assert_residuals_match(verify._recheck_integrodynamic(a, b, c, cu, cw),
+                               ref.recheck_integrodynamic(a, b, c, cu, cw))
+
+
+CHECKS = [check_pointwise, check_kernel, check_system, check_integrodynamic]
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__[6:])
+@settings(max_examples=40, deadline=None)
+@given(scales(), scales(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.37, 1.0]))
+def test_witness_and_recheck_match_references(check, s1, s2, seed, rho):
+    check(TimeScale2D(s1, s2), seed, rho)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__[6:])
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_thin_lattices_match_references(check, shape):
+    check(edge_domain(shape), 7, 1.0)
+
+
+def test_kernel_witness_without_table_matches_reference(monkeypatch):
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE", 0)
+    d = TimeScale2D(integer_segment(0, 4), q_grid(2.0, 3))
+    p = GridFn2(d, np.linspace(0.5, 1.5, 20).reshape(d.shape))
+    kernel = KernelOracle.from_point_function(
+        d, lambda t1, t2, s1, s2: 1.0 + 0.1 * t1 + 0.01 * s2 * t2)
+    assert kernel.table() is None
+    u = witness_kernel(p, p, kernel, 0.8)
+    assert_close(u.values, ref.witness_kernel(p, p, kernel, 0.8))
+    assert_residuals_match(verify._recheck_kernel(p, p, kernel, u),
+                           ref.recheck_kernel(p, p, kernel, u))
+
+
+def test_integrodynamic_recheck_rejects_u_off_the_axes():
+    d = edge_domain((4, 5))
+    a = GridFn1(d.scale1, np.ones(4))
+    b = GridFn1(d.scale2, np.ones(5))
+    c = GridFn2.constant(d, 0.5)
+    u, w = witness_integrodynamic(a, b, c)
+    assert verify._recheck_integrodynamic(a, b, c, u, w) <= 1e-10
+    for axis_point in ((0, 3), (2, 0)):
+        bad = u.values.copy()
+        bad[axis_point] = 1e-300
+        assert verify._recheck_integrodynamic(a, b, c, GridFn2(d, bad), w) == math.inf
+
+
+# -- compensated cumulative sums --------------------------------------------
+
+# Magnitudes from 1e-200 to 1e200, kept far enough from the float limits
+# that no prefix overflows.
+mixed = st.builds(lambda m, e: m * 10.0 ** e,
+                  st.floats(-10.0, 10.0, allow_nan=False), st.integers(-200, 200))
+
+
+@st.composite
+def cancelling(draw):
+    """Terms followed later by their negatives, interleaved with small ones."""
+    big = draw(st.lists(mixed, max_size=20))
+    small = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(big), max_size=len(big)))
+    vals = [x for pair in zip(big, small) for x in pair] + [-x for x in big[::-1]]
+    return draw(st.permutations(vals)) if draw(st.booleans()) else vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(mixed, max_size=60), cancelling()))
+def test_neumaier_cumsum_is_bit_identical_to_the_loop(vals):
+    assert np.array_equal(neumaier_cumsum(vals), ref.neumaier_cumsum_loop(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_neumaier_cumsum_of_a_matrix_is_the_loop_per_column(rows, cols, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    vals = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    down = np.array([ref.neumaier_cumsum_loop(vals[:, j]) for j in range(cols)]).T
+    assert np.array_equal(neumaier_cumsum(vals), down.reshape(rows, cols))
+
+
+@pytest.mark.parametrize("vals", [[], [3.5], [-0.0], [1e300]])
+def test_neumaier_cumsum_of_zero_and_one_terms(vals):
+    out = neumaier_cumsum(vals)
+    assert out.shape == (len(vals),)
+    assert np.array_equal(out, ref.neumaier_cumsum_loop(vals))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+def test_running_integral_on_a_single_row_or_column(shape):
+    d = edge_domain(shape)
+    f = GridFn2(d, np.arange(1.0, 6.0).reshape(shape))
+    along = 1 if shape[0] > 1 else 2
+    across = 3 - along
+    assert np.array_equal(running_integral(f, across).values, np.zeros(shape))
+    expect = np.concatenate(([0.0], np.cumsum(0.7 * np.arange(1.0, 5.0)))).reshape(shape)
+    assert np.allclose(running_integral(f, along).values, expect, rtol=1e-15)
+
+
+# -- complexity guard --------------------------------------------------------
+
+# C-level entry points that reduce an array: math.fsum, ndarray.sum/cumsum,
+# ufunc reduce/accumulate and einsum's core.
+REDUCTIONS = {"fsum", "sum", "cumsum", "reduce", "accumulate", "c_einsum"}
+
+
+@contextmanager
+def counted_reductions():
+    """Count calls of C reductions made in the block, whatever module makes them.
+
+    ndarray methods cannot be monkeypatched, so the count comes from a
+    profile hook that sees every C call.
+    """
+    seen = {"n": 0}
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") in REDUCTIONS:
+            seen["n"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield seen
+    finally:
+        sys.setprofile(previous)
+
+
+def _guard_inputs(n):
+    d = TimeScale2D(integer_segment(0, n - 1), q_grid(1.01, n - 1))
+    p = GridFn2(d, np.full(d.shape, 0.5))
+    s = GridFn1(d.scale1, np.linspace(0.1, 0.2, n))
+    t = GridFn1(d.scale2, np.linspace(0.1, 0.2, n))
+    kernel = KernelOracle.from_table(d, np.full((n, n, n, n), 0.01))
+    return {
+        "pointwise": (witness_pointwise, ref.witness_pointwise, (p, p, p)),
+        "kernel": (witness_kernel, ref.witness_kernel, (p, p, kernel)),
+        "system": (witness_system, ref.witness_system, (0.5, 0.5, p, p, p, p)),
+        "integrodynamic": (witness_integrodynamic, ref.witness_integrodynamic,
+                           (s, t, p)),
+    }
+
+
+@pytest.mark.parametrize("case", ["pointwise", "kernel", "system", "integrodynamic"])
+def test_witness_reductions_grow_with_rows_not_cells(case):
+    n = 40
+    fast, slow, args = _guard_inputs(n)[case]
+    with counted_reductions() as count:
+        fast(*args)
+    assert count["n"] <= 8 * n
+    # the per-cell reference makes one reduction per lattice point, which
+    # the bound above rules out
+    with counted_reductions() as count:
+        slow(*args)
+    assert count["n"] >= (n - 1) ** 2 > 8 * n
