@@ -12,7 +12,9 @@ where ii is the double delta integral over [0, t1) x [0, t2).  Each bound
 operation assembles the intermediate functions (a, b, A, c, H, p, q, h) by
 lattice summation, forms the dominating function with a first-variable
 product exponential, and compares an optional witness against it pointwise
-on kappa x kappa.
+on kappa x kappa.  The kernel case reads its table one row of slabs at a
+time, O(n1) numpy steps per instance, and bound_kernel_variants finishes
+both exponent variants from one assembly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
-                     running_double_integral, running_integral)
+                     mixed_partial, running_double_integral, running_integral)
 from . import witnesses
 
 log = logging.getLogger(__name__)
@@ -161,46 +163,46 @@ def _check_nonneg(vals: np.ndarray, name: str, diags: list[str]) -> None:
         diags.append(f"{name} negative at index {at}: {worst:.6g}")
 
 
+def _kernel_differences(kernel: KernelOracle):
+    """Yield (i, corner, d2, d1, d12) for each row i < n1 - 1, read from the
+    table slabs k(i+1 | i, j+1 | j, ., .) and indexed by the column j first:
+    corner[j] = k(i+1, j+1, i, j) and the second-variable, first-variable and
+    mixed differences d2[j, b], d1[j, a] and d12[j, a, b] for a < i and every
+    b < n2 - 1 (callers keep b < j)."""
+    table = kernel.table()
+    n1, n2 = kernel.domain.shape
+    mu1 = np.diff(kernel.domain.scale1.points)
+    mu2 = np.diff(kernel.domain.scale2.points)
+    m2 = n2 - 1
+    j = np.arange(m2)
+    for i in range(n1 - 1 if m2 else 0):
+        k11 = table[i + 1, 1:, :i + 1, :m2]
+        k10 = table[i + 1, :-1, :i + 1, :m2]
+        k01 = table[i, 1:, :i, :m2]
+        k00 = table[i, :-1, :i, :m2]
+        yield (i, k11[j, i, j],
+               (k11[:, i] - k10[:, i]) / mu2[:, None],
+               (k11[j, :i, j] - k01[j, :, j]) / mu1[i],
+               (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None]))
+
+
 def _kernel_difference_diagnostics(kernel: KernelOracle, diags: list[str]) -> None:
     """Nonnegativity of the kernel and of its three sigma-shifted lattice
-    differences over every argument combination the bound formulas touch."""
-    dom = kernel.domain
-    n1, n2 = dom.shape
-    mu1 = np.diff(dom.scale1.points)
-    mu2 = np.diff(dom.scale2.points)
-    table = kernel.table()
-    if table is None:
-        diags.append("kernel too large to table; difference hypotheses not checked")
-        return
-    _check_nonneg(table, "kernel", diags)
-    worst = {"second-variable difference": (math.inf, None),
-             "first-variable difference": (math.inf, None),
-             "mixed difference": (math.inf, None)}
-
-    def track(kind: str, vals: np.ndarray, where: tuple) -> None:
-        lo = float(vals.min()) if vals.size else math.inf
-        if lo < worst[kind][0]:
-            worst[kind] = (lo, where)
-
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            if j:
-                track("second-variable difference",
-                      (table[i + 1, j + 1, i, :j] - table[i + 1, j, i, :j]) / mu2[j],
-                      (i, j))
-            if i:
-                track("first-variable difference",
-                      (table[i + 1, j + 1, :i, j] - table[i, j + 1, :i, j]) / mu1[i],
-                      (i, j))
-            if i and j:
-                track("mixed difference",
-                      (table[i + 1, j + 1, :i, :j] - table[i + 1, j, :i, :j]
-                       - table[i, j + 1, :i, :j] + table[i, j, :i, :j])
-                      / (mu1[i] * mu2[j]),
-                      (i, j))
-    for kind, (lo, where) in worst.items():
+    differences over every argument combination the bound formulas touch;
+    a failing difference names the first (i, j), in row order, of its minimum."""
+    _check_nonneg(kernel.table(), "kernel", diags)
+    m1, m2 = (n - 1 for n in kernel.domain.shape)
+    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
+    lows = np.full((3, m1, m2), np.inf)
+    for i, _, d2, d1, d12 in _kernel_differences(kernel):
+        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
+        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
+        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
+                          out=lows[2, i])
+    for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
+        lo, at = _min_location(low) if low.size else (0.0, None)
         if lo < -HYPOTHESIS_SLACK:
-            diags.append(f"kernel {kind} negative near {where}: {lo:.6g}")
+            diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
 
 
 def check_hypotheses(inputs: BoundInputs) -> list[str]:
@@ -248,7 +250,6 @@ def check_hypotheses(inputs: BoundInputs) -> list[str]:
                 diags.append(f"{nm} delta derivative negative at index {at}: {lo:.6g}")
         _check_nonneg(c2d.values, "c", diags)
         if inputs.u is not None:
-            from .grid2d import mixed_partial
             _check_nonneg(mixed_partial(inputs.u).values,
                           "witness mixed delta", diags)
     else:
@@ -325,6 +326,23 @@ def bound_pointwise(inputs: BoundInputs) -> BoundReport:
     return _finish(bound, inputs.u, diags, ExponentVariant.FIRST_VARIABLE)
 
 
+def _kernel_ab(kernel: KernelOracle, p: GridFn2,
+               q: GridFn2) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of bound_kernel on kappa x kappa, one row of table slabs at a time."""
+    m1, m2 = (n - 1 for n in p.domain.shape)
+    mu1 = np.diff(p.domain.scale1.points)
+    mu2 = np.diff(p.domain.scale2.points)
+    coeff = np.stack((p.values[:m1, :m2], q.values[:m1, :m2]))
+    w1, w2, w12 = coeff * mu1[:, None], coeff * mu2, coeff * np.outer(mu1, mu2)
+    before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
+    out = np.empty((2, m1, m2))
+    for i, corner, d2, d1, d12 in _kernel_differences(kernel):
+        out[:, i] = (corner * coeff[:, i] + w2[:, i] @ (d2 * before).T
+                     + np.einsum("ja,kaj->kj", d1, w1[:, :i])
+                     + np.einsum("jab,kab->kj", d12 * before[:, None], w12[:, :i]))
+    return out[0], out[1]
+
+
 def bound_kernel(inputs: BoundInputs) -> BoundReport:
     """Bound p + q * A * E for u <= p + q * ii(k(t1, t2, s1, s2) u).
 
@@ -332,6 +350,18 @@ def bound_kernel(inputs: BoundInputs) -> BoundReport:
     value at the shifted corner plus three correction integrals against the
     kernel's lattice differences.  A = ii(a), c = integral of b over the
     second axis, and E = e_c in the variable chosen by exponent_variant.
+    """
+    variant = inputs.exponent_variant
+    return bound_kernel_variants(inputs, (variant,))[variant]
+
+
+def bound_kernel_variants(inputs: BoundInputs,
+                          variants: tuple[ExponentVariant, ...] = tuple(ExponentVariant),
+                          ) -> dict[ExponentVariant, BoundReport]:
+    """bound_kernel's report for each of variants (default: both), in order.
+
+    The hypotheses, a, b, A and c are computed once for all of them;
+    inputs.exponent_variant is ignored.
     """
     p, q = _need2(inputs, "p", "q")
     kernel = inputs.k
@@ -344,55 +374,23 @@ def bound_kernel(inputs: BoundInputs) -> BoundReport:
     n1, n2 = dom.shape
     if n1 < 2 or n2 < 2:
         raise DomainError("kernel bound needs at least two points per axis")
-    mu1 = np.diff(dom.scale1.points)
-    mu2 = np.diff(dom.scale2.points)
-    table = kernel.table()
-
-    def corner(i1: int, i2: int, j1: int, j2: int) -> float:
-        return float(table[i1, i2, j1, j2]) if table is not None \
-            else kernel.eval(i1, i2, j1, j2)
-
-    def slab(i1: int, i2: int, j1s: slice, j2s: slice) -> np.ndarray:
-        if table is not None:
-            return table[i1, i2, j1s, j2s]
-        r1 = range(*j1s.indices(n1))
-        r2 = range(*j2s.indices(n2))
-        return np.array([kernel.eval(i1, i2, a, b)
-                         for a in r1 for b in r2]).reshape(len(r1), len(r2))
-
     m1, m2 = n1 - 1, n2 - 1
-    a_vals = np.empty((m1, m2))
-    b_vals = np.empty((m1, m2))
-    for i in range(m1):
-        for j in range(m2):
-            d2 = (slab(i + 1, j + 1, slice(i, i + 1), slice(0, j))
-                  - slab(i + 1, j, slice(i, i + 1), slice(0, j))).ravel() / mu2[j]
-            d1 = (slab(i + 1, j + 1, slice(0, i), slice(j, j + 1))
-                  - slab(i, j + 1, slice(0, i), slice(j, j + 1))).ravel() / mu1[i]
-            d12 = (slab(i + 1, j + 1, slice(0, i), slice(0, j))
-                   - slab(i + 1, j, slice(0, i), slice(0, j))
-                   - slab(i, j + 1, slice(0, i), slice(0, j))
-                   + slab(i, j, slice(0, i), slice(0, j))) / (mu1[i] * mu2[j])
-            for target, coeff in ((a_vals, p.values), (b_vals, q.values)):
-                target[i, j] = math.fsum([
-                    corner(i + 1, j + 1, i, j) * coeff[i, j],
-                    math.fsum(d2 * coeff[i, :j] * mu2[:j]),
-                    math.fsum(d1 * coeff[:i, j] * mu1[:i]),
-                    math.fsum((d12 * coeff[:i, :j]
-                               * np.outer(mu1[:i], mu2[:j])).ravel()),
-                ])
     kdom = dom.kappa()
+    a_vals, b_vals = _kernel_ab(kernel, p, q)
     A = running_double_integral(GridFn2(kdom, a_vals)).values
     c = running_integral(GridFn2(kdom, b_vals), 2).values
-    if inputs.exponent_variant is ExponentVariant.FIRST_VARIABLE:
-        e = _exp_axis1(c, mu1)
-    else:
-        e = _exp_axis2(c, mu2)
-    bound_vals = p.values[:m1, :m2] + q.values[:m1, :m2] * A * e
-    if not np.all(np.isfinite(bound_vals)):
-        raise DomainError("kernel bound overflowed")
-    bound = GridFn2(kdom, bound_vals)
-    return _finish(bound, inputs.u, diags, inputs.exponent_variant)
+    reports = {}
+    for variant in variants:
+        if variant is ExponentVariant.FIRST_VARIABLE:
+            e = _exp_axis1(c, dom.mu1)
+        else:
+            e = _exp_axis2(c, dom.mu2)
+        bound_vals = p.values[:m1, :m2] + q.values[:m1, :m2] * A * e
+        if not np.all(np.isfinite(bound_vals)):
+            raise DomainError("kernel bound overflowed")
+        reports[variant] = _finish(GridFn2(kdom, bound_vals), inputs.u, list(diags),
+                                   variant)
+    return reports
 
 
 def bound_system(inputs: BoundInputs) -> BoundReport:

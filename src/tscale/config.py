@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 from .core import (GridFn1, TimeScale, dense_mesh, explicit_scale, h_grid,
                    integer_segment, q_grid, union_scales)
 from .errors import ConfigError
-from .grid2d import GridFn2, KernelOracle, TimeScale2D
+from .grid2d import GridFn2, KernelOracle, TimeScale2D, check_kernel_budget
 
 # Sampled coefficient functions never exceed this magnitude.
 VALUE_CAP = 10.0
@@ -407,8 +407,10 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     k = (a0 + a1*t1) * (b0 + b1*t2) * (c0 + c1*s1 + c2*s2); nonnegative
     parameters make the kernel nonnegative with nonnegative lattice
     differences.  Sampled parameters are absolute normals evaluated in
-    shifted coordinates and capped at VALUE_CAP.
+    shifted coordinates and capped at VALUE_CAP.  Over the table budget it
+    raises ConfigError before anything is drawn or allocated.
     """
+    check_kernel_budget(domain)
     fam = spec.family
     if fam == "any":
         _rng_required(rng)
@@ -445,7 +447,7 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     if spec.params is None:
         top = float(table.max())
         if top > VALUE_CAP:
-            table = table * (VALUE_CAP / top)
+            table *= VALUE_CAP / top
     return KernelOracle.from_table(domain, table)
 
 

@@ -2,7 +2,9 @@
 
 Everything two dimensional lives on the tensor product of two scales.
 Partial deltas are forward difference quotients along one axis; double
-integrals are left-endpoint sums weighted by both graininesses.
+integrals are left-endpoint sums weighted by both graininesses.  A
+four-argument kernel is a dense (n1, n2, n1, n2) table, held by KernelOracle
+within the byte budget MAX_KERNEL_TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import TimeScale, neumaier_cumsum
-from .errors import DomainError, ScaleMismatchError
+from .errors import ConfigError, DomainError, ScaleMismatchError
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,81 +188,70 @@ class RectPartition:
                              tuple(sorted(set(self.cuts2) | set(other.cuts2))))
 
 
-# Dense kernel caches beyond this entry count fall back to on-demand eval.
-MAX_KERNEL_TABLE = 10 ** 8
+# Largest kernel table a KernelOracle may hold, in bytes: (n1 * n2)**2 float64
+# entries, so the default allows about 100 points per axis.
+MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
+
+
+def check_kernel_budget(domain: TimeScale2D) -> None:
+    """Raise ConfigError before allocating a kernel table over MAX_KERNEL_TABLE_BYTES."""
+    n1, n2 = domain.shape
+    nbytes = 8 * (n1 * n2) ** 2
+    if nbytes > MAX_KERNEL_TABLE_BYTES:
+        raise ConfigError(
+            f"a kernel on the {n1}x{n2} lattice needs a {nbytes}-byte table, "
+            f"over the limit MAX_KERNEL_TABLE_BYTES = {MAX_KERNEL_TABLE_BYTES}")
 
 
 class KernelOracle:
-    """Four-argument kernel k(t1, t2, s1, s2) evaluated by lattice indices.
+    """Four-argument kernel k(t1, t2, s1, s2) as a dense table over lattice indices.
 
+    The table has shape (n1, n2, n1, n2) and exists from construction on.
     The first two indices are sigma-capable: they may take any index of the
     full scales, so callers working on kappa x kappa can still ask for
-    sigma-shifted first arguments.  Evaluations are cached as a dense table
-    when the lattice is small enough, otherwise computed on demand.
+    sigma-shifted first arguments.  Every constructor checks the byte
+    budget before it allocates.
     """
 
-    def __init__(self, domain: TimeScale2D, fn: Callable[[int, int, int, int], float]):
+    def __init__(self, domain: TimeScale2D, table: np.ndarray):
         self.domain = domain
-        self._fn = fn
-        self._table: np.ndarray | None = None
-        n1, n2 = domain.shape
-        self._cacheable = n1 * n1 * n2 * n2 <= MAX_KERNEL_TABLE
+        self._table = table
 
     @classmethod
     def from_point_function(cls, domain: TimeScale2D,
-                            fn: Callable[[float, float, float, float], float]) -> "KernelOracle":
-        """Wrap a kernel given as a function of the four point values."""
+                            fn: Callable[..., np.ndarray | float]) -> "KernelOracle":
+        """Tabulate k from fn of the four point values, called once on point
+        arrays that broadcast to (n1, n2, n1, n2): fn must accept numpy arrays."""
+        check_kernel_budget(domain)
         p1 = domain.scale1.points
         p2 = domain.scale2.points
-        return cls(domain,
-                   lambda i1, i2, j1, j2: float(fn(p1[i1], p2[i2], p1[j1], p2[j2])))
+        table = np.empty(domain.shape * 2)
+        table[...] = fn(p1[:, None, None, None], p2[None, :, None, None],
+                        p1[None, None, :, None], p2[None, None, None, :])
+        return cls(domain, table)
 
     @classmethod
     def from_table(cls, domain: TimeScale2D, table: np.ndarray) -> "KernelOracle":
         """Kernel backed by a precomputed (n1, n2, n1, n2) value table."""
+        check_kernel_budget(domain)
         table = np.asarray(table, dtype=float)
-        n1, n2 = domain.shape
-        if table.shape != (n1, n2, n1, n2):
+        if table.shape != domain.shape * 2:
             raise DomainError(f"kernel table shape {table.shape} does not fit the lattice")
         if not np.all(np.isfinite(table)):
             raise DomainError("kernel table values must be finite")
-        self = cls(domain, lambda i1, i2, j1, j2: float(table[i1, i2, j1, j2]))
-        self._table = table
-        return self
+        return cls(domain, table)
 
     @classmethod
     def constant(cls, domain: TimeScale2D, value: float) -> "KernelOracle":
-        v = float(value)
-        return cls(domain, lambda i1, i2, j1, j2: v)
+        check_kernel_budget(domain)
+        return cls(domain, np.full(domain.shape * 2, float(value)))
 
     def eval(self, i1: int, i2: int, j1: int, j2: int) -> float:
-        if self._table is not None:
-            return float(self._table[i1, i2, j1, j2])
-        return float(self._fn(i1, i2, j1, j2))
+        return float(self._table[i1, i2, j1, j2])
 
-    def table(self) -> np.ndarray | None:
-        """Dense cache, built on first request; None when over the size cap."""
-        if self._table is None and self._cacheable:
-            n1, n2 = self.domain.shape
-            t = np.empty((n1, n2, n1, n2))
-            for i1 in range(n1):
-                for i2 in range(n2):
-                    for j1 in range(n1):
-                        for j2 in range(n2):
-                            t[i1, i2, j1, j2] = self._fn(i1, i2, j1, j2)
-            self._table = t
+    def table(self) -> np.ndarray:
+        """The dense (n1, n2, n1, n2) value table."""
         return self._table
-
-
-def _kernel_rows(kernel: KernelOracle, table: np.ndarray | None, i: int) -> np.ndarray:
-    """k(i, j, a, b) for all j, a < i, b < n2 - 1 as a (n2, i, n2 - 1) array,
-    from the table when there is one, else evaluated point by point."""
-    if table is not None:
-        return table[i, :, :i, :-1]
-    n2 = kernel.domain.shape[1]
-    return np.array([[[kernel.eval(i, j, a, b) for b in range(n2 - 1)]
-                      for a in range(i)] for j in range(n2)],
-                    dtype=float).reshape(n2, i, n2 - 1)
 
 
 def darboux_sums(f: GridFn2, part: RectPartition) -> tuple[float, float]:

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import witnesses
 from .bounds import (BoundCase, BoundInputs, BoundReport, ExponentVariant,
-                     compute_bound)
+                     bound_kernel_variants, compute_bound)
 from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
     realize_scalar
 from .errors import ConfigError, TscaleError
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
-                     _kernel_rows)
+from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights
 
 # Scaled tolerance for the independent hypothesis re-check.
 RECHECK_TOL = 1e-10
@@ -127,7 +126,7 @@ def _recheck_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle, u: GridFn2) ->
     rhs = p.values.copy()
     for i in range(1, n1):
         # prefix[j, b] sums k(i, j, a, b') u(a, b') mu mu over a < i, b' <= b
-        prefix = (_kernel_rows(kernel, table, i) * uw[:i]).sum(axis=1).cumsum(axis=1)
+        prefix = (table[i, :, :i, :-1] * uw[:i]).sum(axis=1).cumsum(axis=1)
         rhs[i, 1:] += q.values[i, 1:] * prefix[j, j - 1]
     return _excess(u.values, rhs)
 
@@ -246,10 +245,8 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
         kernel = realize_kernel(fns.get("k", _ANY), dom, rng)
         rho = _feedback(rng, mode)
         u = witnesses.witness_kernel(p, q, kernel, rho)
-        by_variant = {}
-        for variant in ExponentVariant:
-            by_variant[variant] = compute_bound(BoundInputs(
-                which=case, u=u, p=p, q=q, k=kernel, exponent_variant=variant))
+        by_variant = bound_kernel_variants(BoundInputs(which=case, u=u, p=p, q=q,
+                                                       k=kernel))
         second = by_variant[ExponentVariant.SECOND_VARIABLE]
         extra = {
             "first_variable_dominates":

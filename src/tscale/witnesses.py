@@ -18,7 +18,7 @@ import numpy as np
 from .core import GridFn1, _require_same_scale, _two_sum_error, neumaier_cumsum
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
-                     _kernel_rows, _require_same_domain)
+                     _require_same_domain)
 
 
 def _check_feedback(feedback_scale: float) -> float:
@@ -89,7 +89,7 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     u = np.empty((n1, n2))
     uw = np.empty((n1 - 1, n2 - 1))
     for i in range(n1):
-        inner = np.einsum("jab,ab->jb", _kernel_rows(kernel, table, i), uw[:i])
+        inner = np.einsum("jab,ab->jb", table[i, :, :i, :-1], uw[:i])
         u[i] = p.values[i] + rho * q.values[i] * (inner * before).sum(axis=1)
         if i < n1 - 1:
             uw[i] = u[i, :-1] * wmu[i]

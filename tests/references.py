@@ -2,8 +2,10 @@
 
 These are the straightforward per-cell versions: every witness value takes
 one math.fsum over its whole rectangle, every re-check residual one block
-sum per lattice point, and the compensated cumulative sum runs the Neumaier
-recursion element by element.  They cost O(N^2) per lattice and live here
+sum per lattice point, the kernel bound's a and b four math.fsum calls per
+lattice point, its difference diagnostics one set of slices per lattice
+point, and the compensated cumulative sum runs the Neumaier recursion
+element by element.  They cost O(N^2) per lattice and live here
 only as references for the tests.
 """
 
@@ -57,12 +59,7 @@ def witness_kernel(p, q, kernel, rho=1.0) -> np.ndarray:
     for i in range(n1):
         for j in range(n2):
             if i and j:
-                if table is not None:
-                    block = table[i, j, :i, :j] * uw[:i, :j]
-                else:
-                    block = np.array([[kernel.eval(i, j, a, b) * uw[a, b]
-                                       for b in range(j)] for a in range(i)])
-                s = math.fsum(block.ravel())
+                s = math.fsum((table[i, j, :i, :j] * uw[:i, :j]).ravel())
             else:
                 s = 0.0
             u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
@@ -114,6 +111,74 @@ def witness_integrodynamic(a1d, b1d, c2d, rho=1.0) -> tuple[np.ndarray, np.ndarr
     return u, w
 
 
+def kernel_ab(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of the kernel bound, one math.fsum per term and lattice point."""
+    table = kernel.table()
+    n1, n2 = p.domain.shape
+    mu1 = np.diff(p.domain.scale1.points)
+    mu2 = np.diff(p.domain.scale2.points)
+    m1, m2 = n1 - 1, n2 - 1
+    a_vals = np.empty((m1, m2))
+    b_vals = np.empty((m1, m2))
+    for i in range(m1):
+        for j in range(m2):
+            d2 = (table[i + 1, j + 1, i, :j] - table[i + 1, j, i, :j]) / mu2[j]
+            d1 = (table[i + 1, j + 1, :i, j] - table[i, j + 1, :i, j]) / mu1[i]
+            d12 = (table[i + 1, j + 1, :i, :j] - table[i + 1, j, :i, :j]
+                   - table[i, j + 1, :i, :j] + table[i, j, :i, :j]) / (mu1[i] * mu2[j])
+            for target, coeff in ((a_vals, p.values), (b_vals, q.values)):
+                target[i, j] = math.fsum([
+                    table[i + 1, j + 1, i, j] * coeff[i, j],
+                    math.fsum(d2 * coeff[i, :j] * mu2[:j]),
+                    math.fsum(d1 * coeff[:i, j] * mu1[:i]),
+                    math.fsum((d12 * coeff[:i, :j]
+                               * np.outer(mu1[:i], mu2[:j])).ravel()),
+                ])
+    return a_vals, b_vals
+
+
+def kernel_difference_diagnostics(kernel) -> list[str]:
+    """The kernel's sign and difference diagnostics, one set of slices per (i, j)."""
+    table = kernel.table()
+    n1, n2 = kernel.domain.shape
+    mu1 = np.diff(kernel.domain.scale1.points)
+    mu2 = np.diff(kernel.domain.scale2.points)
+    diags = []
+    at = np.unravel_index(int(np.argmin(table)), table.shape)
+    if table[at] < -1e-12:
+        diags.append(f"kernel negative at index {tuple(int(x) for x in at)}: "
+                     f"{float(table[at]):.6g}")
+    worst = {"second-variable difference": (math.inf, None),
+             "first-variable difference": (math.inf, None),
+             "mixed difference": (math.inf, None)}
+
+    def track(kind, vals, where):
+        lo = float(vals.min()) if vals.size else math.inf
+        if lo < worst[kind][0]:
+            worst[kind] = (lo, where)
+
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            if j:
+                track("second-variable difference",
+                      (table[i + 1, j + 1, i, :j] - table[i + 1, j, i, :j]) / mu2[j],
+                      (i, j))
+            if i:
+                track("first-variable difference",
+                      (table[i + 1, j + 1, :i, j] - table[i, j + 1, :i, j]) / mu1[i],
+                      (i, j))
+            if i and j:
+                track("mixed difference",
+                      (table[i + 1, j + 1, :i, :j] - table[i + 1, j, :i, :j]
+                       - table[i, j + 1, :i, :j] + table[i, j, :i, :j])
+                      / (mu1[i] * mu2[j]),
+                      (i, j))
+    for kind, (lo, where) in worst.items():
+        if lo < -1e-12:
+            diags.append(f"kernel {kind} negative near {where}: {lo:.6g}")
+    return diags
+
+
 def recheck_pointwise(p, q, k, u) -> float:
     wmu = cell_weights(u.domain)
     fed = k.values[:-1, :-1] * u.values[:-1, :-1] * wmu
@@ -134,12 +199,8 @@ def recheck_kernel(p, q, kernel, u) -> float:
     n1, n2 = u.domain.shape
     for i in range(n1):
         for j in range(n2):
-            if table is not None:
-                slab = table[i, j, :i, :j]
-            else:
-                slab = np.array([[kernel.eval(i, j, a, b) for b in range(j)]
-                                 for a in range(i)], dtype=float).reshape(i, j)
-            rhs = p.values[i, j] + q.values[i, j] * float((slab * uw[:i, :j]).sum())
+            rhs = p.values[i, j] + q.values[i, j] * float((table[i, j, :i, :j]
+                                                           * uw[:i, :j]).sum())
             worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
     return worst
 

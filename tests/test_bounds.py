@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tscale import (BoundCase, BoundInputs, DomainError, GridFn2, KernelOracle,
-                    TimeScale2D, bound_kernel, bound_pointwise, bound_system,
+                    TimeScale2D, bound_kernel, bound_kernel_variants,
+                    bound_pointwise, bound_system,
                     check_hypotheses, compute_bound, explicit_scale, gronwall_2d,
                     integer_segment, q_grid)
 from tscale.bounds import ExponentVariant
@@ -194,6 +195,30 @@ def test_kernel_variants_differ_on_asymmetric_scales():
     rep2 = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=p, q=p, k=ko,
                                      exponent_variant=ExponentVariant.SECOND_VARIABLE))
     assert not np.allclose(rep1.bound.values, rep2.bound.values)
+
+
+def test_bound_kernel_variants_match_compute_bound_bit_for_bit():
+    d = TimeScale2D(integer_segment(0, 5), q_grid(2.0, 4))
+    rng = np.random.Generator(np.random.PCG64(4))
+    p = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
+    q = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
+    n1, n2 = d.shape
+    # a random table breaks the difference hypotheses, and an inflated
+    # witness crosses the bound, so both lists are nonempty
+    ko = KernelOracle.from_table(d, rng.uniform(0.0, 2.0, (n1, n2, n1, n2)))
+    u = GridFn2(d, 50.0 * witness_kernel(p, q, ko).values)
+    both = bound_kernel_variants(BoundInputs(which=BoundCase.KERNEL, u=u, p=p,
+                                             q=q, k=ko))
+    assert list(both) == list(ExponentVariant)
+    for variant, rep in both.items():
+        one = compute_bound(BoundInputs(which=BoundCase.KERNEL, u=u, p=p, q=q,
+                                        k=ko, exponent_variant=variant))
+        assert rep.exponent_variant is variant
+        assert np.array_equal(rep.bound.values, one.bound.values)
+        assert rep.violations and rep.violations == one.violations
+        assert rep.hypothesis_diagnostics \
+            and rep.hypothesis_diagnostics == one.hypothesis_diagnostics
+        assert (rep.max_violation, rep.min_slack) == (one.max_violation, one.min_slack)
 
 
 def test_system_bound_closed_form():

@@ -166,6 +166,17 @@ def test_verify_reruns_byte_identical(tmp_path, capsys):
     assert (tmp_path / "report.json").read_bytes() == first_json
 
 
+def test_verify_kernel_over_table_budget_exits_two(tmp_path, capsys, monkeypatch):
+    from tscale import grid2d
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 10 ** 4)
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, theorem="kernel"))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "MAX_KERNEL_TABLE_BYTES" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_verify_json_format_inlines_points(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", verify_payload(
         tmp_path, output={"path": str(tmp_path / "all"), "format": "json"},

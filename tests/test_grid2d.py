@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscale import (DomainError, GridFn1, GridFn2, KernelOracle, RectPartition,
-                    TimeScale2D, cauchy_integral, darboux_sums, double_integral,
-                    explicit_scale, integer_segment, mixed_partial,
-                    partial_delta, q_grid, running_double_integral,
-                    running_integral)
+from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelOracle,
+                    RectPartition, TimeScale2D, cauchy_integral, darboux_sums,
+                    double_integral, explicit_scale, integer_segment,
+                    mixed_partial, partial_delta, q_grid, realize_kernel,
+                    running_double_integral, running_integral)
+from tscale import grid2d
 
 
 def zz(n1=3, n2=3):
@@ -187,6 +189,44 @@ def test_kernel_oracle_constant():
     d = zz(2, 2)
     ko = KernelOracle.constant(d, 2.5)
     assert ko.eval(0, 0, 2, 2) == 2.5
+
+
+def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
+    d = zz(29, 29)    # a 30x30 lattice: a 6.5 MB table
+    table = np.zeros(d.shape * 2)
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", table.nbytes - 1)
+    calls = []
+
+    def fn(t1, t2, s1, s2):
+        calls.append(1)
+        return t1 + s2
+
+    builders = [
+        lambda: KernelOracle.constant(d, 1.0),
+        lambda: KernelOracle.from_point_function(d, fn),
+        lambda: KernelOracle.from_table(d, table),
+        lambda: realize_kernel(FnSpec("constant", value=1.0), d),
+        lambda: realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), d),
+        lambda: realize_kernel(FnSpec("any"), d, np.random.default_rng(0)),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builders:
+            with pytest.raises(ConfigError, match="MAX_KERNEL_TABLE_BYTES"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes // 20
+    assert not calls
+
+
+def test_kernel_table_at_budget_is_built(monkeypatch):
+    d = zz(2, 2)
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 8 * 9 ** 2)
+    assert KernelOracle.constant(d, 1.5).table().shape == (3, 3, 3, 3)
+    ko = KernelOracle.from_point_function(d, lambda t1, t2, s1, s2: 2.0)
+    assert np.array_equal(ko.table(), np.full((3, 3, 3, 3), 2.0))
 
 
 @st.composite

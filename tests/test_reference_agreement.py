@@ -1,9 +1,13 @@
 """The vectorized witnesses, re-checks and compensated sums against loop references.
 
-tests/references.py keeps the per-cell math.fsum recursions and the
-sequential Neumaier loop.  The row sweep sums in another order, so witnesses
-must agree to 1e-13 relative and re-check residuals to 1e-12; the vectorized
-Neumaier sum keeps the loop's order of operations and must agree bit for bit.
+tests/references.py keeps the per-cell math.fsum recursions, the kernel
+bound's per-cell a/b and diagnostics loops, and the sequential Neumaier loop.
+The row sweep sums in another order, so witnesses must agree to 1e-13
+relative and re-check residuals to 1e-12.  The kernel bound's a and b agree
+to 1e-13 relative on kernels that meet the hypotheses and to 1e-11 * (1 +
+|reference|) on random tables, whose differences cancel; its diagnostics
+must be the same strings.  The vectorized Neumaier sum keeps the loop's
+order of operations and must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,14 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from tscale import (GridFn1, GridFn2, KernelOracle, TimeScale2D, explicit_scale,
-                    integer_segment, q_grid, running_integral)
-from tscale import grid2d, verify
+from tscale import (BoundCase, BoundInputs, FnSpec, GridFn1, GridFn2, KernelOracle,
+                    TimeScale2D, explicit_scale, integer_segment, q_grid,
+                    realize_kernel, running_integral)
+from tscale import bounds, verify
 from tscale.core import neumaier_cumsum
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
 
 WITNESS_RTOL = 1e-13
+# a and b of the kernel bound on tables whose differences cancel, relative
+# to 1 + |reference|
+AB_CANCEL_TOL = 1e-11
 RECHECK_TOL = 1e-12
 # Lattice shapes too thin for the drawn scales to hit reliably.
 EDGE_SHAPES = [(1, 6), (6, 1), (2, 2), (1, 1)]
@@ -80,6 +88,12 @@ def check_pointwise(domain, seed, rho):
                                ref.recheck_pointwise(p, q, k, cand))
 
 
+def kernel_diagnostics(kernel) -> list[str]:
+    diags: list[str] = []
+    bounds._kernel_difference_diagnostics(kernel, diags)
+    return diags
+
+
 def check_kernel(domain, seed, rho):
     rng, grid = draws(domain, seed)
     p, q = grid(), grid()
@@ -90,6 +104,19 @@ def check_kernel(domain, seed, rho):
     for cand in (u, GridFn2(domain, 1.01 * u.values)):
         assert_residuals_match(verify._recheck_kernel(p, q, kernel, cand),
                                ref.recheck_kernel(p, q, kernel, cand))
+    # a random table's differences take both signs and cancel in a and b
+    for new, old in zip(bounds._kernel_ab(kernel, p, q), ref.kernel_ab(kernel, p, q)):
+        assert np.all(np.abs(new - old) <= AB_CANCEL_TOL * (1.0 + np.abs(old)))
+    assert kernel_diagnostics(kernel) == ref.kernel_difference_diagnostics(kernel)
+    # kernels that meet the hypotheses sum nonnegative terms
+    monotone = KernelOracle.from_point_function(
+        domain, lambda t1, t2, s1, s2:
+        np.exp(0.02 * t1) * (3.0 + np.tanh(t2)) * (1.0 + (s1 - s2) ** 2))
+    for good in (KernelOracle.constant(domain, rng.uniform(0.0, 2.0)),
+                 realize_kernel(FnSpec("affine_product"), domain, rng), monotone):
+        for new, old in zip(bounds._kernel_ab(good, p, q), ref.kernel_ab(good, p, q)):
+            assert_close(new, old)
+        assert kernel_diagnostics(good) == ref.kernel_difference_diagnostics(good)
 
 
 def check_system(domain, seed, rho):
@@ -134,19 +161,6 @@ def test_witness_and_recheck_match_references(check, s1, s2, seed, rho):
 @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_thin_lattices_match_references(check, shape):
     check(edge_domain(shape), 7, 1.0)
-
-
-def test_kernel_witness_without_table_matches_reference(monkeypatch):
-    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE", 0)
-    d = TimeScale2D(integer_segment(0, 4), q_grid(2.0, 3))
-    p = GridFn2(d, np.linspace(0.5, 1.5, 20).reshape(d.shape))
-    kernel = KernelOracle.from_point_function(
-        d, lambda t1, t2, s1, s2: 1.0 + 0.1 * t1 + 0.01 * s2 * t2)
-    assert kernel.table() is None
-    u = witness_kernel(p, p, kernel, 0.8)
-    assert_close(u.values, ref.witness_kernel(p, p, kernel, 0.8))
-    assert_residuals_match(verify._recheck_kernel(p, p, kernel, u),
-                           ref.recheck_kernel(p, p, kernel, u))
 
 
 def test_integrodynamic_recheck_rejects_u_off_the_axes():
@@ -214,9 +228,10 @@ def test_running_integral_on_a_single_row_or_column(shape):
 
 # -- complexity guard --------------------------------------------------------
 
-# C-level entry points that reduce an array: math.fsum, ndarray.sum/cumsum,
-# ufunc reduce/accumulate and einsum's core.
-REDUCTIONS = {"fsum", "sum", "cumsum", "reduce", "accumulate", "c_einsum"}
+# C-level entry points that reduce an array: math.fsum, ndarray.sum/cumsum/
+# min/argmin, ufunc reduce/accumulate and einsum's core.
+REDUCTIONS = {"fsum", "sum", "cumsum", "min", "argmin", "reduce", "accumulate",
+              "c_einsum"}
 
 
 @contextmanager
@@ -246,16 +261,24 @@ def _guard_inputs(n):
     s = GridFn1(d.scale1, np.linspace(0.1, 0.2, n))
     t = GridFn1(d.scale2, np.linspace(0.1, 0.2, n))
     kernel = KernelOracle.from_table(d, np.full((n, n, n, n), 0.01))
+    kernel_case = BoundInputs(which=BoundCase.KERNEL, p=p, q=p, k=kernel)
     return {
         "pointwise": (witness_pointwise, ref.witness_pointwise, (p, p, p)),
         "kernel": (witness_kernel, ref.witness_kernel, (p, p, kernel)),
         "system": (witness_system, ref.witness_system, (0.5, 0.5, p, p, p, p)),
         "integrodynamic": (witness_integrodynamic, ref.witness_integrodynamic,
                            (s, t, p)),
+        "bound_kernel": (bounds.bound_kernel,
+                         lambda inputs: ref.kernel_ab(inputs.k, inputs.p, inputs.q),
+                         (kernel_case,)),
+        "kernel_hypotheses": (bounds.check_hypotheses,
+                              lambda inputs: ref.kernel_difference_diagnostics(inputs.k),
+                              (kernel_case,)),
     }
 
 
-@pytest.mark.parametrize("case", ["pointwise", "kernel", "system", "integrodynamic"])
+@pytest.mark.parametrize("case", ["pointwise", "kernel", "system", "integrodynamic",
+                                  "bound_kernel", "kernel_hypotheses"])
 def test_witness_reductions_grow_with_rows_not_cells(case):
     n = 40
     fast, slow, args = _guard_inputs(n)[case]

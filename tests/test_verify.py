@@ -156,6 +156,25 @@ def test_run_verification_kernel_records_both_variants():
         assert "second_variable_max_violation" in digest
 
 
+def test_kernel_instance_assembles_a_and_b_once(monkeypatch):
+    from tscale import bounds
+    calls = []
+    assemble = bounds._kernel_ab
+
+    def counted(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(bounds, "_kernel_ab", counted)
+    spec = InstanceSpec(case=BoundCase.KERNEL,
+                        scale1=parse_scale("integer:0..5"),
+                        scale2=parse_scale("q:2,4"),
+                        rng_seed=9, count=3)
+    out = run_verification(spec)
+    assert len(calls) == spec.count
+    assert all("second_variable_dominates" in digest for digest in out.digests)
+
+
 def test_run_verification_system_and_integrodynamic():
     for case in (BoundCase.SYSTEM, BoundCase.INTEGRODYNAMIC):
         spec = InstanceSpec(case=case,
