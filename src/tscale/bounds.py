@@ -163,46 +163,56 @@ def _check_nonneg(vals: np.ndarray, name: str, diags: list[str]) -> None:
         diags.append(f"{name} negative at index {at}: {worst:.6g}")
 
 
-def _kernel_differences(kernel: KernelOracle):
+def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
     """Yield (i, corner, d2, d1, d12) for each row i < n1 - 1, read from the
     table slabs k(i+1 | i, j+1 | j, ., .) and indexed by the column j first:
     corner[j] = k(i+1, j+1, i, j) and the second-variable, first-variable and
     mixed differences d2[j, b], d1[j, a] and d12[j, a, b] for a < i and every
-    b < n2 - 1 (callers keep b < j)."""
+    b < n2 - 1 (callers keep b < j).  Given lows, a (3, n1 - 1, n2 - 1) array,
+    store in lows[:, i, j] the minima of d2[j], d1[j] and d12[j] over the
+    arguments the bound formulas touch, as _kernel_diagnostics reports them."""
     table = kernel.table()
     n1, n2 = kernel.domain.shape
     mu1 = np.diff(kernel.domain.scale1.points)
     mu2 = np.diff(kernel.domain.scale2.points)
     m2 = n2 - 1
     j = np.arange(m2)
+    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
     for i in range(n1 - 1 if m2 else 0):
         k11 = table[i + 1, 1:, :i + 1, :m2]
         k10 = table[i + 1, :-1, :i + 1, :m2]
         k01 = table[i, 1:, :i, :m2]
         k00 = table[i, :-1, :i, :m2]
-        yield (i, k11[j, i, j],
-               (k11[:, i] - k10[:, i]) / mu2[:, None],
-               (k11[j, :i, j] - k01[j, :, j]) / mu1[i],
-               (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None]))
+        d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
+        d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
+        d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
+        if lows is not None:
+            np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
+            np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
+            np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
+                              out=lows[2, i])
+        yield i, k11[j, i, j], d2, d1, d12
 
 
-def _kernel_difference_diagnostics(kernel: KernelOracle, diags: list[str]) -> None:
-    """Nonnegativity of the kernel and of its three sigma-shifted lattice
-    differences over every argument combination the bound formulas touch;
-    a failing difference names the first (i, j), in row order, of its minimum."""
-    _check_nonneg(kernel.table(), "kernel", diags)
-    m1, m2 = (n - 1 for n in kernel.domain.shape)
-    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
-    lows = np.full((3, m1, m2), np.inf)
-    for i, _, d2, d1, d12 in _kernel_differences(kernel):
-        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
-        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
-        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
-                          out=lows[2, i])
+def _kernel_diagnostics(p: GridFn2, q: GridFn2, kernel: KernelOracle,
+                        lows: np.ndarray | None = None) -> list[str]:
+    """check_hypotheses for the kernel case: nonnegativity of p, q, the kernel
+    and its three sigma-shifted lattice differences over every argument
+    combination the bound formulas touch; a failing difference names the first
+    (i, j), in row order, of its minimum.  lows, when given, holds the minima
+    that a sweep of _kernel_differences already took."""
+    diags: list[str] = []
+    for vals, nm in ((p.values, "p"), (q.values, "q"), (kernel.table(), "kernel")):
+        _check_nonneg(vals, nm, diags)
+    if lows is None:
+        lows = np.full((3, *(n - 1 for n in kernel.domain.shape)), np.inf)
+        for _ in _kernel_differences(kernel, lows):
+            pass
     for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
         lo, at = _min_location(low) if low.size else (0.0, None)
         if lo < -HYPOTHESIS_SLACK:
             diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
+    return diags
 
 
 def check_hypotheses(inputs: BoundInputs) -> list[str]:
@@ -220,11 +230,9 @@ def check_hypotheses(inputs: BoundInputs) -> list[str]:
             _check_nonneg(g.values, nm, diags)
     elif which is BoundCase.KERNEL:
         p, q = _need2(inputs, "p", "q")
-        for g, nm in ((p, "p"), (q, "q")):
-            _check_nonneg(g.values, nm, diags)
         if not isinstance(inputs.k, KernelOracle):
             raise DomainError("kernel case needs k as a KernelOracle")
-        _kernel_difference_diagnostics(inputs.k, diags)
+        diags = _kernel_diagnostics(p, q, inputs.k)
     elif which is BoundCase.SYSTEM:
         hs = _need2(inputs, "h1", "h2", "h3", "h4")
         if inputs.c1 is None or inputs.c2 is None:
@@ -326,9 +334,10 @@ def bound_pointwise(inputs: BoundInputs) -> BoundReport:
     return _finish(bound, inputs.u, diags, ExponentVariant.FIRST_VARIABLE)
 
 
-def _kernel_ab(kernel: KernelOracle, p: GridFn2,
-               q: GridFn2) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of bound_kernel on kappa x kappa, one row of table slabs at a time."""
+def _kernel_ab(kernel: KernelOracle, p: GridFn2, q: GridFn2,
+               lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of bound_kernel on kappa x kappa, one row of table slabs at a time;
+    lows is passed on to the sweep of _kernel_differences."""
     m1, m2 = (n - 1 for n in p.domain.shape)
     mu1 = np.diff(p.domain.scale1.points)
     mu2 = np.diff(p.domain.scale2.points)
@@ -336,7 +345,7 @@ def _kernel_ab(kernel: KernelOracle, p: GridFn2,
     w1, w2, w12 = coeff * mu1[:, None], coeff * mu2, coeff * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
     out = np.empty((2, m1, m2))
-    for i, corner, d2, d1, d12 in _kernel_differences(kernel):
+    for i, corner, d2, d1, d12 in _kernel_differences(kernel, lows):
         out[:, i] = (corner * coeff[:, i] + w2[:, i] @ (d2 * before).T
                      + np.einsum("ja,kaj->kj", d1, w1[:, :i])
                      + np.einsum("jab,kab->kj", d12 * before[:, None], w12[:, :i]))
@@ -369,14 +378,15 @@ def bound_kernel_variants(inputs: BoundInputs,
         raise DomainError("kernel case needs k as a KernelOracle")
     if not kernel.domain.same_points(p.domain):
         raise ScaleMismatchError("kernel lives on a different product scale")
-    diags = check_hypotheses(inputs)
     dom = p.domain
     n1, n2 = dom.shape
     if n1 < 2 or n2 < 2:
         raise DomainError("kernel bound needs at least two points per axis")
     m1, m2 = n1 - 1, n2 - 1
     kdom = dom.kappa()
-    a_vals, b_vals = _kernel_ab(kernel, p, q)
+    lows = np.full((3, m1, m2), np.inf)
+    a_vals, b_vals = _kernel_ab(kernel, p, q, lows)
+    diags = _kernel_diagnostics(p, q, kernel, lows)
     A = running_double_integral(GridFn2(kdom, a_vals)).values
     c = running_integral(GridFn2(kdom, b_vals), 2).values
     reports = {}

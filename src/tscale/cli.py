@@ -21,13 +21,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import BoundCase, ExponentVariant
-from .config import FnSpec, ScaleSpec, classical_forms, parse_fn, parse_scale
+from .config import classical_forms, parse_fn, parse_scale, realize_1d
 from .core import GridFn1, cauchy_integral, delta_derivative, dense_mesh
 from .errors import ConfigError, DomainError
 from .exponential import comparison_bound, exp_fn
@@ -38,18 +39,35 @@ log = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Points spelled per block of a verify report: enough to spread the per-call
+# cost over a small lattice, few enough that a large lattice's strings never
+# pile up in memory.
+_BLOCK_VALUES = 1024
+# One inlined point of a verify report from its t1, t2, witness, bound and
+# slack, as json.dumps(indent=2, sort_keys=True) writes it inside the
+# top-level "points" array.
+_JSON_POINT = ('    {{\n      "bound": {3},\n      "slack": {4},\n      "t1": {0},'
+               '\n      "t2": {1},\n      "witness": {2}\n    }}')
+
+
+def _numbers(values, json_rule: bool = False) -> list[str]:
+    """Each value as fmt_number spells it or, with json_rule, as json.dumps
+    spells a float (NaN, Infinity, -Infinity)."""
+    reprs = map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist())
+    if json_rule:
+        return [_JSON_FLOATS.get(s, s) for s in reprs]
+    return [s[:-2] if s.endswith(".0") else s for s in reprs]
+
+
 def fmt_number(x: float) -> str:
     """Shortest decimal that round-trips to the same float; 6.0 prints as 6."""
-    s = repr(float(x))
-    if s.endswith(".0"):
-        s = s[:-2]
-    return s
+    return _numbers([x])[0]
 
 
 def _print_rows(points: np.ndarray, values: np.ndarray) -> None:
-    print("t,value")
-    for t, v in zip(points, values):
-        print(f"{fmt_number(t)},{fmt_number(v)}")
+    rows = zip(_numbers(points), _numbers(values))
+    sys.stdout.write("t,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
 
 
 def _cmd_calc(args: argparse.Namespace) -> int:
@@ -62,34 +80,43 @@ def _cmd_calc(args: argparse.Namespace) -> int:
     if op == "mu":
         _print_rows(scale.points, scale.graininess)
         return 0
-    if op == "compare":
-        f = _fixed_fn(args.f, scale)
-        g = _fixed_fn(args.g, scale)
-        a = scale.locate(args.lower)
-        out = comparison_bound(args.xa, f, g, a)
-        _print_rows(out.scale.points, out.values)
-        return 0
-    f = _fixed_fn(args.fn, scale)
-    if op == "dderiv":
-        out = delta_derivative(f)
-        _print_rows(out.scale.points, out.values)
-        return 0
     if op == "dint":
-        a = scale.locate(args.lower)
-        b = scale.locate(args.upper)
-        print(fmt_number(cauchy_integral(f, a, b)))
+        f = _fixed_fn(args.fn, scale)
+        print(fmt_number(cauchy_integral(f, scale.locate(args.lower),
+                                         scale.locate(args.upper))))
         return 0
-    if op == "exp":
-        t0 = scale.locate(args.t0)
-        out = exp_fn(f, t0)
-        _print_rows(out.scale.points, out.values)
-        return 0
-    raise ConfigError(f"unknown calc operation '{op}'")
+    if op == "compare":
+        f, g = _fixed_fn(args.f, scale), _fixed_fn(args.g, scale)
+        out = comparison_bound(args.xa, f, g, scale.locate(args.lower))
+    elif op == "dderiv":
+        out = delta_derivative(_fixed_fn(args.fn, scale))
+    elif op == "exp":
+        f = _fixed_fn(args.fn, scale)
+        out = exp_fn(f, scale.locate(args.t0))
+    else:
+        raise ConfigError(f"unknown calc operation '{op}'")
+    _print_rows(out.scale.points, out.values)
+    return 0
 
 
 def _fixed_fn(text: str, scale) -> GridFn1:
-    from .config import realize_1d
     return realize_1d(parse_fn(text), scale)
+
+
+def _read_config(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+
+
+def _section(obj: dict, key: str) -> dict:
+    """obj[key] as a JSON object; absent, null or empty reads as {}."""
+    value = obj.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be a JSON object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -116,7 +143,7 @@ class ScenarioConfig:
             if key not in obj:
                 raise ConfigError(f"verify config needs '{key}'")
         functions = {name: parse_fn(fn)
-                     for name, fn in (obj.get("functions") or {}).items()}
+                     for name, fn in _section(obj, "functions").items()}
         mode_name = obj.get("witness_mode", "equality")
         try:
             mode = WitnessMode(mode_name)
@@ -135,7 +162,7 @@ class ScenarioConfig:
         seed = obj.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("'seed' must be an integer")
-        out = obj.get("output") or {}
+        out = _section(obj, "output")
         path = out.get("path")
         if not path:
             raise ConfigError("verify config needs output.path")
@@ -156,18 +183,42 @@ class ScenarioConfig:
                    output_format=fmt, variant_mode=variant_mode)
 
 
-def _point_rows(reports) -> list[tuple[float, float, float, float, float]]:
-    rows = []
+def _report_blocks(report, json_rule: bool = False):
+    """Yield a report's rows (t1, t2, witness, bound, slack) as zipped columns
+    of spelled numbers, one block of whole lattice rows (at most _BLOCK_VALUES
+    points, at least one row) at a time; t1 and t2 are spelled once per scale
+    point.  Without a witness, witness and slack are NaN."""
+    dom, bound = report.bound.domain, report.bound.values
+    witness = np.full(bound.shape, math.nan) if report.witness is None \
+        else report.witness.values
+    t1 = _numbers(dom.scale1.points, json_rule)
+    t2 = _numbers(dom.scale2.points, json_rule)
+    step = max(1, _BLOCK_VALUES // len(t2))
+    for lo in range(0, len(t1), step):
+        w, b = witness[lo:lo + step], bound[lo:lo + step]
+        yield zip([t for t in t1[lo:lo + step] for _ in t2], t2 * len(b),
+                  *(_numbers(v, json_rule) for v in (w, b, b - w)))
+
+
+def _write_csv(fh, reports) -> None:
+    fh.write("t1,t2,witness,bound,slack\n")
     for report in reports:
-        dom = report.bound.domain
-        w = report.witness
-        for i in range(dom.shape[0]):
-            for j in range(dom.shape[1]):
-                b = float(report.bound.values[i, j])
-                wv = float(w.values[i, j]) if w is not None else math.nan
-                rows.append((float(dom.scale1.points[i]),
-                             float(dom.scale2.points[j]), wv, b, b - wv))
-    return rows
+        for rows in _report_blocks(report):
+            fh.write("".join([f"{t1},{t2},{w},{b},{s}\n" for t1, t2, w, b, s in rows]))
+
+
+def _write_json(fh, payload: dict, reports) -> None:
+    """payload plus the reports' rows as "points", byte for byte as
+    json.dumps(indent=2, sort_keys=True) writes them, one block at a time."""
+    text = json.dumps({**payload, "points": []}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "points": []', 1)
+    fh.write(head + '\n  "points": [')
+    sep = "\n"
+    for report in reports:
+        for rows in _report_blocks(report, json_rule=True):
+            fh.write(sep + ",\n".join(starmap(_JSON_POINT.format, rows)))
+            sep = ",\n"
+    fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
 def _stem(path: str) -> Path:
@@ -178,17 +229,11 @@ def _stem(path: str) -> Path:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-    scenario = ScenarioConfig.from_dict(raw)
+    scenario = ScenarioConfig.from_dict(_read_config(args.config))
 
     started = time.monotonic()
     summary = run_verification(scenario.instance)
     elapsed = time.monotonic() - started
-    rows = _point_rows(summary.reports)
     payload = summary.to_dict()
     payload["theorem"] = scenario.instance.case.value
     payload["seed"] = scenario.instance.rng_seed
@@ -202,24 +247,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     written: list[Path] = []
     try:
         if scenario.output_format == "csv":
-            csv_path = stem.with_suffix(".csv")
-            written.append(csv_path)
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write("t1,t2,witness,bound,slack\n")
-                for row in rows:
-                    fh.write(",".join(fmt_number(x) for x in row) + "\n")
-            json_path = stem.with_suffix(".json")
-            written.append(json_path)
-            with open(json_path, "w", encoding="utf-8") as fh:
+            written.append(stem.with_suffix(".csv"))
+            with open(written[-1], "w", encoding="utf-8") as fh:
+                _write_csv(fh, summary.reports)
+        written.append(stem.with_suffix(".json"))
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            if scenario.output_format == "csv":
                 fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        else:
-            payload["points"] = [
-                {"t1": r[0], "t2": r[1], "witness": r[2], "bound": r[3],
-                 "slack": r[4]} for r in rows]
-            json_path = stem.with_suffix(".json")
-            written.append(json_path)
-            with open(json_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else:
+                _write_json(fh, payload, summary.reports)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -236,11 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = _read_config(args.config)
     if not isinstance(raw, dict):
         raise ConfigError("converge config must be a JSON object")
     op = raw.get("operation")
@@ -252,8 +284,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     start, end, h0 = spec.start, spec.end, spec.h
     spec.build()
     fn = parse_fn(raw.get("function") or {})
-    out = raw.get("output") or {}
-    path = out.get("path")
+    path = _section(raw, "output").get("path")
     if not path:
         raise ConfigError("converge config needs output.path")
 
@@ -359,15 +390,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "calc":
             _check_calc_args(args)
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ sum per lattice point, the kernel bound's a and b four math.fsum calls per
 lattice point, its difference diagnostics one set of slices per lattice
 point, and the compensated cumulative sum runs the Neumaier recursion
 element by element.  They cost O(N^2) per lattice and live here
-only as references for the tests.
+only as references for the tests.  The verify report writers build one
+tuple of floats per lattice point and format each field with its own call.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -239,3 +241,38 @@ def recheck_integrodynamic(a, b, c, u, w) -> float:
             u_ref = float(w_cells[:i, :j].sum())
             worst = max(worst, abs(u.values[i, j] - u_ref) / (1.0 + abs(u_ref)))
     return worst
+
+
+def fmt_number(x: float) -> str:
+    s = repr(float(x))
+    if s.endswith(".0"):
+        s = s[:-2]
+    return s
+
+
+def point_rows(reports) -> list[tuple[float, float, float, float, float]]:
+    rows = []
+    for report in reports:
+        dom = report.bound.domain
+        w = report.witness
+        for i in range(dom.shape[0]):
+            for j in range(dom.shape[1]):
+                b = float(report.bound.values[i, j])
+                wv = float(w.values[i, j]) if w is not None else math.nan
+                rows.append((float(dom.scale1.points[i]),
+                             float(dom.scale2.points[j]), wv, b, b - wv))
+    return rows
+
+
+def write_csv(fh, reports) -> None:
+    fh.write("t1,t2,witness,bound,slack\n")
+    for row in point_rows(reports):
+        fh.write(",".join(fmt_number(x) for x in row) + "\n")
+
+
+def write_json(fh, payload: dict, reports) -> None:
+    payload = dict(payload)
+    payload["points"] = [
+        {"t1": r[0], "t2": r[1], "witness": r[2], "bound": r[3], "slack": r[4]}
+        for r in point_rows(reports)]
+    fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

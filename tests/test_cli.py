@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import sys
 
 import pytest
 
+import references as ref
+from tscale import cli as cli_mod
 from tscale.cli import fmt_number, main
 
 
@@ -189,8 +192,79 @@ def test_verify_json_format_inlines_points(tmp_path, capsys):
     assert set(data["points"][0]) == {"t1", "t2", "witness", "bound", "slack"}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("theorem", ["pointwise", "kernel", "system", "integrodynamic"])
+def test_verify_report_bytes_match_the_row_loop(tmp_path, capsys, monkeypatch,
+                                                theorem, fmt):
+    summaries = []
+    run = cli_mod.run_verification
+    monkeypatch.setattr(cli_mod, "run_verification",
+                        lambda spec: summaries.append(run(spec)) or summaries[-1])
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, theorem=theorem, scale2={"kind": "q_grid", "q": 2, "N": 4},
+        output={"path": str(tmp_path / "report"), "format": fmt}))
+    assert run_cli(capsys, "verify", str(cfg))[0] == 0
+    reports = summaries[0].reports
+    written = (tmp_path / "report.json").read_bytes()
+    payload = json.loads(written)
+    expected = io.StringIO()
+    if fmt == "csv":
+        ref.write_csv(expected, reports)
+        assert (tmp_path / "report.csv").read_bytes() == expected.getvalue().encode()
+        assert written == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    else:
+        del payload["points"]
+        ref.write_json(expected, payload, reports)
+        assert written == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypatch, fmt):
+    blocks = cli_mod._report_blocks
+    report = tmp_path / f"report.{fmt}"
+
+    def fail_on_second_report(rep, **kwargs):
+        if failing.pop():
+            assert report.exists()      # the first report's rows are on their way
+            raise OSError("No space left on device")
+        return blocks(rep, **kwargs)
+
+    failing = [True, False]
+    monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_report)
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, output={"path": str(tmp_path / "report"), "format": fmt}))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "No space left" in err
+    assert not failing
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_verify_writer_formats_no_row_through_fmt_number(tmp_path, capsys, monkeypatch):
+    calls = []
+    spell = cli_mod.fmt_number
+    monkeypatch.setattr(cli_mod, "fmt_number", lambda x: calls.append(x) or spell(x))
+    for fmt in ("csv", "json"):
+        cfg = write_config(tmp_path, "v.json", verify_payload(
+            tmp_path, output={"path": str(tmp_path / fmt), "format": fmt}))
+        assert run_cli(capsys, "verify", str(cfg))[0] == 0
+    assert (tmp_path / "csv.csv").exists() and (tmp_path / "json.json").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("override", [{"output": "x"}, {"functions": ["p"]}],
+                         ids=["output", "functions"])
+def test_verify_rejects_a_section_that_is_not_an_object(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, **override))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    key = next(iter(override))
+    assert err.startswith("error:") and f"'{key}' must be a JSON object" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def test_verify_exit_one_on_violation(tmp_path, capsys, monkeypatch):
-    from tscale import cli as cli_mod
     from tscale.verify import VerifySummary
 
     def fake_run(instance):
@@ -280,6 +354,18 @@ def test_converge_exp_needs_constant_coefficient(tmp_path, capsys):
     code, _, err = run_cli(capsys, "converge", str(cfg))
     assert code == 2
     assert "constant" in err
+
+
+def test_converge_rejects_an_output_that_is_not_an_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "operation": "dderiv",
+        "scale": {"kind": "dense_mesh", "start": 0, "end": 1, "h": 0.01},
+        "function": {"family": "sin"},
+        "output": "x",
+    })
+    code, _, err = run_cli(capsys, "converge", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "'output' must be a JSON object" in err
 
 
 def test_converge_exp_tracks_the_classical_exponential(tmp_path, capsys):

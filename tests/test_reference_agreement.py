@@ -7,14 +7,18 @@ relative and re-check residuals to 1e-12.  The kernel bound's a and b agree
 to 1e-13 relative on kernels that meet the hypotheses and to 1e-11 * (1 +
 |reference|) on random tables, whose differences cancel; its diagnostics
 must be the same strings.  The vectorized Neumaier sum keeps the loop's
-order of operations and must agree bit for bit.
+order of operations and must agree bit for bit, and the columnar verify
+report writers must write the same bytes as the per-row loops.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ import references as ref
 from tscale import (BoundCase, BoundInputs, FnSpec, GridFn1, GridFn2, KernelOracle,
                     TimeScale2D, explicit_scale, integer_segment, q_grid,
                     realize_kernel, running_integral)
-from tscale import bounds, verify
+from tscale import bounds, cli, verify
 from tscale.core import neumaier_cumsum
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
@@ -88,12 +92,6 @@ def check_pointwise(domain, seed, rho):
                                ref.recheck_pointwise(p, q, k, cand))
 
 
-def kernel_diagnostics(kernel) -> list[str]:
-    diags: list[str] = []
-    bounds._kernel_difference_diagnostics(kernel, diags)
-    return diags
-
-
 def check_kernel(domain, seed, rho):
     rng, grid = draws(domain, seed)
     p, q = grid(), grid()
@@ -107,7 +105,9 @@ def check_kernel(domain, seed, rho):
     # a random table's differences take both signs and cancel in a and b
     for new, old in zip(bounds._kernel_ab(kernel, p, q), ref.kernel_ab(kernel, p, q)):
         assert np.all(np.abs(new - old) <= AB_CANCEL_TOL * (1.0 + np.abs(old)))
-    assert kernel_diagnostics(kernel) == ref.kernel_difference_diagnostics(kernel)
+    # p and q are nonnegative, so only the kernel's own diagnostics remain
+    assert (bounds._kernel_diagnostics(p, q, kernel)
+            == ref.kernel_difference_diagnostics(kernel))
     # kernels that meet the hypotheses sum nonnegative terms
     monotone = KernelOracle.from_point_function(
         domain, lambda t1, t2, s1, s2:
@@ -116,7 +116,8 @@ def check_kernel(domain, seed, rho):
                  realize_kernel(FnSpec("affine_product"), domain, rng), monotone):
         for new, old in zip(bounds._kernel_ab(good, p, q), ref.kernel_ab(good, p, q)):
             assert_close(new, old)
-        assert kernel_diagnostics(good) == ref.kernel_difference_diagnostics(good)
+        assert (bounds._kernel_diagnostics(p, q, good)
+                == ref.kernel_difference_diagnostics(good))
 
 
 def check_system(domain, seed, rho):
@@ -224,6 +225,83 @@ def test_running_integral_on_a_single_row_or_column(shape):
     assert np.array_equal(running_integral(f, across).values, np.zeros(shape))
     expect = np.concatenate(([0.0], np.cumsum(0.7 * np.arange(1.0, 5.0)))).reshape(shape)
     assert np.allclose(running_integral(f, along).values, expect, rtol=1e-15)
+
+
+# -- verify report writers ---------------------------------------------------
+
+# Values whose spelling differs between CSV and JSON, or that a formatter can
+# get wrong: signed zero, integer-valued floats (6.0 writes as 6 in CSV), the
+# largest exponents, the smallest subnormal and the non-finite values.
+SPECIAL_FLOATS = [-0.0, 0.0, 6.0, -3.0, 0.1, 1e16, -1e300, 5e-324, math.inf,
+                  -math.inf, math.nan]
+# A summary with a nested "points" key and a string that spells the
+# top-level key, which the streamed JSON must not mistake for its own.
+SUMMARY = {"instances_run": 2, "worst_relative_violation": 0.0,
+           "variant_comparison": None, "theorem": "pointwise",
+           "scale1": {"kind": "explicit", "points": [0.0, 0.5]},
+           "digests": [{"min_slack": math.inf, "max_violation": -0.0,
+                        "diagnostics": ['p negative\n  "points": []']}]}
+
+
+def fake_report(domain, bound, witness=None):
+    """What the writers read of a BoundReport; GridFn2 would refuse the
+    non-finite values."""
+    return SimpleNamespace(
+        bound=SimpleNamespace(domain=domain, values=np.asarray(bound, dtype=float)),
+        witness=None if witness is None else SimpleNamespace(values=np.asarray(witness)))
+
+
+def assert_writers_match(reports):
+    old_csv, old_json = io.StringIO(), io.StringIO()
+    ref.write_csv(old_csv, reports)
+    ref.write_json(old_json, SUMMARY, reports)
+    # blocks of one lattice row, of a few rows, and of whole reports
+    for block in (1, 5, cli._BLOCK_VALUES):
+        new_csv, new_json = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_BLOCK_VALUES", block):
+            cli._write_csv(new_csv, reports)
+            cli._write_json(new_json, SUMMARY, reports)
+        assert new_csv.getvalue() == old_csv.getvalue()
+        assert new_json.getvalue() == old_json.getvalue()
+
+
+@st.composite
+def report_batches(draw):
+    """One to three reports on a drawn lattice, some without a witness."""
+    domain = TimeScale2D(draw(scales()), draw(scales()))
+    n = domain.shape[0] * domain.shape[1]
+    values = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                      min_size=n, max_size=n)
+
+    def grid():
+        return np.reshape(draw(values), domain.shape)
+    return [fake_report(domain, grid(), draw(st.one_of(st.none(), st.builds(grid))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+# inf - inf in a slack column warns in numpy, where the loop's float
+# subtraction is silent; both spell it nan.
+INF_MINUS_INF = "ignore:invalid value encountered in subtract:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(INF_MINUS_INF)
+@settings(max_examples=80, deadline=None)
+@given(report_batches())
+def test_report_writers_match_the_row_loops(reports):
+    assert_writers_match(reports)
+
+
+@pytest.mark.filterwarnings(INF_MINUS_INF)
+@pytest.mark.parametrize("shape", EDGE_SHAPES + [(4, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_report_writers_match_on_thin_lattices(shape):
+    domain = edge_domain(shape)
+    special = np.resize(SPECIAL_FLOATS, shape)
+    reports = [fake_report(domain, special, special[::-1, ::-1]),
+               fake_report(domain, np.full(shape, 6.0)),
+               fake_report(domain, np.full(shape, 1e16), np.full(shape, -0.0))]
+    assert_writers_match(reports)
+    assert_writers_match(reports[1:2])
+    assert_writers_match([])
 
 
 # -- complexity guard --------------------------------------------------------

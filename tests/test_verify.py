@@ -175,6 +175,39 @@ def test_kernel_instance_assembles_a_and_b_once(monkeypatch):
     assert all("second_variable_dominates" in digest for digest in out.digests)
 
 
+def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
+    from tscale import bounds
+    sweeps = []
+    sweep = bounds._kernel_differences
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(bounds, "_kernel_differences", counted)
+    spec = InstanceSpec(case=BoundCase.KERNEL,
+                        scale1=parse_scale("integer:0..5"),
+                        scale2=parse_scale("q:2,4"),
+                        rng_seed=9, count=3)
+    run_verification(spec)
+    assert len(sweeps) == spec.count
+    # a table whose differences fail every hypothesis: the shared sweep
+    # reports what check_hypotheses finds with its own
+    d = TimeScale2D(integer_segment(0, 4), parse_scale("q:2,3").build())
+    rng = np.random.Generator(np.random.PCG64(3))
+    inputs = bounds.BoundInputs(
+        which=BoundCase.KERNEL, p=ones(d), q=ones(d),
+        k=KernelOracle.from_table(d, rng.uniform(0.0, 2.0, d.shape * 2)))
+    sweeps.clear()
+    by_variant = bounds.bound_kernel_variants(inputs)
+    assert len(sweeps) == 1
+    diags = bounds.check_hypotheses(inputs)
+    assert len(sweeps) == 2
+    assert len(diags) == 3
+    for report in by_variant.values():
+        assert report.hypothesis_diagnostics == diags
+
+
 def test_run_verification_system_and_integrodynamic():
     for case in (BoundCase.SYSTEM, BoundCase.INTEGRODYNAMIC):
         spec = InstanceSpec(case=case,
