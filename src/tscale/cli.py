@@ -160,8 +160,8 @@ class ScenarioConfig:
         if not isinstance(count, int) or isinstance(count, bool):
             raise ConfigError("'count' must be an integer")
         seed = obj.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("'seed' must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("'seed' must be a nonnegative integer")
         out = _section(obj, "output")
         path = out.get("path")
         if not path:

@@ -22,13 +22,10 @@ REGRESSIVITY_TOL = 1e-12
 PRODUCT_LIMIT = 1e300
 
 
-def _factors(p: GridFn1) -> np.ndarray:
-    """1 + mu*p at every index; the maximum contributes a harmless 1."""
-    return 1.0 + p.scale.graininess * p.values
-
-
-def _zero_band(p: GridFn1) -> np.ndarray:
-    return REGRESSIVITY_TOL * (1.0 + np.abs(p.scale.graininess * p.values))
+def _factors(mu_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors 1 + mu*p, and the band around zero within which each counts
+    as zero."""
+    return 1.0 + mu_p, REGRESSIVITY_TOL * (1.0 + np.abs(mu_p))
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,7 @@ def regressivity(p: GridFn1) -> RegressivityReport:
     band around zero; positively regressive additionally requires every
     factor to clear the band on the positive side.
     """
-    factors = _factors(p)
-    band = _zero_band(p)
+    factors, band = _factors(p.scale.graininess * p.values)
     worst = int(np.argmin(factors))
     near_zero = np.abs(factors) <= band
     return RegressivityReport(
@@ -61,8 +57,9 @@ def regressivity(p: GridFn1) -> RegressivityReport:
 
 
 def _require_regressive(p: GridFn1, positive: bool = False) -> np.ndarray:
-    factors = _factors(p)
-    band = _zero_band(p)
+    """The factors 1 + mu*p at every index (the maximum contributes a harmless
+    1), once none lies in the zero band."""
+    factors, band = _factors(p.scale.graininess * p.values)
     bad = (factors <= band) if positive else (np.abs(factors) <= band)
     if bad.any():
         i = int(np.argmax(bad))
@@ -132,15 +129,11 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     at t right of t0 is the product of 1 + mu*p over [t0, t), and left of t0
     the reciprocal of the product over [t, t0).
     """
-    scale = p.scale
-    t0 = scale._check_index(t0)
-    _require_regressive(p)
-    ladder = ProductLadder(1.0 + np.diff(scale.points) * p.values[:-1]) \
-        if len(scale) > 1 else ProductLadder(np.empty(0))
-    vals = ladder.ratios_from(t0)
+    t0 = p.scale._check_index(t0)
+    vals = ProductLadder(_require_regressive(p)[:-1]).ratios_from(t0)
     if not np.all(np.isfinite(vals)):
         raise DomainError("scale exponential overflowed the representable range")
-    return GridFn1(scale, vals)
+    return GridFn1(p.scale, vals)
 
 
 def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
@@ -155,8 +148,7 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     a = scale._check_index(a)
     mu = np.diff(scale.points)
     window = slice(a, len(scale) - 1)
-    factors = 1.0 + mu[window] * g.values[window]
-    band = REGRESSIVITY_TOL * (1.0 + np.abs(mu[window] * g.values[window]))
+    factors, band = _factors(mu[window] * g.values[window])
     if np.any(factors <= band):
         i = a + int(np.argmax(factors <= band))
         raise RegressivityError(

@@ -1,12 +1,14 @@
-"""Extremal test functions built by a forward sweep over lattice rows.
+"""Extremal test functions: solutions of each hypothesis with equality.
 
 Each builder solves its inequality hypothesis with equality, or with the
-feedback term shrunk by a factor in [0, 1) to sit strictly inside the
-hypothesis cone.  Row i depends only on the rows below it, so the pointwise,
-system and integro-dynamic witnesses share one O(n1)-step row sweep that
-carries Neumaier-compensated column sums and takes each row's rectangle sums
-from one compensated prefix sum.  The kernel witness sees the outer point and
-contracts each row's kernel slab instead, O(N^2) in total like its table.
+feedback term shrunk by a factor in [0, 1) (or a slack subtracted) to sit
+strictly inside the hypothesis cone.  In two variables row i depends only on
+the rows below it, so the pointwise, system and integro-dynamic witnesses
+share one O(n1)-step row sweep that carries Neumaier-compensated column sums
+and takes each row's rectangle sums from one compensated prefix sum.  The
+kernel witness sees the outer point and contracts each row's kernel slab
+instead, O(N^2) in total like its table.  The first-order comparison witness
+composes its affine steps by a doubling scan in O(log n) numpy steps.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from .core import GridFn1, _require_same_scale, _two_sum_error, neumaier_cumsum
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
                      _require_same_domain)
+
+# A factor's binary exponent, plus the one each product of mantissas in
+# [0.5, 1) may shed, stays within 1075 in size, so the exponent of a product
+# of up to this many factors fits in int32; longer tails count in int64.
+_INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075
 
 
 def _check_feedback(feedback_scale: float) -> float:
@@ -151,7 +158,14 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     """x on the tail scale with x(a) = x_a and x^delta = f + g*x - slack.
 
     slack 0 solves the first-order hypothesis with equality; positive slack
-    keeps x^delta strictly below f + g*x everywhere.
+    keeps x^delta strictly below f + g*x everywhere.  Step k is the affine
+    map x -> A_k*x + B_k with A_k = 1 + mu_k*g_k and B_k = mu_k*(f_k - slack);
+    x[k + 1] is the composition of steps 0..k applied to x_a, taken for every
+    k at once by a Hillis-Steele doubling scan in ceil(log2 n) rounds.  Each
+    composed A is kept as a mantissa times a power of two, so no product of
+    factors overflows or underflows on its own and exact zeros stay exact:
+    the result leaves the float range only where A*x_a or B itself does.
+    No factor needs to be positive or nonzero.
     """
     _require_same_scale(f, g)
     if slack < 0:
@@ -159,10 +173,33 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     scale = f.scale
     a = scale._check_index(a)
     pts = scale.points[a:]
-    x = np.empty(len(pts))
+    n = len(pts) - 1
+    steps = slice(a, a + n)
+    x = np.empty(n + 1)
     x[0] = float(x_a)
-    for k in range(len(pts) - 1):
-        mu = pts[k + 1] - pts[k]
-        i = a + k
-        x[k + 1] = x[k] + mu * (f.values[i] + g.values[i] * x[k] - slack)
+    tmp = x[1:]    # mu until the scan starts, then scratch, then x itself
+    np.subtract(pts[1:], pts[:-1], out=tmp)
+    b = f.values[steps] - slack
+    b *= tmp
+    m = g.values[steps] * tmp
+    m += 1.0
+    e = np.empty(n, np.int32 if n <= _INT32_EXPONENT_STEPS else np.int64)
+    etmp = np.empty_like(e)
+    np.frexp(m, out=(m, e))
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < n:
+            # (m, e, b)[k] <- (m, e, b)[k] o (m, e, b)[k - d] for k >= d:
+            # B = A_hi * B_lo + B_hi first, while A_hi is still uncomposed
+            t, et = tmp[:n - d], etmp[:n - d]
+            np.multiply(m[d:], b[:-d], out=t)
+            b[d:] += np.ldexp(t, e[d:], out=t)
+            np.multiply(m[d:], m[:-d], out=t)
+            np.add(e[d:], e[:-d], out=et)
+            np.frexp(t, out=(m[d:], e[d:]))
+            e[d:] += et
+            d *= 2
+        np.multiply(m, x[0], out=tmp)
+        np.ldexp(tmp, e, out=tmp)
+        tmp += b
     return GridFn1(scale.tail(a), x)

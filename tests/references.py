@@ -4,8 +4,9 @@ These are the straightforward per-cell versions: every witness value takes
 one math.fsum over its whole rectangle, every re-check residual one block
 sum per lattice point, the kernel bound's a and b four math.fsum calls per
 lattice point, its difference diagnostics one set of slices per lattice
-point, and the compensated cumulative sum runs the Neumaier recursion
-element by element.  They cost O(N^2) per lattice and live here
+point, the compensated cumulative sum runs the Neumaier recursion
+element by element, and the first-order comparison witness takes one Python
+step per scale point.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call.
 """
@@ -111,6 +112,17 @@ def witness_integrodynamic(a1d, b1d, c2d, rho=1.0) -> tuple[np.ndarray, np.ndarr
                 fed[i, j] = c2d.values[i, j] * (u[i, j] + w[i, j]) * wmu[i, j]
                 w_cells[i, j] = w[i, j] * wmu[i, j]
     return u, w
+
+
+def witness_comparison_loop(f, g, x_a, a, slack=0.0) -> np.ndarray:
+    pts = f.scale.points[a:]
+    x = np.empty(len(pts))
+    x[0] = float(x_a)
+    for k in range(len(pts) - 1):
+        mu = pts[k + 1] - pts[k]
+        i = a + k
+        x[k + 1] = x[k] + mu * (f.values[i] + g.values[i] * x[k] - slack)
+    return x
 
 
 def kernel_ab(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:

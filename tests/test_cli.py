@@ -264,6 +264,15 @@ def test_verify_rejects_a_section_that_is_not_an_object(tmp_path, capsys, overri
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, seed=-1))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "'seed' must be a nonnegative integer" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def test_verify_exit_one_on_violation(tmp_path, capsys, monkeypatch):
     from tscale.verify import VerifySummary
 

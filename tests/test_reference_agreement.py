@@ -8,11 +8,14 @@ to 1e-13 relative on kernels that meet the hypotheses and to 1e-11 * (1 +
 |reference|) on random tables, whose differences cancel; its diagnostics
 must be the same strings.  The vectorized Neumaier sum keeps the loop's
 order of operations and must agree bit for bit, and the columnar verify
-report writers must write the same bytes as the per-row loops.
+report writers must write the same bytes as the per-row loops.  The
+first-order comparison witness composes its steps by a doubling scan and must
+agree with the point-by-point loop to 1e-13 of the magnitude recursion.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
@@ -26,13 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from tscale import (BoundCase, BoundInputs, FnSpec, GridFn1, GridFn2, KernelOracle,
-                    TimeScale2D, explicit_scale, integer_segment, q_grid,
-                    realize_kernel, running_integral)
-from tscale import bounds, cli, verify
+from tscale import (BoundCase, BoundInputs, DomainError, FnSpec, GridFn1, GridFn2,
+                    KernelOracle, TimeScale2D, dense_mesh, explicit_scale, h_grid,
+                    integer_segment, q_grid, realize_kernel, running_integral,
+                    union_scales)
+from tscale import bounds, cli, verify, witnesses
 from tscale.core import neumaier_cumsum
-from tscale.witnesses import (witness_integrodynamic, witness_kernel,
-                              witness_pointwise, witness_system)
+from tscale.witnesses import (witness_comparison, witness_integrodynamic,
+                              witness_kernel, witness_pointwise, witness_system)
 
 WITNESS_RTOL = 1e-13
 # a and b of the kernel bound on tables whose differences cancel, relative
@@ -175,6 +179,117 @@ def test_integrodynamic_recheck_rejects_u_off_the_axes():
         bad = u.values.copy()
         bad[axis_point] = 1e-300
         assert verify._recheck_integrodynamic(a, b, c, GridFn2(d, bad), w) == math.inf
+
+
+# -- first-order comparison witness -----------------------------------------
+
+COMPARISON_TOL = 1e-13
+
+
+@st.composite
+def comparison_inputs(draw):
+    """f, g, x_a, a and slack on an integer, q, explicit or integer-then-dense
+    scale, with a anywhere on the scale, the last point included.
+
+    g takes both signs through factors 1 + mu*g drawn from [-2, -0.5] and
+    [0.5, 3]: the loop's step x + mu*(f + g*x - slack) rounds at the size of
+    (1 + |mu*g|)*|x|, which the magnitude recursion follows only while the
+    factor does not nearly cancel.  Exact zero factors are pinned below.
+    """
+    if draw(st.booleans()):
+        scale = draw(scales(max_points=40))
+    else:
+        end = draw(st.integers(1, 20))
+        scale = union_scales(integer_segment(0, end),
+                             dense_mesh(end, end + draw(st.integers(1, 3)),
+                                        draw(st.sampled_from([0.1, 0.25]))))
+    n = len(scale)
+    floats = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    factors = st.one_of(floats(-2.0, -0.5), floats(0.5, 3.0))
+    mu = scale.graininess
+    g = (np.array(draw(st.lists(factors, min_size=n, max_size=n))) - 1.0) \
+        / np.where(mu > 0, mu, 1.0)
+    f = draw(st.lists(floats(-2.0, 2.0), min_size=n, max_size=n))
+    return (GridFn1(scale, f), GridFn1(scale, g), draw(floats(-2.0, 2.0)),
+            draw(st.integers(0, n - 1)), draw(floats(0.0, 1.0)))
+
+
+def magnitude(f, g, x_a, a, slack) -> np.ndarray:
+    """m[0] = |x_a|, m[k + 1] = |1 + mu_k*g_k|*m[k] + mu_k*(|f_k| + slack)."""
+    mu = f.scale.graininess[a:]
+    m = np.empty(len(mu))
+    m[0] = abs(x_a)
+    for k in range(len(mu) - 1):
+        i = a + k
+        m[k + 1] = abs(1.0 + mu[k] * g.values[i]) * m[k] \
+            + mu[k] * (abs(f.values[i]) + slack)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparison_inputs())
+def test_comparison_witness_matches_the_loop(inputs):
+    x = witness_comparison(*inputs)
+    old = ref.witness_comparison_loop(*inputs)
+    assert x.scale.points[0] == inputs[0].scale.points[inputs[3]]
+    assert x.values[0] == inputs[2]
+    assert np.all(np.abs(x.values - old) <= COMPARISON_TOL * magnitude(*inputs))
+
+
+def _pinned(scale, f, g, x_a, slack=0.0):
+    """Inputs anchored at the first point; f and g repeat their last entry."""
+    def fn(vals):
+        return GridFn1(scale, np.pad(vals, (0, len(scale) - len(vals)), mode="edge"))
+    return fn(np.atleast_1d(f)), fn(np.atleast_1d(g)), x_a, 0, slack
+
+
+# Each case's loop makes no rounding error, so the scan must match it exactly.
+EXACT_ZERO_CASES = {
+    # factors 1e20: their products leave the float range, but B is 0
+    "overflowing_factors_times_zero": _pinned(integer_segment(0, 40), 0.25, 1e20,
+                                              0.0, 0.25),
+    # factor 0 at index 3, negative factors -1 and -2 around it
+    "zero_and_negative_factors": _pinned(integer_segment(0, 12), [1.0, -2.0, 3.0],
+                                         [1.0, -2.0, -3.0, -1.0, 1.0, -3.0], 1.0),
+    # g = -1/mu on a half step
+    "zero_factor_on_a_half_step": _pinned(h_grid(0.0, 6.0, 0.5), [2.0, -4.0, 1.0],
+                                          [2.0, -2.0, -6.0, 2.0], 3.0),
+    # 1e20**20 overflows, then a zero factor, then forcing starts
+    "zero_factor_after_an_overflowing_product": _pinned(
+        integer_segment(0, 30), [0.25] * 21 + [1.25], [1e20] * 20 + [-1.0, 1.0],
+        0.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_ZERO_CASES)
+def test_comparison_witness_keeps_exact_zeros(case):
+    inputs = EXACT_ZERO_CASES[case]
+    assert np.array_equal(witness_comparison(*inputs).values,
+                          ref.witness_comparison_loop(*inputs))
+
+
+def test_comparison_witness_finite_past_an_overflowing_window():
+    # 1e200 * 1e200 overflows, but x only passes through 1e-300 * 1e200
+    s = integer_segment(0, 4)
+    inputs = _pinned(s, [1e-300, 0.0], [0.0, 1e200, 1e200, 0.0], 0.0)
+    x = witness_comparison(*inputs).values
+    assert np.allclose(x, ref.witness_comparison_loop(*inputs), rtol=COMPARISON_TOL, atol=0)
+    assert x[3] == pytest.approx(1e100, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_comparison_witness_raises_where_the_loop_overflows():
+    inputs = _pinned(integer_segment(0, 40), 1.0, 1e20, 0.0)
+    assert not np.all(np.isfinite(ref.witness_comparison_loop(*inputs)))
+    with pytest.raises(DomainError):
+        witness_comparison(*inputs)
+
+
+def test_comparison_witness_counts_long_exponents_in_int64(monkeypatch):
+    inputs = _pinned(q_grid(1.5, 30), [1.0, -0.5], [3.0, -2.0, 0.5], 2.0, 0.3)
+    short = witness_comparison(*inputs).values
+    monkeypatch.setattr(witnesses, "_INT32_EXPONENT_STEPS", 4)
+    assert np.array_equal(witness_comparison(*inputs).values, short)
 
 
 # -- compensated cumulative sums --------------------------------------------
@@ -368,3 +483,52 @@ def test_witness_reductions_grow_with_rows_not_cells(case):
     with counted_reductions() as count:
         slow(*args)
     assert count["n"] >= (n - 1) ** 2 > 8 * n
+
+
+@contextmanager
+def counted_steps():
+    """Count C calls and executed Python lines in the block.
+
+    numpy ufuncs raise no C-call event, and the per-point loop makes no C
+    call per point, so Python lines are what grows with a per-point step.
+    """
+    seen = {"n": 0}
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            seen["n"] += 1
+
+    def trace(frame, event, arg):
+        if event == "line":
+            seen["n"] += 1
+        return trace
+
+    previous = sys.getprofile(), sys.gettrace()
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous[1])
+        sys.setprofile(previous[0])
+
+
+# Steps a doubling of the scale may add: one scan round.
+STEPS_PER_DOUBLING = 16
+
+
+def test_comparison_witness_steps_grow_with_log_n():
+    def growth(fn):
+        """Steps added from 2**10 to 2**14 points, four doublings."""
+        counts = []
+        for n in (2 ** 10, 2 ** 14):
+            s = integer_segment(0, n - 1)
+            args = (GridFn1(s, np.full(n, 0.5)), GridFn1(s, np.full(n, 1e-3)), 1.0, 0, 0.1)
+            with counted_steps() as count:
+                fn(*args)
+            counts.append(count["n"])
+        return counts[1] - counts[0]
+
+    assert growth(witness_comparison) <= 4 * STEPS_PER_DOUBLING
+    # the loop's steps per point, 15 * 2**10 more, break the bound above
+    assert growth(ref.witness_comparison_loop) >= 15 * 2 ** 10
