@@ -10,8 +10,8 @@ driver plus CLI that confront bounds with witnesses on concrete scales.
 """
 
 from .bounds import (BoundCase, BoundInputs, BoundReport, ExponentVariant,
-                     bound_integrodynamic, bound_kernel, bound_kernel_variants,
-                     bound_pointwise, bound_system, check_hypotheses,
+                     IntegrodynamicInputs, KernelInputs, PointwiseInputs,
+                     SystemInputs, bound_kernel_variants, check_hypotheses,
                      compute_bound, gronwall_2d)
 from .config import (FnSpec, ScaleSpec, classical_forms, parse_fn, parse_scale,
                      realize_1d, realize_2d, realize_kernel, realize_scalar)
@@ -33,9 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCase", "BoundInputs", "BoundReport", "ExponentVariant",
-    "bound_integrodynamic", "bound_kernel", "bound_kernel_variants",
-    "bound_pointwise", "bound_system",
-    "check_hypotheses", "compute_bound", "gronwall_2d",
+    "IntegrodynamicInputs", "KernelInputs", "PointwiseInputs", "SystemInputs",
+    "bound_kernel_variants", "check_hypotheses", "compute_bound", "gronwall_2d",
     "FnSpec", "ScaleSpec", "classical_forms", "parse_fn", "parse_scale",
     "realize_1d", "realize_2d", "realize_kernel", "realize_scalar",
     "GridFn1", "TimeScale", "antiderivative", "cauchy_integral",

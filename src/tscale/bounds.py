@@ -1,20 +1,21 @@
 """Explicit a-priori bounds for two-variable integral and integro-dynamic
 inequalities on product scales.
 
-Four shapes of hypothesis are covered, selected by BoundCase:
+Four shapes of hypothesis are covered, each by one frozen input type:
 
-* pointwise: u <= p + q * ii(k(s1, s2) u)          (k a grid function)
-* kernel:    u <= p + q * ii(k(t1, t2, s1, s2) u)  (k a four-argument kernel)
-* system:    coupled pair u <= c1 + ii(h1 u + h2 v), v <= c2 + ii(h3 u + h4 v)
-* integrodynamic: mixed-derivative relation with feedback through u + u^{d1 d2}
+* PointwiseInputs: u <= p + q * ii(k(s1, s2) u)          (k a grid function)
+* KernelInputs:    u <= p + q * ii(k(t1, t2, s1, s2) u)  (k a KernelOracle)
+* SystemInputs:    coupled pair u <= c1 + ii(h1 u + h2 v), v <= c2 + ii(h3 u + h4 v)
+* IntegrodynamicInputs: mixed-derivative relation with feedback through u + u^{d1 d2}
 
-where ii is the double delta integral over [0, t1) x [0, t2).  Each bound
-operation assembles the intermediate functions (a, b, A, c, H, p, q, h) by
-lattice summation, forms the dominating function with a first-variable
-product exponential, and compares an optional witness against it pointwise
-on kappa x kappa.  The kernel case reads its table one row of slabs at a
-time, O(n1) numpy steps per instance, and bound_kernel_variants finishes
-both exponent variants from one assembly.
+where ii is the double delta integral over [0, t1) x [0, t2).  An input type
+checks its structure once, at construction, and has its own check_hypotheses()
+and bound(), to which check_hypotheses and compute_bound delegate.  A bound
+assembles the intermediate functions (a, b, A, c, H, p, q, h) by lattice
+summation, forms the dominating function with a product exponential, and
+compares an optional witness against it pointwise on kappa x kappa.  The
+kernel case reads its table one row of slabs at a time, and
+bound_kernel_variants finishes both exponent variants from one assembly.
 """
 
 from __future__ import annotations
@@ -61,34 +62,6 @@ class BoundCase(Enum):
 
 
 @dataclass
-class BoundInputs:
-    """Input bundle for the bound operations; unused fields stay None.
-
-    which selects the case.  k is a GridFn2 for the pointwise case and a
-    KernelOracle for the kernel case.  u is an optional externally supplied
-    witness to compare against the computed bound; the system and
-    integro-dynamic cases generate their own equality witness when u is
-    absent.
-    """
-
-    which: BoundCase
-    u: GridFn2 | None = None
-    p: GridFn2 | None = None
-    q: GridFn2 | None = None
-    k: GridFn2 | KernelOracle | None = None
-    c1: float | None = None
-    c2: float | None = None
-    h1: GridFn2 | None = None
-    h2: GridFn2 | None = None
-    h3: GridFn2 | None = None
-    h4: GridFn2 | None = None
-    a1d: GridFn1 | None = None
-    b1d: GridFn1 | None = None
-    c2d: GridFn2 | None = None
-    exponent_variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE
-
-
-@dataclass
 class BoundReport:
     """Bound evaluation on kappa x kappa plus witness comparison statistics.
 
@@ -106,18 +79,6 @@ class BoundReport:
     violations: list[tuple[int, int, float, float]]
     hypothesis_diagnostics: list[str] = field(default_factory=list)
     exponent_variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE
-
-
-def _need2(inputs: BoundInputs, *names: str) -> list[GridFn2]:
-    out = []
-    for nm in names:
-        v = getattr(inputs, nm)
-        if not isinstance(v, GridFn2):
-            raise DomainError(f"{inputs.which.value} case needs {nm} as a grid function")
-        out.append(v)
-    for v in out[1:]:
-        _require_same_domain(out[0], v)
-    return out
 
 
 def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
@@ -169,8 +130,8 @@ def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
     corner[j] = k(i+1, j+1, i, j) and the second-variable, first-variable and
     mixed differences d2[j, b], d1[j, a] and d12[j, a, b] for a < i and every
     b < n2 - 1 (callers keep b < j).  Given lows, a (3, n1 - 1, n2 - 1) array,
-    store in lows[:, i, j] the minima of d2[j], d1[j] and d12[j] over the
-    arguments the bound formulas touch, as _kernel_diagnostics reports them."""
+    store in lows[:, i, j] the minima of d2[j], d1[j] and d12[j] over the arguments
+    the bound formulas touch, as KernelInputs.check_hypotheses reports them."""
     table = kernel.table()
     n1, n2 = kernel.domain.shape
     mu1 = np.diff(kernel.domain.scale1.points)
@@ -194,96 +155,17 @@ def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
         yield i, k11[j, i, j], d2, d1, d12
 
 
-def _kernel_diagnostics(p: GridFn2, q: GridFn2, kernel: KernelOracle,
-                        lows: np.ndarray | None = None) -> list[str]:
-    """check_hypotheses for the kernel case: nonnegativity of p, q, the kernel
-    and its three sigma-shifted lattice differences over every argument
-    combination the bound formulas touch; a failing difference names the first
-    (i, j), in row order, of its minimum.  lows, when given, holds the minima
-    that a sweep of _kernel_differences already took."""
-    diags: list[str] = []
-    for vals, nm in ((p.values, "p"), (q.values, "q"), (kernel.table(), "kernel")):
-        _check_nonneg(vals, nm, diags)
-    if lows is None:
-        lows = np.full((3, *(n - 1 for n in kernel.domain.shape)), np.inf)
-        for _ in _kernel_differences(kernel, lows):
-            pass
-    for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
-        lo, at = _min_location(low) if low.size else (0.0, None)
-        if lo < -HYPOTHESIS_SLACK:
-            diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
-    return diags
-
-
-def check_hypotheses(inputs: BoundInputs) -> list[str]:
-    """Diagnostics for the selected case's sign and monotonicity hypotheses.
-
-    Returns an empty list when every condition holds within -1e-12 slack;
-    entries name the failing function and a witness point.  Hypothesis
-    failures never raise; structural incompleteness does.
-    """
-    diags: list[str] = []
-    which = inputs.which
-    if which is BoundCase.POINTWISE:
-        p, q, k = _need2(inputs, "p", "q", "k")
-        for g, nm in ((p, "p"), (q, "q"), (k, "k")):
-            _check_nonneg(g.values, nm, diags)
-    elif which is BoundCase.KERNEL:
-        p, q = _need2(inputs, "p", "q")
-        if not isinstance(inputs.k, KernelOracle):
-            raise DomainError("kernel case needs k as a KernelOracle")
-        diags = _kernel_diagnostics(p, q, inputs.k)
-    elif which is BoundCase.SYSTEM:
-        hs = _need2(inputs, "h1", "h2", "h3", "h4")
-        if inputs.c1 is None or inputs.c2 is None:
-            raise DomainError("system case needs constants c1 and c2")
-        for val, nm in ((inputs.c1, "c1"), (inputs.c2, "c2")):
-            if val < -HYPOTHESIS_SLACK:
-                diags.append(f"{nm} negative: {val:.6g}")
-        for g, nm in zip(hs, ("h1", "h2", "h3", "h4")):
-            _check_nonneg(g.values, nm, diags)
-    elif which is BoundCase.INTEGRODYNAMIC:
-        a1d, b1d, c2d = inputs.a1d, inputs.b1d, inputs.c2d
-        if not (isinstance(a1d, GridFn1) and isinstance(b1d, GridFn1)
-                and isinstance(c2d, GridFn2)):
-            raise DomainError("integrodynamic case needs a1d, b1d, c2d")
-        for g, nm in ((a1d, "a"), (b1d, "b")):
-            worst = float(g.values.min())
-            if worst <= 0.0:
-                diags.append(f"{nm} must be strictly positive, found {worst:.6g}")
-            deltas = np.diff(g.values) / np.diff(g.scale.points)
-            lo, at = (float(deltas.min()), int(np.argmin(deltas))) if len(deltas) \
-                else (0.0, 0)
-            if lo < -HYPOTHESIS_SLACK:
-                diags.append(f"{nm} delta derivative negative at index {at}: {lo:.6g}")
-        _check_nonneg(c2d.values, "c", diags)
-        if inputs.u is not None:
-            _check_nonneg(mixed_partial(inputs.u).values,
-                          "witness mixed delta", diags)
-    else:
-        raise DomainError(f"unknown bound case {which}")
-    return diags
-
-
-def _exp_axis1(c: np.ndarray, mu1: np.ndarray) -> np.ndarray:
-    """E[i, j] = product over s < i of (1 + mu1[s] * c[s, j])."""
+def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
+    """E = running product along axis (1 or 2) of 1 + mu * c: on axis 1,
+    E[i, j] = product over s < i of (1 + mu[s] * c[s, j]), on axis 2 the same
+    with the roles of i and j exchanged."""
     out = np.ones_like(c)
-    if c.shape[0] > 1:
-        factors = 1.0 + mu1[: c.shape[0] - 1, None] * c[:-1, :]
-        np.cumprod(factors, axis=0, out=out[1:, :])
+    c_ax, out_ax = (c, out) if axis == 1 else (c.T, out.T)
+    if c_ax.shape[0] > 1:
+        factors = 1.0 + mu[: c_ax.shape[0] - 1, None] * c_ax[:-1, :]
+        np.cumprod(factors, axis=0, out=out_ax[1:, :])
     if not np.all(np.isfinite(out)):
-        raise DomainError("first-variable exponential overflowed")
-    return out
-
-
-def _exp_axis2(c: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """E[i, j] = product over s < j of (1 + mu2[s] * c[i, s])."""
-    out = np.ones_like(c)
-    if c.shape[1] > 1:
-        factors = 1.0 + mu2[None, : c.shape[1] - 1] * c[:, :-1]
-        np.cumprod(factors, axis=1, out=out[:, 1:])
-    if not np.all(np.isfinite(out)):
-        raise DomainError("second-variable exponential overflowed")
+        raise DomainError(f"{('first', 'second')[axis - 1]}-variable exponential overflowed")
     return out
 
 
@@ -306,37 +188,16 @@ def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     if av.shape[1] > 1 and float(np.diff(av, axis=1).min()) < -scale:
         log.warning("gronwall_2d: A decreases along axis 2; bound not guaranteed")
     c = running_integral(b, 2).values
-    e = _exp_axis1(c, A.domain.mu1)
+    e = _exp_axis(c, A.domain.mu1, 1)
     out = av * e
     if not np.all(np.isfinite(out)):
         raise DomainError("gronwall_2d output overflowed")
     return GridFn2(A.domain, out)
 
 
-def bound_pointwise(inputs: BoundInputs) -> BoundReport:
-    """Bound p + q * A * e_c for u <= p + q * ii(k u) with pointwise k.
-
-    a = k*p and b = k*q; A is the running double integral of a, c the
-    running second-axis integral of b, and the exponential runs in the
-    first variable (through the gronwall_2d machinery).
-    """
-    p, q, k = _need2(inputs, "p", "q", "k")
-    diags = check_hypotheses(inputs)
-    dom = p.domain
-    a = GridFn2(dom, k.values * p.values)
-    b = GridFn2(dom, k.values * q.values)
-    A = running_double_integral(a)
-    z = gronwall_2d(A, b)
-    bound_full = p.values + q.values * z.values
-    if not np.all(np.isfinite(bound_full)):
-        raise DomainError("pointwise bound overflowed")
-    bound = GridFn2(dom, bound_full).kappa_restrict()
-    return _finish(bound, inputs.u, diags, ExponentVariant.FIRST_VARIABLE)
-
-
 def _kernel_ab(kernel: KernelOracle, p: GridFn2, q: GridFn2,
                lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of bound_kernel on kappa x kappa, one row of table slabs at a time;
+    """a and b of the kernel bound on kappa x kappa, one row of table slabs at a time;
     lows is passed on to the sweep of _kernel_differences."""
     m1, m2 = (n - 1 for n in p.domain.shape)
     mu1 = np.diff(p.domain.scale1.points)
@@ -352,32 +213,231 @@ def _kernel_ab(kernel: KernelOracle, p: GridFn2, q: GridFn2,
     return out[0], out[1]
 
 
-def bound_kernel(inputs: BoundInputs) -> BoundReport:
-    """Bound p + q * A * E for u <= p + q * ii(k(t1, t2, s1, s2) u).
+@dataclass(frozen=True)
+class PointwiseInputs:
+    """u <= p + q * ii(k u) with k a grid function, bounded by p + q * A * e_c.
+
+    a = k*p and b = k*q; A is the running double integral of a, c the
+    running second-axis integral of b, and the exponential runs in the
+    first variable (through the gronwall_2d machinery).  u is an optional
+    witness to compare against the bound.
+    """
+
+    p: GridFn2
+    q: GridFn2
+    k: GridFn2
+    u: GridFn2 | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, GridFn2):
+            raise DomainError("pointwise case needs k as a grid function")
+        _require_same_domain(self.p, self.q, self.k)
+
+    def check_hypotheses(self) -> list[str]:
+        """Nonnegativity of p, q and k."""
+        diags: list[str] = []
+        for g, nm in ((self.p, "p"), (self.q, "q"), (self.k, "k")):
+            _check_nonneg(g.values, nm, diags)
+        return diags
+
+    def bound(self) -> BoundReport:
+        diags = check_hypotheses(self)
+        dom = self.p.domain
+        a = GridFn2(dom, self.k.values * self.p.values)
+        b = GridFn2(dom, self.k.values * self.q.values)
+        A = running_double_integral(a)
+        z = gronwall_2d(A, b)
+        bound_full = self.p.values + self.q.values * z.values
+        if not np.all(np.isfinite(bound_full)):
+            raise DomainError("pointwise bound overflowed")
+        bound = GridFn2(dom, bound_full).kappa_restrict()
+        return _finish(bound, self.u, diags, ExponentVariant.FIRST_VARIABLE)
+
+
+@dataclass(frozen=True)
+class KernelInputs:
+    """u <= p + q * ii(k(t1, t2, s1, s2) u) with k a KernelOracle on the
+    domain of p and q, bounded by p + q * A * E.
 
     a and b expand the sigma-shifted kernel against p and q: the kernel
     value at the shifted corner plus three correction integrals against the
     kernel's lattice differences.  A = ii(a), c = integral of b over the
     second axis, and E = e_c in the variable chosen by exponent_variant.
+    u is an optional witness to compare against the bound.
     """
-    variant = inputs.exponent_variant
-    return bound_kernel_variants(inputs, (variant,))[variant]
+
+    p: GridFn2
+    q: GridFn2
+    k: KernelOracle
+    u: GridFn2 | None = None
+    exponent_variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, KernelOracle):
+            raise DomainError("kernel case needs k as a KernelOracle")
+        _require_same_domain(self.p, self.q)
+        if not self.k.domain.same_points(self.p.domain):
+            raise ScaleMismatchError("kernel lives on a different product scale")
+
+    def check_hypotheses(self, lows: np.ndarray | None = None) -> list[str]:
+        """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
+        differences over every argument combination the bound formulas touch; a
+        failing difference names the first (i, j), in row order, of its minimum.
+        lows, when given, holds the minima that a sweep of _kernel_differences
+        already took."""
+        diags: list[str] = []
+        for vals, nm in ((self.p.values, "p"), (self.q.values, "q"),
+                         (self.k.table(), "kernel")):
+            _check_nonneg(vals, nm, diags)
+        if lows is None:
+            lows = np.full((3, *(n - 1 for n in self.k.domain.shape)), np.inf)
+            for _ in _kernel_differences(self.k, lows):
+                pass
+        for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
+            lo, at = _min_location(low) if low.size else (0.0, None)
+            if lo < -HYPOTHESIS_SLACK:
+                diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
+        return diags
+
+    def bound(self) -> BoundReport:
+        variant = self.exponent_variant
+        return bound_kernel_variants(self, (variant,))[variant]
 
 
-def bound_kernel_variants(inputs: BoundInputs,
+@dataclass(frozen=True)
+class SystemInputs:
+    """The coupled pair with constants c1, c2 and coefficients h1..h4,
+    bounded by c3 + A * e_c and compared against u + v.
+
+    c3 = c1 + c2; H is the pointwise max of h1 + h3 and h2 + h4;
+    A = c3 * ii(H); c integrates H over the second axis.  u is an optional
+    witness for u + v; without it the coupled equality recursion provides one.
+    """
+
+    c1: float
+    c2: float
+    h1: GridFn2
+    h2: GridFn2
+    h3: GridFn2
+    h4: GridFn2
+    u: GridFn2 | None = None
+
+    def __post_init__(self) -> None:
+        _require_same_domain(self.h1, self.h2, self.h3, self.h4)
+
+    def check_hypotheses(self) -> list[str]:
+        """Nonnegativity of c1, c2 and h1..h4."""
+        diags: list[str] = []
+        for val, nm in ((self.c1, "c1"), (self.c2, "c2")):
+            if val < -HYPOTHESIS_SLACK:
+                diags.append(f"{nm} negative: {val:.6g}")
+        for g, nm in ((self.h1, "h1"), (self.h2, "h2"), (self.h3, "h3"), (self.h4, "h4")):
+            _check_nonneg(g.values, nm, diags)
+        return diags
+
+    def bound(self) -> BoundReport:
+        c1, c2 = float(self.c1), float(self.c2)
+        if c1 < 0 or c2 < 0:
+            raise DomainError(f"system constants must be nonnegative, got {c1}, {c2}")
+        diags = check_hypotheses(self)
+        dom = self.h1.domain
+        c3 = c1 + c2
+        h_vals = np.maximum(self.h1.values + self.h3.values, self.h2.values + self.h4.values)
+        hfn = GridFn2(dom, h_vals)
+        A = c3 * running_double_integral(hfn).values
+        c = running_integral(hfn, 2).values
+        e = _exp_axis(c, dom.mu1, 1)
+        bound_full = c3 + A * e
+        if not np.all(np.isfinite(bound_full)):
+            raise DomainError("system bound overflowed")
+        bound = GridFn2(dom, bound_full).kappa_restrict()
+        if self.u is not None:
+            witness = self.u
+        else:
+            u, v = witnesses.witness_system(c1, c2, self.h1, self.h2, self.h3, self.h4)
+            witness = GridFn2(dom, u.values + v.values)
+        return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
+
+
+@dataclass(frozen=True)
+class IntegrodynamicInputs:
+    """The mixed-derivative relation with axis coefficients a (first axis)
+    and b (second axis) and the grid function c, bounded by ii(h).
+
+    p is the quotient-plus-integral coefficient a^{d1}/(a + b(0)) plus the
+    integral of 1 + c over the second axis; q = (a(0) + b(t2)) * e_p * c
+    with e_p the first-variable exponential of p at fixed t2;
+    h = a + b + ii(q) and the bound is the running double integral of h.
+    u is an optional witness; without it the equality witness is built.
+    """
+
+    a: GridFn1
+    b: GridFn1
+    c: GridFn2
+    u: GridFn2 | None = None
+
+    def __post_init__(self) -> None:
+        if not (self.a.scale.same_points(self.c.domain.scale1)
+                and self.b.scale.same_points(self.c.domain.scale2)):
+            raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
+
+    def check_hypotheses(self) -> list[str]:
+        """a and b strictly positive and nondecreasing, c nonnegative, and
+        the witness's mixed delta derivative nonnegative when u is given."""
+        diags: list[str] = []
+        for g, nm in ((self.a, "a"), (self.b, "b")):
+            worst = float(g.values.min())
+            if worst <= 0.0:
+                diags.append(f"{nm} must be strictly positive, found {worst:.6g}")
+            deltas = np.diff(g.values) / np.diff(g.scale.points)
+            lo, at = (float(deltas.min()), int(np.argmin(deltas))) if len(deltas) \
+                else (0.0, 0)
+            if lo < -HYPOTHESIS_SLACK:
+                diags.append(f"{nm} delta derivative negative at index {at}: {lo:.6g}")
+        _check_nonneg(self.c.values, "c", diags)
+        if self.u is not None:
+            _check_nonneg(mixed_partial(self.u).values, "witness mixed delta", diags)
+        return diags
+
+    def bound(self) -> BoundReport:
+        a1d, b1d, c2d = self.a, self.b, self.c
+        if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
+            raise DomainError("axis coefficients must be strictly positive")
+        diags = check_hypotheses(self)
+        dom = c2d.domain
+        n1, n2 = dom.shape
+        if n1 < 2 or n2 < 2:
+            raise DomainError("integrodynamic bound needs at least two points per axis")
+        m1, m2 = n1 - 1, n2 - 1
+        mu1 = np.diff(dom.scale1.points)
+        kdom = dom.kappa()
+        a_delta = np.diff(a1d.values) / mu1
+        one_plus_c = GridFn2(kdom, 1.0 + c2d.values[:m1, :m2])
+        inner = running_integral(one_plus_c, 2).values
+        p_vals = a_delta[:, None] / (a1d.values[:m1, None] + b1d.values[0]) + inner
+        e_p = _exp_axis(p_vals, mu1, 1)
+        q_vals = (a1d.values[0] + b1d.values[None, :m2]) * e_p * c2d.values[:m1, :m2]
+        qq = running_double_integral(GridFn2(kdom, q_vals)).values
+        h_vals = a1d.values[:m1, None] + b1d.values[None, :m2] + qq
+        bound = running_double_integral(GridFn2(kdom, h_vals))
+        if not np.all(np.isfinite(bound.values)):
+            raise DomainError("integrodynamic bound overflowed")
+        if self.u is not None:
+            witness = self.u
+        else:
+            witness = witnesses.witness_integrodynamic(a1d, b1d, c2d)[0]
+        return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
+
+
+def bound_kernel_variants(inputs: KernelInputs,
                           variants: tuple[ExponentVariant, ...] = tuple(ExponentVariant),
                           ) -> dict[ExponentVariant, BoundReport]:
-    """bound_kernel's report for each of variants (default: both), in order.
+    """The kernel bound's report for each of variants (default: both), in order.
 
     The hypotheses, a, b, A and c are computed once for all of them;
     inputs.exponent_variant is ignored.
     """
-    p, q = _need2(inputs, "p", "q")
-    kernel = inputs.k
-    if not isinstance(kernel, KernelOracle):
-        raise DomainError("kernel case needs k as a KernelOracle")
-    if not kernel.domain.same_points(p.domain):
-        raise ScaleMismatchError("kernel lives on a different product scale")
+    p, q, kernel = inputs.p, inputs.q, inputs.k
     dom = p.domain
     n1, n2 = dom.shape
     if n1 < 2 or n2 < 2:
@@ -386,15 +446,15 @@ def bound_kernel_variants(inputs: BoundInputs,
     kdom = dom.kappa()
     lows = np.full((3, m1, m2), np.inf)
     a_vals, b_vals = _kernel_ab(kernel, p, q, lows)
-    diags = _kernel_diagnostics(p, q, kernel, lows)
+    diags = inputs.check_hypotheses(lows)
     A = running_double_integral(GridFn2(kdom, a_vals)).values
     c = running_integral(GridFn2(kdom, b_vals), 2).values
     reports = {}
     for variant in variants:
         if variant is ExponentVariant.FIRST_VARIABLE:
-            e = _exp_axis1(c, dom.mu1)
+            e = _exp_axis(c, dom.mu1, 1)
         else:
-            e = _exp_axis2(c, dom.mu2)
+            e = _exp_axis(c, dom.mu2, 2)
         bound_vals = p.values[:m1, :m2] + q.values[:m1, :m2] * A * e
         if not np.all(np.isfinite(bound_vals)):
             raise DomainError("kernel bound overflowed")
@@ -403,91 +463,20 @@ def bound_kernel_variants(inputs: BoundInputs,
     return reports
 
 
-def bound_system(inputs: BoundInputs) -> BoundReport:
-    """Bound c3 + A * e_c for the coupled pair, compared against u + v.
+BoundInputs = PointwiseInputs | KernelInputs | SystemInputs | IntegrodynamicInputs
 
-    c3 = c1 + c2; H is the pointwise max of h1 + h3 and h2 + h4;
-    A = c3 * ii(H); c integrates H over the second axis.  When no witness
-    is supplied the coupled equality recursion provides one and the report
-    compares u + v against the bound.
+
+def check_hypotheses(inputs: BoundInputs) -> list[str]:
+    """Diagnostics for the case's sign and monotonicity hypotheses.
+
+    Returns an empty list when every condition holds within -1e-12 slack;
+    entries name the failing function and a witness point.  Hypothesis
+    failures never raise; structural mistakes already raised when the
+    inputs were constructed.
     """
-    hs = _need2(inputs, "h1", "h2", "h3", "h4")
-    if inputs.c1 is None or inputs.c2 is None:
-        raise DomainError("system case needs constants c1 and c2")
-    c1, c2 = float(inputs.c1), float(inputs.c2)
-    if c1 < 0 or c2 < 0:
-        raise DomainError(f"system constants must be nonnegative, got {c1}, {c2}")
-    diags = check_hypotheses(inputs)
-    dom = hs[0].domain
-    c3 = c1 + c2
-    h_vals = np.maximum(hs[0].values + hs[2].values, hs[1].values + hs[3].values)
-    hfn = GridFn2(dom, h_vals)
-    A = c3 * running_double_integral(hfn).values
-    c = running_integral(hfn, 2).values
-    e = _exp_axis1(c, dom.mu1)
-    bound_full = c3 + A * e
-    if not np.all(np.isfinite(bound_full)):
-        raise DomainError("system bound overflowed")
-    bound = GridFn2(dom, bound_full).kappa_restrict()
-    if inputs.u is not None:
-        witness = inputs.u
-    else:
-        u, v = witnesses.witness_system(c1, c2, *hs)
-        witness = GridFn2(dom, u.values + v.values)
-    return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
-
-
-def bound_integrodynamic(inputs: BoundInputs) -> BoundReport:
-    """Bound ii(h) for the mixed-derivative relation, compared against u.
-
-    p is the quotient-plus-integral coefficient a^{d1}/(a + b(0)) plus the
-    integral of 1 + c over the second axis; q = (a(0) + b(t2)) * e_p * c
-    with e_p the first-variable exponential of p at fixed t2;
-    h = a + b + ii(q) and the bound is the running double integral of h.
-    """
-    a1d, b1d, c2d = inputs.a1d, inputs.b1d, inputs.c2d
-    if not (isinstance(a1d, GridFn1) and isinstance(b1d, GridFn1)
-            and isinstance(c2d, GridFn2)):
-        raise DomainError("integrodynamic case needs a1d, b1d, c2d")
-    dom = c2d.domain
-    if not (a1d.scale.same_points(dom.scale1) and b1d.scale.same_points(dom.scale2)):
-        raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
-    if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
-        raise DomainError("axis coefficients must be strictly positive")
-    diags = check_hypotheses(inputs)
-    n1, n2 = dom.shape
-    if n1 < 2 or n2 < 2:
-        raise DomainError("integrodynamic bound needs at least two points per axis")
-    m1, m2 = n1 - 1, n2 - 1
-    mu1 = np.diff(dom.scale1.points)
-    mu2 = np.diff(dom.scale2.points)
-    kdom = dom.kappa()
-    a_delta = np.diff(a1d.values) / mu1
-    one_plus_c = GridFn2(kdom, 1.0 + c2d.values[:m1, :m2])
-    inner = running_integral(one_plus_c, 2).values
-    p_vals = a_delta[:, None] / (a1d.values[:m1, None] + b1d.values[0]) + inner
-    e_p = _exp_axis1(p_vals, mu1)
-    q_vals = (a1d.values[0] + b1d.values[None, :m2]) * e_p * c2d.values[:m1, :m2]
-    qq = running_double_integral(GridFn2(kdom, q_vals)).values
-    h_vals = a1d.values[:m1, None] + b1d.values[None, :m2] + qq
-    bound = running_double_integral(GridFn2(kdom, h_vals))
-    if not np.all(np.isfinite(bound.values)):
-        raise DomainError("integrodynamic bound overflowed")
-    if inputs.u is not None:
-        witness = inputs.u
-    else:
-        witness = witnesses.witness_integrodynamic(a1d, b1d, c2d)[0]
-    return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
-
-
-_DISPATCH = {
-    BoundCase.POINTWISE: bound_pointwise,
-    BoundCase.KERNEL: bound_kernel,
-    BoundCase.SYSTEM: bound_system,
-    BoundCase.INTEGRODYNAMIC: bound_integrodynamic,
-}
+    return inputs.check_hypotheses()
 
 
 def compute_bound(inputs: BoundInputs) -> BoundReport:
-    """Dispatch to the bound operation selected by inputs.which."""
-    return _DISPATCH[inputs.which](inputs)
+    """The bound report for the case that inputs' type names."""
+    return inputs.bound()

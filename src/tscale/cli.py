@@ -378,6 +378,8 @@ def _check_calc_args(args: argparse.Namespace) -> None:
         raise ConfigError("calc exp needs --t0")
     if op == "compare" and (not args.f or not args.g or args.lower is None):
         raise ConfigError("calc compare needs --f, --g and --from")
+    if op == "compare" and not math.isfinite(args.xa):
+        raise ConfigError(f"--xa must be a finite number, got {args.xa}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

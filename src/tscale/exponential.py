@@ -144,6 +144,8 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     regressive on the window, which keeps the direction of the inequality.
     """
     _require_same_scale(f, g)
+    if not math.isfinite(x_a):
+        raise DomainError(f"x_a must be finite, got {x_a}")
     scale = f.scale
     a = scale._check_index(a)
     mu = np.diff(scale.points)

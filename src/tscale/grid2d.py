@@ -86,8 +86,8 @@ def _cell_weights(domain: TimeScale2D) -> np.ndarray:
     return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
 
 
-def _require_same_domain(f: GridFn2, g: GridFn2) -> None:
-    if not f.domain.same_points(g.domain):
+def _require_same_domain(f: GridFn2, *others: GridFn2) -> None:
+    if not all(f.domain.same_points(g.domain) for g in others):
         raise ScaleMismatchError("grid functions live on different product scales")
 
 

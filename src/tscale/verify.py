@@ -22,7 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from . import witnesses
-from .bounds import (BoundCase, BoundInputs, BoundReport, ExponentVariant,
+from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInputs,
+                     KernelInputs, PointwiseInputs, SystemInputs,
                      bound_kernel_variants, compute_bound)
 from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
     realize_scalar
@@ -237,7 +238,7 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
         k = realize_2d(fns.get("k", _ANY), dom, rng)
         rho = _feedback(rng, mode)
         u = witnesses.witness_pointwise(p, q, k, rho)
-        report = compute_bound(BoundInputs(which=case, u=u, p=p, q=q, k=k))
+        report = compute_bound(PointwiseInputs(p, q, k, u))
         return report, _recheck_pointwise(p, q, k, u), None
     if case is BoundCase.KERNEL:
         p = realize_2d(fns.get("p", _ANY), dom, rng)
@@ -245,8 +246,7 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
         kernel = realize_kernel(fns.get("k", _ANY), dom, rng)
         rho = _feedback(rng, mode)
         u = witnesses.witness_kernel(p, q, kernel, rho)
-        by_variant = bound_kernel_variants(BoundInputs(which=case, u=u, p=p, q=q,
-                                                       k=kernel))
+        by_variant = bound_kernel_variants(KernelInputs(p, q, kernel, u))
         second = by_variant[ExponentVariant.SECOND_VARIABLE]
         extra = {
             "first_variable_dominates":
@@ -263,9 +263,7 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
         rho = _feedback(rng, mode)
         u, v = witnesses.witness_system(c1, c2, *hs, feedback_scale=rho)
         combined = GridFn2(dom, u.values + v.values)
-        report = compute_bound(BoundInputs(
-            which=case, u=combined, c1=c1, c2=c2,
-            h1=hs[0], h2=hs[1], h3=hs[2], h4=hs[3]))
+        report = compute_bound(SystemInputs(c1, c2, *hs, u=combined))
         return report, _recheck_system(c1, c2, hs, u, v), None
     if case is BoundCase.INTEGRODYNAMIC:
         a = realize_1d(fns.get("a", _ANY), dom.scale1, rng, monotone_positive=True)
@@ -273,7 +271,6 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
         c = realize_2d(fns.get("c", _ANY), dom, rng)
         rho = _feedback(rng, mode)
         u, w = witnesses.witness_integrodynamic(a, b, c, rho)
-        report = compute_bound(BoundInputs(
-            which=case, u=u, a1d=a, b1d=b, c2d=c))
+        report = compute_bound(IntegrodynamicInputs(a, b, c, u))
         return report, _recheck_integrodynamic(a, b, c, u, w), None
     raise ConfigError(f"unknown case '{case}'")

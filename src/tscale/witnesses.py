@@ -67,8 +67,7 @@ def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
     hypothesis; smaller factors keep u strictly below the right-hand side
     wherever the feedback term is positive.
     """
-    _require_same_domain(p, q)
-    _require_same_domain(p, k)
+    _require_same_domain(p, q, k)
     rho = _check_feedback(feedback_scale)
     u = np.empty(p.domain.shape)
 
@@ -111,8 +110,7 @@ def witness_system(c1: float, c2: float, h1: GridFn2, h2: GridFn2,
     ii is the double integral over [0, t1) x [0, t2); the feedback factor
     scales both integral terms.
     """
-    for g in (h2, h3, h4):
-        _require_same_domain(h1, g)
+    _require_same_domain(h1, h2, h3, h4)
     rho = _check_feedback(feedback_scale)
     dom = h1.domain
     u = np.empty(dom.shape)
@@ -168,8 +166,10 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     No factor needs to be positive or nonzero.
     """
     _require_same_scale(f, g)
-    if slack < 0:
-        raise DomainError("slack must be nonnegative")
+    if not np.isfinite(x_a):
+        raise DomainError(f"x_a must be finite, got {x_a}")
+    if not (np.isfinite(slack) and slack >= 0):
+        raise DomainError(f"slack must be finite and nonnegative, got {slack}")
     scale = f.scale
     a = scale._check_index(a)
     pts = scale.points[a:]

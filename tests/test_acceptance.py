@@ -12,8 +12,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from tscale import (BoundCase, BoundInputs, FnSpec, GridFn1, GridFn2,
-                    InstanceSpec, KernelOracle, RectPartition, TimeScale2D,
+from tscale import (BoundCase, FnSpec, GridFn1, GridFn2, InstanceSpec,
+                    IntegrodynamicInputs, KernelInputs, KernelOracle,
+                    PointwiseInputs, RectPartition, SystemInputs, TimeScale2D,
                     WitnessMode, antiderivative, cauchy_integral,
                     comparison_bound, compute_bound, darboux_sums,
                     delta_derivative, dense_mesh, double_integral, exp_fn,
@@ -134,8 +135,7 @@ def test_criterion_4_pointwise_dominance_and_closed_form():
         d = TimeScale2D(integer_segment(0, 3), integer_segment(0, 3))
         one = GridFn2.constant(d, 1.0)
         u = witness_pointwise(one, one, one)
-        rep = compute_bound(BoundInputs(which=BoundCase.POINTWISE, u=u,
-                                        p=one, q=one, k=one))
+        rep = compute_bound(PointwiseInputs(u=u, p=one, q=one, k=one))
         assert rep.bound.values[2, 2] == 37.0
         assert rep.witness.values[2, 2] == 6.0
         assert not rep.violations
@@ -150,10 +150,8 @@ def test_criterion_5_kernel_reduction_and_monotone_instances():
         p = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
         q = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
         level = 0.8
-        rep_k = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=p, q=q,
-                                          k=KernelOracle.constant(d, level)))
-        rep_p = compute_bound(BoundInputs(which=BoundCase.POINTWISE, p=p, q=q,
-                                          k=GridFn2.constant(d, level)))
+        rep_k = compute_bound(KernelInputs(p=p, q=q, k=KernelOracle.constant(d, level)))
+        rep_p = compute_bound(PointwiseInputs(p=p, q=q, k=GridFn2.constant(d, level)))
         rel = np.abs(rep_k.bound.values - rep_p.bound.values) \
             / (1.0 + np.abs(rep_p.bound.values))
         assert rel.max() <= 1e-12
@@ -197,8 +195,8 @@ def test_criterion_6_system_dominance_and_collapse():
         assert out2.instances_with_violation == 0
         d = TimeScale2D(integer_segment(0, 5), integer_segment(0, 5))
         zero = GridFn2.constant(d, 0.0)
-        rep = compute_bound(BoundInputs(which=BoundCase.SYSTEM, c1=2.5, c2=1.5,
-                                        h1=zero, h2=zero, h3=zero, h4=zero))
+        rep = compute_bound(SystemInputs(c1=2.5, c2=1.5,
+                                         h1=zero, h2=zero, h3=zero, h4=zero))
         assert np.array_equal(rep.bound.values, np.full((5, 5), 4.0))
         assert rep.max_violation == 0.0
 
@@ -222,9 +220,8 @@ def test_criterion_7_integrodynamic_dominance_and_tightness():
             d = TimeScale2D(s1, s2)
             a = GridFn1(s1, 0.5 + np.cumsum(np.abs(rng.standard_normal(len(s1)))))
             b = GridFn1(s2, 0.5 + np.cumsum(np.abs(rng.standard_normal(len(s2)))))
-            rep = compute_bound(BoundInputs(which=BoundCase.INTEGRODYNAMIC,
-                                            a1d=a, b1d=b,
-                                            c2d=GridFn2.constant(d, 0.0)))
+            rep = compute_bound(IntegrodynamicInputs(a=a, b=b,
+                                                     c=GridFn2.constant(d, 0.0)))
             gap = np.abs(rep.witness.values - rep.bound.values)
             assert gap.max() <= 1e-12 * (1.0 + np.abs(rep.bound.values).max())
 

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from tscale import (BoundCase, BoundInputs, DomainError, GridFn2, KernelOracle,
-                    TimeScale2D, bound_kernel, bound_kernel_variants,
-                    bound_pointwise, bound_system,
-                    check_hypotheses, compute_bound, explicit_scale, gronwall_2d,
-                    integer_segment, q_grid)
+from tscale import (DomainError, GridFn2, IntegrodynamicInputs, KernelInputs,
+                    KernelOracle, PointwiseInputs, ScaleMismatchError, SystemInputs,
+                    TimeScale2D, bound_kernel_variants, check_hypotheses,
+                    compute_bound, explicit_scale, gronwall_2d, integer_segment,
+                    q_grid)
 from tscale.bounds import ExponentVariant
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
@@ -44,8 +44,7 @@ def test_gronwall_with_zero_rate_returns_the_offset():
 
 def test_pointwise_bound_closed_form():
     d = zz(3)
-    rep = compute_bound(BoundInputs(which=BoundCase.POINTWISE,
-                                    p=ones(d), q=ones(d), k=ones(d)))
+    rep = compute_bound(PointwiseInputs(p=ones(d), q=ones(d), k=ones(d)))
     # bound = 1 + t1*t2 * (1+t2)^t1 on the kappa lattice
     t1 = np.arange(3.0)[:, None]
     t2 = np.arange(3.0)[None, :]
@@ -59,8 +58,7 @@ def test_pointwise_witness_closed_form_and_dominance():
     u = witness_pointwise(ones(d), ones(d), ones(d))
     assert u.values[1, 1] == 2.0
     assert u.values[2, 2] == 6.0
-    rep = compute_bound(BoundInputs(which=BoundCase.POINTWISE, u=u,
-                                    p=ones(d), q=ones(d), k=ones(d)))
+    rep = compute_bound(PointwiseInputs(u=u, p=ones(d), q=ones(d), k=ones(d)))
     assert rep.max_violation == 0.0
     assert not rep.violations
     assert rep.min_slack >= 0.0
@@ -69,8 +67,39 @@ def test_pointwise_witness_closed_form_and_dominance():
 
 def test_pointwise_bound_requires_all_three_functions():
     d = zz(3)
-    with pytest.raises(DomainError, match="needs q"):
-        bound_pointwise(BoundInputs(which=BoundCase.POINTWISE, p=ones(d), k=ones(d)))
+    with pytest.raises(TypeError, match="q"):
+        PointwiseInputs(p=ones(d), k=ones(d))
+
+
+def _valid_fields(cls, d):
+    """Keyword fields that make a valid cls on the product scale d."""
+    s1, s2 = d.scale1, d.scale2
+    return {
+        PointwiseInputs: dict(p=ones(d), q=ones(d), k=ones(d)),
+        KernelInputs: dict(p=ones(d), q=ones(d), k=KernelOracle.constant(d, 1.0)),
+        SystemInputs: dict(c1=1.0, c2=1.0, h1=ones(d), h2=ones(d), h3=ones(d),
+                           h4=ones(d)),
+        IntegrodynamicInputs: dict(a=GridFn1(s1, np.ones(len(s1))),
+                                   b=GridFn1(s2, np.ones(len(s2))), c=ones(d)),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", [PointwiseInputs, KernelInputs, SystemInputs,
+                                 IntegrodynamicInputs])
+def test_typed_inputs_reject_structural_mistakes_at_construction(cls):
+    d = zz(3)
+    fields = _valid_fields(cls, d)
+    assert cls(**fields).check_hypotheses() == []
+    # the last field on a larger product scale
+    last = list(fields)[-1]
+    with pytest.raises(ScaleMismatchError):
+        cls(**{**fields, last: _valid_fields(cls, zz(4))[last]})
+    for name in fields:
+        with pytest.raises(TypeError, match=name):
+            cls(**{key: v for key, v in fields.items() if key != name})
+    if cls is KernelInputs:
+        with pytest.raises(DomainError, match="KernelOracle"):
+            cls(**{**fields, "k": ones(d)})
 
 
 def test_zero_feedback_collapses_to_the_offset():
@@ -88,23 +117,21 @@ def test_pointwise_bound_scales_with_the_offset():
     p = GridFn2(d, rng.uniform(0.5, 2.0, d.shape))
     q = GridFn2(d, rng.uniform(0.0, 1.5, d.shape))
     k = GridFn2(d, rng.uniform(0.0, 1.5, d.shape))
-    rep1 = compute_bound(BoundInputs(which=BoundCase.POINTWISE, p=p, q=q, k=k))
+    rep1 = compute_bound(PointwiseInputs(p=p, q=q, k=k))
     p2 = GridFn2(d, 2.0 * p.values)
-    rep2 = compute_bound(BoundInputs(which=BoundCase.POINTWISE, p=p2, q=q, k=k))
+    rep2 = compute_bound(PointwiseInputs(p=p2, q=q, k=k))
     assert np.allclose(rep2.bound.values, 2.0 * rep1.bound.values, rtol=1e-12)
 
 
 def test_check_hypotheses_accepts_nonnegative_inputs():
     d = zz(3)
-    assert check_hypotheses(BoundInputs(which=BoundCase.POINTWISE,
-                                        p=ones(d), q=ones(d), k=ones(d))) == []
+    assert check_hypotheses(PointwiseInputs(p=ones(d), q=ones(d), k=ones(d))) == []
 
 
 def test_check_hypotheses_reports_negative_coefficient():
     d = zz(3)
     bad = GridFn2.from_function(d, lambda x, y: x - 1.0)
-    diags = check_hypotheses(BoundInputs(which=BoundCase.POINTWISE,
-                                         p=ones(d), q=ones(d), k=bad))
+    diags = check_hypotheses(PointwiseInputs(p=ones(d), q=ones(d), k=bad))
     assert len(diags) == 1
     assert "k negative" in diags[0]
 
@@ -113,25 +140,21 @@ def test_check_hypotheses_kernel_families():
     d = zz(3)
     good = KernelOracle.from_point_function(
         d, lambda t1, t2, s1, s2: (1.0 + t1) * (1.0 + t2))
-    assert check_hypotheses(BoundInputs(which=BoundCase.KERNEL,
-                                        p=ones(d), q=ones(d), k=good)) == []
+    assert check_hypotheses(KernelInputs(p=ones(d), q=ones(d), k=good)) == []
     bad = KernelOracle.constant(d, -1.0)
-    diags = check_hypotheses(BoundInputs(which=BoundCase.KERNEL,
-                                         p=ones(d), q=ones(d), k=bad))
+    diags = check_hypotheses(KernelInputs(p=ones(d), q=ones(d), k=bad))
     assert any("kernel negative" in msg for msg in diags)
     # decreasing in the first variable: negative first-variable difference
     shrink = KernelOracle.from_point_function(
         d, lambda t1, t2, s1, s2: 10.0 - 3.0 * t1)
-    diags2 = check_hypotheses(BoundInputs(which=BoundCase.KERNEL,
-                                          p=ones(d), q=ones(d), k=shrink))
+    diags2 = check_hypotheses(KernelInputs(p=ones(d), q=ones(d), k=shrink))
     assert any("first-variable difference" in msg for msg in diags2)
 
 
 def test_kernel_requires_an_oracle():
     d = zz(3)
     with pytest.raises(DomainError, match="KernelOracle"):
-        bound_kernel(BoundInputs(which=BoundCase.KERNEL,
-                                 p=ones(d), q=ones(d), k=ones(d)))
+        KernelInputs(p=ones(d), q=ones(d), k=ones(d))
 
 
 def test_kernel_constant_reduces_to_pointwise():
@@ -140,17 +163,15 @@ def test_kernel_constant_reduces_to_pointwise():
     p = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
     q = GridFn2(d, rng.uniform(0.0, 2.0, d.shape))
     level = 1.7
-    rep_k = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=p, q=q,
-                                      k=KernelOracle.constant(d, level)))
-    rep_p = compute_bound(BoundInputs(which=BoundCase.POINTWISE, p=p, q=q,
-                                      k=GridFn2.constant(d, level)))
+    rep_k = compute_bound(KernelInputs(p=p, q=q, k=KernelOracle.constant(d, level)))
+    rep_p = compute_bound(PointwiseInputs(p=p, q=q, k=GridFn2.constant(d, level)))
     assert np.abs(rep_k.bound.values / rep_p.bound.values - 1.0).max() <= 1e-12
 
 
 def test_kernel_closed_form_small_lattice():
     d = zz(3)
-    rep = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=ones(d), q=ones(d),
-                                    k=KernelOracle.constant(d, 1.0)))
+    rep = compute_bound(KernelInputs(p=ones(d), q=ones(d),
+                                     k=KernelOracle.constant(d, 1.0)))
     assert rep.bound.values[1, 1] == 3.0
     u = witness_kernel(ones(d), ones(d), KernelOracle.constant(d, 1.0))
     assert u.values[1, 1] == 2.0
@@ -166,20 +187,17 @@ def test_kernel_witness_sees_the_sigma_corner():
     expected_22 = 1.0 + 4.0 * (u.values[0, 0] + u.values[0, 1]
                                + u.values[1, 0] + u.values[1, 1])
     assert u.values[2, 2] == expected_22
-    rep = compute_bound(BoundInputs(which=BoundCase.KERNEL, u=u,
-                                    p=ones(d), q=ones(d), k=ko))
+    rep = compute_bound(KernelInputs(u=u, p=ones(d), q=ones(d), k=ko))
     assert not rep.violations
 
 
 def test_kernel_records_the_exponent_variant():
     d = zz(3)
     ko = KernelOracle.constant(d, 1.0)
-    rep1 = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=ones(d),
-                                     q=ones(d), k=ko))
+    rep1 = compute_bound(KernelInputs(p=ones(d), q=ones(d), k=ko))
     assert rep1.exponent_variant is ExponentVariant.FIRST_VARIABLE
-    rep2 = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=ones(d), q=ones(d),
-                                     k=ko,
-                                     exponent_variant=ExponentVariant.SECOND_VARIABLE))
+    rep2 = compute_bound(KernelInputs(p=ones(d), q=ones(d), k=ko,
+                                      exponent_variant=ExponentVariant.SECOND_VARIABLE))
     assert rep2.exponent_variant is ExponentVariant.SECOND_VARIABLE
     # the rate c integrates over the second axis either way, so the two
     # running products disagree already on the unit lattice
@@ -191,9 +209,9 @@ def test_kernel_variants_differ_on_asymmetric_scales():
     d = TimeScale2D(integer_segment(0, 4), q_grid(2.0, 4))
     p = ones(d)
     ko = KernelOracle.constant(d, 1.0)
-    rep1 = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=p, q=p, k=ko))
-    rep2 = compute_bound(BoundInputs(which=BoundCase.KERNEL, p=p, q=p, k=ko,
-                                     exponent_variant=ExponentVariant.SECOND_VARIABLE))
+    rep1 = compute_bound(KernelInputs(p=p, q=p, k=ko))
+    rep2 = compute_bound(KernelInputs(p=p, q=p, k=ko,
+                                      exponent_variant=ExponentVariant.SECOND_VARIABLE))
     assert not np.allclose(rep1.bound.values, rep2.bound.values)
 
 
@@ -207,12 +225,10 @@ def test_bound_kernel_variants_match_compute_bound_bit_for_bit():
     # witness crosses the bound, so both lists are nonempty
     ko = KernelOracle.from_table(d, rng.uniform(0.0, 2.0, (n1, n2, n1, n2)))
     u = GridFn2(d, 50.0 * witness_kernel(p, q, ko).values)
-    both = bound_kernel_variants(BoundInputs(which=BoundCase.KERNEL, u=u, p=p,
-                                             q=q, k=ko))
+    both = bound_kernel_variants(KernelInputs(u=u, p=p, q=q, k=ko))
     assert list(both) == list(ExponentVariant)
     for variant, rep in both.items():
-        one = compute_bound(BoundInputs(which=BoundCase.KERNEL, u=u, p=p, q=q,
-                                        k=ko, exponent_variant=variant))
+        one = compute_bound(KernelInputs(u=u, p=p, q=q, k=ko, exponent_variant=variant))
         assert rep.exponent_variant is variant
         assert np.array_equal(rep.bound.values, one.bound.values)
         assert rep.violations and rep.violations == one.violations
@@ -223,8 +239,8 @@ def test_bound_kernel_variants_match_compute_bound_bit_for_bit():
 
 def test_system_bound_closed_form():
     d = zz(3)
-    rep = compute_bound(BoundInputs(which=BoundCase.SYSTEM, c1=1.0, c2=1.0,
-                                    h1=ones(d), h2=ones(d), h3=ones(d), h4=ones(d)))
+    rep = compute_bound(SystemInputs(c1=1.0, c2=1.0,
+                                     h1=ones(d), h2=ones(d), h3=ones(d), h4=ones(d)))
     # c3 = 2, H = 2, A = 4 t1 t2, c = 2 t2, bound = 2 + 4 t1 t2 (1 + 2 t2)^t1
     assert rep.bound.values[1, 1] == 14.0
     assert rep.bound.values[2, 2] == 2.0 + 16.0 * 25.0
@@ -242,8 +258,7 @@ def test_system_witness_recursion_hand_values():
 def test_system_collapse_without_coupling():
     d = zz(4)
     zero = GridFn2.constant(d, 0.0)
-    rep = compute_bound(BoundInputs(which=BoundCase.SYSTEM, c1=2.0, c2=3.0,
-                                    h1=zero, h2=zero, h3=zero, h4=zero))
+    rep = compute_bound(SystemInputs(c1=2.0, c2=3.0, h1=zero, h2=zero, h3=zero, h4=zero))
     assert np.array_equal(rep.bound.values, np.full((4, 4), 5.0))
     assert rep.max_violation == 0.0
     assert rep.min_slack == 0.0
@@ -252,8 +267,8 @@ def test_system_collapse_without_coupling():
 def test_system_rejects_negative_constants():
     d = zz(3)
     with pytest.raises(DomainError, match="nonnegative"):
-        bound_system(BoundInputs(which=BoundCase.SYSTEM, c1=-1.0, c2=0.0,
-                                 h1=ones(d), h2=ones(d), h3=ones(d), h4=ones(d)))
+        compute_bound(SystemInputs(c1=-1.0, c2=0.0,
+                                   h1=ones(d), h2=ones(d), h3=ones(d), h4=ones(d)))
 
 
 def test_integrodynamic_tight_when_uncoupled():
@@ -262,8 +277,7 @@ def test_integrodynamic_tight_when_uncoupled():
     a = GridFn1(s, np.ones(4))
     b = GridFn1(s, np.ones(4))
     zero = GridFn2.constant(d, 0.0)
-    rep = compute_bound(BoundInputs(which=BoundCase.INTEGRODYNAMIC,
-                                    a1d=a, b1d=b, c2d=zero))
+    rep = compute_bound(IntegrodynamicInputs(a=a, b=b, c=zero))
     expect = 2.0 * np.outer(np.arange(3.0), np.arange(3.0))
     assert np.abs(rep.bound.values - expect).max() <= 1e-12
     assert np.abs(rep.witness.values - rep.bound.values).max() \
@@ -281,8 +295,7 @@ def test_integrodynamic_unit_coefficients_hand_values():
     assert w.values[1, 1] == 4.0   # 2 + (u+w)(0,0) = 2 + 0 + 2
     assert u.values[1, 1] == 2.0
     assert np.all(u.values[0, :] == 0.0) and np.all(u.values[:, 0] == 0.0)
-    rep = compute_bound(BoundInputs(which=BoundCase.INTEGRODYNAMIC, u=u,
-                                    a1d=a, b1d=b, c2d=c))
+    rep = compute_bound(IntegrodynamicInputs(u=u, a=a, b=b, c=c))
     assert not rep.violations
     # corner of the bound integrates h over one cell: h(0,0) = a0 + b0 = 2
     assert rep.bound.values[1, 1] == 2.0
@@ -295,8 +308,7 @@ def test_integrodynamic_needs_positive_axis_coefficients():
     a = GridFn1(s, np.zeros(4))
     b = GridFn1(s, np.ones(4))
     with pytest.raises(DomainError, match="strictly positive"):
-        compute_bound(BoundInputs(which=BoundCase.INTEGRODYNAMIC,
-                                  a1d=a, b1d=b, c2d=GridFn2.constant(d, 0.0)))
+        compute_bound(IntegrodynamicInputs(a=a, b=b, c=GridFn2.constant(d, 0.0)))
 
 
 def test_integrodynamic_hypothesis_diagnostics():
@@ -304,17 +316,14 @@ def test_integrodynamic_hypothesis_diagnostics():
     s = integer_segment(0, 3)
     a = GridFn1(s, np.array([4.0, 3.0, 2.0, 1.0]))  # decreasing
     b = GridFn1(s, np.ones(4))
-    diags = check_hypotheses(BoundInputs(which=BoundCase.INTEGRODYNAMIC,
-                                         a1d=a, b1d=b,
-                                         c2d=GridFn2.constant(d, 0.0)))
+    diags = check_hypotheses(IntegrodynamicInputs(a=a, b=b, c=GridFn2.constant(d, 0.0)))
     assert any("nondecreasing" in msg or "delta derivative" in msg for msg in diags)
 
 
 def test_reports_carry_violations_for_oversized_witnesses():
     d = zz(3)
     huge = GridFn2.constant(d, 100.0)
-    rep = compute_bound(BoundInputs(which=BoundCase.POINTWISE, u=huge,
-                                    p=ones(d), q=ones(d), k=ones(d)))
+    rep = compute_bound(PointwiseInputs(u=huge, p=ones(d), q=ones(d), k=ones(d)))
     assert rep.max_violation > 0.0
     assert rep.violations
     i, j, wit, bnd = rep.violations[0]
@@ -323,7 +332,6 @@ def test_reports_carry_violations_for_oversized_witnesses():
 
 def test_bound_domain_is_the_kappa_lattice():
     d = zz(3)
-    rep = compute_bound(BoundInputs(which=BoundCase.POINTWISE,
-                                    p=ones(d), q=ones(d), k=ones(d)))
+    rep = compute_bound(PointwiseInputs(p=ones(d), q=ones(d), k=ones(d)))
     assert rep.bound.domain.shape == (3, 3)
     assert np.array_equal(rep.bound.domain.scale1.points, [0.0, 1.0, 2.0])

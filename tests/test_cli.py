@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_calc_compare_rows(capsys):
                            "--xa", "1", "--from", "0")
     assert code == 0
     assert out.splitlines() == ["t,value", "0,1", "1,2", "2,4", "3,8"]
+
+
+@pytest.mark.parametrize("xa", ["nan", "inf", "-inf"])
+def test_calc_compare_rejects_a_non_finite_start(capsys, xa):
+    code, _, err = run_cli(capsys, "calc", "compare", "--scale", "integer:0..5",
+                           "--f", "const:1", "--g", "const:0.1", "--from", "0",
+                           f"--xa={xa}")
+    assert code == 2
+    assert "--xa must be a finite number" in err
 
 
 def test_calc_rejects_small_q(capsys):
@@ -393,15 +403,23 @@ def test_converge_exp_tracks_the_classical_exponential(tmp_path, capsys):
         assert 0.9 <= float(line.split(",")[2]) <= 1.1
 
 
+def child_env(**extra: str) -> dict:
+    """Environment for a `python -m tscale` child process: this one's, with the
+    directory holding the imported tscale package first on PYTHONPATH."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_log_level_env_controls_verbosity(tmp_path):
     cfg = tmp_path / "v.json"
     cfg.write_text(json.dumps(verify_payload(tmp_path, count=1)), encoding="utf-8")
-    env = dict(os.environ, TSCALE_LOG="info")
+    env = child_env(TSCALE_LOG="info")
     out = subprocess.run([sys.executable, "-m", "tscale", "verify", str(cfg)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "verified 1 instances" in out.stderr
-    env_quiet = dict(os.environ, TSCALE_LOG="error")
+    env_quiet = child_env(TSCALE_LOG="error")
     quiet = subprocess.run([sys.executable, "-m", "tscale", "verify", str(cfg)],
                            capture_output=True, text=True, env=env_quiet)
     assert quiet.returncode == 0
@@ -412,6 +430,6 @@ def test_module_entry_point_matches_script():
     out = subprocess.run([sys.executable, "-m", "tscale", "calc", "dint",
                           "--scale", "integer:0..5", "--fn", "poly:0,1",
                           "--from", "0", "--to", "4"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     assert out.stdout == "6\n"

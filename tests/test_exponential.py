@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscale import (GridFn1, RegressivityError, circle_minus, circle_plus,
-                    comparison_bound, dense_mesh, exp_fn, explicit_scale,
-                    integer_segment, q_grid, regressivity)
+from tscale import (DomainError, GridFn1, RegressivityError, circle_minus,
+                    circle_plus, comparison_bound, dense_mesh, exp_fn,
+                    explicit_scale, integer_segment, q_grid, regressivity)
 from tscale.witnesses import witness_comparison
 
 
@@ -144,6 +144,23 @@ def test_comparison_bound_starts_mid_scale():
     bound = comparison_bound(1.0, const(s, 0.0), const(s, 1.0), 2)
     assert np.array_equal(bound.scale.points, s.points[2:])
     assert np.array_equal(bound.values, 2.0 ** (bound.scale.points - 2.0))
+
+
+@pytest.mark.parametrize("x_a", [math.nan, math.inf, -math.inf])
+def test_comparison_pair_rejects_a_non_finite_start(x_a):
+    s = integer_segment(0, 5)
+    f, g = const(s, 1.0), const(s, 0.1)
+    with pytest.raises(DomainError, match="x_a must be finite"):
+        comparison_bound(x_a, f, g, 0)
+    with pytest.raises(DomainError, match="x_a must be finite"):
+        witness_comparison(f, g, x_a, 0)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -0.5])
+def test_witness_comparison_rejects_a_bad_slack(slack):
+    s = integer_segment(0, 5)
+    with pytest.raises(DomainError, match="slack must be finite and nonnegative"):
+        witness_comparison(const(s, 1.0), const(s, 0.1), 1.0, 0, slack=slack)
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from tscale import (BoundCase, BoundInputs, DomainError, FnSpec, GridFn1, GridFn2,
+from tscale import (DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
                     KernelOracle, TimeScale2D, dense_mesh, explicit_scale, h_grid,
                     integer_segment, q_grid, realize_kernel, running_integral,
                     union_scales)
@@ -110,7 +110,7 @@ def check_kernel(domain, seed, rho):
     for new, old in zip(bounds._kernel_ab(kernel, p, q), ref.kernel_ab(kernel, p, q)):
         assert np.all(np.abs(new - old) <= AB_CANCEL_TOL * (1.0 + np.abs(old)))
     # p and q are nonnegative, so only the kernel's own diagnostics remain
-    assert (bounds._kernel_diagnostics(p, q, kernel)
+    assert (KernelInputs(p, q, kernel).check_hypotheses()
             == ref.kernel_difference_diagnostics(kernel))
     # kernels that meet the hypotheses sum nonnegative terms
     monotone = KernelOracle.from_point_function(
@@ -120,7 +120,7 @@ def check_kernel(domain, seed, rho):
                  realize_kernel(FnSpec("affine_product"), domain, rng), monotone):
         for new, old in zip(bounds._kernel_ab(good, p, q), ref.kernel_ab(good, p, q)):
             assert_close(new, old)
-        assert (bounds._kernel_diagnostics(p, q, good)
+        assert (KernelInputs(p, q, good).check_hypotheses()
                 == ref.kernel_difference_diagnostics(good))
 
 
@@ -454,14 +454,14 @@ def _guard_inputs(n):
     s = GridFn1(d.scale1, np.linspace(0.1, 0.2, n))
     t = GridFn1(d.scale2, np.linspace(0.1, 0.2, n))
     kernel = KernelOracle.from_table(d, np.full((n, n, n, n), 0.01))
-    kernel_case = BoundInputs(which=BoundCase.KERNEL, p=p, q=p, k=kernel)
+    kernel_case = KernelInputs(p=p, q=p, k=kernel)
     return {
         "pointwise": (witness_pointwise, ref.witness_pointwise, (p, p, p)),
         "kernel": (witness_kernel, ref.witness_kernel, (p, p, kernel)),
         "system": (witness_system, ref.witness_system, (0.5, 0.5, p, p, p, p)),
         "integrodynamic": (witness_integrodynamic, ref.witness_integrodynamic,
                            (s, t, p)),
-        "bound_kernel": (bounds.bound_kernel,
+        "bound_kernel": (bounds.compute_bound,
                          lambda inputs: ref.kernel_ab(inputs.k, inputs.p, inputs.q),
                          (kernel_case,)),
         "kernel_hypotheses": (bounds.check_hypotheses,

@@ -195,8 +195,8 @@ def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
     # reports what check_hypotheses finds with its own
     d = TimeScale2D(integer_segment(0, 4), parse_scale("q:2,3").build())
     rng = np.random.Generator(np.random.PCG64(3))
-    inputs = bounds.BoundInputs(
-        which=BoundCase.KERNEL, p=ones(d), q=ones(d),
+    inputs = bounds.KernelInputs(
+        p=ones(d), q=ones(d),
         k=KernelOracle.from_table(d, rng.uniform(0.0, 2.0, d.shape * 2)))
     sweeps.clear()
     by_variant = bounds.bound_kernel_variants(inputs)
