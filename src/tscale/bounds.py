@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
+from .exponential import ProductLadder
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
                      mixed_partial, running_double_integral, running_integral)
 from . import witnesses
@@ -158,22 +159,21 @@ def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
     """E = running product along axis (1 or 2) of 1 + mu * c: on axis 1,
     E[i, j] = product over s < i of (1 + mu[s] * c[s, j]), on axis 2 the same
-    with the roles of i and j exchanged."""
-    out = np.ones_like(c)
-    c_ax, out_ax = (c, out) if axis == 1 else (c.T, out.T)
-    if c_ax.shape[0] > 1:
-        factors = 1.0 + mu[: c_ax.shape[0] - 1, None] * c_ax[:-1, :]
-        np.cumprod(factors, axis=0, out=out_ax[1:, :])
+    with i and j exchanged, carried by ProductLadder (zero factors give zeros)."""
+    c_ax = c if axis == 1 else c.T
+    factors = 1.0 + mu[: c_ax.shape[0] - 1, None] * c_ax[:-1, :]
+    out = ProductLadder(factors).ratios_from(0)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{('first', 'second')[axis - 1]}-variable exponential overflowed")
-    return out
+    return out if axis == 1 else out.T
 
 
 def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     """Dominating function for z <= A + double integral of b*z.
 
     Returns Z = A * E where E is the first-variable running product of
-    1 + mu1 * c and c(t1, t2) is the integral of b(t1, .) over [0, t2).
+    1 + mu1 * c, carried as mantissa and binary exponent (so a zero factor
+    gives zeros), and c(t1, t2) is the integral of b(t1, .) over [0, t2).
     The dominance argument needs A and b nonnegative and A nondecreasing in
     each variable; failures of those conditions are logged as warnings
     rather than raised, since the product is still well defined.
@@ -344,10 +344,8 @@ class SystemInputs:
         c3 = c1 + c2
         h_vals = np.maximum(self.h1.values + self.h3.values, self.h2.values + self.h4.values)
         hfn = GridFn2(dom, h_vals)
-        A = c3 * running_double_integral(hfn).values
-        c = running_integral(hfn, 2).values
-        e = _exp_axis(c, dom.mu1, 1)
-        bound_full = c3 + A * e
+        A = GridFn2(dom, c3 * running_double_integral(hfn).values)
+        bound_full = c3 + gronwall_2d(A, hfn).values
         if not np.all(np.isfinite(bound_full)):
             raise DomainError("system bound overflowed")
         bound = GridFn2(dom, bound_full).kappa_restrict()

@@ -48,7 +48,7 @@ class ScaleSpec:
         v = getattr(self, name)
         if v is None:
             raise ConfigError(f"{self.kind} scale needs '{name}'")
-        return float(v)
+        return _parse_number(v)
 
     def build(self) -> TimeScale:
         kind = self.kind
@@ -70,13 +70,14 @@ class ScaleSpec:
             q = self._num("q")
             if q <= 1:
                 raise ConfigError("q must exceed 1")
-            if self.n is None or int(self.n) < 1:
-                raise ConfigError("q_grid needs N at least 1")
-            return q_grid(q, int(self.n))
+            n = self._num("n")
+            if n < 1 or n != int(n):
+                raise ConfigError("q_grid needs N a whole number at least 1")
+            return q_grid(q, int(n))
         if kind == "explicit":
             if not self.points:
                 raise ConfigError("explicit scale needs a nonempty point list")
-            pts = [float(x) for x in self.points]
+            pts = [_parse_number(x) for x in self.points]
             if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ConfigError("explicit points must be strictly increasing, two or more")
             return explicit_scale(pts, self.dense)
@@ -108,11 +109,14 @@ def _parse_range(text: str) -> tuple[float, float]:
     return _parse_number(lo), _parse_number(hi)
 
 
-def _parse_number(text: str) -> float:
+def _parse_number(text) -> float:
     try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"'{text}' is not a number") from None
+        x = float(text)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"'{text}' is not a finite number")
+    return x
 
 
 def _scale_from_text(text: str) -> ScaleSpec:

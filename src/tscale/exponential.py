@@ -2,8 +2,8 @@
 
 The exponential of a coefficient p anchored at t0 is the running product of
 the factors 1 + mu*p between t0 and t, with reciprocal products left of t0.
-Products that leave the comfortable float range are carried in log space so
-ratios of same-sign overflowing prefixes still come out finite.
+Every running product is carried as a mantissa and a binary exponent, so
+ratios of representable size survive prefixes beyond the range of a double.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .errors import DomainError, RegressivityError
 
 # A factor 1 + mu*p counts as zero when inside this relative band.
 REGRESSIVITY_TOL = 1e-12
-# Running product magnitudes beyond this trip the log-space representation.
-PRODUCT_LIMIT = 1e300
+# Mantissas lie in [0.5, 1), so a block's running product stays above 2**-1001.
+PRODUCT_BLOCK = 1000
 
 
 def _factors(mu_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,16 +56,16 @@ def regressivity(p: GridFn1) -> RegressivityReport:
     )
 
 
-def _require_regressive(p: GridFn1, positive: bool = False) -> np.ndarray:
-    """The factors 1 + mu*p at every index (the maximum contributes a harmless
-    1), once none lies in the zero band."""
-    factors, band = _factors(p.scale.graininess * p.values)
+def _require_regressive(mu_p: np.ndarray, positive: bool = False) -> np.ndarray:
+    """The factors 1 + mu*p at every index of the products mu*p (the maximum
+    contributes a harmless 1), once none lies in the zero band."""
+    factors, band = _factors(mu_p)
     bad = (factors <= band) if positive else (np.abs(factors) <= band)
     if bad.any():
         i = int(np.argmax(bad))
-        kind = "positively regressive" if positive else "regressive"
+        kind = "loses positive regressivity" if positive else "is not regressive"
         raise RegressivityError(
-            f"coefficient is not {kind}: factor 1 + mu*p = {factors[i]:.3e} at index {i}",
+            f"coefficient {kind}: factor 1 + mu*p = {factors[i]:.3e} at index {i}",
             worst_index=i, worst_factor=float(factors[i]))
     return factors
 
@@ -79,47 +79,47 @@ def circle_plus(f: GridFn1, g: GridFn1) -> GridFn1:
 
 def circle_minus(g: GridFn1) -> GridFn1:
     """Circle negation -g / (1 + mu*g); g must be regressive."""
-    factors = _require_regressive(g)
+    factors = _require_regressive(g.scale.graininess * g.values)
     return GridFn1(g.scale, -g.values / factors)
 
 
 class ProductLadder:
-    """Prefix products P[k] = factors[0] * ... * factors[k-1] with P[0] = 1.
+    """Prefix products P[k] = factors[0] * ... * factors[k-1], P[0] = 1, down
+    axis 0 of factors of shape (n,) or (n, m), for the ratios P[i] / P[j].
 
-    Ratios P[i] / P[j] are the currency of the scale exponential.  When any
-    running magnitude leaves [1e-300, 1e300] the ladder stores signs and log
-    magnitudes instead, so ratios of representable size survive transit
-    through astronomically large (or small) prefixes.
+    A prefix is a mantissa times 2**exponent: mantissas multiply in order and
+    renormalize every PRODUCT_BLOCK factors, exponents add as integers.  While
+    every prefix is a normal double this is a plain running product bit for
+    bit; past that no prefix overflows or underflows on its own, and zeros
+    stay zero.
     """
 
     def __init__(self, factors: np.ndarray):
-        factors = np.asarray(factors, dtype=float)
-        if np.any(factors == 0.0):
-            raise DomainError("product ladder factors must be nonzero")
-        self.n = len(factors) + 1
-        with np.errstate(over="ignore"):
-            direct = np.concatenate(([1.0], np.cumprod(factors)))
-        mags = np.abs(direct)
-        self.log_mode = bool(
-            np.any(~np.isfinite(direct))
-            or np.any(mags > PRODUCT_LIMIT)
-            or np.any(mags < 1.0 / PRODUCT_LIMIT)
-        )
-        if self.log_mode:
-            self.signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))
-            self.logs = np.concatenate(([0.0], neumaier_cumsum(np.log(np.abs(factors)))))
-            self.direct = None
-        else:
-            self.direct = direct
+        mant, expo = np.frexp(np.asarray(factors, dtype=float))
+        self.mantissas = np.ones((len(mant) + 1,) + mant.shape[1:])
+        for start in range(0, len(mant), PRODUCT_BLOCK):
+            block = self.mantissas[start:start + PRODUCT_BLOCK + 1]
+            block[1:] = mant[start:start + PRODUCT_BLOCK]
+            np.multiply.accumulate(block, axis=0, out=block)
+            block[-1], shift = np.frexp(block[-1])
+            expo[start + len(block) - 2] += shift
+        self.exponents = np.zeros(self.mantissas.shape, dtype=np.int64)
+        np.add.accumulate(expo, axis=0, out=self.exponents[1:])
+
+    @property
+    def log_mode(self) -> bool:
+        """Whether some nonzero prefix lies outside the normal doubles, whose frexp
+        exponents run -1021..1024; a mantissa inside a block is unnormalized."""
+        own = np.frexp(self.mantissas)[1] + self.exponents
+        return bool(np.any((self.mantissas != 0.0) & ((own < -1021) | (own > 1024))))
 
     def ratios_from(self, j: int) -> np.ndarray:
         """P[i] / P[j] for every i, as one array."""
-        if not 0 <= j < self.n:
+        if not 0 <= j < len(self.mantissas):
             raise DomainError(f"ladder anchor {j} out of range")
-        if not self.log_mode:
-            return self.direct / self.direct[j]
         with np.errstate(over="ignore"):
-            return self.signs * self.signs[j] * np.exp(self.logs - self.logs[j])
+            return np.ldexp(self.mantissas / self.mantissas[j],
+                            self.exponents - self.exponents[j])
 
 
 def exp_fn(p: GridFn1, t0: int) -> GridFn1:
@@ -130,7 +130,7 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     the reciprocal of the product over [t, t0).
     """
     t0 = p.scale._check_index(t0)
-    vals = ProductLadder(_require_regressive(p)[:-1]).ratios_from(t0)
+    vals = ProductLadder(_require_regressive(p.scale.graininess * p.values)[:-1]).ratios_from(t0)
     if not np.all(np.isfinite(vals)):
         raise DomainError("scale exponential overflowed the representable range")
     return GridFn1(p.scale, vals)
@@ -148,16 +148,12 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
         raise DomainError(f"x_a must be finite, got {x_a}")
     scale = f.scale
     a = scale._check_index(a)
-    mu = np.diff(scale.points)
+    mu = scale.graininess
+    mu_g = mu * g.values
+    mu_g[:a] = 0.0                     # only the window [a, n - 1) is checked
     window = slice(a, len(scale) - 1)
-    factors, band = _factors(mu[window] * g.values[window])
-    if np.any(factors <= band):
-        i = a + int(np.argmax(factors <= band))
-        raise RegressivityError(
-            f"comparison coefficient loses positive regressivity at index {i}",
-            worst_index=i)
-    ladder = ProductLadder(factors)
-    q = ladder.ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
+    factors = _require_regressive(mu_g, positive=True)[window]
+    q = ProductLadder(factors).ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
     weighted = f.values[window] * mu[window] / q[1:]
     acc = neumaier_cumsum(weighted) if len(weighted) else np.empty(0)
     out = np.empty(len(q))

@@ -9,6 +9,9 @@ element by element, and the first-order comparison witness takes one Python
 step per scale point.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call.
+The product ladder takes a plain running product and switches to signs and
+compensated sums of logs once a prefix leaves [1e-300, 1e300]; the 2-D axis
+exponential is a raw cumprod that underflows to 0.
 """
 
 from __future__ import annotations
@@ -123,6 +126,57 @@ def witness_comparison_loop(f, g, x_a, a, slack=0.0) -> np.ndarray:
         i = a + k
         x[k + 1] = x[k] + mu * (f.values[i] + g.values[i] * x[k] - slack)
     return x
+
+
+# Running product magnitudes beyond this trip the log-space representation.
+PRODUCT_LIMIT = 1e300
+
+
+class ProductLadder:
+    """Prefix products P[k] = factors[0] * ... * factors[k-1] with P[0] = 1 of
+    nonzero 1-D factors, direct while every prefix lies in [1e-300, 1e300],
+    as signs and log magnitudes otherwise."""
+
+    def __init__(self, factors):
+        factors = np.asarray(factors, dtype=float)
+        if np.any(factors == 0.0):
+            raise ValueError("product ladder factors must be nonzero")
+        self.n = len(factors) + 1
+        with np.errstate(over="ignore", under="ignore"):
+            direct = np.concatenate(([1.0], np.cumprod(factors)))
+        mags = np.abs(direct)
+        self.log_mode = bool(
+            np.any(~np.isfinite(direct))
+            or np.any(mags > PRODUCT_LIMIT)
+            or np.any(mags < 1.0 / PRODUCT_LIMIT)
+        )
+        if self.log_mode:
+            self.signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))
+            self.logs = np.concatenate(
+                ([0.0], neumaier_cumsum_loop(np.log(np.abs(factors)))))
+            self.direct = None
+        else:
+            self.direct = direct
+
+    def ratios_from(self, j: int) -> np.ndarray:
+        if not self.log_mode:
+            return self.direct / self.direct[j]
+        with np.errstate(over="ignore"):
+            return self.signs * self.signs[j] * np.exp(self.logs - self.logs[j])
+
+
+def exp_axis(c, mu, axis: int) -> np.ndarray:
+    """Running product along axis (1 or 2) of 1 + mu * c by a raw cumprod;
+    ValueError where it overflows."""
+    out = np.ones_like(c)
+    c_ax, out_ax = (c, out) if axis == 1 else (c.T, out.T)
+    if c_ax.shape[0] > 1:
+        factors = 1.0 + mu[: c_ax.shape[0] - 1, None] * c_ax[:-1, :]
+        with np.errstate(over="ignore", under="ignore"):
+            np.cumprod(factors, axis=0, out=out_ax[1:, :])
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{('first', 'second')[axis - 1]}-variable exponential overflowed")
+    return out
 
 
 def kernel_ab(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:

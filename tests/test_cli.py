@@ -315,6 +315,25 @@ def test_verify_rejects_small_q_scale(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("scale1", [
+    '{"kind": "integer_segment", "start": "a", "end": 5}',
+    '{"kind": "q_grid", "q": 2, "N": "x"}',
+    '{"kind": "explicit", "points": [0, "b", 2]}',
+    '{"kind": "h_grid", "start": 0, "end": 1, "h": NaN}',
+    '{"kind": "integer_segment", "start": 0, "end": 1e400}',
+    '{"kind": "q_grid", "q": NaN, "N": 5}',
+    '{"kind": "q_grid", "q": 1e400, "N": 5}',
+], ids=["start", "N", "points", "h-nan", "end-huge", "q-nan", "q-huge"])
+def test_verify_rejects_a_scale_number_that_is_not_finite(tmp_path, capsys, scale1):
+    text = json.dumps(verify_payload(tmp_path, scale1="SCALE1"))
+    (tmp_path / "v.json").write_text(text.replace('"SCALE1"', scale1), encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(tmp_path / "v.json"))
+    assert code == 2
+    assert err.startswith("error:") and "is not a finite number" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -102,14 +102,11 @@ def test_circle_minus_inverts_the_exponential():
 
 def test_exp_long_product_switches_to_log_accumulation():
     # prefix products reach 2^1200 (not representable) but ratios to the
-    # mid-scale anchor stay in range
+    # mid-scale anchor stay in range, and the binary exponents carry them
+    # exactly
     s = integer_segment(0, 1200)
     e = exp_fn(const(s, 1.0), 600)
-    assert np.isfinite(e.values).all()
-    k = np.arange(-600.0, 601.0)
-    assert np.abs(np.log2(e.values) - k).max() <= 1e-9 * 600
-    assert e.values[605] == pytest.approx(32.0, rel=1e-12)
-    assert e.values[595] == pytest.approx(1.0 / 32.0, rel=1e-12)
+    assert np.array_equal(e.values, 2.0 ** np.arange(-600.0, 601.0))
 
 
 def test_comparison_bound_doubles_with_unit_coefficient():
@@ -128,6 +125,19 @@ def test_comparison_bound_rejects_non_positively_regressive_coefficient():
     s = integer_segment(0, 5)
     with pytest.raises(RegressivityError, match="positive regressivity"):
         comparison_bound(1.0, const(s, 0.0), const(s, -2.0), 0)
+
+
+def test_comparison_bound_checks_positive_regressivity_from_the_start_only():
+    s = integer_segment(0, 8)
+    g = np.ones(len(s))
+    g[:3] = -3.0                        # factors -2 before a = 3
+    bound = comparison_bound(1.0, const(s, 0.0), GridFn1(s, g), 3)
+    assert np.array_equal(bound.values, 2.0 ** np.arange(6.0))
+    g = g.copy()
+    g[5] = -1.0                         # factor 0 at absolute index 5
+    with pytest.raises(RegressivityError, match="positive regressivity.* at index 5") as err:
+        comparison_bound(1.0, const(s, 0.0), GridFn1(s, g), 3)
+    assert err.value.worst_index == 5
 
 
 def test_comparison_bound_matches_equality_dynamics():

@@ -10,7 +10,10 @@ must be the same strings.  The vectorized Neumaier sum keeps the loop's
 order of operations and must agree bit for bit, and the columnar verify
 report writers must write the same bytes as the per-row loops.  The
 first-order comparison witness composes its steps by a doubling scan and must
-agree with the point-by-point loop to 1e-13 of the magnitude recursion.
+agree with the point-by-point loop to 1e-13 of the magnitude recursion.  The
+mantissa/exponent product ladder must have the bits of a plain running
+product while every prefix is a normal double, and agree with the log-space
+reference ladder to 1e-12 relative elsewhere.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import io
 import math
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -30,11 +34,12 @@ from hypothesis import strategies as st
 
 import references as ref
 from tscale import (DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
-                    KernelOracle, TimeScale2D, dense_mesh, explicit_scale, h_grid,
-                    integer_segment, q_grid, realize_kernel, running_integral,
-                    union_scales)
+                    KernelOracle, TimeScale2D, comparison_bound, dense_mesh, exp_fn,
+                    explicit_scale, h_grid, integer_segment, q_grid, realize_kernel,
+                    running_integral, union_scales)
 from tscale import bounds, cli, verify, witnesses
 from tscale.core import neumaier_cumsum
+from tscale.exponential import ProductLadder
 from tscale.witnesses import (witness_comparison, witness_integrodynamic,
                               witness_kernel, witness_pointwise, witness_system)
 
@@ -290,6 +295,148 @@ def test_comparison_witness_counts_long_exponents_in_int64(monkeypatch):
     short = witness_comparison(*inputs).values
     monkeypatch.setattr(witnesses, "_INT32_EXPONENT_STEPS", 4)
     assert np.array_equal(witness_comparison(*inputs).values, short)
+
+
+# -- product ladder ------------------------------------------------------------
+
+LADDER_RTOL = 1e-12
+TINY = np.finfo(float).tiny
+
+
+def _leaves_the_normals(factors: np.ndarray) -> bool:
+    """Whether a plain running product of 1-D factors has a prefix that is
+    not a normal double, before any exact zero factor."""
+    with np.errstate(over="ignore", under="ignore"):
+        plain = np.cumprod(factors)
+    before_zero = np.cumsum(factors == 0.0) == 0
+    mags = np.abs(plain[before_zero])
+    return bool(np.any((mags < TINY) | ~np.isfinite(mags)))
+
+
+def _check_column(factors: np.ndarray, got: np.ndarray, j: int) -> None:
+    """got = P[i] / P[j] of one column: the plain running product's bits while
+    every prefix is normal, else within LADDER_RTOL of the reference log path;
+    zeros from the first zero factor on either way."""
+    zeros = np.flatnonzero(factors == 0.0)
+    z = int(zeros[0]) if len(zeros) else len(factors)
+    if not _leaves_the_normals(factors):
+        plain = np.concatenate(([1.0], np.cumprod(factors)))
+        with np.errstate(under="ignore"):
+            assert np.array_equal(got, plain / plain[j])
+        return
+    old = ref.ProductLadder(factors[:z])
+    assert old.log_mode
+    np.testing.assert_allclose(got[:z + 1], old.ratios_from(j),
+                               rtol=LADDER_RTOL, atol=TINY)
+    assert np.all(got[z + 1:] == 0.0)
+
+
+@st.composite
+def ladder_factors(draw, columns):
+    """Factor arrays of shape (n,) or (n, columns) with n on both sides of one
+    and two mantissa blocks, log magnitudes drifting up or down so that some
+    prefixes overflow or underflow, negative factors and exact zeros."""
+    n = draw(st.one_of(st.integers(0, 2100),
+                       st.sampled_from([1, 999, 1000, 1001, 1999, 2000, 2001])))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    drift = draw(st.floats(-0.7, 0.7))
+    width = draw(st.floats(0.0, 0.8))
+    shape = (n,) if columns is None else (n, columns)
+    factors = np.exp(rng.uniform(drift - width, drift + width, shape))
+    factors[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.5]))] *= -1.0
+    factors[rng.random(shape) < draw(st.sampled_from([0.0, 0.0, 1e-3, 0.02]))] = 0.0
+    return factors
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(ladder_factors(None), ladder_factors(3)), st.integers(0, 2 ** 32 - 1))
+def test_product_ladder_matches_the_reference_ladder(factors, seed):
+    ladder = ProductLadder(factors)
+    cols = factors if factors.ndim == 2 else factors[:, None]
+    zeros = [np.flatnonzero(c == 0.0) for c in cols.T]
+    last = min(int(z[0]) if len(z) else len(factors) for z in zeros)
+    j = int(np.random.Generator(np.random.PCG64(seed)).integers(0, last + 1))
+    got = ladder.ratios_from(j).reshape(len(factors) + 1, cols.shape[1])
+    assert ladder.log_mode == any(_leaves_the_normals(c) for c in cols.T)
+    for col, out in zip(cols.T, got.T):
+        _check_column(col, out, j)
+
+
+@pytest.mark.parametrize("factor, count, leaves", [
+    (2.0, 1023, False), (2.0, 1024, True), (0.5, 1022, False), (0.5, 1023, True)])
+def test_log_mode_starts_just_past_the_normal_doubles(factor, count, leaves):
+    # 2**1023 and 2**-1022 are the largest and smallest normal powers of two
+    assert ProductLadder(np.full(count, factor)).log_mode == leaves
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2]))
+def test_exp_axis_matches_the_raw_cumprod(n1, n2, seed, axis):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    c = rng.uniform(-3.0, 3.0, (n1, n2))
+    c[rng.random((n1, n2)) < 0.1] = -1.0                  # zero factors
+    mu = np.concatenate((rng.uniform(0.25, 2.0, max(n1, n2) - 1), [0.0]))
+    mu[rng.random(len(mu)) < 0.2] = 1.0
+    assert np.array_equal(bounds._exp_axis(c, mu, axis), ref.exp_axis(c, mu, axis))
+
+
+def test_exp_fn_of_a_product_that_underflows_and_comes_back():
+    # 32 factors near 1e-11, then 32 near 1e11: the running product passes
+    # through 1e-352, which a plain cumprod flushes to 0
+    rng = np.random.Generator(np.random.PCG64(5))
+    mags = np.concatenate((rng.uniform(1.0, 2.0, 32) * 1e-11,
+                           rng.uniform(1.0, 2.0, 32) * 1e11))
+    s = integer_segment(0, 64)
+    p = GridFn1(s, np.append(mags - 1.0, 0.0))
+    factors = 1.0 + p.values[:-1]
+    exact = np.cumprod([Fraction(1)] + [Fraction(x) for x in factors])
+    want = np.array([float(x) for x in exact])
+    got = exp_fn(p, 0).values
+    with np.errstate(under="ignore"):
+        old = ref.ProductLadder(factors).ratios_from(0)
+        assert np.cumprod(factors)[-1] == 0.0
+    normal = want >= TINY
+    assert normal[-1] and got[-1] > 0.1
+    new_err = np.abs(got[normal] / want[normal] - 1.0).max()
+    old_err = np.abs(old[normal] / want[normal] - 1.0).max()
+    assert new_err <= 1e-14 and new_err <= old_err
+    assert np.all(got[~normal] < TINY)
+
+
+def test_a_zero_two_variable_factor_gives_zeros():
+    d = TimeScale2D(integer_segment(0, 4), integer_segment(0, 4))
+    b = np.full(d.shape, 0.5)
+    b[0, 0] = -1.0                      # c[0, 1] = -1, so 1 + mu1*c is 0 there
+    A = GridFn2(d, np.ones(d.shape))
+    z = bounds.gronwall_2d(A, GridFn2(d, b)).values
+    c = running_integral(GridFn2(d, b), 2).values
+    assert np.array_equal(z, ref.exp_axis(c, d.mu1, 1))
+    assert np.all(z[1:, 1] == 0.0) and np.all(z[:, 0] == 1.0)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_an_overflowing_axis_product_names_its_axis(axis):
+    c = np.full((40, 40), 1e20)
+    mu = np.ones(40)
+    name = ("first", "second")[axis - 1]
+    with pytest.raises(DomainError, match=f"{name}-variable exponential overflowed"):
+        bounds._exp_axis(c, mu, axis)
+    with pytest.raises(ValueError, match=f"{name}-variable exponential overflowed"):
+        ref.exp_axis(c, mu, axis)
+
+
+@pytest.mark.parametrize("points", [[0.0], [0.0, 0.5]], ids=["one", "two"])
+def test_exponentials_on_one_and_two_point_scales(points):
+    s = explicit_scale(points)
+    g = GridFn1(s, np.full(len(s), 3.0))
+    assert np.array_equal(exp_fn(g, len(s) - 1).values, [1.0, 1.0 / 2.5][:len(s)][::-1])
+    assert np.array_equal(comparison_bound(2.0, g, g, 0).values, [2.0, 6.5][:len(s)])
+    c = np.full((len(s), 3), 3.0)
+    assert np.array_equal(bounds._exp_axis(c, s.graininess, 1),
+                          ref.exp_axis(c, s.graininess, 1))
+    assert np.array_equal(bounds._exp_axis(c.T, s.graininess, 2),
+                          ref.exp_axis(c.T, s.graininess, 2))
 
 
 # -- compensated cumulative sums --------------------------------------------
