@@ -291,7 +291,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     if op == "exp":
         if fn.family != "constant" or fn.value is None:
             raise ConfigError("exp convergence needs a constant coefficient")
-        rate = float(fn.value)
+        rate = fn.value
     else:
         f, fprime = classical_forms(fn)
 

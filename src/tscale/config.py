@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -75,9 +77,7 @@ class ScaleSpec:
                 raise ConfigError("q_grid needs N a whole number at least 1")
             return q_grid(q, int(n))
         if kind == "explicit":
-            if not self.points:
-                raise ConfigError("explicit scale needs a nonempty point list")
-            pts = [_parse_number(x) for x in self.points]
+            pts = [_parse_number(x) for x in self.points or ()]
             if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ConfigError("explicit points must be strictly increasing, two or more")
             return explicit_scale(pts, self.dense)
@@ -111,7 +111,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _parse_number(text) -> float:
     try:
-        x = float(text)
+        x = math.nan if isinstance(text, bool) else float(text)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -137,11 +137,21 @@ def _scale_from_text(text: str) -> ScaleSpec:
         base, sep, count = rest.partition(",")
         if not sep:
             raise ConfigError(f"expected 'q:Q,N', got '{text}'")
-        return ScaleSpec("q_grid", q=_parse_number(base), n=int(_parse_number(count)))
+        # A whole N is kept as an int, as reports spell it; build() rejects the rest.
+        n = _parse_number(count)
+        return ScaleSpec("q_grid", q=_parse_number(base), n=int(n) if n.is_integer() else n)
     if kind == "explicit":
         return ScaleSpec("explicit",
                          points=tuple(_parse_number(x) for x in rest.split(",")))
     raise ConfigError(f"unknown scale kind '{kind}'")
+
+
+def _json_list(obj: dict, key: str) -> tuple | None:
+    """obj[key] as a tuple, or None when absent or null; a non-list raises."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ConfigError(f"scale '{key}' must be a JSON list")
+    return None if value is None else tuple(value)
 
 
 def parse_scale(obj) -> ScaleSpec:
@@ -154,7 +164,10 @@ def parse_scale(obj) -> ScaleSpec:
         kind = obj.get("kind")
         if kind not in SCALE_KINDS:
             raise ConfigError(f"unknown scale kind '{kind}'")
-        members = obj.get("of")
+        dense = _json_list(obj, "dense")
+        if not all(isinstance(d, bool) for d in dense or ()):
+            raise ConfigError("scale 'dense' entries must be true or false")
+        members = _json_list(obj, "of")
         return ScaleSpec(
             kind=kind,
             start=obj.get("start"),
@@ -162,16 +175,26 @@ def parse_scale(obj) -> ScaleSpec:
             h=obj.get("h"),
             q=obj.get("q"),
             n=obj.get("N", obj.get("n")),
-            points=tuple(obj["points"]) if "points" in obj else None,
-            dense=tuple(obj["dense"]) if "dense" in obj else None,
+            points=_json_list(obj, "points"),
+            dense=dense,
             of=tuple(parse_scale(m) for m in members) if members else None,
         )
     raise ConfigError("scale descriptor must be text or an object")
 
 
+# FnSpec fields that hold one number, and those that hold a list of numbers.
+_NUMBER_FIELDS = ("value", "amplitude", "rate", "rate1", "rate2", "omega")
+_LIST_FIELDS = ("coeffs", "values", "params")
+
+
 @dataclass(frozen=True)
 class FnSpec:
-    """Coefficient-function descriptor; family 'any' samples one at random."""
+    """Coefficient-function descriptor; family 'any' samples one at random.
+
+    Construction checks every number once: a one-number field becomes a
+    finite float, and coeffs, values and params become rectangular nested
+    tuples of finite floats, so the realizers read them as they are.
+    """
 
     family: str = "any"
     value: float | None = None
@@ -184,26 +207,25 @@ class FnSpec:
     values: tuple | None = None
     params: tuple[float, ...] | None = None
 
-    def describe(self) -> dict:
-        out: dict = {"family": self.family}
-        for name in ("value", "coeffs", "amplitude", "rate", "rate1", "rate2",
-                     "omega", "values", "params"):
+    def __post_init__(self):
+        if self.family not in FN_FAMILIES:
+            raise ConfigError(f"unknown function family '{self.family}'")
+        for name in _NUMBER_FIELDS + _LIST_FIELDS:
             v = getattr(self, name)
             if v is not None:
-                out[name] = _untuple(v)
-        return out
+                object.__setattr__(self, name, _parse_number(v) if name in _NUMBER_FIELDS
+                                   else _number_table(v, name))
 
 
-def _untuple(v):
-    if isinstance(v, tuple):
-        return [_untuple(x) for x in v]
-    return v
-
-
-def _retuple(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_retuple(x) for x in v)
-    return v
+def _number_table(v, name: str) -> tuple:
+    """A nonempty list of finite numbers, or of equally shaped such lists, as
+    nested tuples of floats; anything else raises ConfigError."""
+    if isinstance(v, (list, tuple)) and v:
+        rows = tuple(_number_table(x, name) if isinstance(x, (list, tuple)) else _parse_number(x)
+                     for x in v)
+        if len({np.shape(row) for row in rows}) == 1:
+            return rows
+    raise ConfigError(f"'{name}' must be a nonempty, rectangular list of finite numbers")
 
 
 def parse_fn(obj) -> FnSpec:
@@ -213,38 +235,22 @@ def parse_fn(obj) -> FnSpec:
     if isinstance(obj, str):
         fam, sep, rest = obj.partition(":")
         if fam == "const":
-            return FnSpec("constant", value=_parse_number(rest))
+            return FnSpec("constant", value=rest)
         if fam == "poly":
-            return FnSpec("polynomial",
-                          coeffs=tuple(_parse_number(x) for x in rest.split(",")))
+            return FnSpec("polynomial", coeffs=rest.split(","))
         if fam == "exp":
             parts = rest.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"expected 'exp:amplitude,rate', got '{obj}'")
-            return FnSpec("exponential", amplitude=_parse_number(parts[0]),
-                          rate=_parse_number(parts[1]))
+            return FnSpec("exponential", amplitude=parts[0], rate=parts[1])
         if fam == "sin":
-            return FnSpec("sin", omega=_parse_number(rest) if sep else 1.0)
+            return FnSpec("sin", omega=rest if sep else 1.0)
         if fam == "table":
-            return FnSpec("tabulated",
-                          values=tuple(_parse_number(x) for x in rest.split(",")))
+            return FnSpec("tabulated", values=rest.split(","))
         raise ConfigError(f"cannot parse function '{obj}'")
     if isinstance(obj, dict):
-        fam = obj.get("family", "any")
-        if fam not in FN_FAMILIES:
-            raise ConfigError(f"unknown function family '{fam}'")
-        return FnSpec(
-            family=fam,
-            value=obj.get("value"),
-            coeffs=_retuple(obj["coeffs"]) if "coeffs" in obj else None,
-            amplitude=obj.get("amplitude"),
-            rate=obj.get("rate"),
-            rate1=obj.get("rate1"),
-            rate2=obj.get("rate2"),
-            omega=obj.get("omega"),
-            values=_retuple(obj["values"]) if "values" in obj else None,
-            params=_retuple(obj["params"]) if "params" in obj else None,
-        )
+        return FnSpec(family=obj.get("family", "any"),
+                      **{name: obj.get(name) for name in _NUMBER_FIELDS + _LIST_FIELDS})
     raise ConfigError("function descriptor must be text or an object")
 
 
@@ -254,153 +260,127 @@ def _rng_required(rng) -> None:
                           "supply fixed parameters here")
 
 
-def _sample_scalar(rng) -> float:
+def _pick(family: str, pool: tuple[str, ...], rng) -> str:
+    """family itself, or for 'any' a member of pool drawn from rng."""
+    if family != "any":
+        return family
+    _rng_required(rng)
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _constant(value: float | None, rng) -> float:
+    """value itself, or a constant drawn from rng when it is None."""
+    if value is not None:
+        return value
+    _rng_required(rng)
     return float(min(VALUE_CAP, 0.1 + 2.0 * abs(rng.standard_normal())))
 
 
-def _capped(vals: np.ndarray) -> np.ndarray:
-    top = float(np.abs(vals).max()) if vals.size else 0.0
-    if top > VALUE_CAP:
-        vals = vals * (VALUE_CAP / top)
+def _coefficients(spec: FnSpec, naxes: int) -> np.ndarray:
+    c = np.asarray(spec.coeffs)
+    if c.ndim != naxes:
+        raise ConfigError(f"polynomial coefficients need one nesting level per axis, {naxes} here")
+    return c
+
+
+def _polyval(grids, c: np.ndarray) -> np.ndarray:
+    """Polynomial with one axis of c per grid on the broadcast grids, by
+    nested Horner steps as polyval2d takes them."""
+    vals = npoly.polyval(grids[0], c)
+    for x in grids[1:]:
+        vals = npoly.polyval(x, vals, tensor=False)
     return vals
+
+
+_ANY_POOL = ("constant", "polynomial", "exponential", "tabulated")
+
+
+def _realize(spec: FnSpec, axes: tuple[np.ndarray, ...], rng,
+             monotone: bool = False) -> np.ndarray:
+    """Values of spec on the product of one or two axes (point arrays).
+
+    Fixed parameters are evaluated at the raw points.  Sampled families use
+    points shifted to start at zero and absolute-value coefficients, which
+    makes them nonnegative, and are capped at VALUE_CAP; monotone also keeps
+    them nondecreasing (no tabulated draw, a raised constant term, rates of
+    at least 0).  Exponential rates are (rate,) on one axis and (rate1,
+    rate2) on two; sin serves on one axis only.
+    """
+    n = len(axes)
+    shape = tuple(len(x) for x in axes)
+    grids = np.ix_(*axes)
+    fam = _pick(spec.family, _ANY_POOL[:3] if monotone else _ANY_POOL, rng)
+    if fam == "constant":
+        return np.full(shape, _constant(spec.value, rng))
+    if fam == "sin" and n == 1:
+        return np.sin((1.0 if spec.omega is None else spec.omega) * grids[0])
+    if fam == "sin":
+        raise ConfigError("sin may go negative and cannot serve as a coefficient")
+    if fam not in _ANY_POOL:
+        raise ConfigError(f"function family '{fam}' is not usable here")
+    amp, rates = spec.amplitude, (spec.rate,) if n == 1 else (spec.rate1, spec.rate2)
+    if fam == "polynomial" and spec.coeffs is not None:
+        return _polyval(grids, _coefficients(spec, n))
+    if fam == "exponential" and (amp is not None or rates != (None,) * n):
+        amp, rates = 1.0 if amp is None else amp, [0.0 if r is None else r for r in rates]
+        return amp * np.exp(reduce(np.add, (r * x for r, x in zip(rates, grids))))
+    if fam == "tabulated" and spec.values is not None:
+        vals = np.asarray(spec.values)
+        if vals.shape != shape:
+            raise ConfigError("tabulated values must match the "
+                              + ("scale length" if n == 1 else "lattice shape"))
+        return vals
+    _rng_required(rng)
+    shifted = [x - x.flat[0] for x in grids]
+    if fam == "polynomial":
+        degrees = [d for d in product(range(4), repeat=n) if sum(d) <= 3]
+        degree = degrees[int(rng.integers(len(degrees)))]
+        c = np.abs(rng.standard_normal(tuple(d + 1 for d in degree)))
+        if monotone:
+            c[(0,) * n] += 0.1
+        vals = _polyval(shifted, c)
+    elif fam == "exponential":
+        amp = 0.1 + abs(rng.standard_normal())
+        rates = [float(rng.uniform(0.0 if monotone else -0.5, 0.5)) for _ in axes]
+        vals = amp * np.exp(reduce(np.add, (r * x for r, x in zip(rates, shifted))))
+    else:
+        vals = 2.0 * np.abs(rng.standard_normal(shape))
+    top = float(np.abs(vals).max())
+    return vals * (VALUE_CAP / top) if top > VALUE_CAP else vals
 
 
 def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,
                monotone_positive: bool = False) -> GridFn1:
-    """Evaluate (or sample) a one-dimensional coefficient on a scale.
-
-    Fixed parameters are evaluated at the raw point values; sampled families
-    use coordinates shifted to start at zero, which together with
-    absolute-value coefficients makes them nonnegative, and nondecreasing
-    where monotone_positive asks for it.  The monotone_positive flag also
-    validates fixed-parameter functions against strict positivity and
-    monotonicity on the grid.
-    """
-    t = scale.points
-    shifted = t - t[0]
-    fam = spec.family
-    if fam == "any":
-        _rng_required(rng)
-        pool = ("constant", "polynomial", "exponential") if monotone_positive \
-            else ("constant", "polynomial", "exponential", "tabulated")
-        fam = pool[int(rng.integers(len(pool)))]
-    if fam == "constant":
-        if spec.value is not None:
-            vals = np.full(len(t), float(spec.value))
-        else:
-            _rng_required(rng)
-            vals = np.full(len(t), _sample_scalar(rng))
-    elif fam == "polynomial":
-        if spec.coeffs is not None:
-            vals = npoly.polyval(t, np.asarray(spec.coeffs, dtype=float))
-        else:
-            _rng_required(rng)
-            deg = int(rng.integers(0, 4))
-            coeffs = np.abs(rng.standard_normal(deg + 1))
-            if monotone_positive:
-                coeffs[0] += 0.1
-            vals = _capped(npoly.polyval(shifted, coeffs))
-    elif fam == "exponential":
-        if spec.amplitude is not None or spec.rate is not None:
-            amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
-            rate = float(spec.rate) if spec.rate is not None else 0.0
-            vals = amp * np.exp(rate * t)
-        else:
-            _rng_required(rng)
-            amp = 0.1 + abs(rng.standard_normal())
-            rate = float(rng.uniform(0.0 if monotone_positive else -0.5, 0.5))
-            vals = _capped(amp * np.exp(rate * shifted))
-    elif fam == "tabulated":
-        if spec.values is not None:
-            vals = np.asarray(spec.values, dtype=float)
-            if vals.shape != t.shape:
-                raise ConfigError("tabulated values must match the scale length")
-        else:
-            _rng_required(rng)
-            vals = _capped(2.0 * np.abs(rng.standard_normal(len(t))))
-    elif fam == "sin":
-        omega = float(spec.omega) if spec.omega is not None else 1.0
-        vals = np.sin(omega * t)
-    else:
-        raise ConfigError(f"function family '{fam}' is not usable here")
+    """Evaluate (or sample) a one-dimensional coefficient on a scale;
+    monotone_positive asks for a strictly positive, nondecreasing one, which
+    sampled families are drawn to be and fixed parameters are checked for."""
+    vals = _realize(spec, (scale.points,), rng, monotone_positive)
     if monotone_positive:
         if float(vals.min()) <= 0.0:
             raise ConfigError("this coefficient must be strictly positive on the scale")
         if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
             raise ConfigError("this coefficient must be nondecreasing on the scale")
-    return GridFn1(scale, np.asarray(vals, dtype=float))
+    return GridFn1(scale, vals)
 
 
-def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None,
-               require_nonneg: bool = True) -> GridFn2:
-    """Evaluate (or sample) a two-dimensional coefficient on a product scale."""
-    t1 = domain.scale1.points
-    t2 = domain.scale2.points
-    s1 = t1 - t1[0]
-    s2 = t2 - t2[0]
-    fam = spec.family
-    if fam == "any":
-        _rng_required(rng)
-        pool = ("constant", "polynomial", "exponential", "tabulated")
-        fam = pool[int(rng.integers(len(pool)))]
-    if fam == "constant":
-        if spec.value is not None:
-            vals = np.full(domain.shape, float(spec.value))
-        else:
-            _rng_required(rng)
-            vals = np.full(domain.shape, _sample_scalar(rng))
-    elif fam == "polynomial":
-        if spec.coeffs is not None:
-            c = np.asarray(spec.coeffs, dtype=float)
-            if c.ndim != 2:
-                raise ConfigError("a 2-D polynomial needs a coefficient matrix")
-            vals = npoly.polyval2d(*np.meshgrid(t1, t2, indexing="ij"), c)
-        else:
-            _rng_required(rng)
-            pairs = [(d1, d2) for d1 in range(4) for d2 in range(4) if d1 + d2 <= 3]
-            d1, d2 = pairs[int(rng.integers(len(pairs)))]
-            c = np.abs(rng.standard_normal((d1 + 1, d2 + 1)))
-            vals = _capped(npoly.polyval2d(*np.meshgrid(s1, s2, indexing="ij"), c))
-    elif fam == "exponential":
-        if spec.amplitude is not None or spec.rate1 is not None or spec.rate2 is not None:
-            amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
-            r1 = float(spec.rate1) if spec.rate1 is not None else 0.0
-            r2 = float(spec.rate2) if spec.rate2 is not None else 0.0
-            vals = amp * np.exp(r1 * t1[:, None] + r2 * t2[None, :])
-        else:
-            _rng_required(rng)
-            amp = 0.1 + abs(rng.standard_normal())
-            r1 = float(rng.uniform(-0.5, 0.5))
-            r2 = float(rng.uniform(-0.5, 0.5))
-            vals = _capped(amp * np.exp(r1 * s1[:, None] + r2 * s2[None, :]))
-    elif fam == "tabulated":
-        if spec.values is not None:
-            vals = np.asarray(spec.values, dtype=float)
-            if vals.shape != domain.shape:
-                raise ConfigError("tabulated values must match the lattice shape")
-        else:
-            _rng_required(rng)
-            vals = _capped(2.0 * np.abs(rng.standard_normal(domain.shape)))
-    elif fam == "sin":
-        raise ConfigError("sin may go negative and cannot serve as a coefficient")
-    else:
-        raise ConfigError(f"function family '{fam}' is not usable here")
-    if require_nonneg and float(vals.min()) < 0.0:
+def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None) -> GridFn2:
+    """Evaluate (or sample) a two-dimensional coefficient on a product scale;
+    it must be nonnegative on the lattice."""
+    vals = _realize(spec, (domain.scale1.points, domain.scale2.points), rng)
+    if float(vals.min()) < 0.0:
         raise ConfigError("coefficient functions must be nonnegative on the lattice")
-    return GridFn2(domain, np.asarray(vals, dtype=float))
+    return GridFn2(domain, vals)
 
 
 def realize_scalar(spec: FnSpec, rng=None) -> float:
-    """A nonnegative constant from a descriptor (system-case c1, c2)."""
-    if spec.family == "constant" and spec.value is not None:
-        v = float(spec.value)
-        if v < 0:
-            raise ConfigError("constants must be nonnegative")
-        return v
-    if spec.family in ("constant", "any"):
-        _rng_required(rng)
-        return _sample_scalar(rng)
-    raise ConfigError("this entry must be a constant")
+    """A nonnegative constant from a descriptor (system-case c1, c2); family
+    'any' always draws one."""
+    if spec.family not in ("constant", "any"):
+        raise ConfigError("this entry must be a constant")
+    v = _constant(spec.value if spec.family == "constant" else None, rng)
+    if v < 0:
+        raise ConfigError("constants must be nonnegative")
+    return v
 
 
 def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
@@ -415,34 +395,23 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     raises ConfigError before anything is drawn or allocated.
     """
     check_kernel_budget(domain)
-    fam = spec.family
-    if fam == "any":
-        _rng_required(rng)
-        fam = ("constant", "affine_product")[int(rng.integers(2))]
+    fam = _pick(spec.family, ("constant", "affine_product"), rng)
     if fam == "constant":
-        if spec.value is not None:
-            v = float(spec.value)
-            if v < 0:
-                raise ConfigError("a constant kernel must be nonnegative")
-        else:
-            _rng_required(rng)
-            v = _sample_scalar(rng)
+        v = _constant(spec.value, rng)
+        if v < 0:
+            raise ConfigError("a constant kernel must be nonnegative")
         return KernelOracle.constant(domain, v)
     if fam != "affine_product":
         raise ConfigError(f"kernel family '{fam}' is not supported")
-    if spec.params is not None:
-        params = tuple(float(x) for x in spec.params)
-        if len(params) != 7:
-            raise ConfigError("affine_product kernel needs 7 parameters")
-        if min(params) < 0:
-            raise ConfigError("affine_product kernel parameters must be nonnegative")
-        x1 = domain.scale1.points
-        x2 = domain.scale2.points
-    else:
+    params, x1, x2 = spec.params, domain.scale1.points, domain.scale2.points
+    if params is None:
         _rng_required(rng)
         params = tuple(np.abs(rng.standard_normal(7)))
-        x1 = domain.scale1.points - domain.scale1.points[0]
-        x2 = domain.scale2.points - domain.scale2.points[0]
+        x1, x2 = x1 - x1[0], x2 - x2[0]
+    elif np.shape(params) != (7,):
+        raise ConfigError("affine_product kernel needs 7 parameters")
+    elif min(params) < 0:
+        raise ConfigError("affine_product kernel parameters must be nonnegative")
     a0, a1, b0, b1, c0, c1, c2 = params
     f1 = a0 + a1 * x1
     f2 = b0 + b1 * x2
@@ -463,19 +432,19 @@ def classical_forms(spec: FnSpec) -> tuple[Callable[[float], float], Callable[[f
     """
     fam = spec.family
     if fam == "constant" and spec.value is not None:
-        v = float(spec.value)
+        v = spec.value
         return (lambda t: v), (lambda t: 0.0)
     if fam == "polynomial" and spec.coeffs is not None:
-        c = np.asarray(spec.coeffs, dtype=float)
+        c = _coefficients(spec, 1)
         d = npoly.polyder(c) if len(c) > 1 else np.zeros(1)
         return (lambda t: float(npoly.polyval(t, c))), \
                (lambda t: float(npoly.polyval(t, d)))
     if fam == "sin":
-        w = float(spec.omega) if spec.omega is not None else 1.0
+        w = 1.0 if spec.omega is None else spec.omega
         return (lambda t: math.sin(w * t)), (lambda t: w * math.cos(w * t))
     if fam == "exponential" and (spec.amplitude is not None or spec.rate is not None):
-        amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
-        rate = float(spec.rate) if spec.rate is not None else 0.0
+        amp = 1.0 if spec.amplitude is None else spec.amplitude
+        rate = 0.0 if spec.rate is None else spec.rate
         return (lambda t: amp * math.exp(rate * t)), \
                (lambda t: amp * rate * math.exp(rate * t))
     raise ConfigError("convergence study needs a fixed smooth function "

@@ -11,7 +11,9 @@ only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call.
 The product ladder takes a plain running product and switches to signs and
 compensated sums of logs once a prefix leaves [1e-300, 1e300]; the 2-D axis
-exponential is a raw cumprod that underflows to 0.
+exponential is a raw cumprod that underflows to 0.  The coefficient
+realizers are the two hand-written family switches, one per dimension, that
+convert each descriptor field with float() where they use it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import json
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from tscale import ConfigError, GridFn1, GridFn2, KernelOracle
+from tscale.grid2d import check_kernel_budget
 
 
 def cell_weights(domain) -> np.ndarray:
@@ -342,3 +348,212 @@ def write_json(fh, payload: dict, reports) -> None:
         {"t1": r[0], "t2": r[1], "witness": r[2], "bound": r[3], "slack": r[4]}
         for r in point_rows(reports)]
     fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+VALUE_CAP = 10.0
+
+
+def _rng_required(rng) -> None:
+    if rng is None:
+        raise ConfigError("sampled function parameters need a seeded run; "
+                          "supply fixed parameters here")
+
+
+def _sample_scalar(rng) -> float:
+    return float(min(VALUE_CAP, 0.1 + 2.0 * abs(rng.standard_normal())))
+
+
+def _capped(vals: np.ndarray) -> np.ndarray:
+    top = float(np.abs(vals).max()) if vals.size else 0.0
+    if top > VALUE_CAP:
+        vals = vals * (VALUE_CAP / top)
+    return vals
+
+
+def realize_1d(spec, scale, rng=None, monotone_positive: bool = False):
+    t = scale.points
+    shifted = t - t[0]
+    fam = spec.family
+    if fam == "any":
+        _rng_required(rng)
+        pool = ("constant", "polynomial", "exponential") if monotone_positive \
+            else ("constant", "polynomial", "exponential", "tabulated")
+        fam = pool[int(rng.integers(len(pool)))]
+    if fam == "constant":
+        if spec.value is not None:
+            vals = np.full(len(t), float(spec.value))
+        else:
+            _rng_required(rng)
+            vals = np.full(len(t), _sample_scalar(rng))
+    elif fam == "polynomial":
+        if spec.coeffs is not None:
+            vals = npoly.polyval(t, np.asarray(spec.coeffs, dtype=float))
+        else:
+            _rng_required(rng)
+            deg = int(rng.integers(0, 4))
+            coeffs = np.abs(rng.standard_normal(deg + 1))
+            if monotone_positive:
+                coeffs[0] += 0.1
+            vals = _capped(npoly.polyval(shifted, coeffs))
+    elif fam == "exponential":
+        if spec.amplitude is not None or spec.rate is not None:
+            amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
+            rate = float(spec.rate) if spec.rate is not None else 0.0
+            vals = amp * np.exp(rate * t)
+        else:
+            _rng_required(rng)
+            amp = 0.1 + abs(rng.standard_normal())
+            rate = float(rng.uniform(0.0 if monotone_positive else -0.5, 0.5))
+            vals = _capped(amp * np.exp(rate * shifted))
+    elif fam == "tabulated":
+        if spec.values is not None:
+            vals = np.asarray(spec.values, dtype=float)
+            if vals.shape != t.shape:
+                raise ConfigError("tabulated values must match the scale length")
+        else:
+            _rng_required(rng)
+            vals = _capped(2.0 * np.abs(rng.standard_normal(len(t))))
+    elif fam == "sin":
+        omega = float(spec.omega) if spec.omega is not None else 1.0
+        vals = np.sin(omega * t)
+    else:
+        raise ConfigError(f"function family '{fam}' is not usable here")
+    if monotone_positive:
+        if float(vals.min()) <= 0.0:
+            raise ConfigError("this coefficient must be strictly positive on the scale")
+        if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
+            raise ConfigError("this coefficient must be nondecreasing on the scale")
+    return GridFn1(scale, np.asarray(vals, dtype=float))
+
+
+def realize_2d(spec, domain, rng=None, require_nonneg: bool = True):
+    t1 = domain.scale1.points
+    t2 = domain.scale2.points
+    s1 = t1 - t1[0]
+    s2 = t2 - t2[0]
+    fam = spec.family
+    if fam == "any":
+        _rng_required(rng)
+        pool = ("constant", "polynomial", "exponential", "tabulated")
+        fam = pool[int(rng.integers(len(pool)))]
+    if fam == "constant":
+        if spec.value is not None:
+            vals = np.full(domain.shape, float(spec.value))
+        else:
+            _rng_required(rng)
+            vals = np.full(domain.shape, _sample_scalar(rng))
+    elif fam == "polynomial":
+        if spec.coeffs is not None:
+            c = np.asarray(spec.coeffs, dtype=float)
+            if c.ndim != 2:
+                raise ConfigError("a 2-D polynomial needs a coefficient matrix")
+            vals = npoly.polyval2d(*np.meshgrid(t1, t2, indexing="ij"), c)
+        else:
+            _rng_required(rng)
+            pairs = [(d1, d2) for d1 in range(4) for d2 in range(4) if d1 + d2 <= 3]
+            d1, d2 = pairs[int(rng.integers(len(pairs)))]
+            c = np.abs(rng.standard_normal((d1 + 1, d2 + 1)))
+            vals = _capped(npoly.polyval2d(*np.meshgrid(s1, s2, indexing="ij"), c))
+    elif fam == "exponential":
+        if spec.amplitude is not None or spec.rate1 is not None or spec.rate2 is not None:
+            amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
+            r1 = float(spec.rate1) if spec.rate1 is not None else 0.0
+            r2 = float(spec.rate2) if spec.rate2 is not None else 0.0
+            vals = amp * np.exp(r1 * t1[:, None] + r2 * t2[None, :])
+        else:
+            _rng_required(rng)
+            amp = 0.1 + abs(rng.standard_normal())
+            r1 = float(rng.uniform(-0.5, 0.5))
+            r2 = float(rng.uniform(-0.5, 0.5))
+            vals = _capped(amp * np.exp(r1 * s1[:, None] + r2 * s2[None, :]))
+    elif fam == "tabulated":
+        if spec.values is not None:
+            vals = np.asarray(spec.values, dtype=float)
+            if vals.shape != domain.shape:
+                raise ConfigError("tabulated values must match the lattice shape")
+        else:
+            _rng_required(rng)
+            vals = _capped(2.0 * np.abs(rng.standard_normal(domain.shape)))
+    elif fam == "sin":
+        raise ConfigError("sin may go negative and cannot serve as a coefficient")
+    else:
+        raise ConfigError(f"function family '{fam}' is not usable here")
+    if require_nonneg and float(vals.min()) < 0.0:
+        raise ConfigError("coefficient functions must be nonnegative on the lattice")
+    return GridFn2(domain, np.asarray(vals, dtype=float))
+
+
+def realize_scalar(spec, rng=None) -> float:
+    if spec.family == "constant" and spec.value is not None:
+        v = float(spec.value)
+        if v < 0:
+            raise ConfigError("constants must be nonnegative")
+        return v
+    if spec.family in ("constant", "any"):
+        _rng_required(rng)
+        return _sample_scalar(rng)
+    raise ConfigError("this entry must be a constant")
+
+
+def realize_kernel(spec, domain, rng=None):
+    check_kernel_budget(domain)
+    fam = spec.family
+    if fam == "any":
+        _rng_required(rng)
+        fam = ("constant", "affine_product")[int(rng.integers(2))]
+    if fam == "constant":
+        if spec.value is not None:
+            v = float(spec.value)
+            if v < 0:
+                raise ConfigError("a constant kernel must be nonnegative")
+        else:
+            _rng_required(rng)
+            v = _sample_scalar(rng)
+        return KernelOracle.constant(domain, v)
+    if fam != "affine_product":
+        raise ConfigError(f"kernel family '{fam}' is not supported")
+    if spec.params is not None:
+        params = tuple(float(x) for x in spec.params)
+        if len(params) != 7:
+            raise ConfigError("affine_product kernel needs 7 parameters")
+        if min(params) < 0:
+            raise ConfigError("affine_product kernel parameters must be nonnegative")
+        x1 = domain.scale1.points
+        x2 = domain.scale2.points
+    else:
+        _rng_required(rng)
+        params = tuple(np.abs(rng.standard_normal(7)))
+        x1 = domain.scale1.points - domain.scale1.points[0]
+        x2 = domain.scale2.points - domain.scale2.points[0]
+    a0, a1, b0, b1, c0, c1, c2 = params
+    f1 = a0 + a1 * x1
+    f2 = b0 + b1 * x2
+    g = c0 + c1 * x1[:, None] + c2 * x2[None, :]
+    table = f1[:, None, None, None] * f2[None, :, None, None] * g[None, None, :, :]
+    if spec.params is None:
+        top = float(table.max())
+        if top > VALUE_CAP:
+            table *= VALUE_CAP / top
+    return KernelOracle.from_table(domain, table)
+
+
+def classical_forms(spec):
+    fam = spec.family
+    if fam == "constant" and spec.value is not None:
+        v = float(spec.value)
+        return (lambda t: v), (lambda t: 0.0)
+    if fam == "polynomial" and spec.coeffs is not None:
+        c = np.asarray(spec.coeffs, dtype=float)
+        d = npoly.polyder(c) if len(c) > 1 else np.zeros(1)
+        return (lambda t: float(npoly.polyval(t, c))), \
+               (lambda t: float(npoly.polyval(t, d)))
+    if fam == "sin":
+        w = float(spec.omega) if spec.omega is not None else 1.0
+        return (lambda t: math.sin(w * t)), (lambda t: w * math.cos(w * t))
+    if fam == "exponential" and (spec.amplitude is not None or spec.rate is not None):
+        amp = float(spec.amplitude) if spec.amplitude is not None else 1.0
+        rate = float(spec.rate) if spec.rate is not None else 0.0
+        return (lambda t: amp * math.exp(rate * t)), \
+               (lambda t: amp * rate * math.exp(rate * t))
+    raise ConfigError("convergence study needs a fixed smooth function "
+                      "(constant, polynomial, sin, or exponential)")

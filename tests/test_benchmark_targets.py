@@ -5,7 +5,9 @@ The tracer (benchmarks/tracer.py) names its targets as (module, attribute)
 strings and skips a target it cannot find, so a renamed function would only
 drop its span and the per-layer numbers built on it would read 0.  Its hooks
 read ProductLadder.log_mode and KernelOracle._table, so a removed attribute
-would crash a traced run or count every table as a build.  The file is
+would crash a traced run or count every table as a build.  Its
+config.realize.calls means realized functions only while one realizer call
+serves each.  The file is
 compiled from its source here and never imported, so the check writes
 nothing under benchmarks/.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tscale import TimeScale2D, integer_segment
+from tscale import BoundCase, TimeScale2D, config, integer_segment, verify
 from tscale.exponential import ProductLadder
 from tscale.grid2d import KernelOracle
 
@@ -59,3 +61,29 @@ def test_counting_hooks_read_live_attributes():
     tracer_mod._count_table(tracer, (oracle,), oracle.table)
     assert tracer.counts["grid2d.kernel_table.builds"] == 0
     assert tracer.counts["grid2d.kernel_table.bytes"] == oracle.table().nbytes
+
+
+REALIZERS = ("realize_1d", "realize_2d", "realize_kernel", "realize_scalar")
+
+
+def test_one_realizer_call_per_realized_function(monkeypatch):
+    """The tracer's config.realize.calls counts one call per realized function,
+    so no realizer may reach another through its module name.  Each is patched
+    where the tracer wraps it: on tscale.config and on tscale.verify."""
+    calls = []
+    for name in REALIZERS:
+        def counted(*args, _fn=getattr(config, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        for module in (config, verify):
+            monkeypatch.setattr(module, name, counted)
+    expected = {
+        BoundCase.INTEGRODYNAMIC: ["realize_1d", "realize_1d", "realize_2d"],
+        BoundCase.SYSTEM: ["realize_scalar"] * 2 + ["realize_2d"] * 4,
+    }
+    for case, names in expected.items():
+        calls.clear()
+        verify.run_verification(verify.InstanceSpec(
+            case=case, scale1=config.parse_scale("integer:0..3"),
+            scale2=config.parse_scale("q:2,2"), rng_seed=5, count=1))
+        assert calls == names

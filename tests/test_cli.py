@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import references as ref
 from tscale import cli as cli_mod
@@ -332,6 +337,134 @@ def test_verify_rejects_a_scale_number_that_is_not_finite(tmp_path, capsys, scal
     assert err.startswith("error:") and "is not a finite number" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+# Inputs that once ended in a traceback or ran with a truncated number.
+MALFORMED = {
+    "value-text": {"functions": {"p": {"family": "constant", "value": "x"}}},
+    "coeffs-text": {"functions": {"p": {"family": "polynomial", "coeffs": [[1, "x"]]}}},
+    "rate1-text": {"functions": {"p": {"family": "exponential", "rate1": "x"}}},
+    "values-text": {"functions": {"p": {"family": "tabulated", "values": "abcd"}}},
+    "params-number": {"theorem": "kernel",
+                      "functions": {"k": {"family": "affine_product", "params": 5}}},
+    "c1-text": {"theorem": "system", "functions": {"c1": {"value": "x"}}},
+    "value-nan": {"functions": {"p": {"family": "constant", "value": math.nan}}},
+    "value-bool": {"functions": {"p": {"family": "constant", "value": True}}},
+    "points-number": {"scale1": {"kind": "explicit", "points": 5}},
+    "dense-number": {"scale1": {"kind": "explicit", "points": [0, 1], "dense": 5}},
+    "of-number": {"scale1": {"kind": "union", "of": 5}},
+    "q-fractional-N": {"scale1": "q:2,2.5"},
+}
+
+
+@pytest.mark.parametrize("override", MALFORMED.values(), ids=MALFORMED.keys())
+def test_verify_rejects_a_malformed_descriptor(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, **override))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_verify_reports_a_whole_text_N_as_an_integer(tmp_path, capsys):
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1="q:2,3"))
+    assert run_cli(capsys, "verify", str(cfg))[0] == 0
+    scale1 = json.loads((tmp_path / "report.json").read_text())["scale1"]
+    assert scale1 == {"kind": "q_grid", "q": 2.0, "N": 3}
+    assert type(scale1["N"]) is int
+
+
+# Valid verify configs on lattices of at most 4x4 points, one per case, with
+# every function descriptor given and list-valued scale fields to mutate.
+FUZZ_BASES = [
+    {"theorem": "pointwise",
+     "scale1": {"kind": "explicit", "points": [0, 0.5, 1.5, 2], "dense": [False] * 4},
+     "scale2": {"kind": "union", "of": ["integer:0..1", "explicit:1.5,3"]},
+     "functions": {"p": {"family": "constant", "value": 1},
+                   "q": {"family": "polynomial", "coeffs": [[0.5, 0.1], [0.2, 0]]},
+                   "k": {"family": "exponential", "amplitude": 1, "rate1": 0.1,
+                         "rate2": 0.2}}},
+    {"theorem": "kernel", "scale1": "integer:0..3", "scale2": "q:2,2",
+     "functions": {"p": {"family": "tabulated", "values": [[1, 2, 3]] * 4},
+                   "q": "const:0.5",
+                   "k": {"family": "affine_product", "params": [1, 0.1, 1, 0.2, 1, 0, 0.1]}}},
+    {"theorem": "system", "scale1": "h:0.5,0..1.5", "scale2": "integer:0..2",
+     "functions": {"c1": {"family": "constant", "value": 1}, "c2": "const:0.5",
+                   "h1": {"family": "any"}, "h2": {"family": "constant", "value": 0.2},
+                   "h3": {"family": "polynomial", "coeffs": [[0.1], [0.1]]},
+                   "h4": {"family": "tabulated", "values": [[0.1, 0.2, 0.3]] * 4}}},
+    {"theorem": "integrodynamic",
+     "scale1": {"kind": "explicit", "points": [0, 1, 3], "dense": [False, True, True]},
+     "scale2": {"kind": "union", "of": [{"kind": "integer_segment", "start": 0, "end": 2},
+                                        "q:2,1"]},
+     "functions": {"a": {"family": "polynomial", "coeffs": [1, 0.5]},
+                   "b": {"family": "exponential", "amplitude": 1, "rate": 0.1},
+                   "c": {"family": "exponential", "amplitude": 1, "rate1": 0.1,
+                         "rate2": 0}}},
+]
+MISSING = object()
+# Wrong types, text, NaN and infinities, booleans, ragged or nested lists and
+# removed keys, next to values that may well be valid.
+JUNK = st.one_of(
+    st.sampled_from([MISSING, None, "any", "constant", "polynomial", 0.5, [0.5, 1],
+                     [[0.5, 1]], [False, True, True]]),
+    st.sampled_from(["x", "", "1", "nan", "1e400", "const:1", "integer:0..2",
+                     math.nan, math.inf, -math.inf]),
+    st.booleans(), st.integers(-3, 5), st.floats(-5.0, 5.0), st.text(max_size=3),
+    st.lists(st.integers(-1, 3) | st.floats(-2.0, 2.0) | st.booleans()
+             | st.sampled_from(["x", math.nan, math.inf]), max_size=5),
+    st.lists(st.lists(st.floats(0.0, 2.0), max_size=4), max_size=4),
+    st.dictionaries(st.sampled_from(["family", "value", "kind", "x"]),
+                    st.integers(0, 2) | st.sampled_from(["constant", "explicit"]), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A fuzz base with one or two descriptor or scale-list entries replaced
+    by junk or removed."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    # Every scale object gets a points list to mutate, whether its kind reads it or not.
+    for key in ("scale1", "scale2"):
+        if isinstance(cfg[key], dict):
+            cfg[key].setdefault("points", [0, 1, 2])
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(cfg["functions"]) + ["scale1", "scale2"]))
+        holder = cfg if name.startswith("scale") else cfg["functions"]
+        if not isinstance(holder[name], dict):
+            holder[name] = {"family": "any"} if holder is cfg["functions"] else "integer:0..1"
+            continue
+        fields = ["points", "dense", "of"] if holder is cfg else \
+            sorted(set(holder[name]) | {"family", "value", "coeffs", "values", "params"})
+        field, junk = draw(st.sampled_from(fields)), draw(JUNK)
+        if junk is MISSING:
+            holder[name].pop(field, None)
+        else:
+            holder[name][field] = junk
+    return cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutated_configs(), st.sampled_from(["csv", "json"]))
+def test_verify_fuzzed_descriptors_exit_cleanly(cfg, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp) / "report"
+        path = Path(tmp) / "v.json"
+        path.write_text(json.dumps({**cfg, "seed": 3, "count": 2,
+                                    "output": {"path": str(stem), "format": fmt}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", str(path)])
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        if code in (2, 3):
+            assert any(line.startswith("error:") for line in lines)
+        if code == 2:
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["v.json"]
+        if code in (0, 1):
+            summary = json.loads(stem.with_suffix(".json").read_text())
+            assert (summary["instances_with_violation"] > 0) == (code == 1)
 
 
 def test_verify_rejects_malformed_json(tmp_path, capsys):

@@ -13,7 +13,9 @@ first-order comparison witness composes its steps by a doubling scan and must
 agree with the point-by-point loop to 1e-13 of the magnitude recursion.  The
 mantissa/exponent product ladder must have the bits of a plain running
 product while every prefix is a normal double, and agree with the log-space
-reference ladder to 1e-12 relative elsewhere.
+reference ladder to 1e-12 relative elsewhere.  The axis-generic coefficient
+realizer must give the bits of the two per-dimension family switches and
+leave the random stream in the same state.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from tscale import (DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
-                    KernelOracle, TimeScale2D, comparison_bound, dense_mesh, exp_fn,
-                    explicit_scale, h_grid, integer_segment, q_grid, realize_kernel,
+from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
+                    KernelOracle, TimeScale2D, classical_forms, comparison_bound,
+                    dense_mesh, exp_fn, explicit_scale, h_grid, integer_segment, q_grid,
+                    realize_1d, realize_2d, realize_kernel, realize_scalar,
                     running_integral, union_scales)
 from tscale import bounds, cli, verify, witnesses
+from tscale.config import FN_FAMILIES
 from tscale.core import neumaier_cumsum
 from tscale.exponential import ProductLadder
 from tscale.witnesses import (witness_comparison, witness_integrodynamic,
@@ -679,3 +683,131 @@ def test_comparison_witness_steps_grow_with_log_n():
     assert growth(witness_comparison) <= 4 * STEPS_PER_DOUBLING
     # the loop's steps per point, 15 * 2**10 more, break the bound above
     assert growth(ref.witness_comparison_loop) >= 15 * 2 ** 10
+
+
+@st.composite
+def realizer_scales(draw):
+    """Integer, q, h and explicit scales of 1 to 5 points; one point only
+    explicit, two points of every kind."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["integer", "q", "h", "explicit"]))
+    if n == 1 or kind == "explicit":
+        ticks = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+        return explicit_scale(np.sort(ticks) / 4.0)
+    if kind == "integer":
+        start = draw(st.integers(-3, 3))
+        return integer_segment(start, start + n - 1)
+    if kind == "q":
+        return q_grid(draw(st.sampled_from([1.05, 1.5, 2.0])), n - 1)
+    h = draw(st.sampled_from([0.1, 0.25, 1.5]))
+    return h_grid(0.0, (n - 1) * h, h)
+
+
+# Mostly nonnegative, as coefficients must be.
+NUMBERS = st.floats(0.0, 2.0) | st.floats(-2.0, 2.0)
+
+
+def number_lists(shape, numbers=NUMBERS):
+    if not shape:
+        return numbers
+    return st.lists(number_lists(shape[1:], numbers), min_size=shape[0], max_size=shape[0])
+
+
+@st.composite
+def fn_specs(draw, shape, families=FN_FAMILIES):
+    """A descriptor of one of families, sampled or with fixed fields drawn for a
+    scale or lattice of the given shape: polynomial coefficients with one
+    index level per axis, or a coefficient list on a lattice; tabulated
+    values of that shape, one point short on the first axis, or transposed,
+    and nonnegative so that only their shape can be wrong."""
+    family = draw(st.sampled_from(families))
+    fields = {}
+    if draw(st.booleans()):
+        keys = {"constant": ["value"], "polynomial": ["coeffs"],
+                "exponential": ["amplitude", "rate", "rate1", "rate2"],
+                "tabulated": ["values"], "sin": ["omega"], "affine_product": ["params"],
+                "any": ["value", "coeffs", "amplitude", "rate", "rate1", "values"]}[family]
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
+            if key == "coeffs":
+                levels = draw(st.sampled_from([len(shape), 1]))
+                sizes = draw(st.lists(st.integers(1, 3), min_size=levels, max_size=levels))
+                fields[key] = draw(number_lists(sizes))
+            elif key == "values":
+                short = (max(shape[0] - 1, 1), *shape[1:])
+                fields[key] = draw(number_lists(draw(st.sampled_from(
+                    [shape, short, shape[::-1]])), st.floats(0.0, 2.0)))
+            elif key == "params":
+                fields[key] = draw(st.lists(NUMBERS, min_size=7, max_size=7))
+            else:
+                fields[key] = draw(NUMBERS)
+    return FnSpec(family, **fields)
+
+
+def outcome(call, seed):
+    """(result, stream state after the call), ConfigError counted as a result."""
+    rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
+    try:
+        out = call(rng)
+    except ConfigError as exc:
+        out = exc
+    return out, None if rng is None else rng.bit_generator.state
+
+
+def assert_same_bits(new, old):
+    if isinstance(old, ConfigError):
+        assert isinstance(new, ConfigError), f"{new!r} where the reference raised {old!r}"
+        return
+    assert not isinstance(new, ConfigError), f"{new!r} where the reference gave values"
+    if isinstance(old, float):
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        return
+    new, old = (x.table() if isinstance(x, KernelOracle) else x.values for x in (new, old))
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+# A seed, or in one draw of five no random stream at all.
+SEEDS = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 4)).map(
+    lambda pair: pair[0] if pair[1] else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(realizer_scales(), realizer_scales(), SEEDS, st.booleans(), st.data())
+def test_realizers_match_the_per_dimension_switches(s1, s2, seed, monotone, data):
+    domain = TimeScale2D(s1, s2)
+    spec1 = data.draw(fn_specs((len(s1),)))
+    spec2 = data.draw(fn_specs(domain.shape))
+    kernel = data.draw(fn_specs(domain.shape, ("constant", "affine_product", "any", "sin")))
+    scalar = data.draw(fn_specs((1,), ("constant", "any", "polynomial")))
+    calls = [
+        (lambda rng: realize_1d(spec1, s1, rng, monotone),
+         lambda rng: ref.realize_1d(spec1, s1, rng, monotone)),
+        (lambda rng: realize_2d(spec2, domain, rng),
+         lambda rng: ref.realize_2d(spec2, domain, rng)),
+        (lambda rng: realize_kernel(kernel, domain, rng),
+         lambda rng: ref.realize_kernel(kernel, domain, rng)),
+        (lambda rng: realize_scalar(scalar, rng),
+         lambda rng: ref.realize_scalar(scalar, rng)),
+    ]
+    for new_call, old_call in calls:
+        (new, new_state), (old, old_state) = outcome(new_call, seed), outcome(old_call, seed)
+        assert_same_bits(new, old)
+        assert new_state == old_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(realizer_scales(), st.data())
+def test_classical_forms_match_the_reference(scale, data):
+    spec = data.draw(fn_specs(data.draw(st.sampled_from([(len(scale),), (len(scale), 2)]))))
+    try:
+        forms = ref.classical_forms(spec)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            classical_forms(spec)
+        return
+    if spec.family == "polynomial" and np.ndim(spec.coeffs) != 1:
+        with pytest.raises(ConfigError, match="one nesting level per axis"):
+            classical_forms(spec)
+        return
+    for new_fn, old_fn in zip(classical_forms(spec), forms):
+        for t in scale.points:
+            assert np.float64(new_fn(t)).tobytes() == np.float64(old_fn(t)).tobytes()
