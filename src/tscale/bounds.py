@@ -14,8 +14,9 @@ and bound(), to which check_hypotheses and compute_bound delegate.  A bound
 assembles the intermediate functions (a, b, A, c, H, p, q, h) by lattice
 summation, forms the dominating function with a product exponential, and
 compares an optional witness against it pointwise on kappa x kappa.  The
-kernel case reads its table one row of slabs at a time, and
-bound_kernel_variants finishes both exponent variants from one assembly.
+kernel case assembles a separable kernel from its factors in O(r N) and
+reads a dense table one row of slabs at a time; bound_kernel_variants
+finishes both exponent variants from one assembly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GridFn1
+from .core import GridFn1, neumaier_cumsum
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
@@ -125,15 +126,26 @@ def _check_nonneg(vals: np.ndarray, name: str, diags: list[str]) -> None:
         diags.append(f"{name} negative at index {at}: {worst:.6g}")
 
 
+def _alpha_differences(kernel: KernelOracle):
+    """The second-variable, first-variable and mixed lattice differences of a
+    factored kernel's alpha: shapes (r, n1, n2 - 1), (r, n1 - 1, n2) and
+    (r, n1 - 1, n2 - 1)."""
+    alpha = kernel.factors[0]
+    mu1 = np.diff(kernel.domain.scale1.points)
+    mu2 = np.diff(kernel.domain.scale2.points)
+    d1 = np.diff(alpha, axis=1) / mu1[:, None]
+    return np.diff(alpha, axis=2) / mu2, d1, np.diff(d1, axis=2) / mu2
+
+
 def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
     """Yield (i, corner, d2, d1, d12) for each row i < n1 - 1, read from the
-    table slabs k(i+1 | i, j+1 | j, ., .) and indexed by the column j first:
-    corner[j] = k(i+1, j+1, i, j) and the second-variable, first-variable and
-    mixed differences d2[j, b], d1[j, a] and d12[j, a, b] for a < i and every
-    b < n2 - 1 (callers keep b < j).  Given lows, a (3, n1 - 1, n2 - 1) array,
-    store in lows[:, i, j] the minima of d2[j], d1[j] and d12[j] over the arguments
-    the bound formulas touch, as KernelInputs.check_hypotheses reports them."""
-    table = kernel.table()
+    kernel's row slabs k(i+1 | i, j+1 | j, ., .) and indexed by the column j
+    first: corner[j] = k(i+1, j+1, i, j) and the second-variable,
+    first-variable and mixed differences d2[j, b], d1[j, a] and d12[j, a, b]
+    for a < i and every b < n2 - 1 (callers keep b < j).  Given lows, a
+    (3, n1 - 1, n2 - 1) array, store in lows[:, i, j] the minima of d2[j],
+    d1[j] and d12[j] over the arguments the bound formulas touch, as
+    KernelInputs.check_hypotheses reports them."""
     n1, n2 = kernel.domain.shape
     mu1 = np.diff(kernel.domain.scale1.points)
     mu2 = np.diff(kernel.domain.scale2.points)
@@ -141,10 +153,8 @@ def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
     j = np.arange(m2)
     before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
     for i in range(n1 - 1 if m2 else 0):
-        k11 = table[i + 1, 1:, :i + 1, :m2]
-        k10 = table[i + 1, :-1, :i + 1, :m2]
-        k01 = table[i, 1:, :i, :m2]
-        k00 = table[i, :-1, :i, :m2]
+        upper, lower = kernel.slab(i + 1, i + 1, m2), kernel.slab(i, i, m2)
+        k11, k10, k01, k00 = upper[1:], upper[:-1], lower[1:], lower[:-1]
         d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
         d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
         d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
@@ -154,6 +164,51 @@ def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
             np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
                               out=lows[2, i])
         yield i, k11[j, i, j], d2, d1, d12
+
+
+def _kernel_lows(kernel: KernelOracle, lows: np.ndarray) -> None:
+    """Fill lows as a sweep of _kernel_differences does.
+
+    A one-term factored kernel needs no sweep: each of its differences is
+    c * beta with c a difference of alpha, and rounding is monotone in beta,
+    so its minimum over a rectangle of beta is c times beta's minimum or
+    maximum there, taken from running extremes in O(N).  Any other kernel
+    is swept one row slab at a time.
+    """
+    if kernel.factors is None or len(kernel.factors[0]) > 1:
+        for _ in _kernel_differences(kernel, lows):
+            pass
+        return
+    alpha_d2, alpha_d1, alpha_d12 = (x[0] for x in _alpha_differences(kernel))
+    beta = kernel.factors[1][0, :-1, :-1]
+    lows[...] = np.inf
+    for low, c, axes in ((lows[0, :, 1:], alpha_d2[1:, 1:], (1,)),
+                         (lows[1, 1:], alpha_d1[1:, 1:], (0,)),
+                         (lows[2, 1:, 1:], alpha_d12[1:, 1:], (0, 1))):
+        lo = hi = beta
+        for axis in axes:
+            lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
+        last = tuple(slice(-1) if axis in axes else slice(None) for axis in (0, 1))
+        np.minimum(c * lo[last], c * hi[last], out=low)
+
+
+def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
+    """The kernel's smallest value and its first index in row order, taken
+    one row slab at a time."""
+    worst, at = math.inf, ()
+    for i in range(kernel.domain.shape[0]):
+        lo, where = _min_location(kernel.slab(i))
+        if lo < worst:
+            worst, at = lo, (i, *where)
+    return worst, at
+
+
+def _exclusive_sums(cells: np.ndarray, axis: int) -> np.ndarray:
+    """out[k] along axis = the compensated sum of cells[:k] there; out[0] = 0."""
+    c = np.moveaxis(cells, axis, 0)
+    out = np.zeros_like(c)
+    out[1:] = neumaier_cumsum(c[:-1])
+    return np.moveaxis(out, 0, axis)
 
 
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
@@ -197,12 +252,32 @@ def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
 
 def _kernel_ab(kernel: KernelOracle, p: GridFn2, q: GridFn2,
                lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of the kernel bound on kappa x kappa, one row of table slabs at a time;
-    lows is passed on to the sweep of _kernel_differences."""
+    """a and b of the kernel bound on kappa x kappa; lows is passed on to a
+    sweep of _kernel_differences.
+
+    A dense kernel contracts one row of table slabs at a time.  For a
+    factored kernel each of the four terms is a sum over r of one alpha
+    factor times one running integral of beta * coefficient, O(r N) in all:
+    alpha(sigma t) * beta(t), then alpha's second-variable, first-variable
+    and mixed differences times the axis-2, axis-1 and double integrals.
+    """
     m1, m2 = (n - 1 for n in p.domain.shape)
     mu1 = np.diff(p.domain.scale1.points)
     mu2 = np.diff(p.domain.scale2.points)
     coeff = np.stack((p.values[:m1, :m2], q.values[:m1, :m2]))
+    if kernel.factors is not None:
+        if lows is not None:
+            _kernel_lows(kernel, lows)
+        alpha, beta = kernel.factors
+        alpha_d2, alpha_d1, alpha_d12 = (x[:, None] for x in _alpha_differences(kernel))
+        fed = beta[:, None, :m1, :m2] * coeff    # (r, 2, m1, m2)
+        terms = (alpha[:, None, 1:, 1:] * fed
+                 + alpha_d2[:, :, 1:] * _exclusive_sums(fed * mu2, -1)
+                 + alpha_d1[:, :, :, 1:] * _exclusive_sums(fed * mu1[:, None], -2)
+                 + alpha_d12 * _exclusive_sums(
+                     _exclusive_sums(fed * np.outer(mu1, mu2), -1), -2))
+        out = terms.sum(axis=0)
+        return out[0], out[1]
     w1, w2, w12 = coeff * mu1[:, None], coeff * mu2, coeff * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
     out = np.empty((2, m1, m2))
@@ -283,16 +358,18 @@ class KernelInputs:
         """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
         differences over every argument combination the bound formulas touch; a
         failing difference names the first (i, j), in row order, of its minimum.
-        lows, when given, holds the minima that a sweep of _kernel_differences
-        already took."""
+        lows, when given, holds the minima that _kernel_ab already took."""
         diags: list[str] = []
-        for vals, nm in ((self.p.values, "p"), (self.q.values, "q"),
-                         (self.k.table(), "kernel")):
-            _check_nonneg(vals, nm, diags)
+        for g, nm in ((self.p, "p"), (self.q, "q")):
+            _check_nonneg(g.values, nm, diags)
+        # a kernel of nonnegative factors is nonnegative without a scan
+        if self.k.factors is None or min(f.min() for f in self.k.factors) < 0:
+            worst, at = _kernel_min(self.k)
+            if worst < -HYPOTHESIS_SLACK:
+                diags.append(f"kernel negative at index {at}: {worst:.6g}")
         if lows is None:
             lows = np.full((3, *(n - 1 for n in self.k.domain.shape)), np.inf)
-            for _ in _kernel_differences(self.k, lows):
-                pass
+            _kernel_lows(self.k, lows)
         for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
             lo, at = _min_location(low) if low.size else (0.0, None)
             if lo < -HYPOTHESIS_SLACK:

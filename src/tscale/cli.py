@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import starmap
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import BoundCase, ExponentVariant
 from .config import classical_forms, parse_fn, parse_scale, realize_1d
-from .core import GridFn1, cauchy_integral, delta_derivative, dense_mesh
+from .core import GridFn1, cauchy_integral, delta_derivative
 from .errors import ConfigError, DomainError
 from .exponential import comparison_bound, exp_fn
 from .verify import InstanceSpec, WitnessMode, run_verification
@@ -281,7 +281,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     spec = parse_scale(raw.get("scale") or {})
     if spec.kind != "dense_mesh":
         raise ConfigError("convergence study needs a dense_mesh scale")
-    start, end, h0 = spec.start, spec.end, spec.h
+    h0 = spec._num("h")
     spec.build()
     fn = parse_fn(raw.get("function") or {})
     path = _section(raw, "output").get("path")
@@ -299,7 +299,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     prev_err: float | None = None
     for level in range(4):
         hk = h0 / 2 ** level
-        mesh = dense_mesh(start, end, hk)
+        mesh = replace(spec, h=hk).build()
         if op == "dderiv":
             g = GridFn1.from_function(mesh, f)
             approx = delta_derivative(g).values

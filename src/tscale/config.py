@@ -22,7 +22,8 @@ from numpy.polynomial import polynomial as npoly
 from .core import (GridFn1, TimeScale, dense_mesh, explicit_scale, h_grid,
                    integer_segment, q_grid, union_scales)
 from .errors import ConfigError
-from .grid2d import GridFn2, KernelOracle, TimeScale2D, check_kernel_budget
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, check_kernel_budget,
+                     check_lattice_points)
 
 # Sampled coefficient functions never exceed this magnitude.
 VALUE_CAP = 10.0
@@ -34,7 +35,9 @@ FN_FAMILIES = ("constant", "polynomial", "exponential", "tabulated", "sin",
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Scale descriptor; build() turns it into a TimeScale or raises ConfigError."""
+    """Scale descriptor; build() turns it into a TimeScale or raises ConfigError,
+    also when its point count, worked out from its numbers before any array
+    is allocated, exceeds MAX_LATTICE_POINTS."""
 
     kind: str
     start: float | None = None
@@ -60,6 +63,7 @@ class ScaleSpec:
                 raise ConfigError("integer segment bounds must be integers")
             if end <= start:
                 raise ConfigError("integer segment needs end > start")
+            check_lattice_points(end - start + 1, "integer segment")
             return integer_segment(int(start), int(end))
         if kind in ("h_grid", "dense_mesh"):
             start, end, h = self._num("start"), self._num("end"), self._num("h")
@@ -67,6 +71,7 @@ class ScaleSpec:
                 raise ConfigError("h must be positive")
             if end <= start:
                 raise ConfigError(f"{kind} needs end > start")
+            check_lattice_points((end - start) / h + 2, kind)
             return h_grid(start, end, h) if kind == "h_grid" else dense_mesh(start, end, h)
         if kind == "q_grid":
             q = self._num("q")
@@ -75,6 +80,7 @@ class ScaleSpec:
             n = self._num("n")
             if n < 1 or n != int(n):
                 raise ConfigError("q_grid needs N a whole number at least 1")
+            check_lattice_points(n + 1, "q_grid")
             return q_grid(q, int(n))
         if kind == "explicit":
             pts = [_parse_number(x) for x in self.points or ()]
@@ -88,6 +94,7 @@ class ScaleSpec:
             out = built[0]
             for member in built[1:]:
                 out = union_scales(out, member)
+            check_lattice_points(len(out), "union")
             return out
         raise ConfigError(f"unknown scale kind '{kind}'")
 
@@ -384,17 +391,20 @@ def realize_scalar(spec: FnSpec, rng=None) -> float:
 
 
 def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
-    """A four-argument kernel from a descriptor.
+    """A four-argument kernel from a descriptor, as separable factors.
 
     Families: constant, and affine_product with parameters
     (a0, a1, b0, b1, c0, c1, c2) giving
-    k = (a0 + a1*t1) * (b0 + b1*t2) * (c0 + c1*s1 + c2*s2); nonnegative
-    parameters make the kernel nonnegative with nonnegative lattice
-    differences.  Sampled parameters are absolute normals evaluated in
-    shifted coordinates and capped at VALUE_CAP.  Over the table budget it
-    raises ConfigError before anything is drawn or allocated.
+    k = (a0 + a1*t1) * (b0 + b1*t2) * (c0 + c1*s1 + c2*s2); both are one
+    product alpha(t1, t2) * beta(s1, s2), so no kernel table is built.
+    Nonnegative parameters make the kernel nonnegative with nonnegative
+    lattice differences.  Sampled parameters are absolute normals evaluated
+    in shifted coordinates, and alpha is scaled so that the kernel's
+    largest value, max alpha * max beta, is at most VALUE_CAP.  Over the
+    kernel budget it raises ConfigError before anything is drawn or
+    allocated.
     """
-    check_kernel_budget(domain)
+    check_kernel_budget(domain, rank=1)
     fam = _pick(spec.family, ("constant", "affine_product"), rng)
     if fam == "constant":
         v = _constant(spec.value, rng)
@@ -413,15 +423,13 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     elif min(params) < 0:
         raise ConfigError("affine_product kernel parameters must be nonnegative")
     a0, a1, b0, b1, c0, c1, c2 = params
-    f1 = a0 + a1 * x1
-    f2 = b0 + b1 * x2
-    g = c0 + c1 * x1[:, None] + c2 * x2[None, :]
-    table = f1[:, None, None, None] * f2[None, :, None, None] * g[None, None, :, :]
+    alpha = (a0 + a1 * x1)[:, None] * (b0 + b1 * x2)[None, :]
+    beta = c0 + c1 * x1[:, None] + c2 * x2[None, :]
     if spec.params is None:
-        top = float(table.max())
+        top = float(alpha.max() * beta.max())
         if top > VALUE_CAP:
-            table *= VALUE_CAP / top
-    return KernelOracle.from_table(domain, table)
+            alpha *= VALUE_CAP / top
+    return KernelOracle.separable(domain, alpha[None], beta[None])
 
 
 def classical_forms(spec: FnSpec) -> tuple[Callable[[float], float], Callable[[float], float]]:

@@ -3,8 +3,10 @@
 Everything two dimensional lives on the tensor product of two scales.
 Partial deltas are forward difference quotients along one axis; double
 integrals are left-endpoint sums weighted by both graininesses.  A
-four-argument kernel is a dense (n1, n2, n1, n2) table, held by KernelOracle
-within the byte budget MAX_KERNEL_TABLE_BYTES.
+four-argument kernel, held by KernelOracle, is a dense (n1, n2, n1, n2) table
+or a sum of r separable products alpha(t1, t2) * beta(s1, s2), within the
+byte budget MAX_KERNEL_TABLE_BYTES; MAX_LATTICE_POINTS caps an axis or a
+lattice before its points are allocated.
 """
 
 from __future__ import annotations
@@ -188,34 +190,66 @@ class RectPartition:
                              tuple(sorted(set(self.cuts2) | set(other.cuts2))))
 
 
-# Largest kernel table a KernelOracle may hold, in bytes: (n1 * n2)**2 float64
-# entries, so the default allows about 100 points per axis.
+# Largest kernel a KernelOracle may hold or build, in bytes.  A dense table
+# holds (n1 * n2)**2 float64 entries, so the limit allows about 100 points
+# per axis; a factored kernel holds its factors and builds one row slab of
+# n2 * n1 * n2 entries at a time, which allows about 460 points per axis.
 MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
+# Most points one scale axis, or one product lattice, may have.
+MAX_LATTICE_POINTS = 10 ** 7
 
 
-def check_kernel_budget(domain: TimeScale2D) -> None:
-    """Raise ConfigError before allocating a kernel table over MAX_KERNEL_TABLE_BYTES."""
+def check_lattice_points(count: float, what: str) -> None:
+    """Raise ConfigError when count, a point count (or an upper bound on one)
+    worked out before allocating, exceeds MAX_LATTICE_POINTS."""
+    if not count <= MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"the {what} needs about {count:.6g} points, over the limit "
+            f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+
+
+def check_kernel_budget(domain: TimeScale2D, rank: int | None = None) -> None:
+    """Raise ConfigError before allocating a kernel over MAX_KERNEL_TABLE_BYTES:
+    the dense table, or for a factored kernel of the given rank its factors
+    plus one row slab."""
     n1, n2 = domain.shape
-    nbytes = 8 * (n1 * n2) ** 2
+    if rank is None:
+        what, nbytes = "table", 8 * (n1 * n2) ** 2
+    else:
+        what, nbytes = "factors and row slab", 8 * (2 * rank * n1 * n2 + n2 * n1 * n2)
     if nbytes > MAX_KERNEL_TABLE_BYTES:
         raise ConfigError(
-            f"a kernel on the {n1}x{n2} lattice needs a {nbytes}-byte table, "
+            f"a kernel on the {n1}x{n2} lattice needs {nbytes} bytes of {what}, "
             f"over the limit MAX_KERNEL_TABLE_BYTES = {MAX_KERNEL_TABLE_BYTES}")
 
 
-class KernelOracle:
-    """Four-argument kernel k(t1, t2, s1, s2) as a dense table over lattice indices.
+def _outer_sum(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """sum over r of the outer product alpha[r] x beta[r], added in order of r,
+    so any slice of the result has the bits of the same slice of the whole."""
+    out = np.multiply.outer(alpha[0], beta[0])
+    for a, b in zip(alpha[1:], beta[1:]):
+        out += np.multiply.outer(a, b)
+    return out
 
-    The table has shape (n1, n2, n1, n2) and exists from construction on.
-    The first two indices are sigma-capable: they may take any index of the
-    full scales, so callers working on kappa x kappa can still ask for
-    sigma-shifted first arguments.  Every constructor checks the byte
-    budget before it allocates.
+
+class KernelOracle:
+    """Four-argument kernel k(t1, t2, s1, s2) over lattice indices.
+
+    A kernel is either a dense (n1, n2, n1, n2) table or separable factors
+    alpha and beta of shape (r, n1, n2) with k(t, s) = sum over r of
+    alpha[r, t] * beta[r, s]; factors holds (alpha, beta) or None.  The
+    first two indices are sigma-capable: they may take any index of the full
+    scales, so callers working on kappa x kappa can still ask for
+    sigma-shifted first arguments.  slab(i) reads one row of the kernel, so
+    callers never need the whole table; table() expands a factored kernel on
+    demand.  Every constructor checks the byte budget before it allocates.
     """
 
-    def __init__(self, domain: TimeScale2D, table: np.ndarray):
+    def __init__(self, domain: TimeScale2D, table: np.ndarray | None = None,
+                 factors: tuple[np.ndarray, np.ndarray] | None = None):
         self.domain = domain
         self._table = table
+        self.factors = factors
 
     @classmethod
     def from_point_function(cls, domain: TimeScale2D,
@@ -242,16 +276,47 @@ class KernelOracle:
         return cls(domain, table)
 
     @classmethod
+    def separable(cls, domain: TimeScale2D, alpha: np.ndarray,
+                  beta: np.ndarray) -> "KernelOracle":
+        """Kernel sum over r of alpha[r](t1, t2) * beta[r](s1, s2), from
+        factors of shape (r, n1, n2)."""
+        alpha, beta = (np.asarray(x, dtype=float) for x in (alpha, beta))
+        if alpha.ndim != 3 or alpha.shape != beta.shape \
+                or alpha.shape[1:] != domain.shape or not len(alpha):
+            raise DomainError(f"kernel factors of shapes {alpha.shape} and {beta.shape} "
+                              f"do not fit the lattice")
+        check_kernel_budget(domain, len(alpha))
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+            raise DomainError("kernel factors must be finite")
+        return cls(domain, factors=(alpha, beta))
+
+    @classmethod
     def constant(cls, domain: TimeScale2D, value: float) -> "KernelOracle":
-        check_kernel_budget(domain)
-        return cls(domain, np.full(domain.shape * 2, float(value)))
+        check_kernel_budget(domain, 1)
+        return cls.separable(domain, np.full((1, *domain.shape), float(value)),
+                             np.ones((1, *domain.shape)))
 
     def eval(self, i1: int, i2: int, j1: int, j2: int) -> float:
-        return float(self._table[i1, i2, j1, j2])
+        if self.factors is None:
+            return float(self._table[i1, i2, j1, j2])
+        alpha, beta = self.factors
+        return float(_outer_sum(alpha[:, i1, i2], beta[:, j1, j2]))
+
+    def slab(self, i: int, m1: int | None = None, m2: int | None = None) -> np.ndarray:
+        """k(i, j, a, b) for every j, a < m1 and b < m2 (default: all), as an
+        (n2, m1, m2) array; a factored kernel expands it."""
+        if self.factors is None:
+            return self._table[i, :, :m1, :m2]
+        alpha, beta = self.factors
+        return _outer_sum(alpha[:, i], beta[:, :m1, :m2])
 
     def table(self) -> np.ndarray:
-        """The dense (n1, n2, n1, n2) value table."""
-        return self._table
+        """The dense (n1, n2, n1, n2) value table; a factored kernel expands
+        it on each call, within MAX_KERNEL_TABLE_BYTES."""
+        if self.factors is None:
+            return self._table
+        check_kernel_budget(self.domain)
+        return _outer_sum(*self.factors)
 
 
 def darboux_sums(f: GridFn2, part: RectPartition) -> tuple[float, float]:

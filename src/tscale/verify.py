@@ -8,8 +8,10 @@ inequality's hypothesis.  The re-check takes every rectangle sum at once from
 plain 2-D block cumsums (cumsum along rows, then along columns), a different
 evaluation order than the compensated row sweep that builds the witness, so
 it is an independent confirmation rather than a replay.  The kernel re-check
-goes one row at a time, so that no temporary as large as the kernel table is
-allocated.
+goes one row at a time and contracts the kernel's row slab, which a
+factored kernel expands from its factors, so it shares nothing with the
+witness's factored sweep and allocates no temporary as large as the kernel
+table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInpu
 from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
     realize_scalar
 from .errors import ConfigError, TscaleError
-from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
+                     check_lattice_points)
 
 # Scaled tolerance for the independent hypothesis re-check.
 RECHECK_TOL = 1e-10
@@ -121,13 +124,12 @@ def _recheck_pointwise(p: GridFn2, q: GridFn2, k: GridFn2, u: GridFn2) -> float:
 
 def _recheck_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle, u: GridFn2) -> float:
     uw = u.values[:-1, :-1] * _cell_weights(u.domain)
-    table = kernel.table()
     n1, n2 = u.domain.shape
     j = np.arange(1, n2)
     rhs = p.values.copy()
     for i in range(1, n1):
         # prefix[j, b] sums k(i, j, a, b') u(a, b') mu mu over a < i, b' <= b
-        prefix = (table[i, :, :i, :-1] * uw[:i]).sum(axis=1).cumsum(axis=1)
+        prefix = np.einsum("jab,ab->jb", kernel.slab(i, i, n2 - 1), uw[:i]).cumsum(axis=1)
         rhs[i, 1:] += q.values[i, 1:] * prefix[j, j - 1]
     return _excess(u.values, rhs)
 
@@ -170,6 +172,7 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     the spec is the primary one whose violations are counted.
     """
     dom = TimeScale2D(spec.scale1.build(), spec.scale2.build())
+    check_lattice_points(dom.shape[0] * dom.shape[1], "product lattice")
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
     fns = dict(spec.functions)
 

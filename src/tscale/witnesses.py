@@ -6,9 +6,11 @@ strictly inside the hypothesis cone.  In two variables row i depends only on
 the rows below it, so the pointwise, system and integro-dynamic witnesses
 share one O(n1)-step row sweep that carries Neumaier-compensated column sums
 and takes each row's rectangle sums from one compensated prefix sum.  The
-kernel witness sees the outer point and contracts each row's kernel slab
-instead, O(N^2) in total like its table.  The first-order comparison witness
-composes its affine steps by a doubling scan in O(log n) numpy steps.
+kernel witness sees the outer point: a kernel of r separable terms runs the
+same sweep with r fields, O(r N) in total, and a dense kernel table is
+contracted one row slab at a time, O(N^2) like the table.  The first-order
+comparison witness composes its affine steps by a doubling scan in O(log n)
+numpy steps.
 """
 
 from __future__ import annotations
@@ -83,19 +85,31 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
                    feedback_scale: float = 1.0) -> GridFn2:
     """Like witness_pointwise, but the kernel also sees the outer point:
     u(t) = p(t) + feedback_scale * q(t) * sum of k(t1, t2, s1, s2) u(s) mu mu.
+
+    A factored kernel runs the shared row sweep with one field per term r:
+    row i takes the sum over r of alpha[r, i] * sums[r] and feeds
+    beta[r, i] * u[i].  A dense table contracts each row's slab instead.
     """
     _require_same_domain(p, q)
     if not kernel.domain.same_points(p.domain):
         raise ScaleMismatchError("kernel lives on a different product scale")
     rho = _check_feedback(feedback_scale)
     n1, n2 = p.domain.shape
-    wmu = _cell_weights(p.domain)
-    table = kernel.table()
-    before = np.tri(n2, n2 - 1, -1)    # before[j, b] = 1 where b < j
     u = np.empty((n1, n2))
+    if kernel.factors is not None:
+        alpha, beta = kernel.factors
+
+        def row(i, sums):
+            u[i] = p.values[i] + rho * q.values[i] * (alpha[:, i] * sums).sum(axis=0)
+            return beta[:, i, :-1] * u[i, :-1]
+
+        _row_sweep(p.domain, len(alpha), row)
+        return GridFn2(p.domain, u)
+    wmu = _cell_weights(p.domain)
+    before = np.tri(n2, n2 - 1, -1)    # before[j, b] = 1 where b < j
     uw = np.empty((n1 - 1, n2 - 1))
     for i in range(n1):
-        inner = np.einsum("jab,ab->jb", table[i, :, :i, :-1], uw[:i])
+        inner = np.einsum("jab,ab->jb", kernel.slab(i, i, n2 - 1), uw[:i])
         u[i] = p.values[i] + rho * q.values[i] * (inner * before).sum(axis=1)
         if i < n1 - 1:
             uw[i] = u[i, :-1] * wmu[i]

@@ -13,7 +13,9 @@ The product ladder takes a plain running product and switches to signs and
 compensated sums of logs once a prefix leaves [1e-300, 1e300]; the 2-D axis
 exponential is a raw cumprod that underflows to 0.  The coefficient
 realizers are the two hand-written family switches, one per dimension, that
-convert each descriptor field with float() where they use it.
+convert each descriptor field with float() where they use it, and
+realize_kernel builds the dense (n1, n2, n1, n2) table that config kernels
+now hold as separable factors.
 """
 
 from __future__ import annotations

@@ -186,7 +186,8 @@ def test_verify_reruns_byte_identical(tmp_path, capsys):
 
 def test_verify_kernel_over_table_budget_exits_two(tmp_path, capsys, monkeypatch):
     from tscale import grid2d
-    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 10 ** 4)
+    # a config kernel on the 6x6 lattice holds factors and one row slab, 2304 bytes
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 10 ** 3)
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, theorem="kernel"))
     code, _, err = run_cli(capsys, "verify", str(cfg))
     assert code == 2
@@ -337,6 +338,45 @@ def test_verify_rejects_a_scale_number_that_is_not_finite(tmp_path, capsys, scal
     assert err.startswith("error:") and "is not a finite number" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_verify_kernel_beyond_the_dense_table_budget(tmp_path, capsys):
+    """A config kernel holds its factors, not a table: on a 120x120 lattice
+    its dense table would take 1.66 GB, over MAX_KERNEL_TABLE_BYTES."""
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, theorem="kernel", scale1="h:0.01,0..1.19", scale2="h:0.01,0..1.19",
+        functions={"k": {"family": "affine_product"}}, count=1))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert (code, err) == (0, "")
+    summary = json.loads((tmp_path / "report.json").read_text())
+    assert summary["instances_with_violation"] == 0
+    assert summary["digests"][0]["hypothesis_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("scale1, scale2", [
+    ({"kind": "h_grid", "start": 0, "end": 1, "h": 1e-300}, "integer:0..5"),
+    ("h:1e-320,0..1", "integer:0..5"),
+    ("integer:0..1e15", "integer:0..5"),
+    ({"kind": "q_grid", "q": 1.5, "N": 1e12}, "integer:0..5"),
+    ({"kind": "union", "of": ["integer:0..9999999", "dense:0.5,0..9999999"]}, "integer:0..5"),
+    ("integer:0..4000", "integer:0..2500"),
+], ids=["h-tiny", "h-subnormal", "integer-huge", "q-N-huge", "union", "lattice"])
+def test_verify_rejects_a_lattice_over_the_point_limit(tmp_path, capsys, scale1, scale2):
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1=scale1,
+                                                          scale2=scale2))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "MAX_LATTICE_POINTS" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_the_point_limit_admits_the_largest_supported_scales():
+    from tscale.config import parse_scale
+    assert len(parse_scale({"kind": "dense_mesh", "start": 0, "end": 1000,
+                            "h": 0.01}).build()) == 100001
+    axis = parse_scale({"kind": "h_grid", "start": 0, "end": 1, "h": 0.001}).build()
+    from tscale.grid2d import check_lattice_points
+    check_lattice_points(len(axis) * len(axis), "product lattice")
 
 
 # Inputs that once ended in a traceback or ran with a truncated number.
@@ -553,6 +593,28 @@ def test_converge_exp_tracks_the_classical_exponential(tmp_path, capsys):
     assert float(err0) <= 3.0 * float(h0)
     for line in lines[1:]:
         assert 0.9 <= float(line.split(",")[2]) <= 1.1
+
+
+def test_converge_reads_numeric_text_as_its_number(tmp_path, capsys, monkeypatch):
+    def run(scale, name):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "operation": "dderiv", "scale": {"kind": "dense_mesh", **scale},
+            "function": {"family": "sin"}, "output": {"path": str(tmp_path / name)}})
+        code, _, err = run_cli(capsys, "converge", str(cfg))
+        return code, err
+    assert run({"start": 0, "end": 1, "h": 0.25}, "number") == (0, "")
+    assert run({"start": "0", "end": "1", "h": "0.25"}, "text") == (0, "")
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "number.csv").read_bytes()
+    code, err = run({"start": 0, "end": 1, "h": "x"}, "bad")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "bad.csv").exists()
+    # every halving is a scale of its own, within MAX_LATTICE_POINTS
+    from tscale import grid2d
+    monkeypatch.setattr(grid2d, "MAX_LATTICE_POINTS", 100)
+    assert run({"start": 0, "end": 1, "h": 0.1}, "coarse") == (0, "")
+    code, err = run({"start": 0, "end": 1, "h": 0.05}, "fine")
+    assert code == 2 and "MAX_LATTICE_POINTS" in err
+    assert not (tmp_path / "fine.csv").exists()
 
 
 def child_env(**extra: str) -> dict:

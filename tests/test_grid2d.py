@@ -192,33 +192,42 @@ def test_kernel_oracle_constant():
 
 
 def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
-    d = zz(29, 29)    # a 30x30 lattice: a 6.5 MB table
+    """A dense kernel counts its table; a factored one its factors plus one
+    row slab.  Each builder raises just over its own count, before it draws
+    or allocates anything large."""
+    d = zz(29, 29)    # a 30x30 lattice: a 6.5 MB table, a 216 kB row slab
     table = np.zeros(d.shape * 2)
-    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", table.nbytes - 1)
+    factored = 8 * (2 * 900 + 30 ** 3)
     calls = []
 
     def fn(t1, t2, s1, s2):
         calls.append(1)
         return t1 + s2
 
+    ones = np.ones((1, *d.shape))
     builders = [
-        lambda: KernelOracle.constant(d, 1.0),
-        lambda: KernelOracle.from_point_function(d, fn),
-        lambda: KernelOracle.from_table(d, table),
-        lambda: realize_kernel(FnSpec("constant", value=1.0), d),
-        lambda: realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), d),
-        lambda: realize_kernel(FnSpec("any"), d, np.random.default_rng(0)),
+        (table.nbytes, lambda: KernelOracle.from_point_function(d, fn)),
+        (table.nbytes, lambda: KernelOracle.from_table(d, table)),
+        (factored, lambda: KernelOracle.constant(d, 1.0)),
+        (factored, lambda: KernelOracle.separable(d, ones, ones)),
+        (factored, lambda: realize_kernel(FnSpec("constant", value=1.0), d)),
+        (factored, lambda: realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), d)),
+        (factored, lambda: realize_kernel(FnSpec("any"), d, np.random.default_rng(0))),
     ]
     tracemalloc.start()
     try:
-        for build in builders:
+        for need, build in builders:
+            monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", need - 1)
             with pytest.raises(ConfigError, match="MAX_KERNEL_TABLE_BYTES"):
                 build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < table.nbytes // 20
+    assert peak < factored // 8
     assert not calls
+    for need, build in builders:
+        monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", need)
+        assert build().domain is d
 
 
 def test_kernel_table_at_budget_is_built(monkeypatch):
@@ -227,6 +236,46 @@ def test_kernel_table_at_budget_is_built(monkeypatch):
     assert KernelOracle.constant(d, 1.5).table().shape == (3, 3, 3, 3)
     ko = KernelOracle.from_point_function(d, lambda t1, t2, s1, s2: 2.0)
     assert np.array_equal(ko.table(), np.full((3, 3, 3, 3), 2.0))
+
+
+def test_separable_kernel_expands_on_demand(monkeypatch):
+    d = TimeScale2D(integer_segment(0, 2), q_grid(2.0, 3))
+    rng = np.random.default_rng(5)
+    alpha, beta = rng.uniform(-1.0, 1.0, (2, 2, *d.shape))
+    ko = KernelOracle.separable(d, alpha, beta)
+    assert ko.factors is not None and ko._table is None
+    table = ko.table()
+    expect = np.einsum("rij,rab->ijab", alpha, beta)
+    assert np.allclose(table, expect, rtol=1e-15, atol=0.0)
+    # every row slab and every value has the bits of the expanded table
+    for i in range(d.shape[0]):
+        assert ko.slab(i).tobytes() == table[i].tobytes()
+        assert ko.slab(i, i, 2).tobytes() == np.ascontiguousarray(table[i, :, :i, :2]).tobytes()
+    assert ko.eval(2, 1, 0, 3) == table[2, 1, 0, 3]
+    # the table is built on demand only, within the dense budget
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", table.nbytes - 1)
+    with pytest.raises(ConfigError, match="MAX_KERNEL_TABLE_BYTES"):
+        ko.table()
+    assert ko.slab(2).shape == (4, 3, 4)
+
+
+def test_separable_kernel_checks_its_factors():
+    d = zz(2, 2)
+    good = np.ones((2, 3, 3))
+    for alpha, beta in ((good, np.ones((1, 3, 3))), (good[0], good[0]),
+                        (np.ones((0, 3, 3)), np.ones((0, 3, 3))), (good, np.ones((2, 3, 4)))):
+        with pytest.raises(DomainError, match="do not fit"):
+            KernelOracle.separable(d, alpha, beta)
+    with pytest.raises(DomainError, match="finite"):
+        KernelOracle.separable(d, good, np.full((2, 3, 3), np.nan))
+
+
+def test_lattice_point_limit(monkeypatch):
+    grid2d.check_lattice_points(1000 * 1000, "product lattice")
+    with pytest.raises(ConfigError, match="MAX_LATTICE_POINTS"):
+        grid2d.check_lattice_points(grid2d.MAX_LATTICE_POINTS + 1, "product lattice")
+    with pytest.raises(ConfigError, match="MAX_LATTICE_POINTS"):
+        grid2d.check_lattice_points(math.inf, "h_grid")
 
 
 @st.composite

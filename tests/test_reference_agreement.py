@@ -15,7 +15,10 @@ mantissa/exponent product ladder must have the bits of a plain running
 product while every prefix is a normal double, and agree with the log-space
 reference ladder to 1e-12 relative elsewhere.  The axis-generic coefficient
 realizer must give the bits of the two per-dimension family switches and
-leave the random stream in the same state.
+leave the random stream in the same state; a config kernel's factors expand
+to the reference's dense table within 1e-15 relative, one rounding of the
+VALUE_CAP scaling.  A factored kernel's witness, a, b, bound, difference
+minima and re-check must agree with the dense table it expands to.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelIn
                     realize_1d, realize_2d, realize_kernel, realize_scalar,
                     running_integral, union_scales)
 from tscale import bounds, cli, verify, witnesses
-from tscale.config import FN_FAMILIES
+from tscale.config import FN_FAMILIES, VALUE_CAP
 from tscale.core import neumaier_cumsum
 from tscale.exponential import ProductLadder
 from tscale.witnesses import (witness_comparison, witness_integrodynamic,
@@ -125,8 +128,9 @@ def check_kernel(domain, seed, rho):
     monotone = KernelOracle.from_point_function(
         domain, lambda t1, t2, s1, s2:
         np.exp(0.02 * t1) * (3.0 + np.tanh(t2)) * (1.0 + (s1 - s2) ** 2))
+    affine = realize_kernel(FnSpec("affine_product"), domain, rng)
     for good in (KernelOracle.constant(domain, rng.uniform(0.0, 2.0)),
-                 realize_kernel(FnSpec("affine_product"), domain, rng), monotone):
+                 KernelOracle.from_table(domain, affine.table()), monotone):
         for new, old in zip(bounds._kernel_ab(good, p, q), ref.kernel_ab(good, p, q)):
             assert_close(new, old)
         assert (KernelInputs(p, q, good).check_hypotheses()
@@ -175,6 +179,96 @@ def test_witness_and_recheck_match_references(check, s1, s2, seed, rho):
 @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_thin_lattices_match_references(check, shape):
     check(edge_domain(shape), 7, 1.0)
+
+
+# -- factored kernels against their dense tables ----------------------------
+
+LOWS_TOL = 1e-12
+
+
+def factored_pair(domain, seed, monotone):
+    """A kernel of 1 to 3 separable terms, and the same kernel as the dense
+    table it expands to.  Random-sign factors make every diagnostic fire;
+    monotone ones are nonnegative with nonnegative lattice differences.
+
+    The factors are small integers times one power of two, so every product
+    and every sum over terms is exact and the table holds the kernel itself:
+    a rounded table's lattice differences would move by a rounding of k
+    over a step mu, which neither path can recover.  The power of two keeps
+    the kernel times the lattice's area below one, so nothing overflows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (int(rng.integers(1, 4)), *domain.shape)
+    if monotone:
+        alpha = rng.integers(0, 4, shape).cumsum(axis=1).cumsum(axis=2)
+        beta = rng.integers(0, 4, shape)
+    else:
+        alpha, beta = rng.integers(-4, 5, (2, *shape))
+    area = (1.0 + np.ptp(domain.scale1.points)) * (1.0 + np.ptp(domain.scale2.points))
+    size = (1 + np.abs(alpha).max()) * (1 + np.abs(beta).max()) * area
+    alpha = np.ldexp(alpha.astype(float), -math.ceil(math.log2(size)))
+    factored = KernelOracle.separable(domain, alpha, beta)
+    return factored, KernelOracle.from_table(domain, factored.table())
+
+
+def assert_agree(new, old, monotone):
+    """Relative agreement; random-sign terms cancel, so there relative to 1 + |old|."""
+    scale = np.abs(old) if monotone else 1.0 + np.abs(old)
+    assert np.all(np.abs(new - old) <= WITNESS_RTOL * scale)
+
+
+def kinds(diags):
+    return [d.split(" negative")[0] for d in diags]
+
+
+def check_factored(domain, seed, rho):
+    _, grid = draws(domain, seed)
+    p, q = grid(), grid()
+    for monotone in (True, False):
+        factored, dense = factored_pair(domain, seed, monotone)
+        u = witness_kernel(p, q, factored, rho)
+        assert_agree(u.values, witness_kernel(p, q, dense, rho).values, monotone)
+        for cand in (u, GridFn2(domain, 1.01 * u.values)):
+            assert_residuals_match(verify._recheck_kernel(p, q, factored, cand),
+                                   verify._recheck_kernel(p, q, dense, cand))
+        equality = witness_kernel(p, q, factored)
+        assert verify._recheck_kernel(p, q, factored, equality) <= RECHECK_TOL
+        if min(domain.shape) < 2:
+            continue
+        for new, old in zip(bounds._kernel_ab(factored, p, q), bounds._kernel_ab(dense, p, q)):
+            assert_agree(new, old, monotone)
+        lows = np.full((2, 3, *(n - 1 for n in domain.shape)), np.inf)
+        bounds._kernel_lows(factored, lows[0])
+        bounds._kernel_lows(dense, lows[1])
+        empty = np.isinf(lows[1])
+        assert np.array_equal(np.isinf(lows[0]), empty)
+        new, old = lows[0][~empty], lows[1][~empty]
+        assert np.all(np.abs(new - old) <= LOWS_TOL * (1.0 + np.abs(old)))
+        for new, old in zip(*lows):
+            near = old <= old.min() + LOWS_TOL * (1.0 + abs(old.min()))
+            if near.sum() == 1:
+                assert np.argmin(new) == np.argmin(old)
+        reports = [bounds.bound_kernel_variants(KernelInputs(p, q, k)) for k in (factored, dense)]
+        for new, old in zip(*(r.values() for r in reports)):
+            new_diags, old_diags = new.hypothesis_diagnostics, old.hypothesis_diagnostics
+            assert kinds(new_diags) == kinds(old_diags)
+            # the kernel's own minimum reads the same values in the same order
+            assert [d for d in new_diags if " at index " in d] \
+                == [d for d in old_diags if " at index " in d]
+            if monotone:
+                assert not new_diags
+                assert_agree(new.bound.values, old.bound.values, monotone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales(max_points=31), scales(max_points=31), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.37, 1.0]))
+def test_factored_kernel_matches_its_dense_table(s1, s2, seed, rho):
+    check_factored(TimeScale2D(s1, s2), seed, rho)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_factored_kernel_matches_its_dense_table_on_thin_lattices(shape):
+    check_factored(edge_domain(shape), 7, 1.0)
 
 
 def test_integrodynamic_recheck_rejects_u_off_the_axes():
@@ -606,6 +700,10 @@ def _guard_inputs(n):
     t = GridFn1(d.scale2, np.linspace(0.1, 0.2, n))
     kernel = KernelOracle.from_table(d, np.full((n, n, n, n), 0.01))
     kernel_case = KernelInputs(p=p, q=p, k=kernel)
+    ramp = np.linspace(0.01, 0.02, n * n).reshape(1, n, n)
+    factored = KernelOracle.separable(d, np.concatenate((ramp, ramp.transpose(0, 2, 1))),
+                                      np.concatenate((ramp[:, ::-1], ramp)))
+    lows = np.full((3, n - 1, n - 1), np.inf)
     return {
         "pointwise": (witness_pointwise, ref.witness_pointwise, (p, p, p)),
         "kernel": (witness_kernel, ref.witness_kernel, (p, p, kernel)),
@@ -618,11 +716,18 @@ def _guard_inputs(n):
         "kernel_hypotheses": (bounds.check_hypotheses,
                               lambda inputs: ref.kernel_difference_diagnostics(inputs.k),
                               (kernel_case,)),
+        "factored_kernel": (witness_kernel, ref.witness_kernel, (p, p, factored)),
+        "factored_ab": (lambda *args: bounds._kernel_ab(*args, lows), ref.kernel_ab,
+                        (factored, p, p)),
+        "factored_bound": (bounds.compute_bound,
+                           lambda inputs: ref.kernel_ab(inputs.k, inputs.p, inputs.q),
+                           (KernelInputs(p=p, q=p, k=factored),)),
     }
 
 
 @pytest.mark.parametrize("case", ["pointwise", "kernel", "system", "integrodynamic",
-                                  "bound_kernel", "kernel_hypotheses"])
+                                  "bound_kernel", "kernel_hypotheses", "factored_kernel",
+                                  "factored_ab", "factored_bound"])
 def test_witness_reductions_grow_with_rows_not_cells(case):
     n = 40
     fast, slow, args = _guard_inputs(n)[case]
@@ -761,9 +866,18 @@ def assert_same_bits(new, old):
     if isinstance(old, float):
         assert np.float64(new).tobytes() == np.float64(old).tobytes()
         return
-    new, old = (x.table() if isinstance(x, KernelOracle) else x.values for x in (new, old))
-    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    if isinstance(old, KernelOracle):
+        # alpha takes the VALUE_CAP scaling that the table took: one rounding more
+        new, old = new.table(), old.table()
+        assert new.shape == old.shape
+        assert np.all(np.abs(new - old) <= KERNEL_EXPANSION_RTOL * np.abs(old))
+        return
+    assert new.values.shape == old.values.shape
+    assert new.values.tobytes() == old.values.tobytes()
 
+
+# A factored config kernel expanded against the parent's dense table.
+KERNEL_EXPANSION_RTOL = 1e-15
 
 # A seed, or in one draw of five no random stream at all.
 SEEDS = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 4)).map(
@@ -792,6 +906,33 @@ def test_realizers_match_the_per_dimension_switches(s1, s2, seed, monotone, data
         (new, new_state), (old, old_state) = outcome(new_call, seed), outcome(old_call, seed)
         assert_same_bits(new, old)
         assert new_state == old_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(realizer_scales(), realizer_scales(), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, 3.0), min_size=7, max_size=7))
+def test_config_kernel_factors_expand_to_the_dense_table(s1, s2, seed, params):
+    """Fixed parameters give the reference table's bits.  Drawn ones leave the
+    stream as the reference does and are capped at VALUE_CAP as the reference
+    caps its table.  Where the factors are nonnegative, as drawn ones are, the
+    largest value is max alpha * max beta exactly."""
+    domain = TimeScale2D(s1, s2)
+    fixed = FnSpec("affine_product", params=params)
+    new = realize_kernel(fixed, domain)
+    assert new.factors is not None and new._table is None
+    assert new.table().tobytes() == ref.realize_kernel(fixed, domain).table().tobytes()
+    alpha, beta = new.factors
+    if alpha.min() >= 0 and beta.min() >= 0:
+        assert new.table().max() == alpha.max() * beta.max()
+    (new, new_state), (old, old_state) = (
+        outcome(lambda rng: fn(FnSpec("affine_product"), domain, rng), seed)
+        for fn in (realize_kernel, ref.realize_kernel))
+    assert new_state == old_state
+    assert_same_bits(new, old)
+    top, old_top = new.table().max(), old.table().max()
+    assert top == new.factors[0].max() * new.factors[1].max()
+    assert top <= VALUE_CAP * (1 + KERNEL_EXPANSION_RTOL)
+    assert abs(top - old_top) <= KERNEL_EXPANSION_RTOL * old_top
 
 
 @settings(max_examples=100, deadline=None)

@@ -176,21 +176,23 @@ def test_kernel_instance_assembles_a_and_b_once(monkeypatch):
 
 
 def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
+    """One sweep of the kernel's differences per instance serves the bound and
+    its hypothesis check: config kernels are factored and take their minima in
+    _kernel_lows, dense tables in _kernel_differences."""
     from tscale import bounds
     sweeps = []
-    sweep = bounds._kernel_differences
-
-    def counted(*args):
-        sweeps.append(1)
-        return sweep(*args)
-
-    monkeypatch.setattr(bounds, "_kernel_differences", counted)
+    for name in ("_kernel_lows", "_kernel_differences"):
+        def counted(*args, _sweep=getattr(bounds, name), _name=name):
+            sweeps.append(_name)
+            return _sweep(*args)
+        monkeypatch.setattr(bounds, name, counted)
     spec = InstanceSpec(case=BoundCase.KERNEL,
                         scale1=parse_scale("integer:0..5"),
                         scale2=parse_scale("q:2,4"),
                         rng_seed=9, count=3)
     run_verification(spec)
-    assert len(sweeps) == spec.count
+    assert sweeps == ["_kernel_lows"] * spec.count
+    sweeps.clear()
     # a table whose differences fail every hypothesis: the shared sweep
     # reports what check_hypotheses finds with its own
     d = TimeScale2D(integer_segment(0, 4), parse_scale("q:2,3").build())
@@ -198,11 +200,10 @@ def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
     inputs = bounds.KernelInputs(
         p=ones(d), q=ones(d),
         k=KernelOracle.from_table(d, rng.uniform(0.0, 2.0, d.shape * 2)))
-    sweeps.clear()
     by_variant = bounds.bound_kernel_variants(inputs)
-    assert len(sweeps) == 1
+    assert sweeps == ["_kernel_differences"]
     diags = bounds.check_hypotheses(inputs)
-    assert len(sweeps) == 2
+    assert sweeps.count("_kernel_differences") == 2
     assert len(diags) == 3
     for report in by_variant.values():
         assert report.hypothesis_diagnostics == diags
