@@ -14,9 +14,9 @@ and bound(), to which check_hypotheses and compute_bound delegate.  A bound
 assembles the intermediate functions (a, b, A, c, H, p, q, h) by lattice
 summation, forms the dominating function with a product exponential, and
 compares an optional witness against it pointwise on kappa x kappa.  The
-kernel case assembles a separable kernel from its factors in O(r N) and
-reads a dense table one row of slabs at a time; bound_kernel_variants
-finishes both exponent variants from one assembly.
+kernel case takes A and c straight from the kernel integral, a separable
+kernel from its factors in O(r N) and a dense table one row of slabs at a
+time; bound_kernel_variants finishes both exponent variants from them.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GridFn1, neumaier_cumsum
+from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
-                     mixed_partial, running_double_integral, running_integral)
+                     exclusive_sums, mixed_partial, running_double_integral,
+                     running_integral)
 from . import witnesses
 
 log = logging.getLogger(__name__)
@@ -126,70 +127,52 @@ def _check_nonneg(vals: np.ndarray, name: str, diags: list[str]) -> None:
         diags.append(f"{name} negative at index {at}: {worst:.6g}")
 
 
-def _alpha_differences(kernel: KernelOracle):
-    """The second-variable, first-variable and mixed lattice differences of a
-    factored kernel's alpha: shapes (r, n1, n2 - 1), (r, n1 - 1, n2) and
-    (r, n1 - 1, n2 - 1)."""
-    alpha = kernel.factors[0]
-    mu1 = np.diff(kernel.domain.scale1.points)
-    mu2 = np.diff(kernel.domain.scale2.points)
-    d1 = np.diff(alpha, axis=1) / mu1[:, None]
-    return np.diff(alpha, axis=2) / mu2, d1, np.diff(d1, axis=2) / mu2
-
-
-def _kernel_differences(kernel: KernelOracle, lows: np.ndarray | None = None):
-    """Yield (i, corner, d2, d1, d12) for each row i < n1 - 1, read from the
-    kernel's row slabs k(i+1 | i, j+1 | j, ., .) and indexed by the column j
-    first: corner[j] = k(i+1, j+1, i, j) and the second-variable,
-    first-variable and mixed differences d2[j, b], d1[j, a] and d12[j, a, b]
-    for a < i and every b < n2 - 1 (callers keep b < j).  Given lows, a
-    (3, n1 - 1, n2 - 1) array, store in lows[:, i, j] the minima of d2[j],
-    d1[j] and d12[j] over the arguments the bound formulas touch, as
-    KernelInputs.check_hypotheses reports them."""
-    n1, n2 = kernel.domain.shape
-    mu1 = np.diff(kernel.domain.scale1.points)
-    mu2 = np.diff(kernel.domain.scale2.points)
-    m2 = n2 - 1
-    j = np.arange(m2)
-    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
-    for i in range(n1 - 1 if m2 else 0):
-        upper, lower = kernel.slab(i + 1, i + 1, m2), kernel.slab(i, i, m2)
-        k11, k10, k01, k00 = upper[1:], upper[:-1], lower[1:], lower[:-1]
-        d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
-        d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
-        d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
-        if lows is not None:
-            np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
-            np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
-            np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
-                              out=lows[2, i])
-        yield i, k11[j, i, j], d2, d1, d12
-
-
-def _kernel_lows(kernel: KernelOracle, lows: np.ndarray) -> None:
-    """Fill lows as a sweep of _kernel_differences does.
+def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
+    """The (3, n1 - 1, n2 - 1) minima that KernelInputs.check_hypotheses
+    reports: at [:, i, j], those of the kernel's second-variable,
+    first-variable and mixed lattice differences at (i + 1, j + 1), over
+    the arguments (i, b < j), (a < i, j) and (a < i, b < j) that the bound
+    formulas touch; +inf where there are none.
 
     A one-term factored kernel needs no sweep: each of its differences is
     c * beta with c a difference of alpha, and rounding is monotone in beta,
     so its minimum over a rectangle of beta is c times beta's minimum or
     maximum there, taken from running extremes in O(N).  Any other kernel
-    is swept one row slab at a time.
+    is swept one row of slabs k(i+1 | i, j+1 | j, ., .) at a time.
     """
-    if kernel.factors is None or len(kernel.factors[0]) > 1:
-        for _ in _kernel_differences(kernel, lows):
-            pass
-        return
-    alpha_d2, alpha_d1, alpha_d12 = (x[0] for x in _alpha_differences(kernel))
-    beta = kernel.factors[1][0, :-1, :-1]
-    lows[...] = np.inf
-    for low, c, axes in ((lows[0, :, 1:], alpha_d2[1:, 1:], (1,)),
-                         (lows[1, 1:], alpha_d1[1:, 1:], (0,)),
-                         (lows[2, 1:, 1:], alpha_d12[1:, 1:], (0, 1))):
-        lo = hi = beta
-        for axis in axes:
-            lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
-        last = tuple(slice(-1) if axis in axes else slice(None) for axis in (0, 1))
-        np.minimum(c * lo[last], c * hi[last], out=low)
+    n1, n2 = kernel.domain.shape
+    m1, m2 = n1 - 1, n2 - 1
+    mu1 = np.diff(kernel.domain.scale1.points)
+    mu2 = np.diff(kernel.domain.scale2.points)
+    lows = np.full((3, m1, m2), np.inf)
+    if kernel.factors is not None and len(kernel.factors[0]) == 1:
+        alpha, beta = (x[0] for x in kernel.factors)
+        alpha_d1 = np.diff(alpha, axis=0) / mu1[:, None]
+        alpha_d2 = np.diff(alpha, axis=1) / mu2
+        alpha_d12 = np.diff(alpha_d1, axis=1) / mu2
+        beta = beta[:-1, :-1]
+        for low, c, axes in ((lows[0, :, 1:], alpha_d2[1:, 1:], (1,)),
+                             (lows[1, 1:], alpha_d1[1:, 1:], (0,)),
+                             (lows[2, 1:, 1:], alpha_d12[1:, 1:], (0, 1))):
+            lo = hi = beta
+            for axis in axes:
+                lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
+            last = tuple(slice(-1) if axis in axes else slice(None) for axis in (0, 1))
+            np.minimum(c * lo[last], c * hi[last], out=low)
+        return lows
+    j = np.arange(m2)
+    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
+    for i in range(m1 if m2 else 0):
+        upper, lower = kernel.slab(i + 1, i + 1, m2), kernel.slab(i, i, m2)
+        k11, k10, k01, k00 = upper[1:], upper[:-1], lower[1:], lower[:-1]
+        d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
+        d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
+        d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
+        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
+        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
+        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
+                          out=lows[2, i])
+    return lows
 
 
 def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
@@ -201,14 +184,6 @@ def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
         if lo < worst:
             worst, at = lo, (i, *where)
     return worst, at
-
-
-def _exclusive_sums(cells: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] along axis = the compensated sum of cells[:k] there; out[0] = 0."""
-    c = np.moveaxis(cells, axis, 0)
-    out = np.zeros_like(c)
-    out[1:] = neumaier_cumsum(c[:-1])
-    return np.moveaxis(out, 0, axis)
 
 
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
@@ -250,41 +225,44 @@ def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     return GridFn2(A.domain, out)
 
 
-def _kernel_ab(kernel: KernelOracle, p: GridFn2, q: GridFn2,
-               lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of the kernel bound on kappa x kappa; lows is passed on to a
-    sweep of _kernel_differences.
+def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
+                      q: GridFn2) -> tuple[np.ndarray, np.ndarray]:
+    """A and c of the kernel bound on kappa x kappa.
 
-    A dense kernel contracts one row of table slabs at a time.  For a
-    factored kernel each of the four terms is a sum over r of one alpha
-    factor times one running integral of beta * coefficient, O(r N) in all:
-    alpha(sigma t) * beta(t), then alpha's second-variable, first-variable
-    and mixed differences times the axis-2, axis-1 and double integrals.
+    With z_f(t) = ii(k(t, .) f) over [0, t1) x [0, t2), A = z_p, and c is
+    the first-variable delta of z_q by the Leibniz rule: the integral of
+    k(sigma1 t1, t2, t1, .) q(t1, .) over [0, t2) plus ii(q times the
+    first-variable delta of k).  Taking the delta of k before integrating
+    avoids the cancellation of a difference quotient of z_q.
+
+    A factored kernel sums over r alpha times running integrals of beta * p
+    or beta * q, O(r N) in all.  A dense kernel contracts one row of slabs
+    k(i + 1 | i, ., ., .) at a time.
     """
     m1, m2 = (n - 1 for n in p.domain.shape)
     mu1 = np.diff(p.domain.scale1.points)
     mu2 = np.diff(p.domain.scale2.points)
     coeff = np.stack((p.values[:m1, :m2], q.values[:m1, :m2]))
     if kernel.factors is not None:
-        if lows is not None:
-            _kernel_lows(kernel, lows)
-        alpha, beta = kernel.factors
-        alpha_d2, alpha_d1, alpha_d12 = (x[:, None] for x in _alpha_differences(kernel))
-        fed = beta[:, None, :m1, :m2] * coeff    # (r, 2, m1, m2)
-        terms = (alpha[:, None, 1:, 1:] * fed
-                 + alpha_d2[:, :, 1:] * _exclusive_sums(fed * mu2, -1)
-                 + alpha_d1[:, :, :, 1:] * _exclusive_sums(fed * mu1[:, None], -2)
-                 + alpha_d12 * _exclusive_sums(
-                     _exclusive_sums(fed * np.outer(mu1, mu2), -1), -2))
-        out = terms.sum(axis=0)
-        return out[0], out[1]
-    w1, w2, w12 = coeff * mu1[:, None], coeff * mu2, coeff * np.outer(mu1, mu2)
+        alpha, beta = (x[:, :, :m2] for x in kernel.factors)
+        single = exclusive_sums(beta[:, None, :m1] * coeff * mu2, -1)    # (r, 2, m1, m2)
+        double = exclusive_sums(single * mu1[:, None], -2)
+        alpha_d1 = np.diff(alpha, axis=1) / mu1[:, None]
+        A = (alpha[:, :m1] * double[:, 0]).sum(axis=0)
+        c = (alpha[:, 1:] * single[:, 1] + alpha_d1 * double[:, 1]).sum(axis=0)
+        return A, c
+    weights = coeff * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
     out = np.empty((2, m1, m2))
-    for i, corner, d2, d1, d12 in _kernel_differences(kernel, lows):
-        out[:, i] = (corner * coeff[:, i] + w2[:, i] @ (d2 * before).T
-                     + np.einsum("ja,kaj->kj", d1, w1[:, :i])
-                     + np.einsum("jab,kab->kj", d12 * before[:, None], w12[:, :i]))
+    for i in range(m1):
+        # row i of the pair: k(i, ., a < i, .) and its first-variable
+        # difference times mu1[i], with k(i + 1, ., i, .) appended as a = i
+        slabs = np.zeros((2, m2, i + 1, m2))
+        slabs[0, :, :i] = kernel.slab(i, i, m2)[:m2]
+        slabs[1] = kernel.slab(i + 1, i + 1, m2)[:m2]
+        slabs[1, :, :i] -= slabs[0, :, :i]
+        out[:, i] = np.einsum("kjab,kab,jb->kj", slabs, weights[:, :i + 1], before)
+        out[1, i] /= mu1[i]
     return out[0], out[1]
 
 
@@ -334,11 +312,10 @@ class KernelInputs:
     """u <= p + q * ii(k(t1, t2, s1, s2) u) with k a KernelOracle on the
     domain of p and q, bounded by p + q * A * E.
 
-    a and b expand the sigma-shifted kernel against p and q: the kernel
-    value at the shifted corner plus three correction integrals against the
-    kernel's lattice differences.  A = ii(a), c = integral of b over the
-    second axis, and E = e_c in the variable chosen by exponent_variant.
-    u is an optional witness to compare against the bound.
+    A(t) = ii(k(t, .) p) over [0, t1) x [0, t2), and c is the first-variable
+    delta of ii(k(t, .) q), taken by the Leibniz rule so that no difference
+    quotient of the integral cancels; E = e_c in the variable chosen by
+    exponent_variant.  u is an optional witness to compare against the bound.
     """
 
     p: GridFn2
@@ -354,11 +331,10 @@ class KernelInputs:
         if not self.k.domain.same_points(self.p.domain):
             raise ScaleMismatchError("kernel lives on a different product scale")
 
-    def check_hypotheses(self, lows: np.ndarray | None = None) -> list[str]:
+    def check_hypotheses(self) -> list[str]:
         """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
         differences over every argument combination the bound formulas touch; a
-        failing difference names the first (i, j), in row order, of its minimum.
-        lows, when given, holds the minima that _kernel_ab already took."""
+        failing difference names the first (i, j), in row order, of its minimum."""
         diags: list[str] = []
         for g, nm in ((self.p, "p"), (self.q, "q")):
             _check_nonneg(g.values, nm, diags)
@@ -367,10 +343,8 @@ class KernelInputs:
             worst, at = _kernel_min(self.k)
             if worst < -HYPOTHESIS_SLACK:
                 diags.append(f"kernel negative at index {at}: {worst:.6g}")
-        if lows is None:
-            lows = np.full((3, *(n - 1 for n in self.k.domain.shape)), np.inf)
-            _kernel_lows(self.k, lows)
-        for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
+        for kind, low in zip(("second-variable", "first-variable", "mixed"),
+                             _kernel_lows(self.k)):
             lo, at = _min_location(low) if low.size else (0.0, None)
             if lo < -HYPOTHESIS_SLACK:
                 diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
@@ -509,7 +483,7 @@ def bound_kernel_variants(inputs: KernelInputs,
                           ) -> dict[ExponentVariant, BoundReport]:
     """The kernel bound's report for each of variants (default: both), in order.
 
-    The hypotheses, a, b, A and c are computed once for all of them;
+    The hypotheses, A and c are computed once for all of them;
     inputs.exponent_variant is ignored.
     """
     p, q, kernel = inputs.p, inputs.q, inputs.k
@@ -519,11 +493,8 @@ def bound_kernel_variants(inputs: KernelInputs,
         raise DomainError("kernel bound needs at least two points per axis")
     m1, m2 = n1 - 1, n2 - 1
     kdom = dom.kappa()
-    lows = np.full((3, m1, m2), np.inf)
-    a_vals, b_vals = _kernel_ab(kernel, p, q, lows)
-    diags = inputs.check_hypotheses(lows)
-    A = running_double_integral(GridFn2(kdom, a_vals)).values
-    c = running_integral(GridFn2(kdom, b_vals), 2).values
+    diags = inputs.check_hypotheses()
+    A, c = _kernel_integrals(kernel, p, q)
     reports = {}
     for variant in variants:
         if variant is ExponentVariant.FIRST_VARIABLE:

@@ -7,8 +7,9 @@ Three subcommands:
   converge  halve a dense mesh four times and report observed error orders
 
 Exit codes: 0 success, 1 verify found a bound violation, 2 bad
-configuration, 3 domain or regressivity failure.  Logging verbosity comes
-from the TSCALE_LOG environment variable (error, info, debug).
+configuration, 3 domain or regressivity failure, 4 internal error (any
+other exception; its traceback is logged at debug).  Logging verbosity
+comes from the TSCALE_LOG environment variable (error, info, debug).
 """
 
 from __future__ import annotations
@@ -398,6 +399,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

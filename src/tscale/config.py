@@ -398,7 +398,9 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     k = (a0 + a1*t1) * (b0 + b1*t2) * (c0 + c1*s1 + c2*s2); both are one
     product alpha(t1, t2) * beta(s1, s2), so no kernel table is built.
     Nonnegative parameters make the kernel nonnegative with nonnegative
-    lattice differences.  Sampled parameters are absolute normals evaluated
+    lattice differences only where the points are nonnegative: (0, 1, 1, 0,
+    1, 0, 0) is k = t1, which is -1 at t1 = -1, and the hypothesis check
+    reports it.  Sampled parameters are absolute normals evaluated
     in shifted coordinates, and alpha is scaled so that the kernel's
     largest value, max alpha * max beta, is at most VALUE_CAP.  Over the
     kernel budget it raises ConfigError before anything is drawn or

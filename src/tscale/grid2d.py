@@ -99,21 +99,16 @@ def partial_delta(f: GridFn2, axis: int) -> GridFn2:
     The result loses the last row (axis 1) or column (axis 2) and lives on
     the corresponding kappa restriction of the domain.
     """
-    d = f.domain
-    vals = f.values
-    if axis == 1:
-        if len(d.scale1) < 2:
-            raise DomainError("partial delta along axis 1 needs two rows")
-        mu = np.diff(d.scale1.points)[:, None]
-        out = (vals[1:, :] - vals[:-1, :]) / mu
-        return GridFn2(TimeScale2D(d.scale1.kappa(), d.scale2), out)
-    if axis == 2:
-        if len(d.scale2) < 2:
-            raise DomainError("partial delta along axis 2 needs two columns")
-        mu = np.diff(d.scale2.points)[None, :]
-        out = (vals[:, 1:] - vals[:, :-1]) / mu
-        return GridFn2(TimeScale2D(d.scale1, d.scale2.kappa()), out)
-    raise DomainError(f"axis must be 1 or 2, got {axis}")
+    if axis not in (1, 2):
+        raise DomainError(f"axis must be 1 or 2, got {axis}")
+    scales = [f.domain.scale1, f.domain.scale2]
+    if len(scales[axis - 1]) < 2:
+        raise DomainError(f"partial delta along axis {axis} needs two "
+                          f"{('rows', 'columns')[axis - 1]}")
+    mu = np.diff(scales[axis - 1].points)
+    out = np.diff(f.values, axis=axis - 1) / (mu[:, None] if axis == 1 else mu)
+    scales[axis - 1] = scales[axis - 1].kappa()
+    return GridFn2(TimeScale2D(*scales), out)
 
 
 def mixed_partial(f: GridFn2) -> GridFn2:
@@ -142,24 +137,25 @@ def double_integral(f: GridFn2, rect: tuple[int, int, int, int]) -> float:
     return math.fsum(block.ravel())
 
 
+def exclusive_sums(cells: np.ndarray, axis: int) -> np.ndarray:
+    """out[k] along axis = the compensated sum of cells[:k] there; out[0] = 0."""
+    c = np.swapaxes(cells, 0, axis)
+    out = np.zeros_like(c)
+    out[1:] = neumaier_cumsum(c[:-1])
+    return np.swapaxes(out, 0, axis)
+
+
 def running_integral(f: GridFn2, axis: int) -> GridFn2:
     """Cumulative delta integral from index 0 along one axis.
 
     Entry [i, j] holds the integral over [0, i) (axis 1) or [0, j)
     (axis 2), so the first row or column is zero.  Same domain as f.
     """
-    d = f.domain
-    vals = f.values
-    out = np.zeros_like(vals)
-    if axis == 1:
-        w = vals[:-1, :] * np.diff(d.scale1.points)[:, None]
-        out[1:, :] = neumaier_cumsum(w)
-    elif axis == 2:
-        w = vals[:, :-1] * np.diff(d.scale2.points)[None, :]
-        out[:, 1:] = neumaier_cumsum(w.T).T
-    else:
+    if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
-    return GridFn2(d, out)
+    d = f.domain
+    mu = d.mu1[:, None] if axis == 1 else d.mu2
+    return GridFn2(d, exclusive_sums(f.values * mu, axis - 1))
 
 
 def running_double_integral(f: GridFn2) -> GridFn2:

@@ -3,8 +3,8 @@
 These are the straightforward per-cell versions: every witness value takes
 one math.fsum over its whole rectangle, every re-check residual one block
 sum per lattice point, the kernel bound's a and b four math.fsum calls per
-lattice point, its difference diagnostics one set of slices per lattice
-point, the compensated cumulative sum runs the Neumaier recursion
+lattice point and its A and c one more each, its difference diagnostics one
+set of slices per lattice point, the compensated cumulative sum runs the Neumaier recursion
 element by element, and the first-order comparison witness takes one Python
 step per scale point.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
@@ -211,6 +211,23 @@ def kernel_ab(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:
                                * np.outer(mu1[:i], mu2[:j])).ravel()),
                 ])
     return a_vals, b_vals
+
+
+def kernel_integrals(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """A and c of the kernel bound: kernel_ab's a and b integrated with one
+    math.fsum per lattice point, A over [0, i) x [0, j) and c over [0, j)."""
+    a_vals, b_vals = kernel_ab(kernel, p, q)
+    m1, m2 = a_vals.shape
+    mu1 = np.diff(p.domain.scale1.points)
+    mu2 = np.diff(p.domain.scale2.points)
+    cells = a_vals * np.outer(mu1, mu2)
+    big_a = np.empty((m1, m2))
+    c = np.empty((m1, m2))
+    for i in range(m1):
+        for j in range(m2):
+            big_a[i, j] = math.fsum(cells[:i, :j].ravel())
+            c[i, j] = math.fsum(b_vals[i, :j] * mu2[:j])
+    return big_a, c
 
 
 def kernel_difference_diagnostics(kernel) -> list[str]:

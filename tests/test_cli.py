@@ -305,6 +305,32 @@ def test_verify_exit_one_on_violation(tmp_path, capsys, monkeypatch):
     assert summary["instances_with_violation"] == 1
 
 
+def test_verify_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    def broken_run(instance):
+        raise RuntimeError("unexpected state")
+    monkeypatch.setattr(cli_mod, "run_verification", broken_run)
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 4
+    assert err == "internal error: RuntimeError: unexpected state\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_verify_reports_a_negative_kernel_on_negative_points(tmp_path, capsys):
+    """Nonnegative affine_product parameters leave the kernel's sign to the
+    points: (0, 1, 1, 0, 1, 0, 0) is k = t1, which is -1 at t1 = -1."""
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, theorem="kernel", scale1="explicit:-1,0", scale2="explicit:-1,0",
+        functions={"p": "const:1", "q": "const:1",
+                   "k": {"family": "affine_product", "params": [0, 1, 1, 0, 1, 0, 0]}},
+        count=1))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert (code, err) == (0, "")
+    summary = json.loads((tmp_path / "report.json").read_text())
+    assert summary["digests"][0]["diagnostics"] == [
+        "kernel negative at index (0, 0, 0, 0): -1"]
+
+
 def test_verify_rejects_bad_theorem(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, theorem="maximal"))
     code, _, err = run_cli(capsys, "verify", str(cfg))

@@ -3,21 +3,23 @@
 tests/references.py keeps the per-cell math.fsum recursions, the kernel
 bound's per-cell a/b and diagnostics loops, and the sequential Neumaier loop.
 The row sweep sums in another order, so witnesses must agree to 1e-13
-relative and re-check residuals to 1e-12.  The kernel bound's a and b agree
-to 1e-13 relative on kernels that meet the hypotheses and to 1e-11 * (1 +
-|reference|) on random tables, whose differences cancel; its diagnostics
-must be the same strings.  The vectorized Neumaier sum keeps the loop's
+relative and re-check residuals to 1e-12.  The kernel bound's A and c agree
+with the integrated per-cell a and b to 1e-13 relative on kernels that meet
+the hypotheses and to 1e-11 * (1 + |reference|) on random tables, whose
+differences cancel, and bit for bit on integer data; its diagnostics must be
+the same strings.  The vectorized Neumaier sum keeps the loop's
 order of operations and must agree bit for bit, and the columnar verify
 report writers must write the same bytes as the per-row loops.  The
 first-order comparison witness composes its steps by a doubling scan and must
-agree with the point-by-point loop to 1e-13 of the magnitude recursion.  The
+agree with the point-by-point loop to 1e-13 of the magnitude recursion plus
+a floor for gradual underflow.  The
 mantissa/exponent product ladder must have the bits of a plain running
 product while every prefix is a normal double, and agree with the log-space
 reference ladder to 1e-12 relative elsewhere.  The axis-generic coefficient
 realizer must give the bits of the two per-dimension family switches and
 leave the random stream in the same state; a config kernel's factors expand
 to the reference's dense table within 1e-15 relative, one rounding of the
-VALUE_CAP scaling.  A factored kernel's witness, a, b, bound, difference
+VALUE_CAP scaling.  A factored kernel's witness, A, c, bound, difference
 minima and re-check must agree with the dense table it expands to.
 """
 
@@ -34,7 +36,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references as ref
@@ -51,7 +53,7 @@ from tscale.witnesses import (witness_comparison, witness_integrodynamic,
                               witness_kernel, witness_pointwise, witness_system)
 
 WITNESS_RTOL = 1e-13
-# a and b of the kernel bound on tables whose differences cancel, relative
+# A and c of the kernel bound on tables whose differences cancel, relative
 # to 1 + |reference|
 AB_CANCEL_TOL = 1e-11
 RECHECK_TOL = 1e-12
@@ -118,8 +120,10 @@ def check_kernel(domain, seed, rho):
     for cand in (u, GridFn2(domain, 1.01 * u.values)):
         assert_residuals_match(verify._recheck_kernel(p, q, kernel, cand),
                                ref.recheck_kernel(p, q, kernel, cand))
-    # a random table's differences take both signs and cancel in a and b
-    for new, old in zip(bounds._kernel_ab(kernel, p, q), ref.kernel_ab(kernel, p, q)):
+    # a random table's differences take both signs and cancel in c and in
+    # the reference's a and b
+    for new, old in zip(bounds._kernel_integrals(kernel, p, q),
+                        ref.kernel_integrals(kernel, p, q)):
         assert np.all(np.abs(new - old) <= AB_CANCEL_TOL * (1.0 + np.abs(old)))
     # p and q are nonnegative, so only the kernel's own diagnostics remain
     assert (KernelInputs(p, q, kernel).check_hypotheses()
@@ -131,7 +135,8 @@ def check_kernel(domain, seed, rho):
     affine = realize_kernel(FnSpec("affine_product"), domain, rng)
     for good in (KernelOracle.constant(domain, rng.uniform(0.0, 2.0)),
                  KernelOracle.from_table(domain, affine.table()), monotone):
-        for new, old in zip(bounds._kernel_ab(good, p, q), ref.kernel_ab(good, p, q)):
+        for new, old in zip(bounds._kernel_integrals(good, p, q),
+                            ref.kernel_integrals(good, p, q)):
             assert_close(new, old)
         assert (KernelInputs(p, q, good).check_hypotheses()
                 == ref.kernel_difference_diagnostics(good))
@@ -234,11 +239,10 @@ def check_factored(domain, seed, rho):
         assert verify._recheck_kernel(p, q, factored, equality) <= RECHECK_TOL
         if min(domain.shape) < 2:
             continue
-        for new, old in zip(bounds._kernel_ab(factored, p, q), bounds._kernel_ab(dense, p, q)):
+        for new, old in zip(bounds._kernel_integrals(factored, p, q),
+                            bounds._kernel_integrals(dense, p, q)):
             assert_agree(new, old, monotone)
-        lows = np.full((2, 3, *(n - 1 for n in domain.shape)), np.inf)
-        bounds._kernel_lows(factored, lows[0])
-        bounds._kernel_lows(dense, lows[1])
+        lows = [bounds._kernel_lows(k) for k in (factored, dense)]
         empty = np.isinf(lows[1])
         assert np.array_equal(np.isinf(lows[0]), empty)
         new, old = lows[0][~empty], lows[1][~empty]
@@ -271,6 +275,26 @@ def test_factored_kernel_matches_its_dense_table_on_thin_lattices(shape):
     check_factored(edge_domain(shape), 7, 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=6),
+       st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_integrals_telescope_exactly(steps1, steps2, seed):
+    """On integer data with power-of-two steps every sum and quotient is
+    exact, so the kernel integral equals the integrated a and b bit for bit:
+    their corner and difference terms telescope away."""
+    domain = TimeScale2D(explicit_scale(np.cumsum([0, *steps1])),
+                         explicit_scale(np.cumsum([0, *steps2])))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p, q = (GridFn2(domain, rng.integers(-4, 5, domain.shape)) for _ in range(2))
+    alpha, beta = rng.integers(-4, 5, (2, int(rng.integers(1, 4)), *domain.shape))
+    for kernel in (KernelOracle.from_table(domain, rng.integers(-4, 5, domain.shape * 2)),
+                   KernelOracle.separable(domain, alpha, beta)):
+        for new, old in zip(bounds._kernel_integrals(kernel, p, q),
+                            ref.kernel_integrals(kernel, p, q)):
+            assert np.array_equal(new, old)
+
+
 def test_integrodynamic_recheck_rejects_u_off_the_axes():
     d = edge_domain((4, 5))
     a = GridFn1(d.scale1, np.ones(4))
@@ -287,6 +311,7 @@ def test_integrodynamic_recheck_rejects_u_off_the_axes():
 # -- first-order comparison witness -----------------------------------------
 
 COMPARISON_TOL = 1e-13
+UNDERFLOW_FLOOR = 4 * 2.0 ** -1074
 
 
 @st.composite
@@ -317,33 +342,48 @@ def comparison_inputs(draw):
             draw(st.integers(0, n - 1)), draw(floats(0.0, 1.0)))
 
 
-def magnitude(f, g, x_a, a, slack) -> np.ndarray:
-    """m[0] = |x_a|, m[k + 1] = |1 + mu_k*g_k|*m[k] + mu_k*(|f_k| + slack)."""
-    mu = f.scale.graininess[a:]
-    m = np.empty(len(mu))
-    m[0] = abs(x_a)
-    for k in range(len(mu) - 1):
-        i = a + k
-        m[k + 1] = abs(1.0 + mu[k] * g.values[i]) * m[k] \
-            + mu[k] * (abs(f.values[i]) + slack)
-    return m
-
-
-@settings(max_examples=300, deadline=None)
-@given(comparison_inputs())
-def test_comparison_witness_matches_the_loop(inputs):
-    x = witness_comparison(*inputs)
-    old = ref.witness_comparison_loop(*inputs)
-    assert x.scale.points[0] == inputs[0].scale.points[inputs[3]]
-    assert x.values[0] == inputs[2]
-    assert np.all(np.abs(x.values - old) <= COMPARISON_TOL * magnitude(*inputs))
-
-
 def _pinned(scale, f, g, x_a, slack=0.0):
     """Inputs anchored at the first point; f and g repeat their last entry."""
     def fn(vals):
         return GridFn1(scale, np.pad(vals, (0, len(scale) - len(vals)), mode="edge"))
     return fn(np.atleast_1d(f)), fn(np.atleast_1d(g)), x_a, 0, slack
+
+
+def tolerance(f, g, x_a, a, slack) -> np.ndarray:
+    """COMPARISON_TOL * m + d.  m[0] = |x_a|, m[k + 1] = |1 + mu_k*g_k|*m[k] +
+    mu_k*(|f_k| + slack) is the magnitude that relative rounding errors
+    scale with.  Gradual underflow adds an absolute error of at most
+    2**-1075 to each rounded operation (Higham 2002, section 2.1), and the
+    scan makes a few per step, so d[0] = 0 and d[k + 1] = |1 + mu_k*g_k|*d[k]
+    + UNDERFLOW_FLOOR carries them by the same factors.  Where every step
+    term mu_k*(|f_k| + slack) is normal, d is below 2**-50 * m."""
+    mu = f.scale.graininess[a:]
+    m, d = np.empty((2, len(mu)))
+    m[0], d[0] = abs(x_a), 0.0
+    for k in range(len(mu) - 1):
+        i = a + k
+        factor = abs(1.0 + mu[k] * g.values[i])
+        m[k + 1] = factor * m[k] + mu[k] * (abs(f.values[i]) + slack)
+        d[k + 1] = factor * d[k] + UNDERFLOW_FLOOR
+    return COMPARISON_TOL * m + d
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparison_inputs())
+# a scan that loses up to 4 multiples of 2**-1074 at subnormal magnitudes,
+# x_a and slack one subnormal step with factor -1, and x_a one subnormal
+# step whose lost bits the factors 3 carry into the normal range
+@example(inputs=_pinned(union_scales(integer_segment(0, 1), dense_mesh(1, 2, 0.1)), 0.0,
+                        [-2.0] + [-20.0] * 10 + [-2.0], 0.0, 2.2250738585e-313))
+@example(inputs=_pinned(integer_segment(0, 3), 0.0, -2.0, 5e-324))
+@example(inputs=_pinned(integer_segment(0, 3), 0.0, -2.0, 0.0, 5e-324))
+@example(inputs=_pinned(integer_segment(0, 39), 0.0, 2.0, 5e-324))
+def test_comparison_witness_matches_the_loop(inputs):
+    x = witness_comparison(*inputs)
+    old = ref.witness_comparison_loop(*inputs)
+    assert x.scale.points[0] == inputs[0].scale.points[inputs[3]]
+    assert x.values[0] == inputs[2]
+    assert np.all(np.abs(x.values - old) <= tolerance(*inputs))
 
 
 # Each case's loop makes no rounding error, so the scan must match it exactly.
@@ -703,7 +743,6 @@ def _guard_inputs(n):
     ramp = np.linspace(0.01, 0.02, n * n).reshape(1, n, n)
     factored = KernelOracle.separable(d, np.concatenate((ramp, ramp.transpose(0, 2, 1))),
                                       np.concatenate((ramp[:, ::-1], ramp)))
-    lows = np.full((3, n - 1, n - 1), np.inf)
     return {
         "pointwise": (witness_pointwise, ref.witness_pointwise, (p, p, p)),
         "kernel": (witness_kernel, ref.witness_kernel, (p, p, kernel)),
@@ -711,23 +750,25 @@ def _guard_inputs(n):
         "integrodynamic": (witness_integrodynamic, ref.witness_integrodynamic,
                            (s, t, p)),
         "bound_kernel": (bounds.compute_bound,
-                         lambda inputs: ref.kernel_ab(inputs.k, inputs.p, inputs.q),
+                         lambda inputs: ref.kernel_integrals(inputs.k, inputs.p, inputs.q),
                          (kernel_case,)),
         "kernel_hypotheses": (bounds.check_hypotheses,
                               lambda inputs: ref.kernel_difference_diagnostics(inputs.k),
                               (kernel_case,)),
         "factored_kernel": (witness_kernel, ref.witness_kernel, (p, p, factored)),
-        "factored_ab": (lambda *args: bounds._kernel_ab(*args, lows), ref.kernel_ab,
-                        (factored, p, p)),
+        "factored_integrals": (lambda k, p, q: (bounds._kernel_integrals(k, p, q),
+                                                bounds._kernel_lows(k)),
+                               ref.kernel_integrals, (factored, p, p)),
         "factored_bound": (bounds.compute_bound,
-                           lambda inputs: ref.kernel_ab(inputs.k, inputs.p, inputs.q),
+                           lambda inputs: ref.kernel_integrals(inputs.k, inputs.p,
+                                                               inputs.q),
                            (KernelInputs(p=p, q=p, k=factored),)),
     }
 
 
 @pytest.mark.parametrize("case", ["pointwise", "kernel", "system", "integrodynamic",
                                   "bound_kernel", "kernel_hypotheses", "factored_kernel",
-                                  "factored_ab", "factored_bound"])
+                                  "factored_integrals", "factored_bound"])
 def test_witness_reductions_grow_with_rows_not_cells(case):
     n = 40
     fast, slow, args = _guard_inputs(n)[case]

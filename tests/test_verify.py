@@ -156,16 +156,16 @@ def test_run_verification_kernel_records_both_variants():
         assert "second_variable_max_violation" in digest
 
 
-def test_kernel_instance_assembles_a_and_b_once(monkeypatch):
+def test_kernel_instance_integrates_the_kernel_once(monkeypatch):
     from tscale import bounds
     calls = []
-    assemble = bounds._kernel_ab
+    integrate = bounds._kernel_integrals
 
     def counted(*args):
         calls.append(1)
-        return assemble(*args)
+        return integrate(*args)
 
-    monkeypatch.setattr(bounds, "_kernel_ab", counted)
+    monkeypatch.setattr(bounds, "_kernel_integrals", counted)
     spec = InstanceSpec(case=BoundCase.KERNEL,
                         scale1=parse_scale("integer:0..5"),
                         scale2=parse_scale("q:2,4"),
@@ -176,24 +176,26 @@ def test_kernel_instance_assembles_a_and_b_once(monkeypatch):
 
 
 def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
-    """One sweep of the kernel's differences per instance serves the bound and
-    its hypothesis check: config kernels are factored and take their minima in
-    _kernel_lows, dense tables in _kernel_differences."""
+    """One sweep of the kernel's differences, _kernel_lows, per instance
+    serves the bound's hypothesis check, for factored config kernels and
+    dense tables alike; a separate check_hypotheses sweeps once more."""
     from tscale import bounds
     sweeps = []
-    for name in ("_kernel_lows", "_kernel_differences"):
-        def counted(*args, _sweep=getattr(bounds, name), _name=name):
-            sweeps.append(_name)
-            return _sweep(*args)
-        monkeypatch.setattr(bounds, name, counted)
+    sweep = bounds._kernel_lows
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(bounds, "_kernel_lows", counted)
     spec = InstanceSpec(case=BoundCase.KERNEL,
                         scale1=parse_scale("integer:0..5"),
                         scale2=parse_scale("q:2,4"),
                         rng_seed=9, count=3)
     run_verification(spec)
-    assert sweeps == ["_kernel_lows"] * spec.count
+    assert len(sweeps) == spec.count
     sweeps.clear()
-    # a table whose differences fail every hypothesis: the shared sweep
+    # a table whose differences fail every hypothesis: the bound's sweep
     # reports what check_hypotheses finds with its own
     d = TimeScale2D(integer_segment(0, 4), parse_scale("q:2,3").build())
     rng = np.random.Generator(np.random.PCG64(3))
@@ -201,9 +203,9 @@ def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
         p=ones(d), q=ones(d),
         k=KernelOracle.from_table(d, rng.uniform(0.0, 2.0, d.shape * 2)))
     by_variant = bounds.bound_kernel_variants(inputs)
-    assert sweeps == ["_kernel_differences"]
+    assert len(sweeps) == 1
     diags = bounds.check_hypotheses(inputs)
-    assert sweeps.count("_kernel_differences") == 2
+    assert len(sweeps) == 2
     assert len(diags) == 3
     for report in by_variant.values():
         assert report.hypothesis_diagnostics == diags
