@@ -26,8 +26,8 @@ from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
 
 # A factor's binary exponent, plus the one each product of mantissas in
 # [0.5, 1) may shed, stays within 1075 in size, so the exponent of a product
-# of up to this many factors fits in int32; longer tails count in int64.
-_INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075
+# of up to this many factors and a B or x_a fits in int32; longer in int64.
+_INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075 - 1
 
 
 def _check_feedback(feedback_scale: float) -> float:
@@ -174,10 +174,10 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     map x -> A_k*x + B_k with A_k = 1 + mu_k*g_k and B_k = mu_k*(f_k - slack);
     x[k + 1] is the composition of steps 0..k applied to x_a, taken for every
     k at once by a Hillis-Steele doubling scan in ceil(log2 n) rounds.  Each
-    composed A is kept as a mantissa times a power of two, so no product of
-    factors overflows or underflows on its own and exact zeros stay exact:
-    the result leaves the float range only where A*x_a or B itself does.
-    No factor needs to be positive or nonzero.
+    composed A is a mantissa times a power of two, and B and x_a are split so
+    before A multiplies them: no product underflows early or overflows on its
+    own and exact zeros stay exact, so the result leaves the float range only
+    where A*x_a or B itself does.  No factor needs to be positive or nonzero.
     """
     _require_same_scale(f, g)
     if not np.isfinite(x_a):
@@ -188,14 +188,13 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     a = scale._check_index(a)
     pts = scale.points[a:]
     n = len(pts) - 1
-    steps = slice(a, a + n)
     x = np.empty(n + 1)
     x[0] = float(x_a)
     tmp = x[1:]    # mu until the scan starts, then scratch, then x itself
     np.subtract(pts[1:], pts[:-1], out=tmp)
-    b = f.values[steps] - slack
+    b = f.values[a:-1] - slack
     b *= tmp
-    m = g.values[steps] * tmp
+    m = g.values[a:-1] * tmp
     m += 1.0
     e = np.empty(n, np.int32 if n <= _INT32_EXPONENT_STEPS else np.int64)
     etmp = np.empty_like(e)
@@ -206,14 +205,16 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
             # (m, e, b)[k] <- (m, e, b)[k] o (m, e, b)[k - d] for k >= d:
             # B = A_hi * B_lo + B_hi first, while A_hi is still uncomposed
             t, et = tmp[:n - d], etmp[:n - d]
-            np.multiply(m[d:], b[:-d], out=t)
-            b[d:] += np.ldexp(t, e[d:], out=t)
+            np.frexp(b[:-d], out=(t, et))
+            t *= m[d:]
+            et += e[d:]
+            b[d:] += np.ldexp(t, et, out=t)
             np.multiply(m[d:], m[:-d], out=t)
             np.add(e[d:], e[:-d], out=et)
             np.frexp(t, out=(m[d:], e[d:]))
             e[d:] += et
             d *= 2
-        np.multiply(m, x[0], out=tmp)
-        np.ldexp(tmp, e, out=tmp)
+        mx, ex = np.frexp(x[0])
+        np.ldexp(np.multiply(m, mx, out=tmp), e + ex, out=tmp)
         tmp += b
     return GridFn1(scale.tail(a), x)

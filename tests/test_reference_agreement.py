@@ -312,6 +312,7 @@ def test_integrodynamic_recheck_rejects_u_off_the_axes():
 
 COMPARISON_TOL = 1e-13
 UNDERFLOW_FLOOR = 4 * 2.0 ** -1074
+TINY = np.finfo(float).tiny    # the smallest normal double
 
 
 @st.composite
@@ -349,30 +350,44 @@ def _pinned(scale, f, g, x_a, slack=0.0):
     return fn(np.atleast_1d(f)), fn(np.atleast_1d(g)), x_a, 0, slack
 
 
+def _underflows(result, a, b) -> bool:
+    """Whether the product a*b rounded to result on the subnormal grid."""
+    return abs(result) < TINY and Fraction(result) != Fraction(a) * Fraction(b)
+
+
 def tolerance(f, g, x_a, a, slack) -> np.ndarray:
-    """COMPARISON_TOL * m + d.  m[0] = |x_a|, m[k + 1] = |1 + mu_k*g_k|*m[k] +
-    mu_k*(|f_k| + slack) is the magnitude that relative rounding errors
-    scale with.  Gradual underflow adds an absolute error of at most
-    2**-1075 to each rounded operation (Higham 2002, section 2.1), and the
-    scan makes a few per step, so d[0] = 0 and d[k + 1] = |1 + mu_k*g_k|*d[k]
-    + UNDERFLOW_FLOOR carries them by the same factors.  Where every step
-    term mu_k*(|f_k| + slack) is normal, d is below 2**-50 * m."""
+    """COMPARISON_TOL * m + d + UNDERFLOW_FLOOR.  m[0] = |x_a|, m[k + 1] =
+    |1 + mu_k*g_k|*m[k] + mu_k*(|f_k| + slack) is the magnitude that relative
+    rounding errors scale with.  Gradual underflow adds an absolute error of
+    at most 2**-1075 to a product that rounds to a subnormal (Higham 2002,
+    section 2.1), and later factors carry it: d[0] = 0 and d[k + 1] =
+    |1 + mu_k*g_k|*d[k] + UNDERFLOW_FLOOR where step k rounds so, in the
+    loop's g*x or mu*(f + g*x - slack), or has a subnormal step term
+    mu*(f - slack) that the scan's compositions may round.  An exact
+    subnormal x_a, or exact steps, add nothing to d; the scan's one ldexp of
+    A*x_a + B per point rounds once more, uncarried."""
     mu = f.scale.graininess[a:]
-    m, d = np.empty((2, len(mu)))
-    m[0], d[0] = abs(x_a), 0.0
+    x = ref.witness_comparison_loop(f, g, x_a, a, slack)
+    m, d = np.zeros((2, len(mu)))
+    m[0] = abs(x_a)
     for k in range(len(mu) - 1):
-        i = a + k
-        factor = abs(1.0 + mu[k] * g.values[i])
-        m[k + 1] = factor * m[k] + mu[k] * (abs(f.values[i]) + slack)
-        d[k + 1] = factor * d[k] + UNDERFLOW_FLOOR
-    return COMPARISON_TOL * m + d
+        fk, gk = f.values[a + k], g.values[a + k]
+        gx = gk * x[k]
+        inner = fk + gx - slack
+        step = (fk - slack) * mu[k]
+        rounds = (_underflows(gx, gk, x[k]) or _underflows(mu[k] * inner, mu[k], inner)
+                  or _underflows(step, fk - slack, mu[k]) or 0.0 < abs(step) < TINY)
+        factor = abs(1.0 + mu[k] * gk)
+        m[k + 1] = factor * m[k] + mu[k] * (abs(fk) + slack)
+        d[k + 1] = factor * d[k] + UNDERFLOW_FLOOR * rounds
+    return COMPARISON_TOL * m + d + UNDERFLOW_FLOOR
 
 
 @settings(max_examples=300, deadline=None)
 @given(comparison_inputs())
-# a scan that loses up to 4 multiples of 2**-1074 at subnormal magnitudes,
-# x_a and slack one subnormal step with factor -1, and x_a one subnormal
-# step whose lost bits the factors 3 carry into the normal range
+# a subnormal slack on a 0.1 mesh, where step terms round to the subnormal
+# grid; x_a and slack one subnormal step with factor -1; and x_a one
+# subnormal step that exact factors 3 carry into the normal range
 @example(inputs=_pinned(union_scales(integer_segment(0, 1), dense_mesh(1, 2, 0.1)), 0.0,
                         [-2.0] + [-20.0] * 10 + [-2.0], 0.0, 2.2250738585e-313))
 @example(inputs=_pinned(integer_segment(0, 3), 0.0, -2.0, 5e-324))
@@ -384,6 +399,17 @@ def test_comparison_witness_matches_the_loop(inputs):
     assert x.scale.points[0] == inputs[0].scale.points[inputs[3]]
     assert x.values[0] == inputs[2]
     assert np.all(np.abs(x.values - old) <= tolerance(*inputs))
+
+
+def test_comparison_witness_keeps_the_bits_of_a_subnormal_start():
+    # the loop's steps x + 2*x are exact until 3**k passes 2**53, so the
+    # scan may not lose x_a's bit before the factors 3 carry it up
+    inputs = _pinned(integer_segment(0, 39), 0.0, 2.0, 5e-324)
+    x = witness_comparison(*inputs).values
+    assert x[-1] > 1e-305
+    assert np.allclose(x, ref.witness_comparison_loop(*inputs), rtol=COMPARISON_TOL, atol=0)
+    # and the matching test's tolerance carries no underflow floor up here
+    assert tolerance(*inputs)[-1] <= 1.001 * COMPARISON_TOL * x[-1]
 
 
 # Each case's loop makes no rounding error, so the scan must match it exactly.
@@ -438,7 +464,6 @@ def test_comparison_witness_counts_long_exponents_in_int64(monkeypatch):
 # -- product ladder ------------------------------------------------------------
 
 LADDER_RTOL = 1e-12
-TINY = np.finfo(float).tiny
 
 
 def _leaves_the_normals(factors: np.ndarray) -> bool:
