@@ -222,48 +222,54 @@ def _write_json(fh, payload: dict, reports) -> None:
     fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
-def _stem(path: str) -> Path:
-    p = Path(path)
-    if p.suffix in (".csv", ".json"):
-        p = p.with_suffix("")
-    return p
+def _targets(config: str, path: str, suffixes: Sequence[str]) -> list[Path]:
+    """path with each of suffixes in place of its own .csv or .json suffix; a
+    target that resolves to the config file raises ConfigError."""
+    stem = Path(path).with_suffix("") if Path(path).suffix in (".csv", ".json") else Path(path)
+    targets = [stem.with_suffix(s) for s in suffixes]
+    if Path(config).resolve() in [t.resolve() for t in targets]:
+        raise ConfigError(f"output.path would write over the config file {config}")
+    return targets
+
+
+def _write_files(targets: Sequence[Path], writes) -> None:
+    """Each write(fh) fills a temporary file next to its target; once all are
+    written each replaces its target.  On failure only the temporary files
+    are removed, so older reports stay as they were."""
+    temps: list[Path] = []
+    try:
+        for target, write in zip(targets, writes):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+            with open(temps[-1], "w", encoding="utf-8") as fh:
+                write(fh)
+        for target, temp in zip(targets, temps):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = ScenarioConfig.from_dict(_read_config(args.config))
+    spec, csv = scenario.instance, scenario.output_format == "csv"
+    targets = _targets(args.config, scenario.output_path,
+                       (".csv", ".json") if csv else (".json",))
 
     started = time.monotonic()
-    summary = run_verification(scenario.instance)
+    summary = run_verification(spec)
     elapsed = time.monotonic() - started
-    payload = summary.to_dict()
-    payload["theorem"] = scenario.instance.case.value
-    payload["seed"] = scenario.instance.rng_seed
-    payload["witness_mode"] = scenario.instance.witness_mode.value
-    payload["exponent_variant"] = scenario.variant_mode
-    payload["scale1"] = scenario.instance.scale1.describe()
-    payload["scale2"] = scenario.instance.scale2.describe()
-
-    stem = _stem(scenario.output_path)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        if scenario.output_format == "csv":
-            written.append(stem.with_suffix(".csv"))
-            with open(written[-1], "w", encoding="utf-8") as fh:
-                _write_csv(fh, summary.reports)
-        written.append(stem.with_suffix(".json"))
-        with open(written[-1], "w", encoding="utf-8") as fh:
-            if scenario.output_format == "csv":
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            else:
-                _write_json(fh, payload, summary.reports)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    payload = {**summary.to_dict(), "theorem": spec.case.value, "seed": spec.rng_seed,
+               "witness_mode": spec.witness_mode.value,
+               "exponent_variant": scenario.variant_mode,
+               "scale1": spec.scale1.describe(), "scale2": spec.scale2.describe()}
+    _write_files(targets, [
+        lambda fh: _write_csv(fh, summary.reports),
+        lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"),
+    ] if csv else [lambda fh: _write_json(fh, payload, summary.reports)])
     log.info("verified %d instances in %.3f s; wrote %s",
-             summary.instances_run, elapsed,
-             ", ".join(str(p) for p in written))
+             summary.instances_run, elapsed, ", ".join(map(str, targets)))
     if summary.instances_with_violation:
         log.error("bound violated in %d of %d instances (worst relative excess %g)",
                   summary.instances_with_violation, summary.instances_run,
@@ -288,6 +294,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     path = _section(raw, "output").get("path")
     if not path:
         raise ConfigError("converge config needs output.path")
+    csv_path, = _targets(args.config, str(path), (".csv",))
 
     if op == "exp":
         if fn.family != "constant" or fn.value is None:
@@ -316,17 +323,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         rows.append((hk, err, order))
         prev_err = err
 
-    csv_path = _stem(path).with_suffix(".csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("h,max_error,observed_order\n")
-            for hk, err, order in rows:
-                tail = "" if order is None else fmt_number(order)
-                fh.write(f"{fmt_number(hk)},{fmt_number(err)},{tail}\n")
-    except BaseException:
-        csv_path.unlink(missing_ok=True)
-        raise
+    text = "h,max_error,observed_order\n" + "".join(
+        f"{fmt_number(hk)},{fmt_number(err)},{'' if order is None else fmt_number(order)}\n"
+        for hk, err, order in rows)
+    _write_files([csv_path], [lambda fh: fh.write(text)])
     log.info("wrote %s", csv_path)
     return 0
 

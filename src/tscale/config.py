@@ -200,7 +200,8 @@ class FnSpec:
 
     Construction checks every number once: a one-number field becomes a
     finite float, and coeffs, values and params become rectangular nested
-    tuples of finite floats, so the realizers read them as they are.
+    tuples of finite floats, so the realizers read them as they are.  'any'
+    takes no fields, as the family it draws would ignore them.
     """
 
     family: str = "any"
@@ -219,6 +220,8 @@ class FnSpec:
             raise ConfigError(f"unknown function family '{self.family}'")
         for name in _NUMBER_FIELDS + _LIST_FIELDS:
             v = getattr(self, name)
+            if v is not None and self.family == "any":
+                raise ConfigError(f"'{name}' needs a 'family'; 'any' reads no fields")
             if v is not None:
                 object.__setattr__(self, name, _parse_number(v) if name in _NUMBER_FIELDS
                                    else _number_table(v, name))

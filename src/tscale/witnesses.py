@@ -5,9 +5,9 @@ feedback term shrunk by a factor in [0, 1) (or a slack subtracted) to sit
 strictly inside the hypothesis cone.  In two variables row i depends only on
 the rows below it, so the pointwise, system and integro-dynamic witnesses
 share one O(n1)-step row sweep that carries Neumaier-compensated column sums
-and takes each row's rectangle sums from one compensated prefix sum.  The
-kernel witness sees the outer point: a kernel of r separable terms runs the
-same sweep with r fields, O(r N) in total, and a dense kernel table is
+and takes each row's rectangle sums from one compensated prefix sum.  A
+kernel of r separable terms runs the sweep with r fields, O(r N) in total,
+the pointwise kernel k(s) being the one term (1, k); a dense kernel table is
 contracted one row slab at a time, O(N^2) like the table.  The first-order
 comparison witness composes its affine steps by a doubling scan in O(log n)
 numpy steps.
@@ -61,24 +61,34 @@ def _row_sweep(domain: TimeScale2D, fields: int,
             col = total
 
 
+def _unit_factors(k: GridFn2) -> tuple[np.ndarray, np.ndarray]:
+    """The pointwise kernel k(s) as the one separable term (alpha, beta) = (1, k)."""
+    return np.broadcast_to(1.0, (1, *k.values.shape)), k.values[None]
+
+
+def _witness_factored(p: GridFn2, q: GridFn2, alpha, beta, rho: float) -> GridFn2:
+    """The row sweep with one field per term r: row i takes the sum over r of
+    alpha[r, i] * sums[r] and feeds beta[r, i] * u[i]."""
+    u = np.empty(p.domain.shape)
+
+    def row(i, sums):
+        u[i] = p.values[i] + rho * q.values[i] * (alpha[:, i] * sums).sum(axis=0)
+        return beta[:, i, :-1] * u[i, :-1]
+
+    _row_sweep(p.domain, len(alpha), row)
+    return GridFn2(p.domain, u)
+
+
 def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
                       feedback_scale: float = 1.0) -> GridFn2:
     """u with u = p + feedback_scale * q * double integral of k*u.
 
     feedback_scale 1 is the equality case of the pointwise-kernel
     hypothesis; smaller factors keep u strictly below the right-hand side
-    wherever the feedback term is positive.
+    wherever the feedback term is positive; it is the one-term kernel (1, k).
     """
     _require_same_domain(p, q, k)
-    rho = _check_feedback(feedback_scale)
-    u = np.empty(p.domain.shape)
-
-    def row(i, sums):
-        u[i] = p.values[i] + rho * q.values[i] * sums[0]
-        return k.values[i, :-1] * u[i, :-1]
-
-    _row_sweep(p.domain, 1, row)
-    return GridFn2(p.domain, u)
+    return _witness_factored(p, q, *_unit_factors(k), _check_feedback(feedback_scale))
 
 
 def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
@@ -86,25 +96,17 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     """Like witness_pointwise, but the kernel also sees the outer point:
     u(t) = p(t) + feedback_scale * q(t) * sum of k(t1, t2, s1, s2) u(s) mu mu.
 
-    A factored kernel runs the shared row sweep with one field per term r:
-    row i takes the sum over r of alpha[r, i] * sums[r] and feeds
-    beta[r, i] * u[i].  A dense table contracts each row's slab instead.
+    A factored kernel runs the shared row sweep with one field per term; a
+    dense table contracts each row's slab instead.
     """
     _require_same_domain(p, q)
     if not kernel.domain.same_points(p.domain):
         raise ScaleMismatchError("kernel lives on a different product scale")
     rho = _check_feedback(feedback_scale)
+    if kernel.factors is not None:
+        return _witness_factored(p, q, *kernel.factors, rho)
     n1, n2 = p.domain.shape
     u = np.empty((n1, n2))
-    if kernel.factors is not None:
-        alpha, beta = kernel.factors
-
-        def row(i, sums):
-            u[i] = p.values[i] + rho * q.values[i] * (alpha[:, i] * sums).sum(axis=0)
-            return beta[:, i, :-1] * u[i, :-1]
-
-        _row_sweep(p.domain, len(alpha), row)
-        return GridFn2(p.domain, u)
     wmu = _cell_weights(p.domain)
     before = np.tri(n2, n2 - 1, -1)    # before[j, b] = 1 where b < j
     uw = np.empty((n1 - 1, n2 - 1))

@@ -15,7 +15,10 @@ exponential is a raw cumprod that underflows to 0.  The coefficient
 realizers are the two hand-written family switches, one per dimension, that
 convert each descriptor field with float() where they use it, and
 realize_kernel builds the dense (n1, n2, n1, n2) table that config kernels
-now hold as separable factors.
+now hold as separable factors.  Two vectorized forms stay as references for
+their replacements: the pointwise witness as its own row of the shared
+sweep, and the kernel re-check that contracts the kernel's row slabs one
+lattice row at a time, which serves any kernel, dense tables included.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from numpy.polynomial import polynomial as npoly
 
 from tscale import ConfigError, GridFn1, GridFn2, KernelOracle
 from tscale.grid2d import check_kernel_budget
+from tscale.witnesses import _row_sweep
 
 
 def cell_weights(domain) -> np.ndarray:
@@ -61,6 +65,17 @@ def witness_pointwise(p, q, k, rho=1.0) -> np.ndarray:
             u[i, j] = p.values[i, j] + rho * q.values[i, j] * s
             if i < n1 - 1 and j < n2 - 1:
                 fed[i, j] = k.values[i, j] * u[i, j] * wmu[i, j]
+    return u
+
+
+def witness_pointwise_rows(p, q, k, rho=1.0) -> np.ndarray:
+    u = np.empty(p.domain.shape)
+
+    def row(i, sums):
+        u[i] = p.values[i] + rho * q.values[i] * sums[0]
+        return k.values[i, :-1] * u[i, :-1]
+
+    _row_sweep(p.domain, 1, row)
     return u
 
 
@@ -296,6 +311,18 @@ def recheck_kernel(p, q, kernel, u) -> float:
                                                            * uw[:i, :j]).sum())
             worst = max(worst, (u.values[i, j] - rhs) / (1.0 + abs(rhs)))
     return worst
+
+
+def recheck_kernel_slabs(p, q, kernel, u) -> float:
+    uw = u.values[:-1, :-1] * cell_weights(u.domain)
+    n1, n2 = u.domain.shape
+    j = np.arange(1, n2)
+    rhs = p.values.copy()
+    for i in range(1, n1):
+        # prefix[j, b] sums k(i, j, a, b') u(a, b') mu mu over a < i, b' <= b
+        prefix = np.einsum("jab,ab->jb", kernel.slab(i, i, n2 - 1), uw[:i]).cumsum(axis=1)
+        rhs[i, 1:] += q.values[i, 1:] * prefix[j, j - 1]
+    return float(((u.values - rhs) / (1.0 + np.abs(rhs))).max())
 
 
 def recheck_system(c1, c2, hs, u, v) -> float:

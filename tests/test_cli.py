@@ -85,6 +85,18 @@ def test_calc_compare_rejects_a_non_finite_start(capsys, xa):
     assert "--xa must be a finite number" in err
 
 
+@pytest.mark.parametrize("fn, code", [
+    ("exp:2,0.5", 0), ("sin", 0), ("sin:2", 0), ("table:1,2,3,4,5", 0),
+    ("exp:2", 2), ("sin:", 2), ("table:1,2", 2), ("poly:1,x", 2)])
+def test_calc_parses_text_descriptors(capsys, fn, code):
+    got, out, err = run_cli(capsys, "calc", "dderiv", "--scale", "integer:0..4", "--fn", fn)
+    assert got == code
+    if code == 0:
+        assert len(out.splitlines()) == 5 and not err
+    else:
+        assert err.startswith("error:") and not out
+
+
 def test_calc_rejects_small_q(capsys):
     code, _, err = run_cli(capsys, "calc", "mu", "--scale", "q:1,5")
     assert code == 2
@@ -236,12 +248,18 @@ def test_verify_report_bytes_match_the_row_loop(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypatch, fmt):
+    """A write that fails partway leaves older reports at the targets as they
+    were and no temporary file behind."""
     blocks = cli_mod._report_blocks
-    report = tmp_path / f"report.{fmt}"
+    old = {tmp_path / "report.csv": b"old rows\n", tmp_path / "report.json": b"{}\n"}
+    for path, data in old.items():
+        path.write_bytes(data)
 
     def fail_on_second_report(rep, **kwargs):
         if failing.pop():
-            assert report.exists()      # the first report's rows are on their way
+            # the first report's rows are on their way to a temporary file
+            assert any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+            assert all(path.read_bytes() == data for path, data in old.items())
             raise OSError("No space left on device")
         return blocks(rep, **kwargs)
 
@@ -253,7 +271,41 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
     assert code == 2
     assert err.startswith("error:") and "No space left" in err
     assert not failing
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json", "v.json"]
+    assert all(path.read_bytes() == data for path, data in old.items())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_replaces_an_older_report_with_the_bytes_of_a_fresh_one(tmp_path, capsys, fmt):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for directory in (tmp_path, fresh):
+        cfg = write_config(directory, "v.json", verify_payload(
+            tmp_path, output={"path": str(directory / "report"), "format": fmt}))
+        if directory is tmp_path:
+            (tmp_path / "report.json").write_text("stale " * 10 ** 4)
+        assert run_cli(capsys, "verify", str(cfg))[0] == 0
+    names = sorted(p.name for p in fresh.iterdir() if p.name != "v.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["fresh", "v.json"])
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
+@pytest.mark.parametrize("path", ["same", "same.json", "same.csv"])
+def test_verify_refuses_to_write_over_its_own_config(tmp_path, capsys, monkeypatch,
+                                                     path, absolute):
+    """Every report target is checked before anything is computed."""
+    monkeypatch.setattr(cli_mod, "run_verification", None)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "same.json", verify_payload(
+        tmp_path, output={"path": str(tmp_path / path) if absolute else path}))
+    before = cfg.read_bytes()
+    code, _, err = run_cli(capsys, "verify", str(cfg) if absolute else "same.json")
+    assert code == 2
+    assert err.startswith("error:") and "over the config file" in err
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.json"]
 
 
 def test_verify_writer_formats_no_row_through_fmt_number(tmp_path, capsys, monkeypatch):
@@ -303,6 +355,23 @@ def test_verify_exit_one_on_violation(tmp_path, capsys, monkeypatch):
     assert code == 1
     summary = json.loads((tmp_path / "report.json").read_text())
     assert summary["instances_with_violation"] == 1
+
+
+@pytest.mark.parametrize("variant, code", [("second", 1), ("first", 0)])
+def test_verify_exit_one_on_a_real_violation(tmp_path, capsys, variant, code):
+    """A constant kernel on a 6x6 integer lattice: the second-variable
+    exponent bound is violated (worst relative excess about 0.37), the
+    first-variable one holds, and the primary variant decides the exit code."""
+    cfg = write_config(tmp_path, "v.json", {
+        "theorem": "kernel", "scale1": "integer:0..5", "scale2": "integer:0..5",
+        "seed": 3, "count": 1, "functions": {"k": {"family": "constant"}},
+        "exponent_variant": variant, "output": {"path": str(tmp_path / "report")}})
+    assert run_cli(capsys, "verify", str(cfg))[0] == code
+    summary = json.loads((tmp_path / "report.json").read_text())
+    assert summary["instances_with_violation"] == code
+    assert summary["variant_comparison"]["second_variable"]["instances_with_violation"] == 1
+    assert summary["variant_comparison"]["first_variable"]["instances_with_violation"] == 0
+    assert (summary["worst_relative_violation"] > 0.3) == (code == 1)
 
 
 def test_verify_internal_error_exits_four(tmp_path, capsys, monkeypatch):
@@ -420,6 +489,13 @@ MALFORMED = {
     "dense-number": {"scale1": {"kind": "explicit", "points": [0, 1], "dense": 5}},
     "of-number": {"scale1": {"kind": "union", "of": 5}},
     "q-fractional-N": {"scale1": "q:2,2.5"},
+    # a field with no family once ran with a drawn family that ignored it
+    "c1-value-no-family": {"theorem": "system", "functions": {"c1": {"value": 2}}},
+    "k-params-no-family": {"theorem": "kernel",
+                           "functions": {"k": {"params": [1, 0, 1, 0, 1, 0, 0]}}},
+    "p-coeffs-any": {"functions": {"p": {"family": "any", "coeffs": [1, 2]}}},
+    "a-rate-any": {"theorem": "integrodynamic",
+                   "functions": {"a": {"family": "any", "rate": 0.1}}},
 }
 
 
@@ -485,10 +561,16 @@ JUNK = st.one_of(
 )
 
 
+# Text function descriptors of every kind, well formed or not.
+TEXT_FNS = st.sampled_from(["const:1", "const:", "poly:0.5,0.1", "poly:1,x", "exp:", "exp:1",
+                            "exp:1,0.1", "exp:1,0.1,2", "sin", "sin:", "sin:2", "table:",
+                            "table:1,2,3", "table:0.5,1,1.5,2", "table:1,x"])
+
+
 @st.composite
 def mutated_configs(draw):
     """A fuzz base with one or two descriptor or scale-list entries replaced
-    by junk or removed."""
+    by junk or removed, or a function descriptor replaced by text."""
     cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
     # Every scale object gets a points list to mutate, whether its kind reads it or not.
     for key in ("scale1", "scale2"):
@@ -497,6 +579,9 @@ def mutated_configs(draw):
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(sorted(cfg["functions"]) + ["scale1", "scale2"]))
         holder = cfg if name.startswith("scale") else cfg["functions"]
+        if holder is not cfg and draw(st.integers(0, 3)) == 0:
+            holder[name] = draw(TEXT_FNS)
+            continue
         if not isinstance(holder[name], dict):
             holder[name] = {"family": "any"} if holder is cfg["functions"] else "integer:0..1"
             continue
@@ -579,6 +664,20 @@ def test_converge_constant_function_is_exact(tmp_path, capsys):
         _, err_s, order_s = line.split(",")
         assert err_s == "0"
         assert order_s == ""
+
+
+def test_converge_refuses_to_write_over_its_own_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, "conv.csv", {
+        "operation": "dderiv",
+        "scale": {"kind": "dense_mesh", "start": 0, "end": 1, "h": 0.1},
+        "function": {"family": "constant", "value": 3.0},
+        "output": {"path": str(tmp_path / "conv")},
+    })
+    before = cfg.read_bytes()
+    code, _, err = run_cli(capsys, "converge", str(cfg))
+    assert code == 2 and "over the config file" in err
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conv.csv"]
 
 
 def test_converge_exp_needs_constant_coefficient(tmp_path, capsys):

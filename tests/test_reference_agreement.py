@@ -20,7 +20,11 @@ realizer must give the bits of the two per-dimension family switches and
 leave the random stream in the same state; a config kernel's factors expand
 to the reference's dense table within 1e-15 relative, one rounding of the
 VALUE_CAP scaling.  A factored kernel's witness, A, c, bound, difference
-minima and re-check must agree with the dense table it expands to.
+minima must agree with the dense table it expands to.  The factored
+hypothesis re-check serves every kernel, the pointwise one as the single
+term (1, k); it agrees to 1e-12 with the per-cell loops and with the
+row-slab contraction it replaced, and the pointwise witness, now the one-term
+factored sweep, keeps the bits of the pointwise row sweep.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelIn
                     dense_mesh, exp_fn, explicit_scale, h_grid, integer_segment, q_grid,
                     realize_1d, realize_2d, realize_kernel, realize_scalar,
                     running_integral, union_scales)
-from tscale import bounds, cli, verify, witnesses
+from tscale import bounds, cli, config, verify, witnesses
 from tscale.config import FN_FAMILIES, VALUE_CAP
 from tscale.core import neumaier_cumsum
 from tscale.exponential import ProductLadder
@@ -99,14 +103,28 @@ def assert_residuals_match(new: float, old: float) -> None:
     assert abs(new - old) <= RECHECK_TOL * (1.0 + abs(old))
 
 
+def assert_same_array_bits(new: np.ndarray, old: np.ndarray) -> None:
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def table_factors(kernel):
+    """A dense kernel as n1*n2 separable terms: alpha[r](t) = k(t, s_r) and
+    beta[r] the indicator of the lattice point s_r."""
+    n1, n2 = kernel.domain.shape
+    alpha = np.moveaxis(kernel.table().reshape(n1, n2, n1 * n2), -1, 0)
+    return alpha, np.eye(n1 * n2).reshape(n1 * n2, n1, n2)
+
+
 def check_pointwise(domain, seed, rho):
     _, grid = draws(domain, seed)
     p, q, k = grid(), grid(), grid()
     u = witness_pointwise(p, q, k, rho)
     assert_close(u.values, ref.witness_pointwise(p, q, k, rho))
+    # the one-term factored sweep keeps the bits of the pointwise row sweep
+    assert_same_array_bits(u.values, ref.witness_pointwise_rows(p, q, k, rho))
     # an oversized u gives a residual of the order of the excess
     for cand in (u, GridFn2(domain, 1.01 * u.values)):
-        assert_residuals_match(verify._recheck_pointwise(p, q, k, cand),
+        assert_residuals_match(verify._recheck_kernel(p, q, witnesses._unit_factors(k), cand),
                                ref.recheck_pointwise(p, q, k, cand))
 
 
@@ -118,7 +136,7 @@ def check_kernel(domain, seed, rho):
     u = witness_kernel(p, q, kernel, rho)
     assert_close(u.values, ref.witness_kernel(p, q, kernel, rho))
     for cand in (u, GridFn2(domain, 1.01 * u.values)):
-        assert_residuals_match(verify._recheck_kernel(p, q, kernel, cand),
+        assert_residuals_match(verify._recheck_kernel(p, q, table_factors(kernel), cand),
                                ref.recheck_kernel(p, q, kernel, cand))
     # a random table's differences take both signs and cancel in c and in
     # the reference's a and b
@@ -232,11 +250,11 @@ def check_factored(domain, seed, rho):
         factored, dense = factored_pair(domain, seed, monotone)
         u = witness_kernel(p, q, factored, rho)
         assert_agree(u.values, witness_kernel(p, q, dense, rho).values, monotone)
-        for cand in (u, GridFn2(domain, 1.01 * u.values)):
-            assert_residuals_match(verify._recheck_kernel(p, q, factored, cand),
-                                   verify._recheck_kernel(p, q, dense, cand))
         equality = witness_kernel(p, q, factored)
-        assert verify._recheck_kernel(p, q, factored, equality) <= RECHECK_TOL
+        for cand in (u, equality, GridFn2(domain, 1.01 * u.values)):
+            assert_residuals_match(verify._recheck_kernel(p, q, factored.factors, cand),
+                                   ref.recheck_kernel_slabs(p, q, dense, cand))
+        assert verify._recheck_kernel(p, q, factored.factors, equality) <= RECHECK_TOL
         if min(domain.shape) < 2:
             continue
         for new, old in zip(bounds._kernel_integrals(factored, p, q),
@@ -273,6 +291,40 @@ def test_factored_kernel_matches_its_dense_table(s1, s2, seed, rho):
 @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_factored_kernel_matches_its_dense_table_on_thin_lattices(shape):
     check_factored(edge_domain(shape), 7, 1.0)
+
+
+def shifted_block_sums(cells, block_sums=verify._block_sums):
+    """The block sums one column late: out[..., i, j] sums cells[..., :i, :j - 1]."""
+    out = block_sums(cells)
+    out[..., 1:] = out[..., :-1].copy()
+    return out
+
+
+def recheck_mutants(p, q, factors, u):
+    """Residuals of three broken factored re-checks: block sums one column
+    late, the last term dropped, and alpha and beta swapped."""
+    alpha, beta = factors
+    with mock.patch.object(verify, "_block_sums", shifted_block_sums):
+        yield "shifted block sum", verify._recheck_kernel(p, q, factors, u)
+    yield "dropped term", verify._recheck_kernel(p, q, (alpha[:-1], beta[:-1]), u)
+    yield "swapped alpha/beta", verify._recheck_kernel(p, q, (beta, alpha), u)
+
+
+def test_factored_recheck_catches_its_mutants():
+    """Each mutant of the factored re-check misses the slab reference by far
+    more than the agreement tolerance, at the equality witness and above it."""
+    domain = TimeScale2D(q_grid(1.5, 6), integer_segment(0, 5))
+    rng, grid = draws(domain, 11)
+    p, q = grid(), grid()
+    alpha, beta = rng.uniform(-2.0, 2.0, (2, 2, *domain.shape))
+    factored = KernelOracle.separable(domain, alpha, beta)
+    dense = KernelOracle.from_table(domain, factored.table())
+    u = witness_kernel(p, q, factored)
+    for cand in (u, GridFn2(domain, 1.01 * u.values)):
+        old = ref.recheck_kernel_slabs(p, q, dense, cand)
+        assert_residuals_match(verify._recheck_kernel(p, q, factored.factors, cand), old)
+        for name, new in recheck_mutants(p, q, factored.factors, cand):
+            assert abs(new - old) > 1e3 * RECHECK_TOL * (1.0 + abs(old)), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -893,11 +945,12 @@ def fn_specs(draw, shape, families=FN_FAMILIES):
     and nonnegative so that only their shape can be wrong."""
     family = draw(st.sampled_from(families))
     fields = {}
-    if draw(st.booleans()):
+    # 'any' takes no fields (test_family_any_rejects_every_field)
+    if family != "any" and draw(st.booleans()):
         keys = {"constant": ["value"], "polynomial": ["coeffs"],
                 "exponential": ["amplitude", "rate", "rate1", "rate2"],
-                "tabulated": ["values"], "sin": ["omega"], "affine_product": ["params"],
-                "any": ["value", "coeffs", "amplitude", "rate", "rate1", "values"]}[family]
+                "tabulated": ["values"], "sin": ["omega"],
+                "affine_product": ["params"]}[family]
         for key in draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
             if key == "coeffs":
                 levels = draw(st.sampled_from([len(shape), 1]))
@@ -912,6 +965,18 @@ def fn_specs(draw, shape, families=FN_FAMILIES):
             else:
                 fields[key] = draw(NUMBERS)
     return FnSpec(family, **fields)
+
+
+@pytest.mark.parametrize("name", [*config._NUMBER_FIELDS, *config._LIST_FIELDS])
+def test_family_any_rejects_every_field(name):
+    """A field under family 'any', named or implied, raises ConfigError
+    naming the field, rather than being ignored by the drawn family."""
+    value = [1.0, 2.0] if name in config._LIST_FIELDS else 2.0
+    for spec in (lambda: FnSpec(**{name: value}), lambda: FnSpec("any", **{name: value}),
+                 lambda: config.parse_fn({name: value})):
+        with pytest.raises(ConfigError, match=f"'{name}' needs a 'family'"):
+            spec()
+    assert realize_scalar(config.parse_fn({}), np.random.default_rng(0)) > 0.0
 
 
 def outcome(call, seed):
