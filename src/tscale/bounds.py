@@ -17,6 +17,13 @@ compares an optional witness against it pointwise on kappa x kappa.  The
 kernel case takes A and c straight from the kernel integral, a separable
 kernel from its factors in O(r N) and a dense table one row of slabs at a
 time; bound_kernel_variants finishes both exponent variants from them.
+
+The pointwise, system and integro-dynamic inputs may also hold a stack of
+instances: grid functions with a leading axis of length count, and one c1,
+c2 per instance.  Every step then indexes the lattice axes from the end, so
+each instance gets the bits it would get on its own; the report and the
+diagnostics come back stacked, and BoundReport.unstack() splits them.  The
+kernel case takes one instance, since a KernelOracle does not stack.
 """
 
 from __future__ import annotations
@@ -42,6 +49,12 @@ log = logging.getLogger(__name__)
 VIOLATION_TOL = 1e-9
 # Nonnegativity hypothesis checks accept values down to this far below zero.
 HYPOTHESIS_SLACK = 1e-12
+
+
+def _overflow_checked(fn):
+    """fn without numpy's overflow and invalid-value warnings: every bound
+    raises DomainError itself once its values leave the float range."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
 class ExponentVariant(Enum):
@@ -73,6 +86,10 @@ class BoundReport:
     max_violation is 0 and min_slack is +inf.  violations lists
     (i, j, witness, bound) for every point whose excess crosses the relative
     tolerance VIOLATION_TOL * (1 + |bound|).
+
+    The report of a stack of instances holds stacked grids, max_violation and
+    min_slack as arrays with one entry per instance, and violations and
+    hypothesis_diagnostics as one list per instance; unstack() splits it.
     """
 
     bound: GridFn2
@@ -83,6 +100,18 @@ class BoundReport:
     hypothesis_diagnostics: list[str] = field(default_factory=list)
     exponent_variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE
 
+    def unstack(self) -> list["BoundReport"]:
+        """One report per instance, in stack order; [self] for one instance."""
+        if self.bound.values.ndim == 2:
+            return [self]
+        dom = self.bound.domain
+        witnesses = [None] * len(self.violations) if self.witness is None \
+            else [GridFn2(dom, w) for w in self.witness.values]
+        return [BoundReport(GridFn2(dom, b), w, mv, ms, viol, diags, self.exponent_variant)
+                for b, w, mv, ms, viol, diags in zip(
+                    self.bound.values, witnesses, self.max_violation.tolist(),
+                    self.min_slack.tolist(), self.violations, self.hypothesis_diagnostics)]
+
 
 def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
     m1, m2 = target.shape
@@ -91,29 +120,42 @@ def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
         return witness
     if np.array_equal(d.scale1.points[:m1], target.scale1.points) \
             and np.array_equal(d.scale2.points[:m2], target.scale2.points):
-        return GridFn2(target, witness.values[:m1, :m2])
+        return GridFn2(target, witness.values[..., :m1, :m2])
     raise ScaleMismatchError("witness does not cover the bound's evaluation domain")
 
 
-def _finish(bound: GridFn2, witness: GridFn2 | None, diags: list[str],
+def _instances(vals: np.ndarray, ndim: int) -> np.ndarray:
+    """vals with a leading instance axis: a value of ndim axes, one instance,
+    as a stack of one."""
+    vals = np.asarray(vals, dtype=float)
+    return vals if vals.ndim > ndim else vals[None]
+
+
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) elementwise, as Python's max takes it: NaN gives 0.0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _finish(bound: GridFn2, witness: GridFn2 | None, diags: list,
             variant: ExponentVariant) -> BoundReport:
+    b = _instances(bound.values, 2)
+    violations = [[] for _ in b]
     if witness is None:
-        return BoundReport(bound, None, 0.0, math.inf, [], diags, variant)
-    w = _restrict_witness(witness, bound.domain)
-    excess = w.values - bound.values
-    tol = VIOLATION_TOL * (1.0 + np.abs(bound.values))
-    bad = np.argwhere(excess > tol)
-    violations = [(int(i), int(j), float(w.values[i, j]), float(bound.values[i, j]))
-                  for i, j in bad]
-    return BoundReport(
-        bound=bound,
-        witness=w,
-        max_violation=max(0.0, float(excess.max())),
-        min_slack=float((-excess).min()),
-        violations=violations,
-        hypothesis_diagnostics=diags,
-        exponent_variant=variant,
-    )
+        w = None
+        max_violation, min_slack = np.zeros(len(b)), np.full(len(b), math.inf)
+    else:
+        w = _restrict_witness(witness, bound.domain)
+        wv = _instances(w.values, 2)
+        excess = wv - b
+        tol = VIOLATION_TOL * (1.0 + np.abs(b))
+        for k, i, j in np.argwhere(excess > tol).tolist():
+            violations[k].append((i, j, float(wv[k, i, j]), float(b[k, i, j])))
+        max_violation = _positive_part(excess.max(axis=(1, 2)))
+        min_slack = (-excess).min(axis=(1, 2))
+    if bound.values.ndim == 2:
+        return BoundReport(bound, w, float(max_violation[0]), float(min_slack[0]),
+                           violations[0], diags, variant)
+    return BoundReport(bound, w, max_violation, min_slack, violations, diags, variant)
 
 
 def _min_location(vals: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -121,10 +163,27 @@ def _min_location(vals: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(vals[idx]), tuple(int(i) for i in idx)
 
 
-def _check_nonneg(vals: np.ndarray, name: str, diags: list[str]) -> None:
-    worst, at = _min_location(vals)
-    if worst < -HYPOTHESIS_SLACK:
-        diags.append(f"{name} negative at index {at}: {worst:.6g}")
+def _new_diagnostics(lattice: np.ndarray) -> list[list[str]]:
+    """One empty list of diagnostics per instance of lattice values."""
+    return [[] for _ in _instances(lattice, 2)]
+
+
+def _diagnostics(lists: list[list[str]], lattice: np.ndarray) -> list:
+    """The lists of _new_diagnostics(lattice) as check_hypotheses returns
+    them: all of them for a stack, the one list for one instance."""
+    return lists if lattice.ndim == 3 else lists[0]
+
+
+def _check_nonneg(vals: np.ndarray, name: str, diags: list[list[str]]) -> None:
+    """Append to diags[k] where instance k of vals (a lattice, or a stack of
+    them) dips below -HYPOTHESIS_SLACK, naming the first index of its minimum."""
+    stack = _instances(vals, 2)
+    flat = stack.reshape(len(stack), -1)
+    at = flat.argmin(axis=1)
+    worst = flat[np.arange(len(flat)), at]
+    for k in np.flatnonzero(worst < -HYPOTHESIS_SLACK):
+        idx = tuple(int(i) for i in np.unravel_index(at[k], stack.shape[1:]))
+        diags[k].append(f"{name} negative at index {idx}: {float(worst[k]):.6g}")
 
 
 def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
@@ -187,17 +246,19 @@ def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
 
 
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
-    """E = running product along axis (1 or 2) of 1 + mu * c: on axis 1,
-    E[i, j] = product over s < i of (1 + mu[s] * c[s, j]), on axis 2 the same
-    with i and j exchanged, carried by ProductLadder (zero factors give zeros)."""
-    c_ax = c if axis == 1 else c.T
-    factors = 1.0 + mu[: c_ax.shape[0] - 1, None] * c_ax[:-1, :]
-    out = ProductLadder(factors).ratios_from(0)
+    """E = running product along lattice axis (1 or 2) of 1 + mu * c: on axis 1,
+    E[..., i, j] = product over s < i of (1 + mu[s] * c[..., s, j]), on axis 2
+    the same with i and j exchanged, carried by ProductLadder (zero factors
+    give zeros).  c's lattice axes are its last two."""
+    c_ax = c if axis == 1 else np.swapaxes(c, -1, -2)
+    factors = 1.0 + mu[: c_ax.shape[-2] - 1, None] * c_ax[..., :-1, :]
+    out = np.moveaxis(ProductLadder(np.moveaxis(factors, -2, 0)).ratios_from(0), 0, -2)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{('first', 'second')[axis - 1]}-variable exponential overflowed")
-    return out if axis == 1 else out.T
+    return out if axis == 1 else np.swapaxes(out, -1, -2)
 
 
+@_overflow_checked
 def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     """Dominating function for z <= A + double integral of b*z.
 
@@ -210,12 +271,17 @@ def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     """
     _require_same_domain(A, b)
     av = A.values
-    scale = 1e-12 * (1.0 + float(np.abs(av).max()))
-    if float(av.min()) < -scale or float(b.values.min()) < -scale:
+    lattice = (-2, -1)
+    scale = 1e-12 * (1.0 + np.abs(av).max(axis=lattice))
+
+    def below(x):
+        return x.size and bool(np.any(x.min(axis=lattice) < -scale))
+
+    if below(av) or below(b.values):
         log.warning("gronwall_2d: negative inputs weaken the dominance argument")
-    if av.shape[0] > 1 and float(np.diff(av, axis=0).min()) < -scale:
+    if below(np.diff(av, axis=-2)):
         log.warning("gronwall_2d: A decreases along axis 1; bound not guaranteed")
-    if av.shape[1] > 1 and float(np.diff(av, axis=1).min()) < -scale:
+    if below(np.diff(av, axis=-1)):
         log.warning("gronwall_2d: A decreases along axis 2; bound not guaranteed")
     c = running_integral(b, 2).values
     e = _exp_axis(c, A.domain.mu1, 1)
@@ -286,13 +352,14 @@ class PointwiseInputs:
             raise DomainError("pointwise case needs k as a grid function")
         _require_same_domain(self.p, self.q, self.k)
 
-    def check_hypotheses(self) -> list[str]:
-        """Nonnegativity of p, q and k."""
-        diags: list[str] = []
+    def check_hypotheses(self) -> list:
+        """Nonnegativity of p, q and k; on a stack, one list per instance."""
+        diags = _new_diagnostics(self.p.values)
         for g, nm in ((self.p, "p"), (self.q, "q"), (self.k, "k")):
             _check_nonneg(g.values, nm, diags)
-        return diags
+        return _diagnostics(diags, self.p.values)
 
+    @_overflow_checked
     def bound(self) -> BoundReport:
         diags = check_hypotheses(self)
         dom = self.p.domain
@@ -328,6 +395,8 @@ class KernelInputs:
         if not isinstance(self.k, KernelOracle):
             raise DomainError("kernel case needs k as a KernelOracle")
         _require_same_domain(self.p, self.q)
+        if self.p.values.ndim != 2:
+            raise DomainError("the kernel case takes one instance, not a stack")
         if not self.k.domain.same_points(self.p.domain):
             raise ScaleMismatchError("kernel lives on a different product scale")
 
@@ -337,7 +406,7 @@ class KernelInputs:
         failing difference names the first (i, j), in row order, of its minimum."""
         diags: list[str] = []
         for g, nm in ((self.p, "p"), (self.q, "q")):
-            _check_nonneg(g.values, nm, diags)
+            _check_nonneg(g.values, nm, [diags])
         # a kernel of nonnegative factors is nonnegative without a scan
         if self.k.factors is None or min(f.min() for f in self.k.factors) < 0:
             worst, at = _kernel_min(self.k)
@@ -376,23 +445,25 @@ class SystemInputs:
     def __post_init__(self) -> None:
         _require_same_domain(self.h1, self.h2, self.h3, self.h4)
 
-    def check_hypotheses(self) -> list[str]:
-        """Nonnegativity of c1, c2 and h1..h4."""
-        diags: list[str] = []
+    def check_hypotheses(self) -> list:
+        """Nonnegativity of c1, c2 and h1..h4; on a stack, one list per instance."""
+        diags = _new_diagnostics(self.h1.values)
         for val, nm in ((self.c1, "c1"), (self.c2, "c2")):
-            if val < -HYPOTHESIS_SLACK:
-                diags.append(f"{nm} negative: {val:.6g}")
+            vals = np.broadcast_to(np.asarray(val, dtype=float), (len(diags),))
+            for k in np.flatnonzero(vals < -HYPOTHESIS_SLACK):
+                diags[k].append(f"{nm} negative: {float(vals[k]):.6g}")
         for g, nm in ((self.h1, "h1"), (self.h2, "h2"), (self.h3, "h3"), (self.h4, "h4")):
             _check_nonneg(g.values, nm, diags)
-        return diags
+        return _diagnostics(diags, self.h1.values)
 
+    @_overflow_checked
     def bound(self) -> BoundReport:
-        c1, c2 = float(self.c1), float(self.c2)
-        if c1 < 0 or c2 < 0:
+        c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
+        if np.any(c1 < 0) or np.any(c2 < 0):
             raise DomainError(f"system constants must be nonnegative, got {c1}, {c2}")
         diags = check_hypotheses(self)
         dom = self.h1.domain
-        c3 = c1 + c2
+        c3 = (c1 + c2)[..., None, None]
         h_vals = np.maximum(self.h1.values + self.h3.values, self.h2.values + self.h4.values)
         hfn = GridFn2(dom, h_vals)
         A = GridFn2(dom, c3 * running_double_integral(hfn).values)
@@ -430,24 +501,29 @@ class IntegrodynamicInputs:
                 and self.b.scale.same_points(self.c.domain.scale2)):
             raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
 
-    def check_hypotheses(self) -> list[str]:
+    def check_hypotheses(self) -> list:
         """a and b strictly positive and nondecreasing, c nonnegative, and
-        the witness's mixed delta derivative nonnegative when u is given."""
-        diags: list[str] = []
+        the witness's mixed delta derivative nonnegative when u is given; on
+        a stack, one list per instance."""
+        diags = _new_diagnostics(self.c.values)
         for g, nm in ((self.a, "a"), (self.b, "b")):
-            worst = float(g.values.min())
-            if worst <= 0.0:
-                diags.append(f"{nm} must be strictly positive, found {worst:.6g}")
-            deltas = np.diff(g.values) / np.diff(g.scale.points)
-            lo, at = (float(deltas.min()), int(np.argmin(deltas))) if len(deltas) \
-                else (0.0, 0)
-            if lo < -HYPOTHESIS_SLACK:
-                diags.append(f"{nm} delta derivative negative at index {at}: {lo:.6g}")
+            vals = _instances(g.values, 1)
+            worst = vals.min(axis=1)
+            for k in np.flatnonzero(worst <= 0.0):
+                diags[k].append(f"{nm} must be strictly positive, found {float(worst[k]):.6g}")
+            deltas = np.diff(vals, axis=1) / np.diff(g.scale.points)
+            if deltas.shape[1]:
+                at = deltas.argmin(axis=1)
+                lo = deltas[np.arange(len(deltas)), at]
+                for k in np.flatnonzero(lo < -HYPOTHESIS_SLACK):
+                    diags[k].append(f"{nm} delta derivative negative at index {int(at[k])}: "
+                                    f"{float(lo[k]):.6g}")
         _check_nonneg(self.c.values, "c", diags)
         if self.u is not None:
             _check_nonneg(mixed_partial(self.u).values, "witness mixed delta", diags)
-        return diags
+        return _diagnostics(diags, self.c.values)
 
+    @_overflow_checked
     def bound(self) -> BoundReport:
         a1d, b1d, c2d = self.a, self.b, self.c
         if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
@@ -460,14 +536,15 @@ class IntegrodynamicInputs:
         m1, m2 = n1 - 1, n2 - 1
         mu1 = np.diff(dom.scale1.points)
         kdom = dom.kappa()
-        a_delta = np.diff(a1d.values) / mu1
-        one_plus_c = GridFn2(kdom, 1.0 + c2d.values[:m1, :m2])
+        a, b, c = a1d.values, b1d.values, c2d.values
+        a_delta = np.diff(a, axis=-1) / mu1
+        one_plus_c = GridFn2(kdom, 1.0 + c[..., :m1, :m2])
         inner = running_integral(one_plus_c, 2).values
-        p_vals = a_delta[:, None] / (a1d.values[:m1, None] + b1d.values[0]) + inner
+        p_vals = a_delta[..., None] / (a[..., :m1, None] + b[..., 0, None, None]) + inner
         e_p = _exp_axis(p_vals, mu1, 1)
-        q_vals = (a1d.values[0] + b1d.values[None, :m2]) * e_p * c2d.values[:m1, :m2]
+        q_vals = (a[..., 0, None, None] + b[..., None, :m2]) * e_p * c[..., :m1, :m2]
         qq = running_double_integral(GridFn2(kdom, q_vals)).values
-        h_vals = a1d.values[:m1, None] + b1d.values[None, :m2] + qq
+        h_vals = a[..., :m1, None] + b[..., None, :m2] + qq
         bound = running_double_integral(GridFn2(kdom, h_vals))
         if not np.all(np.isfinite(bound.values)):
             raise DomainError("integrodynamic bound overflowed")
@@ -478,6 +555,7 @@ class IntegrodynamicInputs:
         return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
 
 
+@_overflow_checked
 def bound_kernel_variants(inputs: KernelInputs,
                           variants: tuple[ExponentVariant, ...] = tuple(ExponentVariant),
                           ) -> dict[ExponentVariant, BoundReport]:

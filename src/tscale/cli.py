@@ -184,27 +184,39 @@ class ScenarioConfig:
                    output_format=fmt, variant_mode=variant_mode)
 
 
-def _report_blocks(report, json_rule: bool = False):
+def _axis_numbers(reports, json_rule: bool = False) -> tuple[list[str], list[str]]:
+    """The points of both axes of the reports' shared domain, spelled once for
+    every report of a call."""
+    if not reports:
+        return [], []
+    dom = reports[0].bound.domain
+    return _numbers(dom.scale1.points, json_rule), _numbers(dom.scale2.points, json_rule)
+
+
+def _report_blocks(report, axes: tuple[list[str], list[str]], json_rule: bool = False):
     """Yield a report's rows (t1, t2, witness, bound, slack) as zipped columns
     of spelled numbers, one block of whole lattice rows (at most _BLOCK_VALUES
-    points, at least one row) at a time; t1 and t2 are spelled once per scale
-    point.  Without a witness, witness and slack are NaN."""
-    dom, bound = report.bound.domain, report.bound.values
+    points, at least one row) at a time; axes holds t1 and t2 as
+    _axis_numbers spells them.  Without a witness, witness and slack are NaN;
+    a slack past the float range is inf or NaN, as float subtraction gives it."""
+    bound = report.bound.values
     witness = np.full(bound.shape, math.nan) if report.witness is None \
         else report.witness.values
-    t1 = _numbers(dom.scale1.points, json_rule)
-    t2 = _numbers(dom.scale2.points, json_rule)
+    t1, t2 = axes
     step = max(1, _BLOCK_VALUES // len(t2))
     for lo in range(0, len(t1), step):
         w, b = witness[lo:lo + step], bound[lo:lo + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = b - w
         yield zip([t for t in t1[lo:lo + step] for _ in t2], t2 * len(b),
-                  *(_numbers(v, json_rule) for v in (w, b, b - w)))
+                  *(_numbers(v, json_rule) for v in (w, b, slack)))
 
 
 def _write_csv(fh, reports) -> None:
     fh.write("t1,t2,witness,bound,slack\n")
+    axes = _axis_numbers(reports)
     for report in reports:
-        for rows in _report_blocks(report):
+        for rows in _report_blocks(report, axes=axes):
             fh.write("".join([f"{t1},{t2},{w},{b},{s}\n" for t1, t2, w, b, s in rows]))
 
 
@@ -215,8 +227,9 @@ def _write_json(fh, payload: dict, reports) -> None:
     head, tail = text.split('\n  "points": []', 1)
     fh.write(head + '\n  "points": [')
     sep = "\n"
+    axes = _axis_numbers(reports, json_rule=True)
     for report in reports:
-        for rows in _report_blocks(report, json_rule=True):
+        for rows in _report_blocks(report, axes=axes, json_rule=True):
             fh.write(sep + ",\n".join(starmap(_JSON_POINT.format, rows)))
             sep = ",\n"
     fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")

@@ -363,20 +363,24 @@ def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,
                monotone_positive: bool = False) -> GridFn1:
     """Evaluate (or sample) a one-dimensional coefficient on a scale;
     monotone_positive asks for a strictly positive, nondecreasing one, which
-    sampled families are drawn to be and fixed parameters are checked for."""
-    vals = _realize(spec, (scale.points,), rng, monotone_positive)
-    if monotone_positive:
-        if float(vals.min()) <= 0.0:
-            raise ConfigError("this coefficient must be strictly positive on the scale")
-        if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
-            raise ConfigError("this coefficient must be nondecreasing on the scale")
+    sampled families are drawn to be and fixed parameters are checked for.
+    Values past the float range come out inf or NaN, which GridFn1 rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _realize(spec, (scale.points,), rng, monotone_positive)
+        if monotone_positive:
+            if float(vals.min()) <= 0.0:
+                raise ConfigError("this coefficient must be strictly positive on the scale")
+            if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
+                raise ConfigError("this coefficient must be nondecreasing on the scale")
     return GridFn1(scale, vals)
 
 
 def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None) -> GridFn2:
     """Evaluate (or sample) a two-dimensional coefficient on a product scale;
-    it must be nonnegative on the lattice."""
-    vals = _realize(spec, (domain.scale1.points, domain.scale2.points), rng)
+    it must be nonnegative on the lattice.  Values past the float range come
+    out inf or NaN, which GridFn2 rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _realize(spec, (domain.scale1.points, domain.scale2.points), rng)
     if float(vals.min()) < 0.0:
         raise ConfigError("coefficient functions must be nonnegative on the lattice")
     return GridFn2(domain, vals)

@@ -30,9 +30,10 @@ def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
     Returns out[k] = sum(values[: k + 1]) computed so that the error of each
     prefix stays at a few ulp even when terms cancel or differ wildly in
-    magnitude.  A 2-D array is summed down its first axis, each column on its
-    own.  Prefixes and their rounding errors both accumulate strictly in
-    order, so every entry is bit for bit that of the sequential Neumaier loop.
+    magnitude.  An array of more axes is summed down its first axis, each
+    column on its own.  Prefixes and their rounding errors both accumulate
+    strictly in order, so every entry is bit for bit that of the sequential
+    Neumaier loop.
     """
     vals = np.asarray(values, dtype=float)
     total = np.cumsum(vals, axis=0)
@@ -196,14 +197,18 @@ def union_scales(a: TimeScale, b: TimeScale) -> TimeScale:
 
 @dataclass(frozen=True, eq=False)
 class GridFn1:
-    """Real values attached point by point to a scale."""
+    """Real values attached point by point to a scale.
+
+    values may carry one leading batch axis, a stack of instances on the same
+    scale; only the two-variable bound code reads such stacks.
+    """
 
     scale: TimeScale
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.scale.points.shape:
+        if vals.ndim not in (1, 2) or vals.shape[-1:] != self.scale.points.shape:
             raise ScaleMismatchError("values must align with the scale's points")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid function values must be finite")
@@ -215,7 +220,7 @@ class GridFn1:
         return cls(scale, np.array([float(fn(t)) for t in scale.points]))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.scale)
 
 
 def _require_same_scale(f: GridFn1, g: GridFn1) -> None:

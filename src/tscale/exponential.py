@@ -85,7 +85,8 @@ def circle_minus(g: GridFn1) -> GridFn1:
 
 class ProductLadder:
     """Prefix products P[k] = factors[0] * ... * factors[k-1], P[0] = 1, down
-    axis 0 of factors of shape (n,) or (n, m), for the ratios P[i] / P[j].
+    axis 0 of factors of shape (n, ...), for the ratios P[i] / P[j]; every
+    other axis is a separate product.
 
     A prefix is a mantissa times 2**exponent: mantissas multiply in order and
     renormalize every PRODUCT_BLOCK factors, exponents add as integers.  While

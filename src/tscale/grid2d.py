@@ -51,14 +51,20 @@ class TimeScale2D:
 
 @dataclass(frozen=True, eq=False)
 class GridFn2:
-    """Real values on every lattice point of a product scale."""
+    """Real values on every lattice point of a product scale.
+
+    values may carry one leading batch axis, a stack of instances on the same
+    lattice, shape (count, n1, n2); every lattice operation here and in the
+    witness and bound code indexes the lattice axes from the end, so each
+    instance of a stack gets the bits it would get on its own.
+    """
 
     domain: TimeScale2D
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.domain.shape:
+        if vals.ndim not in (2, 3) or vals.shape[-2:] != self.domain.shape:
             raise ScaleMismatchError(
                 f"values of shape {vals.shape} do not fit domain {self.domain.shape}")
         if not np.all(np.isfinite(vals)):
@@ -80,7 +86,7 @@ class GridFn2:
 
     def kappa_restrict(self) -> "GridFn2":
         """The same values minus the last row and column, on the kappa domain."""
-        return GridFn2(self.domain.kappa(), self.values[:-1, :-1])
+        return GridFn2(self.domain.kappa(), self.values[..., :-1, :-1])
 
 
 def _cell_weights(domain: TimeScale2D) -> np.ndarray:
@@ -91,6 +97,8 @@ def _cell_weights(domain: TimeScale2D) -> np.ndarray:
 def _require_same_domain(f: GridFn2, *others: GridFn2) -> None:
     if not all(f.domain.same_points(g.domain) for g in others):
         raise ScaleMismatchError("grid functions live on different product scales")
+    if any(g.values.shape != f.values.shape for g in others):
+        raise ScaleMismatchError("grid functions hold different stacks of instances")
 
 
 def partial_delta(f: GridFn2, axis: int) -> GridFn2:
@@ -106,7 +114,7 @@ def partial_delta(f: GridFn2, axis: int) -> GridFn2:
         raise DomainError(f"partial delta along axis {axis} needs two "
                           f"{('rows', 'columns')[axis - 1]}")
     mu = np.diff(scales[axis - 1].points)
-    out = np.diff(f.values, axis=axis - 1) / (mu[:, None] if axis == 1 else mu)
+    out = np.diff(f.values, axis=axis - 3) / (mu[:, None] if axis == 1 else mu)
     scales[axis - 1] = scales[axis - 1].kappa()
     return GridFn2(TimeScale2D(*scales), out)
 
@@ -138,7 +146,9 @@ def double_integral(f: GridFn2, rect: tuple[int, int, int, int]) -> float:
 
 
 def exclusive_sums(cells: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] along axis = the compensated sum of cells[:k] there; out[0] = 0."""
+    """out[k] along axis = the compensated sum of cells[:k] there; out[0] = 0.
+    Every other axis is summed on its own, so a lattice axis counted from the
+    end (-2 or -1) leaves a leading stack of instances apart."""
     c = np.swapaxes(cells, 0, axis)
     out = np.zeros_like(c)
     out[1:] = neumaier_cumsum(c[:-1])
@@ -155,7 +165,7 @@ def running_integral(f: GridFn2, axis: int) -> GridFn2:
         raise DomainError(f"axis must be 1 or 2, got {axis}")
     d = f.domain
     mu = d.mu1[:, None] if axis == 1 else d.mu2
-    return GridFn2(d, exclusive_sums(f.values * mu, axis - 1))
+    return GridFn2(d, exclusive_sums(f.values * mu, axis - 3))
 
 
 def running_double_integral(f: GridFn2) -> GridFn2:
@@ -193,6 +203,11 @@ class RectPartition:
 MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
 # Most points one scale axis, or one product lattice, may have.
 MAX_LATTICE_POINTS = 10 ** 7
+# Most lattice points, summed over its instances, that one stacked verify
+# pass holds.  A pass keeps a few dozen arrays of that many doubles, so the
+# limit keeps its working set near 20 MB; a larger batch runs as consecutive
+# stacks, and an instance larger than the limit runs alone.
+MAX_STACK_POINTS = 2 ** 16
 
 
 def check_lattice_points(count: float, what: str) -> None:

@@ -13,6 +13,17 @@ pointwise kernel k(s) is the one term (1, k), so one re-check serves both:
 the right-hand side is p + q * sum over r of alpha_r * S_r, where S_r holds
 the block sums of beta_r * u * mu1 * mu2 (the summed-area table of each
 term), in O(r N) work without expanding the kernel.
+
+A batch runs as stacks.  The driver realizes the instances of a stack one
+by one, in the order of the random stream, stacks their values on a leading
+instance axis, and runs the witness, the bound and the re-check once on the
+whole stack; every step indexes the lattice axes from the end, so each
+instance gets the bits it would get on its own.  A stack holds at most
+grid2d.MAX_STACK_POINTS lattice points, and the kernel case, whose
+KernelOracle does not stack, runs stacks of one.  When a stacked pass
+raises, its instances run again one at a time, so the error names the
+lowest failing instance, as an error in realizing an instance does once the
+instances before it have passed.
 """
 
 from __future__ import annotations
@@ -24,12 +35,13 @@ from typing import Mapping
 
 import numpy as np
 
-from . import witnesses
+from . import grid2d, witnesses
 from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInputs,
-                     KernelInputs, PointwiseInputs, SystemInputs,
+                     KernelInputs, PointwiseInputs, SystemInputs, _positive_part,
                      bound_kernel_variants, compute_bound)
 from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
     realize_scalar
+from .core import GridFn1
 from .errors import ConfigError, TscaleError
 from .grid2d import GridFn2, TimeScale2D, _cell_weights, check_lattice_points
 
@@ -113,75 +125,94 @@ def _block_sums(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest (lhs - rhs) / (1 + |rhs|) over the lattice."""
-    return float(((lhs - rhs) / (1.0 + np.abs(rhs))).max())
+def _lattice_max(x: np.ndarray) -> np.ndarray:
+    """The largest entry of each lattice of x, one per instance of a stack."""
+    return x.max(axis=(-2, -1))
 
 
-def _recheck_kernel(p: GridFn2, q: GridFn2, factors, u: GridFn2) -> float:
+def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(a, b) elementwise, as Python's max takes it: a unless b > a."""
+    return np.where(b > a, b, a)
+
+
+def _excess(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Largest (lhs - rhs) / (1 + |rhs|) over the lattice, per instance."""
+    return _lattice_max((lhs - rhs) / (1.0 + np.abs(rhs)))
+
+
+def _recheck_kernel(p: GridFn2, q: GridFn2, factors, u: GridFn2) -> np.ndarray:
     """u's excess over p + q * ii(k u) for k(t, s) = sum over r of
-    alpha[r](t) * beta[r](s), from factors (alpha, beta) of shape (r, n1, n2)."""
+    alpha[r](t) * beta[r](s), from factors (alpha, beta) of shape (r, n1, n2),
+    or (r, count, n1, n2) on a stack of count instances."""
     alpha, beta = factors
-    fed = beta[:, :-1, :-1] * u.values[:-1, :-1] * _cell_weights(u.domain)
+    fed = beta[..., :-1, :-1] * u.values[..., :-1, :-1] * _cell_weights(u.domain)
     return _excess(u.values, p.values + q.values * (alpha * _block_sums(fed)).sum(axis=0))
 
 
-def _recheck_system(c1: float, c2: float, hs, u: GridFn2, v: GridFn2) -> float:
-    h1, h2, h3, h4 = (h.values[:-1, :-1] for h in hs)
-    uk, vk = u.values[:-1, :-1], v.values[:-1, :-1]
+def _recheck_system(c1, c2, hs, u: GridFn2, v: GridFn2) -> np.ndarray:
+    h1, h2, h3, h4 = (h.values[..., :-1, :-1] for h in hs)
+    uk, vk = u.values[..., :-1, :-1], v.values[..., :-1, :-1]
     wmu = _cell_weights(u.domain)
     su, sv = _block_sums(np.stack(((h1 * uk + h2 * vk) * wmu, (h3 * uk + h4 * vk) * wmu)))
-    return max(_excess(u.values, c1 + su), _excess(v.values, c2 + sv))
+    c1, c2 = (np.asarray(c, dtype=float)[..., None, None] for c in (c1, c2))
+    return _larger(_excess(u.values, c1 + su), _excess(v.values, c2 + sv))
 
 
-def _recheck_integrodynamic(a, b, c: GridFn2, u: GridFn2, w: GridFn2) -> float:
-    if np.any(u.values[0, :] != 0.0) or np.any(u.values[:, 0] != 0.0):
-        return math.inf
+def _recheck_integrodynamic(a, b, c: GridFn2, u: GridFn2, w: GridFn2) -> np.ndarray:
+    uv = u.values
+    off_axes = np.any(uv[..., 0, :] != 0.0, axis=-1) | np.any(uv[..., :, 0] != 0.0, axis=-1)
     wmu = _cell_weights(u.domain)
-    wk = w.values[:-1, :-1]
-    fed, u_ref = _block_sums(np.stack((c.values[:-1, :-1] * (u.values[:-1, :-1] + wk) * wmu,
+    wk = w.values[..., :-1, :-1]
+    fed, u_ref = _block_sums(np.stack((c.values[..., :-1, :-1] * (uv[..., :-1, :-1] + wk) * wmu,
                                        wk * wmu)))
-    rhs_w = a.values[:, None] + b.values[None, :] + fed
-    return max(_excess(w.values, rhs_w),
-               float((np.abs(u.values - u_ref) / (1.0 + np.abs(u_ref))).max()))
+    rhs_w = a.values[..., :, None] + b.values[..., None, :] + fed
+    residual = _larger(_excess(w.values, rhs_w),
+                       _lattice_max(np.abs(uv - u_ref) / (1.0 + np.abs(u_ref))))
+    return np.where(off_axes, math.inf, residual)
 
 
-def _relative_violation(report: BoundReport) -> float:
-    if report.witness is None:
-        return 0.0
-    excess = report.witness.values - report.bound.values
-    rel = excess / (1.0 + np.abs(report.bound.values))
-    return max(0.0, float(rel.max()))
+def _relative_violation(report: BoundReport) -> np.ndarray:
+    """Largest (witness - bound) / (1 + |bound|), clamped at 0, per instance."""
+    bound = report.bound.values
+    return _positive_part(_lattice_max((report.witness.values - bound) / (1.0 + np.abs(bound))))
 
 
 def run_verification(spec: InstanceSpec) -> VerifySummary:
     """Run spec.count seeded instances and aggregate dominance statistics.
 
     A fixed rng_seed reproduces the summary bit for bit: one sequential
-    PCG64 stream drives every draw, instances are generated and checked in
-    index order, and each case realizes its functions in a documented fixed
-    order before drawing the slack factor.  For the kernel case both
-    exponent variants are evaluated on every instance; the variant named by
-    the spec is the primary one whose violations are counted.
+    PCG64 stream drives every draw, instances are generated in index order,
+    and each case realizes its functions in a documented fixed order before
+    drawing the slack factor.  Instances are checked in stacks (see the
+    module docstring) with the bits of one instance at a time.  For the
+    kernel case both exponent variants are evaluated on every instance; the
+    variant named by the spec is the primary one whose violations are counted.
     """
     dom = TimeScale2D(spec.scale1.build(), spec.scale2.build())
-    check_lattice_points(dom.shape[0] * dom.shape[1], "product lattice")
+    points = dom.shape[0] * dom.shape[1]
+    check_lattice_points(points, "product lattice")
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
     fns = dict(spec.functions)
+    per_stack = 1 if spec.case is BoundCase.KERNEL \
+        else max(1, grid2d.MAX_STACK_POINTS // points)
+
+    checked: list[tuple[BoundReport, float, float, dict | None]] = []
+    for start in range(0, spec.count, per_stack):
+        drawn = []
+        for idx in range(start, min(start + per_stack, spec.count)):
+            try:
+                drawn.append(_realize(spec, dom, fns, rng))
+            except TscaleError as exc:
+                _check_instances(spec, drawn, start)    # the instances before idx first
+                raise type(exc)(f"instance {idx}: {exc}") from exc
+        checked += _check_instances(spec, drawn, start)
 
     digests: list[dict] = []
-    reports: list[BoundReport] = []
     violations = 0
     worst = 0.0
     first_bad = 0
     second_bad = 0
-
-    for idx in range(spec.count):
-        try:
-            report, residual, extra = _run_instance(spec, dom, fns, rng)
-        except TscaleError as exc:
-            raise type(exc)(f"instance {idx}: {exc}") from exc
-        rel = _relative_violation(report)
+    for idx, (report, residual, rel, extra) in enumerate(checked):
         worst = max(worst, rel)
         if report.violations:
             violations += 1
@@ -202,7 +233,6 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
             if not extra["second_variable_dominates"]:
                 second_bad += 1
         digests.append(digest)
-        reports.append(report)
 
     comparison = None
     if spec.case is BoundCase.KERNEL:
@@ -216,31 +246,77 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
         worst_relative_violation=worst,
         digests=digests,
         variant_comparison=comparison,
-        reports=reports,
+        reports=[report for report, *_ in checked],
     )
 
 
-def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
-                  fns: Mapping[str, FnSpec], rng):
-    """One instance: realize functions, build the witness, bound, re-check.
-
-    Returns (report, hypothesis residual, kernel-only extras).
-    """
+def _realize(spec: InstanceSpec, dom: TimeScale2D, fns: Mapping[str, FnSpec], rng) -> tuple:
+    """One instance's coefficients, in the case's fixed order, then its
+    feedback factor."""
     case = spec.case
-    mode = spec.witness_mode
+    if case is BoundCase.POINTWISE or case is BoundCase.KERNEL:
+        fields = [realize_2d(fns.get(name, _ANY), dom, rng) for name in ("p", "q")]
+        realize_k = realize_2d if case is BoundCase.POINTWISE else realize_kernel
+        fields.append(realize_k(fns.get("k", _ANY), dom, rng))
+    elif case is BoundCase.SYSTEM:
+        fields = [realize_scalar(fns.get(name, FnSpec("constant")), rng)
+                  for name in ("c1", "c2")]
+        fields += [realize_2d(fns.get(name, _ANY), dom, rng)
+                   for name in ("h1", "h2", "h3", "h4")]
+    else:
+        fields = [realize_1d(fns.get("a", _ANY), dom.scale1, rng, monotone_positive=True),
+                  realize_1d(fns.get("b", _ANY), dom.scale2, rng, monotone_positive=True),
+                  realize_2d(fns.get("c", _ANY), dom, rng)]
+    return (*fields, _feedback(rng, spec.witness_mode))
+
+
+def _stack(drawn: list[tuple]) -> tuple:
+    """The fields of several instances on a leading instance axis: grid
+    functions as stacked grid functions, numbers as arrays."""
+    out = []
+    for field_values in zip(*drawn):
+        first = field_values[0]
+        if isinstance(first, GridFn2):
+            out.append(GridFn2(first.domain, np.stack([f.values for f in field_values])))
+        elif isinstance(first, GridFn1):
+            out.append(GridFn1(first.scale, np.stack([f.values for f in field_values])))
+        else:
+            out.append(np.array(field_values, dtype=float))
+    return tuple(out)
+
+
+def _check_instances(spec: InstanceSpec, drawn: list[tuple], first: int) -> list[tuple]:
+    """(report, residual, relative violation, kernel extras) of each drawn
+    instance, numbered from first, from one stacked pass.  If the pass
+    raises, the instances run again one at a time, so the lowest failing one
+    raises its own error, prefixed with its number."""
+    if len(drawn) > 1:
+        try:
+            return _check_stack(spec, _stack(drawn))
+        except TscaleError:
+            pass
+    checked = []
+    for idx, fields in enumerate(drawn, first):
+        try:
+            checked += _check_stack(spec, fields)
+        except TscaleError as exc:
+            raise type(exc)(f"instance {idx}: {exc}") from exc
+    return checked
+
+
+def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
+    """Witness, bound and re-check of one instance or one stack of them, split
+    into one (report, residual, relative violation, extras) per instance."""
+    case = spec.case
+    *coeffs, rho = fields
+    extra = None
     if case is BoundCase.POINTWISE:
-        p = realize_2d(fns.get("p", _ANY), dom, rng)
-        q = realize_2d(fns.get("q", _ANY), dom, rng)
-        k = realize_2d(fns.get("k", _ANY), dom, rng)
-        rho = _feedback(rng, mode)
+        p, q, k = coeffs
         u = witnesses.witness_pointwise(p, q, k, rho)
         report = compute_bound(PointwiseInputs(p, q, k, u))
-        return report, _recheck_kernel(p, q, witnesses._unit_factors(k), u), None
-    if case is BoundCase.KERNEL:
-        p = realize_2d(fns.get("p", _ANY), dom, rng)
-        q = realize_2d(fns.get("q", _ANY), dom, rng)
-        kernel = realize_kernel(fns.get("k", _ANY), dom, rng)
-        rho = _feedback(rng, mode)
+        residual = _recheck_kernel(p, q, witnesses._unit_factors(k), u)
+    elif case is BoundCase.KERNEL:
+        p, q, kernel = coeffs
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bound_kernel_variants(KernelInputs(p, q, kernel, u))
         second = by_variant[ExponentVariant.SECOND_VARIABLE]
@@ -250,23 +326,20 @@ def _run_instance(spec: InstanceSpec, dom: TimeScale2D,
             "second_variable_dominates": not second.violations,
             "second_variable_max_violation": second.max_violation,
         }
-        return by_variant[spec.exponent_variant], _recheck_kernel(p, q, kernel.factors, u), extra
-    if case is BoundCase.SYSTEM:
-        c1 = realize_scalar(fns.get("c1", FnSpec("constant")), rng)
-        c2 = realize_scalar(fns.get("c2", FnSpec("constant")), rng)
-        hs = tuple(realize_2d(fns.get(name, _ANY), dom, rng)
-                   for name in ("h1", "h2", "h3", "h4"))
-        rho = _feedback(rng, mode)
+        report = by_variant[spec.exponent_variant]
+        residual = _recheck_kernel(p, q, kernel.factors, u)
+    elif case is BoundCase.SYSTEM:
+        c1, c2, *hs = coeffs
         u, v = witnesses.witness_system(c1, c2, *hs, feedback_scale=rho)
-        combined = GridFn2(dom, u.values + v.values)
+        combined = GridFn2(u.domain, u.values + v.values)
         report = compute_bound(SystemInputs(c1, c2, *hs, u=combined))
-        return report, _recheck_system(c1, c2, hs, u, v), None
-    if case is BoundCase.INTEGRODYNAMIC:
-        a = realize_1d(fns.get("a", _ANY), dom.scale1, rng, monotone_positive=True)
-        b = realize_1d(fns.get("b", _ANY), dom.scale2, rng, monotone_positive=True)
-        c = realize_2d(fns.get("c", _ANY), dom, rng)
-        rho = _feedback(rng, mode)
+        residual = _recheck_system(c1, c2, hs, u, v)
+    else:
+        a, b, c = coeffs
         u, w = witnesses.witness_integrodynamic(a, b, c, rho)
         report = compute_bound(IntegrodynamicInputs(a, b, c, u))
-        return report, _recheck_integrodynamic(a, b, c, u, w), None
-    raise ConfigError(f"unknown case '{case}'")
+        residual = _recheck_integrodynamic(a, b, c, u, w)
+    reports = report.unstack()
+    return list(zip(reports, np.atleast_1d(residual).tolist(),
+                    np.atleast_1d(_relative_violation(report)).tolist(),
+                    [extra] * len(reports)))

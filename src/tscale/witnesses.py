@@ -10,7 +10,9 @@ kernel of r separable terms runs the sweep with r fields, O(r N) in total,
 the pointwise kernel k(s) being the one term (1, k); a dense kernel table is
 contracted one row slab at a time, O(N^2) like the table.  The first-order
 comparison witness composes its affine steps by a doubling scan in O(log n)
-numpy steps.
+numpy steps.  The two-variable witnesses also take a stack of instances, grid
+functions of shape (count, n1, n2) with one constant or feedback factor per
+instance, and sweep them all at once; each instance keeps its own bits.
 """
 
 from __future__ import annotations
@@ -30,29 +32,38 @@ from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
 _INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075 - 1
 
 
-def _check_feedback(feedback_scale: float) -> float:
-    fs = float(feedback_scale)
-    if not 0.0 <= fs <= 1.0:
+def _per_instance(x) -> np.ndarray:
+    """A number, or one per instance of a stack, as an array that broadcasts
+    against a lattice row: shape (1,) or (count, 1)."""
+    return np.asarray(x, dtype=float)[..., None]
+
+
+def _check_feedback(feedback_scale) -> np.ndarray:
+    fs = _per_instance(feedback_scale)
+    if not np.all((0.0 <= fs) & (fs <= 1.0)):
         raise DomainError("feedback_scale must lie in [0, 1]")
     return fs
 
 
-def _row_sweep(domain: TimeScale2D, fields: int,
+# A witness past the float range needs no warning: GridFn2 rejects it.
+@np.errstate(over="ignore", invalid="ignore")
+def _row_sweep(domain: TimeScale2D, lead: tuple[int, ...],
                row: Callable[[int, np.ndarray], np.ndarray]) -> None:
     """Call row(i, sums) for i = 0, 1, ..., n1 - 1 in order.
 
-    sums[f, j] is the double integral of field f over [0, i) x [0, j): the
-    compensated sum of its integrand times mu1 * mu2 over that rectangle, so
-    sums[:, 0] and row 0 are zero.  row fills lattice row i and returns each
-    field's integrand on row i's kappa cells, shape (fields, n2 - 1).
+    lead is (fields,), or (fields, count) for a stack of instances.
+    sums[f, ..., j] is the double integral of field f over [0, i) x [0, j):
+    the compensated sum of its integrand times mu1 * mu2 over that rectangle,
+    so sums[..., 0] and row 0 are zero.  row fills lattice row i and returns
+    each field's integrand on row i's kappa cells, shape (*lead, n2 - 1).
     """
     n1, n2 = domain.shape
     wmu = _cell_weights(domain)
-    col = np.zeros((fields, n2 - 1))    # column sums over the rows fed so far
-    comp = np.zeros((fields, n2 - 1))   # their accumulated rounding errors
-    sums = np.zeros((fields, n2))
+    col = np.zeros((*lead, n2 - 1))    # column sums over the rows fed so far
+    comp = np.zeros((*lead, n2 - 1))   # their accumulated rounding errors
+    sums = np.zeros((*lead, n2))
     for i in range(n1):
-        sums[:, 1:] = neumaier_cumsum((col + comp).T).T
+        sums[..., 1:] = neumaier_cumsum((col + comp).T).T
         cells = row(i, sums)
         if i < n1 - 1:
             fed = cells * wmu[i]
@@ -61,26 +72,35 @@ def _row_sweep(domain: TimeScale2D, fields: int,
             col = total
 
 
+def _rows(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Views of arrays with the lattice-row axis first: [i] is row i of every
+    instance of a stack."""
+    return [np.moveaxis(x, -2, 0) for x in arrays]
+
+
 def _unit_factors(k: GridFn2) -> tuple[np.ndarray, np.ndarray]:
     """The pointwise kernel k(s) as the one separable term (alpha, beta) = (1, k)."""
     return np.broadcast_to(1.0, (1, *k.values.shape)), k.values[None]
 
 
-def _witness_factored(p: GridFn2, q: GridFn2, alpha, beta, rho: float) -> GridFn2:
+def _witness_factored(p: GridFn2, q: GridFn2, alpha, beta, rho: np.ndarray) -> GridFn2:
     """The row sweep with one field per term r: row i takes the sum over r of
-    alpha[r, i] * sums[r] and feeds beta[r, i] * u[i]."""
-    u = np.empty(p.domain.shape)
+    alpha[r, i] * sums[r] and feeds beta[r, i] * u[i].  alpha and beta have
+    shape (r, n1, n2), or (r, count, n1, n2) on a stack of count instances."""
+    u = np.empty(p.values.shape)
+    ur, pr, qr = _rows(u, p.values, q.values)
+    ar, br = (np.moveaxis(x, -2, 1) for x in (alpha, beta))
 
     def row(i, sums):
-        u[i] = p.values[i] + rho * q.values[i] * (alpha[:, i] * sums).sum(axis=0)
-        return beta[:, i, :-1] * u[i, :-1]
+        ur[i] = pr[i] + rho * qr[i] * (ar[:, i] * sums).sum(axis=0)
+        return br[:, i, ..., :-1] * ur[i, ..., :-1]
 
-    _row_sweep(p.domain, len(alpha), row)
+    _row_sweep(p.domain, alpha.shape[:-2], row)
     return GridFn2(p.domain, u)
 
 
 def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
-                      feedback_scale: float = 1.0) -> GridFn2:
+                      feedback_scale=1.0) -> GridFn2:
     """u with u = p + feedback_scale * q * double integral of k*u.
 
     feedback_scale 1 is the equality case of the pointwise-kernel
@@ -92,16 +112,19 @@ def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
 
 
 def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
-                   feedback_scale: float = 1.0) -> GridFn2:
+                   feedback_scale=1.0) -> GridFn2:
     """Like witness_pointwise, but the kernel also sees the outer point:
     u(t) = p(t) + feedback_scale * q(t) * sum of k(t1, t2, s1, s2) u(s) mu mu.
 
     A factored kernel runs the shared row sweep with one field per term; a
-    dense table contracts each row's slab instead.
+    dense table contracts each row's slab instead; a KernelOracle does not
+    stack, so p and q hold one instance.
     """
     _require_same_domain(p, q)
     if not kernel.domain.same_points(p.domain):
         raise ScaleMismatchError("kernel lives on a different product scale")
+    if p.values.ndim != 2:
+        raise DomainError("the kernel case takes one instance, not a stack")
     rho = _check_feedback(feedback_scale)
     if kernel.factors is not None:
         return _witness_factored(p, q, *kernel.factors, rho)
@@ -118,52 +141,60 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     return GridFn2(p.domain, u)
 
 
-def witness_system(c1: float, c2: float, h1: GridFn2, h2: GridFn2,
-                   h3: GridFn2, h4: GridFn2,
-                   feedback_scale: float = 1.0) -> tuple[GridFn2, GridFn2]:
+def witness_system(c1, c2, h1: GridFn2, h2: GridFn2, h3: GridFn2, h4: GridFn2,
+                   feedback_scale=1.0) -> tuple[GridFn2, GridFn2]:
     """Coupled pair solving u = c1 + ii(h1 u + h2 v), v = c2 + ii(h3 u + h4 v).
 
     ii is the double integral over [0, t1) x [0, t2); the feedback factor
-    scales both integral terms.
+    scales both integral terms.  On a stack, c1, c2 and the factor hold one
+    number per instance.
     """
     _require_same_domain(h1, h2, h3, h4)
     rho = _check_feedback(feedback_scale)
+    c1, c2 = _per_instance(c1), _per_instance(c2)
     dom = h1.domain
-    u = np.empty(dom.shape)
-    v = np.empty(dom.shape)
+    u = np.empty(h1.values.shape)
+    v = np.empty(h1.values.shape)
+    ur, vr, *hr = _rows(u, v, *(h.values[..., :-1] for h in (h1, h2, h3, h4)))
 
     def row(i, sums):
-        u[i] = float(c1) + rho * sums[0]
-        v[i] = float(c2) + rho * sums[1]
-        ui, vi = u[i, :-1], v[i, :-1]
-        return np.stack((h1.values[i, :-1] * ui + h2.values[i, :-1] * vi,
-                         h3.values[i, :-1] * ui + h4.values[i, :-1] * vi))
+        ur[i] = c1 + rho * sums[0]
+        vr[i] = c2 + rho * sums[1]
+        ui, vi = ur[i, ..., :-1], vr[i, ..., :-1]
+        g1, g2, g3, g4 = (h[i] for h in hr)
+        return np.stack((g1 * ui + g2 * vi, g3 * ui + g4 * vi))
 
-    _row_sweep(dom, 2, row)
+    _row_sweep(dom, (2, *u.shape[:-2]), row)
     return GridFn2(dom, u), GridFn2(dom, v)
 
 
 def witness_integrodynamic(a1d: GridFn1, b1d: GridFn1, c2d: GridFn2,
-                           feedback_scale: float = 1.0) -> tuple[GridFn2, GridFn2]:
+                           feedback_scale=1.0) -> tuple[GridFn2, GridFn2]:
     """u vanishing on the axes whose mixed delta w solves the feedback relation.
 
     w(t1, t2) = a(t1) + b(t2) + feedback_scale * ii(c * (u + w)) and
     u(t1, t2) = ii(w), so u(0, .) = u(., 0) = 0 exactly and w is u's mixed
-    partial delta on kappa x kappa by construction.
+    partial delta on kappa x kappa by construction.  On a stack, a, b and c
+    carry the same stack axis and the factor holds one number per instance.
     """
     dom = c2d.domain
     if not (a1d.scale.same_points(dom.scale1) and b1d.scale.same_points(dom.scale2)):
         raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
+    if not a1d.values.shape[:-1] == b1d.values.shape[:-1] == c2d.values.shape[:-2]:
+        raise ScaleMismatchError("axis coefficients hold a different stack of instances")
     rho = _check_feedback(feedback_scale)
-    u = np.empty(dom.shape)
-    w = np.empty(dom.shape)
+    u = np.empty(c2d.values.shape)
+    w = np.empty(c2d.values.shape)
+    ur, wr, cr = _rows(u, w, c2d.values[..., :-1])
+    a, b = np.moveaxis(a1d.values, -1, 0)[..., None], b1d.values
 
     def row(i, sums):
-        w[i] = a1d.values[i] + b1d.values + rho * sums[0]
-        u[i] = sums[1]
-        return np.stack((c2d.values[i, :-1] * (u[i, :-1] + w[i, :-1]), w[i, :-1]))
+        wr[i] = a[i] + b + rho * sums[0]
+        ur[i] = sums[1]
+        ui, wi = ur[i, ..., :-1], wr[i, ..., :-1]
+        return np.stack((cr[i] * (ui + wi), wi))
 
-    _row_sweep(dom, 2, row)
+    _row_sweep(dom, (2, *u.shape[:-2]), row)
     return GridFn2(dom, u), GridFn2(dom, w)
 
 

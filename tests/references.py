@@ -19,6 +19,8 @@ now hold as separable factors.  Two vectorized forms stay as references for
 their replacements: the pointwise witness as its own row of the shared
 sweep, and the kernel re-check that contracts the kernel's row slabs one
 lattice row at a time, which serves any kernel, dense tables included.
+The verify driver that realizes, witnesses, bounds and re-checks one
+instance at a time is the reference for the stacked pass.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from tscale import ConfigError, GridFn1, GridFn2, KernelOracle
-from tscale.grid2d import check_kernel_budget
+from tscale import (BoundCase, ConfigError, GridFn1, GridFn2, KernelOracle, TimeScale2D,
+                    TscaleError, bounds, verify, witnesses)
+from tscale.grid2d import check_kernel_budget, check_lattice_points
 from tscale.witnesses import _row_sweep
 
 
@@ -75,7 +78,7 @@ def witness_pointwise_rows(p, q, k, rho=1.0) -> np.ndarray:
         u[i] = p.values[i] + rho * q.values[i] * sums[0]
         return k.values[i, :-1] * u[i, :-1]
 
-    _row_sweep(p.domain, 1, row)
+    _row_sweep(p.domain, (1,), row)
     return u
 
 
@@ -603,3 +606,122 @@ def classical_forms(spec):
                (lambda t: amp * rate * math.exp(rate * t))
     raise ConfigError("convergence study needs a fixed smooth function "
                       "(constant, polynomial, sin, or exponential)")
+
+
+def run_verification_loop(spec):
+    """The sequential driver that the stacked verify pass replaced: realize,
+    witness, bound and re-check one instance at a time, in index order."""
+    dom = TimeScale2D(spec.scale1.build(), spec.scale2.build())
+    check_lattice_points(dom.shape[0] * dom.shape[1], "product lattice")
+    rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
+    fns = dict(spec.functions)
+
+    digests: list[dict] = []
+    reports = []
+    violations = 0
+    worst = 0.0
+    first_bad = 0
+    second_bad = 0
+
+    for idx in range(spec.count):
+        try:
+            report, residual, extra = _run_instance(spec, dom, fns, rng)
+        except TscaleError as exc:
+            raise type(exc)(f"instance {idx}: {exc}") from exc
+        rel = _relative_violation(report)
+        worst = max(worst, rel)
+        if report.violations:
+            violations += 1
+        digest = {
+            "instance": idx,
+            "case": spec.case.value,
+            "max_violation": report.max_violation,
+            "min_slack": report.min_slack,
+            "violation_count": len(report.violations),
+            "relative_violation": rel,
+            "hypothesis_residual": residual,
+            "diagnostics": list(report.hypothesis_diagnostics),
+        }
+        if extra:
+            digest.update(extra)
+            if not extra["first_variable_dominates"]:
+                first_bad += 1
+            if not extra["second_variable_dominates"]:
+                second_bad += 1
+        digests.append(digest)
+        reports.append(report)
+
+    comparison = None
+    if spec.case is BoundCase.KERNEL:
+        comparison = {
+            "first_variable": {"instances_with_violation": first_bad},
+            "second_variable": {"instances_with_violation": second_bad},
+        }
+    return verify.VerifySummary(
+        instances_run=spec.count,
+        instances_with_violation=violations,
+        worst_relative_violation=worst,
+        digests=digests,
+        variant_comparison=comparison,
+        reports=reports,
+    )
+
+
+def _relative_violation(report) -> float:
+    if report.witness is None:
+        return 0.0
+    excess = report.witness.values - report.bound.values
+    rel = excess / (1.0 + np.abs(report.bound.values))
+    return max(0.0, float(rel.max()))
+
+
+def _run_instance(spec, dom, fns, rng):
+    """One instance: realize functions, build the witness, bound, re-check.
+
+    Returns (report, hypothesis residual, kernel-only extras).
+    """
+    case = spec.case
+    mode = spec.witness_mode
+    any_fn = verify.FnSpec("any")
+    if case is BoundCase.POINTWISE:
+        p = verify.realize_2d(fns.get("p", any_fn), dom, rng)
+        q = verify.realize_2d(fns.get("q", any_fn), dom, rng)
+        k = verify.realize_2d(fns.get("k", any_fn), dom, rng)
+        rho = verify._feedback(rng, mode)
+        u = witnesses.witness_pointwise(p, q, k, rho)
+        report = bounds.compute_bound(bounds.PointwiseInputs(p, q, k, u))
+        residual = verify._recheck_kernel(p, q, witnesses._unit_factors(k), u)
+        return report, float(residual), None
+    if case is BoundCase.KERNEL:
+        p = verify.realize_2d(fns.get("p", any_fn), dom, rng)
+        q = verify.realize_2d(fns.get("q", any_fn), dom, rng)
+        kernel = verify.realize_kernel(fns.get("k", any_fn), dom, rng)
+        rho = verify._feedback(rng, mode)
+        u = witnesses.witness_kernel(p, q, kernel, rho)
+        by_variant = bounds.bound_kernel_variants(bounds.KernelInputs(p, q, kernel, u))
+        second = by_variant[bounds.ExponentVariant.SECOND_VARIABLE]
+        extra = {
+            "first_variable_dominates":
+                not by_variant[bounds.ExponentVariant.FIRST_VARIABLE].violations,
+            "second_variable_dominates": not second.violations,
+            "second_variable_max_violation": second.max_violation,
+        }
+        residual = verify._recheck_kernel(p, q, kernel.factors, u)
+        return by_variant[spec.exponent_variant], float(residual), extra
+    if case is BoundCase.SYSTEM:
+        c1 = verify.realize_scalar(fns.get("c1", verify.FnSpec("constant")), rng)
+        c2 = verify.realize_scalar(fns.get("c2", verify.FnSpec("constant")), rng)
+        hs = tuple(verify.realize_2d(fns.get(name, any_fn), dom, rng)
+                   for name in ("h1", "h2", "h3", "h4"))
+        rho = verify._feedback(rng, mode)
+        u, v = witnesses.witness_system(c1, c2, *hs, feedback_scale=rho)
+        combined = GridFn2(dom, u.values + v.values)
+        report = bounds.compute_bound(bounds.SystemInputs(c1, c2, *hs, u=combined))
+        return report, float(verify._recheck_system(c1, c2, hs, u, v)), None
+    a = verify.realize_1d(fns.get("a", any_fn), dom.scale1, rng, monotone_positive=True)
+    b = verify.realize_1d(fns.get("b", any_fn), dom.scale2, rng, monotone_positive=True)
+    c = verify.realize_2d(fns.get("c", any_fn), dom, rng)
+    rho = verify._feedback(rng, mode)
+    u, w = witnesses.witness_integrodynamic(a, b, c, rho)
+    report = bounds.compute_bound(bounds.IntegrodynamicInputs(a, b, c, u))
+    return report, float(verify._recheck_integrodynamic(a, b, c, u, w)), None

@@ -520,8 +520,10 @@ LADDER_RTOL = 1e-12
 
 def _leaves_the_normals(factors: np.ndarray) -> bool:
     """Whether a plain running product of 1-D factors has a prefix that is
-    not a normal double, before any exact zero factor."""
-    with np.errstate(over="ignore", under="ignore"):
+    not a normal double, before any exact zero factor.  A prefix past the
+    float range times a zero factor is NaN; it lies after the zero, so it is
+    masked."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         plain = np.cumprod(factors)
     before_zero = np.cumsum(factors == 0.0) == 0
     mags = np.abs(plain[before_zero])
@@ -565,6 +567,8 @@ def ladder_factors(draw, columns):
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(ladder_factors(None), ladder_factors(3)), st.integers(0, 2 ** 32 - 1))
+# a column whose plain product overflows to inf and then meets a zero factor
+@example(np.concatenate((np.full(1100, 2.0), [0.0, 3.0])), 7)
 def test_product_ladder_matches_the_reference_ladder(factors, seed):
     ladder = ProductLadder(factors)
     cols = factors if factors.ndim == 2 else factors[:, None]
@@ -756,19 +760,12 @@ def report_batches(draw):
             for _ in range(draw(st.integers(1, 3)))]
 
 
-# inf - inf in a slack column warns in numpy, where the loop's float
-# subtraction is silent; both spell it nan.
-INF_MINUS_INF = "ignore:invalid value encountered in subtract:RuntimeWarning"
-
-
-@pytest.mark.filterwarnings(INF_MINUS_INF)
 @settings(max_examples=80, deadline=None)
 @given(report_batches())
 def test_report_writers_match_the_row_loops(reports):
     assert_writers_match(reports)
 
 
-@pytest.mark.filterwarnings(INF_MINUS_INF)
 @pytest.mark.parametrize("shape", EDGE_SHAPES + [(4, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_report_writers_match_on_thin_lattices(shape):
     domain = edge_domain(shape)
