@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import starmap
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,7 @@ from .config import classical_forms, parse_fn, parse_scale, realize_1d
 from .core import GridFn1, cauchy_integral, delta_derivative
 from .errors import ConfigError, DomainError
 from .exponential import comparison_bound, exp_fn
+from .spelling import WIDTH, spell
 from .verify import InstanceSpec, WitnessMode, run_verification
 
 log = logging.getLogger(__name__)
@@ -40,25 +41,25 @@ log = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Points spelled per block of a verify report: enough to spread the per-call
-# cost over a small lattice, few enough that a large lattice's strings never
-# pile up in memory.
+# Points spelled per block of a verify report, taken in order across all
+# reports of a call: enough to spread the spelling kernel's per-call cost over
+# many small lattices, few enough that a large lattice's text and the
+# kernel's temporaries never pile up in memory.
 _BLOCK_VALUES = 1024
-# One inlined point of a verify report from its t1, t2, witness, bound and
-# slack, as json.dumps(indent=2, sort_keys=True) writes it inside the
-# top-level "points" array.
-_JSON_POINT = ('    {{\n      "bound": {3},\n      "slack": {4},\n      "t1": {0},'
-               '\n      "t2": {1},\n      "witness": {2}\n    }}')
+# One point of a verify report: constant bytes alternating with the index of
+# a field in (t1, t2, witness, bound, slack).  A JSON point is inlined in the
+# top-level "points" array as json.dumps(indent=2, sort_keys=True) writes it,
+# after the ",\n" that separates it from the point before.
+_CSV_ROW = (b"", 0, b",", 1, b",", 2, b",", 3, b",", 4, b"\n")
+_JSON_ROW = (b',\n    {\n      "bound": ', 3, b',\n      "slack": ', 4,
+             b',\n      "t1": ', 0, b',\n      "t2": ', 1, b',\n      "witness": ', 2,
+             b"\n    }")
 
 
 def _numbers(values, json_rule: bool = False) -> list[str]:
     """Each value as fmt_number spells it or, with json_rule, as json.dumps
     spells a float (NaN, Infinity, -Infinity)."""
-    reprs = map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist())
-    if json_rule:
-        return [_JSON_FLOATS.get(s, s) for s in reprs]
-    return [s[:-2] if s.endswith(".0") else s for s in reprs]
+    return spell(values, json_rule).astype(str).tolist()
 
 
 def fmt_number(x: float) -> str:
@@ -184,40 +185,60 @@ class ScenarioConfig:
                    output_format=fmt, variant_mode=variant_mode)
 
 
-def _axis_numbers(reports, json_rule: bool = False) -> tuple[list[str], list[str]]:
-    """The points of both axes of the reports' shared domain, spelled once for
-    every report of a call."""
+def _report_blocks(reports, json_rule: bool = False):
+    """Yield the reports' rows (t1, t2, witness, bound, slack) as spelled
+    columns, one block of at most _BLOCK_VALUES consecutive points at a time,
+    taken in order across all reports, which share one domain; witness, bound
+    and slack of a block are spelled by one kernel call.  Without a witness,
+    witness and slack are NaN; a slack past the float range is inf or NaN, as
+    float subtraction gives it."""
     if not reports:
-        return [], []
+        return
     dom = reports[0].bound.domain
-    return _numbers(dom.scale1.points, json_rule), _numbers(dom.scale2.points, json_rule)
-
-
-def _report_blocks(report, axes: tuple[list[str], list[str]], json_rule: bool = False):
-    """Yield a report's rows (t1, t2, witness, bound, slack) as zipped columns
-    of spelled numbers, one block of whole lattice rows (at most _BLOCK_VALUES
-    points, at least one row) at a time; axes holds t1 and t2 as
-    _axis_numbers spells them.  Without a witness, witness and slack are NaN;
-    a slack past the float range is inf or NaN, as float subtraction gives it."""
-    bound = report.bound.values
-    witness = np.full(bound.shape, math.nan) if report.witness is None \
-        else report.witness.values
-    t1, t2 = axes
-    step = max(1, _BLOCK_VALUES // len(t2))
-    for lo in range(0, len(t1), step):
-        w, b = witness[lo:lo + step], bound[lo:lo + step]
+    t1, t2 = spell(dom.scale1.points, json_rule), spell(dom.scale2.points, json_rule)
+    size = len(t1) * len(t2)
+    total = size * len(reports)
+    current = -1
+    for lo in range(0, total, _BLOCK_VALUES):
+        hi = min(lo + _BLOCK_VALUES, total)
+        values = np.empty((3, hi - lo))
+        for r in range(lo // size, (hi - 1) // size + 1):
+            if r != current:    # flattened once per report, a copy if strided
+                current, report = r, reports[r]
+                witness = np.full(size, math.nan) if report.witness is None \
+                    else report.witness.values.ravel()
+                bound = report.bound.values.ravel()
+            a, b = max(lo - r * size, 0), min(hi - r * size, size)
+            values[:2, r * size + a - lo:r * size + b - lo] = witness[a:b], bound[a:b]
         with np.errstate(over="ignore", invalid="ignore"):
-            slack = b - w
-        yield zip([t for t in t1[lo:lo + step] for _ in t2], t2 * len(b),
-                  *(_numbers(v, json_rule) for v in (w, b, slack)))
+            np.subtract(values[1], values[0], out=values[2])
+        at = np.arange(lo, hi) % size
+        yield (t1[at // len(t2)], t2[at % len(t2)],
+               *spell(values, json_rule).reshape(3, -1))
+
+
+def _rows(template, columns) -> str:
+    """One block of report rows: per point, template's constant bytes with
+    each field index replaced by that column's spelling.  The spellings'
+    NUL padding is dropped from the whole block at once."""
+    consts, fields = template[::2], template[1::2]
+    buf = np.empty((len(columns[0]), sum(map(len, consts)) + WIDTH * len(fields)),
+                   dtype=np.uint8)
+    at = 0
+    for const, field in zip(consts, fields + (None,)):
+        buf[:, at:at + len(const)] = np.frombuffer(const, dtype=np.uint8)
+        at += len(const)
+        if field is not None:
+            buf[:, at:at + WIDTH] = columns[field].view(np.uint8).reshape(-1, WIDTH)
+            at += WIDTH
+    flat = buf.reshape(-1)
+    return flat[flat != 0].tobytes().decode()
 
 
 def _write_csv(fh, reports) -> None:
     fh.write("t1,t2,witness,bound,slack\n")
-    axes = _axis_numbers(reports)
-    for report in reports:
-        for rows in _report_blocks(report, axes=axes):
-            fh.write("".join([f"{t1},{t2},{w},{b},{s}\n" for t1, t2, w, b, s in rows]))
+    for columns in _report_blocks(reports):
+        fh.write(_rows(_CSV_ROW, columns))
 
 
 def _write_json(fh, payload: dict, reports) -> None:
@@ -226,13 +247,11 @@ def _write_json(fh, payload: dict, reports) -> None:
     text = json.dumps({**payload, "points": []}, indent=2, sort_keys=True)
     head, tail = text.split('\n  "points": []', 1)
     fh.write(head + '\n  "points": [')
-    sep = "\n"
-    axes = _axis_numbers(reports, json_rule=True)
-    for report in reports:
-        for rows in _report_blocks(report, axes=axes, json_rule=True):
-            fh.write(sep + ",\n".join(starmap(_JSON_POINT.format, rows)))
-            sep = ",\n"
-    fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
+    comma = 1   # the first point follows "[" without the separating comma
+    for columns in _report_blocks(reports, json_rule=True):
+        fh.write(_rows(_JSON_ROW, columns)[comma:])
+        comma = 0
+    fh.write(("]" if comma else "\n  ]") + tail + "\n")
 
 
 def _targets(config: str, path: str, suffixes: Sequence[str]) -> list[Path]:
@@ -344,7 +363,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  The handlers it holds
+    look up the module names they call at each call."""
     parser = argparse.ArgumentParser(
         prog="tscale",
         description="Time-scale calculus toolkit: point calculus, "
@@ -400,8 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("TSCALE_LOG", "error").strip().lower()
     logging.basicConfig(level=_LOG_LEVELS.get(level, logging.ERROR),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "calc":
             _check_calc_args(args)

@@ -311,10 +311,12 @@ def _realize(spec: FnSpec, axes: tuple[np.ndarray, ...], rng,
 
     Fixed parameters are evaluated at the raw points.  Sampled families use
     points shifted to start at zero and absolute-value coefficients, which
-    makes them nonnegative, and are capped at VALUE_CAP; monotone also keeps
-    them nondecreasing (no tabulated draw, a raised constant term, rates of
-    at least 0).  Exponential rates are (rate,) on one axis and (rate1,
-    rate2) on two; sin serves on one axis only.
+    makes them nonnegative, and are capped at VALUE_CAP: in log space for an
+    exponential that leaves the float range, while any other family that
+    leaves it raises ConfigError.  monotone also keeps them nondecreasing (no
+    tabulated draw, a raised constant term, rates of at least 0).
+    Exponential rates are (rate,) on one axis and (rate1, rate2) on two; sin
+    serves on one axis only.
     """
     n = len(axes)
     shape = tuple(len(x) for x in axes)
@@ -352,11 +354,18 @@ def _realize(spec: FnSpec, axes: tuple[np.ndarray, ...], rng,
     elif fam == "exponential":
         amp = 0.1 + abs(rng.standard_normal())
         rates = [float(rng.uniform(0.0 if monotone else -0.5, 0.5)) for _ in axes]
-        vals = amp * np.exp(reduce(np.add, (r * x for r, x in zip(rates, shifted))))
+        powers = reduce(np.add, (r * x for r, x in zip(rates, shifted)))
+        vals = amp * np.exp(powers)
     else:
         vals = 2.0 * np.abs(rng.standard_normal(shape))
     top = float(np.abs(vals).max())
-    return vals * (VALUE_CAP / top) if top > VALUE_CAP else vals
+    if math.isfinite(top):
+        return vals * (VALUE_CAP / top) if top > VALUE_CAP else vals
+    if fam != "exponential":
+        raise ConfigError(f"a sampled {fam} leaves the float range on this scale")
+    # The cap in log space, where amp cancels: VALUE_CAP * exp(L - max L) for
+    # L = log(amp) + powers.
+    return VALUE_CAP * np.exp(powers - powers.max())
 
 
 def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,

@@ -255,19 +255,28 @@ def _realize(spec: InstanceSpec, dom: TimeScale2D, fns: Mapping[str, FnSpec], rn
     feedback factor."""
     case = spec.case
     if case is BoundCase.POINTWISE or case is BoundCase.KERNEL:
-        fields = [realize_2d(fns.get(name, _ANY), dom, rng) for name in ("p", "q")]
+        fields = [_named(name, realize_2d, fns.get(name, _ANY), dom, rng)
+                  for name in ("p", "q")]
         realize_k = realize_2d if case is BoundCase.POINTWISE else realize_kernel
-        fields.append(realize_k(fns.get("k", _ANY), dom, rng))
+        fields.append(_named("k", realize_k, fns.get("k", _ANY), dom, rng))
     elif case is BoundCase.SYSTEM:
-        fields = [realize_scalar(fns.get(name, FnSpec("constant")), rng)
+        fields = [_named(name, realize_scalar, fns.get(name, FnSpec("constant")), rng)
                   for name in ("c1", "c2")]
-        fields += [realize_2d(fns.get(name, _ANY), dom, rng)
+        fields += [_named(name, realize_2d, fns.get(name, _ANY), dom, rng)
                    for name in ("h1", "h2", "h3", "h4")]
     else:
-        fields = [realize_1d(fns.get("a", _ANY), dom.scale1, rng, monotone_positive=True),
-                  realize_1d(fns.get("b", _ANY), dom.scale2, rng, monotone_positive=True),
-                  realize_2d(fns.get("c", _ANY), dom, rng)]
+        fields = [_named(name, realize_1d, fns.get(name, _ANY), axis, rng, True)
+                  for name, axis in (("a", dom.scale1), ("b", dom.scale2))]
+        fields.append(_named("c", realize_2d, fns.get("c", _ANY), dom, rng))
     return (*fields, _feedback(rng, spec.witness_mode))
+
+
+def _named(name: str, realize, *args):
+    """realize(*args); a ConfigError it raises names the function."""
+    try:
+        return realize(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"function '{name}': {exc}") from None
 
 
 def _stack(drawn: list[tuple]) -> tuple:

@@ -8,7 +8,9 @@ set of slices per lattice point, the compensated cumulative sum runs the Neumaie
 element by element, and the first-order comparison witness takes one Python
 step per scale point.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
-tuple of floats per lattice point and format each field with its own call.
+tuple of floats per lattice point and format each field with its own call;
+numbers spells values with float.__repr__ one at a time, under the CSV and
+JSON rules, for the vectorized spelling kernel.
 The product ladder takes a plain running product and switches to signs and
 compensated sums of logs once a prefix leaves [1e-300, 1e300]; the 2-D axis
 exponential is a raw cumprod that underflows to 0.  The coefficient
@@ -364,6 +366,19 @@ def recheck_integrodynamic(a, b, c, u, w) -> float:
     return worst
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def numbers(values, json_rule: bool = False) -> list[str]:
+    """Each value as float.__repr__ spells it, less a trailing ".0", or, with
+    json_rule, as json.dumps spells a float (NaN, Infinity, -Infinity): the
+    spelling kernel's reference."""
+    reprs = map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist())
+    if json_rule:
+        return [_JSON_FLOATS.get(s, s) for s in reprs]
+    return [s[:-2] if s.endswith(".0") else s for s in reprs]
+
+
 def fmt_number(x: float) -> str:
     s = repr(float(x))
     if s.endswith(".0"):
@@ -684,18 +699,18 @@ def _run_instance(spec, dom, fns, rng):
     mode = spec.witness_mode
     any_fn = verify.FnSpec("any")
     if case is BoundCase.POINTWISE:
-        p = verify.realize_2d(fns.get("p", any_fn), dom, rng)
-        q = verify.realize_2d(fns.get("q", any_fn), dom, rng)
-        k = verify.realize_2d(fns.get("k", any_fn), dom, rng)
+        p = verify._named("p", verify.realize_2d, fns.get("p", any_fn), dom, rng)
+        q = verify._named("q", verify.realize_2d, fns.get("q", any_fn), dom, rng)
+        k = verify._named("k", verify.realize_2d, fns.get("k", any_fn), dom, rng)
         rho = verify._feedback(rng, mode)
         u = witnesses.witness_pointwise(p, q, k, rho)
         report = bounds.compute_bound(bounds.PointwiseInputs(p, q, k, u))
         residual = verify._recheck_kernel(p, q, witnesses._unit_factors(k), u)
         return report, float(residual), None
     if case is BoundCase.KERNEL:
-        p = verify.realize_2d(fns.get("p", any_fn), dom, rng)
-        q = verify.realize_2d(fns.get("q", any_fn), dom, rng)
-        kernel = verify.realize_kernel(fns.get("k", any_fn), dom, rng)
+        p = verify._named("p", verify.realize_2d, fns.get("p", any_fn), dom, rng)
+        q = verify._named("q", verify.realize_2d, fns.get("q", any_fn), dom, rng)
+        kernel = verify._named("k", verify.realize_kernel, fns.get("k", any_fn), dom, rng)
         rho = verify._feedback(rng, mode)
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bounds.bound_kernel_variants(bounds.KernelInputs(p, q, kernel, u))
@@ -709,18 +724,19 @@ def _run_instance(spec, dom, fns, rng):
         residual = verify._recheck_kernel(p, q, kernel.factors, u)
         return by_variant[spec.exponent_variant], float(residual), extra
     if case is BoundCase.SYSTEM:
-        c1 = verify.realize_scalar(fns.get("c1", verify.FnSpec("constant")), rng)
-        c2 = verify.realize_scalar(fns.get("c2", verify.FnSpec("constant")), rng)
-        hs = tuple(verify.realize_2d(fns.get(name, any_fn), dom, rng)
+        c1, c2 = (verify._named(name, verify.realize_scalar,
+                                fns.get(name, verify.FnSpec("constant")), rng)
+                  for name in ("c1", "c2"))
+        hs = tuple(verify._named(name, verify.realize_2d, fns.get(name, any_fn), dom, rng)
                    for name in ("h1", "h2", "h3", "h4"))
         rho = verify._feedback(rng, mode)
         u, v = witnesses.witness_system(c1, c2, *hs, feedback_scale=rho)
         combined = GridFn2(dom, u.values + v.values)
         report = bounds.compute_bound(bounds.SystemInputs(c1, c2, *hs, u=combined))
         return report, float(verify._recheck_system(c1, c2, hs, u, v)), None
-    a = verify.realize_1d(fns.get("a", any_fn), dom.scale1, rng, monotone_positive=True)
-    b = verify.realize_1d(fns.get("b", any_fn), dom.scale2, rng, monotone_positive=True)
-    c = verify.realize_2d(fns.get("c", any_fn), dom, rng)
+    a = verify._named("a", verify.realize_1d, fns.get("a", any_fn), dom.scale1, rng, True)
+    b = verify._named("b", verify.realize_1d, fns.get("b", any_fn), dom.scale2, rng, True)
+    c = verify._named("c", verify.realize_2d, fns.get("c", any_fn), dom, rng)
     rho = verify._feedback(rng, mode)
     u, w = witnesses.witness_integrodynamic(a, b, c, rho)
     report = bounds.compute_bound(bounds.IntegrodynamicInputs(a, b, c, u))

@@ -255,16 +255,20 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
     for path, data in old.items():
         path.write_bytes(data)
 
-    def fail_on_second_report(rep, **kwargs):
-        if failing.pop():
-            # the first report's rows are on their way to a temporary file
-            assert any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
-            assert all(path.read_bytes() == data for path, data in old.items())
-            raise OSError("No space left on device")
-        return blocks(rep, **kwargs)
+    def fail_on_second_block(*args, **kwargs):
+        for number, block in enumerate(blocks(*args, **kwargs)):
+            if number == 1:
+                # the first block's rows are on their way to a temporary file
+                assert any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+                assert all(path.read_bytes() == data for path, data in old.items())
+                failing.pop()
+                raise OSError("No space left on device")
+            yield block
 
-    failing = [True, False]
-    monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_report)
+    failing = [True]
+    # three 6x6 instances: the second of 20-point blocks lies in the first report
+    monkeypatch.setattr(cli_mod, "_BLOCK_VALUES", 20)
+    monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_block)
     cfg = write_config(tmp_path, "v.json", verify_payload(
         tmp_path, output={"path": str(tmp_path / "report"), "format": fmt}))
     code, _, err = run_cli(capsys, "verify", str(cfg))
@@ -273,6 +277,21 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
     assert not failing
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json", "v.json"]
     assert all(path.read_bytes() == data for path, data in old.items())
+
+
+@pytest.mark.parametrize("scale1, p, seed, code, message", [
+    # the drawn exponential leaves the float range on 0..2000; it is capped
+    ("integer:0..2000", {"family": "exponential"}, 1, 0, ""),
+    ("explicit:0,1e110", {"family": "polynomial"}, 7, 2,
+     "error: instance 0: function 'p': a sampled polynomial leaves the float range "
+     "on this scale\n"),
+], ids=["exponential", "polynomial"])
+def test_verify_caps_or_names_a_draw_past_the_float_range(tmp_path, capsys, scale1, p,
+                                                           seed, code, message):
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, scale1=scale1, scale2="integer:0..3", seed=seed, count=1,
+        functions={"p": p, "q": "const:0.001", "k": "const:0.001"}))
+    assert run_cli(capsys, "verify", str(cfg))[::2] == (code, message)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -736,8 +736,11 @@ def assert_writers_match(reports):
     old_csv, old_json = io.StringIO(), io.StringIO()
     ref.write_csv(old_csv, reports)
     ref.write_json(old_json, SUMMARY, reports)
-    # blocks of one lattice row, of a few rows, and of whole reports
-    for block in (1, 5, cli._BLOCK_VALUES):
+    # blocks of one point and of a few; of part of a report, so that a report
+    # is split across blocks; of one point more than a report, so that a
+    # block spans two reports; and the default
+    size = reports[0].bound.values.size if reports else 1
+    for block in (1, 5, size // 2 + 1, size + 1, cli._BLOCK_VALUES):
         new_csv, new_json = io.StringIO(), io.StringIO()
         with mock.patch.object(cli, "_BLOCK_VALUES", block):
             cli._write_csv(new_csv, reports)

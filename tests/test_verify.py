@@ -9,7 +9,9 @@ import pytest
 
 from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn1,
                     GridFn2, InstanceSpec, KernelOracle, TimeScale2D,
-                    WitnessMode, integer_segment, parse_scale, run_verification)
+                    WitnessMode, explicit_scale, integer_segment, parse_scale,
+                    realize_2d, run_verification)
+from tscale.config import VALUE_CAP
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
 from tscale.bounds import ExponentVariant
@@ -272,3 +274,26 @@ def test_fixed_function_sign_validation():
                         functions=fns, rng_seed=0, count=1)
     with pytest.raises(ConfigError, match="strictly positive"):
         run_verification(spec)
+
+
+def test_a_sampled_exponential_past_the_float_range_is_capped_in_log_space():
+    domain = TimeScale2D(integer_segment(0, 2000), integer_segment(0, 3))
+    values = realize_2d(FnSpec("exponential"), domain, np.random.default_rng(1)).values
+    replay = np.random.default_rng(1)
+    amp = 0.1 + abs(replay.standard_normal())
+    rate1, rate2 = (float(replay.uniform(-0.5, 0.5)) for _ in range(2))
+    t1, t2 = np.ix_(domain.scale1.points, domain.scale2.points)
+    powers = rate1 * t1 + rate2 * t2
+    with np.errstate(over="ignore"):
+        assert np.isinf(amp * np.exp(powers)).any()
+    assert values.tobytes() == (VALUE_CAP * np.exp(powers - powers.max())).tobytes()
+    assert values.max() == VALUE_CAP
+
+
+def test_a_sampled_polynomial_past_the_float_range_is_a_config_error():
+    domain = TimeScale2D(explicit_scale([0.0, 1e110]), integer_segment(0, 1))
+    with pytest.raises(ConfigError, match="sampled polynomial leaves the float range"):
+        realize_2d(FnSpec("polynomial"), domain, np.random.default_rng(7))
+    # a draw of lower degree stays within the cap
+    assert realize_2d(FnSpec("polynomial"), domain, np.random.default_rng(6)).values.max() \
+        <= VALUE_CAP

@@ -105,23 +105,26 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-# On this 2001x2 lattice the witness grows linearly, but the bound's
-# first-variable product of 1 + 0.3 q overflows for a drawn q above about
-# 1.4, and a drawn exponential p overflows for a first rate above about 0.35.
-FAILING = {"theorem": "pointwise", "scale1": "integer:0..2000", "scale2": "integer:0..1",
-           "count": 4, "functions": {"p": {"family": "exponential"},
-                                     "q": {"family": "constant"}, "k": "const:0.3"}}
+# On this 2002x2 lattice, 2001 unit steps and one step out to 1e110, the
+# bound's first-variable product of 1 + 0.3 q overflows for a large enough
+# drawn q, and a drawn polynomial p cubic in t1 leaves the float range at the
+# far point, which fails its realization.
+FAILING = {"theorem": "pointwise", "scale2": "integer:0..1", "count": 4,
+           "scale1": {"kind": "union", "of": ["integer:0..2000", "explicit:2001,1e110"]},
+           "functions": {"p": {"family": "polynomial"},
+                         "q": {"family": "constant"}, "k": "const:0.3"}}
 
 
-@pytest.mark.parametrize("limit", [None, 2 * 2001 * 2], ids=["one", "pairs"])
-@pytest.mark.parametrize("seed, message", [
-    (0, "instance 1: grid function values must be finite"),
-    (6, "instance 1: first-variable exponential overflowed"),
+@pytest.mark.parametrize("limit", [None, 2 * 2002 * 2], ids=["one", "pairs"])
+@pytest.mark.parametrize("seed, code, message", [
+    (10, 2, "instance 1: function 'p': a sampled polynomial leaves the float range "
+            "on this scale"),
+    (3, 3, "instance 1: first-variable exponential overflowed"),
     # instance 2 fails to realize; instance 1, before it, fails its bound
-    (5, "instance 1: first-variable exponential overflowed"),
+    (115, 3, "instance 1: first-variable exponential overflowed"),
 ], ids=["realize", "bound", "bound-before-realize"])
 def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
-                                                 seed, message, limit):
+                                                 seed, code, message, limit):
     if limit is not None:
         monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", limit)
     cfg = tmp_path / "v.json"
@@ -129,7 +132,7 @@ def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
                                "output": {"path": str(tmp_path / "report")}}))
     stacked = run_cli(capsys, "verify", str(cfg))
     monkeypatch.setattr(cli_mod, "run_verification", ref.run_verification_loop)
-    assert stacked == run_cli(capsys, "verify", str(cfg)) == (3, f"error: {message}\n")
+    assert stacked == run_cli(capsys, "verify", str(cfg)) == (code, f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
