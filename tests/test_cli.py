@@ -266,7 +266,7 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
             yield block
 
     failing = [True]
-    # three 6x6 instances: the second of 20-point blocks lies in the first report
+    # three reports of 25 kappa points: the second 20-point block spans the first two
     monkeypatch.setattr(cli_mod, "_BLOCK_VALUES", 20)
     monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_block)
     cfg = write_config(tmp_path, "v.json", verify_payload(

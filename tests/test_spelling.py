@@ -10,6 +10,7 @@ zeros, subnormals, the largest double and the non-finite values.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,7 @@ def test_spelling_an_empty_array_gives_an_empty_array():
 def test_importing_the_cli_builds_no_spelling_table():
     probe = ("import tscale.cli, tscale.spelling as s; "
              "print(s._g_table.cache_info().currsize, s._layout.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
-                         text=True, env={"PYTHONPATH": ":".join(sys.path)}).stdout
+                         text=True, env=env).stdout
     assert out.split() == ["0", "0"]
