@@ -27,6 +27,7 @@ from functools import cache
 import numpy as np
 
 WIDTH = 24                      # len("-1.2345678901234567e-308")
+_CHUNK = 1 << 16                # values per kernel pass, which bounds its temporaries
 _DIGITS = 17                    # most significant digits of a shortest spelling
 _K_MIN, _K_MAX = -324, 292      # decimal exponents k of the normal doubles
 _M32 = np.uint64(0xFFFFFFFF)
@@ -190,6 +191,9 @@ def spell(values, json_rule: bool = False) -> np.ndarray:
     the values' size, flattened: with a trailing ".0" dropped by default, or
     with json_rule as json.dumps spells a float."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if x.size > _CHUNK:
+        return np.concatenate([spell(x[lo:lo + _CHUNK], json_rule)
+                               for lo in range(0, x.size, _CHUNK)])
     bits = x.view(np.uint64)
     bq = (bits >> 52) & np.uint64(0x7FF)
     zero = (bits << 1) == 0
