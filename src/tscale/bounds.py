@@ -104,12 +104,11 @@ class BoundReport:
         """One report per instance, in stack order; [self] for one instance."""
         if self.bound.values.ndim == 2:
             return [self]
-        dom = self.bound.domain
         witnesses = [None] * len(self.violations) if self.witness is None \
-            else [GridFn2(dom, w) for w in self.witness.values]
-        return [BoundReport(GridFn2(dom, b), w, mv, ms, viol, diags, self.exponent_variant)
+            else self.witness.instances()
+        return [BoundReport(b, w, mv, ms, viol, diags, self.exponent_variant)
                 for b, w, mv, ms, viol, diags in zip(
-                    self.bound.values, witnesses, self.max_violation.tolist(),
+                    self.bound.instances(), witnesses, self.max_violation.tolist(),
                     self.min_slack.tolist(), self.violations, self.hypothesis_diagnostics)]
 
 

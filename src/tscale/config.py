@@ -81,16 +81,20 @@ class ScaleSpec:
             if n < 1 or n != int(n):
                 raise ConfigError("q_grid needs N a whole number at least 1")
             check_lattice_points(n + 1, "q_grid")
+            with np.errstate(over="ignore"):
+                _check_span(1.0, float(np.float64(q) ** n))
             return q_grid(q, int(n))
         if kind == "explicit":
             pts = [_parse_number(x) for x in self.points or ()]
             if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ConfigError("explicit points must be strictly increasing, two or more")
+            _check_span(pts[0], pts[-1])
             return explicit_scale(pts, self.dense)
         if kind == "union":
             if not self.of or len(self.of) < 2:
                 raise ConfigError("union scale needs at least two member descriptors")
             built = [member.build() for member in self.of]
+            _check_span(min(s.points[0] for s in built), max(s.points[-1] for s in built))
             out = built[0]
             for member in built[1:]:
                 out = union_scales(out, member)
@@ -107,6 +111,12 @@ class ScaleSpec:
         if self.of is not None:
             out["of"] = [member.describe() for member in self.of]
         return out
+
+
+def _check_span(lo: float, hi: float) -> None:
+    """Raise ConfigError for a scale from lo to hi with a step past the float range."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ConfigError(f"a scale from {lo:g} to {hi:g} leaves the float range")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -293,120 +303,168 @@ def _coefficients(spec: FnSpec, naxes: int) -> np.ndarray:
     return c
 
 
-def _polyval(grids, c: np.ndarray) -> np.ndarray:
-    """Polynomial with one axis of c per grid on the broadcast grids, by
-    nested Horner steps as polyval2d takes them."""
-    vals = npoly.polyval(grids[0], c)
-    for x in grids[1:]:
-        vals = npoly.polyval(x, vals, tensor=False)
-    return vals
-
-
 _ANY_POOL = ("constant", "polynomial", "exponential", "tabulated")
+_DEGREES = {n: [d for d in product(range(4), repeat=n) if sum(d) <= 3] for n in (1, 2)}
 
 
-def _realize(spec: FnSpec, axes: tuple[np.ndarray, ...], rng,
-             monotone: bool = False) -> np.ndarray:
-    """Values of spec on the product of one or two axes (point arrays).
+def _rates(spec: FnSpec, naxes: int) -> tuple:
+    return (spec.rate,) if naxes == 1 else (spec.rate1, spec.rate2)
 
-    Fixed parameters are evaluated at the raw points.  Sampled families use
-    points shifted to start at zero and absolute-value coefficients, which
-    makes them nonnegative, and are capped at VALUE_CAP: in log space for an
-    exponential that leaves the float range, while any other family that
-    leaves it raises ConfigError.  monotone also keeps them nondecreasing (no
-    tabulated draw, a raised constant term, rates of at least 0).
-    Exponential rates are (rate,) on one axis and (rate1, rate2) on two; sin
-    serves on one axis only.
-    """
-    n = len(axes)
-    shape = tuple(len(x) for x in axes)
-    grids = np.ix_(*axes)
+
+def draw(spec: FnSpec, shape: tuple[int, ...], rng, monotone: bool = False) -> tuple:
+    """One instance's random part of spec on a scale or lattice of this shape,
+    from rng: (family, a constant's value, a sampled family's coefficients,
+    (amplitude, rates) or values, or None where spec fixes them).  monotone
+    keeps a sampled function nondecreasing (no tabulated draw, a raised
+    constant term, rates of at least 0).  Nothing is checked here."""
+    n = len(shape)
     fam = _pick(spec.family, _ANY_POOL[:3] if monotone else _ANY_POOL, rng)
     if fam == "constant":
-        return np.full(shape, _constant(spec.value, rng))
-    if fam == "sin" and n == 1:
-        return np.sin((1.0 if spec.omega is None else spec.omega) * grids[0])
-    if fam == "sin":
-        raise ConfigError("sin may go negative and cannot serve as a coefficient")
-    if fam not in _ANY_POOL:
-        raise ConfigError(f"function family '{fam}' is not usable here")
-    amp, rates = spec.amplitude, (spec.rate,) if n == 1 else (spec.rate1, spec.rate2)
-    if fam == "polynomial" and spec.coeffs is not None:
-        return _polyval(grids, _coefficients(spec, n))
-    if fam == "exponential" and (amp is not None or rates != (None,) * n):
-        amp, rates = 1.0 if amp is None else amp, [0.0 if r is None else r for r in rates]
-        return amp * np.exp(reduce(np.add, (r * x for r, x in zip(rates, grids))))
-    if fam == "tabulated" and spec.values is not None:
-        vals = np.asarray(spec.values)
-        if vals.shape != shape:
-            raise ConfigError("tabulated values must match the "
-                              + ("scale length" if n == 1 else "lattice shape"))
-        return vals
+        return fam, _constant(spec.value, rng)
+    if {"polynomial": spec.coeffs is not None, "tabulated": spec.values is not None,
+            "exponential": spec.amplitude is not None or _rates(spec, n) != (None,) * n
+            }.get(fam, True):
+        return fam, None
     _rng_required(rng)
-    shifted = [x - x.flat[0] for x in grids]
     if fam == "polynomial":
-        degrees = [d for d in product(range(4), repeat=n) if sum(d) <= 3]
-        degree = degrees[int(rng.integers(len(degrees)))]
+        degree = _DEGREES[n][int(rng.integers(len(_DEGREES[n])))]
         c = np.abs(rng.standard_normal(tuple(d + 1 for d in degree)))
         if monotone:
             c[(0,) * n] += 0.1
-        vals = _polyval(shifted, c)
-    elif fam == "exponential":
+        return fam, c
+    if fam == "exponential":
         amp = 0.1 + abs(rng.standard_normal())
-        rates = [float(rng.uniform(0.0 if monotone else -0.5, 0.5)) for _ in axes]
-        powers = reduce(np.add, (r * x for r, x in zip(rates, shifted)))
-        vals = amp * np.exp(powers)
+        return fam, (amp, [float(rng.uniform(0.0 if monotone else -0.5, 0.5)) for _ in shape])
+    return fam, 2.0 * np.abs(rng.standard_normal(shape))
+
+
+def _evaluate(spec: FnSpec, axes: tuple, draws: list | None, rng, monotone=False) -> np.ndarray:
+    """Values of the drawn instances (without draws, one drawn from rng) on the
+    product of one or two axes, stacked first, one evaluation per family."""
+    draws = draws or [draw(spec, tuple(len(x) for x in axes), rng, monotone)]
+    full = (len(draws), *(len(x) for x in axes))
+    fams = [fam for fam, _ in draws]
+    vals = np.empty(full)
+    for fam in dict.fromkeys(fams):
+        params = [p for f, p in draws if f == fam]
+        block = _family_values(spec, fam, axes, params) if fam != "constant" \
+            else np.reshape(params, (-1,) + (1,) * len(axes))
+        if block.shape == full:     # one family for every instance
+            return block
+        vals[np.array([f == fam for f in fams])] = block
+    return vals
+
+
+def _family_values(spec: FnSpec, fam: str, axes: tuple, params: list) -> np.ndarray:
+    """Instances of fam on the product of axes, one per parameter record, or
+    once at the raw points for records None (parameters spec fixes).  Sampled
+    ones use points shifted to start at zero, which makes them nonnegative,
+    and are capped at VALUE_CAP, in log space for an exponential past the
+    float range; any other family past it raises ConfigError.  Polynomials
+    padded with zero coefficients keep their bits on points of at least 0."""
+    n, fixed = len(axes), params[0] is None
+    if fam == "sin" and n == 1:
+        return np.sin((1.0 if spec.omega is None else spec.omega) * axes[0])
+    if fam not in _ANY_POOL:
+        raise ConfigError("sin may go negative and cannot serve as a coefficient" if fam == "sin"
+                          else f"function family '{fam}' is not usable here")
+    points = axes if fixed else [x - x[0] for x in axes]
+    lead, lattice = (-1,) + (1,) * n, tuple(range(1, n + 1))
+    if fam == "tabulated":
+        vals = np.asarray([spec.values]) if fixed else np.stack(params)
+        if vals.shape[1:] != tuple(len(x) for x in axes):
+            raise ConfigError("tabulated values must match the "
+                              + ("scale length" if n == 1 else "lattice shape"))
+    elif fam == "polynomial":
+        vals = _coefficients(spec, n)[..., None] if fixed \
+            else np.zeros((*map(max, zip(*(ck.shape for ck in params))), len(params)))
+        for k, ck in enumerate([] if fixed else params):
+            vals[(*map(slice, ck.shape), k)] = ck
+        for x in points:    # nested Horner steps, as polyval2d takes them
+            vals = npoly.polyval(x, vals)
     else:
-        vals = 2.0 * np.abs(rng.standard_normal(shape))
-    top = float(np.abs(vals).max())
-    if math.isfinite(top):
-        return vals * (VALUE_CAP / top) if top > VALUE_CAP else vals
-    if fam != "exponential":
+        if fixed:
+            params = [(1.0 if spec.amplitude is None else spec.amplitude,
+                       [0.0 if r is None else r for r in _rates(spec, n)])]
+        rates = np.array([r for _, r in params])
+        powers = reduce(np.add, (np.reshape(r, lead) * x
+                                 for r, x in zip(rates.T, np.ix_(*points))))
+        vals = np.reshape([amp for amp, _ in params], lead) * np.exp(powers)
+    if fixed:
+        return vals
+    top = np.abs(vals).max(axis=lattice)
+    over = ~np.isfinite(top)
+    if over.any() and fam != "exponential":
         raise ConfigError(f"a sampled {fam} leaves the float range on this scale")
-    # The cap in log space, where amp cancels: VALUE_CAP * exp(L - max L) for
-    # L = log(amp) + powers.
-    return VALUE_CAP * np.exp(powers - powers.max())
+    if over.any():
+        # The cap in log space, VALUE_CAP * exp(L - max L), where amp cancels.
+        powers = powers[over]
+        vals[over] = VALUE_CAP * np.exp(powers - powers.max(axis=lattice, keepdims=True))
+        top[over] = VALUE_CAP
+    if top.max() > VALUE_CAP:
+        vals *= np.reshape(VALUE_CAP / np.maximum(top, VALUE_CAP), lead)    # 1.0 when uncapped
+    return vals
 
 
 def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,
-               monotone_positive: bool = False) -> GridFn1:
+               monotone_positive: bool = False, draws: list | None = None) -> GridFn1:
     """Evaluate (or sample) a one-dimensional coefficient on a scale;
     monotone_positive asks for a strictly positive, nondecreasing one, which
     sampled families are drawn to be and fixed parameters are checked for.
-    Values past the float range come out inf or NaN, which GridFn1 rejects."""
+    Values past the float range come out inf or NaN, which GridFn1 rejects.
+    draws, records from draw(), realizes a stack of instances on a leading
+    axis (a list of one, one instance) in place of one drawn from rng."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _realize(spec, (scale.points,), rng, monotone_positive)
+        vals = _evaluate(spec, (scale.points,), draws, rng, monotone_positive)
         if monotone_positive:
             if float(vals.min()) <= 0.0:
                 raise ConfigError("this coefficient must be strictly positive on the scale")
-            if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
+            if len(scale) > 1 and float(np.diff(vals).min()) < 0.0:
                 raise ConfigError("this coefficient must be nondecreasing on the scale")
-    return GridFn1(scale, vals)
+    return GridFn1(scale, vals if len(vals) > 1 else vals[0])
 
 
-def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None) -> GridFn2:
+def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None,
+               draws: list | None = None) -> GridFn2:
     """Evaluate (or sample) a two-dimensional coefficient on a product scale;
     it must be nonnegative on the lattice.  Values past the float range come
-    out inf or NaN, which GridFn2 rejects."""
+    out inf or NaN, which GridFn2 rejects.  draws: as for realize_1d."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _realize(spec, (domain.scale1.points, domain.scale2.points), rng)
-    if float(vals.min()) < 0.0:
-        raise ConfigError("coefficient functions must be nonnegative on the lattice")
-    return GridFn2(domain, vals)
+        vals = _evaluate(spec, (domain.scale1.points, domain.scale2.points), draws, rng)
+        if float(vals.min()) < 0.0:
+            raise ConfigError("coefficient functions must be nonnegative on the lattice")
+    return GridFn2(domain, vals if len(vals) > 1 else vals[0])
 
 
-def realize_scalar(spec: FnSpec, rng=None) -> float:
+def draw_scalar(spec: FnSpec, rng) -> float | None:
+    """One realize_scalar instance's value (None for a family it rejects)."""
+    return _constant(spec.value, rng) if spec.family in ("constant", "any") else None
+
+
+def realize_scalar(spec: FnSpec, rng=None, draws: list | None = None):
     """A nonnegative constant from a descriptor (system-case c1, c2); family
-    'any' always draws one."""
+    'any' always draws one.  draws (from draw_scalar) gives a stack's array."""
     if spec.family not in ("constant", "any"):
         raise ConfigError("this entry must be a constant")
-    v = _constant(spec.value if spec.family == "constant" else None, rng)
-    if v < 0:
+    v = np.array([draw_scalar(spec, rng)] if draws is None else draws, dtype=float)
+    if np.any(v < 0):
         raise ConfigError("constants must be nonnegative")
-    return v
+    return v if len(v) > 1 else float(v[0])
 
 
-def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
+def draw_kernel(spec: FnSpec, rng) -> tuple:
+    """One realize_kernel instance's random part, as draw() gives it."""
+    fam = _pick(spec.family, ("constant", "affine_product"), rng)
+    if fam == "constant":
+        return fam, _constant(spec.value, rng)
+    if fam != "affine_product" or spec.params is not None:
+        return fam, None
+    _rng_required(rng)
+    return fam, tuple(np.abs(rng.standard_normal(7)))
+
+
+def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None,
+                   draws: list | None = None) -> KernelOracle:
     """A four-argument kernel from a descriptor, as separable factors.
 
     Families: constant, and affine_product with parameters
@@ -420,22 +478,19 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None) -> KernelOracle:
     in shifted coordinates, and alpha is scaled so that the kernel's
     largest value, max alpha * max beta, is at most VALUE_CAP.  Over the
     kernel budget it raises ConfigError before anything is drawn or
-    allocated.
+    allocated.  Kernels do not stack: draws holds one draw_kernel() record.
     """
     check_kernel_budget(domain, rank=1)
-    fam = _pick(spec.family, ("constant", "affine_product"), rng)
+    (fam, drawn), = [draw_kernel(spec, rng)] if draws is None else draws
     if fam == "constant":
-        v = _constant(spec.value, rng)
-        if v < 0:
+        if drawn < 0:
             raise ConfigError("a constant kernel must be nonnegative")
-        return KernelOracle.constant(domain, v)
+        return KernelOracle.constant(domain, drawn)
     if fam != "affine_product":
         raise ConfigError(f"kernel family '{fam}' is not supported")
     params, x1, x2 = spec.params, domain.scale1.points, domain.scale2.points
     if params is None:
-        _rng_required(rng)
-        params = tuple(np.abs(rng.standard_normal(7)))
-        x1, x2 = x1 - x1[0], x2 - x2[0]
+        params, x1, x2 = drawn, x1 - x1[0], x2 - x2[0]
     elif np.shape(params) != (7,):
         raise ConfigError("affine_product kernel needs 7 parameters")
     elif min(params) < 0:

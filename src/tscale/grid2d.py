@@ -84,6 +84,13 @@ class GridFn2:
     def constant(cls, domain: TimeScale2D, value: float) -> "GridFn2":
         return cls(domain, np.full(domain.shape, float(value)))
 
+    def instances(self) -> list["GridFn2"]:
+        """A stack's instances, read-only views of the values it checked."""
+        views = [object.__new__(GridFn2) for _ in self.values]
+        for view, vals in zip(views, self.values):
+            view.__dict__.update(domain=self.domain, values=vals)
+        return views
+
     def kappa_restrict(self) -> "GridFn2":
         """The same values minus the last row and column, on the kappa domain."""
         return GridFn2(self.domain.kappa(), self.values[..., :-1, :-1])

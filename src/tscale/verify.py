@@ -14,16 +14,15 @@ the right-hand side is p + q * sum over r of alpha_r * S_r, where S_r holds
 the block sums of beta_r * u * mu1 * mu2 (the summed-area table of each
 term), in O(r N) work without expanding the kernel.
 
-A batch runs as stacks.  The driver realizes the instances of a stack one
-by one, in the order of the random stream, stacks their values on a leading
-instance axis, and runs the witness, the bound and the re-check once on the
-whole stack; every step indexes the lattice axes from the end, so each
+A batch runs as stacks.  The driver draws the random part of each instance
+of a stack in stream order, then realizes each function once and runs the
+witness, the bound and the re-check once for the whole stack, on a leading
+instance axis; every step indexes the lattice axes from the end, so each
 instance gets the bits it would get on its own.  A stack holds at most
 grid2d.MAX_STACK_POINTS lattice points, and the kernel case, whose
 KernelOracle does not stack, runs stacks of one.  When a stacked pass
-raises, its instances run again one at a time, so the error names the
-lowest failing instance, as an error in realizing an instance does once the
-instances before it have passed.
+raises, its instances are realized and checked again one at a time, so the
+error names the lowest failing instance once those before it have passed.
 """
 
 from __future__ import annotations
@@ -39,20 +38,21 @@ from . import grid2d, witnesses
 from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInputs,
                      KernelInputs, PointwiseInputs, SystemInputs, _positive_part,
                      bound_kernel_variants, compute_bound)
-from .config import FnSpec, ScaleSpec, realize_1d, realize_2d, realize_kernel, \
-    realize_scalar
-from .core import GridFn1
+from .config import FnSpec, ScaleSpec, draw, draw_kernel, draw_scalar, realize_1d, \
+    realize_2d, realize_kernel, realize_scalar
 from .errors import ConfigError, TscaleError
 from .grid2d import GridFn2, TimeScale2D, _cell_weights, check_lattice_points
 
 # Scaled tolerance for the independent hypothesis re-check.
 RECHECK_TOL = 1e-10
 
+# Each case's functions in draw order and their kind (1 or 2: monotone 1-D on that axis).
 _CASE_FUNCTIONS = {
-    BoundCase.POINTWISE: ("p", "q", "k"),
-    BoundCase.KERNEL: ("p", "q", "k"),
-    BoundCase.SYSTEM: ("c1", "c2", "h1", "h2", "h3", "h4"),
-    BoundCase.INTEGRODYNAMIC: ("a", "b", "c"),
+    BoundCase.POINTWISE: (("p", "2d"), ("q", "2d"), ("k", "2d")),
+    BoundCase.KERNEL: (("p", "2d"), ("q", "2d"), ("k", "kernel")),
+    BoundCase.SYSTEM: (("c1", "scalar"), ("c2", "scalar"), ("h1", "2d"), ("h2", "2d"),
+                       ("h3", "2d"), ("h4", "2d")),
+    BoundCase.INTEGRODYNAMIC: (("a", 1), ("b", 2), ("c", "2d")),
 }
 
 _ANY = FnSpec("any")
@@ -79,7 +79,7 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigError("count must be at least 1")
-        unknown = set(self.functions) - set(_CASE_FUNCTIONS[self.case])
+        unknown = set(self.functions) - {name for name, _ in _CASE_FUNCTIONS[self.case]}
         if unknown:
             raise ConfigError(
                 f"unexpected function entries for the {self.case.value} case: "
@@ -192,20 +192,15 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     points = dom.shape[0] * dom.shape[1]
     check_lattice_points(points, "product lattice")
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
-    fns = dict(spec.functions)
     per_stack = 1 if spec.case is BoundCase.KERNEL \
         else max(1, grid2d.MAX_STACK_POINTS // points)
 
+    functions = _functions(spec, dom)
     checked: list[tuple[BoundReport, float, float, dict | None]] = []
     for start in range(0, spec.count, per_stack):
-        drawn = []
-        for idx in range(start, min(start + per_stack, spec.count)):
-            try:
-                drawn.append(_realize(spec, dom, fns, rng))
-            except TscaleError as exc:
-                _check_instances(spec, drawn, start)    # the instances before idx first
-                raise type(exc)(f"instance {idx}: {exc}") from exc
-        checked += _check_instances(spec, drawn, start)
+        drawn = [_draw(functions, rng, spec.witness_mode)
+                 for _ in range(start, min(start + per_stack, spec.count))]
+        checked += _check_instances(spec, functions, drawn, start)
 
     digests: list[dict] = []
     violations = 0
@@ -250,64 +245,54 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     )
 
 
-def _realize(spec: InstanceSpec, dom: TimeScale2D, fns: Mapping[str, FnSpec], rng) -> tuple:
-    """One instance's coefficients, in the case's fixed order, then its
-    feedback factor."""
-    case = spec.case
-    if case is BoundCase.POINTWISE or case is BoundCase.KERNEL:
-        fields = [_named(name, realize_2d, fns.get(name, _ANY), dom, rng)
-                  for name in ("p", "q")]
-        realize_k = realize_2d if case is BoundCase.POINTWISE else realize_kernel
-        fields.append(_named("k", realize_k, fns.get("k", _ANY), dom, rng))
-    elif case is BoundCase.SYSTEM:
-        fields = [_named(name, realize_scalar, fns.get(name, FnSpec("constant")), rng)
-                  for name in ("c1", "c2")]
-        fields += [_named(name, realize_2d, fns.get(name, _ANY), dom, rng)
-                   for name in ("h1", "h2", "h3", "h4")]
-    else:
-        fields = [_named(name, realize_1d, fns.get(name, _ANY), axis, rng, True)
-                  for name, axis in (("a", dom.scale1), ("b", dom.scale2))]
-        fields.append(_named("c", realize_2d, fns.get("c", _ANY), dom, rng))
-    return (*fields, _feedback(rng, spec.witness_mode))
+def _functions(spec: InstanceSpec, dom: TimeScale2D) -> list[tuple]:
+    """(name, descriptor, draw(fn, rng), realize(fn, draws)) of each function of
+    spec's instances, in the case's fixed order; system constants default to
+    a drawn constant, every other function to family 'any'."""
+    kinds = {"2d": (lambda fn, rng: draw(fn, dom.shape, rng),
+                    lambda fn, d: realize_2d(fn, dom, draws=d)),
+             "scalar": (draw_scalar, lambda fn, d: realize_scalar(fn, draws=d)),
+             "kernel": (draw_kernel, lambda fn, d: realize_kernel(fn, dom, draws=d))}
+    for axis, scale in ((1, dom.scale1), (2, dom.scale2)):
+        kinds[axis] = (lambda fn, rng, n=len(scale): draw(fn, (n,), rng, True),
+                       lambda fn, d, s=scale: realize_1d(fn, s, monotone_positive=True, draws=d))
+    return [(name, spec.functions.get(name, FnSpec("constant") if kind == "scalar" else _ANY),
+             *kinds[kind]) for name, kind in _CASE_FUNCTIONS[spec.case]]
 
 
-def _named(name: str, realize, *args):
-    """realize(*args); a ConfigError it raises names the function."""
-    try:
-        return realize(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"function '{name}': {exc}") from None
+def _draw(functions: list[tuple], rng, mode: WitnessMode) -> tuple:
+    """One instance's random parts, one per function, then its feedback factor."""
+    return (*(draw_one(fn, rng) for _, fn, draw_one, _ in functions), _feedback(rng, mode))
 
 
-def _stack(drawn: list[tuple]) -> tuple:
-    """The fields of several instances on a leading instance axis: grid
-    functions as stacked grid functions, numbers as arrays."""
-    out = []
-    for field_values in zip(*drawn):
-        first = field_values[0]
-        if isinstance(first, GridFn2):
-            out.append(GridFn2(first.domain, np.stack([f.values for f in field_values])))
-        elif isinstance(first, GridFn1):
-            out.append(GridFn1(first.scale, np.stack([f.values for f in field_values])))
-        else:
-            out.append(np.array(field_values, dtype=float))
-    return tuple(out)
+def _realize(functions: list[tuple], drawn: list[tuple]) -> tuple:
+    """The functions of the drawn instances, each realized once for all of them
+    (stacked first), then their feedback factors; a ConfigError names the function."""
+    *columns, rho = (list(column) for column in zip(*drawn))
+    fields = []
+    for (name, fn, _, realize), draws in zip(functions, columns):
+        try:
+            fields.append(realize(fn, draws))
+        except ConfigError as exc:
+            raise ConfigError(f"function '{name}': {exc}") from None
+    return (*fields, rho[0] if len(rho) == 1 else np.array(rho))
 
 
-def _check_instances(spec: InstanceSpec, drawn: list[tuple], first: int) -> list[tuple]:
+def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tuple],
+                     first: int) -> list[tuple]:
     """(report, residual, relative violation, kernel extras) of each drawn
     instance, numbered from first, from one stacked pass.  If the pass
-    raises, the instances run again one at a time, so the lowest failing one
-    raises its own error, prefixed with its number."""
+    raises, the instances are realized and checked again one at a time, so
+    the lowest failing one raises its own error, prefixed with its number."""
     if len(drawn) > 1:
         try:
-            return _check_stack(spec, _stack(drawn))
+            return _check_stack(spec, _realize(functions, drawn))
         except TscaleError:
             pass
     checked = []
-    for idx, fields in enumerate(drawn, first):
+    for idx, one in enumerate(drawn, first):
         try:
-            checked += _check_stack(spec, fields)
+            checked += _check_stack(spec, _realize(functions, [one]))
         except TscaleError as exc:
             raise type(exc)(f"instance {idx}: {exc}") from exc
     return checked

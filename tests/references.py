@@ -22,13 +22,18 @@ their replacements: the pointwise witness as its own row of the shared
 sweep, and the kernel re-check that contracts the kernel's row slabs one
 lattice row at a time, which serves any kernel, dense tables included.
 The verify driver that realizes, witnesses, bounds and re-checks one
-instance at a time is the reference for the stacked pass.
+instance at a time is the reference for the stacked pass, and the
+per-instance realizers it calls (instance_realize_*), which draw and
+evaluate one instance per call, are the reference for the stacked
+draw-then-evaluate realizers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -623,6 +628,192 @@ def classical_forms(spec):
                       "(constant, polynomial, sin, or exponential)")
 
 
+# The per-instance realizer that the stacked one replaced: each call draws one
+# instance from the stream and evaluates it on its own, with np.ix_ grids and
+# numpy's polyval at the drawn degree.
+
+
+def _pick_family(family: str, pool: tuple[str, ...], rng) -> str:
+    """family itself, or for 'any' a member of pool drawn from rng."""
+    if family != "any":
+        return family
+    _rng_required(rng)
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _drawn_constant(value: float | None, rng) -> float:
+    """value itself, or a constant drawn from rng when it is None."""
+    if value is not None:
+        return value
+    _rng_required(rng)
+    return float(min(VALUE_CAP, 0.1 + 2.0 * abs(rng.standard_normal())))
+
+
+def _coefficient_array(spec, naxes: int) -> np.ndarray:
+    c = np.asarray(spec.coeffs)
+    if c.ndim != naxes:
+        raise ConfigError(f"polynomial coefficients need one nesting level per axis, {naxes} here")
+    return c
+
+
+def _nested_polyval(grids, c: np.ndarray) -> np.ndarray:
+    """Polynomial with one axis of c per grid on the broadcast grids, by
+    nested Horner steps as polyval2d takes them."""
+    vals = npoly.polyval(grids[0], c)
+    for x in grids[1:]:
+        vals = npoly.polyval(x, vals, tensor=False)
+    return vals
+
+
+_ANY_POOL = ("constant", "polynomial", "exponential", "tabulated")
+
+
+def _instance_values(spec, axes: tuple[np.ndarray, ...], rng,
+                     monotone: bool = False) -> np.ndarray:
+    """Values of spec on the product of one or two axes (point arrays).
+
+    Fixed parameters are evaluated at the raw points.  Sampled families use
+    points shifted to start at zero and absolute-value coefficients, which
+    makes them nonnegative, and are capped at VALUE_CAP: in log space for an
+    exponential that leaves the float range, while any other family that
+    leaves it raises ConfigError.  monotone also keeps them nondecreasing (no
+    tabulated draw, a raised constant term, rates of at least 0).
+    Exponential rates are (rate,) on one axis and (rate1, rate2) on two; sin
+    serves on one axis only.
+    """
+    n = len(axes)
+    shape = tuple(len(x) for x in axes)
+    grids = np.ix_(*axes)
+    fam = _pick_family(spec.family, _ANY_POOL[:3] if monotone else _ANY_POOL, rng)
+    if fam == "constant":
+        return np.full(shape, _drawn_constant(spec.value, rng))
+    if fam == "sin" and n == 1:
+        return np.sin((1.0 if spec.omega is None else spec.omega) * grids[0])
+    if fam == "sin":
+        raise ConfigError("sin may go negative and cannot serve as a coefficient")
+    if fam not in _ANY_POOL:
+        raise ConfigError(f"function family '{fam}' is not usable here")
+    amp, rates = spec.amplitude, (spec.rate,) if n == 1 else (spec.rate1, spec.rate2)
+    if fam == "polynomial" and spec.coeffs is not None:
+        return _nested_polyval(grids, _coefficient_array(spec, n))
+    if fam == "exponential" and (amp is not None or rates != (None,) * n):
+        amp, rates = 1.0 if amp is None else amp, [0.0 if r is None else r for r in rates]
+        return amp * np.exp(reduce(np.add, (r * x for r, x in zip(rates, grids))))
+    if fam == "tabulated" and spec.values is not None:
+        vals = np.asarray(spec.values)
+        if vals.shape != shape:
+            raise ConfigError("tabulated values must match the "
+                              + ("scale length" if n == 1 else "lattice shape"))
+        return vals
+    _rng_required(rng)
+    shifted = [x - x.flat[0] for x in grids]
+    if fam == "polynomial":
+        degrees = [d for d in product(range(4), repeat=n) if sum(d) <= 3]
+        degree = degrees[int(rng.integers(len(degrees)))]
+        c = np.abs(rng.standard_normal(tuple(d + 1 for d in degree)))
+        if monotone:
+            c[(0,) * n] += 0.1
+        vals = _nested_polyval(shifted, c)
+    elif fam == "exponential":
+        amp = 0.1 + abs(rng.standard_normal())
+        rates = [float(rng.uniform(0.0 if monotone else -0.5, 0.5)) for _ in axes]
+        powers = reduce(np.add, (r * x for r, x in zip(rates, shifted)))
+        vals = amp * np.exp(powers)
+    else:
+        vals = 2.0 * np.abs(rng.standard_normal(shape))
+    top = float(np.abs(vals).max())
+    if math.isfinite(top):
+        return vals * (VALUE_CAP / top) if top > VALUE_CAP else vals
+    if fam != "exponential":
+        raise ConfigError(f"a sampled {fam} leaves the float range on this scale")
+    # The cap in log space, where amp cancels: VALUE_CAP * exp(L - max L) for
+    # L = log(amp) + powers.
+    return VALUE_CAP * np.exp(powers - powers.max())
+
+
+def instance_realize_1d(spec, scale, rng=None,
+               monotone_positive: bool = False):
+    """Evaluate (or sample) a one-dimensional coefficient on a scale;
+    monotone_positive asks for a strictly positive, nondecreasing one, which
+    sampled families are drawn to be and fixed parameters are checked for.
+    Values past the float range come out inf or NaN, which GridFn1 rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _instance_values(spec, (scale.points,), rng, monotone_positive)
+        if monotone_positive:
+            if float(vals.min()) <= 0.0:
+                raise ConfigError("this coefficient must be strictly positive on the scale")
+            if len(vals) > 1 and float(np.diff(vals).min()) < 0.0:
+                raise ConfigError("this coefficient must be nondecreasing on the scale")
+    return GridFn1(scale, vals)
+
+
+def instance_realize_2d(spec, domain, rng=None):
+    """Evaluate (or sample) a two-dimensional coefficient on a product scale;
+    it must be nonnegative on the lattice.  Values past the float range come
+    out inf or NaN, which GridFn2 rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _instance_values(spec, (domain.scale1.points, domain.scale2.points), rng)
+    if float(vals.min()) < 0.0:
+        raise ConfigError("coefficient functions must be nonnegative on the lattice")
+    return GridFn2(domain, vals)
+
+
+def instance_realize_scalar(spec, rng=None) -> float:
+    """A nonnegative constant from a descriptor (system-case c1, c2); family
+    'any' always draws one."""
+    if spec.family not in ("constant", "any"):
+        raise ConfigError("this entry must be a constant")
+    v = _drawn_constant(spec.value if spec.family == "constant" else None, rng)
+    if v < 0:
+        raise ConfigError("constants must be nonnegative")
+    return v
+
+
+def instance_realize_kernel(spec, domain, rng=None):
+    """A four-argument kernel from a descriptor, as separable factors.
+
+    Families: constant, and affine_product with parameters
+    (a0, a1, b0, b1, c0, c1, c2) giving
+    k = (a0 + a1*t1) * (b0 + b1*t2) * (c0 + c1*s1 + c2*s2); both are one
+    product alpha(t1, t2) * beta(s1, s2), so no kernel table is built.
+    Nonnegative parameters make the kernel nonnegative with nonnegative
+    lattice differences only where the points are nonnegative: (0, 1, 1, 0,
+    1, 0, 0) is k = t1, which is -1 at t1 = -1, and the hypothesis check
+    reports it.  Sampled parameters are absolute normals evaluated
+    in shifted coordinates, and alpha is scaled so that the kernel's
+    largest value, max alpha * max beta, is at most VALUE_CAP.  Over the
+    kernel budget it raises ConfigError before anything is drawn or
+    allocated.
+    """
+    check_kernel_budget(domain, rank=1)
+    fam = _pick_family(spec.family, ("constant", "affine_product"), rng)
+    if fam == "constant":
+        v = _drawn_constant(spec.value, rng)
+        if v < 0:
+            raise ConfigError("a constant kernel must be nonnegative")
+        return KernelOracle.constant(domain, v)
+    if fam != "affine_product":
+        raise ConfigError(f"kernel family '{fam}' is not supported")
+    params, x1, x2 = spec.params, domain.scale1.points, domain.scale2.points
+    if params is None:
+        _rng_required(rng)
+        params = tuple(np.abs(rng.standard_normal(7)))
+        x1, x2 = x1 - x1[0], x2 - x2[0]
+    elif np.shape(params) != (7,):
+        raise ConfigError("affine_product kernel needs 7 parameters")
+    elif min(params) < 0:
+        raise ConfigError("affine_product kernel parameters must be nonnegative")
+    a0, a1, b0, b1, c0, c1, c2 = params
+    alpha = (a0 + a1 * x1)[:, None] * (b0 + b1 * x2)[None, :]
+    beta = c0 + c1 * x1[:, None] + c2 * x2[None, :]
+    if spec.params is None:
+        top = float(alpha.max() * beta.max())
+        if top > VALUE_CAP:
+            alpha *= VALUE_CAP / top
+    return KernelOracle.separable(domain, alpha[None], beta[None])
+
+
+
 def run_verification_loop(spec):
     """The sequential driver that the stacked verify pass replaced: realize,
     witness, bound and re-check one instance at a time, in index order."""
@@ -690,28 +881,54 @@ def _relative_violation(report) -> float:
     return max(0.0, float(rel.max()))
 
 
+def _named(name, realize, *args):
+    try:
+        return realize(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"function '{name}': {exc}") from None
+
+
+def realize_instance(spec, dom, fns, rng) -> tuple:
+    """One instance's functions, realized one after another in the case's
+    fixed order by the per-instance realizers, then its feedback factor."""
+    case = spec.case
+    any_fn = verify.FnSpec("any")
+    if case is BoundCase.POINTWISE or case is BoundCase.KERNEL:
+        fields = [_named(name, instance_realize_2d, fns.get(name, any_fn), dom, rng)
+                  for name in ("p", "q")]
+        realize_k = instance_realize_2d if case is BoundCase.POINTWISE \
+            else instance_realize_kernel
+        fields.append(_named("k", realize_k, fns.get("k", any_fn), dom, rng))
+    elif case is BoundCase.SYSTEM:
+        fields = [_named(name, instance_realize_scalar,
+                         fns.get(name, verify.FnSpec("constant")), rng)
+                  for name in ("c1", "c2")]
+        fields += [_named(name, instance_realize_2d, fns.get(name, any_fn), dom, rng)
+                   for name in ("h1", "h2", "h3", "h4")]
+    else:
+        fields = [_named(name, instance_realize_1d, fns.get(name, any_fn), axis, rng, True)
+                  for name, axis in (("a", dom.scale1), ("b", dom.scale2))]
+        fields.append(_named("c", instance_realize_2d, fns.get("c", any_fn), dom, rng))
+    mode = spec.witness_mode
+    return (*fields, float(rng.uniform(0.0, 1.0)) if mode is verify.WitnessMode.STRICT_SLACK
+            else 1.0)
+
+
 def _run_instance(spec, dom, fns, rng):
     """One instance: realize functions, build the witness, bound, re-check.
 
     Returns (report, hypothesis residual, kernel-only extras).
     """
     case = spec.case
-    mode = spec.witness_mode
-    any_fn = verify.FnSpec("any")
+    *coeffs, rho = realize_instance(spec, dom, fns, rng)
     if case is BoundCase.POINTWISE:
-        p = verify._named("p", verify.realize_2d, fns.get("p", any_fn), dom, rng)
-        q = verify._named("q", verify.realize_2d, fns.get("q", any_fn), dom, rng)
-        k = verify._named("k", verify.realize_2d, fns.get("k", any_fn), dom, rng)
-        rho = verify._feedback(rng, mode)
+        p, q, k = coeffs
         u = witnesses.witness_pointwise(p, q, k, rho)
         report = bounds.compute_bound(bounds.PointwiseInputs(p, q, k, u))
         residual = verify._recheck_kernel(p, q, witnesses._unit_factors(k), u)
         return report, float(residual), None
     if case is BoundCase.KERNEL:
-        p = verify._named("p", verify.realize_2d, fns.get("p", any_fn), dom, rng)
-        q = verify._named("q", verify.realize_2d, fns.get("q", any_fn), dom, rng)
-        kernel = verify._named("k", verify.realize_kernel, fns.get("k", any_fn), dom, rng)
-        rho = verify._feedback(rng, mode)
+        p, q, kernel = coeffs
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bounds.bound_kernel_variants(bounds.KernelInputs(p, q, kernel, u))
         second = by_variant[bounds.ExponentVariant.SECOND_VARIABLE]
@@ -724,20 +941,12 @@ def _run_instance(spec, dom, fns, rng):
         residual = verify._recheck_kernel(p, q, kernel.factors, u)
         return by_variant[spec.exponent_variant], float(residual), extra
     if case is BoundCase.SYSTEM:
-        c1, c2 = (verify._named(name, verify.realize_scalar,
-                                fns.get(name, verify.FnSpec("constant")), rng)
-                  for name in ("c1", "c2"))
-        hs = tuple(verify._named(name, verify.realize_2d, fns.get(name, any_fn), dom, rng)
-                   for name in ("h1", "h2", "h3", "h4"))
-        rho = verify._feedback(rng, mode)
+        c1, c2, *hs = coeffs
         u, v = witnesses.witness_system(c1, c2, *hs, feedback_scale=rho)
         combined = GridFn2(dom, u.values + v.values)
         report = bounds.compute_bound(bounds.SystemInputs(c1, c2, *hs, u=combined))
         return report, float(verify._recheck_system(c1, c2, hs, u, v)), None
-    a = verify._named("a", verify.realize_1d, fns.get("a", any_fn), dom.scale1, rng, True)
-    b = verify._named("b", verify.realize_1d, fns.get("b", any_fn), dom.scale2, rng, True)
-    c = verify._named("c", verify.realize_2d, fns.get("c", any_fn), dom, rng)
-    rho = verify._feedback(rng, mode)
+    a, b, c = coeffs
     u, w = witnesses.witness_integrodynamic(a, b, c, rho)
     report = bounds.compute_bound(bounds.IntegrodynamicInputs(a, b, c, u))
     return report, float(verify._recheck_integrodynamic(a, b, c, u, w)), None

@@ -6,10 +6,10 @@ strings and skips a target it cannot find, so a renamed function would only
 drop its span and the per-layer numbers built on it would read 0.  Its hooks
 read ProductLadder.log_mode and KernelOracle._table, so a removed attribute
 would crash a traced run or count every table as a build.  Its
-config.realize.calls means realized functions only while one realizer call
-serves each.  The file is
-compiled from its source here and never imported, so the check writes
-nothing under benchmarks/.
+config.realize.calls counts one realizer call per function per verify
+stack, which realizes that function for all the stack's instances at once.
+The file is compiled from its source here and never imported, so the check
+writes nothing under benchmarks/.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tscale import BoundCase, TimeScale2D, config, integer_segment, verify
+from tscale import BoundCase, TimeScale2D, config, grid2d, integer_segment, verify
 from tscale.exponential import ProductLadder
 from tscale.grid2d import KernelOracle
 
@@ -67,9 +67,12 @@ REALIZERS = ("realize_1d", "realize_2d", "realize_kernel", "realize_scalar")
 
 
 def test_one_realizer_call_per_realized_function(monkeypatch):
-    """The tracer's config.realize.calls counts one call per realized function,
-    so no realizer may reach another through its module name.  Each is patched
-    where the tracer wraps it: on tscale.config and on tscale.verify."""
+    """The tracer's config.realize.calls counts one call per realized function
+    and stack, so no realizer may reach another through its module name.  Each
+    is patched where the tracer wraps it: on tscale.config and on
+    tscale.verify.  A batch of five instances is one stack, or three under a
+    limit of two instances per stack, and each stack realizes each function
+    once."""
     calls = []
     for name in REALIZERS:
         def counted(*args, _fn=getattr(config, name), _name=name, **kwargs):
@@ -87,3 +90,12 @@ def test_one_realizer_call_per_realized_function(monkeypatch):
             case=case, scale1=config.parse_scale("integer:0..3"),
             scale2=config.parse_scale("q:2,2"), rng_seed=5, count=1))
         assert calls == names
+    for count, limit, stacks in ((5, None, 1), (5, 2 * 12, 3)):
+        if limit is not None:
+            monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", limit)
+        for case, names in expected.items():
+            calls.clear()
+            verify.run_verification(verify.InstanceSpec(
+                case=case, scale1=config.parse_scale("integer:0..3"),
+                scale2=config.parse_scale("q:2,2"), rng_seed=5, count=count))
+            assert calls == names * stacks

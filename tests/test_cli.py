@@ -454,6 +454,34 @@ def test_verify_rejects_a_scale_number_that_is_not_finite(tmp_path, capsys, scal
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
+@pytest.mark.parametrize("scale", [
+    "explicit:-1e308,1e308",
+    "q:1e300,2",
+    {"kind": "union", "of": ["explicit:-1e308,0", "explicit:0,1e308"]},
+], ids=["explicit", "q", "union"])
+def test_a_scale_past_the_float_range_exits_two(tmp_path, capsys, scale):
+    """Finite numbers whose scale has a step or a point past the float range
+    (graininess inf) exit 2 like other non-finite scale input; under the
+    suite's RuntimeWarning-as-error setting a warning would exit 4."""
+    message = "leaves the float range\n"
+    if isinstance(scale, str):
+        code, out, err = run_cli(capsys, "calc", "mu", "--scale", scale)
+        assert (code, out) == (2, "") and err.startswith("error: a scale from ")
+        assert err.endswith(message)
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1=scale))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2 and err.startswith("error: a scale from ") and err.endswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_a_scale_past_the_float_range_warns_nothing():
+    out = subprocess.run([sys.executable, "-m", "tscale", "calc", "mu",
+                          "--scale", "explicit:-1e308,1e308"],
+                         capture_output=True, text=True, env=child_env())
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: a scale from -1e+308 to 1e+308 leaves the float range\n"
+
+
 def test_verify_kernel_beyond_the_dense_table_budget(tmp_path, capsys):
     """A config kernel holds its factors, not a table: on a 120x120 lattice
     its dense table would take 1.66 GB, over MAX_KERNEL_TABLE_BYTES."""

@@ -45,7 +45,7 @@ from hypothesis import strategies as st
 
 import references as ref
 from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
-                    KernelOracle, TimeScale2D, classical_forms, comparison_bound,
+                    KernelOracle, TimeScale2D, TscaleError, classical_forms, comparison_bound,
                     dense_mesh, exp_fn, explicit_scale, h_grid, integer_segment, q_grid,
                     realize_1d, realize_2d, realize_kernel, realize_scalar,
                     running_integral, union_scales)
@@ -1037,6 +1037,107 @@ def test_realizers_match_the_per_dimension_switches(s1, s2, seed, monotone, data
         (new, new_state), (old, old_state) = outcome(new_call, seed), outcome(old_call, seed)
         assert_same_bits(new, old)
         assert new_state == old_state
+
+
+# Scales out to 1500 and to 1e200: a drawn exponential leaves the float range
+# there and takes the log-space cap, and a drawn polynomial of degree 2 or
+# more leaves it on the last.
+FAR_SCALES = st.sampled_from([explicit_scale([0.0, 1.0, 1500.0]),
+                              explicit_scale([-2.0, 0.0, 1e3, 1.5e3]),
+                              explicit_scale([0.0, 1e200])])
+STACK_SCALES = realizer_scales() | FAR_SCALES
+STACK_FAMILIES = ("any", "constant", "polynomial", "exponential", "tabulated")
+
+
+def instance_values(result, count: int) -> list[np.ndarray]:
+    """The values of each instance a realizer returned for count draws."""
+    vals = np.asarray(getattr(result, "values", result), dtype=float)
+    return list(vals) if count > 1 else [vals]
+
+
+def assert_stack_matches_the_reference(draw_one, realize, reference, seed, count):
+    """count draws leave the stream where count reference calls leave it (a
+    call draws all it draws before it checks anything).  Realized one at a
+    time, as verify runs a stack that raised, each gives the reference's
+    bits or its error.  The stack of all of them, and the stack of those
+    that realize followed by those that raise, raise where one of them does;
+    otherwise, like the stack of those that realize, they give each instance
+    the reference's bits."""
+    new_rng, old_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    draws = [draw_one(new_rng) for _ in range(count)]
+
+    def realized(call, n):
+        try:
+            return instance_values(call(), n)
+        except TscaleError as exc:
+            return [exc]
+
+    expected = [realized(lambda: reference(old_rng), 1)[0] for _ in range(count)]
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    passed = [k for k, old in enumerate(expected) if not isinstance(old, TscaleError)]
+    failed = [k for k in range(count) if k not in passed]
+    for ks in [[k] for k in range(count)] + [list(range(count)), passed, passed + failed]:
+        got = realized(lambda: realize([draws[k] for k in ks]), len(ks)) if ks else []
+        if len(ks) > 1 and set(ks) & set(failed):
+            assert isinstance(got[0], TscaleError), "a stack realized an instance that raises"
+            continue
+        for new, old in zip(got, (expected[k] for k in ks), strict=True):
+            if isinstance(old, TscaleError):
+                assert (type(new), str(new)) == (type(old), str(old))
+            else:
+                assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(STACK_SCALES, STACK_SCALES, st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+       st.booleans(), st.data())
+def test_stacked_realizers_match_the_per_instance_reference(s1, s2, seed, count, monotone,
+                                                            data):
+    """Every family, fixed and sampled, on scales and lattices where draws take
+    the VALUE_CAP scaling, the log-space cap or leave the float range; the
+    monotone 1-D coefficients (a, b) and the system constants (c1, c2)."""
+    domain = TimeScale2D(s1, s2)
+    spec1 = data.draw(fn_specs((len(s1),), STACK_FAMILIES))
+    spec2 = data.draw(fn_specs(domain.shape, STACK_FAMILIES))
+    scalar = data.draw(fn_specs((1,), ("constant", "any")))
+    cases = [
+        (lambda rng: config.draw(spec1, (len(s1),), rng, monotone),
+         lambda draws: realize_1d(spec1, s1, monotone_positive=monotone, draws=draws),
+         lambda rng: ref.instance_realize_1d(spec1, s1, rng, monotone)),
+        (lambda rng: config.draw(spec2, domain.shape, rng),
+         lambda draws: realize_2d(spec2, domain, draws=draws),
+         lambda rng: ref.instance_realize_2d(spec2, domain, rng)),
+        (lambda rng: config.draw_scalar(scalar, rng),
+         lambda draws: realize_scalar(scalar, draws=draws),
+         lambda rng: ref.instance_realize_scalar(scalar, rng)),
+    ]
+    for draw_one, realize, reference in cases:
+        assert_stack_matches_the_reference(draw_one, realize, reference, seed, count)
+
+
+def test_a_stack_of_exponentials_takes_each_cap_as_the_reference_does():
+    """Sampled exponentials on a scale and a lattice out to 3000: in one stack
+    some take the log-space cap, some the VALUE_CAP scaling and, on the
+    lattice, where rates may be negative, some neither, each with the
+    reference's bits."""
+    s = explicit_scale([0.0, 1.0, 3000.0])
+    domain, spec, count = TimeScale2D(s, s), FnSpec("exponential"), 24
+    for draw_one, realize, reference, uncapped in [
+            (lambda rng: config.draw(spec, domain.shape, rng),
+             lambda draws: realize_2d(spec, domain, draws=draws),
+             lambda rng: ref.instance_realize_2d(spec, domain, rng), 3),
+            (lambda rng: config.draw(spec, (len(s),), rng, True),
+             lambda draws: realize_1d(spec, s, monotone_positive=True, draws=draws),
+             lambda rng: ref.instance_realize_1d(spec, s, rng, True), 0)]:
+        assert_stack_matches_the_reference(draw_one, realize, reference, 11, count)
+        rng = np.random.Generator(np.random.PCG64(11))
+        # the largest value before any cap: each positive rate at 3000
+        with np.errstate(over="ignore"):
+            raw = [amp * np.exp(3000.0 * sum(max(r, 0.0) for r in rates))
+                   for _, (amp, rates) in (draw_one(rng) for _ in range(count))]
+        assert sum(not math.isfinite(top) for top in raw) >= 3
+        assert sum(VALUE_CAP < top < math.inf for top in raw) >= 3
+        assert sum(top <= VALUE_CAP for top in raw) >= uncapped
 
 
 @settings(max_examples=100, deadline=None)

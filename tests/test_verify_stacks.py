@@ -1,9 +1,10 @@
 """The stacked verify pass against the sequential reference driver.
 
-run_verification realizes a batch one instance at a time and then checks it
-in stacks: the witness, the bound and the re-check run once on grid functions
-of shape (count, n1, n2).  tests/references.py keeps the loop that realized,
-witnessed, bounded and re-checked one instance at a time.  Summaries, report
+run_verification draws a batch one instance at a time and then realizes and
+checks it in stacks: each function is realized once, and the witness, the
+bound and the re-check run once, on grid functions of shape (count, n1, n2).
+tests/references.py keeps the loop that realized, witnessed, bounded and
+re-checked one instance at a time.  Summaries, report
 grids and the written report bytes must be identical to the loop's; an error
 must name the same instance, with the same message and exit code; and a batch
 split into several stacks must give the same bytes as one stack.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as ref
-from tscale import (BoundCase, DomainError, GridFn2, InstanceSpec, KernelInputs,
-                    KernelOracle, ScaleMismatchError, TimeScale2D, WitnessMode,
-                    grid2d, integer_segment, parse_fn, parse_scale, run_verification,
-                    verify, witness_kernel, witness_system)
+from test_reference_agreement import fn_specs
+from tscale import (BoundCase, ConfigError, DomainError, GridFn2, InstanceSpec, KernelInputs,
+                    KernelOracle, PointwiseInputs, ScaleMismatchError, TimeScale2D,
+                    TscaleError, WitnessMode, compute_bound, grid2d, integer_segment,
+                    parse_fn, parse_scale, run_verification, verify, witness_kernel,
+                    witness_pointwise, witness_system)
 from tscale import cli as cli_mod
 from tscale.cli import main
 
@@ -67,14 +71,78 @@ def test_stacked_pass_matches_the_sequential_loop(case, axis1, axis2, count, mod
     assert_same_outcome(run_verification(spec), ref.run_verification_loop(spec))
 
 
+FAMILIES = {"2d": ("any", "constant", "polynomial", "exponential", "tabulated"),
+            "scalar": ("any", "constant"), "kernel": ("any", "constant", "affine_product")}
+
+
+@st.composite
+def drawn_functions(draw, case, dom):
+    """A descriptor, fixed or sampled and of any family its place takes, for
+    some functions of case; the others keep their defaults."""
+    functions = {}
+    for name, kind in verify._CASE_FUNCTIONS[case]:
+        if draw(st.booleans()):
+            shape = (1,) if kind == "scalar" else (dom.shape[kind - 1],) \
+                if isinstance(kind, int) else dom.shape
+            functions[name] = draw(fn_specs(shape, FAMILIES.get(kind, FAMILIES["2d"])))
+    return functions
+
+
+def outcome(run, spec):
+    try:
+        return run(spec)
+    except TscaleError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(BoundCase)), AXES, AXES, st.integers(1, 7), st.integers(1, 3),
+       st.sampled_from(list(WitnessMode)), st.integers(0, 2 ** 32 - 1), st.data())
+def test_drawn_functions_run_as_the_sequential_loop(case, axis1, axis2, count, per_stack,
+                                                    mode, seed, data):
+    """Functions of every family, fixed or sampled, in stacks of per_stack
+    instances: each stack realizes every function once with the loop's bits,
+    drawing the batch leaves the generator where the loop's realizations
+    leave it, and the run gives the loop's summary, or its error."""
+    scale1, scale2 = parse_scale(axis1), parse_scale(axis2)
+    dom = TimeScale2D(scale1.build(), scale2.build())
+    spec = InstanceSpec(case=case, scale1=scale1, scale2=scale2, rng_seed=seed, count=count,
+                        functions=data.draw(drawn_functions(case, dom)), witness_mode=mode)
+    with mock.patch.object(grid2d, "MAX_STACK_POINTS", per_stack * dom.shape[0] * dom.shape[1]):
+        new = outcome(run_verification, spec)
+    old = outcome(ref.run_verification_loop, spec)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert_same_outcome(new, old)
+    rng, old_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    functions = verify._functions(spec, dom)
+    drawn = [verify._draw(functions, rng, mode) for _ in range(count)]
+    loop = [ref.realize_instance(spec, dom, dict(spec.functions), old_rng) for _ in range(count)]
+    assert rng.bit_generator.state == old_rng.bit_generator.state
+    if case is BoundCase.KERNEL:
+        per_stack = 1
+    for start in range(0, count, per_stack):
+        stacked = verify._realize(functions, drawn[start:start + per_stack])
+        for k, fields in enumerate(loop[start:start + per_stack]):
+            for new_field, old_field in zip(stacked, fields, strict=True):
+                if isinstance(old_field, KernelOracle):
+                    new_field, old_field = np.stack(new_field.factors), np.stack(old_field.factors)
+                new_vals = np.asarray(getattr(new_field, "values", new_field))
+                if len(drawn[start:start + per_stack]) > 1:
+                    new_vals = new_vals[k]
+                assert new_vals.tobytes() == \
+                    np.asarray(getattr(old_field, "values", old_field)).tobytes()
+
+
 def stack_sizes(monkeypatch) -> list[int]:
     """The number of instances of every stack run_verification checks from now on."""
     sizes: list[int] = []
     check = verify._check_instances
 
-    def counted(spec, drawn, first):
+    def counted(spec, functions, drawn, first):
         sizes.append(len(drawn))
-        return check(spec, drawn, first)
+        return check(spec, functions, drawn, first)
 
     monkeypatch.setattr(verify, "_check_instances", counted)
     return sizes
@@ -136,6 +204,45 @@ def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
+# On explicit:0,1e200 a drawn polynomial of degree 2 or more in t1 leaves the
+# float range at t1 = 1e200 and one of degree 0 or 1 does not, so some
+# instances of a batch fail to realize and others pass.
+FAR_POLYNOMIAL = {
+    "pointwise": {"p": {"family": "polynomial"}, "q": "const:0", "k": "const:0"},
+    "integrodynamic": {"a": {"family": "polynomial"}, "c": "const:0.5"},
+}
+
+
+@pytest.mark.parametrize("limit", [None, 2 * 4], ids=["one", "pairs"])
+@pytest.mark.parametrize("theorem, seed, message", [
+    ("pointwise", 5, "instance 1: function 'p'"),
+    ("pointwise", 16, "instance 2: function 'p'"),
+    ("pointwise", 1, "instance 5: function 'p'"),
+    ("integrodynamic", 37, "instance 3: function 'a'"),
+    ("integrodynamic", 23, "instance 5: function 'a'"),
+])
+def test_a_draw_past_the_float_range_names_the_instance_the_loop_names(
+        tmp_path, capsys, monkeypatch, theorem, seed, message, limit):
+    if limit is not None:
+        monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", limit)
+    config = {"theorem": theorem, "scale1": "explicit:0,1e200", "scale2": "integer:0..1",
+              "count": 6, "seed": seed, "functions": FAR_POLYNOMIAL[theorem]}
+    spec = cli_mod.ScenarioConfig.from_dict(
+        {**config, "output": {"path": str(tmp_path / "report")}}).instance
+    expected = f"{message}: a sampled polynomial leaves the float range on this scale"
+    with pytest.raises(ConfigError) as new:
+        run_verification(spec)
+    with pytest.raises(ConfigError) as old:
+        ref.run_verification_loop(spec)
+    assert str(new.value) == str(old.value) == expected
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({**config, "output": {"path": str(tmp_path / "report")}}))
+    stacked = run_cli(capsys, "verify", str(cfg))
+    monkeypatch.setattr(cli_mod, "run_verification", ref.run_verification_loop)
+    assert stacked == run_cli(capsys, "verify", str(cfg)) == (2, f"error: {expected}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def test_a_stacked_witness_gives_each_instance_its_own_bits():
     d = TimeScale2D(integer_segment(0, 5), parse_scale("q:1.5,4").build())
     rng = np.random.Generator(np.random.PCG64(4))
@@ -171,3 +278,28 @@ def test_a_stack_holds_at_most_max_stack_points(monkeypatch):
                         functions={name: parse_fn("const:0.01") for name in ("p", "q", "k")})
     assert run_verification(spec).instances_run == spec.count
     assert seen == [per_stack, per_stack, 3]
+
+
+def test_unstacked_reports_are_views_of_the_checked_stack(monkeypatch):
+    """BoundReport.unstack hands out each instance's bound and witness as
+    views of the stack's values, which GridFn2 checked once; the check
+    stays on the stack, so a non-finite stack still raises."""
+    d = TimeScale2D(integer_segment(0, 3), parse_scale("q:1.5,2").build())
+    rng = np.random.Generator(np.random.PCG64(2))
+    p, q, k = (GridFn2(d, rng.uniform(0.0, 1.0, (3, *d.shape))) for _ in range(3))
+    report = compute_bound(PointwiseInputs(p, q, k, witness_pointwise(p, q, k, 0.5)))
+    checked = []
+    monkeypatch.setattr(GridFn2, "__post_init__", lambda self: checked.append(self))
+    parts = report.unstack()
+    assert checked == []
+    for i, part in enumerate(parts):
+        for grid, stack in ((part.bound, report.bound), (part.witness, report.witness)):
+            assert grid.domain is stack.domain and grid.values.shape == stack.values.shape[1:]
+            assert np.shares_memory(grid.values, stack.values)
+            assert grid.values.tobytes() == stack.values[i].tobytes()
+            assert not grid.values.flags.writeable
+    monkeypatch.undo()
+    bad = np.ones((3, *d.shape))
+    bad[2, 1, 1] = np.inf
+    with pytest.raises(DomainError, match="must be finite"):
+        GridFn2(d, bad)
