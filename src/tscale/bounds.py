@@ -18,12 +18,12 @@ kernel case takes A and c straight from the kernel integral, a separable
 kernel from its factors in O(r N) and a dense table one row of slabs at a
 time; bound_kernel_variants finishes both exponent variants from them.
 
-The pointwise, system and integro-dynamic inputs may also hold a stack of
-instances: grid functions with a leading axis of length count, and one c1,
-c2 per instance.  Every step then indexes the lattice axes from the end, so
-each instance gets the bits it would get on its own; the report and the
-diagnostics come back stacked, and BoundReport.unstack() splits them.  The
-kernel case takes one instance, since a KernelOracle does not stack.
+Every input type may also hold a stack of instances: grid functions with a
+leading axis of length count, one c1, c2 per instance, and kernel factors of
+shape (r, count, n1, n2).  Every step then indexes the lattice axes from the
+end, so each instance gets the bits it would get on its own; the report and
+the diagnostics come back stacked, and BoundReport.unstack() splits them.
+A dense kernel table holds one instance.
 """
 
 from __future__ import annotations
@@ -157,11 +157,6 @@ def _finish(bound: GridFn2, witness: GridFn2 | None, diags: list,
     return BoundReport(bound, w, max_violation, min_slack, violations, diags, variant)
 
 
-def _min_location(vals: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return float(vals[idx]), tuple(int(i) for i in idx)
-
-
 def _new_diagnostics(lattice: np.ndarray) -> list[list[str]]:
     """One empty list of diagnostics per instance of lattice values."""
     return [[] for _ in _instances(lattice, 2)]
@@ -173,51 +168,66 @@ def _diagnostics(lists: list[list[str]], lattice: np.ndarray) -> list:
     return lists if lattice.ndim == 3 else lists[0]
 
 
-def _check_nonneg(vals: np.ndarray, name: str, diags: list[list[str]]) -> None:
+def _check_nonneg(vals: np.ndarray, name: str, diags: list[list[str]],
+                  where: str = "at index") -> None:
     """Append to diags[k] where instance k of vals (a lattice, or a stack of
     them) dips below -HYPOTHESIS_SLACK, naming the first index of its minimum."""
     stack = _instances(vals, 2)
     flat = stack.reshape(len(stack), -1)
+    if not flat.shape[1]:
+        return
     at = flat.argmin(axis=1)
     worst = flat[np.arange(len(flat)), at]
     for k in np.flatnonzero(worst < -HYPOTHESIS_SLACK):
         idx = tuple(int(i) for i in np.unravel_index(at[k], stack.shape[1:]))
-        diags[k].append(f"{name} negative at index {idx}: {float(worst[k]):.6g}")
+        diags[k].append(f"{name} negative {where} {idx}: {float(worst[k]):.6g}")
 
 
 def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
     """The (3, n1 - 1, n2 - 1) minima that KernelInputs.check_hypotheses
-    reports: at [:, i, j], those of the kernel's second-variable,
-    first-variable and mixed lattice differences at (i + 1, j + 1), over
-    the arguments (i, b < j), (a < i, j) and (a < i, b < j) that the bound
-    formulas touch; +inf where there are none.
+    reports, (3, count, n1 - 1, n2 - 1) for a stack of kernels: at
+    [:, ..., i, j], those of the kernel's second-variable, first-variable and
+    mixed lattice differences at (i + 1, j + 1), over the arguments
+    (i, b < j), (a < i, j) and (a < i, b < j) that the bound formulas touch;
+    +inf where there are none.
 
     A one-term factored kernel needs no sweep: each of its differences is
     c * beta with c a difference of alpha, and rounding is monotone in beta,
     so its minimum over a rectangle of beta is c times beta's minimum or
-    maximum there, taken from running extremes in O(N).  Any other kernel
-    is swept one row of slabs k(i+1 | i, j+1 | j, ., .) at a time.
+    maximum there, taken from running extremes in O(N), for a whole stack at
+    once.  Any other kernel is swept one row of slabs k(i+1 | i, j+1 | j, ., .)
+    at a time, one instance after another.
     """
+    if kernel.factors is None or len(kernel.factors[0]) != 1:
+        lows = [_swept_lows(one) for one in kernel.instances()]
+        return np.stack(lows, axis=1) if kernel.stack else lows[0]
+    n1, n2 = kernel.domain.shape
+    mu1 = np.diff(kernel.domain.scale1.points)
+    mu2 = np.diff(kernel.domain.scale2.points)
+    lows = np.full((3, *kernel.stack, n1 - 1, n2 - 1), np.inf)
+    alpha, beta = (x[0] for x in kernel.factors)
+    alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
+    alpha_d2 = np.diff(alpha, axis=-1) / mu2
+    alpha_d12 = np.diff(alpha_d1, axis=-1) / mu2
+    beta = beta[..., :-1, :-1]
+    for low, c, axes in ((lows[0, ..., :, 1:], alpha_d2[..., 1:, 1:], (-1,)),
+                         (lows[1, ..., 1:, :], alpha_d1[..., 1:, 1:], (-2,)),
+                         (lows[2, ..., 1:, 1:], alpha_d12[..., 1:, 1:], (-2, -1))):
+        lo = hi = beta
+        for axis in axes:
+            lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
+        last = (..., *(slice(-1) if axis in axes else slice(None) for axis in (-2, -1)))
+        np.minimum(c * lo[last], c * hi[last], out=low)
+    return lows
+
+
+def _swept_lows(kernel: KernelOracle) -> np.ndarray:
+    """_kernel_lows of one kernel, one row of slabs at a time."""
     n1, n2 = kernel.domain.shape
     m1, m2 = n1 - 1, n2 - 1
     mu1 = np.diff(kernel.domain.scale1.points)
     mu2 = np.diff(kernel.domain.scale2.points)
     lows = np.full((3, m1, m2), np.inf)
-    if kernel.factors is not None and len(kernel.factors[0]) == 1:
-        alpha, beta = (x[0] for x in kernel.factors)
-        alpha_d1 = np.diff(alpha, axis=0) / mu1[:, None]
-        alpha_d2 = np.diff(alpha, axis=1) / mu2
-        alpha_d12 = np.diff(alpha_d1, axis=1) / mu2
-        beta = beta[:-1, :-1]
-        for low, c, axes in ((lows[0, :, 1:], alpha_d2[1:, 1:], (1,)),
-                             (lows[1, 1:], alpha_d1[1:, 1:], (0,)),
-                             (lows[2, 1:, 1:], alpha_d12[1:, 1:], (0, 1))):
-            lo = hi = beta
-            for axis in axes:
-                lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
-            last = tuple(slice(-1) if axis in axes else slice(None) for axis in (0, 1))
-            np.minimum(c * lo[last], c * hi[last], out=low)
-        return lows
     j = np.arange(m2)
     before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
     for i in range(m1 if m2 else 0):
@@ -238,10 +248,56 @@ def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
     one row slab at a time."""
     worst, at = math.inf, ()
     for i in range(kernel.domain.shape[0]):
-        lo, where = _min_location(kernel.slab(i))
-        if lo < worst:
-            worst, at = lo, (i, *where)
+        slab = kernel.slab(i)
+        first = int(np.argmin(slab))
+        if slab.flat[first] < worst:
+            worst = float(slab.flat[first])
+            at = (i, *map(int, np.unravel_index(first, slab.shape)))
     return worst, at
+
+
+def _rank_one_min(alpha: np.ndarray,
+                  beta: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """_kernel_min of each kernel alpha[k](t) * beta[k](s) of a stack, factors
+    of shape (count, n1, n2), in O(N) each.
+
+    Rounding is monotone in each factor, so the smallest product over s at a
+    row t is alpha(t) times beta's minimum, or its maximum where alpha(t) < 0,
+    and the smallest of those rows is the kernel's minimum, one of its four
+    corner products.  The first t in row order whose row minimum equals it,
+    then the first s where its product does, is where the slab sweep finds
+    it, ties in rounding included.
+    """
+    count, shape = len(alpha), alpha.shape[1:]
+    a, b = alpha.reshape(count, -1), beta.reshape(count, -1)
+    rows = np.where(a < 0, a * b.max(axis=1, keepdims=True), a * b.min(axis=1, keepdims=True))
+    worst = rows.min(axis=1, keepdims=True)
+    t = (rows == worst).argmax(axis=1)
+    at = a[np.arange(count), t, None]
+    s = (at * b == worst).argmax(axis=1)
+    found = []
+    for k, value in enumerate((at[:, 0] * b[np.arange(count), s]).tolist()):
+        where = np.unravel_index(t[k], shape) + np.unravel_index(s[k], shape)
+        found.append((value, tuple(map(int, where))) if value < math.inf else (math.inf, ()))
+    return found
+
+
+def _kernel_mins(kernel: KernelOracle) -> list[tuple[float, tuple[int, ...]]]:
+    """_kernel_min of each instance of a kernel, or of a stack of kernels, and
+    (0.0, ()) for one whose factors are all nonnegative: such a kernel is
+    nonnegative without a scan.  A one-term kernel takes _rank_one_min; any
+    other is swept one row slab at a time."""
+    if kernel.factors is None:
+        return [_kernel_min(kernel)]
+    alpha, beta = (x.reshape(len(x), -1, *x.shape[-2:]) for x in kernel.factors)
+    signed = np.flatnonzero((alpha.min(axis=(0, 2, 3)) < 0) | (beta.min(axis=(0, 2, 3)) < 0))
+    found = [(0.0, ())] * alpha.shape[1]
+    if len(signed):
+        mins = _rank_one_min(alpha[0, signed], beta[0, signed]) if len(alpha) == 1 \
+            else [_kernel_min(kernel.instances()[k]) for k in signed.tolist()]
+        for k, one in zip(signed.tolist(), mins):
+            found[k] = one
+    return found
 
 
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
@@ -301,20 +357,21 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
     avoids the cancellation of a difference quotient of z_q.
 
     A factored kernel sums over r alpha times running integrals of beta * p
-    or beta * q, O(r N) in all.  A dense kernel contracts one row of slabs
-    k(i + 1 | i, ., ., .) at a time.
+    or beta * q, O(r N) in all, for a stack of kernels at once.  A dense
+    kernel contracts one row of slabs k(i + 1 | i, ., ., .) at a time.
     """
     m1, m2 = (n - 1 for n in p.domain.shape)
     mu1 = np.diff(p.domain.scale1.points)
     mu2 = np.diff(p.domain.scale2.points)
-    coeff = np.stack((p.values[:m1, :m2], q.values[:m1, :m2]))
+    coeff = np.stack((p.values[..., :m1, :m2], q.values[..., :m1, :m2]))
     if kernel.factors is not None:
-        alpha, beta = (x[:, :, :m2] for x in kernel.factors)
-        single = exclusive_sums(beta[:, None, :m1] * coeff * mu2, -1)    # (r, 2, m1, m2)
+        alpha, beta = (x[..., :m2] for x in kernel.factors)
+        # (r, 2, [count,] m1, m2)
+        single = exclusive_sums(beta[:, None, ..., :m1, :] * coeff * mu2, -1)
         double = exclusive_sums(single * mu1[:, None], -2)
-        alpha_d1 = np.diff(alpha, axis=1) / mu1[:, None]
-        A = (alpha[:, :m1] * double[:, 0]).sum(axis=0)
-        c = (alpha[:, 1:] * single[:, 1] + alpha_d1 * double[:, 1]).sum(axis=0)
+        alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
+        A = (alpha[..., :m1, :] * double[:, 0]).sum(axis=0)
+        c = (alpha[..., 1:, :] * single[:, 1] + alpha_d1 * double[:, 1]).sum(axis=0)
         return A, c
     weights = coeff * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
@@ -394,28 +451,25 @@ class KernelInputs:
         if not isinstance(self.k, KernelOracle):
             raise DomainError("kernel case needs k as a KernelOracle")
         _require_same_domain(self.p, self.q)
-        if self.p.values.ndim != 2:
-            raise DomainError("the kernel case takes one instance, not a stack")
-        if not self.k.domain.same_points(self.p.domain):
-            raise ScaleMismatchError("kernel lives on a different product scale")
+        witnesses._check_kernel_stack(self.k, self.p)
 
-    def check_hypotheses(self) -> list[str]:
+    def check_hypotheses(self) -> list:
         """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
         differences over every argument combination the bound formulas touch; a
-        failing difference names the first (i, j), in row order, of its minimum."""
-        diags: list[str] = []
+        failing difference names the first (i, j), in row order, of its minimum.
+        On a stack, one list per instance."""
+        return _diagnostics(self._instance_diagnostics(), self.p.values)
+
+    def _instance_diagnostics(self) -> list[list[str]]:
+        diags = _new_diagnostics(self.p.values)
         for g, nm in ((self.p, "p"), (self.q, "q")):
-            _check_nonneg(g.values, nm, [diags])
-        # a kernel of nonnegative factors is nonnegative without a scan
-        if self.k.factors is None or min(f.min() for f in self.k.factors) < 0:
-            worst, at = _kernel_min(self.k)
+            _check_nonneg(g.values, nm, diags)
+        for found, (worst, at) in zip(diags, _kernel_mins(self.k)):
             if worst < -HYPOTHESIS_SLACK:
-                diags.append(f"kernel negative at index {at}: {worst:.6g}")
+                found.append(f"kernel negative at index {at}: {worst:.6g}")
         for kind, low in zip(("second-variable", "first-variable", "mixed"),
                              _kernel_lows(self.k)):
-            lo, at = _min_location(low) if low.size else (0.0, None)
-            if lo < -HYPOTHESIS_SLACK:
-                diags.append(f"kernel {kind} difference negative near {at}: {lo:.6g}")
+            _check_nonneg(low, f"kernel {kind} difference", diags, "near")
         return diags
 
     def bound(self) -> BoundReport:
@@ -570,7 +624,7 @@ def bound_kernel_variants(inputs: KernelInputs,
         raise DomainError("kernel bound needs at least two points per axis")
     m1, m2 = n1 - 1, n2 - 1
     kdom = dom.kappa()
-    diags = inputs.check_hypotheses()
+    diags = inputs._instance_diagnostics()
     A, c = _kernel_integrals(kernel, p, q)
     reports = {}
     for variant in variants:
@@ -578,11 +632,11 @@ def bound_kernel_variants(inputs: KernelInputs,
             e = _exp_axis(c, dom.mu1, 1)
         else:
             e = _exp_axis(c, dom.mu2, 2)
-        bound_vals = p.values[:m1, :m2] + q.values[:m1, :m2] * A * e
+        bound_vals = p.values[..., :m1, :m2] + q.values[..., :m1, :m2] * A * e
         if not np.all(np.isfinite(bound_vals)):
             raise DomainError("kernel bound overflowed")
-        reports[variant] = _finish(GridFn2(kdom, bound_vals), inputs.u, list(diags),
-                                   variant)
+        reports[variant] = _finish(GridFn2(kdom, bound_vals), inputs.u,
+                                   _diagnostics([list(d) for d in diags], p.values), variant)
     return reports
 
 

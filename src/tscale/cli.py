@@ -168,6 +168,8 @@ class ScenarioConfig:
         path = out.get("path")
         if not path:
             raise ConfigError("verify config needs output.path")
+        if not isinstance(path, str) or "\0" in path:
+            raise ConfigError("output.path must be text naming a file, without NUL characters")
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError("output.format must be csv or json")

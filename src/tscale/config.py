@@ -27,6 +27,8 @@ from .grid2d import (GridFn2, KernelOracle, TimeScale2D, check_kernel_budget,
 
 # Sampled coefficient functions never exceed this magnitude.
 VALUE_CAP = 10.0
+# Smallest normal double: the floor of a sampled exponential capped in log space.
+_TINY = np.finfo(float).tiny
 
 SCALE_KINDS = ("integer_segment", "h_grid", "q_grid", "explicit", "union", "dense_mesh")
 FN_FAMILIES = ("constant", "polynomial", "exponential", "tabulated", "sin",
@@ -360,7 +362,8 @@ def _family_values(spec: FnSpec, fam: str, axes: tuple, params: list) -> np.ndar
     once at the raw points for records None (parameters spec fixes).  Sampled
     ones use points shifted to start at zero, which makes them nonnegative,
     and are capped at VALUE_CAP, in log space for an exponential past the
-    float range; any other family past it raises ConfigError.  Polynomials
+    float range (floored at the smallest normal double, so it stays strictly
+    positive); any other family past it raises ConfigError.  Polynomials
     padded with zero coefficients keep their bits on points of at least 0."""
     n, fixed = len(axes), params[0] is None
     if fam == "sin" and n == 1:
@@ -397,9 +400,12 @@ def _family_values(spec: FnSpec, fam: str, axes: tuple, params: list) -> np.ndar
     if over.any() and fam != "exponential":
         raise ConfigError(f"a sampled {fam} leaves the float range on this scale")
     if over.any():
-        # The cap in log space, VALUE_CAP * exp(L - max L), where amp cancels.
+        # The cap in log space, VALUE_CAP * exp(L - max L), where amp cancels,
+        # floored at the smallest normal double where it underflows, so that
+        # it stays strictly positive, and nondecreasing where L is.
         powers = powers[over]
-        vals[over] = VALUE_CAP * np.exp(powers - powers.max(axis=lattice, keepdims=True))
+        vals[over] = np.maximum(
+            VALUE_CAP * np.exp(powers - powers.max(axis=lattice, keepdims=True)), _TINY)
         top[over] = VALUE_CAP
     if top.max() > VALUE_CAP:
         vals *= np.reshape(VALUE_CAP / np.maximum(top, VALUE_CAP), lead)    # 1.0 when uncapped
@@ -478,31 +484,52 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None,
     in shifted coordinates, and alpha is scaled so that the kernel's
     largest value, max alpha * max beta, is at most VALUE_CAP.  Over the
     kernel budget it raises ConfigError before anything is drawn or
-    allocated.  Kernels do not stack: draws holds one draw_kernel() record.
+    allocated.  draws, records from draw_kernel(), realizes a stack of
+    instances as one kernel whose factors have shape (1, count, n1, n2), each
+    family evaluated once for its instances (a list of one: one instance).
     """
     check_kernel_budget(domain, rank=1)
-    (fam, drawn), = [draw_kernel(spec, rng)] if draws is None else draws
-    if fam == "constant":
-        if drawn < 0:
+    draws = [draw_kernel(spec, rng)] if draws is None else draws
+    fams = [fam for fam, _ in draws]
+    for fam in fams:
+        if fam not in ("constant", "affine_product"):
+            raise ConfigError(f"kernel family '{fam}' is not supported")
+    shape = (len(draws), *domain.shape)
+    alpha, beta = np.empty(shape), np.empty(shape)
+    const = np.array([fam == "constant" for fam in fams])
+    if const.any():
+        values = np.array([v for fam, v in draws if fam == "constant"])
+        if values.min() < 0:
             raise ConfigError("a constant kernel must be nonnegative")
-        return KernelOracle.constant(domain, drawn)
-    if fam != "affine_product":
-        raise ConfigError(f"kernel family '{fam}' is not supported")
+        alpha[const], beta[const] = values[:, None, None], 1.0
+    if not const.all():
+        alpha[~const], beta[~const] = _affine_factors(
+            spec, domain, [v for fam, v in draws if fam == "affine_product"])
+    if len(draws) > 1:    # one term: (1, count, n1, n2)
+        alpha, beta = alpha[None], beta[None]
+    return KernelOracle.separable(domain, alpha, beta)
+
+
+# Factors past the float range need no warning: KernelOracle.separable rejects them.
+@np.errstate(over="ignore", invalid="ignore")
+def _affine_factors(spec: FnSpec, domain: TimeScale2D, drawn: list) -> tuple:
+    """alpha and beta of affine_product kernels, stacked first: one per drawn
+    parameter record, or, for records None, spec's fixed parameters once."""
     params, x1, x2 = spec.params, domain.scale1.points, domain.scale2.points
     if params is None:
-        params, x1, x2 = drawn, x1 - x1[0], x2 - x2[0]
+        params, x1, x2 = np.array(drawn).T, x1 - x1[0], x2 - x2[0]
     elif np.shape(params) != (7,):
         raise ConfigError("affine_product kernel needs 7 parameters")
     elif min(params) < 0:
         raise ConfigError("affine_product kernel parameters must be nonnegative")
-    a0, a1, b0, b1, c0, c1, c2 = params
-    alpha = (a0 + a1 * x1)[:, None] * (b0 + b1 * x2)[None, :]
-    beta = c0 + c1 * x1[:, None] + c2 * x2[None, :]
+    a0, a1, b0, b1, c0, c1, c2 = (np.reshape(x, (-1, 1, 1)) for x in params)
+    x1, x2 = x1[:, None], x2[None, :]
+    alpha = (a0 + a1 * x1) * (b0 + b1 * x2)
+    beta = c0 + c1 * x1 + c2 * x2
     if spec.params is None:
-        top = float(alpha.max() * beta.max())
-        if top > VALUE_CAP:
-            alpha *= VALUE_CAP / top
-    return KernelOracle.separable(domain, alpha[None], beta[None])
+        top = alpha.max(axis=(1, 2)) * beta.max(axis=(1, 2))
+        alpha *= (VALUE_CAP / np.maximum(top, VALUE_CAP))[:, None, None]    # 1.0 when uncapped
+    return alpha, beta
 
 
 def classical_forms(spec: FnSpec) -> tuple[Callable[[float], float], Callable[[float], float]]:

@@ -21,8 +21,10 @@ MERGE_TOL = 1e-12
 
 
 def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Exact rounding error of s = fl(a + b), elementwise (Neumaier's form)."""
-    return np.where(np.abs(a) >= np.abs(b), (a - s) + b, (b - s) + a)
+    """Exact rounding error of s = fl(a + b), elementwise, by Knuth's
+    branch-free TwoSum: bb = s - a, then (a - (s - bb)) + (b - bb)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
 
 
 def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ Partial deltas are forward difference quotients along one axis; double
 integrals are left-endpoint sums weighted by both graininesses.  A
 four-argument kernel, held by KernelOracle, is a dense (n1, n2, n1, n2) table
 or a sum of r separable products alpha(t1, t2) * beta(s1, s2), within the
-byte budget MAX_KERNEL_TABLE_BYTES; MAX_LATTICE_POINTS caps an axis or a
-lattice before its points are allocated.
+byte budget MAX_KERNEL_TABLE_BYTES; separable factors may hold a stack of
+instances.  MAX_LATTICE_POINTS caps an axis or a lattice before its points
+are allocated.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def check_lattice_points(count: float, what: str) -> None:
 def check_kernel_budget(domain: TimeScale2D, rank: int | None = None) -> None:
     """Raise ConfigError before allocating a kernel over MAX_KERNEL_TABLE_BYTES:
     the dense table, or for a factored kernel of the given rank its factors
-    plus one row slab."""
+    plus one row slab, per instance of a stack."""
     n1, n2 = domain.shape
     if rank is None:
         what, nbytes = "table", 8 * (n1 * n2) ** 2
@@ -255,12 +256,15 @@ class KernelOracle:
 
     A kernel is either a dense (n1, n2, n1, n2) table or separable factors
     alpha and beta of shape (r, n1, n2) with k(t, s) = sum over r of
-    alpha[r, t] * beta[r, s]; factors holds (alpha, beta) or None.  The
+    alpha[r, t] * beta[r, s]; factors holds (alpha, beta) or None.  Factors
+    of shape (r, count, n1, n2) hold a stack of count instances, one kernel
+    each; stack is () or (count,), and instances() splits a stack.  The
     first two indices are sigma-capable: they may take any index of the full
     scales, so callers working on kappa x kappa can still ask for
     sigma-shifted first arguments.  slab(i) reads one row of the kernel, so
     callers never need the whole table; table() expands a factored kernel on
-    demand.  Every constructor checks the byte budget before it allocates.
+    demand.  eval, slab and table read one instance.  Every constructor
+    checks the byte budget before it allocates.
     """
 
     def __init__(self, domain: TimeScale2D, table: np.ndarray | None = None,
@@ -297,10 +301,10 @@ class KernelOracle:
     def separable(cls, domain: TimeScale2D, alpha: np.ndarray,
                   beta: np.ndarray) -> "KernelOracle":
         """Kernel sum over r of alpha[r](t1, t2) * beta[r](s1, s2), from
-        factors of shape (r, n1, n2)."""
+        factors of shape (r, n1, n2), or (r, count, n1, n2) for a stack."""
         alpha, beta = (np.asarray(x, dtype=float) for x in (alpha, beta))
-        if alpha.ndim != 3 or alpha.shape != beta.shape \
-                or alpha.shape[1:] != domain.shape or not len(alpha):
+        if alpha.ndim not in (3, 4) or alpha.shape != beta.shape \
+                or alpha.shape[-2:] != domain.shape or not alpha.size:
             raise DomainError(f"kernel factors of shapes {alpha.shape} and {beta.shape} "
                               f"do not fit the lattice")
         check_kernel_budget(domain, len(alpha))
@@ -314,7 +318,24 @@ class KernelOracle:
         return cls.separable(domain, np.full((1, *domain.shape), float(value)),
                              np.ones((1, *domain.shape)))
 
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """() for one kernel, (count,) for a stack of count kernels."""
+        return () if self.factors is None else self.factors[0].shape[1:-2]
+
+    def instances(self) -> list["KernelOracle"]:
+        """A stack's kernels, on views of its factors; [self] for one kernel."""
+        if not self.stack:
+            return [self]
+        return [KernelOracle(self.domain, factors=(a, b))
+                for a, b in zip(*(np.swapaxes(x, 0, 1) for x in self.factors))]
+
+    def _one(self) -> None:
+        if self.stack:
+            raise DomainError("a stack of kernels is read one instance at a time")
+
     def eval(self, i1: int, i2: int, j1: int, j2: int) -> float:
+        self._one()
         if self.factors is None:
             return float(self._table[i1, i2, j1, j2])
         alpha, beta = self.factors
@@ -323,6 +344,7 @@ class KernelOracle:
     def slab(self, i: int, m1: int | None = None, m2: int | None = None) -> np.ndarray:
         """k(i, j, a, b) for every j, a < m1 and b < m2 (default: all), as an
         (n2, m1, m2) array; a factored kernel expands it."""
+        self._one()
         if self.factors is None:
             return self._table[i, :, :m1, :m2]
         alpha, beta = self.factors
@@ -331,6 +353,7 @@ class KernelOracle:
     def table(self) -> np.ndarray:
         """The dense (n1, n2, n1, n2) value table; a factored kernel expands
         it on each call, within MAX_KERNEL_TABLE_BYTES."""
+        self._one()
         if self.factors is None:
             return self._table
         check_kernel_budget(self.domain)

@@ -18,11 +18,11 @@ A batch runs as stacks.  The driver draws the random part of each instance
 of a stack in stream order, then realizes each function once and runs the
 witness, the bound and the re-check once for the whole stack, on a leading
 instance axis; every step indexes the lattice axes from the end, so each
-instance gets the bits it would get on its own.  A stack holds at most
-grid2d.MAX_STACK_POINTS lattice points, and the kernel case, whose
-KernelOracle does not stack, runs stacks of one.  When a stacked pass
-raises, its instances are realized and checked again one at a time, so the
-error names the lowest failing instance once those before it have passed.
+instance gets the bits it would get on its own; a stack's kernels are one
+KernelOracle whose factors carry the instance axis.  A stack holds at most
+grid2d.MAX_STACK_POINTS lattice points.  When a stacked pass raises, its
+instances are realized and checked again one at a time, so the error names
+the lowest failing instance once those before it have passed.
 """
 
 from __future__ import annotations
@@ -192,8 +192,7 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     points = dom.shape[0] * dom.shape[1]
     check_lattice_points(points, "product lattice")
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
-    per_stack = 1 if spec.case is BoundCase.KERNEL \
-        else max(1, grid2d.MAX_STACK_POINTS // points)
+    per_stack = max(1, grid2d.MAX_STACK_POINTS // points)
 
     functions = _functions(spec, dom)
     checked: list[tuple[BoundReport, float, float, dict | None]] = []
@@ -303,7 +302,7 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
     into one (report, residual, relative violation, extras) per instance."""
     case = spec.case
     *coeffs, rho = fields
-    extra = None
+    extras = None
     if case is BoundCase.POINTWISE:
         p, q, k = coeffs
         u = witnesses.witness_pointwise(p, q, k, rho)
@@ -313,13 +312,11 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
         p, q, kernel = coeffs
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bound_kernel_variants(KernelInputs(p, q, kernel, u))
-        second = by_variant[ExponentVariant.SECOND_VARIABLE]
-        extra = {
-            "first_variable_dominates":
-                not by_variant[ExponentVariant.FIRST_VARIABLE].violations,
-            "second_variable_dominates": not second.violations,
-            "second_variable_max_violation": second.max_violation,
-        }
+        extras = [{"first_variable_dominates": not first.violations,
+                   "second_variable_dominates": not second.violations,
+                   "second_variable_max_violation": second.max_violation}
+                  for first, second in zip(*(by_variant[variant].unstack() for variant in (
+                      ExponentVariant.FIRST_VARIABLE, ExponentVariant.SECOND_VARIABLE)))]
         report = by_variant[spec.exponent_variant]
         residual = _recheck_kernel(p, q, kernel.factors, u)
     elif case is BoundCase.SYSTEM:
@@ -336,4 +333,4 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
     reports = report.unstack()
     return list(zip(reports, np.atleast_1d(residual).tolist(),
                     np.atleast_1d(_relative_violation(report)).tolist(),
-                    [extra] * len(reports)))
+                    extras or [None] * len(reports)))

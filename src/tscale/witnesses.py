@@ -8,11 +8,13 @@ share one O(n1)-step row sweep that carries Neumaier-compensated column sums
 and takes each row's rectangle sums from one compensated prefix sum.  A
 kernel of r separable terms runs the sweep with r fields, O(r N) in total,
 the pointwise kernel k(s) being the one term (1, k); a dense kernel table is
-contracted one row slab at a time, O(N^2) like the table.  The first-order
+contracted one row slab at a time, O(N^2) like the table, and holds one
+instance.  The first-order
 comparison witness composes its affine steps by a doubling scan in O(log n)
 numpy steps.  The two-variable witnesses also take a stack of instances, grid
-functions of shape (count, n1, n2) with one constant or feedback factor per
-instance, and sweep them all at once; each instance keeps its own bits.
+functions of shape (count, n1, n2) and separable kernel factors of shape
+(r, count, n1, n2) with one constant or feedback factor per instance, and
+sweep them all at once; each instance keeps its own bits.
 """
 
 from __future__ import annotations
@@ -111,20 +113,27 @@ def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
     return _witness_factored(p, q, *_unit_factors(k), _check_feedback(feedback_scale))
 
 
+def _check_kernel_stack(kernel: KernelOracle, p: GridFn2) -> None:
+    """Raise unless kernel lives on p's lattice and holds p's stack of instances."""
+    if not kernel.domain.same_points(p.domain):
+        raise ScaleMismatchError("kernel lives on a different product scale")
+    if kernel.stack != p.values.shape[:-2]:
+        if kernel.factors is None:
+            raise DomainError("a dense kernel takes one instance, not a stack")
+        raise ScaleMismatchError("the kernel holds a different stack of instances")
+
+
 def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
                    feedback_scale=1.0) -> GridFn2:
     """Like witness_pointwise, but the kernel also sees the outer point:
     u(t) = p(t) + feedback_scale * q(t) * sum of k(t1, t2, s1, s2) u(s) mu mu.
 
-    A factored kernel runs the shared row sweep with one field per term; a
-    dense table contracts each row's slab instead; a KernelOracle does not
-    stack, so p and q hold one instance.
+    A factored kernel runs the shared row sweep with one field per term, on
+    a stack of instances when its factors, p, q and the factor carry one; a
+    dense table holds one instance and contracts each row's slab instead.
     """
     _require_same_domain(p, q)
-    if not kernel.domain.same_points(p.domain):
-        raise ScaleMismatchError("kernel lives on a different product scale")
-    if p.values.ndim != 2:
-        raise DomainError("the kernel case takes one instance, not a stack")
+    _check_kernel_stack(kernel, p)
     rho = _check_feedback(feedback_scale)
     if kernel.factors is not None:
         return _witness_factored(p, q, *kernel.factors, rho)

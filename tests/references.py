@@ -11,9 +11,11 @@ only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call;
 numbers spells values with float.__repr__ one at a time, under the CSV and
 JSON rules, for the vectorized spelling kernel.
-The product ladder takes a plain running product and switches to signs and
-compensated sums of logs once a prefix leaves [1e-300, 1e300]; the 2-D axis
-exponential is a raw cumprod that underflows to 0.  The coefficient
+The exact error of one rounded sum keeps its branching Neumaier form, the
+reference for the branch-free TwoSum.  The product ladder takes a plain
+running product and switches to signs and compensated sums of logs once a
+prefix leaves [1e-300, 1e300]; the 2-D axis exponential is a raw cumprod
+that underflows to 0.  The coefficient
 realizers are the two hand-written family switches, one per dimension, that
 convert each descriptor field with float() where they use it, and
 realize_kernel builds the dense (n1, n2, n1, n2) table that config kernels
@@ -22,7 +24,8 @@ their replacements: the pointwise witness as its own row of the shared
 sweep, and the kernel re-check that contracts the kernel's row slabs one
 lattice row at a time, which serves any kernel, dense tables included.
 The verify driver that realizes, witnesses, bounds and re-checks one
-instance at a time is the reference for the stacked pass, and the
+instance at a time, the kernel case with one single-instance KernelOracle
+per instance, is the reference for the stacked pass, and the
 per-instance realizers it calls (instance_realize_*), which draw and
 evaluate one instance per call, are the reference for the stacked
 draw-then-evaluate realizers.
@@ -46,6 +49,12 @@ from tscale.witnesses import _row_sweep
 
 def cell_weights(domain) -> np.ndarray:
     return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
+
+
+def two_sum_error(a, b, s) -> np.ndarray:
+    """Exact rounding error of s = fl(a + b) in Neumaier's branching form:
+    the larger operand in magnitude first."""
+    return np.where(np.abs(a) >= np.abs(b), (a - s) + b, (b - s) + a)
 
 
 def neumaier_cumsum_loop(values) -> np.ndarray:
@@ -727,8 +736,8 @@ def _instance_values(spec, axes: tuple[np.ndarray, ...], rng,
     if fam != "exponential":
         raise ConfigError(f"a sampled {fam} leaves the float range on this scale")
     # The cap in log space, where amp cancels: VALUE_CAP * exp(L - max L) for
-    # L = log(amp) + powers.
-    return VALUE_CAP * np.exp(powers - powers.max())
+    # L = log(amp) + powers, floored at the smallest normal double.
+    return np.maximum(VALUE_CAP * np.exp(powers - powers.max()), np.finfo(float).tiny)
 
 
 def instance_realize_1d(spec, scale, rng=None,
@@ -804,12 +813,13 @@ def instance_realize_kernel(spec, domain, rng=None):
     elif min(params) < 0:
         raise ConfigError("affine_product kernel parameters must be nonnegative")
     a0, a1, b0, b1, c0, c1, c2 = params
-    alpha = (a0 + a1 * x1)[:, None] * (b0 + b1 * x2)[None, :]
-    beta = c0 + c1 * x1[:, None] + c2 * x2[None, :]
-    if spec.params is None:
-        top = float(alpha.max() * beta.max())
-        if top > VALUE_CAP:
-            alpha *= VALUE_CAP / top
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = (a0 + a1 * x1)[:, None] * (b0 + b1 * x2)[None, :]
+        beta = c0 + c1 * x1[:, None] + c2 * x2[None, :]
+        if spec.params is None:
+            top = float(alpha.max() * beta.max())
+            if top > VALUE_CAP:
+                alpha *= VALUE_CAP / top
     return KernelOracle.separable(domain, alpha[None], beta[None])
 
 

@@ -83,6 +83,7 @@ def test_one_realizer_call_per_realized_function(monkeypatch):
     expected = {
         BoundCase.INTEGRODYNAMIC: ["realize_1d", "realize_1d", "realize_2d"],
         BoundCase.SYSTEM: ["realize_scalar"] * 2 + ["realize_2d"] * 4,
+        BoundCase.KERNEL: ["realize_2d", "realize_2d", "realize_kernel"],
     }
     for case, names in expected.items():
         calls.clear()

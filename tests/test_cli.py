@@ -294,6 +294,17 @@ def test_verify_caps_or_names_a_draw_past_the_float_range(tmp_path, capsys, scal
     assert run_cli(capsys, "verify", str(cfg))[::2] == (code, message)
 
 
+def test_verify_keeps_a_capped_monotone_exponential_strictly_positive(tmp_path, capsys):
+    """a's drawn exponential leaves the float range at t1 = 3000 and takes the
+    log-space cap, which underflows to 0 below t1 = 1 without the floor at
+    the smallest normal double; a must stay strictly positive."""
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, theorem="integrodynamic", scale1="explicit:0,1,3000",
+        scale2="integer:0..2", functions={"a": {"family": "exponential"}}, seed=1,
+        count=1, witness_mode="equality"))
+    assert run_cli(capsys, "verify", str(cfg)) == (0, "", "")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_replaces_an_older_report_with_the_bytes_of_a_fresh_one(tmp_path, capsys, fmt):
     fresh = tmp_path / "fresh"

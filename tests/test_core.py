@@ -13,7 +13,8 @@ from tscale import (DomainError, GridFn1, TimeScale, antiderivative,
                     cauchy_integral, delta_derivative, dense_mesh,
                     explicit_scale, h_grid, integer_segment, q_grid,
                     union_scales)
-from tscale.core import neumaier_cumsum
+import references as ref
+from tscale.core import _two_sum_error, neumaier_cumsum
 
 
 def test_sigma_steps_forward_and_stops_at_max():
@@ -179,6 +180,49 @@ def test_neumaier_cumsum_matches_fsum_prefixes():
     out = neumaier_cumsum(vals)
     for k in range(len(vals)):
         assert out[k] == pytest.approx(math.fsum(vals[:k + 1]), abs=1e-12)
+
+
+# Any double but NaN: signed zeros, subnormals, the largest finite values
+# and the infinities.
+DOUBLES = st.floats(allow_nan=False)
+
+
+@st.composite
+def addend_pairs(draw):
+    """(a, b) with b any double, or a times a power of two out to 2**+-80,
+    so the pair's magnitudes spread past the 2**53 a double resolves."""
+    a = draw(DOUBLES)
+    if draw(st.booleans()):
+        return a, draw(DOUBLES)
+    with np.errstate(over="ignore"):
+        b = a * 2.0 ** draw(st.integers(-80, 80)) * draw(st.floats(-2.0, 2.0))
+    return a, float(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(addend_pairs(), min_size=1, max_size=40))
+def test_two_sum_error_keeps_the_branching_forms_bits(pairs):
+    """Knuth's branch-free TwoSum gives the exact error of fl(a + b) with the
+    bits of the branching Neumaier form, signed zeros included, wherever the
+    sum is finite; where it is not, both forms are non-finite, and NaN
+    wherever either form is."""
+    a, b = (np.array(x) for x in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+        new, old = _two_sum_error(a, b, s), ref.two_sum_error(a, b, s)
+    finite = np.isfinite(s)
+    assert new[finite].tobytes() == old[finite].tobytes()
+    assert not np.any(np.isfinite(new[~finite]) | np.isfinite(old[~finite]))
+    assert np.array_equal(np.isnan(new) | np.isnan(old), np.isnan(new))
+
+
+def test_two_sum_error_on_signed_zeros_and_subnormals():
+    tiny = 5e-324
+    a = np.array([0.0, -0.0, 0.0, -0.0, tiny, -tiny, tiny, 2.0 ** 60, 1.0, 2.0 ** -1022])
+    b = np.array([0.0, -0.0, -0.0, 0.0, -tiny, tiny, tiny, 1.0, 2.0 ** -60, -tiny])
+    s = a + b
+    assert _two_sum_error(a, b, s).tobytes() == ref.two_sum_error(a, b, s).tobytes()
+    assert _two_sum_error(a, b, s)[7:9].tolist() == [1.0, 2.0 ** -60]
 
 
 @st.composite

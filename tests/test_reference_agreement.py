@@ -288,6 +288,80 @@ def test_factored_kernel_matches_its_dense_table(s1, s2, seed, rho):
     check_factored(TimeScale2D(s1, s2), seed, rho)
 
 
+@st.composite
+def one_term_factors(draw, domain):
+    """alpha and beta of one separable term on domain: affine in the points,
+    as config kernels are, with parameters of either sign (the scales reach
+    below zero), or small integers, whose products tie and take both signs
+    of zero."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        return rng.integers(-3, 4, (2, *domain.shape)).astype(float) * [[[1.0]], [[-1.0]]]
+    a0, a1, b0, b1, c0, c1, c2 = rng.uniform(-2.0, 2.0, 7)
+    x1, x2 = domain.scale1.points[:, None], domain.scale2.points[None, :]
+    return np.stack(np.broadcast_arrays((a0 + a1 * x1) * (b0 + b1 * x2), c0 + c1 * x1 + c2 * x2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scales(), scales(), st.data())
+def test_rank_one_minimum_is_the_slab_sweeps(s1, s2, data):
+    """The O(N) minimum of a one-term kernel has the bits and the first
+    location in row order that the row-slab sweep finds."""
+    d = TimeScale2D(s1, s2)
+    alpha, beta = data.draw(one_term_factors(d))
+    (value, at), = bounds._rank_one_min(alpha[None], beta[None])
+    old_value, old_at = bounds._kernel_min(KernelOracle.separable(d, alpha[None], beta[None]))
+    assert np.float64(value).tobytes() == np.float64(old_value).tobytes()
+    assert at == old_at
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales(max_points=7), scales(max_points=7), st.integers(1, 4), st.integers(1, 2),
+       st.data())
+def test_a_stack_of_kernels_checks_and_bounds_each_instance_as_alone(s1, s2, count, rank,
+                                                                     data):
+    """A KernelOracle of count instances, one or two terms each, some of
+    them nonnegative: the hypotheses, the difference minima, the kernel's
+    minimum and both bound variants of each instance are those of the
+    instance alone."""
+    d = TimeScale2D(s1, s2)
+    alpha, beta = np.array([[data.draw(one_term_factors(d)) for _ in range(rank)]
+                            for _ in range(count)]).transpose(2, 1, 0, 3, 4)
+    for k in np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=count,
+                                               max_size=count))):
+        alpha[:, k], beta[:, k] = np.abs(alpha[:, k]), np.abs(beta[:, k])
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2 ** 32 - 1))))
+    p, q, u = (GridFn2(d, rng.uniform(-0.1, 2.0, (count, *d.shape))) for _ in range(3))
+    stack = KernelOracle.separable(d, alpha, beta)
+    alone = [KernelInputs(*(GridFn2(d, g.values[k]) for g in (p, q)), one,
+                          GridFn2(d, u.values[k]))
+             for k, one in enumerate(stack.instances())]
+    inputs = KernelInputs(p, q, stack, u)
+    lows = bounds._kernel_lows(stack)
+    for k, (single, minimum) in enumerate(zip(alone, bounds._kernel_mins(stack))):
+        assert inputs.check_hypotheses()[k] == single.check_hypotheses()
+        assert lows[:, k].tobytes() == bounds._kernel_lows(single.k).tobytes()
+        signed = min(f.min() for f in single.k.factors) < 0
+        assert minimum == (bounds._kernel_min(single.k) if signed else (0.0, ()))
+    if min(d.shape) < 2:
+        return
+    try:
+        by_variant = bounds.bound_kernel_variants(inputs)
+    except DomainError:
+        with pytest.raises(DomainError):
+            for single in alone:
+                bounds.bound_kernel_variants(single)
+        return
+    for k, single in enumerate(alone):
+        for variant, report in bounds.bound_kernel_variants(single).items():
+            part = by_variant[variant].unstack()[k]
+            assert part.bound.values.tobytes() == report.bound.values.tobytes()
+            assert (part.max_violation, part.min_slack, part.violations,
+                    part.hypothesis_diagnostics) == (report.max_violation, report.min_slack,
+                                                     report.violations,
+                                                     report.hypothesis_diagnostics)
+
+
 @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_factored_kernel_matches_its_dense_table_on_thin_lattices(shape):
     check_factored(edge_domain(shape), 7, 1.0)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn1,
                     GridFn2, InstanceSpec, KernelOracle, TimeScale2D,
-                    WitnessMode, explicit_scale, integer_segment, parse_scale,
-                    realize_2d, run_verification)
+                    WitnessMode, explicit_scale, grid2d, integer_segment, parse_scale,
+                    realize_1d, realize_2d, run_verification)
 from tscale.config import VALUE_CAP
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
@@ -158,7 +159,15 @@ def test_run_verification_kernel_records_both_variants():
         assert "second_variable_max_violation" in digest
 
 
+KERNEL_SPEC = InstanceSpec(case=BoundCase.KERNEL, scale1=parse_scale("integer:0..5"),
+                           scale2=parse_scale("q:2,4"), rng_seed=9, count=3)
+# KERNEL_SPEC's three instances on their 6x5 lattice run as one stack, or as
+# three under a limit of 30 points: (MAX_STACK_POINTS, stacks).
+KERNEL_STACKS = ((grid2d.MAX_STACK_POINTS, 1), (30, 3))
+
+
 def test_kernel_instance_integrates_the_kernel_once(monkeypatch):
+    """One kernel integral, _kernel_integrals, per stack of instances."""
     from tscale import bounds
     calls = []
     integrate = bounds._kernel_integrals
@@ -168,19 +177,19 @@ def test_kernel_instance_integrates_the_kernel_once(monkeypatch):
         return integrate(*args)
 
     monkeypatch.setattr(bounds, "_kernel_integrals", counted)
-    spec = InstanceSpec(case=BoundCase.KERNEL,
-                        scale1=parse_scale("integer:0..5"),
-                        scale2=parse_scale("q:2,4"),
-                        rng_seed=9, count=3)
-    out = run_verification(spec)
-    assert len(calls) == spec.count
-    assert all("second_variable_dominates" in digest for digest in out.digests)
+    for limit, stacks in KERNEL_STACKS:
+        calls.clear()
+        with mock.patch.object(grid2d, "MAX_STACK_POINTS", limit):
+            out = run_verification(KERNEL_SPEC)
+        assert len(calls) == stacks
+        assert all("second_variable_dominates" in digest for digest in out.digests)
 
 
 def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
-    """One sweep of the kernel's differences, _kernel_lows, per instance
-    serves the bound's hypothesis check, for factored config kernels and
-    dense tables alike; a separate check_hypotheses sweeps once more."""
+    """One sweep of the kernel's differences, _kernel_lows, per stack of
+    instances serves the bound's hypothesis check, for factored config
+    kernels and dense tables alike; a separate check_hypotheses sweeps once
+    more."""
     from tscale import bounds
     sweeps = []
     sweep = bounds._kernel_lows
@@ -190,12 +199,11 @@ def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(bounds, "_kernel_lows", counted)
-    spec = InstanceSpec(case=BoundCase.KERNEL,
-                        scale1=parse_scale("integer:0..5"),
-                        scale2=parse_scale("q:2,4"),
-                        rng_seed=9, count=3)
-    run_verification(spec)
-    assert len(sweeps) == spec.count
+    for limit, stacks in KERNEL_STACKS:
+        sweeps.clear()
+        with mock.patch.object(grid2d, "MAX_STACK_POINTS", limit):
+            run_verification(KERNEL_SPEC)
+        assert len(sweeps) == stacks
     sweeps.clear()
     # a table whose differences fail every hypothesis: the bound's sweep
     # reports what check_hypotheses finds with its own
@@ -286,8 +294,34 @@ def test_a_sampled_exponential_past_the_float_range_is_capped_in_log_space():
     powers = rate1 * t1 + rate2 * t2
     with np.errstate(over="ignore"):
         assert np.isinf(amp * np.exp(powers)).any()
-    assert values.tobytes() == (VALUE_CAP * np.exp(powers - powers.max())).tobytes()
+    capped = VALUE_CAP * np.exp(powers - powers.max())
+    # floored where the cap underflows (see the next test)
+    assert values.tobytes() == np.maximum(capped, np.finfo(float).tiny).tobytes()
     assert values.max() == VALUE_CAP
+
+
+def test_a_capped_monotone_exponential_is_floored_at_the_smallest_normal_double():
+    """A monotone draw whose log-space cap underflows keeps the cap's bits
+    wherever it does not, and the smallest normal double where it does, so it
+    stays strictly positive and nondecreasing; a draw within the float range
+    keeps its bits."""
+    tiny = np.finfo(float).tiny
+    scale = explicit_scale([0.0, 1.0, 2.0, 3000.0])
+    values = realize_1d(FnSpec("exponential"), scale, np.random.default_rng(1),
+                        monotone_positive=True).values
+    replay = np.random.default_rng(1)
+    replay.standard_normal()
+    powers = float(replay.uniform(0.0, 0.5)) * scale.points
+    capped = VALUE_CAP * np.exp(powers - powers.max())
+    assert capped[0] == 0.0 and values.tobytes() == np.maximum(capped, tiny).tobytes()
+    assert values[0] == tiny and values[-1] == VALUE_CAP and np.all(np.diff(values) >= 0)
+    near = explicit_scale([0.0, 0.5, 1.0])
+    replay = np.random.default_rng(1)
+    amp = 0.1 + abs(replay.standard_normal())
+    rate = float(replay.uniform(0.0, 0.5))
+    assert realize_1d(FnSpec("exponential"), near, np.random.default_rng(1),
+                      monotone_positive=True).values.tobytes() == \
+        (amp * np.exp(rate * near.points)).tobytes()
 
 
 def test_a_sampled_polynomial_past_the_float_range_is_a_config_error():

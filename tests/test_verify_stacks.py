@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 import references as ref
 from test_reference_agreement import fn_specs
-from tscale import (BoundCase, ConfigError, DomainError, GridFn2, InstanceSpec, KernelInputs,
-                    KernelOracle, PointwiseInputs, ScaleMismatchError, TimeScale2D,
+from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn2, InstanceSpec,
+                    KernelInputs, KernelOracle, PointwiseInputs, ScaleMismatchError, TimeScale2D,
                     TscaleError, WitnessMode, compute_bound, grid2d, integer_segment,
                     parse_fn, parse_scale, run_verification, verify, witness_kernel,
                     witness_pointwise, witness_system)
@@ -106,8 +106,48 @@ def test_drawn_functions_run_as_the_sequential_loop(case, axis1, axis2, count, p
     leave it, and the run gives the loop's summary, or its error."""
     scale1, scale2 = parse_scale(axis1), parse_scale(axis2)
     dom = TimeScale2D(scale1.build(), scale2.build())
-    spec = InstanceSpec(case=case, scale1=scale1, scale2=scale2, rng_seed=seed, count=count,
-                        functions=data.draw(drawn_functions(case, dom)), witness_mode=mode)
+    check_as_the_loop(InstanceSpec(case=case, scale1=scale1, scale2=scale2, rng_seed=seed,
+                                   count=count, functions=data.draw(drawn_functions(case, dom)),
+                                   witness_mode=mode), dom, per_stack)
+
+
+# Kernel-case axes: AXES, points below zero, on which a fixed affine_product
+# kernel with nonnegative parameters can go negative, and points far enough
+# out that some drawn polynomials leave the float range and some bounds
+# overflow, while other instances of the batch pass.
+KERNEL_AXES = AXES | st.sampled_from(["explicit:-4,-1.5,0,2.5", "integer:-6..-2",
+                                      "explicit:0,1,1e200", "explicit:0,1,2,400,800"])
+# Kernels that realize: sampled, or fixed and nonnegative in their parameters.
+KERNELS = st.one_of(
+    st.sampled_from([FnSpec("any"), FnSpec("constant"), FnSpec("affine_product")]),
+    st.builds(lambda v: FnSpec("constant", value=v), st.floats(0.0, 2.0)),
+    st.builds(lambda ps: FnSpec("affine_product", params=tuple(ps)),
+              st.lists(st.floats(0.0, 2.0), min_size=7, max_size=7)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(KERNEL_AXES, KERNEL_AXES, st.integers(1, 7), st.integers(1, 3),
+       st.sampled_from(list(WitnessMode)), st.integers(0, 2 ** 32 - 1), st.data())
+def test_stacked_kernel_case_runs_as_the_sequential_loop(axis1, axis2, count, per_stack,
+                                                         mode, seed, data):
+    """The kernel case in stacks of per_stack instances, one KernelOracle per
+    stack, against the loop of single-instance oracles: the same summary,
+    or the same error naming the same instance, and the same draws."""
+    scale1, scale2 = parse_scale(axis1), parse_scale(axis2)
+    dom = TimeScale2D(scale1.build(), scale2.build())
+    functions = {"p": FnSpec("polynomial"), **data.draw(drawn_functions(BoundCase.KERNEL, dom))}
+    functions["k"] = data.draw(KERNELS | fn_specs(dom.shape, FAMILIES["kernel"]))
+    check_as_the_loop(InstanceSpec(case=BoundCase.KERNEL, scale1=scale1, scale2=scale2,
+                                   rng_seed=seed, count=count, functions=functions,
+                                   witness_mode=mode), dom, per_stack)
+
+
+def check_as_the_loop(spec, dom, per_stack: int) -> None:
+    """run_verification of spec, in stacks of per_stack instances, gives the
+    loop's summary or its error; drawing the batch leaves the generator where
+    the loop's realizations leave it, and each stack realizes every function
+    once with the loop's bits."""
+    count, seed = spec.count, spec.rng_seed
     with mock.patch.object(grid2d, "MAX_STACK_POINTS", per_stack * dom.shape[0] * dom.shape[1]):
         new = outcome(run_verification, spec)
     old = outcome(ref.run_verification_loop, spec)
@@ -117,22 +157,24 @@ def test_drawn_functions_run_as_the_sequential_loop(case, axis1, axis2, count, p
     assert_same_outcome(new, old)
     rng, old_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
     functions = verify._functions(spec, dom)
-    drawn = [verify._draw(functions, rng, mode) for _ in range(count)]
+    drawn = [verify._draw(functions, rng, spec.witness_mode) for _ in range(count)]
     loop = [ref.realize_instance(spec, dom, dict(spec.functions), old_rng) for _ in range(count)]
     assert rng.bit_generator.state == old_rng.bit_generator.state
-    if case is BoundCase.KERNEL:
-        per_stack = 1
     for start in range(0, count, per_stack):
-        stacked = verify._realize(functions, drawn[start:start + per_stack])
+        part = drawn[start:start + per_stack]
+        stacked = verify._realize(functions, part)
         for k, fields in enumerate(loop[start:start + per_stack]):
             for new_field, old_field in zip(stacked, fields, strict=True):
-                if isinstance(old_field, KernelOracle):
-                    new_field, old_field = np.stack(new_field.factors), np.stack(old_field.factors)
-                new_vals = np.asarray(getattr(new_field, "values", new_field))
-                if len(drawn[start:start + per_stack]) > 1:
-                    new_vals = new_vals[k]
-                assert new_vals.tobytes() == \
-                    np.asarray(getattr(old_field, "values", old_field)).tobytes()
+                assert instance_bytes(new_field, k, len(part)) == instance_bytes(old_field, 0, 1)
+
+
+def instance_bytes(field, k: int, count: int) -> bytes:
+    """The bytes of instance k of a function realized for a stack of count:
+    a grid function's values, a kernel's factors, a constant or a factor."""
+    if isinstance(field, KernelOracle):
+        return np.stack(field.instances()[k].factors).tobytes()
+    vals = np.asarray(getattr(field, "values", field))
+    return (vals[k] if count > 1 else vals).tobytes()
 
 
 def stack_sizes(monkeypatch) -> list[int]:
@@ -154,7 +196,7 @@ def stack_sizes(monkeypatch) -> list[int]:
 def test_stacks_split_a_batch_without_changing_it(monkeypatch, case, limit, sizes):
     """7 instances on a 5x4 lattice: one stack, stacks of two under a limit of
     45 points, and one instance per stack when the lattice alone is over the
-    limit.  The kernel case always runs stacks of one."""
+    limit."""
     spec = InstanceSpec(case=case, scale1=parse_scale("integer:0..4"),
                         scale2=parse_scale("q:2,3"), rng_seed=5, count=7,
                         witness_mode=WitnessMode.STRICT_SLACK)
@@ -163,7 +205,7 @@ def test_stacks_split_a_batch_without_changing_it(monkeypatch, case, limit, size
     if limit is not None:
         monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", limit)
     split = run_verification(spec)
-    assert seen == ([1] * 7 if case is BoundCase.KERNEL else sizes)
+    assert seen == sizes
     assert_same_outcome(split, whole)
     assert_same_outcome(split, ref.run_verification_loop(spec))
 
@@ -193,11 +235,39 @@ FAILING = {"theorem": "pointwise", "scale2": "integer:0..1", "count": 4,
 ], ids=["realize", "bound", "bound-before-realize"])
 def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
                                                  seed, code, message, limit):
+    assert_cli_fails_as_the_loop(tmp_path, capsys, monkeypatch, {**FAILING, "seed": seed},
+                                 limit, code, message)
+
+
+# The kernel case on FAILING's first axis: with a third column, the
+# first-variable product of the kernel bound overflows for a large enough q.
+FAILING_KERNEL = {**FAILING, "theorem": "kernel", "scale2": "integer:0..2"}
+
+
+@pytest.mark.parametrize("limit", [None, 2 * 2002 * 3], ids=["one", "pairs"])
+@pytest.mark.parametrize("seed, code, message", [
+    (10, 2, "instance 1: function 'p': a sampled polynomial leaves the float range "
+            "on this scale"),
+    (3, 3, "instance 1: first-variable exponential overflowed"),
+    (18, 3, "instance 3: first-variable exponential overflowed"),
+    # instance 2 fails to realize; instance 1, before it, fails its bound
+    (9, 3, "instance 1: first-variable exponential overflowed"),
+], ids=["realize", "bound", "bound-last", "bound-before-realize"])
+def test_kernel_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
+                                                        seed, code, message, limit):
+    assert_cli_fails_as_the_loop(tmp_path, capsys, monkeypatch,
+                                 {**FAILING_KERNEL, "seed": seed}, limit, code, message)
+
+
+def assert_cli_fails_as_the_loop(tmp_path, capsys, monkeypatch, config, limit, code,
+                                 message) -> None:
+    """tscale verify of config, in stacks of at most limit points, exits with
+    code and message, as it does through the sequential loop, and writes
+    nothing."""
     if limit is not None:
         monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", limit)
     cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps({**FAILING, "seed": seed,
-                               "output": {"path": str(tmp_path / "report")}}))
+    cfg.write_text(json.dumps({**config, "output": {"path": str(tmp_path / "report")}}))
     stacked = run_cli(capsys, "verify", str(cfg))
     monkeypatch.setattr(cli_mod, "run_verification", ref.run_verification_loop)
     assert stacked == run_cli(capsys, "verify", str(cfg)) == (code, f"error: {message}\n")
@@ -209,6 +279,7 @@ def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
 # instances of a batch fail to realize and others pass.
 FAR_POLYNOMIAL = {
     "pointwise": {"p": {"family": "polynomial"}, "q": "const:0", "k": "const:0"},
+    "kernel": {"p": {"family": "polynomial"}, "q": "const:0", "k": "const:0"},
     "integrodynamic": {"a": {"family": "polynomial"}, "c": "const:0.5"},
 }
 
@@ -218,6 +289,9 @@ FAR_POLYNOMIAL = {
     ("pointwise", 5, "instance 1: function 'p'"),
     ("pointwise", 16, "instance 2: function 'p'"),
     ("pointwise", 1, "instance 5: function 'p'"),
+    ("kernel", 5, "instance 1: function 'p'"),
+    ("kernel", 11, "instance 3: function 'p'"),
+    ("kernel", 1, "instance 5: function 'p'"),
     ("integrodynamic", 37, "instance 3: function 'a'"),
     ("integrodynamic", 23, "instance 5: function 'a'"),
 ])
@@ -268,6 +342,17 @@ def test_stacks_are_checked_for_shape():
         witness_kernel(two, two, table)
     with pytest.raises(DomainError, match="one instance"):
         KernelInputs(two, two, table)
+    # factors of a stack of two serve p and q of two instances, and only them
+    pair = KernelOracle.separable(d, np.ones((1, 2, *d.shape)), np.ones((1, 2, *d.shape)))
+    assert pair.stack == (2,) and witness_kernel(two, two, pair).values.shape == (2, *d.shape)
+    single = KernelOracle.constant(d, 1.0)
+    for kernel, p in ((pair, one), (single, two)):
+        with pytest.raises(ScaleMismatchError, match="different stack"):
+            witness_kernel(p, p, kernel)
+        with pytest.raises(ScaleMismatchError, match="different stack"):
+            KernelInputs(p, p, kernel)
+    with pytest.raises(DomainError, match="one instance at a time"):
+        pair.slab(0)
 
 
 def test_a_stack_holds_at_most_max_stack_points(monkeypatch):
