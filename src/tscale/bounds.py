@@ -39,8 +39,8 @@ from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
 from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
-                     exclusive_sums, mixed_partial, running_double_integral,
-                     running_integral)
+                     _require_witness_stack, exclusive_sums, mixed_partial,
+                     running_double_integral, running_integral)
 from . import witnesses
 
 log = logging.getLogger(__name__)
@@ -407,6 +407,7 @@ class PointwiseInputs:
         if not isinstance(self.k, GridFn2):
             raise DomainError("pointwise case needs k as a grid function")
         _require_same_domain(self.p, self.q, self.k)
+        _require_witness_stack(self.u, self.p)
 
     def check_hypotheses(self) -> list:
         """Nonnegativity of p, q and k; on a stack, one list per instance."""
@@ -452,6 +453,7 @@ class KernelInputs:
             raise DomainError("kernel case needs k as a KernelOracle")
         _require_same_domain(self.p, self.q)
         witnesses._check_kernel_stack(self.k, self.p)
+        _require_witness_stack(self.u, self.p)
 
     def check_hypotheses(self) -> list:
         """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
@@ -497,6 +499,7 @@ class SystemInputs:
 
     def __post_init__(self) -> None:
         _require_same_domain(self.h1, self.h2, self.h3, self.h4)
+        _require_witness_stack(self.u, self.h1)
 
     def check_hypotheses(self) -> list:
         """Nonnegativity of c1, c2 and h1..h4; on a stack, one list per instance."""
@@ -553,6 +556,7 @@ class IntegrodynamicInputs:
         if not (self.a.scale.same_points(self.c.domain.scale1)
                 and self.b.scale.same_points(self.c.domain.scale2)):
             raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
+        _require_witness_stack(self.u, self.c)
 
     def check_hypotheses(self) -> list:
         """a and b strictly positive and nondecreasing, c nonnegative, and

@@ -44,6 +44,45 @@ def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return total + np.cumsum(_two_sum_error(before, vals, total), axis=0)
 
 
+def exact_sum(values: Sequence[float] | np.ndarray) -> float:
+    """The sum of values rounded once to the nearest double, so math.fsum's
+    bits wherever fsum returns a finite value, in O(n) numpy work.
+
+    Each value is an int64 mantissa (frexp times 2**53) times a power of two;
+    its two limbs of 26 and 27 bits are summed per binary exponent with
+    np.add.at, exact in int64 for up to 2**36 values.  The bins are combined
+    in Python ints, one step per occupied exponent, and one int true division
+    rounds the exact total.  Empty, all-zero and non-finite input goes to
+    math.fsum.  A sum past the float range raises DomainError, also where
+    fsum raises or returns an infinity or NaN; a finite sum is returned even
+    where fsum's partial sums overflow.
+    """
+    vals = np.asarray(values, dtype=float).ravel()
+    if not (vals.size and np.all(np.isfinite(vals)) and vals.any()):
+        try:
+            total = math.fsum(vals)
+        except (OverflowError, ValueError):
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainError("sum outside the float range")
+        return total
+    mant, exp = np.frexp(vals)
+    ints = (mant * 2.0 ** 53).astype(np.int64)
+    low = exp.min()
+    bins = exp - low
+    limbs = np.zeros((2, int(bins.max()) + 1), np.int64)
+    np.add.at(limbs[0], bins, ints >> 26)
+    np.add.at(limbs[1], bins, ints & (2 ** 26 - 1))
+    total = 0
+    for k in np.flatnonzero(limbs.any(axis=0)).tolist():
+        total += ((int(limbs[0, k]) << 26) + int(limbs[1, k])) << k
+    shift = int(low) - 53
+    try:
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    except OverflowError:
+        raise DomainError("sum outside the float range") from None
+
+
 @dataclass(frozen=True, eq=False)
 class TimeScale:
     """Strictly increasing finite point set with per-point density tags.
@@ -247,16 +286,17 @@ def delta_derivative(f: GridFn1) -> GridFn1:
 def cauchy_integral(f: GridFn1, a: int, b: int) -> float:
     """Delta integral of f from index a to index b, a <= b.
 
-    Left-endpoint sum of f times graininess over [a, b); exact when every
-    point in the window is isolated.
+    Left-endpoint sum of f times graininess over [a, b), rounded once by
+    exact_sum; exact when every point in the window is isolated.
     """
     scale = f.scale
     a = scale._check_index(a)
     b = scale._check_index(b)
     if a > b:
         raise DomainError(f"integral limits reversed: index {a} > {b}")
-    mu = np.diff(scale.points)
-    return math.fsum(f.values[a:b] * mu[a:b])
+    pts = scale.points
+    with np.errstate(over="ignore"):    # a term past the float range: DomainError
+        return exact_sum(f.values[a:b] * (pts[a + 1:b + 1] - pts[a:b]))
 
 
 def antiderivative(f: GridFn1, t0: int, x0: float = 0.0) -> GridFn1:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TimeScale, neumaier_cumsum
+from .core import TimeScale, exact_sum, neumaier_cumsum
 from .errors import ConfigError, DomainError, ScaleMismatchError
 
 
@@ -109,6 +109,13 @@ def _require_same_domain(f: GridFn2, *others: GridFn2) -> None:
         raise ScaleMismatchError("grid functions hold different stacks of instances")
 
 
+def _require_witness_stack(u: GridFn2 | None, f: GridFn2) -> None:
+    """Raise unless the witness u, when given, holds f's stack of instances:
+    one instance, or a stack of the same count."""
+    if u is not None and u.values.shape[:-2] != f.values.shape[:-2]:
+        raise ScaleMismatchError("the witness holds a different stack of instances")
+
+
 def partial_delta(f: GridFn2, axis: int) -> GridFn2:
     """Forward difference quotient along one axis (1 or 2).
 
@@ -139,9 +146,9 @@ def mixed_partial(f: GridFn2) -> GridFn2:
 def double_integral(f: GridFn2, rect: tuple[int, int, int, int]) -> float:
     """Double delta integral over the index rectangle [a1, b1) x [a2, b2).
 
-    Left-endpoint sum of f * mu1 * mu2, compensated.  Indices address
-    lattice points; b1 and b2 are exclusive upper indices, at most the
-    last index of their axis.
+    Left-endpoint sum of f * mu1 * mu2, rounded once by exact_sum.
+    Indices address lattice points; b1 and b2 are exclusive upper indices,
+    at most the last index of their axis.
     """
     a1, b1, a2, b2 = rect
     n1, n2 = f.domain.shape
@@ -149,8 +156,8 @@ def double_integral(f: GridFn2, rect: tuple[int, int, int, int]) -> float:
         raise DomainError(f"rectangle {rect} does not fit the {n1}x{n2} lattice")
     mu1 = np.diff(f.domain.scale1.points)
     mu2 = np.diff(f.domain.scale2.points)
-    block = f.values[a1:b1, a2:b2] * np.outer(mu1[a1:b1], mu2[a2:b2])
-    return math.fsum(block.ravel())
+    with np.errstate(over="ignore"):    # a term past the float range: DomainError
+        return exact_sum(f.values[a1:b1, a2:b2] * np.outer(mu1[a1:b1], mu2[a2:b2]))
 
 
 def exclusive_sums(cells: np.ndarray, axis: int) -> np.ndarray:
@@ -206,8 +213,10 @@ class RectPartition:
 
 # Largest kernel a KernelOracle may hold or build, in bytes.  A dense table
 # holds (n1 * n2)**2 float64 entries, so the limit allows about 100 points
-# per axis; a factored kernel holds its factors and builds one row slab of
-# n2 * n1 * n2 entries at a time, which allows about 460 points per axis.
+# per axis; a factored kernel of several terms holds its factors and builds
+# one row slab of n2 * n1 * n2 entries at a time, which allows about 460
+# points per axis.  A one-term kernel builds no slab: its 16 bytes of factors
+# per lattice point leave MAX_LATTICE_POINTS the binding limit.
 MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
 # Most points one scale axis, or one product lattice, may have.
 MAX_LATTICE_POINTS = 10 ** 7
@@ -229,11 +238,13 @@ def check_lattice_points(count: float, what: str) -> None:
 
 def check_kernel_budget(domain: TimeScale2D, rank: int | None = None) -> None:
     """Raise ConfigError before allocating a kernel over MAX_KERNEL_TABLE_BYTES:
-    the dense table, or for a factored kernel of the given rank its factors
-    plus one row slab, per instance of a stack."""
+    the dense table, or for a factored kernel of the given rank its factors,
+    plus one row slab when it has several terms, per instance of a stack."""
     n1, n2 = domain.shape
     if rank is None:
         what, nbytes = "table", 8 * (n1 * n2) ** 2
+    elif rank == 1:
+        what, nbytes = "factors", 16 * n1 * n2
     else:
         what, nbytes = "factors and row slab", 8 * (2 * rank * n1 * n2 + n2 * n1 * n2)
     if nbytes > MAX_KERNEL_TABLE_BYTES:

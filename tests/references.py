@@ -6,7 +6,8 @@ sum per lattice point, the kernel bound's a and b four math.fsum calls per
 lattice point and its A and c one more each, its difference diagnostics one
 set of slices per lattice point, the compensated cumulative sum runs the Neumaier recursion
 element by element, and the first-order comparison witness takes one Python
-step per scale point.  They cost O(N^2) per lattice and live here
+step per scale point; its one-level doubling scan stays as the reference
+for the two-level scan.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call;
 numbers spells values with float.__repr__ one at a time, under the CSV and
@@ -167,6 +168,42 @@ def witness_comparison_loop(f, g, x_a, a, slack=0.0) -> np.ndarray:
         mu = pts[k + 1] - pts[k]
         i = a + k
         x[k + 1] = x[k] + mu * (f.values[i] + g.values[i] * x[k] - slack)
+    return x
+
+
+def witness_comparison_doubling(f, g, x_a, a, slack=0.0) -> np.ndarray:
+    """The comparison witness by one Hillis-Steele doubling scan over all n
+    steps: ceil(log2 n) full-length rounds of the split mantissa and
+    exponent compositions that the two-level scan runs within blocks."""
+    pts = f.scale.points[a:]
+    n = len(pts) - 1
+    x = np.empty(n + 1)
+    x[0] = float(x_a)
+    tmp = x[1:]    # mu until the scan starts, then scratch, then x itself
+    np.subtract(pts[1:], pts[:-1], out=tmp)
+    b = f.values[a:-1] - slack
+    b *= tmp
+    m = g.values[a:-1] * tmp
+    m += 1.0
+    e = np.empty(n, np.int64)
+    etmp = np.empty_like(e)
+    np.frexp(m, out=(m, e))
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < n:
+            t, et = tmp[:n - d], etmp[:n - d]
+            np.frexp(b[:-d], out=(t, et))
+            t *= m[d:]
+            et += e[d:]
+            b[d:] += np.ldexp(t, et, out=t)
+            np.multiply(m[d:], m[:-d], out=t)
+            np.add(e[d:], e[:-d], out=et)
+            np.frexp(t, out=(m[d:], e[d:]))
+            e[d:] += et
+            d *= 2
+        mx, ex = np.frexp(x[0])
+        np.ldexp(np.multiply(m, mx, out=tmp), e + ex, out=tmp)
+        tmp += b
     return x
 
 

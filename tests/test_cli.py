@@ -110,6 +110,15 @@ def test_calc_rejects_missing_point(capsys):
     assert "4.5 is not a point" in err
 
 
+@pytest.mark.parametrize("scale, upper", [("integer:0..3", "3"), ("q:10,3", "1000")])
+def test_calc_dint_past_the_float_range_exits_3(capsys, scale, upper):
+    # on integer:0..3 the sum of three terms overflows, on q:10,3 each term
+    code, out, err = run_cli(capsys, "calc", "dint", "--scale", scale,
+                             "--fn", "const:1e308", "--from", "1", "--to", upper)
+    assert (code, out) == (3, "")
+    assert err == "error: sum outside the float range\n"
+
+
 def test_calc_rejects_non_regressive_exp(capsys):
     code, _, err = run_cli(capsys, "calc", "exp", "--scale", "integer:0..5",
                            "--fn", "const:-1", "--t0", "0")
@@ -198,8 +207,8 @@ def test_verify_reruns_byte_identical(tmp_path, capsys):
 
 def test_verify_kernel_over_table_budget_exits_two(tmp_path, capsys, monkeypatch):
     from tscale import grid2d
-    # a config kernel on the 6x6 lattice holds factors and one row slab, 2304 bytes
-    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 10 ** 3)
+    # a config kernel on the 6x6 lattice holds its two factors, 576 bytes
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 575)
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, theorem="kernel"))
     code, _, err = run_cli(capsys, "verify", str(cfg))
     assert code == 2

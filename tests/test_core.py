@@ -14,7 +14,7 @@ from tscale import (DomainError, GridFn1, TimeScale, antiderivative,
                     explicit_scale, h_grid, integer_segment, q_grid,
                     union_scales)
 import references as ref
-from tscale.core import _two_sum_error, neumaier_cumsum
+from tscale.core import _two_sum_error, exact_sum, neumaier_cumsum
 
 
 def test_sigma_steps_forward_and_stops_at_max():
@@ -143,6 +143,69 @@ def test_integral_is_additive_over_adjacent_windows():
     whole = cauchy_integral(f, 0, 5)
     split = cauchy_integral(f, 0, 2) + cauchy_integral(f, 2, 5)
     assert math.isclose(whole, split, rel_tol=1e-14, abs_tol=1e-14)
+
+
+@st.composite
+def summands(draw):
+    """0 to 2000 doubles: drawn ones, subnormals, magnitudes spread over
+    2**+-1000 and signed zeros, with some of them cancelled by their
+    negatives, in a drawn order.  Sums stay below 2**1012, where math.fsum
+    never overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    head = draw(st.lists(st.floats(-2.0 ** 1000, 2.0 ** 1000), max_size=20))
+    kinds = rng.integers(0, 4, draw(st.integers(0, 2000 - len(head))))
+    subnormal = rng.integers(-2 ** 52, 2 ** 52, len(kinds)) * 2.0 ** -1074
+    spread = rng.uniform(-1.0, 1.0, len(kinds)) * 2.0 ** rng.integers(-1000, 1001, len(kinds))
+    zero = np.where(rng.random(len(kinds)) < 0.5, 0.0, -0.0)
+    vals = np.concatenate((head, np.choose(kinds, (subnormal, spread, zero, spread * 1e-300))))
+    pairs = vals[:draw(st.integers(0, len(vals)))]
+    vals = np.concatenate((vals, -pairs))
+    return vals[rng.permutation(len(vals))] if draw(st.booleans()) else vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(summands())
+def test_exact_sum_has_the_bits_of_fsum(vals):
+    assert exact_sum(vals).hex() == math.fsum(vals).hex()
+
+
+@pytest.mark.parametrize("vals", [[], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0],
+                                  [5e-324, -5e-324], [1.0, -1.0], [-2.5, 1e-320],
+                                  # high limbs cancel in their bin, low limbs leave 1
+                                  [1.0, 1.0, -(2.0 - 2.0 ** -52)]])
+def test_exact_sum_of_zeros_and_cancellations(vals):
+    assert exact_sum(np.array(vals)).hex() == math.fsum(vals).hex()
+
+
+def test_exact_sum_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        exact_sum([1e308] * 3)
+    with pytest.raises(DomainError, match="float range"):
+        exact_sum([-1e308, -1e308])
+    with pytest.raises(DomainError, match="float range"):
+        exact_sum([math.inf, -math.inf])
+    # the largest double plus half its ulp rounds to 2**1024; a hair less rounds down
+    top = float.fromhex("0x1.fffffffffffffp+1023")
+    with pytest.raises(DomainError):
+        exact_sum([top, 2.0 ** 970])
+    assert exact_sum([top, 2.0 ** 970, -2.0 ** -1074]) == top
+    for vals in ([math.inf, 1.0], [math.nan], [math.inf, 1e308, 1e308]):
+        with pytest.raises(DomainError, match="float range"):
+            exact_sum(vals)
+
+
+def test_integral_is_exact_where_fsum_overflows_and_raises_past_the_range():
+    vals = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(vals)
+    assert exact_sum(vals) == 1e308
+    f = GridFn1(integer_segment(0, 3), vals + [0.0])
+    assert cauchy_integral(f, 0, 3) == 1e308
+    with pytest.raises(DomainError, match="float range"):
+        cauchy_integral(GridFn1(integer_segment(0, 3), np.full(4, 1e308)), 0, 3)
+    # steps of 9 and 90 take each term f * mu past the range
+    with pytest.raises(DomainError, match="float range"):
+        cauchy_integral(GridFn1(q_grid(10.0, 2), np.full(3, 1e308)), 0, 2)
 
 
 def test_antiderivative_anchors_and_differentiates_back():

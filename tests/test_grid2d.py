@@ -86,6 +86,22 @@ def test_double_integral_validates_the_rectangle():
         double_integral(f, (0, 4, 0, 3))
 
 
+def test_double_integral_past_the_float_range_is_a_domain_error():
+    d = zz()
+    with pytest.raises(DomainError, match="float range"):
+        double_integral(GridFn2.constant(d, 1e308), (0, 3, 0, 3))
+    # on steps of 9 and 90 every term f * mu1 * mu2 is past the range
+    q = TimeScale2D(q_grid(10.0, 2), q_grid(10.0, 2))
+    with pytest.raises(DomainError, match="float range"):
+        double_integral(GridFn2.constant(q, 1e308), (0, 2, 0, 2))
+    # fsum's partial sums overflow on the first two cells, the exact sum does not
+    vals = np.zeros(d.shape)
+    vals[0, :3] = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(vals[0, :3])
+    assert double_integral(GridFn2(d, vals), (0, 3, 0, 3)) == 1e308
+
+
 def test_double_integral_matches_iterated_integrals():
     d = TimeScale2D(q_grid(2.0, 3), explicit_scale([0.0, 0.5, 2.0, 3.0]))
     f = product_fn(d, lambda a, b: a * b + 1.0)
@@ -192,27 +208,31 @@ def test_kernel_oracle_constant():
 
 
 def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
-    """A dense kernel counts its table; a factored one its factors plus one
-    row slab.  Each builder raises just over its own count, before it draws
-    or allocates anything large."""
+    """A dense kernel counts its table; a factored one of several terms its
+    factors plus one row slab; a one-term kernel its factors alone.  Each
+    builder raises just over its own count, before it draws or allocates
+    anything as large as one factor."""
     d = zz(29, 29)    # a 30x30 lattice: a 6.5 MB table, a 216 kB row slab
     table = np.zeros(d.shape * 2)
-    factored = 8 * (2 * 900 + 30 ** 3)
+    one_term = 8 * 2 * 900
     calls = []
 
     def fn(t1, t2, s1, s2):
         calls.append(1)
         return t1 + s2
 
-    ones = np.ones((1, *d.shape))
+    ones, twos = np.ones((1, *d.shape)), np.ones((2, *d.shape))
+    # made before tracing: a process's first generator imports about 1 MB
+    rng = np.random.default_rng(0)
     builders = [
         (table.nbytes, lambda: KernelOracle.from_point_function(d, fn)),
         (table.nbytes, lambda: KernelOracle.from_table(d, table)),
-        (factored, lambda: KernelOracle.constant(d, 1.0)),
-        (factored, lambda: KernelOracle.separable(d, ones, ones)),
-        (factored, lambda: realize_kernel(FnSpec("constant", value=1.0), d)),
-        (factored, lambda: realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), d)),
-        (factored, lambda: realize_kernel(FnSpec("any"), d, np.random.default_rng(0))),
+        (8 * (2 * 2 * 900 + 30 ** 3), lambda: KernelOracle.separable(d, twos, twos)),
+        (one_term, lambda: KernelOracle.constant(d, 1.0)),
+        (one_term, lambda: KernelOracle.separable(d, ones, ones)),
+        (one_term, lambda: realize_kernel(FnSpec("constant", value=1.0), d)),
+        (one_term, lambda: realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), d)),
+        (one_term, lambda: realize_kernel(FnSpec("any"), d, rng)),
     ]
     tracemalloc.start()
     try:
@@ -223,11 +243,29 @@ def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < factored // 8
+    assert peak < 8 * 900
     assert not calls
     for need, build in builders:
         monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", need)
         assert build().domain is d
+
+
+def test_one_term_kernel_budget_counts_its_factors_alone():
+    # no one-term path builds a row slab, so a 1000x1000 config kernel needs
+    # 16 MB of factors, not the 8 GB slab a two-term kernel sweeps
+    big = TimeScale2D(integer_segment(0, 999), integer_segment(0, 999))
+    grid2d.check_kernel_budget(big, rank=1)
+    with pytest.raises(ConfigError, match="factors and row slab"):
+        grid2d.check_kernel_budget(big, rank=2)
+    with pytest.raises(ConfigError, match="bytes of table"):
+        grid2d.check_kernel_budget(big)
+    kernel = realize_kernel(FnSpec("affine_product", params=(1.0,) * 7), big)
+    assert kernel.factors[0].shape == (1, 1000, 1000)
+    side = math.isqrt(grid2d.MAX_KERNEL_TABLE_BYTES // 16)
+    square = TimeScale2D(integer_segment(0, side - 1), integer_segment(0, side - 1))
+    grid2d.check_kernel_budget(square, rank=1)
+    with pytest.raises(ConfigError, match=f"needs {16 * side * (side + 1)} bytes of factors"):
+        grid2d.check_kernel_budget(TimeScale2D(square.scale1, integer_segment(0, side)), rank=1)
 
 
 def test_kernel_table_at_budget_is_built(monkeypatch):

@@ -10,9 +10,10 @@ differences cancel, and bit for bit on integer data; its diagnostics must be
 the same strings.  The vectorized Neumaier sum keeps the loop's
 order of operations and must agree bit for bit, and the columnar verify
 report writers must write the same bytes as the per-row loops.  The
-first-order comparison witness composes its steps by a doubling scan and must
-agree with the point-by-point loop to 1e-13 of the magnitude recursion plus
-a floor for gradual underflow.  The
+first-order comparison witness composes its steps by a two-level scan and
+must agree with the point-by-point loop, and with the one-level doubling scan
+it replaced, to 1e-13 of the magnitude recursion plus a floor for gradual
+underflow.  The
 mantissa/exponent product ladder must have the bits of a plain running
 product while every prefix is a normal double, and agree with the log-space
 reference ladder to 1e-12 relative elsewhere.  The axis-generic coefficient
@@ -45,10 +46,10 @@ from hypothesis import strategies as st
 
 import references as ref
 from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelInputs,
-                    KernelOracle, TimeScale2D, TscaleError, classical_forms, comparison_bound,
-                    dense_mesh, exp_fn, explicit_scale, h_grid, integer_segment, q_grid,
-                    realize_1d, realize_2d, realize_kernel, realize_scalar,
-                    running_integral, union_scales)
+                    KernelOracle, TimeScale2D, TscaleError, cauchy_integral, classical_forms,
+                    comparison_bound, dense_mesh, exp_fn, explicit_scale, h_grid,
+                    integer_segment, q_grid, realize_1d, realize_2d, realize_kernel,
+                    realize_scalar, running_integral, union_scales)
 from tscale import bounds, cli, config, verify, witnesses
 from tscale.config import FN_FAMILIES, VALUE_CAP
 from tscale.core import neumaier_cumsum
@@ -527,6 +528,23 @@ def test_comparison_witness_matches_the_loop(inputs):
     assert np.all(np.abs(x.values - old) <= tolerance(*inputs))
 
 
+_LONG = np.random.default_rng(16).uniform(-1.0, 1.0, (2, 601))
+
+
+@settings(max_examples=200, deadline=None)
+@given(comparison_inputs())
+# 600 steps: 38 blocks, whose totals take 6 doubling rounds
+@example(inputs=_pinned(integer_segment(0, 600), 2.0 * _LONG[0], 0.02 * _LONG[1], 1.5, 0.25))
+def test_comparison_witness_matches_the_doubling_scan(inputs):
+    # the two-level scan composes the steps in another order than the one
+    # doubling scan over all of them: both stay within the loop's tolerance
+    x = witness_comparison(*inputs).values
+    old = ref.witness_comparison_doubling(*inputs)
+    tol = tolerance(*inputs)
+    assert np.all(np.abs(old - ref.witness_comparison_loop(*inputs)) <= tol)
+    assert np.all(np.abs(x - old) <= tol)
+
+
 def test_comparison_witness_keeps_the_bits_of_a_subnormal_start():
     # the loop's steps x + 2*x are exact until 3**k passes 2**53, so the
     # scan may not lose x_a's bit before the factors 3 carry it up
@@ -980,6 +998,18 @@ def test_comparison_witness_steps_grow_with_log_n():
     assert growth(witness_comparison) <= 4 * STEPS_PER_DOUBLING
     # the loop's steps per point, 15 * 2**10 more, break the bound above
     assert growth(ref.witness_comparison_loop) >= 15 * 2 ** 10
+
+
+def test_cauchy_integral_steps_do_not_grow_with_n():
+    # values in [0.5, 1.5) on unit steps take two binary exponents, so the
+    # exact sum combines two bins whatever the length
+    counts = []
+    for n in (2 ** 10, 2 ** 14):
+        f = GridFn1(integer_segment(0, n), np.random.default_rng(n).random(n + 1) + 0.5)
+        with counted_steps() as count:
+            cauchy_integral(f, 0, n)
+        counts.append(count["n"])
+    assert counts[1] == counts[0]
 
 
 @st.composite

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 import references as ref
 from test_reference_agreement import fn_specs
-from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn2, InstanceSpec,
-                    KernelInputs, KernelOracle, PointwiseInputs, ScaleMismatchError, TimeScale2D,
+from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn1, GridFn2,
+                    InstanceSpec, IntegrodynamicInputs, KernelInputs, KernelOracle,
+                    PointwiseInputs, ScaleMismatchError, SystemInputs, TimeScale2D,
                     TscaleError, WitnessMode, compute_bound, grid2d, integer_segment,
                     parse_fn, parse_scale, run_verification, verify, witness_kernel,
                     witness_pointwise, witness_system)
@@ -353,6 +354,26 @@ def test_stacks_are_checked_for_shape():
             KernelInputs(p, p, kernel)
     with pytest.raises(DomainError, match="one instance at a time"):
         pair.slab(0)
+
+
+def test_a_witness_of_another_stack_is_rejected():
+    d = TimeScale2D(integer_segment(0, 3), integer_segment(0, 3))
+    one, two, three = (GridFn2(d, np.ones((*c, *d.shape))) for c in ((), (2,), (3,)))
+    pair = KernelOracle.separable(d, np.ones((1, 2, *d.shape)), np.ones((1, 2, *d.shape)))
+    a, b = GridFn1(d.scale1, np.ones((2, 4))), GridFn1(d.scale2, np.ones((2, 4)))
+    # a witness of one instance used to raise IndexError where a point
+    # violated the bound, and to serve every instance where none did
+    violating = GridFn2(d, np.full(d.shape, 1e6))
+    for u in (one, violating, three):
+        for build in (lambda: PointwiseInputs(two, two, two, u),
+                      lambda: KernelInputs(two, two, pair, u),
+                      lambda: SystemInputs(np.ones(2), np.ones(2), two, two, two, two, u),
+                      lambda: IntegrodynamicInputs(a, b, two, u)):
+            with pytest.raises(ScaleMismatchError, match="witness holds a different stack"):
+                build()
+    report = compute_bound(PointwiseInputs(two, two, two, GridFn2(d, np.full((2, 4, 4), 1e6))))
+    assert [len(v) for v in report.violations] == [9, 9]
+    assert compute_bound(PointwiseInputs(one, one, one, violating)).max_violation > 0
 
 
 def test_a_stack_holds_at_most_max_stack_points(monkeypatch):
