@@ -18,12 +18,8 @@ kernel case takes A and c straight from the kernel integral, a separable
 kernel from its factors in O(r N) and a dense table one row of slabs at a
 time; bound_kernel_variants finishes both exponent variants from them.
 
-Every input type may also hold a stack of instances: grid functions with a
-leading axis of length count, one c1, c2 per instance, and kernel factors of
-shape (r, count, n1, n2).  Every step then indexes the lattice axes from the
-end, so each instance gets the bits it would get on its own; the report and
-the diagnostics come back stacked, and BoundReport.unstack() splits them.
-A dense kernel table holds one instance.
+Input types hold one instance or a stack (grid2d._common_stack); the bodies
+run on stacks only, one instance as a stack of one whose result is taken out.
 """
 
 from __future__ import annotations
@@ -38,9 +34,8 @@ import numpy as np
 from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _require_same_domain,
-                     _require_witness_stack, exclusive_sums, mixed_partial,
-                     running_double_integral, running_integral)
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _common_stack, _view, exclusive_sums,
+                     mixed_partial, running_double_integral, running_integral)
 from . import witnesses
 
 log = logging.getLogger(__name__)
@@ -87,9 +82,8 @@ class BoundReport:
     (i, j, witness, bound) for every point whose excess crosses the relative
     tolerance VIOLATION_TOL * (1 + |bound|).
 
-    The report of a stack of instances holds stacked grids, max_violation and
-    min_slack as arrays with one entry per instance, and violations and
-    hypothesis_diagnostics as one list per instance; unstack() splits it.
+    A stack's report holds one entry per instance in each grid, number and
+    list; unstack() splits it.
     """
 
     bound: GridFn2
@@ -123,13 +117,6 @@ def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
     raise ScaleMismatchError("witness does not cover the bound's evaluation domain")
 
 
-def _instances(vals: np.ndarray, ndim: int) -> np.ndarray:
-    """vals with a leading instance axis: a value of ndim axes, one instance,
-    as a stack of one."""
-    vals = np.asarray(vals, dtype=float)
-    return vals if vals.ndim > ndim else vals[None]
-
-
 def _positive_part(x: np.ndarray) -> np.ndarray:
     """max(0.0, x) elementwise, as Python's max takes it: NaN gives 0.0."""
     return np.where(x > 0.0, x, 0.0)
@@ -137,42 +124,25 @@ def _positive_part(x: np.ndarray) -> np.ndarray:
 
 def _finish(bound: GridFn2, witness: GridFn2 | None, diags: list,
             variant: ExponentVariant) -> BoundReport:
-    b = _instances(bound.values, 2)
+    b = bound.values
     violations = [[] for _ in b]
-    if witness is None:
-        w = None
+    w = None if witness is None else _restrict_witness(witness, bound.domain)
+    if w is None:
         max_violation, min_slack = np.zeros(len(b)), np.full(len(b), math.inf)
     else:
-        w = _restrict_witness(witness, bound.domain)
-        wv = _instances(w.values, 2)
-        excess = wv - b
+        excess = w.values - b
         tol = VIOLATION_TOL * (1.0 + np.abs(b))
         for k, i, j in np.argwhere(excess > tol).tolist():
-            violations[k].append((i, j, float(wv[k, i, j]), float(b[k, i, j])))
+            violations[k].append((i, j, float(w.values[k, i, j]), float(b[k, i, j])))
         max_violation = _positive_part(excess.max(axis=(1, 2)))
         min_slack = (-excess).min(axis=(1, 2))
-    if bound.values.ndim == 2:
-        return BoundReport(bound, w, float(max_violation[0]), float(min_slack[0]),
-                           violations[0], diags, variant)
     return BoundReport(bound, w, max_violation, min_slack, violations, diags, variant)
 
 
-def _new_diagnostics(lattice: np.ndarray) -> list[list[str]]:
-    """One empty list of diagnostics per instance of lattice values."""
-    return [[] for _ in _instances(lattice, 2)]
-
-
-def _diagnostics(lists: list[list[str]], lattice: np.ndarray) -> list:
-    """The lists of _new_diagnostics(lattice) as check_hypotheses returns
-    them: all of them for a stack, the one list for one instance."""
-    return lists if lattice.ndim == 3 else lists[0]
-
-
-def _check_nonneg(vals: np.ndarray, name: str, diags: list[list[str]],
+def _check_nonneg(stack: np.ndarray, name: str, diags: list[list[str]],
                   where: str = "at index") -> None:
-    """Append to diags[k] where instance k of vals (a lattice, or a stack of
-    them) dips below -HYPOTHESIS_SLACK, naming the first index of its minimum."""
-    stack = _instances(vals, 2)
+    """Append to diags[k] where instance k of a stack of lattice values dips
+    below -HYPOTHESIS_SLACK, naming the first index of its minimum."""
     flat = stack.reshape(len(stack), -1)
     if not flat.shape[1]:
         return
@@ -184,12 +154,10 @@ def _check_nonneg(vals: np.ndarray, name: str, diags: list[list[str]],
 
 
 def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
-    """The (3, n1 - 1, n2 - 1) minima that KernelInputs.check_hypotheses
-    reports, (3, count, n1 - 1, n2 - 1) for a stack of kernels: at
-    [:, ..., i, j], those of the kernel's second-variable, first-variable and
-    mixed lattice differences at (i + 1, j + 1), over the arguments
-    (i, b < j), (a < i, j) and (a < i, b < j) that the bound formulas touch;
-    +inf where there are none.
+    """The (3, count, n1 - 1, n2 - 1) minima that KernelInputs.check_hypotheses
+    reports: at [:, k, i, j], those of kernel k's second-variable, first-variable
+    and mixed lattice differences at (i + 1, j + 1), over the arguments (i, b < j),
+    (a < i, j) and (a < i, b < j) that the bound formulas touch; +inf for none.
 
     A one-term factored kernel needs no sweep: each of its differences is
     c * beta with c a difference of alpha, and rounding is monotone in beta,
@@ -199,13 +167,12 @@ def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
     at a time, one instance after another.
     """
     if kernel.factors is None or len(kernel.factors[0]) != 1:
-        lows = [_swept_lows(one) for one in kernel.instances()]
-        return np.stack(lows, axis=1) if kernel.stack else lows[0]
+        return np.stack([_swept_lows(one) for one in kernel.instances()], axis=1)
     n1, n2 = kernel.domain.shape
     mu1 = np.diff(kernel.domain.scale1.points)
     mu2 = np.diff(kernel.domain.scale2.points)
-    lows = np.full((3, *kernel.stack, n1 - 1, n2 - 1), np.inf)
-    alpha, beta = (x[0] for x in kernel.factors)
+    alpha, beta = (x[0].reshape(-1, n1, n2) for x in kernel.factors)
+    lows = np.full((3, len(alpha), n1 - 1, n2 - 1), np.inf)
     alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
     alpha_d2 = np.diff(alpha, axis=-1) / mu2
     alpha_d12 = np.diff(alpha_d1, axis=-1) / mu2
@@ -283,13 +250,13 @@ def _rank_one_min(alpha: np.ndarray,
 
 
 def _kernel_mins(kernel: KernelOracle) -> list[tuple[float, tuple[int, ...]]]:
-    """_kernel_min of each instance of a kernel, or of a stack of kernels, and
-    (0.0, ()) for one whose factors are all nonnegative: such a kernel is
-    nonnegative without a scan.  A one-term kernel takes _rank_one_min; any
-    other is swept one row slab at a time."""
+    """_kernel_min of each instance of a stack of kernels, and (0.0, ()) for
+    one whose factors are all nonnegative: such a kernel is nonnegative
+    without a scan.  A one-term kernel takes _rank_one_min; any other is
+    swept one row slab at a time."""
     if kernel.factors is None:
         return [_kernel_min(kernel)]
-    alpha, beta = (x.reshape(len(x), -1, *x.shape[-2:]) for x in kernel.factors)
+    alpha, beta = kernel.factors
     signed = np.flatnonzero((alpha.min(axis=(0, 2, 3)) < 0) | (beta.min(axis=(0, 2, 3)) < 0))
     found = [(0.0, ())] * alpha.shape[1]
     if len(signed):
@@ -324,7 +291,7 @@ def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     each variable; failures of those conditions are logged as warnings
     rather than raised, since the product is still well defined.
     """
-    _require_same_domain(A, b)
+    _common_stack(A, b)
     av = A.values
     lattice = (-2, -1)
     scale = 1e-12 * (1.0 + np.abs(av).max(axis=lattice))
@@ -373,7 +340,7 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
         A = (alpha[..., :m1, :] * double[:, 0]).sum(axis=0)
         c = (alpha[..., 1:, :] * single[:, 1] + alpha_d1 * double[:, 1]).sum(axis=0)
         return A, c
-    weights = coeff * np.outer(mu1, mu2)
+    weights = coeff.reshape(2, m1, m2) * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
     out = np.empty((2, m1, m2))
     for i in range(m1):
@@ -385,11 +352,44 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
         slabs[1, :, :i] -= slabs[0, :, :i]
         out[:, i] = np.einsum("kjab,kab,jb->kj", slabs, weights[:, :i + 1], before)
         out[1, i] /= mu1[i]
-    return out[0], out[1]
+    return tuple(out.reshape(coeff.shape))
+
+
+class _Case:
+    """An input type's stack, checked at construction, and its public
+    check_hypotheses() and bound(), which run _diagnostics() and _bound() on
+    a stack; one instance runs as a stack of one, its one result taken out."""
+
+    def _check(self, *values, witness: GridFn2 | None) -> None:
+        object.__setattr__(self, "_stack", _common_stack(*values, witness=witness))
+
+    def _as_stack(self):
+        """self, one instance as a stack of one: grid functions and a factored
+        kernel as views of their checked values; numbers and a dense kernel as is."""
+        if self._stack:
+            return self
+        lifted = object.__new__(type(self))
+        for name, x in vars(self).items():
+            if isinstance(x, (GridFn1, GridFn2)):
+                x = _view(x, x.values[None])
+            elif isinstance(x, KernelOracle) and x.factors is not None:
+                x = KernelOracle(x.domain, factors=tuple(f[:, None] for f in x.factors))
+            lifted.__dict__[name] = x
+        lifted.__dict__["_stack"] = (1,)
+        return lifted
+
+    def check_hypotheses(self) -> list:
+        """The diagnostics of _diagnostics; on a stack, one list per instance."""
+        diags = self._as_stack()._diagnostics()
+        return diags if self._stack else diags[0]
+
+    def bound(self) -> BoundReport:
+        report = self._as_stack()._bound()
+        return report if self._stack else report.unstack()[0]
 
 
 @dataclass(frozen=True)
-class PointwiseInputs:
+class PointwiseInputs(_Case):
     """u <= p + q * ii(k u) with k a grid function, bounded by p + q * A * e_c.
 
     a = k*p and b = k*q; A is the running double integral of a, c the
@@ -406,24 +406,21 @@ class PointwiseInputs:
     def __post_init__(self) -> None:
         if not isinstance(self.k, GridFn2):
             raise DomainError("pointwise case needs k as a grid function")
-        _require_same_domain(self.p, self.q, self.k)
-        _require_witness_stack(self.u, self.p)
+        self._check(self.p, self.q, self.k, witness=self.u)
 
-    def check_hypotheses(self) -> list:
-        """Nonnegativity of p, q and k; on a stack, one list per instance."""
-        diags = _new_diagnostics(self.p.values)
+    def _diagnostics(self) -> list[list[str]]:
+        """Nonnegativity of p, q and k."""
+        diags = [[] for _ in self.p.values]
         for g, nm in ((self.p, "p"), (self.q, "q"), (self.k, "k")):
             _check_nonneg(g.values, nm, diags)
-        return _diagnostics(diags, self.p.values)
+        return diags
 
     @_overflow_checked
-    def bound(self) -> BoundReport:
+    def _bound(self) -> BoundReport:
         diags = check_hypotheses(self)
         dom = self.p.domain
-        a = GridFn2(dom, self.k.values * self.p.values)
-        b = GridFn2(dom, self.k.values * self.q.values)
-        A = running_double_integral(a)
-        z = gronwall_2d(A, b)
+        A = running_double_integral(GridFn2(dom, self.k.values * self.p.values))
+        z = gronwall_2d(A, GridFn2(dom, self.k.values * self.q.values))
         bound_full = self.p.values + self.q.values * z.values
         if not np.all(np.isfinite(bound_full)):
             raise DomainError("pointwise bound overflowed")
@@ -432,7 +429,7 @@ class PointwiseInputs:
 
 
 @dataclass(frozen=True)
-class KernelInputs:
+class KernelInputs(_Case):
     """u <= p + q * ii(k(t1, t2, s1, s2) u) with k a KernelOracle on the
     domain of p and q, bounded by p + q * A * E.
 
@@ -451,19 +448,13 @@ class KernelInputs:
     def __post_init__(self) -> None:
         if not isinstance(self.k, KernelOracle):
             raise DomainError("kernel case needs k as a KernelOracle")
-        _require_same_domain(self.p, self.q)
-        witnesses._check_kernel_stack(self.k, self.p)
-        _require_witness_stack(self.u, self.p)
+        self._check(self.p, self.q, self.k, witness=self.u)
 
-    def check_hypotheses(self) -> list:
+    def _diagnostics(self) -> list[list[str]]:
         """Nonnegativity of p, q, the kernel and its three sigma-shifted lattice
         differences over every argument combination the bound formulas touch; a
-        failing difference names the first (i, j), in row order, of its minimum.
-        On a stack, one list per instance."""
-        return _diagnostics(self._instance_diagnostics(), self.p.values)
-
-    def _instance_diagnostics(self) -> list[list[str]]:
-        diags = _new_diagnostics(self.p.values)
+        failing difference names the first (i, j), in row order, of its minimum."""
+        diags = [[] for _ in self.p.values]
         for g, nm in ((self.p, "p"), (self.q, "q")):
             _check_nonneg(g.values, nm, diags)
         for found, (worst, at) in zip(diags, _kernel_mins(self.k)):
@@ -474,13 +465,12 @@ class KernelInputs:
             _check_nonneg(low, f"kernel {kind} difference", diags, "near")
         return diags
 
-    def bound(self) -> BoundReport:
-        variant = self.exponent_variant
-        return bound_kernel_variants(self, (variant,))[variant]
+    def _bound(self) -> BoundReport:
+        return bound_kernel_variants(self, (self.exponent_variant,))[self.exponent_variant]
 
 
 @dataclass(frozen=True)
-class SystemInputs:
+class SystemInputs(_Case):
     """The coupled pair with constants c1, c2 and coefficients h1..h4,
     bounded by c3 + A * e_c and compared against u + v.
 
@@ -498,22 +488,21 @@ class SystemInputs:
     u: GridFn2 | None = None
 
     def __post_init__(self) -> None:
-        _require_same_domain(self.h1, self.h2, self.h3, self.h4)
-        _require_witness_stack(self.u, self.h1)
+        self._check(self.h1, self.h2, self.h3, self.h4, self.c1, self.c2, witness=self.u)
 
-    def check_hypotheses(self) -> list:
-        """Nonnegativity of c1, c2 and h1..h4; on a stack, one list per instance."""
-        diags = _new_diagnostics(self.h1.values)
+    def _diagnostics(self) -> list[list[str]]:
+        """Nonnegativity of c1, c2 and h1..h4."""
+        diags = [[] for _ in self.h1.values]
         for val, nm in ((self.c1, "c1"), (self.c2, "c2")):
             vals = np.broadcast_to(np.asarray(val, dtype=float), (len(diags),))
             for k in np.flatnonzero(vals < -HYPOTHESIS_SLACK):
                 diags[k].append(f"{nm} negative: {float(vals[k]):.6g}")
         for g, nm in ((self.h1, "h1"), (self.h2, "h2"), (self.h3, "h3"), (self.h4, "h4")):
             _check_nonneg(g.values, nm, diags)
-        return _diagnostics(diags, self.h1.values)
+        return diags
 
     @_overflow_checked
-    def bound(self) -> BoundReport:
+    def _bound(self) -> BoundReport:
         c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
         if np.any(c1 < 0) or np.any(c2 < 0):
             raise DomainError(f"system constants must be nonnegative, got {c1}, {c2}")
@@ -536,7 +525,7 @@ class SystemInputs:
 
 
 @dataclass(frozen=True)
-class IntegrodynamicInputs:
+class IntegrodynamicInputs(_Case):
     """The mixed-derivative relation with axis coefficients a (first axis)
     and b (second axis) and the grid function c, bounded by ii(h).
 
@@ -556,19 +545,17 @@ class IntegrodynamicInputs:
         if not (self.a.scale.same_points(self.c.domain.scale1)
                 and self.b.scale.same_points(self.c.domain.scale2)):
             raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
-        _require_witness_stack(self.u, self.c)
+        self._check(self.c, self.a, self.b, witness=self.u)
 
-    def check_hypotheses(self) -> list:
+    def _diagnostics(self) -> list[list[str]]:
         """a and b strictly positive and nondecreasing, c nonnegative, and
-        the witness's mixed delta derivative nonnegative when u is given; on
-        a stack, one list per instance."""
-        diags = _new_diagnostics(self.c.values)
+        the witness's mixed delta derivative nonnegative when u is given."""
+        diags = [[] for _ in self.c.values]
         for g, nm in ((self.a, "a"), (self.b, "b")):
-            vals = _instances(g.values, 1)
-            worst = vals.min(axis=1)
+            worst = g.values.min(axis=1)
             for k in np.flatnonzero(worst <= 0.0):
                 diags[k].append(f"{nm} must be strictly positive, found {float(worst[k]):.6g}")
-            deltas = np.diff(vals, axis=1) / np.diff(g.scale.points)
+            deltas = np.diff(g.values, axis=1) / np.diff(g.scale.points)
             if deltas.shape[1]:
                 at = deltas.argmin(axis=1)
                 lo = deltas[np.arange(len(deltas)), at]
@@ -578,10 +565,10 @@ class IntegrodynamicInputs:
         _check_nonneg(self.c.values, "c", diags)
         if self.u is not None:
             _check_nonneg(mixed_partial(self.u).values, "witness mixed delta", diags)
-        return _diagnostics(diags, self.c.values)
+        return diags
 
     @_overflow_checked
-    def bound(self) -> BoundReport:
+    def _bound(self) -> BoundReport:
         a1d, b1d, c2d = self.a, self.b, self.c
         if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
             raise DomainError("axis coefficients must be strictly positive")
@@ -621,14 +608,15 @@ def bound_kernel_variants(inputs: KernelInputs,
     The hypotheses, A and c are computed once for all of them;
     inputs.exponent_variant is ignored.
     """
-    p, q, kernel = inputs.p, inputs.q, inputs.k
+    stacked = inputs._as_stack()
+    p, q, kernel = stacked.p, stacked.q, stacked.k
     dom = p.domain
     n1, n2 = dom.shape
     if n1 < 2 or n2 < 2:
         raise DomainError("kernel bound needs at least two points per axis")
     m1, m2 = n1 - 1, n2 - 1
     kdom = dom.kappa()
-    diags = inputs._instance_diagnostics()
+    diags = stacked._diagnostics()
     A, c = _kernel_integrals(kernel, p, q)
     reports = {}
     for variant in variants:
@@ -639,9 +627,9 @@ def bound_kernel_variants(inputs: KernelInputs,
         bound_vals = p.values[..., :m1, :m2] + q.values[..., :m1, :m2] * A * e
         if not np.all(np.isfinite(bound_vals)):
             raise DomainError("kernel bound overflowed")
-        reports[variant] = _finish(GridFn2(kdom, bound_vals), inputs.u,
-                                   _diagnostics([list(d) for d in diags], p.values), variant)
-    return reports
+        reports[variant] = _finish(GridFn2(kdom, bound_vals), stacked.u,
+                                   [list(d) for d in diags], variant)
+    return reports if inputs._stack else {v: r.unstack()[0] for v, r in reports.items()}
 
 
 BoundInputs = PointwiseInputs | KernelInputs | SystemInputs | IntegrodynamicInputs

@@ -419,7 +419,7 @@ def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,
     sampled families are drawn to be and fixed parameters are checked for.
     Values past the float range come out inf or NaN, which GridFn1 rejects.
     draws, records from draw(), realizes a stack of instances on a leading
-    axis (a list of one, one instance) in place of one drawn from rng."""
+    axis, a stack of one for a list of one, in place of one drawn from rng."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _evaluate(spec, (scale.points,), draws, rng, monotone_positive)
         if monotone_positive:
@@ -427,7 +427,7 @@ def realize_1d(spec: FnSpec, scale: TimeScale, rng=None,
                 raise ConfigError("this coefficient must be strictly positive on the scale")
             if len(scale) > 1 and float(np.diff(vals).min()) < 0.0:
                 raise ConfigError("this coefficient must be nondecreasing on the scale")
-    return GridFn1(scale, vals if len(vals) > 1 else vals[0])
+    return GridFn1(scale, vals[0] if draws is None else vals)
 
 
 def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None,
@@ -439,7 +439,7 @@ def realize_2d(spec: FnSpec, domain: TimeScale2D, rng=None,
         vals = _evaluate(spec, (domain.scale1.points, domain.scale2.points), draws, rng)
         if float(vals.min()) < 0.0:
             raise ConfigError("coefficient functions must be nonnegative on the lattice")
-    return GridFn2(domain, vals if len(vals) > 1 else vals[0])
+    return GridFn2(domain, vals[0] if draws is None else vals)
 
 
 def draw_scalar(spec: FnSpec, rng) -> float | None:
@@ -455,7 +455,7 @@ def realize_scalar(spec: FnSpec, rng=None, draws: list | None = None):
     v = np.array([draw_scalar(spec, rng)] if draws is None else draws, dtype=float)
     if np.any(v < 0):
         raise ConfigError("constants must be nonnegative")
-    return v if len(v) > 1 else float(v[0])
+    return float(v[0]) if draws is None else v
 
 
 def draw_kernel(spec: FnSpec, rng) -> tuple:
@@ -486,26 +486,26 @@ def realize_kernel(spec: FnSpec, domain: TimeScale2D, rng=None,
     kernel budget it raises ConfigError before anything is drawn or
     allocated.  draws, records from draw_kernel(), realizes a stack of
     instances as one kernel whose factors have shape (1, count, n1, n2), each
-    family evaluated once for its instances (a list of one: one instance).
+    family evaluated once for its instances.
     """
     check_kernel_budget(domain, rank=1)
-    draws = [draw_kernel(spec, rng)] if draws is None else draws
-    fams = [fam for fam, _ in draws]
+    records = [draw_kernel(spec, rng)] if draws is None else draws
+    fams = [fam for fam, _ in records]
     for fam in fams:
         if fam not in ("constant", "affine_product"):
             raise ConfigError(f"kernel family '{fam}' is not supported")
-    shape = (len(draws), *domain.shape)
+    shape = (len(records), *domain.shape)
     alpha, beta = np.empty(shape), np.empty(shape)
     const = np.array([fam == "constant" for fam in fams])
     if const.any():
-        values = np.array([v for fam, v in draws if fam == "constant"])
+        values = np.array([v for fam, v in records if fam == "constant"])
         if values.min() < 0:
             raise ConfigError("a constant kernel must be nonnegative")
         alpha[const], beta[const] = values[:, None, None], 1.0
     if not const.all():
         alpha[~const], beta[~const] = _affine_factors(
-            spec, domain, [v for fam, v in draws if fam == "affine_product"])
-    if len(draws) > 1:    # one term: (1, count, n1, n2)
+            spec, domain, [v for fam, v in records if fam == "affine_product"])
+    if draws is not None:    # one term: (1, count, n1, n2)
         alpha, beta = alpha[None], beta[None]
     return KernelOracle.separable(domain, alpha, beta)
 

@@ -240,8 +240,8 @@ def union_scales(a: TimeScale, b: TimeScale) -> TimeScale:
 class GridFn1:
     """Real values attached point by point to a scale.
 
-    values may carry one leading batch axis, a stack of instances on the same
-    scale; only the two-variable bound code reads such stacks.
+    values of shape (count, n) hold a stack of instances on the same scale,
+    which only the two-variable bound and witness code take.
     """
 
     scale: TimeScale
@@ -264,8 +264,11 @@ class GridFn1:
         return len(self.scale)
 
 
-def _require_same_scale(f: GridFn1, g: GridFn1) -> None:
-    if not f.scale.same_points(g.scale):
+def _require_one_scale(f: GridFn1, *others: GridFn1) -> None:
+    """Raise unless f and others hold one instance each (no stack), on f's scale."""
+    if any(g.values.ndim != 1 for g in (f, *others)):
+        raise ScaleMismatchError("this calculus takes one instance, not a stack")
+    if not all(f.scale.same_points(g.scale) for g in others):
         raise ScaleMismatchError("grid functions live on different scales")
 
 
@@ -275,6 +278,7 @@ def delta_derivative(f: GridFn1) -> GridFn1:
     Defined away from the maximum, so the result lives on the kappa
     sub-scale.  Exact at isolated points, first order at dense ones.
     """
+    _require_one_scale(f)
     scale = f.scale
     if len(scale) < 2:
         raise DomainError("delta derivative needs at least two points")
@@ -289,6 +293,7 @@ def cauchy_integral(f: GridFn1, a: int, b: int) -> float:
     Left-endpoint sum of f times graininess over [a, b), rounded once by
     exact_sum; exact when every point in the window is isolated.
     """
+    _require_one_scale(f)
     scale = f.scale
     a = scale._check_index(a)
     b = scale._check_index(b)
@@ -306,6 +311,7 @@ def antiderivative(f: GridFn1, t0: int, x0: float = 0.0) -> GridFn1:
     so delta_derivative(antiderivative(f, t0)) reproduces f on the kappa
     scale up to rounding.
     """
+    _require_one_scale(f)
     scale = f.scale
     t0 = scale._check_index(t0)
     inc = f.values[:-1] * np.diff(scale.points) if len(scale) > 1 else np.empty(0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn1, TimeScale, neumaier_cumsum, _require_same_scale
+from .core import GridFn1, TimeScale, _require_one_scale, neumaier_cumsum
 from .errors import DomainError, RegressivityError
 
 # A factor 1 + mu*p counts as zero when inside this relative band.
@@ -45,6 +45,7 @@ def regressivity(p: GridFn1) -> RegressivityReport:
     band around zero; positively regressive additionally requires every
     factor to clear the band on the positive side.
     """
+    _require_one_scale(p)
     factors, band = _factors(p.scale.graininess * p.values)
     worst = int(np.argmin(factors))
     near_zero = np.abs(factors) <= band
@@ -72,13 +73,14 @@ def _require_regressive(mu_p: np.ndarray, positive: bool = False) -> np.ndarray:
 
 def circle_plus(f: GridFn1, g: GridFn1) -> GridFn1:
     """Circle addition f + g + mu*f*g on a shared scale."""
-    _require_same_scale(f, g)
+    _require_one_scale(f, g)
     mu = f.scale.graininess
     return GridFn1(f.scale, f.values + g.values + mu * f.values * g.values)
 
 
 def circle_minus(g: GridFn1) -> GridFn1:
     """Circle negation -g / (1 + mu*g); g must be regressive."""
+    _require_one_scale(g)
     factors = _require_regressive(g.scale.graininess * g.values)
     return GridFn1(g.scale, -g.values / factors)
 
@@ -130,6 +132,7 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     at t right of t0 is the product of 1 + mu*p over [t0, t), and left of t0
     the reciprocal of the product over [t, t0).
     """
+    _require_one_scale(p)
     t0 = p.scale._check_index(t0)
     vals = ProductLadder(_require_regressive(p.scale.graininess * p.values)[:-1]).ratios_from(t0)
     if not np.all(np.isfinite(vals)):
@@ -144,7 +147,7 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     evaluated on the sub-scale starting at a.  g must stay positively
     regressive on the window, which keeps the direction of the inequality.
     """
-    _require_same_scale(f, g)
+    _require_one_scale(f, g)
     if not math.isfinite(x_a):
         raise DomainError(f"x_a must be finite, got {x_a}")
     scale = f.scale

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TimeScale, exact_sum, neumaier_cumsum
+from .core import GridFn1, TimeScale, exact_sum, neumaier_cumsum
 from .errors import ConfigError, DomainError, ScaleMismatchError
 
 
@@ -54,10 +54,9 @@ class TimeScale2D:
 class GridFn2:
     """Real values on every lattice point of a product scale.
 
-    values may carry one leading batch axis, a stack of instances on the same
-    lattice, shape (count, n1, n2); every lattice operation here and in the
-    witness and bound code indexes the lattice axes from the end, so each
-    instance of a stack gets the bits it would get on its own.
+    values of shape (count, n1, n2) hold a stack of instances on the same
+    lattice, which the bound and witness code take (see _common_stack);
+    double_integral and darboux_sums take one instance.
     """
 
     domain: TimeScale2D
@@ -86,11 +85,10 @@ class GridFn2:
         return cls(domain, np.full(domain.shape, float(value)))
 
     def instances(self) -> list["GridFn2"]:
-        """A stack's instances, read-only views of the values it checked."""
-        views = [object.__new__(GridFn2) for _ in self.values]
-        for view, vals in zip(views, self.values):
-            view.__dict__.update(domain=self.domain, values=vals)
-        return views
+        """A stack's instances, views of the values it checked; [self] for one."""
+        if self.values.ndim == 2:
+            return [self]
+        return [_view(self, vals) for vals in self.values]
 
     def kappa_restrict(self) -> "GridFn2":
         """The same values minus the last row and column, on the kappa domain."""
@@ -102,18 +100,46 @@ def _cell_weights(domain: TimeScale2D) -> np.ndarray:
     return np.outer(np.diff(domain.scale1.points), np.diff(domain.scale2.points))
 
 
-def _require_same_domain(f: GridFn2, *others: GridFn2) -> None:
-    if not all(f.domain.same_points(g.domain) for g in others):
+def _common_stack(*fields, witness: GridFn2 | None = None) -> tuple[int, ...]:
+    """The stack, () or (count,), of a bound case's fields, once its grids and
+    kernel share a product scale: a GridFn2 or GridFn1 holds it in front of
+    its lattice axes, a KernelOracle in its stack, and a number per instance
+    (c1, c2, a feedback factor) is a scalar, which fits any stack, or of shape
+    (count,).  A mismatch raises ScaleMismatchError; a dense kernel beside a
+    stack raises DomainError."""
+    domains = [x.domain for x in fields if isinstance(x, (GridFn2, KernelOracle))]
+    if not all(domains[0].same_points(d) for d in domains[1:]):
         raise ScaleMismatchError("grid functions live on different product scales")
-    if any(g.values.shape != f.values.shape for g in others):
-        raise ScaleMismatchError("grid functions hold different stacks of instances")
-
-
-def _require_witness_stack(u: GridFn2 | None, f: GridFn2) -> None:
-    """Raise unless the witness u, when given, holds f's stack of instances:
-    one instance, or a stack of the same count."""
-    if u is not None and u.values.shape[:-2] != f.values.shape[:-2]:
+    stack = None
+    for x in sorted(fields, key=lambda x: not isinstance(x, (GridFn1, GridFn2, KernelOracle))):
+        if isinstance(x, GridFn2):
+            own, what = x.values.shape[:-2], "grid functions hold different stacks"
+        elif isinstance(x, GridFn1):
+            own, what = x.values.shape[:-1], "axis coefficients hold a different stack"
+        elif isinstance(x, KernelOracle):
+            own, what = x.stack, "the kernel holds a different stack"
+        else:
+            own, what = np.shape(x), "the numbers per instance hold a different stack"
+            if not own:
+                continue
+        if stack is None:
+            stack = own
+        elif own != stack:
+            if isinstance(x, KernelOracle) and x.factors is None:
+                raise DomainError("a dense kernel takes one instance, not a stack")
+            raise ScaleMismatchError(f"{what} of instances")
+    stack = stack or ()
+    if witness is not None and witness.values.shape[:-2] != stack:
         raise ScaleMismatchError("the witness holds a different stack of instances")
+    return stack
+
+
+def _view(f, values: np.ndarray):
+    """A GridFn1 or GridFn2 like f on values, a view of f's checked values,
+    built without checking them again."""
+    view = object.__new__(type(f))
+    view.__dict__.update(vars(f), values=values)
+    return view
 
 
 def partial_delta(f: GridFn2, axis: int) -> GridFn2:
@@ -150,6 +176,8 @@ def double_integral(f: GridFn2, rect: tuple[int, int, int, int]) -> float:
     Indices address lattice points; b1 and b2 are exclusive upper indices,
     at most the last index of their axis.
     """
+    if _common_stack(f):
+        raise ScaleMismatchError("double_integral takes one instance, not a stack")
     a1, b1, a2, b2 = rect
     n1, n2 = f.domain.shape
     if not (0 <= a1 <= b1 <= n1 - 1 and 0 <= a2 <= b2 <= n2 - 1):
@@ -378,6 +406,8 @@ def darboux_sums(f: GridFn2, part: RectPartition) -> tuple[float, float]:
     contains and is weighted by its coordinate side lengths.  The finest
     partition collapses both sums onto the double integral.
     """
+    if _common_stack(f):
+        raise ScaleMismatchError("darboux_sums takes one instance, not a stack")
     n1, n2 = f.domain.shape
     if part.cuts1[0] != 0 or part.cuts1[-1] != n1 - 1 \
             or part.cuts2[0] != 0 or part.cuts2[-1] != n2 - 1:

@@ -14,15 +14,12 @@ the right-hand side is p + q * sum over r of alpha_r * S_r, where S_r holds
 the block sums of beta_r * u * mu1 * mu2 (the summed-area table of each
 term), in O(r N) work without expanding the kernel.
 
-A batch runs as stacks.  The driver draws the random part of each instance
-of a stack in stream order, then realizes each function once and runs the
-witness, the bound and the re-check once for the whole stack, on a leading
-instance axis; every step indexes the lattice axes from the end, so each
-instance gets the bits it would get on its own; a stack's kernels are one
-KernelOracle whose factors carry the instance axis.  A stack holds at most
-grid2d.MAX_STACK_POINTS lattice points.  When a stacked pass raises, its
-instances are realized and checked again one at a time, so the error names
-the lowest failing instance once those before it have passed.
+A batch runs as stacks of at most grid2d.MAX_STACK_POINTS lattice points:
+the random parts of a stack's instances are drawn in stream order, each
+function realized once (a stack even of one), and the witness, the bound and
+the re-check run once per stack, each instance with its own bits.  When a
+stacked pass raises, its instances run again one at a time, so the error
+names the lowest failing instance once those before it have passed.
 """
 
 from __future__ import annotations
@@ -142,8 +139,7 @@ def _excess(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _recheck_kernel(p: GridFn2, q: GridFn2, factors, u: GridFn2) -> np.ndarray:
     """u's excess over p + q * ii(k u) for k(t, s) = sum over r of
-    alpha[r](t) * beta[r](s), from factors (alpha, beta) of shape (r, n1, n2),
-    or (r, count, n1, n2) on a stack of count instances."""
+    alpha[r](t) * beta[r](s), from factors (alpha, beta) of shape (r, count, n1, n2)."""
     alpha, beta = factors
     fed = beta[..., :-1, :-1] * u.values[..., :-1, :-1] * _cell_weights(u.domain)
     return _excess(u.values, p.values + q.values * (alpha * _block_sums(fed)).sum(axis=0))
@@ -274,7 +270,7 @@ def _realize(functions: list[tuple], drawn: list[tuple]) -> tuple:
             fields.append(realize(fn, draws))
         except ConfigError as exc:
             raise ConfigError(f"function '{name}': {exc}") from None
-    return (*fields, rho[0] if len(rho) == 1 else np.array(rho))
+    return (*fields, np.array(rho))
 
 
 def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tuple],
@@ -283,11 +279,10 @@ def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tup
     instance, numbered from first, from one stacked pass.  If the pass
     raises, the instances are realized and checked again one at a time, so
     the lowest failing one raises its own error, prefixed with its number."""
-    if len(drawn) > 1:
-        try:
-            return _check_stack(spec, _realize(functions, drawn))
-        except TscaleError:
-            pass
+    try:
+        return _check_stack(spec, _realize(functions, drawn))
+    except TscaleError:
+        pass
     checked = []
     for idx, one in enumerate(drawn, first):
         try:
@@ -298,8 +293,8 @@ def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tup
 
 
 def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
-    """Witness, bound and re-check of one instance or one stack of them, split
-    into one (report, residual, relative violation, extras) per instance."""
+    """Witness, bound and re-check of one stack of instances, split into one
+    (report, residual, relative violation, extras) per instance."""
     case = spec.case
     *coeffs, rho = fields
     extras = None
@@ -331,6 +326,5 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
         report = compute_bound(IntegrodynamicInputs(a, b, c, u))
         residual = _recheck_integrodynamic(a, b, c, u, w)
     reports = report.unstack()
-    return list(zip(reports, np.atleast_1d(residual).tolist(),
-                    np.atleast_1d(_relative_violation(report)).tolist(),
+    return list(zip(reports, residual.tolist(), _relative_violation(report).tolist(),
                     extras or [None] * len(reports)))

@@ -9,14 +9,12 @@ and takes each row's rectangle sums from one compensated prefix sum.  A
 kernel of r separable terms runs the sweep with r fields, O(r N) in total,
 the pointwise kernel k(s) being the one term (1, k); a dense kernel table is
 contracted one row slab at a time, O(N^2) like the table, and holds one
-instance.  The first-order comparison witness composes its affine steps by
-a two-level scan, O(n) work in O(log n) numpy steps: doubling within blocks
-of 16 steps, then over the block totals, about 5 full-length passes at
-n = 10**5 where one doubling scan over all steps takes 17.  The two-variable
-witnesses also take a stack of instances, grid functions of shape
-(count, n1, n2) and separable kernel factors of shape (r, count, n1, n2)
-with one constant or feedback factor per instance, and sweep them all at
-once; each instance keeps its own bits.
+instance.  The two-variable witnesses sweep a stack of instances at once,
+each with its own bits (see grid2d._common_stack).  The first-order
+comparison witness composes its affine steps by a two-level scan, O(n) work
+in O(log n) numpy steps: doubling within blocks of 16 steps, then over the
+block totals, about 5 full-length passes at n = 10**5 where one doubling
+scan over all steps takes 17.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, _require_same_scale, _two_sum_error, neumaier_cumsum
+from .core import GridFn1, _require_one_scale, _two_sum_error, neumaier_cumsum
 from .errors import DomainError, ScaleMismatchError
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _cell_weights,
-                     _require_same_domain)
+from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights, _common_stack
 
 # A factor's binary exponent, plus the one each product of mantissas in
 # [0.5, 1) may shed, stays within 1075 in size, so the exponent of a product
@@ -38,14 +35,9 @@ _INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075 - 1
 _BLOCK = 16
 
 
-def _per_instance(x) -> np.ndarray:
-    """A number, or one per instance of a stack, as an array that broadcasts
-    against a lattice row: shape (1,) or (count, 1)."""
-    return np.asarray(x, dtype=float)[..., None]
-
-
 def _check_feedback(feedback_scale) -> np.ndarray:
-    fs = _per_instance(feedback_scale)
+    """The checked feedback factor, shape (1,) or (count, 1) to scale a row."""
+    fs = np.asarray(feedback_scale, dtype=float)[..., None]
     if not np.all((0.0 <= fs) & (fs <= 1.0)):
         raise DomainError("feedback_scale must lie in [0, 1]")
     return fs
@@ -91,8 +83,8 @@ def _unit_factors(k: GridFn2) -> tuple[np.ndarray, np.ndarray]:
 
 def _witness_factored(p: GridFn2, q: GridFn2, alpha, beta, rho: np.ndarray) -> GridFn2:
     """The row sweep with one field per term r: row i takes the sum over r of
-    alpha[r, i] * sums[r] and feeds beta[r, i] * u[i].  alpha and beta have
-    shape (r, n1, n2), or (r, count, n1, n2) on a stack of count instances."""
+    alpha[r, i] * sums[r] and feeds beta[r, i] * u[i]; alpha and beta hold
+    p's stack after their term axis."""
     u = np.empty(p.values.shape)
     ur, pr, qr = _rows(u, p.values, q.values)
     ar, br = (np.moveaxis(x, -2, 1) for x in (alpha, beta))
@@ -113,18 +105,8 @@ def witness_pointwise(p: GridFn2, q: GridFn2, k: GridFn2,
     hypothesis; smaller factors keep u strictly below the right-hand side
     wherever the feedback term is positive; it is the one-term kernel (1, k).
     """
-    _require_same_domain(p, q, k)
+    _common_stack(p, q, k, feedback_scale)
     return _witness_factored(p, q, *_unit_factors(k), _check_feedback(feedback_scale))
-
-
-def _check_kernel_stack(kernel: KernelOracle, p: GridFn2) -> None:
-    """Raise unless kernel lives on p's lattice and holds p's stack of instances."""
-    if not kernel.domain.same_points(p.domain):
-        raise ScaleMismatchError("kernel lives on a different product scale")
-    if kernel.stack != p.values.shape[:-2]:
-        if kernel.factors is None:
-            raise DomainError("a dense kernel takes one instance, not a stack")
-        raise ScaleMismatchError("the kernel holds a different stack of instances")
 
 
 def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
@@ -132,12 +114,10 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     """Like witness_pointwise, but the kernel also sees the outer point:
     u(t) = p(t) + feedback_scale * q(t) * sum of k(t1, t2, s1, s2) u(s) mu mu.
 
-    A factored kernel runs the shared row sweep with one field per term, on
-    a stack of instances when its factors, p, q and the factor carry one; a
+    A factored kernel runs the shared row sweep with one field per term; a
     dense table holds one instance and contracts each row's slab instead.
     """
-    _require_same_domain(p, q)
-    _check_kernel_stack(kernel, p)
+    _common_stack(p, q, kernel, feedback_scale)
     rho = _check_feedback(feedback_scale)
     if kernel.factors is not None:
         return _witness_factored(p, q, *kernel.factors, rho)
@@ -159,12 +139,11 @@ def witness_system(c1, c2, h1: GridFn2, h2: GridFn2, h3: GridFn2, h4: GridFn2,
     """Coupled pair solving u = c1 + ii(h1 u + h2 v), v = c2 + ii(h3 u + h4 v).
 
     ii is the double integral over [0, t1) x [0, t2); the feedback factor
-    scales both integral terms.  On a stack, c1, c2 and the factor hold one
-    number per instance.
+    scales both integral terms.
     """
-    _require_same_domain(h1, h2, h3, h4)
+    _common_stack(h1, h2, h3, h4, c1, c2, feedback_scale)
     rho = _check_feedback(feedback_scale)
-    c1, c2 = _per_instance(c1), _per_instance(c2)
+    c1, c2 = (np.asarray(c, dtype=float)[..., None] for c in (c1, c2))
     dom = h1.domain
     u = np.empty(h1.values.shape)
     v = np.empty(h1.values.shape)
@@ -187,14 +166,12 @@ def witness_integrodynamic(a1d: GridFn1, b1d: GridFn1, c2d: GridFn2,
 
     w(t1, t2) = a(t1) + b(t2) + feedback_scale * ii(c * (u + w)) and
     u(t1, t2) = ii(w), so u(0, .) = u(., 0) = 0 exactly and w is u's mixed
-    partial delta on kappa x kappa by construction.  On a stack, a, b and c
-    carry the same stack axis and the factor holds one number per instance.
+    partial delta on kappa x kappa by construction.
     """
     dom = c2d.domain
     if not (a1d.scale.same_points(dom.scale1) and b1d.scale.same_points(dom.scale2)):
         raise ScaleMismatchError("axis coefficients must live on the product scale's axes")
-    if not a1d.values.shape[:-1] == b1d.values.shape[:-1] == c2d.values.shape[:-2]:
-        raise ScaleMismatchError("axis coefficients hold a different stack of instances")
+    _common_stack(c2d, a1d, b1d, feedback_scale)
     rho = _check_feedback(feedback_scale)
     u = np.empty(c2d.values.shape)
     w = np.empty(c2d.values.shape)
@@ -254,7 +231,7 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     own and exact zeros stay exact, so the result leaves the float range only
     where A*x_a or B itself does.  No factor needs to be positive or nonzero.
     """
-    _require_same_scale(f, g)
+    _require_one_scale(f, g)
     if not np.isfinite(x_a):
         raise DomainError(f"x_a must be finite, got {x_a}")
     if not (np.isfinite(slack) and slack >= 0):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscale import (DomainError, GridFn1, TimeScale, antiderivative,
-                    cauchy_integral, delta_derivative, dense_mesh,
-                    explicit_scale, h_grid, integer_segment, q_grid,
-                    union_scales)
+from tscale import (DomainError, GridFn1, ScaleMismatchError, TimeScale, antiderivative,
+                    cauchy_integral, circle_minus, circle_plus, comparison_bound,
+                    delta_derivative, dense_mesh, exp_fn, explicit_scale, h_grid,
+                    integer_segment, q_grid, regressivity, union_scales,
+                    witness_comparison)
 import references as ref
 from tscale.core import _two_sum_error, exact_sum, neumaier_cumsum
 
@@ -329,3 +330,35 @@ def test_round_trip_on_integer_segments(n, deg):
     back = antiderivative(delta_derivative(f), 0, x0=f.values[0])
     tol = 1e-12 * (1.0 + np.abs(f.values[:-1]).max())
     assert np.abs(back.values - f.values[:-1]).max() <= tol
+
+
+# Every public 1-D call that takes a GridFn1, as a function of its grid functions.
+ONE_D_CALLS = {
+    "delta_derivative": lambda f: delta_derivative(f),
+    "cauchy_integral": lambda f: cauchy_integral(f, 0, 1),
+    "antiderivative": lambda f: antiderivative(f, 0),
+    "regressivity": lambda f: regressivity(f),
+    "circle_plus": lambda f, g: circle_plus(f, g),
+    "circle_minus": lambda f: circle_minus(f),
+    "exp_fn": lambda f: exp_fn(f, 0),
+    "comparison_bound": lambda f, g: comparison_bound(1.0, f, g, 0),
+    "witness_comparison": lambda f, g: witness_comparison(f, g, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("call", ONE_D_CALLS)
+def test_the_1d_calculus_takes_one_instance(call):
+    """A stacked GridFn1, shape (count, n), serves the two-variable bound code
+    only: each 1-D call rejects it in any argument, where it used to mix its
+    instances up (cauchy_integral of five instances of ones over (0, 1) gave
+    4.0, exp_fn of two ran its product down the instance axis)."""
+    fn = ONE_D_CALLS[call]
+    s = integer_segment(0, 3)
+    one = GridFn1(s, np.full(4, 0.1))
+    fn(*[one] * fn.__code__.co_argcount)
+    for count in (1, 2, 5):
+        for k in range(fn.__code__.co_argcount):
+            args = [one] * fn.__code__.co_argcount
+            args[k] = GridFn1(s, np.full((count, 4), 0.1))
+            with pytest.raises(ScaleMismatchError, match="one instance, not a stack"):
+                fn(*args)

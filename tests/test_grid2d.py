@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelOracle,
-                    RectPartition, TimeScale2D, cauchy_integral, darboux_sums,
+                    RectPartition, ScaleMismatchError, TimeScale2D, cauchy_integral, darboux_sums,
                     double_integral, explicit_scale, integer_segment,
                     mixed_partial, partial_delta, q_grid, realize_kernel,
                     running_double_integral, running_integral)
@@ -169,6 +169,31 @@ def test_darboux_refinement_tightens_both_sums():
     u_f, l_f = darboux_sums(f, fine)
     ref = double_integral(f, (0, 5, 0, 5))
     assert l_c <= l_f <= ref <= u_f <= u_c
+
+
+def test_double_integral_and_darboux_sums_take_one_instance():
+    """Both slice the lattice from the front, so a stack would be cut along
+    its instance axis: five instances of ones gave 4.0 over one cell."""
+    d = zz()
+    ones = GridFn2(d, np.ones(d.shape))
+    for count in (1, 2, 5):
+        stack = GridFn2(d, np.ones((count, *d.shape)))
+        with pytest.raises(ScaleMismatchError, match="takes one instance, not a stack"):
+            double_integral(stack, (0, 1, 0, 1))
+        with pytest.raises(ScaleMismatchError, match="takes one instance, not a stack"):
+            darboux_sums(stack, RectPartition.finest(d))
+    assert double_integral(ones, (0, 1, 0, 1)) == 1.0
+    assert darboux_sums(ones, RectPartition.finest(d)) == (9.0, 9.0)
+
+
+def test_instances_of_one_grid_function_is_itself():
+    d = zz()
+    ones = GridFn2(d, np.ones(d.shape))
+    assert ones.instances() == [ones] and ones.instances()[0] is ones
+    stack = GridFn2(d, np.arange(2.0 * 16).reshape(2, *d.shape))
+    parts = stack.instances()
+    assert [p.values.shape for p in parts] == [d.shape] * 2
+    assert all(np.shares_memory(p.values, stack.values) for p in parts)
 
 
 def test_rect_partition_validates_cuts():

@@ -409,3 +409,32 @@ def test_unstacked_reports_are_views_of_the_checked_stack(monkeypatch):
     bad[2, 1, 1] = np.inf
     with pytest.raises(DomainError, match="must be finite"):
         GridFn2(d, bad)
+
+
+def test_the_draws_path_realizes_a_stack_even_of_one():
+    """With draws= a realizer returns a stack, a stack of one for one draw;
+    without, one instance, as before."""
+    from tscale import config
+    d = TimeScale2D(integer_segment(0, 3), parse_scale("q:1.5,2").build())
+    rng = np.random.Generator(np.random.PCG64(3))
+    spec = FnSpec("any")
+    # (draw one, realize, shape of one instance, shape of a stack of count)
+    cases = [
+        (lambda: config.draw(spec, d.shape, rng),
+         lambda draws=None: config.realize_2d(spec, d, rng, draws=draws).values,
+         d.shape, lambda count: (count, *d.shape)),
+        (lambda: config.draw(spec, (4,), rng, True),
+         lambda draws=None: config.realize_1d(spec, d.scale1, rng, True, draws).values,
+         (4,), lambda count: (count, 4)),
+        (lambda: config.draw_scalar(spec, rng),
+         lambda draws=None: np.asarray(config.realize_scalar(spec, rng, draws)),
+         (), lambda count: (count,)),
+        (lambda: config.draw_kernel(spec, rng),
+         lambda draws=None: config.realize_kernel(spec, d, rng, draws).factors[0],
+         (1, *d.shape), lambda count: (1, count, *d.shape)),
+    ]
+    for draw_one, realize, one, stack in cases:
+        assert realize().shape == one
+        for count in (1, 3):
+            assert realize([draw_one() for _ in range(count)]).shape == stack(count)
+    assert type(config.realize_scalar(spec, rng)) is float
