@@ -11,12 +11,14 @@ Four shapes of hypothesis are covered, each by one frozen input type:
 where ii is the double delta integral over [0, t1) x [0, t2).  An input type
 checks its structure once, at construction, and has its own check_hypotheses()
 and bound(), to which check_hypotheses and compute_bound delegate.  A bound
-assembles the intermediate functions (a, b, A, c, H, p, q, h) by lattice
-summation, forms the dominating function with a product exponential, and
-compares an optional witness against it pointwise on kappa x kappa.  The
-kernel case takes A and c straight from the kernel integral, a separable
-kernel from its factors in O(r N) and a dense table one row of slabs at a
-time; bound_kernel_variants finishes both exponent variants from them.
+computes only the kappa x kappa values it reports, so a value in the last row
+or column cannot overflow it: it assembles the intermediate functions (A, c,
+H, p, q, h) there by compensated lattice sums, forms the dominating function
+with a product exponential, checks once that it is finite, and compares a
+witness against it pointwise; a default witness is swept on kappa x kappa
+too.  The kernel case takes A and c straight from the kernel integral, a
+separable kernel from its factors in O(r N) and a dense table one row of
+slabs at a time; bound_kernel_variants finishes both exponent variants.
 
 Input types hold one instance or a stack (grid2d._common_stack); the bodies
 run on stacks only, one instance as a stack of one whose result is taken out.
@@ -28,14 +30,15 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .core import GridFn1
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _common_stack, _view, exclusive_sums,
-                     mixed_partial, running_double_integral, running_integral)
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _common_stack, _double_sums, _view,
+                     exclusive_sums, mixed_partial, running_integral)
 from . import witnesses
 
 log = logging.getLogger(__name__)
@@ -122,11 +125,20 @@ def _positive_part(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _finish(bound: GridFn2, witness: GridFn2 | None, diags: list,
-            variant: ExponentVariant) -> BoundReport:
+def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
+            witness: GridFn2 | Callable[[], GridFn2] | None, diags: list,
+            variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE) -> BoundReport:
+    """The report of a stack of bound values on the kappa x kappa domain, or
+    DomainError if they leave the float range; a callable witness builds the
+    default witness once they are known to be finite."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{case.value} bound overflowed")
+    bound = GridFn2(domain, values)
     b = bound.values
     violations = [[] for _ in b]
-    w = None if witness is None else _restrict_witness(witness, bound.domain)
+    if callable(witness):
+        witness = witness()
+    w = None if witness is None else _restrict_witness(witness, domain)
     if w is None:
         max_violation, min_slack = np.zeros(len(b)), np.full(len(b), math.inf)
     else:
@@ -169,8 +181,7 @@ def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
     if kernel.factors is None or len(kernel.factors[0]) != 1:
         return np.stack([_swept_lows(one) for one in kernel.instances()], axis=1)
     n1, n2 = kernel.domain.shape
-    mu1 = np.diff(kernel.domain.scale1.points)
-    mu2 = np.diff(kernel.domain.scale2.points)
+    mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
     alpha, beta = (x[0].reshape(-1, n1, n2) for x in kernel.factors)
     lows = np.full((3, len(alpha), n1 - 1, n2 - 1), np.inf)
     alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
@@ -192,8 +203,7 @@ def _swept_lows(kernel: KernelOracle) -> np.ndarray:
     """_kernel_lows of one kernel, one row of slabs at a time."""
     n1, n2 = kernel.domain.shape
     m1, m2 = n1 - 1, n2 - 1
-    mu1 = np.diff(kernel.domain.scale1.points)
-    mu2 = np.diff(kernel.domain.scale2.points)
+    mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
     lows = np.full((3, m1, m2), np.inf)
     j = np.arange(m2)
     before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
@@ -328,8 +338,7 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
     kernel contracts one row of slabs k(i + 1 | i, ., ., .) at a time.
     """
     m1, m2 = (n - 1 for n in p.domain.shape)
-    mu1 = np.diff(p.domain.scale1.points)
-    mu2 = np.diff(p.domain.scale2.points)
+    mu1, mu2 = p.domain.mu1[:-1], p.domain.mu2[:-1]
     coeff = np.stack((p.values[..., :m1, :m2], q.values[..., :m1, :m2]))
     if kernel.factors is not None:
         alpha, beta = (x[..., :m2] for x in kernel.factors)
@@ -392,10 +401,9 @@ class _Case:
 class PointwiseInputs(_Case):
     """u <= p + q * ii(k u) with k a grid function, bounded by p + q * A * e_c.
 
-    a = k*p and b = k*q; A is the running double integral of a, c the
-    running second-axis integral of b, and the exponential runs in the
-    first variable (through the gronwall_2d machinery).  u is an optional
-    witness to compare against the bound.
+    A is the running double integral of k*p, c the running second-axis
+    integral of k*q, and the exponential of c runs in the first variable.
+    u is an optional witness to compare against the bound.
     """
 
     p: GridFn2
@@ -417,15 +425,13 @@ class PointwiseInputs(_Case):
 
     @_overflow_checked
     def _bound(self) -> BoundReport:
-        diags = check_hypotheses(self)
+        diags = self._diagnostics()
         dom = self.p.domain
-        A = running_double_integral(GridFn2(dom, self.k.values * self.p.values))
-        z = gronwall_2d(A, GridFn2(dom, self.k.values * self.q.values))
-        bound_full = self.p.values + self.q.values * z.values
-        if not np.all(np.isfinite(bound_full)):
-            raise DomainError("pointwise bound overflowed")
-        bound = GridFn2(dom, bound_full).kappa_restrict()
-        return _finish(bound, self.u, diags, ExponentVariant.FIRST_VARIABLE)
+        kdom, mu1, mu2 = dom.kappa(), dom.mu1[:-1], dom.mu2[:-1]
+        p, q, k = (g.values[..., :-1, :-1] for g in (self.p, self.q, self.k))
+        A = _double_sums(k * p, mu1, mu2)
+        e = _exp_axis(exclusive_sums(k * q * mu2, -1), mu1, 1)
+        return _finish(p + q * (A * e), kdom, BoundCase.POINTWISE, self.u, diags)
 
 
 @dataclass(frozen=True)
@@ -506,22 +512,20 @@ class SystemInputs(_Case):
         c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
         if np.any(c1 < 0) or np.any(c2 < 0):
             raise DomainError(f"system constants must be nonnegative, got {c1}, {c2}")
-        diags = check_hypotheses(self)
+        diags = self._diagnostics()
         dom = self.h1.domain
+        kdom, mu1, mu2 = dom.kappa(), dom.mu1[:-1], dom.mu2[:-1]
+        hs = [h.values[..., :-1, :-1] for h in (self.h1, self.h2, self.h3, self.h4)]
         c3 = (c1 + c2)[..., None, None]
-        h_vals = np.maximum(self.h1.values + self.h3.values, self.h2.values + self.h4.values)
-        hfn = GridFn2(dom, h_vals)
-        A = GridFn2(dom, c3 * running_double_integral(hfn).values)
-        bound_full = c3 + gronwall_2d(A, hfn).values
-        if not np.all(np.isfinite(bound_full)):
-            raise DomainError("system bound overflowed")
-        bound = GridFn2(dom, bound_full).kappa_restrict()
-        if self.u is not None:
-            witness = self.u
-        else:
-            u, v = witnesses.witness_system(c1, c2, self.h1, self.h2, self.h3, self.h4)
-            witness = GridFn2(dom, u.values + v.values)
-        return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
+        c = exclusive_sums(np.maximum(hs[0] + hs[2], hs[1] + hs[3]) * mu2, -1)
+        A = exclusive_sums(c * mu1[:, None], -2)
+
+        def witness():
+            u, v = witnesses.witness_system(c1, c2, *(GridFn2(kdom, h) for h in hs))
+            return GridFn2(kdom, u.values + v.values)
+
+        return _finish(c3 + (c3 * A) * _exp_axis(c, mu1, 1), kdom, BoundCase.SYSTEM,
+                       witness if self.u is None else self.u, diags)
 
 
 @dataclass(frozen=True)
@@ -572,31 +576,26 @@ class IntegrodynamicInputs(_Case):
         a1d, b1d, c2d = self.a, self.b, self.c
         if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
             raise DomainError("axis coefficients must be strictly positive")
-        diags = check_hypotheses(self)
+        diags = self._diagnostics()
         dom = c2d.domain
-        n1, n2 = dom.shape
-        if n1 < 2 or n2 < 2:
+        if min(dom.shape) < 2:
             raise DomainError("integrodynamic bound needs at least two points per axis")
-        m1, m2 = n1 - 1, n2 - 1
-        mu1 = np.diff(dom.scale1.points)
-        kdom = dom.kappa()
-        a, b, c = a1d.values, b1d.values, c2d.values
-        a_delta = np.diff(a, axis=-1) / mu1
-        one_plus_c = GridFn2(kdom, 1.0 + c[..., :m1, :m2])
-        inner = running_integral(one_plus_c, 2).values
-        p_vals = a_delta[..., None] / (a[..., :m1, None] + b[..., 0, None, None]) + inner
+        kdom, mu1, mu2 = dom.kappa(), dom.mu1[:-1], dom.mu2[:-1]
+        a, b, c = a1d.values[..., :-1], b1d.values[..., :-1], c2d.values[..., :-1, :-1]
+        a_delta = np.diff(a1d.values, axis=-1) / mu1
+        inner = exclusive_sums((1.0 + c) * mu2, -1)
+        p_vals = a_delta[..., None] / (a[..., None] + b[..., 0, None, None]) + inner
         e_p = _exp_axis(p_vals, mu1, 1)
-        q_vals = (a[..., 0, None, None] + b[..., None, :m2]) * e_p * c[..., :m1, :m2]
-        qq = running_double_integral(GridFn2(kdom, q_vals)).values
-        h_vals = a[..., :m1, None] + b[..., None, :m2] + qq
-        bound = running_double_integral(GridFn2(kdom, h_vals))
-        if not np.all(np.isfinite(bound.values)):
-            raise DomainError("integrodynamic bound overflowed")
-        if self.u is not None:
-            witness = self.u
-        else:
-            witness = witnesses.witness_integrodynamic(a1d, b1d, c2d)[0]
-        return _finish(bound, witness, diags, ExponentVariant.FIRST_VARIABLE)
+        q_vals = (a[..., 0, None, None] + b[..., None, :]) * e_p * c
+        h_vals = a[..., None] + b[..., None, :] + _double_sums(q_vals, mu1, mu2)
+
+        def witness():
+            return witnesses.witness_integrodynamic(GridFn1(kdom.scale1, a),
+                                                    GridFn1(kdom.scale2, b),
+                                                    GridFn2(kdom, c))[0]
+
+        return _finish(_double_sums(h_vals, mu1, mu2), kdom, BoundCase.INTEGRODYNAMIC,
+                       witness if self.u is None else self.u, diags)
 
 
 @_overflow_checked
@@ -611,23 +610,17 @@ def bound_kernel_variants(inputs: KernelInputs,
     stacked = inputs._as_stack()
     p, q, kernel = stacked.p, stacked.q, stacked.k
     dom = p.domain
-    n1, n2 = dom.shape
-    if n1 < 2 or n2 < 2:
+    if min(dom.shape) < 2:
         raise DomainError("kernel bound needs at least two points per axis")
-    m1, m2 = n1 - 1, n2 - 1
     kdom = dom.kappa()
     diags = stacked._diagnostics()
     A, c = _kernel_integrals(kernel, p, q)
+    pk, qk = p.values[..., :-1, :-1], q.values[..., :-1, :-1]
     reports = {}
     for variant in variants:
-        if variant is ExponentVariant.FIRST_VARIABLE:
-            e = _exp_axis(c, dom.mu1, 1)
-        else:
-            e = _exp_axis(c, dom.mu2, 2)
-        bound_vals = p.values[..., :m1, :m2] + q.values[..., :m1, :m2] * A * e
-        if not np.all(np.isfinite(bound_vals)):
-            raise DomainError("kernel bound overflowed")
-        reports[variant] = _finish(GridFn2(kdom, bound_vals), stacked.u,
+        first = variant is ExponentVariant.FIRST_VARIABLE
+        e = _exp_axis(c, dom.mu1, 1) if first else _exp_axis(c, dom.mu2, 2)
+        reports[variant] = _finish(pk + qk * A * e, kdom, BoundCase.KERNEL, stacked.u,
                                    [list(d) for d in diags], variant)
     return reports if inputs._stack else {v: r.unstack()[0] for v, r in reports.items()}
 

@@ -90,10 +90,6 @@ class GridFn2:
             return [self]
         return [_view(self, vals) for vals in self.values]
 
-    def kappa_restrict(self) -> "GridFn2":
-        """The same values minus the last row and column, on the kappa domain."""
-        return GridFn2(self.domain.kappa(), self.values[..., :-1, :-1])
-
 
 def _cell_weights(domain: TimeScale2D) -> np.ndarray:
     """mu1[a] * mu2[b] over the kappa x kappa cells, as one matrix."""
@@ -211,9 +207,16 @@ def running_integral(f: GridFn2, axis: int) -> GridFn2:
     return GridFn2(d, exclusive_sums(f.values * mu, axis - 3))
 
 
+def _double_sums(values: np.ndarray, mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """The double integral over [0, i) x [0, j) at every [..., i, j] of a stack
+    of lattice values, mu1 and mu2 holding the step after each row and column:
+    compensated sums of values * mu2 along rows, then of those times mu1."""
+    return exclusive_sums(exclusive_sums(values * mu2, -1) * mu1[:, None], -2)
+
+
 def running_double_integral(f: GridFn2) -> GridFn2:
     """Cumulative double integral over [0, i) x [0, j) at every lattice point."""
-    return running_integral(running_integral(f, 2), 1)
+    return GridFn2(f.domain, _double_sums(f.values, f.domain.mu1, f.domain.mu2))
 
 
 @dataclass(frozen=True)

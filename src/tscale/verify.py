@@ -278,11 +278,13 @@ def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tup
     """(report, residual, relative violation, kernel extras) of each drawn
     instance, numbered from first, from one stacked pass.  If the pass
     raises, the instances are realized and checked again one at a time, so
-    the lowest failing one raises its own error, prefixed with its number."""
-    try:
-        return _check_stack(spec, _realize(functions, drawn))
-    except TscaleError:
-        pass
+    the lowest failing one raises its own error, prefixed with its number;
+    a stack of one runs that way from the start."""
+    if len(drawn) > 1:
+        try:
+            return _check_stack(spec, _realize(functions, drawn))
+        except TscaleError:
+            pass
     checked = []
     for idx, one in enumerate(drawn, first):
         try:

@@ -5,11 +5,12 @@
 Runs every verify job of benchmarks/workloads.py, for each config seed of its
 POOL and in both report formats, through tscale.cli.main into a temporary
 directory, and prints one line `<workload>/<job>/<seed>/<format> <file>
-<sha256>` per file written.  Run it on two trees and diff the outputs: equal
-outputs mean the change kept every report byte.  It runs the tscale of the
-tree it sits in.  workloads.py is compiled from its source and never
-imported, so the script writes nothing under benchmarks/; pytest does not
-collect it.
+<sha256>` per file written, or `<workload>/<job>/<seed>/<format> exit N` for
+a config that exits nonzero, and then exits 1 itself.  Run it on two trees
+and diff the outputs: equal outputs mean the change kept every report byte.
+It runs the tscale of the tree it sits in.  workloads.py is compiled from its
+source and never imported, so the script writes nothing under benchmarks/;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ def _workloads() -> types.ModuleType:
 
 def main() -> int:
     workloads = _workloads()
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for workload, jobs in workloads.TEMPLATES.items():
@@ -54,12 +56,13 @@ def main() -> int:
                         config.unlink()
                         where = f"{workload}/{job_name}/{seed}/{fmt}"
                         if code != 0:
+                            failed = True
                             print(f"{where} exit {code}")
                         for path in sorted(work.iterdir()):
                             digest = hashlib.sha256(path.read_bytes()).hexdigest()
                             print(f"{where} {path.name} {digest}", flush=True)
                             path.unlink()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ instance at a time, the kernel case with one single-instance KernelOracle
 per instance, is the reference for the stacked pass, and the
 per-instance realizers it calls (instance_realize_*), which draw and
 evaluate one instance per call, are the reference for the stacked
-draw-then-evaluate realizers.
+draw-then-evaluate realizers.  The pointwise and system bounds assembled on
+the full lattice by gronwall_2d and then cut to kappa x kappa are the
+reference for the bodies that compute on kappa x kappa only.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from tscale import (BoundCase, ConfigError, GridFn1, GridFn2, KernelOracle, TimeScale2D,
-                    TscaleError, bounds, verify, witnesses)
+from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, KernelOracle,
+                    TimeScale2D, TscaleError, bounds, running_integral, verify, witnesses)
 from tscale.grid2d import check_kernel_budget, check_lattice_points
 from tscale.witnesses import _row_sweep
 
@@ -299,6 +301,32 @@ def kernel_integrals(kernel, p, q) -> tuple[np.ndarray, np.ndarray]:
             big_a[i, j] = math.fsum(cells[:i, :j].ravel())
             c[i, j] = math.fsum(b_vals[i, :j] * mu2[:j])
     return big_a, c
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def pointwise_bound_full(p, q, k) -> np.ndarray:
+    """The pointwise bound's values: p + q * gronwall_2d(ii(k p), k q) on the
+    full lattice, then cut to kappa x kappa."""
+    dom = p.domain
+    A = running_integral(running_integral(GridFn2(dom, k.values * p.values), 2), 1)
+    full = p.values + q.values * bounds.gronwall_2d(A, GridFn2(dom, k.values * q.values)).values
+    if not np.all(np.isfinite(full)):
+        raise DomainError("pointwise bound overflowed")
+    return full[..., :-1, :-1]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def system_bound_full(c1, c2, h1, h2, h3, h4) -> np.ndarray:
+    """The system bound's values: c3 + gronwall_2d(c3 ii(H), H) on the full
+    lattice, then cut to kappa x kappa."""
+    dom = h1.domain
+    c3 = (np.asarray(c1, dtype=float) + np.asarray(c2, dtype=float))[..., None, None]
+    hfn = GridFn2(dom, np.maximum(h1.values + h3.values, h2.values + h4.values))
+    A = GridFn2(dom, c3 * running_integral(running_integral(hfn, 2), 1).values)
+    full = c3 + bounds.gronwall_2d(A, hfn).values
+    if not np.all(np.isfinite(full)):
+        raise DomainError("system bound overflowed")
+    return full[..., :-1, :-1]
 
 
 def kernel_difference_diagnostics(kernel) -> list[str]:

@@ -216,36 +216,47 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-# On this 2002x2 lattice, 2001 unit steps and one step out to 1e110, the
-# bound's first-variable product of 1 + 0.3 q overflows for a large enough
-# drawn q, and a drawn polynomial p cubic in t1 leaves the float range at the
-# far point, which fails its realization.
-FAILING = {"theorem": "pointwise", "scale2": "integer:0..1", "count": 4,
+# On this 2003x3 lattice, 2001 unit steps and one step out to 1e110 on the
+# first axis, the bound's first-variable product of 1 + 0.3 q overflows in
+# its second kappa column for a large enough drawn q, and a drawn polynomial
+# p cubic in t1 leaves the float range at the far point, which fails its
+# realization.
+FAILING = {"theorem": "pointwise", "scale2": "integer:0..2", "count": 4,
            "scale1": {"kind": "union", "of": ["integer:0..2000", "explicit:2001,1e110"]},
            "functions": {"p": {"family": "polynomial"},
                          "q": {"family": "constant"}, "k": "const:0.3"}}
 
 
-@pytest.mark.parametrize("limit", [None, 2 * 2002 * 2], ids=["one", "pairs"])
+@pytest.mark.parametrize("limit", [None, 2 * 2003 * 3], ids=["one", "pairs"])
 @pytest.mark.parametrize("seed, code, message", [
     (10, 2, "instance 1: function 'p': a sampled polynomial leaves the float range "
             "on this scale"),
     (3, 3, "instance 1: first-variable exponential overflowed"),
+    (18, 3, "instance 3: first-variable exponential overflowed"),
     # instance 2 fails to realize; instance 1, before it, fails its bound
-    (115, 3, "instance 1: first-variable exponential overflowed"),
-], ids=["realize", "bound", "bound-before-realize"])
+    (9, 3, "instance 1: first-variable exponential overflowed"),
+], ids=["realize", "bound", "bound-last", "bound-before-realize"])
 def test_errors_name_the_instance_the_loop_names(tmp_path, capsys, monkeypatch,
                                                  seed, code, message, limit):
     assert_cli_fails_as_the_loop(tmp_path, capsys, monkeypatch, {**FAILING, "seed": seed},
                                  limit, code, message)
 
 
-# The kernel case on FAILING's first axis: with a third column, the
-# first-variable product of the kernel bound overflows for a large enough q.
-FAILING_KERNEL = {**FAILING, "theorem": "kernel", "scale2": "integer:0..2"}
+def test_an_overflow_outside_kappa_does_not_fail_the_run(tmp_path, capsys):
+    """FAILING with two columns: its one kappa column has no second-axis
+    integral, so the product that overflows in the second column is never
+    formed, and the bound is p."""
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({**FAILING, "scale2": "integer:0..1", "seed": 3,
+                               "output": {"path": str(tmp_path / "report")}}))
+    assert run_cli(capsys, "verify", str(cfg)) == (0, "")
 
 
-@pytest.mark.parametrize("limit", [None, 2 * 2002 * 3], ids=["one", "pairs"])
+# The kernel case on FAILING's lattice, which overflows as the pointwise case does.
+FAILING_KERNEL = {**FAILING, "theorem": "kernel"}
+
+
+@pytest.mark.parametrize("limit", [None, 2 * 2003 * 3], ids=["one", "pairs"])
 @pytest.mark.parametrize("seed, code, message", [
     (10, 2, "instance 1: function 'p': a sampled polynomial leaves the float range "
             "on this scale"),
@@ -384,6 +395,29 @@ def test_a_stack_holds_at_most_max_stack_points(monkeypatch):
                         functions={name: parse_fn("const:0.01") for name in ("p", "q", "k")})
     assert run_verification(spec).instances_run == spec.count
     assert seen == [per_stack, per_stack, 3]
+
+
+def test_a_failing_stack_of_one_is_realized_and_checked_once(monkeypatch):
+    """One instance per stack on integer:0..99 squared: each stack is realized
+    and checked once, the failing one too, and the error names the first
+    instance whose bound leaves the float range on kappa x kappa, as the
+    loop's does."""
+    spec = InstanceSpec(case=BoundCase.POINTWISE, scale1=parse_scale("integer:0..99"),
+                        scale2=parse_scale("integer:0..99"), rng_seed=0, count=100)
+    monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", 100 * 100)
+    calls = {"_realize": 0, "_check_stack": 0}
+    for name in calls:
+        def counted(*args, name=name, run=getattr(verify, name)):
+            calls[name] += 1
+            return run(*args)
+        monkeypatch.setattr(verify, name, counted)
+    message = "instance 59: pointwise bound overflowed"
+    with pytest.raises(DomainError) as new:
+        run_verification(spec)
+    assert str(new.value) == message
+    assert calls == {"_realize": 60, "_check_stack": 60}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ref.run_verification_loop(spec)
 
 
 def test_unstacked_reports_are_views_of_the_checked_stack(monkeypatch):
