@@ -129,10 +129,14 @@ def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
             witness: GridFn2 | Callable[[], GridFn2] | None, diags: list,
             variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE) -> BoundReport:
     """The report of a stack of bound values on the kappa x kappa domain, or
-    DomainError if they leave the float range; a callable witness builds the
-    default witness once they are known to be finite."""
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{case.value} bound overflowed")
+    DomainError naming the first point, in row order, where they leave the
+    float range; a callable witness builds the default witness once they are
+    known to be finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0][-2:]
+        at = (domain.scale1.points[i].item(), domain.scale2.points[j].item())
+        raise DomainError(f"{case.value} bound overflowed at (t1, t2) = {at}")
     bound = GridFn2(domain, values)
     b = bound.values
     violations = [[] for _ in b]

@@ -41,11 +41,12 @@ log = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-# Points spelled per block of a verify report, taken in order across all
-# reports of a call: enough to spread the spelling kernel's per-call cost over
-# many small lattices, few enough that a large lattice's text and the
-# kernel's temporaries never pile up in memory.
-_BLOCK_VALUES = 1024
+# Points per block of a verify report, taken in order across all reports of
+# a call.  Each block is one spelling kernel call, whose fixed cost is about
+# that of spelling 900 values: enough points to spread that cost, few enough
+# that a large lattice's text and the kernel's temporaries never pile up in
+# memory.
+_BLOCK_POINTS = 2048
 # One point of a verify report: constant bytes alternating with the index of
 # a field in (t1, t2, witness, bound, slack).  A JSON point is inlined in the
 # top-level "points" array as json.dumps(indent=2, sort_keys=True) writes it,
@@ -189,20 +190,22 @@ class ScenarioConfig:
 
 def _report_blocks(reports, json_rule: bool = False):
     """Yield the reports' rows (t1, t2, witness, bound, slack) as spelled
-    columns, one block of at most _BLOCK_VALUES consecutive points at a time,
-    taken in order across all reports, which share one domain; witness, bound
-    and slack of a block are spelled by one kernel call.  Without a witness,
-    witness and slack are NaN; a slack past the float range is inf or NaN, as
-    float subtraction gives it."""
+    columns, one block of at most _BLOCK_POINTS consecutive points at a time,
+    taken in order across all reports, which share one domain.  Each block's
+    witness, bound and slack are spelled by one kernel call, which the first
+    block shares with the domain's two axes.  Without a witness, witness and
+    slack are NaN; a slack past the float range is inf or NaN, as float
+    subtraction gives it."""
     if not reports:
         return
     dom = reports[0].bound.domain
-    t1, t2 = spell(dom.scale1.points, json_rule), spell(dom.scale2.points, json_rule)
-    size = len(t1) * len(t2)
+    axes = np.concatenate([dom.scale1.points, dom.scale2.points])
+    n1, n2 = dom.shape
+    size = n1 * n2
     total = size * len(reports)
     current = -1
-    for lo in range(0, total, _BLOCK_VALUES):
-        hi = min(lo + _BLOCK_VALUES, total)
+    for lo in range(0, total, _BLOCK_POINTS):
+        hi = min(lo + _BLOCK_POINTS, total)
         values = np.empty((3, hi - lo))
         for r in range(lo // size, (hi - 1) // size + 1):
             if r != current:    # flattened once per report, a copy if strided
@@ -214,12 +217,15 @@ def _report_blocks(reports, json_rule: bool = False):
             values[:2, r * size + a - lo:r * size + b - lo] = witness[a:b], bound[a:b]
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(values[1], values[0], out=values[2])
+        spelled = spell(np.concatenate((values.ravel(), axes)) if lo == 0 else values,
+                        json_rule)
+        if lo == 0:
+            t1, t2 = np.split(spelled[values.size:], [n1])
         at = np.arange(lo, hi) % size
-        yield (t1[at // len(t2)], t2[at % len(t2)],
-               *spell(values, json_rule).reshape(3, -1))
+        yield t1[at // n2], t2[at % n2], *spelled[:values.size].reshape(3, -1)
 
 
-def _rows(template, columns) -> str:
+def _rows(template, columns) -> bytes:
     """One block of report rows: per point, template's constant bytes with
     each field index replaced by that column's spelling.  The spellings'
     NUL padding is dropped from the whole block at once."""
@@ -234,11 +240,11 @@ def _rows(template, columns) -> str:
             buf[:, at:at + WIDTH] = columns[field].view(np.uint8).reshape(-1, WIDTH)
             at += WIDTH
     flat = buf.reshape(-1)
-    return flat[flat != 0].tobytes().decode()
+    return flat[flat != 0].tobytes()
 
 
 def _write_csv(fh, reports) -> None:
-    fh.write("t1,t2,witness,bound,slack\n")
+    fh.write(b"t1,t2,witness,bound,slack\n")
     for columns in _report_blocks(reports):
         fh.write(_rows(_CSV_ROW, columns))
 
@@ -248,12 +254,12 @@ def _write_json(fh, payload: dict, reports) -> None:
     json.dumps(indent=2, sort_keys=True) writes them, one block at a time."""
     text = json.dumps({**payload, "points": []}, indent=2, sort_keys=True)
     head, tail = text.split('\n  "points": []', 1)
-    fh.write(head + '\n  "points": [')
+    fh.write((head + '\n  "points": [').encode())
     comma = 1   # the first point follows "[" without the separating comma
     for columns in _report_blocks(reports, json_rule=True):
         fh.write(_rows(_JSON_ROW, columns)[comma:])
         comma = 0
-    fh.write(("]" if comma else "\n  ]") + tail + "\n")
+    fh.write((("]" if comma else "\n  ]") + tail + "\n").encode())
 
 
 def _targets(config: str, path: str, suffixes: Sequence[str]) -> list[Path]:
@@ -275,7 +281,7 @@ def _write_files(targets: Sequence[Path], writes) -> None:
         for target, write in zip(targets, writes):
             target.parent.mkdir(parents=True, exist_ok=True)
             temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
-            with open(temps[-1], "w", encoding="utf-8") as fh:
+            with open(temps[-1], "wb") as fh:
                 write(fh)
         for target, temp in zip(targets, temps):
             os.replace(temp, target)
@@ -300,7 +306,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                "scale1": spec.scale1.describe(), "scale2": spec.scale2.describe()}
     _write_files(targets, [
         lambda fh: _write_csv(fh, summary.reports),
-        lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"),
+        lambda fh: fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()),
     ] if csv else [lambda fh: _write_json(fh, payload, summary.reports)])
     log.info("verified %d instances in %.3f s; wrote %s",
              summary.instances_run, elapsed, ", ".join(map(str, targets)))
@@ -360,7 +366,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     text = "h,max_error,observed_order\n" + "".join(
         f"{fmt_number(hk)},{fmt_number(err)},{'' if order is None else fmt_number(order)}\n"
         for hk, err, order in rows)
-    _write_files([csv_path], [lambda fh: fh.write(text)])
+    _write_files([csv_path], [lambda fh: fh.write(text.encode())])
     log.info("wrote %s", csv_path)
     return 0
 

@@ -190,8 +190,10 @@ def h_grid(start: float, end: float, h: float) -> TimeScale:
         raise DomainError("h grid needs end > start")
     n = int(math.floor((end - start) / h + 1e-9))
     pts = start + h * np.arange(n + 1)
-    # snap the last point so the requested endpoint is hit exactly
-    if abs(pts[-1] - end) <= 1e-9 * (1.0 + abs(end)):
+    # snap the last point so the requested endpoint is hit exactly: a last
+    # full step that ends within a millionth of h of end is stretched or
+    # shrunk onto it, which leaves no sliver step and no step past end
+    if n and abs(pts[-1] - end) <= max(1e-9 * (1.0 + abs(end)), 1e-6 * h):
         pts[-1] = end
     else:
         pts = np.append(pts, end)

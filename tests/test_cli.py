@@ -10,13 +10,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import references as ref
+from tscale import TimeScale2D, integer_segment
 from tscale import cli as cli_mod
 from tscale.cli import fmt_number, main
 
@@ -276,7 +280,7 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
 
     failing = [True]
     # three reports of 25 kappa points: the second 20-point block spans the first two
-    monkeypatch.setattr(cli_mod, "_BLOCK_VALUES", 20)
+    monkeypatch.setattr(cli_mod, "_BLOCK_POINTS", 20)
     monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_block)
     cfg = write_config(tmp_path, "v.json", verify_payload(
         tmp_path, output={"path": str(tmp_path / "report"), "format": fmt}))
@@ -286,6 +290,30 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
     assert not failing
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json", "v.json"]
     assert all(path.read_bytes() == data for path, data in old.items())
+
+
+def csv_writer_peak(n: int) -> int:
+    """tracemalloc's peak while _write_csv writes one n x n report, with a
+    witness, to a file that keeps nothing in memory."""
+    dom = TimeScale2D(integer_segment(0, n - 1), integer_segment(0, n - 1))
+    rng = np.random.default_rng(n)
+    report = SimpleNamespace(
+        bound=SimpleNamespace(domain=dom, values=rng.uniform(1.0, 2.0, (n, n))),
+        witness=SimpleNamespace(values=rng.uniform(0.0, 1.0, (n, n))))
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            cli_mod._write_csv(sink, [report])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_verify_csv_writer_memory_is_set_by_a_block_not_a_report():
+    """The writer's working set is one block's: 25 times the points of a
+    report take at most a quarter more memory at the peak."""
+    small, large = csv_writer_peak(50), csv_writer_peak(250)
+    assert large <= 1.25 * small, (small, large)
 
 
 @pytest.mark.parametrize("scale1, p, seed, code, message", [

@@ -61,6 +61,21 @@ def test_h_grid_snaps_the_endpoint():
     assert np.all(np.diff(s2.points) > 0)
 
 
+def test_h_grid_merges_a_sliver_and_takes_back_an_overshoot():
+    """A last full step that ends within a millionth of h of end, short of it
+    or past it, is snapped onto end: no sliver step, no step past end."""
+    s = h_grid(0.0, 1.0, 0.099999999)
+    assert len(s) == 11 and s.points[-1] == 1.0
+    assert np.diff(s.points).min() > 0.0999999
+    s2 = h_grid(-10.0, 0.0, 10.000000005)
+    assert s2.points.tolist() == [-10.0, 0.0]
+    # farther than that from end, end is appended after the last full step
+    s3 = h_grid(0.0, 1.0, 0.0999)
+    assert len(s3) == 12 and s3.points[-1] == 1.0
+    # a span shorter than one step keeps its start
+    assert h_grid(0.0, 1e-7, 1.0).points.tolist() == [0.0, 1e-7]
+
+
 def test_q_grid_points_and_errors():
     s = q_grid(2.0, 3)
     assert np.array_equal(s.points, [1.0, 2.0, 4.0, 8.0])

@@ -832,13 +832,13 @@ def assert_writers_match(reports):
     # is split across blocks; of one point more than a report, so that a
     # block spans two reports; and the default
     size = reports[0].bound.values.size if reports else 1
-    for block in (1, 5, size // 2 + 1, size + 1, cli._BLOCK_VALUES):
-        new_csv, new_json = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli, "_BLOCK_VALUES", block):
+    for block in (1, 5, size // 2 + 1, size + 1, cli._BLOCK_POINTS):
+        new_csv, new_json = io.BytesIO(), io.BytesIO()
+        with mock.patch.object(cli, "_BLOCK_POINTS", block):
             cli._write_csv(new_csv, reports)
             cli._write_json(new_json, SUMMARY, reports)
-        assert new_csv.getvalue() == old_csv.getvalue()
-        assert new_json.getvalue() == old_json.getvalue()
+        assert new_csv.getvalue() == old_csv.getvalue().encode()
+        assert new_json.getvalue() == old_json.getvalue().encode()
 
 
 @st.composite
