@@ -18,7 +18,10 @@ with a product exponential, checks once that it is finite, and compares a
 witness against it pointwise; a default witness is swept on kappa x kappa
 too.  The kernel case takes A and c straight from the kernel integral, a
 separable kernel from its factors in O(r N) and a dense table one row of
-slabs at a time; bound_kernel_variants finishes both exponent variants.
+slabs at a time; bound_kernel_variants finishes both exponent variants.  Its
+hypothesis checks take a one-term kernel's minimum and difference minima
+from the factors in O(N), and any other kernel's from its row slabs, each
+built once.
 
 Input types hold one instance or a stack (grid2d._common_stack); the bodies
 run on stacks only, one instance as a stack of one whose result is taken out.
@@ -169,25 +172,52 @@ def _check_nonneg(stack: np.ndarray, name: str, diags: list[list[str]],
         diags[k].append(f"{name} negative {where} {idx}: {float(worst[k]):.6g}")
 
 
-def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
-    """The (3, count, n1 - 1, n2 - 1) minima that KernelInputs.check_hypotheses
-    reports: at [:, k, i, j], those of kernel k's second-variable, first-variable
-    and mixed lattice differences at (i + 1, j + 1), over the arguments (i, b < j),
-    (a < i, j) and (a < i, b < j) that the bound formulas touch; +inf for none.
+@_overflow_checked
+def _kernel_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
+    """What KernelInputs.check_hypotheses reports of a stack of kernels: the
+    smallest value of each instance and its first index in row order, or
+    (inf, ()) where no value is below +inf, and the (3, count, n1 - 1, n2 - 1)
+    minima at [:, k, i, j] of kernel k's second-variable, first-variable and
+    mixed lattice differences at (i + 1, j + 1), over the arguments
+    (i, b < j), (a < i, j) and (a < i, b < j) that the bound formulas touch;
+    +inf for none.  A one-term factored kernel takes _rank_one_checks, any
+    other kernel _swept_checks, one instance after another."""
+    if kernel.factors is not None and len(kernel.factors[0]) == 1:
+        return _rank_one_checks(kernel)
+    mins, lows = zip(*map(_swept_checks, kernel.instances()))
+    return list(mins), np.stack(lows, axis=1)
 
-    A one-term factored kernel needs no sweep: each of its differences is
-    c * beta with c a difference of alpha, and rounding is monotone in beta,
-    so its minimum over a rectangle of beta is c times beta's minimum or
-    maximum there, taken from running extremes in O(N), for a whole stack at
-    once.  Any other kernel is swept one row of slabs k(i+1 | i, j+1 | j, ., .)
-    at a time, one instance after another.
+
+def _rank_one_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
+    """_kernel_checks of a stack of one-term kernels alpha(t) * beta(s), from
+    the factors alone in O(N) each.
+
+    Rounding is monotone in each factor, so the smallest product over s at a
+    row t is alpha(t) times beta's minimum, or its maximum where alpha(t) < 0,
+    and the smallest of those rows is the kernel's minimum, one of its four
+    corner products.  The first t in row order whose row minimum equals it,
+    then the first s where its product does, is where a slab sweep finds it,
+    ties in rounding included.  Likewise each difference is c * beta with c a
+    difference of alpha, so its minimum over a rectangle of beta is c times
+    beta's minimum or maximum there, taken from running extremes; c * beta
+    counts as 0 where beta is 0, as the kernel's own difference there is,
+    even where c overflowed.
     """
-    if kernel.factors is None or len(kernel.factors[0]) != 1:
-        return np.stack([_swept_lows(one) for one in kernel.instances()], axis=1)
     n1, n2 = kernel.domain.shape
-    mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
     alpha, beta = (x[0].reshape(-1, n1, n2) for x in kernel.factors)
-    lows = np.full((3, len(alpha), n1 - 1, n2 - 1), np.inf)
+    count = len(alpha)
+    a, b = alpha.reshape(count, -1), beta.reshape(count, -1)
+    rows = np.where(a < 0, a * b.max(axis=1, keepdims=True), a * b.min(axis=1, keepdims=True))
+    worst = rows.min(axis=1, keepdims=True)
+    t = (rows == worst).argmax(axis=1)
+    at = a[np.arange(count), t, None]
+    s = (at * b == worst).argmax(axis=1)
+    mins = []
+    for k, value in enumerate((at[:, 0] * b[np.arange(count), s]).tolist()):
+        where = np.unravel_index(t[k], (n1, n2)) + np.unravel_index(s[k], (n1, n2))
+        mins.append((value, tuple(map(int, where))) if value < math.inf else (math.inf, ()))
+    mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
+    lows = np.full((3, count, n1 - 1, n2 - 1), np.inf)
     alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
     alpha_d2 = np.diff(alpha, axis=-1) / mu2
     alpha_d12 = np.diff(alpha_d1, axis=-1) / mu2
@@ -199,86 +229,49 @@ def _kernel_lows(kernel: KernelOracle) -> np.ndarray:
         for axis in axes:
             lo, hi = np.minimum.accumulate(lo, axis), np.maximum.accumulate(hi, axis)
         last = (..., *(slice(-1) if axis in axes else slice(None) for axis in (-2, -1)))
-        np.minimum(c * lo[last], c * hi[last], out=low)
-    return lows
+        lo, hi = (np.where(x == 0, 0.0, c * x) for x in (lo[last], hi[last]))
+        np.minimum(lo, hi, out=low)
+    return mins, lows
 
 
-def _swept_lows(kernel: KernelOracle) -> np.ndarray:
-    """_kernel_lows of one kernel, one row of slabs at a time."""
+def _swept_checks(kernel: KernelOracle) -> tuple[tuple[float, tuple[int, ...]], np.ndarray]:
+    """The minimum and the (3, n1 - 1, n2 - 1) difference minima of one
+    kernel, from its row slabs k(i, ., ., .), each built once: the minimum is
+    taken row by row, and the differences of row i - 1 from rows i and
+    i - 1.  It holds three slabs at most: two and a mixed difference smaller
+    than a slab, or one while a factored kernel builds the next as a sum of
+    terms (check_kernel_budget counts them)."""
     n1, n2 = kernel.domain.shape
-    m1, m2 = n1 - 1, n2 - 1
+    m2 = n2 - 1
     mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
-    lows = np.full((3, m1, m2), np.inf)
+    lows = np.full((3, n1 - 1, m2), np.inf)
     j = np.arange(m2)
     before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
-    for i in range(m1 if m2 else 0):
-        upper, lower = kernel.slab(i + 1, i + 1, m2), kernel.slab(i, i, m2)
-        k11, k10, k01, k00 = upper[1:], upper[:-1], lower[1:], lower[:-1]
-        d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
-        d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
-        d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
-        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
-        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
-        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
-                          out=lows[2, i])
-    return lows
-
-
-def _kernel_min(kernel: KernelOracle) -> tuple[float, tuple[int, ...]]:
-    """The kernel's smallest value and its first index in row order, taken
-    one row slab at a time."""
     worst, at = math.inf, ()
-    for i in range(kernel.domain.shape[0]):
-        slab = kernel.slab(i)
-        first = int(np.argmin(slab))
-        if slab.flat[first] < worst:
-            worst = float(slab.flat[first])
-            at = (i, *map(int, np.unravel_index(first, slab.shape)))
-    return worst, at
-
-
-def _rank_one_min(alpha: np.ndarray,
-                  beta: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """_kernel_min of each kernel alpha[k](t) * beta[k](s) of a stack, factors
-    of shape (count, n1, n2), in O(N) each.
-
-    Rounding is monotone in each factor, so the smallest product over s at a
-    row t is alpha(t) times beta's minimum, or its maximum where alpha(t) < 0,
-    and the smallest of those rows is the kernel's minimum, one of its four
-    corner products.  The first t in row order whose row minimum equals it,
-    then the first s where its product does, is where the slab sweep finds
-    it, ties in rounding included.
-    """
-    count, shape = len(alpha), alpha.shape[1:]
-    a, b = alpha.reshape(count, -1), beta.reshape(count, -1)
-    rows = np.where(a < 0, a * b.max(axis=1, keepdims=True), a * b.min(axis=1, keepdims=True))
-    worst = rows.min(axis=1, keepdims=True)
-    t = (rows == worst).argmax(axis=1)
-    at = a[np.arange(count), t, None]
-    s = (at * b == worst).argmax(axis=1)
-    found = []
-    for k, value in enumerate((at[:, 0] * b[np.arange(count), s]).tolist()):
-        where = np.unravel_index(t[k], shape) + np.unravel_index(s[k], shape)
-        found.append((value, tuple(map(int, where))) if value < math.inf else (math.inf, ()))
-    return found
-
-
-def _kernel_mins(kernel: KernelOracle) -> list[tuple[float, tuple[int, ...]]]:
-    """_kernel_min of each instance of a stack of kernels, and (0.0, ()) for
-    one whose factors are all nonnegative: such a kernel is nonnegative
-    without a scan.  A one-term kernel takes _rank_one_min; any other is
-    swept one row slab at a time."""
-    if kernel.factors is None:
-        return [_kernel_min(kernel)]
-    alpha, beta = kernel.factors
-    signed = np.flatnonzero((alpha.min(axis=(0, 2, 3)) < 0) | (beta.min(axis=(0, 2, 3)) < 0))
-    found = [(0.0, ())] * alpha.shape[1]
-    if len(signed):
-        mins = _rank_one_min(alpha[0, signed], beta[0, signed]) if len(alpha) == 1 \
-            else [_kernel_min(kernel.instances()[k]) for k in signed.tolist()]
-        for k, one in zip(signed.tolist(), mins):
-            found[k] = one
-    return found
+    upper = None
+    for i in range(n1):
+        lower = upper
+        upper = kernel.slab(i)
+        first = int(np.argmin(upper))
+        if upper.flat[first] < worst:
+            worst = float(upper.flat[first])
+            at = (i, *map(int, np.unravel_index(first, upper.shape)))
+        if not (i and m2):
+            continue
+        r = i - 1
+        k11, k10 = upper[1:, :i, :m2], upper[:-1, :i, :m2]
+        k01, k00 = lower[1:, :r, :m2], lower[:-1, :r, :m2]
+        d2 = (k11[:, r] - k10[:, r]) / mu2[:, None]
+        d1 = (k11[j, :r, j] - k01[j, :, j]) / mu1[r]
+        d12 = np.subtract(k11[:, :r], k10[:, :r])
+        d12 -= k01
+        d12 += k00
+        d12 /= mu1[r] * mu2[:, None, None]
+        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, r])
+        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, r])
+        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None], out=lows[2, r])
+        del k01, k00, d1, d2, d12    # hold only row i while row i + 1 is built
+    return (worst, at), lows
 
 
 def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
@@ -350,8 +343,10 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
         single = exclusive_sums(beta[:, None, ..., :m1, :] * coeff * mu2, -1)
         double = exclusive_sums(single * mu1[:, None], -2)
         alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
+        # the Leibniz term is 0 where ii(beta q) is, even where alpha_d1 overflowed
+        leibniz = np.where(double[:, 1] == 0, 0.0, alpha_d1 * double[:, 1])
         A = (alpha[..., :m1, :] * double[:, 0]).sum(axis=0)
-        c = (alpha[..., 1:, :] * single[:, 1] + alpha_d1 * double[:, 1]).sum(axis=0)
+        c = (alpha[..., 1:, :] * single[:, 1] + leibniz).sum(axis=0)
         return A, c
     weights = coeff.reshape(2, m1, m2) * np.outer(mu1, mu2)
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
@@ -467,11 +462,11 @@ class KernelInputs(_Case):
         diags = [[] for _ in self.p.values]
         for g, nm in ((self.p, "p"), (self.q, "q")):
             _check_nonneg(g.values, nm, diags)
-        for found, (worst, at) in zip(diags, _kernel_mins(self.k)):
+        mins, lows = _kernel_checks(self.k)
+        for found, (worst, at) in zip(diags, mins):
             if worst < -HYPOTHESIS_SLACK:
                 found.append(f"kernel negative at index {at}: {worst:.6g}")
-        for kind, low in zip(("second-variable", "first-variable", "mixed"),
-                             _kernel_lows(self.k)):
+        for kind, low in zip(("second-variable", "first-variable", "mixed"), lows):
             _check_nonneg(low, f"kernel {kind} difference", diags, "near")
         return diags
 

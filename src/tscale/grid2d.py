@@ -244,10 +244,11 @@ class RectPartition:
 
 # Largest kernel a KernelOracle may hold or build, in bytes.  A dense table
 # holds (n1 * n2)**2 float64 entries, so the limit allows about 100 points
-# per axis; a factored kernel of several terms holds its factors and builds
-# one row slab of n2 * n1 * n2 entries at a time, which allows about 460
-# points per axis.  A one-term kernel builds no slab: its 16 bytes of factors
-# per lattice point leave MAX_LATTICE_POINTS the binding limit.
+# per axis.  A factored kernel of several terms holds its factors, and its
+# hypothesis sweep up to three row slabs of n2 * n1 * n2 entries besides
+# smaller per-row arrays; counted as four slabs, that allows about 290 points
+# per axis.  A one-term kernel builds no slab: its 16 bytes of factors per
+# lattice point leave MAX_LATTICE_POINTS the binding limit.
 MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
 # Most points one scale axis, or one product lattice, may have.
 MAX_LATTICE_POINTS = 10 ** 7
@@ -270,14 +271,14 @@ def check_lattice_points(count: float, what: str) -> None:
 def check_kernel_budget(domain: TimeScale2D, rank: int | None = None) -> None:
     """Raise ConfigError before allocating a kernel over MAX_KERNEL_TABLE_BYTES:
     the dense table, or for a factored kernel of the given rank its factors,
-    plus one row slab when it has several terms, per instance of a stack."""
+    plus four row slabs when it has several terms, per instance of a stack."""
     n1, n2 = domain.shape
     if rank is None:
         what, nbytes = "table", 8 * (n1 * n2) ** 2
     elif rank == 1:
         what, nbytes = "factors", 16 * n1 * n2
     else:
-        what, nbytes = "factors and row slab", 8 * (2 * rank * n1 * n2 + n2 * n1 * n2)
+        what, nbytes = "factors and row slabs", 8 * (2 * rank * n1 * n2 + 4 * n2 * n1 * n2)
     if nbytes > MAX_KERNEL_TABLE_BYTES:
         raise ConfigError(
             f"a kernel on the {n1}x{n2} lattice needs {nbytes} bytes of {what}, "

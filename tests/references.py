@@ -31,7 +31,10 @@ per-instance realizers it calls (instance_realize_*), which draw and
 evaluate one instance per call, are the reference for the stacked
 draw-then-evaluate realizers.  The pointwise and system bounds assembled on
 the full lattice by gronwall_2d and then cut to kappa x kappa are the
-reference for the bodies that compute on kappa x kappa only.
+reference for the bodies that compute on kappa x kappa only.  The
+kernel's minimum, one row slab at a time, and its difference minima, one
+pair of row slabs per row, are the reference for the sweep that builds each
+row slab once.
 """
 
 from __future__ import annotations
@@ -369,6 +372,41 @@ def kernel_difference_diagnostics(kernel) -> list[str]:
         if lo < -1e-12:
             diags.append(f"kernel {kind} negative near {where}: {lo:.6g}")
     return diags
+
+
+def kernel_min(kernel) -> tuple[float, tuple[int, ...]]:
+    """The kernel's smallest value and its first index in row order, taken
+    one row slab at a time."""
+    worst, at = math.inf, ()
+    for i in range(kernel.domain.shape[0]):
+        slab = kernel.slab(i)
+        first = int(np.argmin(slab))
+        if slab.flat[first] < worst:
+            worst = float(slab.flat[first])
+            at = (i, *map(int, np.unravel_index(first, slab.shape)))
+    return worst, at
+
+
+def swept_lows(kernel) -> np.ndarray:
+    """The (3, n1 - 1, n2 - 1) difference minima of one kernel, from the
+    pair of row slabs k(i + 1 | i, ., ., .) built afresh for each row."""
+    n1, n2 = kernel.domain.shape
+    m1, m2 = n1 - 1, n2 - 1
+    mu1, mu2 = kernel.domain.mu1[:-1], kernel.domain.mu2[:-1]
+    lows = np.full((3, m1, m2), np.inf)
+    j = np.arange(m2)
+    before = np.tri(m2, m2, -1, dtype=bool)    # before[j, b]: b < j
+    for i in range(m1 if m2 else 0):
+        upper, lower = kernel.slab(i + 1, i + 1, m2), kernel.slab(i, i, m2)
+        k11, k10, k01, k00 = upper[1:], upper[:-1], lower[1:], lower[:-1]
+        d2 = (k11[:, i] - k10[:, i]) / mu2[:, None]
+        d1 = (k11[j, :i, j] - k01[j, :, j]) / mu1[i]
+        d12 = (k11[:, :i] - k10[:, :i] - k01 + k00) / (mu1[i] * mu2[:, None, None])
+        np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, i])
+        np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, i])
+        np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None],
+                          out=lows[2, i])
+    return lows
 
 
 def recheck_pointwise(p, q, k, u) -> float:

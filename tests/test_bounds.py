@@ -335,3 +335,29 @@ def test_bound_domain_is_the_kappa_lattice():
     rep = compute_bound(PointwiseInputs(p=ones(d), q=ones(d), k=ones(d)))
     assert rep.bound.domain.shape == (3, 3)
     assert np.array_equal(rep.bound.domain.scale1.points, [0.0, 1.0, 2.0])
+
+
+def test_kernel_hypotheses_build_each_row_slab_once(monkeypatch):
+    # a dense table and each instance of a two-term stack are swept one row
+    # slab k(i, ., ., .) per row i; a one-term stack builds none
+    d = TimeScale2D(integer_segment(0, 4), q_grid(2.0, 3))
+    n1 = d.shape[0]
+    rng = np.random.Generator(np.random.PCG64(9))
+    calls = []
+    slab = KernelOracle.slab
+
+    def counted(self, *args):
+        calls.append(args)
+        return slab(self, *args)
+
+    monkeypatch.setattr(KernelOracle, "slab", counted)
+    for rank, count, swept in ((2, 3, 3), (1, 3, 0), (None, 1, 1)):
+        if rank is None:
+            kernel = KernelOracle.from_table(d, rng.uniform(-1.0, 1.0, d.shape * 2))
+        else:
+            kernel = KernelOracle.separable(
+                d, *rng.uniform(-1.0, 1.0, (2, rank, count, *d.shape)))
+        p = GridFn2(d, np.ones((count, *d.shape)) if rank else np.ones(d.shape))
+        calls.clear()
+        check_hypotheses(KernelInputs(p, p, kernel))
+        assert calls == [(i,) for i in range(n1)] * swept

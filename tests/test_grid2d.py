@@ -234,7 +234,7 @@ def test_kernel_oracle_constant():
 
 def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
     """A dense kernel counts its table; a factored one of several terms its
-    factors plus one row slab; a one-term kernel its factors alone.  Each
+    factors plus four row slabs; a one-term kernel its factors alone.  Each
     builder raises just over its own count, before it draws or allocates
     anything as large as one factor."""
     d = zz(29, 29)    # a 30x30 lattice: a 6.5 MB table, a 216 kB row slab
@@ -252,7 +252,7 @@ def test_kernel_table_over_budget_raises_before_allocating(monkeypatch):
     builders = [
         (table.nbytes, lambda: KernelOracle.from_point_function(d, fn)),
         (table.nbytes, lambda: KernelOracle.from_table(d, table)),
-        (8 * (2 * 2 * 900 + 30 ** 3), lambda: KernelOracle.separable(d, twos, twos)),
+        (8 * (2 * 2 * 900 + 4 * 30 ** 3), lambda: KernelOracle.separable(d, twos, twos)),
         (one_term, lambda: KernelOracle.constant(d, 1.0)),
         (one_term, lambda: KernelOracle.separable(d, ones, ones)),
         (one_term, lambda: realize_kernel(FnSpec("constant", value=1.0), d)),
@@ -291,6 +291,28 @@ def test_one_term_kernel_budget_counts_its_factors_alone():
     grid2d.check_kernel_budget(square, rank=1)
     with pytest.raises(ConfigError, match=f"needs {16 * side * (side + 1)} bytes of factors"):
         grid2d.check_kernel_budget(TimeScale2D(square.scale1, integer_segment(0, side)), rank=1)
+
+
+def test_multi_term_budget_counts_what_the_hypothesis_sweep_holds(monkeypatch):
+    # the sweep of a two-term 40x40 kernel holds more than its factors and
+    # three row slabs, and the budget counts at most one slab more than that
+    from tscale import bounds
+    d = zz(39, 39)
+    rng = np.random.Generator(np.random.PCG64(5))
+    kernel = KernelOracle.separable(d, *rng.uniform(-1.0, 1.0, (2, 2, *d.shape)))
+    tracemalloc.start()
+    try:
+        bounds._kernel_checks(kernel)
+        held = tracemalloc.get_traced_memory()[1] + sum(f.nbytes for f in kernel.factors)
+    finally:
+        tracemalloc.stop()
+    slab = 8 * 40 ** 3
+    assert held > sum(f.nbytes for f in kernel.factors) + 3 * slab
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", held - 1)
+    with pytest.raises(ConfigError, match="factors and row slabs"):
+        grid2d.check_kernel_budget(d, rank=2)
+    monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", held + slab)
+    grid2d.check_kernel_budget(d, rank=2)
 
 
 def test_kernel_table_at_budget_is_built(monkeypatch):

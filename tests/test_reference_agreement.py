@@ -34,6 +34,7 @@ import functools
 import io
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
@@ -210,27 +211,33 @@ def test_thin_lattices_match_references(check, shape):
 LOWS_TOL = 1e-12
 
 
-def factored_pair(domain, seed, monotone):
-    """A kernel of 1 to 3 separable terms, and the same kernel as the dense
-    table it expands to.  Random-sign factors make every diagnostic fire;
-    monotone ones are nonnegative with nonnegative lattice differences.
+def exact_factors(domain, rng, shape, monotone=False):
+    """Factors alpha and beta of the given shape, lattice axes last.
+    Random-sign factors make every diagnostic fire; monotone ones are
+    nonnegative with nonnegative lattice differences.
 
-    The factors are small integers times one power of two, so every product
-    and every sum over terms is exact and the table holds the kernel itself:
-    a rounded table's lattice differences would move by a rounding of k
-    over a step mu, which neither path can recover.  The power of two keeps
-    the kernel times the lattice's area below one, so nothing overflows."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    shape = (int(rng.integers(1, 4)), *domain.shape)
+    The factors are small integers, alpha times one power of two, so every
+    product and every sum over terms is exact and a table holds the kernel
+    itself: a rounded table's lattice differences would move by a rounding
+    of k over a step mu, which no other path can recover.  The power of two
+    keeps the kernel times the lattice's area below one, so nothing
+    overflows."""
     if monotone:
-        alpha = rng.integers(0, 4, shape).cumsum(axis=1).cumsum(axis=2)
+        alpha = rng.integers(0, 4, shape).cumsum(axis=-2).cumsum(axis=-1)
         beta = rng.integers(0, 4, shape)
     else:
         alpha, beta = rng.integers(-4, 5, (2, *shape))
     area = (1.0 + np.ptp(domain.scale1.points)) * (1.0 + np.ptp(domain.scale2.points))
     size = (1 + np.abs(alpha).max()) * (1 + np.abs(beta).max()) * area
-    alpha = np.ldexp(alpha.astype(float), -math.ceil(math.log2(size)))
-    factored = KernelOracle.separable(domain, alpha, beta)
+    return np.ldexp(alpha.astype(float), -math.ceil(math.log2(size))), beta
+
+
+def factored_pair(domain, seed, monotone):
+    """A kernel of 1 to 3 separable exact_factors terms, and the same kernel
+    as the dense table it expands to."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (int(rng.integers(1, 4)), *domain.shape)
+    factored = KernelOracle.separable(domain, *exact_factors(domain, rng, shape, monotone))
     return factored, KernelOracle.from_table(domain, factored.table())
 
 
@@ -261,7 +268,7 @@ def check_factored(domain, seed, rho):
         for new, old in zip(bounds._kernel_integrals(factored, p, q),
                             bounds._kernel_integrals(dense, p, q)):
             assert_agree(new, old, monotone)
-        lows = [bounds._kernel_lows(k) for k in (factored, dense)]
+        lows = [bounds._kernel_checks(k)[1] for k in (factored, dense)]
         empty = np.isinf(lows[1])
         assert np.array_equal(np.isinf(lows[0]), empty)
         new, old = lows[0][~empty], lows[1][~empty]
@@ -310,10 +317,80 @@ def test_rank_one_minimum_is_the_slab_sweeps(s1, s2, data):
     location in row order that the row-slab sweep finds."""
     d = TimeScale2D(s1, s2)
     alpha, beta = data.draw(one_term_factors(d))
-    (value, at), = bounds._rank_one_min(alpha[None], beta[None])
-    old_value, old_at = bounds._kernel_min(KernelOracle.separable(d, alpha[None], beta[None]))
+    kernel = KernelOracle.separable(d, alpha[None], beta[None])
+    (value, at), = bounds._kernel_checks(kernel)[0]
+    old_value, old_at = ref.kernel_min(kernel)
     assert np.float64(value).tobytes() == np.float64(old_value).tobytes()
     assert at == old_at
+
+
+@settings(max_examples=100, deadline=None)
+@given(scales(max_points=9), scales(max_points=9), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_kernel_checks_match_the_slab_references(s1, s2, count, rank, dense, seed):
+    """The minimum and the difference minima of a dense table, and of each
+    instance of a stack of one-term or multi-term kernels, against the slab
+    references: the swept body bit for bit, the one-term body's minimum in
+    bits and first index and its difference minima within LOWS_TOL."""
+    d = TimeScale2D(s1, s2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kernel = KernelOracle.separable(d, *exact_factors(d, rng, (rank, count, *d.shape)))
+    if dense:
+        kernel = KernelOracle.from_table(d, kernel.instances()[0].table())
+    mins, lows = bounds._kernel_checks(kernel)
+    assert lows.shape == (3, len(mins), *(n - 1 for n in d.shape))
+    for (value, at), low, one in zip(mins, np.moveaxis(lows, 1, 0), kernel.instances()):
+        old_value, old_at = ref.kernel_min(one)
+        assert np.float64(value).tobytes() == np.float64(old_value).tobytes()
+        assert at == old_at
+        old = ref.swept_lows(one)
+        if rank > 1 or dense:
+            assert low.tobytes() == old.tobytes()
+            continue
+        empty = np.isinf(old)
+        assert np.array_equal(np.isinf(low), empty)
+        low, old = low[~empty], old[~empty]
+        assert np.all(np.abs(low - old) <= LOWS_TOL * (1.0 + np.abs(old)))
+
+
+def overflow_probe(points, alpha_rows, beta_at_origin):
+    """A one-term kernel on the points x integer:0..3 whose alpha is
+    constant along rows and jumps across a tiny step, and its dense table."""
+    d = TimeScale2D(explicit_scale(points), integer_segment(0, 3))
+    alpha = np.repeat(np.array(alpha_rows)[:, None], d.shape[1], axis=1)
+    beta = np.ones(d.shape)
+    beta[0, 0] = beta_at_origin
+    factored = KernelOracle.separable(d, alpha[None], beta[None])
+    return factored, KernelOracle.from_table(d, factored.table())
+
+
+@pytest.mark.parametrize("points, alpha_rows, beta_at_origin, fired", [
+    # alpha falls by 1e300 over a step of 2.2e-16: its difference quotient
+    # overflows, and times beta = 0 must not hide the -inf beside it
+    ((0.0, 1.0, 1.0000000000000002, 3.0), (1.0, 1.0, -1e300, -1e300), 0.0,
+     ["kernel negative at index (2, 0, 0, 1): -1e+300",
+      "kernel first-variable difference negative near (1, 1): -inf"]),
+    # alpha rises by 1e10 over a 1e-300 step, where ii(beta q) is still 0
+    ((0.0, 1e-300, 1.0, 2.0), (1.0, 1e10, 1e10, 1e10), 1.0, []),
+])
+def test_overflowing_factor_differences_read_as_the_dense_table(points, alpha_rows,
+                                                                beta_at_origin, fired):
+    """A factored kernel whose alpha differences overflow gives its dense
+    table's diagnostics, without a RuntimeWarning, and its bound's bits or
+    error."""
+    outcomes = []
+    for kernel in overflow_probe(points, alpha_rows, beta_at_origin):
+        inputs = KernelInputs(*(GridFn2.constant(kernel.domain, 1.0) for _ in "pq"), kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags = inputs.check_hypotheses()
+            try:
+                reports = bounds.bound_kernel_variants(inputs)
+                outcomes.append((diags, [r.bound.values.tobytes() for r in reports.values()]))
+            except DomainError as exc:
+                outcomes.append((diags, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == fired
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,12 +415,12 @@ def test_a_stack_of_kernels_checks_and_bounds_each_instance_as_alone(s1, s2, cou
                           GridFn2(d, u.values[k]))
              for k, one in enumerate(stack.instances())]
     inputs = KernelInputs(p, q, stack, u)
-    lows = bounds._kernel_lows(stack)
-    for k, (single, minimum) in enumerate(zip(alone, bounds._kernel_mins(stack))):
+    mins, lows = bounds._kernel_checks(stack)
+    for k, (single, minimum) in enumerate(zip(alone, mins)):
         assert inputs.check_hypotheses()[k] == single.check_hypotheses()
-        assert lows[:, k].tobytes() == bounds._kernel_lows(single.k).tobytes()
-        signed = min(f.min() for f in single.k.factors) < 0
-        assert minimum == (bounds._kernel_min(single.k) if signed else (0.0, ()))
+        (alone_min,), alone_lows = bounds._kernel_checks(single.k)
+        assert lows[:, k].tobytes() == alone_lows.tobytes()
+        assert minimum == alone_min == ref.kernel_min(single.k)
     if min(d.shape) < 2:
         return
     try:
@@ -926,7 +1003,7 @@ def _guard_inputs(n):
                               (kernel_case,)),
         "factored_kernel": (witness_kernel, ref.witness_kernel, (p, p, factored)),
         "factored_integrals": (lambda k, p, q: (bounds._kernel_integrals(k, p, q),
-                                                bounds._kernel_lows(k)),
+                                                bounds._kernel_checks(k)),
                                ref.kernel_integrals, (factored, p, p)),
         "factored_bound": (bounds.compute_bound,
                            lambda inputs: ref.kernel_integrals(inputs.k, inputs.p,

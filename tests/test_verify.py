@@ -186,19 +186,19 @@ def test_kernel_instance_integrates_the_kernel_once(monkeypatch):
 
 
 def test_kernel_instance_sweeps_the_differences_once(monkeypatch):
-    """One sweep of the kernel's differences, _kernel_lows, per stack of
+    """One sweep of the kernel's differences, _kernel_checks, per stack of
     instances serves the bound's hypothesis check, for factored config
     kernels and dense tables alike; a separate check_hypotheses sweeps once
     more."""
     from tscale import bounds
     sweeps = []
-    sweep = bounds._kernel_lows
+    sweep = bounds._kernel_checks
 
     def counted(*args):
         sweeps.append(1)
         return sweep(*args)
 
-    monkeypatch.setattr(bounds, "_kernel_lows", counted)
+    monkeypatch.setattr(bounds, "_kernel_checks", counted)
     for limit, stacks in KERNEL_STACKS:
         sweeps.clear()
         with mock.patch.object(grid2d, "MAX_STACK_POINTS", limit):
