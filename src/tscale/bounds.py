@@ -161,13 +161,14 @@ def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
 def _check_nonneg(stack: np.ndarray, name: str, diags: list[list[str]],
                   where: str = "at index") -> None:
     """Append to diags[k] where instance k of a stack of lattice values dips
-    below -HYPOTHESIS_SLACK, naming the first index of its minimum."""
+    below -HYPOTHESIS_SLACK or holds NaN, naming the first index of its
+    minimum (of a NaN, if any)."""
     flat = stack.reshape(len(stack), -1)
     if not flat.shape[1]:
         return
     at = flat.argmin(axis=1)
     worst = flat[np.arange(len(flat)), at]
-    for k in np.flatnonzero(worst < -HYPOTHESIS_SLACK):
+    for k in np.flatnonzero(~(worst >= -HYPOTHESIS_SLACK)):
         idx = tuple(int(i) for i in np.unravel_index(at[k], stack.shape[1:]))
         diags[k].append(f"{name} negative {where} {idx}: {float(worst[k]):.6g}")
 
@@ -180,7 +181,8 @@ def _kernel_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
     minima at [:, k, i, j] of kernel k's second-variable, first-variable and
     mixed lattice differences at (i + 1, j + 1), over the arguments
     (i, b < j), (a < i, j) and (a < i, b < j) that the bound formulas touch;
-    +inf for none.  A one-term factored kernel takes _rank_one_checks, any
+    +inf for none; a mixed difference of 0 stays 0 where mu1 * mu2
+    underflows.  A one-term factored kernel takes _rank_one_checks, any
     other kernel _swept_checks, one instance after another."""
     if kernel.factors is not None and len(kernel.factors[0]) == 1:
         return _rank_one_checks(kernel)
@@ -201,7 +203,8 @@ def _rank_one_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
     difference of alpha, so its minimum over a rectangle of beta is c times
     beta's minimum or maximum there, taken from running extremes; c * beta
     counts as 0 where beta is 0, as the kernel's own difference there is,
-    even where c overflowed.
+    even where c overflowed.  The mixed c is taken from alpha itself, in the
+    sweep's order, so two overflowed first differences give no inf - inf.
     """
     n1, n2 = kernel.domain.shape
     alpha, beta = (x[0].reshape(-1, n1, n2) for x in kernel.factors)
@@ -220,7 +223,8 @@ def _rank_one_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
     lows = np.full((3, count, n1 - 1, n2 - 1), np.inf)
     alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
     alpha_d2 = np.diff(alpha, axis=-1) / mu2
-    alpha_d12 = np.diff(alpha_d1, axis=-1) / mu2
+    alpha_d12 = np.diff(alpha[..., 1:, :], axis=-1) - alpha[..., :-1, 1:] + alpha[..., :-1, :-1]
+    np.divide(alpha_d12, mu1[:, None] * mu2, out=alpha_d12, where=alpha_d12 != 0)
     beta = beta[..., :-1, :-1]
     for low, c, axes in ((lows[0, ..., :, 1:], alpha_d2[..., 1:, 1:], (-1,)),
                          (lows[1, ..., 1:, :], alpha_d1[..., 1:, 1:], (-2,)),
@@ -266,7 +270,7 @@ def _swept_checks(kernel: KernelOracle) -> tuple[tuple[float, tuple[int, ...]], 
         d12 = np.subtract(k11[:, :r], k10[:, :r])
         d12 -= k01
         d12 += k00
-        d12 /= mu1[r] * mu2[:, None, None]
+        np.divide(d12, mu1[r] * mu2[:, None, None], out=d12, where=d12 != 0)
         np.minimum.reduce(d2, 1, initial=np.inf, where=before, out=lows[0, r])
         np.minimum.reduce(d1, 1, initial=np.inf, out=lows[1, r])
         np.minimum.reduce(d12, (1, 2), initial=np.inf, where=before[:, None], out=lows[2, r])
@@ -352,14 +356,14 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
     before = np.tri(m2, m2, -1)    # before[j, b] = 1 where b < j
     out = np.empty((2, m1, m2))
     for i in range(m1):
-        # row i of the pair: k(i, ., a < i, .) and its first-variable
-        # difference times mu1[i], with k(i + 1, ., i, .) appended as a = i
-        slabs = np.zeros((2, m2, i + 1, m2))
-        slabs[0, :, :i] = kernel.slab(i, i, m2)[:m2]
-        slabs[1] = kernel.slab(i + 1, i + 1, m2)[:m2]
-        slabs[1, :, :i] -= slabs[0, :, :i]
-        out[:, i] = np.einsum("kjab,kab,jb->kj", slabs, weights[:, :i + 1], before)
-        out[1, i] /= mu1[i]
+        # row i of A from the view k(i, ., a < i, .); of c from the
+        # first-variable difference of that row times mu1[i], with
+        # k(i + 1, ., i, .) appended as a = i, the one copy
+        row = kernel.slab(i, i, m2)[:m2]
+        diff = kernel.slab(i + 1, i + 1, m2)[:m2].copy()
+        diff[:, :i] -= row
+        out[0, i] = np.einsum("jab,ab,jb->j", row, weights[0, :i], before)
+        out[1, i] = np.einsum("jab,ab,jb->j", diff, weights[1, :i + 1], before) / mu1[i]
     return tuple(out.reshape(coeff.shape))
 
 

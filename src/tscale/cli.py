@@ -264,7 +264,10 @@ def _write_json(fh, payload: dict, reports) -> None:
 
 def _targets(config: str, path: str, suffixes: Sequence[str]) -> list[Path]:
     """path with each of suffixes in place of its own .csv or .json suffix; a
-    target that resolves to the config file raises ConfigError."""
+    path without a file name, or a target that resolves to the config file,
+    raises ConfigError."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"output.path {path!r} names a directory, not a file")
     stem = Path(path).with_suffix("") if Path(path).suffix in (".csv", ".json") else Path(path)
     targets = [stem.with_suffix(s) for s in suffixes]
     if Path(config).resolve() in [t.resolve() for t in targets]:

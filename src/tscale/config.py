@@ -91,6 +91,8 @@ class ScaleSpec:
             if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ConfigError("explicit points must be strictly increasing, two or more")
             _check_span(pts[0], pts[-1])
+            if self.dense is not None and len(self.dense) != len(pts):
+                raise ConfigError("explicit scale needs one 'dense' tag per point")
             return explicit_scale(pts, self.dense)
         if kind == "union":
             if not self.of or len(self.of) < 2:

@@ -191,52 +191,25 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     per_stack = max(1, grid2d.MAX_STACK_POINTS // points)
 
     functions = _functions(spec, dom)
-    checked: list[tuple[BoundReport, float, float, dict | None]] = []
+    reports, digests = [], []
     for start in range(0, spec.count, per_stack):
         drawn = [_draw(functions, rng, spec.witness_mode)
                  for _ in range(start, min(start + per_stack, spec.count))]
-        checked += _check_instances(spec, functions, drawn, start)
-
-    digests: list[dict] = []
-    violations = 0
-    worst = 0.0
-    first_bad = 0
-    second_bad = 0
-    for idx, (report, residual, rel, extra) in enumerate(checked):
-        worst = max(worst, rel)
-        if report.violations:
-            violations += 1
-        digest = {
-            "instance": idx,
-            "case": spec.case.value,
-            "max_violation": report.max_violation,
-            "min_slack": report.min_slack,
-            "violation_count": len(report.violations),
-            "relative_violation": rel,
-            "hypothesis_residual": residual,
-            "diagnostics": list(report.hypothesis_diagnostics),
-        }
-        if extra:
-            digest.update(extra)
-            if not extra["first_variable_dominates"]:
-                first_bad += 1
-            if not extra["second_variable_dominates"]:
-                second_bad += 1
-        digests.append(digest)
+        stack_reports, stack_digests = _check_instances(spec, functions, drawn, start)
+        reports += stack_reports
+        digests += stack_digests
 
     comparison = None
     if spec.case is BoundCase.KERNEL:
-        comparison = {
-            "first_variable": {"instances_with_violation": first_bad},
-            "second_variable": {"instances_with_violation": second_bad},
-        }
+        comparison = {f"{name}_variable": {"instances_with_violation": sum(
+            not d[f"{name}_variable_dominates"] for d in digests)} for name in ("first", "second")}
     return VerifySummary(
         instances_run=spec.count,
-        instances_with_violation=violations,
-        worst_relative_violation=worst,
+        instances_with_violation=sum(d["violation_count"] > 0 for d in digests),
+        worst_relative_violation=max(d["relative_violation"] for d in digests),
         digests=digests,
         variant_comparison=comparison,
-        reports=[report for report, *_ in checked],
+        reports=reports,
     )
 
 
@@ -274,32 +247,36 @@ def _realize(functions: list[tuple], drawn: list[tuple]) -> tuple:
 
 
 def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tuple],
-                     first: int) -> list[tuple]:
-    """(report, residual, relative violation, kernel extras) of each drawn
-    instance, numbered from first, from one stacked pass.  If the pass
-    raises, the instances are realized and checked again one at a time, so
-    the lowest failing one raises its own error, prefixed with its number;
-    a stack of one runs that way from the start."""
+                     first: int) -> tuple[list[BoundReport], list[dict]]:
+    """The reports and digests of the drawn instances, numbered from first,
+    from one stacked pass.  If the pass raises, the instances are realized
+    and checked again one at a time, so the lowest failing one raises its
+    own error, prefixed with its number; a stack of one runs that way from
+    the start."""
     if len(drawn) > 1:
         try:
-            return _check_stack(spec, _realize(functions, drawn))
+            return _check_stack(spec, _realize(functions, drawn), first)
         except TscaleError:
             pass
-    checked = []
+    reports, digests = [], []
     for idx, one in enumerate(drawn, first):
         try:
-            checked += _check_stack(spec, _realize(functions, [one]))
+            one_report, one_digest = _check_stack(spec, _realize(functions, [one]), idx)
         except TscaleError as exc:
             raise type(exc)(f"instance {idx}: {exc}") from exc
-    return checked
+        reports += one_report
+        digests += one_digest
+    return reports, digests
 
 
-def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
-    """Witness, bound and re-check of one stack of instances, split into one
-    (report, residual, relative violation, extras) per instance."""
+def _check_stack(spec: InstanceSpec, fields: tuple,
+                 first: int) -> tuple[list[BoundReport], list[dict]]:
+    """Witness, bound and re-check of one stack of instances, numbered from
+    first: one report and one digest per instance, each digest column read
+    from the stack's report at once."""
     case = spec.case
     *coeffs, rho = fields
-    extras = None
+    variant_columns = {}
     if case is BoundCase.POINTWISE:
         p, q, k = coeffs
         u = witnesses.witness_pointwise(p, q, k, rho)
@@ -309,11 +286,10 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
         p, q, kernel = coeffs
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bound_kernel_variants(KernelInputs(p, q, kernel, u))
-        extras = [{"first_variable_dominates": not first.violations,
-                   "second_variable_dominates": not second.violations,
-                   "second_variable_max_violation": second.max_violation}
-                  for first, second in zip(*(by_variant[variant].unstack() for variant in (
-                      ExponentVariant.FIRST_VARIABLE, ExponentVariant.SECOND_VARIABLE)))]
+        first_v, second_v = (by_variant[variant] for variant in ExponentVariant)
+        variant_columns = {"first_variable_dominates": [not v for v in first_v.violations],
+                           "second_variable_dominates": [not v for v in second_v.violations],
+                           "second_variable_max_violation": second_v.max_violation.tolist()}
         report = by_variant[spec.exponent_variant]
         residual = _recheck_kernel(p, q, kernel.factors, u)
     elif case is BoundCase.SYSTEM:
@@ -327,6 +303,14 @@ def _check_stack(spec: InstanceSpec, fields: tuple) -> list[tuple]:
         u, w = witnesses.witness_integrodynamic(a, b, c, rho)
         report = compute_bound(IntegrodynamicInputs(a, b, c, u))
         residual = _recheck_integrodynamic(a, b, c, u, w)
-    reports = report.unstack()
-    return list(zip(reports, residual.tolist(), _relative_violation(report).tolist(),
-                    extras or [None] * len(reports)))
+    count = len(report.violations)
+    columns = {"instance": range(first, first + count),
+               "case": [case.value] * count,
+               "max_violation": report.max_violation.tolist(),
+               "min_slack": report.min_slack.tolist(),
+               "violation_count": [len(v) for v in report.violations],
+               "relative_violation": _relative_violation(report).tolist(),
+               "hypothesis_residual": residual.tolist(),
+               "diagnostics": [list(d) for d in report.hypothesis_diagnostics],
+               **variant_columns}
+    return report.unstack(), [dict(zip(columns, row)) for row in zip(*columns.values())]

@@ -6,12 +6,15 @@ Runs every verify job of benchmarks/workloads.py, for each config seed of its
 POOL, and the jobs of MULTI_BLOCK below for seeds 0-2, in both report
 formats, through tscale.cli.main into a temporary directory, and prints one
 line `<workload>/<job>/<seed>/<format> <file> <sha256>` per file written, or
-`<workload>/<job>/<seed>/<format> exit N` for a config that exits nonzero,
-and then exits 1 itself.  Run it on two trees and diff the outputs: equal
-outputs mean the change kept every report byte.  It runs the tscale of the
-tree it sits in.  workloads.py is compiled from its source and never
-imported, so the script writes nothing under benchmarks/; pytest does not
-collect it.
+`<workload>/<job>/<seed>/<format> exit N` for a config that exits nonzero.
+It then prints one line `kernel-paths/<kernel>/<seed>/<variant> <sha256>`
+of the bound and witness bytes and the diagnostics of each
+bound_kernel_variants report of KERNEL_PATHS, kernels that no config
+builds, and exits 1 if a config exited nonzero.  Run it on two trees and
+diff the outputs: equal outputs mean the change kept every report byte.
+It runs the tscale of the tree it sits in.  workloads.py is compiled from
+its source and never imported, so the script writes nothing under
+benchmarks/; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ import tempfile
 import types
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tscale import cli  # noqa: E402
+from tscale import (GridFn2, KernelInputs, KernelOracle, TimeScale2D,  # noqa: E402
+                    bound_kernel_variants, cli, integer_segment, q_grid, witness_kernel)
 
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 # Reports that span many spelling blocks: one 199x199 kappa lattice (39 601
@@ -37,6 +43,36 @@ MULTI_BLOCK = [
     ("system-40x11x9", {"theorem": "system", "scale1": "integer:0..10",
                         "scale2": "q:2,8", "count": 40, "output": {}}),
 ]
+
+# Kernels that no config builds, each drawn with some negative values so that
+# diagnostics fire: a dense table, a two-term factored kernel and a stack of
+# three one-term kernels (shape of the stack, then the kernel).
+KERNEL_PATHS = {
+    "dense": lambda d, rng: ((), KernelOracle.from_table(d, rng.uniform(-0.05, 1.0, d.shape * 2))),
+    "two-term": lambda d, rng: ((), KernelOracle.separable(
+        d, *rng.uniform(-0.05, 1.0, (2, 2, *d.shape)))),
+    "one-term-stack": lambda d, rng: ((3,), KernelOracle.separable(
+        d, *rng.uniform(-0.05, 1.0, (2, 1, 3, *d.shape)))),
+}
+
+
+def _kernel_lines() -> list[str]:
+    """One line per bound_kernel_variants report of each KERNEL_PATHS kernel,
+    seeds 0-2, on a 7x6 lattice with the kernel's witness at feedback 0.5."""
+    d = TimeScale2D(q_grid(1.5, 6), integer_segment(0, 5))
+    lines = []
+    for name, build in KERNEL_PATHS.items():
+        for seed in range(3):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            stack, kernel = build(d, rng)
+            p, q = (GridFn2(d, rng.uniform(0.1, 1.0, (*stack, *d.shape))) for _ in "pq")
+            u = witness_kernel(p, q, kernel, 0.5)
+            for variant, report in bound_kernel_variants(KernelInputs(p, q, kernel, u)).items():
+                digest = hashlib.sha256(report.bound.values.tobytes())
+                digest.update(report.witness.values.tobytes())
+                digest.update(json.dumps(report.hypothesis_diagnostics).encode())
+                lines.append(f"kernel-paths/{name}/{seed}/{variant.value} {digest.hexdigest()}")
+    return lines
 
 
 def _workloads() -> types.ModuleType:
@@ -73,6 +109,7 @@ def main() -> int:
                             digest = hashlib.sha256(path.read_bytes()).hexdigest()
                             print(f"{where} {path.name} {digest}", flush=True)
                             path.unlink()
+    print("\n".join(_kernel_lines()))
     return 1 if failed else 0
 
 

@@ -603,6 +603,38 @@ def test_verify_rejects_a_malformed_descriptor(tmp_path, capsys, override):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
+@pytest.mark.parametrize("dense", [[True], [False] * 4], ids=["short", "long"])
+def test_verify_rejects_dense_tags_that_miss_the_points(tmp_path, capsys, dense):
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, scale1={"kind": "explicit", "points": [0, 1, 2], "dense": dense}))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "'dense'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+@pytest.mark.parametrize("path", [".", "..", "/", "out/", "out/.", "out/.."])
+@pytest.mark.parametrize("command", ["verify", "converge"])
+def test_an_output_path_without_a_file_name_exits_2(tmp_path, capsys, monkeypatch,
+                                                    command, path):
+    """A path whose last component is empty, . or .. names no file: it exits 2
+    before anything runs, where it once raised inside pathlib or wrote
+    ...csv next to the working directory."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    payload = verify_payload(tmp_path, output={"path": path}) if command == "verify" else {
+        "operation": "dderiv",
+        "scale": {"kind": "dense_mesh", "start": 0, "end": 1, "h": 0.1},
+        "function": {"family": "constant", "value": 3.0},
+        "output": {"path": path}}
+    cfg = write_config(tmp_path, "c.json", payload)
+    code, _, err = run_cli(capsys, command, str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "names a directory" in err
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["c.json", "work"]
+
+
 def test_verify_reports_a_whole_text_N_as_an_integer(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1="q:2,3"))
     assert run_cli(capsys, "verify", str(cfg))[0] == 0

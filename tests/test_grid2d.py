@@ -315,6 +315,24 @@ def test_multi_term_budget_counts_what_the_hypothesis_sweep_holds(monkeypatch):
     grid2d.check_kernel_budget(d, rank=2)
 
 
+def test_dense_kernel_integrals_hold_two_row_slabs_at_most():
+    # A and c of a dense 40x40 table read the table's row slabs as views and
+    # copy one first-variable difference per row, so beside the table, which
+    # check_kernel_budget counts, they hold at most two slabs of n2*n1*n2
+    from tscale import bounds
+    d = zz(39, 39)
+    rng = np.random.Generator(np.random.PCG64(7))
+    kernel = KernelOracle.from_table(d, rng.uniform(-1.0, 1.0, (40, 40, 40, 40)))
+    p, q = (GridFn2(d, rng.uniform(0.0, 1.0, d.shape)) for _ in "pq")
+    tracemalloc.start()
+    try:
+        bounds._kernel_integrals(kernel, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * 40 ** 3
+
+
 def test_kernel_table_at_budget_is_built(monkeypatch):
     d = zz(2, 2)
     monkeypatch.setattr(grid2d, "MAX_KERNEL_TABLE_BYTES", 8 * 9 ** 2)

@@ -354,10 +354,11 @@ def test_kernel_checks_match_the_slab_references(s1, s2, count, rank, dense, see
 
 
 def overflow_probe(points, alpha_rows, beta_at_origin):
-    """A one-term kernel on the points x integer:0..3 whose alpha is
-    constant along rows and jumps across a tiny step, and its dense table."""
+    """A one-term kernel on the points x integer:0..3 whose alpha jumps
+    across a tiny step, and its dense table; alpha_rows holds one value per
+    row, or a row of four values."""
     d = TimeScale2D(explicit_scale(points), integer_segment(0, 3))
-    alpha = np.repeat(np.array(alpha_rows)[:, None], d.shape[1], axis=1)
+    alpha = np.array([np.broadcast_to(row, d.shape[1]) for row in alpha_rows])
     beta = np.ones(d.shape)
     beta[0, 0] = beta_at_origin
     factored = KernelOracle.separable(d, alpha[None], beta[None])
@@ -391,6 +392,41 @@ def test_overflowing_factor_differences_read_as_the_dense_table(points, alpha_ro
                 outcomes.append((diags, str(exc)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == fired
+
+
+def test_a_mixed_difference_between_overflowed_quotients_reads_as_the_dense_table():
+    """alpha's first difference quotients overflow in two neighbouring
+    columns; the mixed difference, taken from alpha itself before dividing
+    by mu1 * mu2, is -1 there, as in the dense table, not inf - inf."""
+    row = (1e10, 1e10, 1e10, 1e10 - 1)
+    diags = []
+    for kernel in overflow_probe((0.0, 1e-300, 2e-300, 1.0, 2.0),
+                                 (1.0, 1.0, 1e10, row, row), 1.0):
+        inputs = KernelInputs(*(GridFn2.constant(kernel.domain, 1.0) for _ in "pq"), kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags.append(inputs.check_hypotheses())
+    assert diags[0] == diags[1] == [
+        "kernel second-variable difference negative near (2, 2): -1",
+        "kernel first-variable difference negative near (2, 2): -1",
+        "kernel mixed difference negative near (2, 2): -1"]
+
+
+def test_a_zero_mixed_difference_stays_zero_where_mu1_mu2_underflows():
+    # 1e-300 * 1e-300 is 0, and 0 / 0 would be a NaN that fails the check
+    axis = explicit_scale([0.0, 1e-300, 2e-300, 1.0])
+    d = TimeScale2D(axis, axis)
+    for kernel in (KernelOracle.constant(d, 1.0), KernelOracle.from_table(d, np.ones((4,) * 4))):
+        inputs = KernelInputs(*(GridFn2.constant(d, 1.0) for _ in "pq"), kernel)
+        assert inputs.check_hypotheses() == []
+        assert not np.isnan(bounds._kernel_checks(kernel)[1]).any()
+
+
+def test_a_nan_minimum_counts_as_failing():
+    diags = [[], []]
+    bounds._check_nonneg(np.array([[[0.0, np.nan], [-np.inf, 1.0]], [[0.0, 1.0], [2.0, 3.0]]]),
+                         "f", diags)
+    assert diags == [["f negative at index (0, 1): nan"], []]
 
 
 @settings(max_examples=60, deadline=None)

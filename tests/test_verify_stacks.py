@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import references as ref
 from test_reference_agreement import fn_specs
-from tscale import (BoundCase, ConfigError, DomainError, FnSpec, GridFn1, GridFn2,
+from tscale import (BoundCase, BoundReport, ConfigError, DomainError, FnSpec, GridFn1, GridFn2,
                     InstanceSpec, IntegrodynamicInputs, KernelInputs, KernelOracle,
                     PointwiseInputs, ScaleMismatchError, SystemInputs, TimeScale2D,
                     TscaleError, WitnessMode, compute_bound, grid2d, integer_segment,
@@ -209,6 +209,30 @@ def test_stacks_split_a_batch_without_changing_it(monkeypatch, case, limit, size
     assert seen == sizes
     assert_same_outcome(split, whole)
     assert_same_outcome(split, ref.run_verification_loop(spec))
+
+
+@pytest.mark.parametrize("case", list(BoundCase), ids=lambda c: c.value)
+def test_a_stack_is_split_once_and_its_digests_read_from_the_stack(monkeypatch, case):
+    """Each stack's digests come from the columns of its stacked reports, a
+    kernel stack's from both variants; only the primary report is split,
+    once, for VerifySummary.reports."""
+    spec = InstanceSpec(case=case, scale1=parse_scale("integer:0..4"),
+                        scale2=parse_scale("q:2,3"), rng_seed=5, count=7,
+                        witness_mode=WitnessMode.STRICT_SLACK)
+    monkeypatch.setattr(grid2d, "MAX_STACK_POINTS", 4 * 20)
+    split = []
+    unstack = BoundReport.unstack
+
+    def counted(self):
+        split.append(len(self.violations))
+        return unstack(self)
+
+    monkeypatch.setattr(BoundReport, "unstack", counted)
+    summary = run_verification(spec)
+    assert split == [4, 3]
+    monkeypatch.undo()
+    assert_same_outcome(summary, ref.run_verification_loop(spec))
+    assert [d["instance"] for d in summary.digests] == list(range(7))
 
 
 def run_cli(capsys, *argv):
