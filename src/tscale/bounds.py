@@ -346,9 +346,14 @@ def _kernel_integrals(kernel: KernelOracle, p: GridFn2,
         # (r, 2, [count,] m1, m2)
         single = exclusive_sums(beta[:, None, ..., :m1, :] * coeff * mu2, -1)
         double = exclusive_sums(single * mu1[:, None], -2)
-        alpha_d1 = np.diff(alpha, axis=-2) / mu1[:, None]
-        # the Leibniz term is 0 where ii(beta q) is, even where alpha_d1 overflowed
-        leibniz = np.where(double[:, 1] == 0, 0.0, alpha_d1 * double[:, 1])
+        alpha_diff = np.diff(alpha, axis=-2)
+        alpha_d1 = alpha_diff / mu1[:, None]
+        # where alpha_d1 overflowed, ii(beta q) multiplies alpha's difference
+        # before mu1 divides it, as in the dense table; the Leibniz term is 0
+        # where ii(beta q) is, even there
+        leibniz = np.where(np.isfinite(alpha_d1), alpha_d1 * double[:, 1],
+                           alpha_diff * double[:, 1] / mu1[:, None])
+        leibniz[double[:, 1] == 0] = 0.0
         A = (alpha[..., :m1, :] * double[:, 0]).sum(axis=0)
         c = (alpha[..., 1:, :] * single[:, 1] + leibniz).sum(axis=0)
         return A, c

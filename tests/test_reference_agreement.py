@@ -373,6 +373,13 @@ def overflow_probe(points, alpha_rows, beta_at_origin):
       "kernel first-variable difference negative near (1, 1): -inf"]),
     # alpha rises by 1e10 over a 1e-300 step, where ii(beta q) is still 0
     ((0.0, 1e-300, 1.0, 2.0), (1.0, 1e10, 1e10, 1e10), 1.0, []),
+    # ... and over the next 1e-300 step, where ii(beta q) is about 1e-300:
+    # the Leibniz term is finite, about 1e10, as in the dense table
+    ((0.0, 1e-300, 2e-300, 1.0, 2.0),
+     (1.0, 1.0, 1e10, (1e10, 1e10, 1e10, 1e10 - 1), (1e10, 1e10, 1e10, 1e10 - 1)), 1.0,
+     ["kernel second-variable difference negative near (2, 2): -1",
+      "kernel first-variable difference negative near (2, 2): -1",
+      "kernel mixed difference negative near (2, 2): -1"]),
 ])
 def test_overflowing_factor_differences_read_as_the_dense_table(points, alpha_rows,
                                                                 beta_at_origin, fired):
