@@ -33,6 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -84,9 +85,11 @@ class BoundReport:
 
     max_violation is the largest witness excess over the bound, clamped at
     zero; min_slack the smallest bound-minus-witness gap.  Without a witness
-    max_violation is 0 and min_slack is +inf.  violations lists
-    (i, j, witness, bound) for every point whose excess crosses the relative
-    tolerance VIOLATION_TOL * (1 + |bound|).
+    max_violation is 0 and min_slack is +inf.  violation_count counts the
+    points whose excess crosses the relative tolerance
+    VIOLATION_TOL * (1 + |bound|), and violation_at holds their flat indices
+    into bound.values, in row order; violations lists them as
+    (i, j, witness, bound) tuples, built on first access.
 
     A stack's report holds one entry per instance in each grid, number and
     list; unstack() splits it.
@@ -96,20 +99,36 @@ class BoundReport:
     witness: GridFn2 | None
     max_violation: float
     min_slack: float
-    violations: list[tuple[int, int, float, float]]
+    violation_count: int
+    violation_at: np.ndarray
     hypothesis_diagnostics: list[str] = field(default_factory=list)
     exponent_variant: ExponentVariant = ExponentVariant.FIRST_VARIABLE
+
+    @cached_property
+    def violations(self) -> list:
+        """(i, j, witness, bound) of each violating point in row order; on a
+        stack, one such list per instance."""
+        at = np.unravel_index(self.violation_at, self.bound.values.shape)
+        found = [] if self.witness is None else list(zip(
+            *(x.tolist() for x in (*at[-2:], self.witness.values[at], self.bound.values[at]))))
+        if self.bound.values.ndim == 2:
+            return found
+        ends = np.cumsum(self.violation_count).tolist()
+        return [found[start:end] for start, end in zip([0, *ends], ends)]
 
     def unstack(self) -> list["BoundReport"]:
         """One report per instance, in stack order; [self] for one instance."""
         if self.bound.values.ndim == 2:
             return [self]
-        witnesses = [None] * len(self.violations) if self.witness is None \
+        witnesses = [None] * len(self.violation_count) if self.witness is None \
             else self.witness.instances()
-        return [BoundReport(b, w, mv, ms, viol, diags, self.exponent_variant)
-                for b, w, mv, ms, viol, diags in zip(
+        ats = np.split(self.violation_at % self.bound.values[0].size,
+                       np.cumsum(self.violation_count)[:-1])
+        return [BoundReport(b, w, mv, ms, n, at, diags, self.exponent_variant)
+                for b, w, mv, ms, n, at, diags in zip(
                     self.bound.instances(), witnesses, self.max_violation.tolist(),
-                    self.min_slack.tolist(), self.violations, self.hypothesis_diagnostics)]
+                    self.min_slack.tolist(), self.violation_count.tolist(), ats,
+                    self.hypothesis_diagnostics)]
 
 
 def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
@@ -142,20 +161,22 @@ def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
         raise DomainError(f"{case.value} bound overflowed at (t1, t2) = {at}")
     bound = GridFn2(domain, values)
     b = bound.values
-    violations = [[] for _ in b]
     if callable(witness):
         witness = witness()
     w = None if witness is None else _restrict_witness(witness, domain)
     if w is None:
+        count, at = np.zeros(len(b), np.int64), np.zeros(0, np.int64)
         max_violation, min_slack = np.zeros(len(b)), np.full(len(b), math.inf)
     else:
         excess = w.values - b
-        tol = VIOLATION_TOL * (1.0 + np.abs(b))
-        for k, i, j in np.argwhere(excess > tol).tolist():
-            violations[k].append((i, j, float(w.values[k, i, j]), float(b[k, i, j])))
+        tol = np.abs(b)
+        tol += 1.0
+        tol *= VIOLATION_TOL
+        over = excess > tol
+        count, at = np.count_nonzero(over, axis=(1, 2)), np.flatnonzero(over)
         max_violation = _positive_part(excess.max(axis=(1, 2)))
-        min_slack = (-excess).min(axis=(1, 2))
-    return BoundReport(bound, w, max_violation, min_slack, violations, diags, variant)
+        min_slack = np.negative(excess, out=excess).min(axis=(1, 2))
+    return BoundReport(bound, w, max_violation, min_slack, count, at, diags, variant)
 
 
 def _check_nonneg(stack: np.ndarray, name: str, diags: list[list[str]],

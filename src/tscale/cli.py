@@ -265,13 +265,22 @@ def _write_json(fh, payload: dict, reports) -> None:
 def _targets(config: str, path: str, suffixes: Sequence[str]) -> list[Path]:
     """path with each of suffixes in place of its own .csv or .json suffix; a
     path without a file name, or a target that resolves to the config file,
-    raises ConfigError."""
+    raises ConfigError.  Real paths are compared only for a target that is
+    the config's file (a hard link to it is another path), or that does not
+    exist but holds a ".." that may drop a missing directory."""
     if os.path.basename(path) in ("", ".", ".."):
         raise ConfigError(f"output.path {path!r} names a directory, not a file")
     stem = Path(path).with_suffix("") if Path(path).suffix in (".csv", ".json") else Path(path)
     targets = [stem.with_suffix(s) for s in suffixes]
-    if Path(config).resolve() in [t.resolve() for t in targets]:
-        raise ConfigError(f"output.path would write over the config file {config}")
+    own = os.stat(config)
+    for target in targets:
+        try:
+            found = os.stat(target)
+            same = (found.st_dev, found.st_ino) == (own.st_dev, own.st_ino)
+        except OSError:
+            same = ".." in target.parts
+        if same and target.resolve() == Path(config).resolve():
+            raise ConfigError(f"output.path would write over the config file {config}")
     return targets
 
 

@@ -20,11 +20,30 @@ from .errors import DomainError, ScaleMismatchError
 MERGE_TOL = 1e-12
 
 
-def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray,
+                   out: np.ndarray | None = None, bb: np.ndarray | None = None) -> np.ndarray:
     """Exact rounding error of s = fl(a + b), elementwise, by Knuth's
-    branch-free TwoSum: bb = s - a, then (a - (s - bb)) + (b - bb)."""
-    bb = s - a
-    return (a - (s - bb)) + (b - bb)
+    branch-free TwoSum: bb = s - a, then (a - (s - bb)) + (b - bb).  out and
+    bb, if given, are scratch of the result's shape that receive the error
+    and bb, so nothing is allocated; neither may be a, b or s."""
+    bb = np.subtract(s, a, out=bb)
+    err = np.subtract(s, bb, out=out)
+    np.subtract(a, err, out=err)
+    np.subtract(b, bb, out=bb)
+    return np.add(err, bb, out=err)
+
+
+def _neumaier_cumsum(vals: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    """neumaier_cumsum of vals along its last axis, written to out, which may
+    be vals.  scratch is four arrays of vals' shape, zeroed before the first
+    call, so nothing is allocated; the second holds each prefix's
+    predecessor and keeps its first column 0."""
+    total, before, err, bb = scratch
+    np.add.accumulate(vals, -1, out=total)
+    before[..., 1:] = total[..., :-1]
+    _two_sum_error(before, vals, total, err, bb)
+    np.add.accumulate(err, -1, out=bb)
+    return np.add(total, bb, out=out)
 
 
 def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -37,11 +56,9 @@ def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     strictly in order, so every entry is bit for bit that of the sequential
     Neumaier loop.
     """
-    vals = np.asarray(values, dtype=float)
-    total = np.cumsum(vals, axis=0)
-    before = np.zeros_like(total)
-    before[1:] = total[:-1]
-    return total + np.cumsum(_two_sum_error(before, vals, total), axis=0)
+    out = np.array(np.moveaxis(np.asarray(values, dtype=float), 0, -1), order="C")
+    _neumaier_cumsum(out, out, np.zeros((4, *out.shape)))
+    return np.moveaxis(out, -1, 0)
 
 
 def exact_sum(values: Sequence[float] | np.ndarray) -> float:

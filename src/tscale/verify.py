@@ -217,7 +217,7 @@ def _functions(spec: InstanceSpec, dom: TimeScale2D) -> list[tuple]:
     """(name, descriptor, draw(fn, rng), realize(fn, draws)) of each function of
     spec's instances, in the case's fixed order; system constants default to
     a drawn constant, every other function to family 'any'."""
-    kinds = {"2d": (lambda fn, rng: draw(fn, dom.shape, rng),
+    kinds = {"2d": (lambda fn, rng, shape=dom.shape: draw(fn, shape, rng),
                     lambda fn, d: realize_2d(fn, dom, draws=d)),
              "scalar": (draw_scalar, lambda fn, d: realize_scalar(fn, draws=d)),
              "kernel": (draw_kernel, lambda fn, d: realize_kernel(fn, dom, draws=d))}
@@ -287,8 +287,8 @@ def _check_stack(spec: InstanceSpec, fields: tuple,
         u = witnesses.witness_kernel(p, q, kernel, rho)
         by_variant = bound_kernel_variants(KernelInputs(p, q, kernel, u))
         first_v, second_v = (by_variant[variant] for variant in ExponentVariant)
-        variant_columns = {"first_variable_dominates": [not v for v in first_v.violations],
-                           "second_variable_dominates": [not v for v in second_v.violations],
+        variant_columns = {"first_variable_dominates": (first_v.violation_count == 0).tolist(),
+                           "second_variable_dominates": (second_v.violation_count == 0).tolist(),
                            "second_variable_max_violation": second_v.max_violation.tolist()}
         report = by_variant[spec.exponent_variant]
         residual = _recheck_kernel(p, q, kernel.factors, u)
@@ -303,12 +303,12 @@ def _check_stack(spec: InstanceSpec, fields: tuple,
         u, w = witnesses.witness_integrodynamic(a, b, c, rho)
         report = compute_bound(IntegrodynamicInputs(a, b, c, u))
         residual = _recheck_integrodynamic(a, b, c, u, w)
-    count = len(report.violations)
+    count = len(report.violation_count)
     columns = {"instance": range(first, first + count),
                "case": [case.value] * count,
                "max_violation": report.max_violation.tolist(),
                "min_slack": report.min_slack.tolist(),
-               "violation_count": [len(v) for v in report.violations],
+               "violation_count": report.violation_count.tolist(),
                "relative_violation": _relative_violation(report).tolist(),
                "hypothesis_residual": residual.tolist(),
                "diagnostics": [list(d) for d in report.hypothesis_diagnostics],

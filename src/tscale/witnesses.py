@@ -5,7 +5,11 @@ feedback term shrunk by a factor in [0, 1) (or a slack subtracted) to sit
 strictly inside the hypothesis cone.  In two variables row i depends only on
 the rows below it, so the pointwise, system and integro-dynamic witnesses
 share one O(n1)-step row sweep that carries Neumaier-compensated column sums
-and takes each row's rectangle sums from one compensated prefix sum.  A
+and takes each row's rectangle sums from one compensated prefix sum.  The
+sweep allocates its column sums, their errors, the rectangle sums, the row's
+cells and the prefix sum's scratch once and overwrites them row by row;
+each row body writes its lattice row and its cells with out=, through
+buffers of its witness, so no row allocates array data.  A
 kernel of r separable terms runs the sweep with r fields, O(r N) in total,
 the pointwise kernel k(s) being the one term (1, k); a dense kernel table is
 contracted one row slab at a time, O(N^2) like the table, and holds one
@@ -23,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, _require_one_scale, _two_sum_error, neumaier_cumsum
+from .core import GridFn1, _neumaier_cumsum, _require_one_scale, _two_sum_error
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights, _common_stack
 
@@ -46,28 +50,35 @@ def _check_feedback(feedback_scale) -> np.ndarray:
 # A witness past the float range needs no warning: GridFn2 rejects it.
 @np.errstate(over="ignore", invalid="ignore")
 def _row_sweep(domain: TimeScale2D, lead: tuple[int, ...],
-               row: Callable[[int, np.ndarray], np.ndarray]) -> None:
-    """Call row(i, sums) for i = 0, 1, ..., n1 - 1 in order.
+               row: Callable[[int, np.ndarray, np.ndarray], None]) -> None:
+    """Call row(i, sums, cells) for i = 0, 1, ..., n1 - 1 in order.
 
     lead is (fields,), or (fields, count) for a stack of instances.
     sums[f, ..., j] is the double integral of field f over [0, i) x [0, j):
     the compensated sum of its integrand times mu1 * mu2 over that rectangle,
-    so sums[..., 0] and row 0 are zero.  row fills lattice row i and returns
-    each field's integrand on row i's kappa cells, shape (*lead, n2 - 1).
+    so sums[..., 0] and row 0 are zero.  row fills lattice row i and writes
+    each field's integrand on row i's kappa cells to cells, shape
+    (*lead, n2 - 1).  sums, cells, the column sums and their scratch are
+    allocated once and overwritten row by row.
     """
     n1, n2 = domain.shape
     wmu = _cell_weights(domain)
-    col = np.zeros((*lead, n2 - 1))    # column sums over the rows fed so far
-    comp = np.zeros((*lead, n2 - 1))   # their accumulated rounding errors
     sums = np.zeros((*lead, n2))
+    prefix = sums[..., 1:]
+    # column sums over the rows fed so far, their accumulated rounding errors,
+    # the compensated column totals (then the next column sums), the row's
+    # cells, and the prefix sum's scratch
+    col, comp, acc, cells, *scratch = np.zeros((8, *lead, n2 - 1))
+    err, bb = scratch[2:]
     for i in range(n1):
-        sums[..., 1:] = neumaier_cumsum((col + comp).T).T
-        cells = row(i, sums)
+        np.add(col, comp, out=acc)
+        _neumaier_cumsum(acc, prefix, scratch)
+        row(i, sums, cells)
         if i < n1 - 1:
-            fed = cells * wmu[i]
-            total = col + fed
-            comp += _two_sum_error(col, fed, total)
-            col = total
+            cells *= wmu[i]
+            np.add(col, cells, out=acc)
+            comp += _two_sum_error(col, cells, acc, err, bb)
+            col, acc = acc, col
 
 
 def _rows(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -84,14 +95,19 @@ def _unit_factors(k: GridFn2) -> tuple[np.ndarray, np.ndarray]:
 def _witness_factored(p: GridFn2, q: GridFn2, alpha, beta, rho: np.ndarray) -> GridFn2:
     """The row sweep with one field per term r: row i takes the sum over r of
     alpha[r, i] * sums[r] and feeds beta[r, i] * u[i]; alpha and beta hold
-    p's stack after their term axis."""
+    p's stack after their term axis.  rho * q is formed once."""
     u = np.empty(p.values.shape)
-    ur, pr, qr = _rows(u, p.values, q.values)
+    ur, pr, rq = _rows(u, p.values, rho[..., None] * q.values)
     ar, br = (np.moveaxis(x, -2, 1) for x in (alpha, beta))
+    terms = np.empty(ar.shape[:1] + ar.shape[2:])
+    inner = np.empty(terms.shape[1:])
 
-    def row(i, sums):
-        ur[i] = pr[i] + rho * qr[i] * (ar[:, i] * sums).sum(axis=0)
-        return br[:, i, ..., :-1] * ur[i, ..., :-1]
+    def row(i, sums, cells):
+        np.multiply(ar[:, i], sums, out=terms)
+        np.add.reduce(terms, 0, out=inner)
+        np.multiply(inner, rq[i], out=inner)
+        np.add(pr[i], inner, out=ur[i])
+        np.multiply(br[:, i, ..., :-1], ur[i, ..., :-1], out=cells)
 
     _row_sweep(p.domain, alpha.shape[:-2], row)
     return GridFn2(p.domain, u)
@@ -148,13 +164,19 @@ def witness_system(c1, c2, h1: GridFn2, h2: GridFn2, h3: GridFn2, h4: GridFn2,
     u = np.empty(h1.values.shape)
     v = np.empty(h1.values.shape)
     ur, vr, *hr = _rows(u, v, *(h.values[..., :-1] for h in (h1, h2, h3, h4)))
+    term = np.empty(hr[0].shape[1:])
 
-    def row(i, sums):
-        ur[i] = c1 + rho * sums[0]
-        vr[i] = c2 + rho * sums[1]
+    def row(i, sums, cells):
+        np.multiply(rho, sums[0], out=ur[i])
+        np.add(c1, ur[i], out=ur[i])
+        np.multiply(rho, sums[1], out=vr[i])
+        np.add(c2, vr[i], out=vr[i])
         ui, vi = ur[i, ..., :-1], vr[i, ..., :-1]
         g1, g2, g3, g4 = (h[i] for h in hr)
-        return np.stack((g1 * ui + g2 * vi, g3 * ui + g4 * vi))
+        for cell, gu, gv in ((cells[0], g1, g2), (cells[1], g3, g4)):
+            np.multiply(gu, ui, out=cell)
+            np.multiply(gv, vi, out=term)
+            cell += term
 
     _row_sweep(dom, (2, *u.shape[:-2]), row)
     return GridFn2(dom, u), GridFn2(dom, v)
@@ -177,12 +199,17 @@ def witness_integrodynamic(a1d: GridFn1, b1d: GridFn1, c2d: GridFn2,
     w = np.empty(c2d.values.shape)
     ur, wr, cr = _rows(u, w, c2d.values[..., :-1])
     a, b = np.moveaxis(a1d.values, -1, 0)[..., None], b1d.values
+    feedback = np.empty(b.shape)
 
-    def row(i, sums):
-        wr[i] = a[i] + b + rho * sums[0]
+    def row(i, sums, cells):
+        np.add(a[i], b, out=wr[i])
+        np.multiply(rho, sums[0], out=feedback)
+        wr[i] += feedback
         ur[i] = sums[1]
         ui, wi = ur[i, ..., :-1], wr[i, ..., :-1]
-        return np.stack((cr[i] * (ui + wi), wi))
+        np.add(ui, wi, out=cells[0])
+        cells[0] *= cr[i]
+        cells[1] = wi
 
     _row_sweep(dom, (2, *u.shape[:-2]), row)
     return GridFn2(dom, u), GridFn2(dom, w)

@@ -24,6 +24,12 @@ now hold as separable factors.  Two vectorized forms stay as references for
 their replacements: the pointwise witness as its own row of the shared
 sweep, and the kernel re-check that contracts the kernel's row slabs one
 lattice row at a time, which serves any kernel, dense tables included.
+The allocating row sweep (row_sweep), whose rows return fresh arrays and
+whose column prefix is neumaier_cumsum of a transpose, is the reference for
+the in-place sweep, with the factored, system and integro-dynamic witnesses
+on it (witness_*_rows); the loop that appends one (i, j, witness, bound)
+tuple per violating point (violations) is the reference for the counts and
+flat indices that bound reports keep.
 The verify driver that realizes, witnesses, bounds and re-checks one
 instance at a time, the kernel case with one single-instance KernelOracle
 per instance, is the reference for the stacked pass, and the
@@ -50,7 +56,8 @@ from numpy.polynomial import polynomial as npoly
 from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, KernelOracle,
                     TimeScale2D, TscaleError, bounds, running_integral, verify, witnesses)
 from tscale.grid2d import check_kernel_budget, check_lattice_points
-from tscale.witnesses import _row_sweep
+from tscale.core import _two_sum_error, neumaier_cumsum
+from tscale.grid2d import _cell_weights
 
 
 def cell_weights(domain) -> np.ndarray:
@@ -93,6 +100,77 @@ def witness_pointwise(p, q, k, rho=1.0) -> np.ndarray:
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def row_sweep(domain, lead, row) -> None:
+    """The allocating row sweep: row(i, sums) returns row i's cells, and the
+    column prefix is neumaier_cumsum of the transposed column sums."""
+    n1, n2 = domain.shape
+    wmu = _cell_weights(domain)
+    col = np.zeros((*lead, n2 - 1))
+    comp = np.zeros((*lead, n2 - 1))
+    sums = np.zeros((*lead, n2))
+    for i in range(n1):
+        sums[..., 1:] = neumaier_cumsum((col + comp).T).T
+        cells = row(i, sums)
+        if i < n1 - 1:
+            fed = cells * wmu[i]
+            total = col + fed
+            comp += _two_sum_error(col, fed, total)
+            col = total
+
+
+def _lattice_rows(*arrays) -> list[np.ndarray]:
+    return [np.moveaxis(x, -2, 0) for x in arrays]
+
+
+def witness_factored_rows(p, q, alpha, beta, rho) -> np.ndarray:
+    """The factored witness (one field per separable term) on row_sweep; rho
+    is the checked feedback factor, shape (1,) or (count, 1)."""
+    u = np.empty(p.values.shape)
+    ur, pr, qr = _lattice_rows(u, p.values, q.values)
+    ar, br = (np.moveaxis(x, -2, 1) for x in (alpha, beta))
+
+    def row(i, sums):
+        ur[i] = pr[i] + rho * qr[i] * (ar[:, i] * sums).sum(axis=0)
+        return br[:, i, ..., :-1] * ur[i, ..., :-1]
+
+    row_sweep(p.domain, alpha.shape[:-2], row)
+    return u
+
+
+def witness_system_rows(c1, c2, h1, h2, h3, h4, rho) -> tuple[np.ndarray, np.ndarray]:
+    c1, c2 = (np.asarray(c, dtype=float)[..., None] for c in (c1, c2))
+    u = np.empty(h1.values.shape)
+    v = np.empty(h1.values.shape)
+    ur, vr, *hr = _lattice_rows(u, v, *(h.values[..., :-1] for h in (h1, h2, h3, h4)))
+
+    def row(i, sums):
+        ur[i] = c1 + rho * sums[0]
+        vr[i] = c2 + rho * sums[1]
+        ui, vi = ur[i, ..., :-1], vr[i, ..., :-1]
+        g1, g2, g3, g4 = (h[i] for h in hr)
+        return np.stack((g1 * ui + g2 * vi, g3 * ui + g4 * vi))
+
+    row_sweep(h1.domain, (2, *u.shape[:-2]), row)
+    return u, v
+
+
+def witness_integrodynamic_rows(a1d, b1d, c2d, rho) -> tuple[np.ndarray, np.ndarray]:
+    u = np.empty(c2d.values.shape)
+    w = np.empty(c2d.values.shape)
+    ur, wr, cr = _lattice_rows(u, w, c2d.values[..., :-1])
+    a, b = np.moveaxis(a1d.values, -1, 0)[..., None], b1d.values
+
+    def row(i, sums):
+        wr[i] = a[i] + b + rho * sums[0]
+        ur[i] = sums[1]
+        ui, wi = ur[i, ..., :-1], wr[i, ..., :-1]
+        return np.stack((cr[i] * (ui + wi), wi))
+
+    row_sweep(c2d.domain, (2, *u.shape[:-2]), row)
+    return u, w
+
+
 def witness_pointwise_rows(p, q, k, rho=1.0) -> np.ndarray:
     u = np.empty(p.domain.shape)
 
@@ -100,8 +178,20 @@ def witness_pointwise_rows(p, q, k, rho=1.0) -> np.ndarray:
         u[i] = p.values[i] + rho * q.values[i] * sums[0]
         return k.values[i, :-1] * u[i, :-1]
 
-    _row_sweep(p.domain, (1,), row)
+    row_sweep(p.domain, (1,), row)
     return u
+
+
+def violations(witness, bound) -> list[list[tuple[int, int, float, float]]]:
+    """Per instance of a stack of kappa x kappa lattices, (i, j, witness,
+    bound) of every point whose excess crosses VIOLATION_TOL * (1 + |bound|),
+    one Python tuple at a time."""
+    excess = witness - bound
+    tol = bounds.VIOLATION_TOL * (1.0 + np.abs(bound))
+    found = [[] for _ in bound]
+    for k, i, j in np.argwhere(excess > tol).tolist():
+        found[k].append((i, j, float(witness[k, i, j]), float(bound[k, i, j])))
+    return found
 
 
 def witness_kernel(p, q, kernel, rho=1.0) -> np.ndarray:

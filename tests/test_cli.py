@@ -359,12 +359,17 @@ def test_verify_replaces_an_older_report_with_the_bytes_of_a_fresh_one(tmp_path,
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
-@pytest.mark.parametrize("path", ["same", "same.json", "same.csv"])
+@pytest.mark.parametrize("path", ["same", "same.json", "same.csv", "link/same",
+                                  "sub/../same.json", "missing/../same.csv"])
 def test_verify_refuses_to_write_over_its_own_config(tmp_path, capsys, monkeypatch,
                                                      path, absolute):
-    """Every report target is checked before anything is computed."""
+    """Every report target is checked before anything is computed, also one
+    reached through a symlinked directory, or through ".." after a directory
+    that exists or not."""
     monkeypatch.setattr(cli_mod, "run_verification", None)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
     cfg = write_config(tmp_path, "same.json", verify_payload(
         tmp_path, output={"path": str(tmp_path / path) if absolute else path}))
     before = cfg.read_bytes()
@@ -372,7 +377,19 @@ def test_verify_refuses_to_write_over_its_own_config(tmp_path, capsys, monkeypat
     assert code == 2
     assert err.startswith("error:") and "over the config file" in err
     assert cfg.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "same.json", "sub"]
+
+
+def test_verify_writes_over_a_hard_link_to_its_config(tmp_path, capsys):
+    """A hard link is another path to the config's file, so the report may
+    replace it; the config keeps its bytes."""
+    cfg = write_config(tmp_path, "v.json", verify_payload(
+        tmp_path, output={"path": str(tmp_path / "hard"), "format": "json"}))
+    os.link(cfg, tmp_path / "hard.json")
+    before = cfg.read_bytes()
+    assert run_cli(capsys, "verify", str(cfg))[0] == 0
+    assert cfg.read_bytes() == before
+    assert json.loads((tmp_path / "hard.json").read_text())["theorem"] == "pointwise"
 
 
 def test_verify_writer_formats_no_row_through_fmt_number(tmp_path, capsys, monkeypatch):

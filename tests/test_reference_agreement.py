@@ -25,7 +25,10 @@ minima must agree with the dense table it expands to.  The factored
 hypothesis re-check serves every kernel, the pointwise one as the single
 term (1, k); it agrees to 1e-12 with the per-cell loops and with the
 row-slab contraction it replaced, and the pointwise witness, now the one-term
-factored sweep, keeps the bits of the pointwise row sweep.
+factored sweep, keeps the bits of the pointwise row sweep.  The in-place row
+sweep keeps the bits of the allocating sweep for every witness built on it,
+overflowing rows included, and a report's violation counts and indices give
+the list of the tuple loop.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import references as ref
@@ -204,6 +207,145 @@ def test_witness_and_recheck_match_references(check, s1, s2, seed, rho):
 @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_thin_lattices_match_references(check, shape):
     check(edge_domain(shape), 7, 1.0)
+
+
+# -- the in-place row sweep against the allocating one ----------------------
+
+@st.composite
+def sweep_scales(draw, max_points=6):
+    """scales(), or an explicit axis whose first 1 to 3 steps are 1e-300,
+    so that mu1 * mu2 underflows."""
+    if draw(st.booleans()):
+        return draw(scales(max_points))
+    tiny = draw(st.integers(1, 3))
+    wide = draw(st.integers(0, max_points - tiny - 1))
+    return explicit_scale(np.concatenate((np.arange(tiny + 1) * 1e-300, 1.0 + np.arange(wide))))
+
+
+def raw_grid(domain, values):
+    """A stand-in for GridFn2 that keeps non-finite values."""
+    return SimpleNamespace(domain=domain, values=values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s1=sweep_scales(), s2=sweep_scales(), case=st.sampled_from(
+           ["pointwise", "kernel", "system", "integrodynamic"]),
+       count=st.sampled_from([None, 0, 1, 2, 3]), terms=st.integers(1, 3),
+       magnitude=st.sampled_from([1.0, 1e300]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_in_place_sweep_keeps_the_allocating_sweeps_bits(s1, s2, case, count, terms, magnitude,
+                                                         seed, data):
+    """Each witness of the in-place row sweep has the bits of the same
+    witness on the allocating sweep in references.py, on stacks of 0 to 3
+    instances, with feedback factors 0, 0.37 and 1; a magnitude of 1e300
+    makes rows overflow to inf and then NaN, which GridFn2 rejects."""
+    domain = TimeScale2D(s1, s2)
+    if case == "kernel" and count == 0:
+        count = 1    # KernelOracle holds no empty stack
+    lead = () if count is None else (count,)
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def grid():
+        return GridFn2(domain, magnitude * rng.uniform(0.0, 2.0, (*lead, *domain.shape)))
+
+    size = 1 if count is None else count
+    rho = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.37, 1.0]),
+                                      min_size=size, max_size=size)))
+    rho = rho if count is not None else float(rho[0])
+    rho_col = np.asarray(rho, dtype=float)[..., None]    # as _check_feedback shapes it
+    if case in ("pointwise", "kernel"):
+        p, q = grid(), grid()
+        if case == "pointwise":
+            k = grid()
+            factors = (np.ones((1, *k.values.shape)), k.values[None])
+            build = functools.partial(witness_pointwise, p, q, k, rho)
+        else:
+            factors = magnitude * rng.uniform(0.0, 2.0, (2, terms, *lead, *domain.shape))
+            build = functools.partial(witness_kernel, p, q,
+                                      KernelOracle.separable(domain, *factors), rho)
+        expected = (ref.witness_factored_rows(p, q, *factors, rho_col),)
+    elif case == "system":
+        c1, c2 = (magnitude * rng.uniform(0.0, 2.0, lead) for _ in range(2))
+        c1, c2 = (c if count is not None else float(c) for c in (c1, c2))
+        hs = [grid() for _ in range(4)]
+        build = functools.partial(witness_system, c1, c2, *hs, rho)
+        expected = ref.witness_system_rows(c1, c2, *hs, rho_col)
+    else:
+        a, b = (GridFn1(scale, magnitude * np.sort(rng.uniform(0.1, 2.0, (*lead, len(scale)))))
+                for scale in (s1, s2))
+        c = grid()
+        build = functools.partial(witness_integrodynamic, a, b, c, rho)
+        expected = ref.witness_integrodynamic_rows(a, b, c, rho_col)
+    with mock.patch.object(witnesses, "GridFn2", raw_grid):
+        got = build()
+    for new, old in zip(got if isinstance(got, tuple) else (got,), expected, strict=True):
+        assert_same_array_bits(new.values, old)
+    if not all(np.all(np.isfinite(x)) for x in expected):
+        with pytest.raises(DomainError, match="finite"):
+            build()
+
+
+def test_in_place_sweep_overflows_where_the_allocating_sweep_does():
+    """A row past the float range: inf, then NaN through the compensated
+    sums, each with the allocating sweep's bits."""
+    domain = TimeScale2D(integer_segment(0, 4), integer_segment(0, 3))
+    p = GridFn2(domain, np.full(domain.shape, 1e150))
+    with mock.patch.object(witnesses, "GridFn2", raw_grid):
+        u = witness_pointwise(p, p, p).values
+    assert np.all(np.isinf(u[1, 1:])) and np.all(np.isnan(u[2:, 2:]))
+    assert_same_array_bits(u, ref.witness_pointwise_rows(p, p, p))
+
+
+# -- violations as counts and indices against the tuple loop ----------------
+
+@settings(max_examples=60, deadline=None)
+@given(s1=scales(), s2=scales(), count=st.sampled_from([None, 1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_violations_are_the_tuple_loops(s1, s2, count, seed):
+    """report.violations, stacked and per instance, is the list that the
+    tuple loop of references.violations builds, on witnesses planted at,
+    just below, just above and far past the bound's tolerance."""
+    domain = TimeScale2D(s1, s2)
+    assume(min(domain.shape) >= 2)
+    lead = () if count is None else (count,)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p, q, k = (GridFn2(domain, rng.uniform(0.0, 2.0, (*lead, *domain.shape))) for _ in range(3))
+    b = bounds.compute_bound(bounds.PointwiseInputs(p, q, k)).bound.values
+    tol = bounds.VIOLATION_TOL * (1.0 + np.abs(b))
+    steps = np.stack((-b, np.zeros_like(b), 0.5 * tol, tol, np.nextafter(tol, np.inf), 2 * tol,
+                      1.0 + b))
+    u = rng.uniform(0.0, 2.0, (*lead, *domain.shape))
+    u[..., :-1, :-1] = b + np.take_along_axis(steps, rng.integers(0, 7, (1, *b.shape)), 0)[0]
+    report = bounds.compute_bound(bounds.PointwiseInputs(p, q, k, GridFn2(domain, u)))
+    stack = report.witness.values.reshape(-1, *b.shape[-2:]), report.bound.values.reshape(
+        -1, *b.shape[-2:])
+    expected = ref.violations(*stack)
+    parts = report.unstack()
+    assert [part.violations for part in parts] == expected
+    assert report.violations == (expected if count else expected[0])
+    assert np.atleast_1d(report.violation_count).tolist() == [len(x) for x in expected]
+    for part, found in zip(parts, expected):
+        assert part.violation_count == len(found)
+        assert [divmod(int(x), b.shape[-1]) for x in part.violation_at] == \
+            [(i, j) for i, j, _, _ in found]
+
+
+def test_a_violation_is_an_excess_past_the_tolerance_not_at_it():
+    """An excess equal to VIOLATION_TOL * (1 + |bound|) is no violation; one
+    step past it is, as in the tuple loop.  Bounds of 2**-40 and below make
+    bound + tolerance, and so the excess, exact."""
+    domain = TimeScale2D(integer_segment(0, 2), integer_segment(0, 3))
+    b = np.ldexp(1.0, -40 - np.arange(24)).reshape(2, *domain.shape)
+    w = b + bounds.VIOLATION_TOL * (1.0 + np.abs(b))
+    assert np.array_equal(w - b, bounds.VIOLATION_TOL * (1.0 + np.abs(b)))
+    past = np.zeros(b.shape, bool)
+    past[0, 1, 2] = past[1, 0, 0] = past[1, 2, 3] = True
+    w[past] = np.nextafter(w[past], np.inf)
+    report = bounds._finish(b, domain, bounds.BoundCase.POINTWISE, GridFn2(domain, w), [[], []])
+    assert report.violations == ref.violations(w, b)
+    assert [[(i, j) for i, j, _, _ in found] for found in report.violations] == \
+        [[(1, 2)], [(0, 0), (2, 3)]]
+    assert report.violation_count.tolist() == [1, 2]
 
 
 # -- factored kernels against their dense tables ----------------------------

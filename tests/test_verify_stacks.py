@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 import references as ref
 from test_reference_agreement import fn_specs
-from tscale import (BoundCase, BoundReport, ConfigError, DomainError, FnSpec, GridFn1, GridFn2,
-                    InstanceSpec, IntegrodynamicInputs, KernelInputs, KernelOracle,
-                    PointwiseInputs, ScaleMismatchError, SystemInputs, TimeScale2D,
-                    TscaleError, WitnessMode, compute_bound, grid2d, integer_segment,
-                    parse_fn, parse_scale, run_verification, verify, witness_kernel,
-                    witness_pointwise, witness_system)
+from tscale import (BoundCase, BoundReport, ConfigError, DomainError, ExponentVariant, FnSpec,
+                    GridFn1, GridFn2, InstanceSpec, IntegrodynamicInputs, KernelInputs,
+                    KernelOracle, PointwiseInputs, ScaleMismatchError, SystemInputs,
+                    TimeScale2D, TscaleError, WitnessMode, compute_bound, grid2d,
+                    integer_segment, parse_fn, parse_scale, run_verification, verify,
+                    witness_kernel, witness_pointwise, witness_system)
 from tscale import cli as cli_mod
 from tscale.cli import main
 
@@ -233,6 +233,26 @@ def test_a_stack_is_split_once_and_its_digests_read_from_the_stack(monkeypatch, 
     monkeypatch.undo()
     assert_same_outcome(summary, ref.run_verification_loop(spec))
     assert [d["instance"] for d in summary.digests] == list(range(7))
+
+
+@pytest.mark.parametrize("variant", list(ExponentVariant), ids=lambda v: v.value)
+def test_a_kernel_stack_counts_violations_without_building_their_tuples(monkeypatch, variant):
+    """The digests read the violation counts of both kernel variants: a
+    stack whose second-variable bound is violated builds no (i, j, witness,
+    bound) tuple, and its digests are the reference loop's."""
+    spec = InstanceSpec(case=BoundCase.KERNEL, scale1=parse_scale("integer:0..6"),
+                        scale2=parse_scale("q:1.5,6"), rng_seed=0, count=4,
+                        exponent_variant=variant)
+    expected = ref.run_verification_loop(spec)
+
+    def refuse(self):
+        raise AssertionError("violation tuples built")
+
+    monkeypatch.setattr(BoundReport, "violations", property(refuse))
+    summary = run_verification(spec)
+    monkeypatch.undo()
+    assert [d["second_variable_dominates"] for d in summary.digests] == [False] * 3 + [True]
+    assert summary_text(summary) == summary_text(expected)
 
 
 def run_cli(capsys, *argv):
