@@ -35,9 +35,9 @@ def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray,
 
 def _neumaier_cumsum(vals: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     """neumaier_cumsum of vals along its last axis, written to out, which may
-    be vals.  scratch is four arrays of vals' shape, zeroed before the first
-    call, so nothing is allocated; the second holds each prefix's
-    predecessor and keeps its first column 0."""
+    be vals.  scratch is four arrays of vals' shape, so nothing is
+    allocated; the second holds each prefix's predecessor, and its first
+    column, the one entry read before it is written, must be 0."""
     total, before, err, bb = scratch
     np.add.accumulate(vals, -1, out=total)
     before[..., 1:] = total[..., :-1]
@@ -57,7 +57,9 @@ def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     Neumaier loop.
     """
     out = np.array(np.moveaxis(np.asarray(values, dtype=float), 0, -1), order="C")
-    _neumaier_cumsum(out, out, np.zeros((4, *out.shape)))
+    scratch = np.empty((4, *out.shape))
+    scratch[1, ..., :1] = 0.0
+    _neumaier_cumsum(out, out, scratch)
     return np.moveaxis(out, -1, 0)
 
 
@@ -65,14 +67,15 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
     """The sum of values rounded once to the nearest double, so math.fsum's
     bits wherever fsum returns a finite value, in O(n) numpy work.
 
-    Each value is an int64 mantissa (frexp times 2**53) times a power of two;
-    its two limbs of 26 and 27 bits are summed per binary exponent with
-    np.add.at, exact in int64 for up to 2**36 values.  The bins are combined
-    in Python ints, one step per occupied exponent, and one int true division
-    rounds the exact total.  Empty, all-zero and non-finite input goes to
-    math.fsum.  A sum past the float range raises DomainError, also where
-    fsum raises or returns an infinity or NaN; a finite sum is returned even
-    where fsum's partial sums overflow.
+    Each value's bits give its sign, its biased exponent and its integer
+    significand with the hidden bit.  The two limbs of 27 and 26 bits of
+    the significands are summed per sign and exponent with np.add.at, exact
+    in int64 for up to 2**36 values.  The bins are combined in Python ints,
+    one step per occupied bin, and one int true division rounds the exact
+    total.  Empty, all-zero and non-finite input goes to math.fsum.  A sum
+    past the float range raises DomainError, also where fsum raises or
+    returns an infinity or NaN; a finite sum is returned even where fsum's
+    partial sums overflow.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if not (vals.size and np.all(np.isfinite(vals)) and vals.any()):
@@ -83,19 +86,24 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
         if not math.isfinite(total):
             raise DomainError("sum outside the float range")
         return total
-    mant, exp = np.frexp(vals)
-    ints = (mant * 2.0 ** 53).astype(np.int64)
-    low = exp.min()
-    bins = exp - low
-    limbs = np.zeros((2, int(bins.max()) + 1), np.int64)
+    bits = vals.view(np.int64)
+    bins = bits >> 52
+    bins &= 0xFFF                       # the sign bit, then the biased exponent
+    ints = bits & (2 ** 52 - 1)
+    ints |= 2 ** 52                     # the hidden bit; taken back below where it is 0
+    limbs = np.zeros((2, 4096), np.int64)
     np.add.at(limbs[0], bins, ints >> 26)
-    np.add.at(limbs[1], bins, ints & (2 ** 26 - 1))
+    ints &= 2 ** 26 - 1
+    np.add.at(limbs[1], bins, ints)
     total = 0
-    for k in np.flatnonzero(limbs.any(axis=0)).tolist():
-        total += ((int(limbs[0, k]) << 26) + int(limbs[1, k])) << k
-    shift = int(low) - 53
+    for k in np.flatnonzero(limbs[0]).tolist():
+        part = (int(limbs[0, k]) << 26) + int(limbs[1, k])
+        if not k & 0x7FF:               # zeros and subnormals: field 0 scales as 1 does
+            part -= int(np.count_nonzero(bins == k)) << 52
+        part <<= max(k & 0x7FF, 1)
+        total += -part if k >> 11 else part
     try:
-        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        return total / (1 << 1075)
     except OverflowError:
         raise DomainError("sum outside the float range") from None
 
@@ -165,20 +173,30 @@ class TimeScale:
     @property
     def graininess(self) -> np.ndarray:
         """All graininess values at once; the last entry is 0."""
-        out = np.zeros(len(self.points))
-        out[:-1] = np.diff(self.points)
+        pts = self.points
+        out = np.empty(len(pts))
+        np.subtract(pts[1:], pts[:-1], out=out[:-1])
+        out[-1] = 0.0
         return out
 
     def kappa(self) -> "TimeScale":
         """The scale with its maximum removed."""
         if len(self.points) < 2:
             raise DomainError("kappa needs at least two points")
-        return TimeScale(self.points[:-1], self.dense[:-1])
+        return self._window(slice(None, -1))
 
     def tail(self, a: int) -> "TimeScale":
         """Sub-scale from index a to the end."""
         a = self._check_index(a)
-        return TimeScale(self.points[a:], self.dense[a:])
+        return self._window(slice(a, None))
+
+    def _window(self, part: slice) -> "TimeScale":
+        """A nonempty run of this scale's points, as read-only views with
+        their tags; it is finite and increasing, so it is not checked again."""
+        out = object.__new__(TimeScale)
+        object.__setattr__(out, "points", self.points[part])
+        object.__setattr__(out, "dense", self.dense[part])
+        return out
 
     def locate(self, value: float) -> int:
         """Index of the point equal to value, up to 1e-9 relative slack."""
@@ -239,20 +257,32 @@ def dense_mesh(start: float, end: float, h: float) -> TimeScale:
 
 
 def union_scales(a: TimeScale, b: TimeScale) -> TimeScale:
-    """Merged scale; near-coincident points collapse, dense tags survive the merge."""
-    pts: list[float] = []
-    tags: list[bool] = []
-    merged = sorted(
-        list(zip(a.points, a.dense)) + list(zip(b.points, b.dense)),
-        key=lambda pair: pair[0],
-    )
-    for value, tag in merged:
-        if pts and abs(value - pts[-1]) <= MERGE_TOL * (1.0 + abs(value)):
-            tags[-1] = tags[-1] or tag
-        else:
-            pts.append(float(value))
-            tags.append(bool(tag))
-    return TimeScale(np.array(pts), np.array(tags))
+    """Merged scale; near-coincident points collapse, dense tags survive the merge.
+
+    The points of both scales are sorted stably, a's before b's where equal.
+    A point within MERGE_TOL * (1 + |point|) of the last point kept joins it
+    and ORs its tag into it; any other point is kept.  A point farther than
+    that from its predecessor is kept at once, so only a chain of two or
+    more points, each near its predecessor, is walked point by point.
+    """
+    merged = np.concatenate((a.points, b.points))
+    order = np.argsort(merged, kind="stable")
+    pts = merged[order]
+    tags = np.concatenate((a.dense, b.dense))[order]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = pts[1:] - pts[:-1] > MERGE_TOL * (1.0 + np.abs(pts[1:]))
+    walked = 0
+    for i in np.flatnonzero(~keep[1:-1] & ~keep[2:]).tolist():
+        if i < walked:                  # points i + 1 and i + 2 lie on a walked chain
+            continue
+        last, i = pts[i], i + 2         # point i + 1 joins point i, the chain's head
+        while i < len(pts) and not keep[i]:
+            if pts[i] - last > MERGE_TOL * (1.0 + abs(pts[i])):
+                keep[i], last = True, pts[i]
+            i += 1
+        walked = i
+    starts = np.flatnonzero(keep)
+    return TimeScale(pts[starts], np.logical_or.reduceat(tags, starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +313,19 @@ class GridFn1:
         return len(self.scale)
 
 
+def _computed(scale: TimeScale, vals: np.ndarray, what: str) -> GridFn1:
+    """GridFn1(scale, vals) for a fresh 1-D result of this package, whose
+    shape is right by construction: finiteness is checked once, and a value
+    that is not finite raises DomainError naming what overflowed."""
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{what} overflowed the representable range")
+    vals.setflags(write=False)
+    out = object.__new__(GridFn1)
+    object.__setattr__(out, "scale", scale)
+    object.__setattr__(out, "values", vals)
+    return out
+
+
 def _require_one_scale(f: GridFn1, *others: GridFn1) -> None:
     """Raise unless f and others hold one instance each (no stack), on f's scale."""
     if any(g.values.ndim != 1 for g in (f, *others)):
@@ -301,9 +344,11 @@ def delta_derivative(f: GridFn1) -> GridFn1:
     scale = f.scale
     if len(scale) < 2:
         raise DomainError("delta derivative needs at least two points")
-    mu = np.diff(scale.points)
-    vals = (f.values[1:] - f.values[:-1]) / mu
-    return GridFn1(scale.kappa(), vals)
+    pts, vals = scale.points, f.values
+    with np.errstate(over="ignore"):
+        out = np.subtract(vals[1:], vals[:-1])
+        out /= np.subtract(pts[1:], pts[:-1])
+    return _computed(scale.kappa(), out, "delta derivative")
 
 
 def cauchy_integral(f: GridFn1, a: int, b: int) -> float:
@@ -333,11 +378,15 @@ def antiderivative(f: GridFn1, t0: int, x0: float = 0.0) -> GridFn1:
     _require_one_scale(f)
     scale = f.scale
     t0 = scale._check_index(t0)
-    inc = f.values[:-1] * np.diff(scale.points) if len(scale) > 1 else np.empty(0)
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
+    pts = scale.points
     out = np.empty(len(scale))
     out[t0] = x0
-    if t0 < len(scale) - 1:
-        out[t0 + 1:] = x0 + neumaier_cumsum(inc[t0:])
-    if t0 > 0:
-        out[:t0] = x0 - neumaier_cumsum(inc[:t0][::-1])[::-1]
-    return GridFn1(scale, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = np.multiply(f.values[:-1], np.subtract(pts[1:], pts[:-1]))
+        if t0 < len(scale) - 1:
+            np.add(x0, neumaier_cumsum(inc[t0:]), out=out[t0 + 1:])
+        if t0 > 0:
+            np.subtract(x0, neumaier_cumsum(inc[t0 - 1::-1])[::-1], out=out[:t0])
+    return _computed(scale, out, "antiderivative")

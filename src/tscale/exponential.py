@@ -13,19 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn1, TimeScale, _require_one_scale, neumaier_cumsum
+from .core import GridFn1, _computed, _require_one_scale, neumaier_cumsum
 from .errors import DomainError, RegressivityError
 
 # A factor 1 + mu*p counts as zero when inside this relative band.
 REGRESSIVITY_TOL = 1e-12
-# Mantissas lie in [0.5, 1), so a block's running product stays above 2**-1001.
+# Mantissas lie within 2**±0.5, so a block's running product stays within
+# 2**±500 of its start.
 PRODUCT_BLOCK = 1000
 
 
 def _factors(mu_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The factors 1 + mu*p, and the band around zero within which each counts
     as zero."""
-    return 1.0 + mu_p, REGRESSIVITY_TOL * (1.0 + np.abs(mu_p))
+    band = np.abs(mu_p)
+    band += 1.0
+    band *= REGRESSIVITY_TOL
+    return 1.0 + mu_p, band
 
 
 @dataclass(frozen=True)
@@ -90,39 +94,74 @@ class ProductLadder:
     axis 0 of factors of shape (n, ...), for the ratios P[i] / P[j]; every
     other axis is a separate product.
 
-    A prefix is a mantissa times 2**exponent: mantissas multiply in order and
-    renormalize every PRODUCT_BLOCK factors, exponents add as integers.  While
-    every prefix is a normal double this is a plain running product bit for
-    bit; past that no prefix overflows or underflows on its own, and zeros
-    stay zero.
+    A prefix is a mantissa times 2**exponent.  Each factor splits into a
+    mantissa of magnitude within 2**±0.5 and an integer exponent; the
+    mantissas multiply in one running product and the exponents add.  The
+    first mantissa of every later block of PRODUCT_BLOCK factors is scaled
+    by the power of two that brings the running product back near 1,
+    estimated from the blocks' own products, and its exponent takes the
+    opposite power.  So every running mantissa stays within about
+    2**±501, where a product rounds as it would at any other power of two:
+    while every prefix is a normal double this is a plain running product
+    bit for bit; past that no prefix overflows or underflows on its own,
+    and zeros stay zero.  The exponent of a product of factors near 1 stays
+    near the product's own.
     """
 
     def __init__(self, factors: np.ndarray):
-        mant, expo = np.frexp(np.asarray(factors, dtype=float))
-        self.mantissas = np.ones((len(mant) + 1,) + mant.shape[1:])
-        for start in range(0, len(mant), PRODUCT_BLOCK):
-            block = self.mantissas[start:start + PRODUCT_BLOCK + 1]
-            block[1:] = mant[start:start + PRODUCT_BLOCK]
-            np.multiply.accumulate(block, axis=0, out=block)
-            block[-1], shift = np.frexp(block[-1])
-            expo[start + len(block) - 2] += shift
-        self.exponents = np.zeros(self.mantissas.shape, dtype=np.int64)
-        np.add.accumulate(expo, axis=0, out=self.exponents[1:])
+        factors = np.asarray(factors, dtype=float)
+        self.mantissas = np.empty((len(factors) + 1,) + factors.shape[1:])
+        self.exponents = np.empty(self.mantissas.shape, dtype=np.int64)
+        self.mantissas[0] = 1.0
+        self.exponents[0] = 0
+        mant, expo = self.mantissas[1:], self.exponents[1:]
+        np.frexp(factors, out=(mant, expo))
+        low = np.abs(mant) < math.sqrt(0.5)
+        np.multiply(mant, 2.0, out=mant, where=low)
+        expo -= low
+        later = max(len(factors) - 1, 0) // PRODUCT_BLOCK     # blocks after the first
+        if later:
+            blocks = mant[:later * PRODUCT_BLOCK].reshape(later, PRODUCT_BLOCK, *mant.shape[1:])
+            # log2 of the running product at each block's end; a zero or
+            # non-finite block makes it and every later one non-finite, and
+            # past that point the products are 0, inf or NaN at any scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drift = np.rint(np.cumsum(np.log2(np.abs(np.multiply.reduce(blocks, 1))), 0))
+                shift = -np.diff(drift, axis=0, prepend=0.0)
+            shift[~np.isfinite(shift)] = 0.0
+            shift = shift.astype(np.int64)
+            first = mant[PRODUCT_BLOCK::PRODUCT_BLOCK]
+            np.ldexp(first, shift, out=first)
+            expo[PRODUCT_BLOCK::PRODUCT_BLOCK] -= shift
+        np.multiply.accumulate(self.mantissas, axis=0, out=self.mantissas)
+        np.add.accumulate(self.exponents, axis=0, out=self.exponents)
 
     @property
     def log_mode(self) -> bool:
-        """Whether some nonzero prefix lies outside the normal doubles, whose frexp
-        exponents run -1021..1024; a mantissa inside a block is unnormalized."""
-        own = np.frexp(self.mantissas)[1] + self.exponents
-        return bool(np.any((self.mantissas != 0.0) & ((own < -1021) | (own > 1024))))
+        """Whether some finite nonzero prefix lies outside the normal doubles,
+        whose frexp exponents run -1021..1024."""
+        mant = self.mantissas
+        own = np.frexp(mant)[1] + self.exponents
+        return bool(np.any(np.isfinite(mant) & (mant != 0.0) & ((own < -1021) | (own > 1024))))
 
     def ratios_from(self, j: int) -> np.ndarray:
         """P[i] / P[j] for every i, as one array."""
         if not 0 <= j < len(self.mantissas):
             raise DomainError(f"ladder anchor {j} out of range")
+        # exponents biased by 1023; P[0] = 1 needs no division, since its
+        # mantissa 1 and exponent 0 are exact
+        if j == 0:
+            mant, expo = self.mantissas, self.exponents + 1023
+        else:
+            mant = self.mantissas / self.mantissas[j]
+            expo = self.exponents - (self.exponents[j] - 1023)
         with np.errstate(over="ignore"):
-            return np.ldexp(self.mantissas / self.mantissas[j],
-                            self.exponents - self.exponents[j])
+            if expo.size and (expo.min() < 1 or expo.max() > 2046):
+                return np.ldexp(mant, expo - 1023)
+            # 2**exponent is a normal double, built from its bits, and one
+            # product rounds as ldexp does
+            expo <<= 52
+            return np.multiply(mant, expo.view(np.float64), out=None if j == 0 else mant)
 
 
 def exp_fn(p: GridFn1, t0: int) -> GridFn1:
@@ -135,9 +174,7 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     _require_one_scale(p)
     t0 = p.scale._check_index(t0)
     vals = ProductLadder(_require_regressive(p.scale.graininess * p.values)[:-1]).ratios_from(t0)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("scale exponential overflowed the representable range")
-    return GridFn1(p.scale, vals)
+    return _computed(p.scale, vals, "scale exponential")
 
 
 def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
@@ -158,12 +195,10 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     window = slice(a, len(scale) - 1)
     factors = _require_regressive(mu_g, positive=True)[window]
     q = ProductLadder(factors).ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
-    weighted = f.values[window] * mu[window] / q[1:]
-    acc = neumaier_cumsum(weighted) if len(weighted) else np.empty(0)
-    out = np.empty(len(q))
-    out[0] = x_a
-    if len(acc):
-        out[1:] = q[1:] * (x_a + acc)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("comparison bound overflowed the representable range")
-    return GridFn1(scale.tail(a), out)
+    weighted = np.multiply(f.values[window], mu[window])
+    weighted /= q[1:]
+    acc = neumaier_cumsum(weighted)
+    acc += x_a
+    q[1:] *= acc
+    q[0] = x_a
+    return _computed(scale.tail(a), q, "comparison bound")

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, _neumaier_cumsum, _require_one_scale, _two_sum_error
+from .core import GridFn1, _computed, _neumaier_cumsum, _require_one_scale, _two_sum_error
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights, _common_stack
 
@@ -310,4 +310,4 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
         m[-1] *= mx
         e[-1] += ex
         np.add(np.ldexp(m, e, out=m), b, out=blocked(x[1:]))
-    return GridFn1(scale.tail(a), x[:n + 1])
+    return _computed(scale.tail(a), x[:n + 1], "comparison witness")

@@ -10,7 +10,9 @@ line `<workload>/<job>/<seed>/<format> <file> <sha256>` per file written, or
 It then prints one line `kernel-paths/<kernel>/<seed>/<variant> <sha256>`
 of the bound and witness bytes and the diagnostics of each
 bound_kernel_variants report of KERNEL_PATHS, kernels that no config
-builds, and exits 1 if a config exited nonzero.  Run it on two trees and
+builds, then one line `calculus-1d/<scale>/<call>/<seed> <sha256>` per
+one-variable call of the calculus-1d workload on each of its scales, seeds
+0-2, and exits 1 if a config exited nonzero.  Run it on two trees and
 diff the outputs: equal outputs mean the change kept every report byte.
 It runs the tscale of the tree it sits in.  workloads.py is compiled from
 its source and never imported, so the script writes nothing under
@@ -31,8 +33,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tscale import (GridFn2, KernelInputs, KernelOracle, TimeScale2D,  # noqa: E402
-                    bound_kernel_variants, cli, integer_segment, q_grid, witness_kernel)
+from tscale import (GridFn1, GridFn2, KernelInputs, KernelOracle,  # noqa: E402
+                    TimeScale2D, bound_kernel_variants, cli, integer_segment, q_grid,
+                    witness_kernel)
 
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 # Reports that span many spelling blocks: one 199x199 kappa lattice (39 601
@@ -75,6 +78,29 @@ def _kernel_lines() -> list[str]:
     return lines
 
 
+def _calculus_lines(workloads: types.ModuleType) -> list[str]:
+    """One line per call of a calculus-1d pass, seeds 0-2, with its inputs
+    built as the workload builds them: the sha256 of the output's points,
+    tags and values, or of the integral's float, or the error raised."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(3):
+            work = workloads.CalculusWorkload(seed, Path(tmp))
+            for case, outcome in zip(work.cases, work.run_pass()):
+                for call, value in outcome.items():
+                    if isinstance(value, Exception):
+                        digest = f"raised {value!r}"
+                    elif isinstance(value, GridFn1):
+                        digest = hashlib.sha256(value.scale.points.tobytes())
+                        digest.update(value.scale.dense.tobytes())
+                        digest.update(value.values.tobytes())
+                        digest = digest.hexdigest()
+                    else:
+                        digest = hashlib.sha256(np.float64(value).tobytes()).hexdigest()
+                    lines.append(f"calculus-1d/{case.label}/{call}/{seed} {digest}")
+    return lines
+
+
 def _workloads() -> types.ModuleType:
     module = types.ModuleType("benchmark_workloads")
     module.__file__ = str(WORKLOADS)
@@ -110,6 +136,7 @@ def main() -> int:
                             print(f"{where} {path.name} {digest}", flush=True)
                             path.unlink()
     print("\n".join(_kernel_lines()))
+    print("\n".join(_calculus_lines(workloads)))
     return 1 if failed else 0
 
 

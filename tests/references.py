@@ -41,6 +41,12 @@ reference for the bodies that compute on kappa x kappa only.  The
 kernel's minimum, one row slab at a time, and its difference minima, one
 pair of row slabs per row, are the reference for the sweep that builds each
 row slab once.
+The block-loop product ladder, which renormalizes its frexp mantissas every
+PRODUCT_BLOCK factors in a Python loop over blocks (BlockLadder), is the
+bit reference for the one running product; the exact sum that takes its
+significands from frexp (exact_sum_frexp) is the bit reference for the one
+that reads them from the bits; and the merge that walks the sorted points
+one at a time (union_scales_loop) is the reference for the array merge.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from numpy.polynomial import polynomial as npoly
 from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, KernelOracle,
                     TimeScale2D, TscaleError, bounds, running_integral, verify, witnesses)
 from tscale.grid2d import check_kernel_budget, check_lattice_points
-from tscale.core import _two_sum_error, neumaier_cumsum
+from tscale.core import MERGE_TOL, TimeScale, _two_sum_error, neumaier_cumsum
+from tscale.exponential import PRODUCT_BLOCK
 from tscale.grid2d import _cell_weights
 
 
@@ -337,6 +344,78 @@ class ProductLadder:
             return self.direct / self.direct[j]
         with np.errstate(over="ignore"):
             return self.signs * self.signs[j] * np.exp(self.logs - self.logs[j])
+
+
+class BlockLadder:
+    """Prefix products down axis 0 as frexp mantissas and exponents, the
+    mantissas multiplied one block of PRODUCT_BLOCK factors at a time and
+    renormalized at each block's end."""
+
+    def __init__(self, factors):
+        mant, expo = np.frexp(np.asarray(factors, dtype=float))
+        self.mantissas = np.ones((len(mant) + 1,) + mant.shape[1:])
+        for start in range(0, len(mant), PRODUCT_BLOCK):
+            block = self.mantissas[start:start + PRODUCT_BLOCK + 1]
+            block[1:] = mant[start:start + PRODUCT_BLOCK]
+            np.multiply.accumulate(block, axis=0, out=block)
+            block[-1], shift = np.frexp(block[-1])
+            expo[start + len(block) - 2] += shift
+        self.exponents = np.zeros(self.mantissas.shape, dtype=np.int64)
+        np.add.accumulate(expo, axis=0, out=self.exponents[1:])
+
+    @property
+    def log_mode(self) -> bool:
+        own = np.frexp(self.mantissas)[1] + self.exponents
+        return bool(np.any((self.mantissas != 0.0) & ((own < -1021) | (own > 1024))))
+
+    def ratios_from(self, j: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.mantissas / self.mantissas[j],
+                            self.exponents - self.exponents[j])
+
+
+def exact_sum_frexp(values) -> float:
+    """math.fsum's bits from int64 significands frexp(v) * 2**53, two limbs
+    of each summed per binary exponent with np.add.at; ValueError past the
+    float range."""
+    vals = np.asarray(values, dtype=float).ravel()
+    if not (vals.size and np.all(np.isfinite(vals)) and vals.any()):
+        total = math.fsum(vals)
+        if not math.isfinite(total):
+            raise ValueError("sum outside the float range")
+        return total
+    mant, exp = np.frexp(vals)
+    ints = (mant * 2.0 ** 53).astype(np.int64)
+    low = exp.min()
+    bins = exp - low
+    limbs = np.zeros((2, int(bins.max()) + 1), np.int64)
+    np.add.at(limbs[0], bins, ints >> 26)
+    np.add.at(limbs[1], bins, ints & (2 ** 26 - 1))
+    total = 0
+    for k in np.flatnonzero(limbs.any(axis=0)).tolist():
+        total += ((int(limbs[0, k]) << 26) + int(limbs[1, k])) << k
+    shift = int(low) - 53
+    try:
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    except OverflowError:
+        raise ValueError("sum outside the float range") from None
+
+
+def union_scales_loop(a, b):
+    """Sort the points of both scales, a's first among equals, and walk them:
+    a point within MERGE_TOL * (1 + |point|) of the last kept one ORs its tag
+    into it, any other is kept."""
+    pts: list[float] = []
+    tags: list[bool] = []
+    merged = sorted(list(zip(a.points, a.dense)) + list(zip(b.points, b.dense)),
+                    key=lambda pair: pair[0])
+    for value, tag in merged:
+        if pts and abs(value - pts[-1]) <= MERGE_TOL * (1.0 + abs(value)):
+            tags[-1] = tags[-1] or tag
+        else:
+            pts.append(float(value))
+            tags.append(bool(tag))
+    return TimeScale(np.array(pts), np.array(tags))
 
 
 def exp_axis(c, mu, axis: int) -> np.ndarray:

@@ -547,6 +547,14 @@ def test_a_scale_past_the_float_range_warns_nothing():
     assert out.stderr == "error: a scale from -1e+308 to 1e+308 leaves the float range\n"
 
 
+def test_a_derivative_past_the_float_range_is_one_error_line():
+    out = subprocess.run([sys.executable, "-m", "tscale", "calc", "dderiv",
+                          "--scale", "integer:0..2", "--fn", "table:1e308,-1e308,1e308"],
+                         capture_output=True, text=True, env=child_env())
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: delta derivative overflowed the representable range\n"
+
+
 def test_verify_kernel_beyond_the_dense_table_budget(tmp_path, capsys):
     """A config kernel holds its factors, not a table: on a 120x120 lattice
     its dense table would take 1.66 GB, over MAX_KERNEL_TABLE_BYTES."""

@@ -104,6 +104,31 @@ def test_union_keeps_dense_tags():
     assert bool(u.dense[list(u.points).index(0.5)])
 
 
+@pytest.mark.parametrize("scale", [integer_segment(0, 1), dense_mesh(0.0, 1.0, 0.25),
+                                   explicit_scale([-2.0, 0.5, 1.0, 7.0], [True, False, True, True])])
+def test_kappa_and_tail_are_read_only_windows_of_the_scale(scale):
+    n = len(scale)
+    for got, end in [(scale.kappa(), n - 1)] + [(scale.tail(a), (a, n)) for a in range(n)]:
+        part = slice(*end) if isinstance(end, tuple) else slice(end)
+        want = TimeScale(scale.points[part], scale.dense[part])
+        assert isinstance(got, TimeScale) and len(got) == len(want)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.dense.tobytes() == want.dense.tobytes()
+        for arr in (got.points, got.dense):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+def test_kappa_and_tail_keep_their_errors():
+    with pytest.raises(DomainError, match="^kappa needs at least two points$"):
+        explicit_scale([3.0]).kappa()
+    s = integer_segment(0, 3)
+    for a in (-1, 4):
+        with pytest.raises(DomainError, match=f"^index {a} outside scale of 4 points$"):
+            s.tail(a)
+
+
 def test_delta_derivative_is_forward_difference():
     s = integer_segment(0, 4)
     f = GridFn1(s, s.points ** 2)
@@ -193,6 +218,37 @@ def test_exact_sum_of_zeros_and_cancellations(vals):
     assert exact_sum(np.array(vals)).hex() == math.fsum(vals).hex()
 
 
+@st.composite
+def summands_near_the_top(draw):
+    """1 to 200 doubles of either sign within 2**1010..2**1024, some of them
+    cancelled by their negatives, among subnormals and signed zeros: partial
+    sums pass the float range, and so do some totals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 200))
+    big = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(1010, 1024, n).astype(float)
+    big[rng.random(n) < draw(st.floats(0.0, 1.0))] *= -1.0
+    small = rng.integers(-2 ** 52, 2 ** 52, n) * 2.0 ** -1074
+    small[rng.random(n) < 0.3] = -0.0
+    vals = np.where(rng.random(n) < 0.8, big, small)
+    vals = np.concatenate((vals, -vals[:draw(st.integers(0, n))]))
+    return vals[rng.permutation(len(vals))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(summands_near_the_top())
+def test_exact_sum_near_the_top_has_the_bits_of_the_frexp_sum(vals):
+    """Significands read from the bits sum to the frexp significands' bits,
+    where math.fsum's partial sums overflow too, and leave the float range
+    where those do."""
+    try:
+        want = ref.exact_sum_frexp(vals)
+    except ValueError:
+        with pytest.raises(DomainError, match="float range"):
+            exact_sum(vals)
+    else:
+        assert exact_sum(vals).hex() == want.hex()
+
+
 def test_exact_sum_past_the_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="float range"):
         exact_sum([1e308] * 3)
@@ -232,6 +288,25 @@ def test_antiderivative_anchors_and_differentiates_back():
     assert big_f.values[4] == 6.0
     d = delta_derivative(big_f)
     assert np.array_equal(d.values, f.values[:-1])
+
+
+@pytest.mark.parametrize("values, call, message", [
+    ([1e308, -1e308, 1e308], lambda f: delta_derivative(f), "delta derivative"),
+    ([1e308, 1e308, 1e308], lambda f: antiderivative(f, 0), "antiderivative"),
+    ([1e308, 1e308, 1e308], lambda f: antiderivative(f, 2), "antiderivative"),
+    ([-1e308, 1.0, 1.0], lambda f: antiderivative(f, 2, x0=1e308), "antiderivative"),
+    ([1e308, 1e308, 1.0], lambda f: witness_comparison(f, f, 1e308, 0), "comparison witness"),
+])
+def test_calculus_past_the_float_range_names_the_operation(values, call, message):
+    # under the suite's error::RuntimeWarning filter a numpy warning would fail first
+    with pytest.raises(DomainError, match=f"^{message} overflowed the representable range$"):
+        call(GridFn1(integer_segment(0, 2), values))
+
+
+def test_antiderivative_needs_a_finite_start():
+    f = GridFn1(integer_segment(0, 2), [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        antiderivative(f, 1, x0=math.inf)
 
 
 def test_antiderivative_backward_from_interior_anchor():

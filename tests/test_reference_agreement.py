@@ -38,7 +38,7 @@ import io
 import math
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -57,7 +57,8 @@ from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelIn
 from tscale import bounds, cli, config, verify, witnesses
 from tscale.config import FN_FAMILIES, VALUE_CAP
 from tscale.core import neumaier_cumsum
-from tscale.exponential import ProductLadder
+from tscale.core import MERGE_TOL, TimeScale
+from tscale.exponential import PRODUCT_BLOCK, ProductLadder
 from tscale.witnesses import (witness_comparison, witness_integrodynamic,
                               witness_kernel, witness_pointwise, witness_system)
 
@@ -940,6 +941,102 @@ def test_product_ladder_matches_the_reference_ladder(factors, seed):
 def test_log_mode_starts_just_past_the_normal_doubles(factor, count, leaves):
     # 2**1023 and 2**-1022 are the largest and smallest normal powers of two
     assert ProductLadder(np.full(count, factor)).log_mode == leaves
+
+
+@st.composite
+def block_chains(draw):
+    """Factor arrays of shape (n,) or (n, 2), n of 0, 1, 2, or at and around
+    one to three multiples of PRODUCT_BLOCK: factors near 1, log magnitudes
+    drifting up or down so that some prefixes leave the normal doubles, or
+    spread over 2000 binades; some negative, and some zero, infinite or NaN."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]),
+                       st.builds(lambda k, d: k * PRODUCT_BLOCK + d,
+                                 st.integers(1, 3), st.integers(-2, 2)),
+                       st.integers(0, 3 * PRODUCT_BLOCK + 10)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    shape = (n,) if draw(st.booleans()) else (n, 2)
+    kind = draw(st.sampled_from(["near one", "drift", "wide"]))
+    if kind == "near one":
+        width = draw(st.sampled_from([1e-4, 1e-2, 0.3]))
+        factors = 1.0 + rng.uniform(-width, width, shape)
+    elif kind == "drift":
+        drift, width = draw(st.floats(-0.8, 0.8)), draw(st.floats(0.0, 1.0))
+        factors = np.exp(rng.uniform(drift - width, drift + width, shape))
+    else:
+        factors = np.exp(rng.uniform(-700.0, 700.0, shape))
+    factors[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] *= -1.0
+    for value in draw(st.sets(st.sampled_from([0.0, np.inf, -np.inf, np.nan]), max_size=2)):
+        factors[rng.random(shape) < draw(st.sampled_from([1e-4, 1e-3]))] = value
+    return factors
+
+
+def _finite_log_mode(ladder) -> bool:
+    """Whether some finite nonzero prefix of a ladder lies outside the normal
+    doubles, from its mantissas and exponents."""
+    mant = ladder.mantissas
+    own = np.frexp(mant)[1] + ladder.exponents
+    return bool(np.any(np.isfinite(mant) & (mant != 0.0) & ((own < -1021) | (own > 1024))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_chains())
+# the calculus-1d comparison factors: 1 + mu*g just above 1 over four blocks
+@example(np.full(3001, 1.002))
+# prefixes past the float range both ways, across blocks
+@example(np.full(2500, 2.0))
+@example(np.full(2500, 0.5))
+# a subnormal prefix whose exponent is still that of a normal double
+@example(np.array([0.7777777777777777, 2.0 ** -1022, 3.0]))
+# non-finite factors in a later block, after a zero, and in one column only
+@example(np.concatenate((np.full(1500, 1.5), [np.inf], np.full(700, 0.7))))
+@example(np.concatenate((np.full(1200, 0.9), [0.0], np.full(900, 1.1), [np.nan, 2.0])))
+@example(np.stack((np.full(2100, 1.3), np.r_[np.full(1100, 0.8), -np.inf, np.ones(999)]), 1))
+def test_product_ladder_has_the_block_loop_bits(factors):
+    finite = bool(np.all(np.isfinite(factors)))
+    def quiet():
+        return np.errstate(invalid="ignore", over="ignore", divide="ignore")
+
+    with nullcontext() if finite else quiet():
+        ladder, loop = ProductLadder(factors), ref.BlockLadder(factors)
+    n = len(factors)
+    with quiet():
+        for j in sorted({0, min(1, n), n // 2, n}):
+            assert ladder.ratios_from(j).tobytes() == loop.ratios_from(j).tobytes()
+    # the exponent the loop carries for a non-finite prefix depends on where
+    # its block starts, so a non-finite prefix is not counted
+    assert ladder.log_mode == _finite_log_mode(loop)
+    if finite:
+        assert ladder.log_mode == loop.log_mode
+
+
+@st.composite
+def merged_pairs(draw):
+    """Two scales to merge: b holds some of a's points, moved by 0, 0.5, 1 or
+    1.5 merge tolerances either way, and both plant chains of points each
+    within a merge tolerance of the one before; tags drawn at random."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    base = draw(st.sampled_from([0.0, -0.0, -7.0, 1.0, 1e6, 1e-300]))
+    tol = MERGE_TOL * (1.0 + abs(base))
+
+    def points(n):
+        steps = rng.choice([0.4, 0.7, 1.0, 1.6, 3.0, 1e6, 2e11], n) * tol
+        return base + np.cumsum(np.r_[0.0, steps[1:]])
+
+    a = np.unique(points(draw(st.integers(1, 40))))
+    moved = rng.choice(a, int(rng.integers(0, len(a) + 1)), replace=False)
+    moved = moved + rng.choice([-1.5, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 1.5], len(moved)) * tol
+    b = np.unique(np.concatenate((moved, points(draw(st.integers(1, 30))))))
+    return tuple(TimeScale(x, rng.random(len(x)) < 0.5) for x in (a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merged_pairs())
+@example((TimeScale(np.array([-0.0, 1.0]), np.array([False, True])),
+          TimeScale(np.array([0.0, 1.0 + 1e-12]), np.array([True, False]))))
+def test_union_scales_is_the_merge_loop(pair):
+    got, want = union_scales(*pair), ref.union_scales_loop(*pair)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert np.array_equal(got.dense, want.dense)
 
 
 @settings(max_examples=60, deadline=None)
