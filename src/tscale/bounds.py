@@ -38,10 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1
+from .core import GridFn1, _trusted
 from .errors import DomainError, ScaleMismatchError
 from .exponential import ProductLadder
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _common_stack, _double_sums, _view,
+from .grid2d import (GridFn2, KernelOracle, TimeScale2D, _common_stack, _double_sums,
                      exclusive_sums, mixed_partial, running_integral)
 from . import witnesses
 
@@ -51,12 +51,6 @@ log = logging.getLogger(__name__)
 VIOLATION_TOL = 1e-9
 # Nonnegativity hypothesis checks accept values down to this far below zero.
 HYPOTHESIS_SLACK = 1e-12
-
-
-def _overflow_checked(fn):
-    """fn without numpy's overflow and invalid-value warnings: every bound
-    raises DomainError itself once its values leave the float range."""
-    return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
 class ExponentVariant(Enum):
@@ -142,9 +136,9 @@ def _restrict_witness(witness: GridFn2, target: TimeScale2D) -> GridFn2:
     raise ScaleMismatchError("witness does not cover the bound's evaluation domain")
 
 
-def _positive_part(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) elementwise, as Python's max takes it: NaN gives 0.0."""
-    return np.where(x > 0.0, x, 0.0)
+def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(a, b) elementwise, as Python's max takes it: a unless b > a."""
+    return np.where(b > a, b, a)
 
 
 def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
@@ -174,7 +168,7 @@ def _finish(values: np.ndarray, domain: TimeScale2D, case: BoundCase,
         tol *= VIOLATION_TOL
         over = excess > tol
         count, at = np.count_nonzero(over, axis=(1, 2)), np.flatnonzero(over)
-        max_violation = _positive_part(excess.max(axis=(1, 2)))
+        max_violation = _larger(0.0, excess.max(axis=(1, 2)))
         min_slack = np.negative(excess, out=excess).min(axis=(1, 2))
     return BoundReport(bound, w, max_violation, min_slack, count, at, diags, variant)
 
@@ -194,7 +188,7 @@ def _check_nonneg(stack: np.ndarray, name: str, diags: list[list[str]],
         diags[k].append(f"{name} negative {where} {idx}: {float(worst[k]):.6g}")
 
 
-@_overflow_checked
+@np.errstate(over="ignore", invalid="ignore")
 def _kernel_checks(kernel: KernelOracle) -> tuple[list, np.ndarray]:
     """What KernelInputs.check_hypotheses reports of a stack of kernels: the
     smallest value of each instance and its first index in row order, or
@@ -312,7 +306,7 @@ def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
     return out if axis == 1 else np.swapaxes(out, -1, -2)
 
 
-@_overflow_checked
+@np.errstate(over="ignore", invalid="ignore")
 def gronwall_2d(A: GridFn2, b: GridFn2) -> GridFn2:
     """Dominating function for z <= A + double integral of b*z.
 
@@ -406,15 +400,14 @@ class _Case:
         kernel as views of their checked values; numbers and a dense kernel as is."""
         if self._stack:
             return self
-        lifted = object.__new__(type(self))
+        lifted = {}
         for name, x in vars(self).items():
             if isinstance(x, (GridFn1, GridFn2)):
-                x = _view(x, x.values[None])
+                x = _trusted(type(x), **vars(x) | {"values": x.values[None]})
             elif isinstance(x, KernelOracle) and x.factors is not None:
                 x = KernelOracle(x.domain, factors=tuple(f[:, None] for f in x.factors))
-            lifted.__dict__[name] = x
-        lifted.__dict__["_stack"] = (1,)
-        return lifted
+            lifted[name] = x
+        return _trusted(type(self), **lifted | {"_stack": (1,)})
 
     def check_hypotheses(self) -> list:
         """The diagnostics of _diagnostics; on a stack, one list per instance."""
@@ -452,7 +445,7 @@ class PointwiseInputs(_Case):
             _check_nonneg(g.values, nm, diags)
         return diags
 
-    @_overflow_checked
+    @np.errstate(over="ignore", invalid="ignore")
     def _bound(self) -> BoundReport:
         diags = self._diagnostics()
         dom = self.p.domain
@@ -536,7 +529,7 @@ class SystemInputs(_Case):
             _check_nonneg(g.values, nm, diags)
         return diags
 
-    @_overflow_checked
+    @np.errstate(over="ignore", invalid="ignore")
     def _bound(self) -> BoundReport:
         c1, c2 = np.asarray(self.c1, dtype=float), np.asarray(self.c2, dtype=float)
         if np.any(c1 < 0) or np.any(c2 < 0):
@@ -600,7 +593,7 @@ class IntegrodynamicInputs(_Case):
             _check_nonneg(mixed_partial(self.u).values, "witness mixed delta", diags)
         return diags
 
-    @_overflow_checked
+    @np.errstate(over="ignore", invalid="ignore")
     def _bound(self) -> BoundReport:
         a1d, b1d, c2d = self.a, self.b, self.c
         if float(a1d.values.min()) <= 0.0 or float(b1d.values.min()) <= 0.0:
@@ -627,7 +620,7 @@ class IntegrodynamicInputs(_Case):
                        witness if self.u is None else self.u, diags)
 
 
-@_overflow_checked
+@np.errstate(over="ignore", invalid="ignore")
 def bound_kernel_variants(inputs: KernelInputs,
                           variants: tuple[ExponentVariant, ...] = tuple(ExponentVariant),
                           ) -> dict[ExponentVariant, BoundReport]:

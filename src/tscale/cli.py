@@ -434,8 +434,10 @@ def _check_calc_args(args: argparse.Namespace) -> None:
         raise ConfigError("calc exp needs --t0")
     if op == "compare" and (not args.f or not args.g or args.lower is None):
         raise ConfigError("calc compare needs --f, --g and --from")
-    if op == "compare" and not math.isfinite(args.xa):
-        raise ConfigError(f"--xa must be a finite number, got {args.xa}")
+    for flag, value in (("--from", args.lower), ("--to", args.upper), ("--t0", args.t0),
+                        ("--xa", args.xa)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,7 +9,7 @@ everything computed across them is a first-order approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,6 +108,14 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
         raise DomainError("sum outside the float range") from None
 
 
+def _trusted(cls, **fields):
+    """An instance of cls holding fields, built without running its checks:
+    only for fields that are known to pass them."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TimeScale:
     """Strictly increasing finite point set with per-point density tags.
@@ -115,7 +123,7 @@ class TimeScale:
     Parameters
     ----------
     points : array of float
-        The scale's points, strictly increasing, all finite.
+        The scale's points, strictly increasing, all finite, with finite steps.
     dense : array of bool, optional
         True where the point samples a dense stretch (approximate calculus),
         False for genuinely isolated points.  Defaults to all False.
@@ -130,8 +138,13 @@ class TimeScale:
             raise DomainError("a time scale needs a one dimensional, nonempty point set")
         if not np.all(np.isfinite(pts)):
             raise DomainError("time scale points must be finite")
-        if len(pts) > 1 and not np.all(np.diff(pts) > 0):
-            raise DomainError("time scale points must be strictly increasing")
+        if len(pts) > 1:
+            with np.errstate(over="ignore"):
+                steps = np.diff(pts)
+            if not np.all(steps > 0):
+                raise DomainError("time scale points must be strictly increasing")
+            if not np.all(np.isfinite(steps)):
+                raise DomainError("time scale steps must lie within the float range")
         tags = self.dense
         if tags is None:
             tags = np.zeros(len(pts), dtype=bool)
@@ -193,21 +206,19 @@ class TimeScale:
     def _window(self, part: slice) -> "TimeScale":
         """A nonempty run of this scale's points, as read-only views with
         their tags; it is finite and increasing, so it is not checked again."""
-        out = object.__new__(TimeScale)
-        object.__setattr__(out, "points", self.points[part])
-        object.__setattr__(out, "dense", self.dense[part])
-        return out
+        return _trusted(TimeScale, points=self.points[part], dense=self.dense[part])
 
     def locate(self, value: float) -> int:
         """Index of the point equal to value, up to 1e-9 relative slack."""
         pts = self.points
         i = int(np.argmin(np.abs(pts - value)))
-        if abs(pts[i] - value) > 1e-9 * (1.0 + abs(value)):
+        if not (math.isfinite(value) and abs(pts[i] - value) <= 1e-9 * (1.0 + abs(value))):
             raise DomainError(f"{value} is not a point of the scale")
         return i
 
     def same_points(self, other: "TimeScale") -> bool:
-        return len(self) == len(other) and bool(np.array_equal(self.points, other.points))
+        return self is other or (len(self) == len(other)
+                                 and bool(np.array_equal(self.points, other.points)))
 
 
 def integer_segment(start: int, end: int) -> TimeScale:
@@ -320,10 +331,7 @@ def _computed(scale: TimeScale, vals: np.ndarray, what: str) -> GridFn1:
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"{what} overflowed the representable range")
     vals.setflags(write=False)
-    out = object.__new__(GridFn1)
-    object.__setattr__(out, "scale", scale)
-    object.__setattr__(out, "values", vals)
-    return out
+    return _trusted(GridFn1, scale=scale, values=vals)
 
 
 def _require_one_scale(f: GridFn1, *others: GridFn1) -> None:

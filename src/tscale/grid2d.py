@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, TimeScale, exact_sum, neumaier_cumsum
+from .core import GridFn1, TimeScale, _trusted, exact_sum, neumaier_cumsum
 from .errors import ConfigError, DomainError, ScaleMismatchError
 
 
@@ -46,8 +46,8 @@ class TimeScale2D:
         return TimeScale2D(self.scale1.kappa(), self.scale2.kappa())
 
     def same_points(self, other: "TimeScale2D") -> bool:
-        return (self.scale1.same_points(other.scale1)
-                and self.scale2.same_points(other.scale2))
+        return self is other or (self.scale1.same_points(other.scale1)
+                                 and self.scale2.same_points(other.scale2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,7 @@ class GridFn2:
         """A stack's instances, views of the values it checked; [self] for one."""
         if self.values.ndim == 2:
             return [self]
-        return [_view(self, vals) for vals in self.values]
+        return [_trusted(GridFn2, domain=self.domain, values=vals) for vals in self.values]
 
 
 def _cell_weights(domain: TimeScale2D) -> np.ndarray:
@@ -128,14 +128,6 @@ def _common_stack(*fields, witness: GridFn2 | None = None) -> tuple[int, ...]:
     if witness is not None and witness.values.shape[:-2] != stack:
         raise ScaleMismatchError("the witness holds a different stack of instances")
     return stack
-
-
-def _view(f, values: np.ndarray):
-    """A GridFn1 or GridFn2 like f on values, a view of f's checked values,
-    built without checking them again."""
-    view = object.__new__(type(f))
-    view.__dict__.update(vars(f), values=values)
-    return view
 
 
 def partial_delta(f: GridFn2, axis: int) -> GridFn2:

@@ -33,15 +33,12 @@ import numpy as np
 
 from . import grid2d, witnesses
 from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInputs,
-                     KernelInputs, PointwiseInputs, SystemInputs, _positive_part,
+                     KernelInputs, PointwiseInputs, SystemInputs, _larger,
                      bound_kernel_variants, compute_bound)
 from .config import FnSpec, ScaleSpec, draw, draw_kernel, draw_scalar, realize_1d, \
     realize_2d, realize_kernel, realize_scalar
 from .errors import ConfigError, TscaleError
 from .grid2d import GridFn2, TimeScale2D, _cell_weights, check_lattice_points
-
-# Scaled tolerance for the independent hypothesis re-check.
-RECHECK_TOL = 1e-10
 
 # Each case's functions in draw order and their kind (1 or 2: monotone 1-D on that axis).
 _CASE_FUNCTIONS = {
@@ -99,13 +96,7 @@ class VerifySummary:
     reports: list[BoundReport] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "instances_run": self.instances_run,
-            "instances_with_violation": self.instances_with_violation,
-            "worst_relative_violation": self.worst_relative_violation,
-            "digests": self.digests,
-            "variant_comparison": self.variant_comparison,
-        }
+        return {name: value for name, value in vars(self).items() if name != "reports"}
 
 
 def _feedback(rng, mode: WitnessMode) -> float:
@@ -122,19 +113,9 @@ def _block_sums(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_max(x: np.ndarray) -> np.ndarray:
-    """The largest entry of each lattice of x, one per instance of a stack."""
-    return x.max(axis=(-2, -1))
-
-
-def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max(a, b) elementwise, as Python's max takes it: a unless b > a."""
-    return np.where(b > a, b, a)
-
-
 def _excess(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Largest (lhs - rhs) / (1 + |rhs|) over the lattice, per instance."""
-    return _lattice_max((lhs - rhs) / (1.0 + np.abs(rhs)))
+    return ((lhs - rhs) / (1.0 + np.abs(rhs))).max(axis=(-2, -1))
 
 
 def _recheck_kernel(p: GridFn2, q: GridFn2, factors, u: GridFn2) -> np.ndarray:
@@ -163,14 +144,8 @@ def _recheck_integrodynamic(a, b, c: GridFn2, u: GridFn2, w: GridFn2) -> np.ndar
                                        wk * wmu)))
     rhs_w = a.values[..., :, None] + b.values[..., None, :] + fed
     residual = _larger(_excess(w.values, rhs_w),
-                       _lattice_max(np.abs(uv - u_ref) / (1.0 + np.abs(u_ref))))
+                       (np.abs(uv - u_ref) / (1.0 + np.abs(u_ref))).max(axis=(-2, -1)))
     return np.where(off_axes, math.inf, residual)
-
-
-def _relative_violation(report: BoundReport) -> np.ndarray:
-    """Largest (witness - bound) / (1 + |bound|), clamped at 0, per instance."""
-    bound = report.bound.values
-    return _positive_part(_lattice_max((report.witness.values - bound) / (1.0 + np.abs(bound))))
 
 
 def run_verification(spec: InstanceSpec) -> VerifySummary:
@@ -309,7 +284,8 @@ def _check_stack(spec: InstanceSpec, fields: tuple,
                "max_violation": report.max_violation.tolist(),
                "min_slack": report.min_slack.tolist(),
                "violation_count": report.violation_count.tolist(),
-               "relative_violation": _relative_violation(report).tolist(),
+               "relative_violation": _larger(0.0, _excess(report.witness.values,
+                                                          report.bound.values)).tolist(),
                "hypothesis_residual": residual.tolist(),
                "diagnostics": [list(d) for d in report.hypothesis_diagnostics],
                **variant_columns}

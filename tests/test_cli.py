@@ -89,6 +89,20 @@ def test_calc_compare_rejects_a_non_finite_start(capsys, xa):
     assert "--xa must be a finite number" in err
 
 
+@pytest.mark.parametrize("op, flag, value, more", [
+    ("dint", "--to", "nan", ("--fn", "const:1", "--from=0")),
+    ("dint", "--from", "nan", ("--fn", "const:1", "--to=3")),
+    ("dint", "--from", "-inf", ("--fn", "const:1", "--to=3")),
+    ("exp", "--t0", "inf", ("--fn", "const:1")),
+    ("compare", "--from", "nan", ("--f", "const:1", "--g", "const:0.1")),
+])
+def test_calc_rejects_a_non_finite_anchor(capsys, op, flag, value, more):
+    code, out, err = run_cli(capsys, "calc", op, "--scale", "integer:0..3", f"{flag}={value}",
+                             *more)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be a finite number, got {value}\n"
+
+
 @pytest.mark.parametrize("fn, code", [
     ("exp:2,0.5", 0), ("sin", 0), ("sin:2", 0), ("table:1,2,3,4,5", 0),
     ("exp:2", 2), ("sin:", 2), ("table:1,2", 2), ("poly:1,x", 2)])

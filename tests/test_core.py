@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscale import (DomainError, GridFn1, ScaleMismatchError, TimeScale, antiderivative,
-                    cauchy_integral, circle_minus, circle_plus, comparison_bound,
+from tscale import (DomainError, GridFn1, ScaleMismatchError, TimeScale, TimeScale2D,
+                    antiderivative, cauchy_integral, circle_minus, circle_plus, comparison_bound,
                     delta_derivative, dense_mesh, exp_fn, explicit_scale, h_grid,
                     integer_segment, q_grid, regressivity, union_scales,
                     witness_comparison)
@@ -88,6 +88,34 @@ def test_locate_names_the_missing_point():
     assert s.locate(3.0) == 3
     with pytest.raises(DomainError, match="4.5 is not a point"):
         s.locate(4.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_locate_rejects_a_non_finite_value(value):
+    with pytest.raises(DomainError, match=f"^{value} is not a point of the scale$"):
+        integer_segment(0, 5).locate(value)
+
+
+def test_a_step_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="^time scale steps must lie within the float range$"):
+        TimeScale(np.array([-1e308, 1e308]))
+    with pytest.raises(DomainError, match="^time scale points must be strictly increasing$"):
+        TimeScale(np.array([1e308, -1e308]))
+
+
+def test_a_scale_is_the_same_as_itself_without_comparing_points(monkeypatch):
+    s, s2 = integer_segment(0, 3), q_grid(2.0, 2)
+    d = TimeScale2D(s, s2)
+
+    def array_equal(*args):
+        raise AssertionError("np.array_equal called")
+
+    monkeypatch.setattr(np, "array_equal", array_equal)
+    assert s.same_points(s) and d.same_points(d) and TimeScale2D(s, s2).same_points(d)
+    f = GridFn1(s, np.ones(4))
+    comparison_bound(1.0, f, GridFn1(s, np.zeros(4)), 0)
+    with pytest.raises(AssertionError, match="np.array_equal called"):
+        s.same_points(integer_segment(0, 3))
 
 
 def test_union_merges_and_deduplicates():
