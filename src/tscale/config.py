@@ -21,9 +21,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .core import (GridFn1, TimeScale, dense_mesh, explicit_scale, h_grid,
                    integer_segment, q_grid, union_scales)
-from .errors import ConfigError
-from .grid2d import (GridFn2, KernelOracle, TimeScale2D, check_kernel_budget,
-                     check_lattice_points)
+from .errors import ConfigError, DomainError
+from .grid2d import GridFn2, KernelOracle, TimeScale2D, check_kernel_budget
 
 # Sampled coefficient functions never exceed this magnitude.
 VALUE_CAP = 10.0
@@ -37,9 +36,9 @@ FN_FAMILIES = ("constant", "polynomial", "exponential", "tabulated", "sin",
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Scale descriptor; build() turns it into a TimeScale or raises ConfigError,
-    also when its point count, worked out from its numbers before any array
-    is allocated, exceeds MAX_LATTICE_POINTS."""
+    """Scale descriptor; build() parses its numbers and calls the core
+    constructor of its kind, which checks them, and re-raises a DomainError
+    of it as ConfigError with the same message."""
 
     kind: str
     start: float | None = None
@@ -58,52 +57,28 @@ class ScaleSpec:
         return _parse_number(v)
 
     def build(self) -> TimeScale:
-        kind = self.kind
-        if kind == "integer_segment":
-            start, end = self._num("start"), self._num("end")
-            if start != int(start) or end != int(end):
-                raise ConfigError("integer segment bounds must be integers")
-            if end <= start:
-                raise ConfigError("integer segment needs end > start")
-            check_lattice_points(end - start + 1, "integer segment")
-            return integer_segment(int(start), int(end))
-        if kind in ("h_grid", "dense_mesh"):
-            start, end, h = self._num("start"), self._num("end"), self._num("h")
-            if h <= 0:
-                raise ConfigError("h must be positive")
-            if end <= start:
-                raise ConfigError(f"{kind} needs end > start")
-            check_lattice_points((end - start) / h + 2, kind)
-            return h_grid(start, end, h) if kind == "h_grid" else dense_mesh(start, end, h)
-        if kind == "q_grid":
-            q = self._num("q")
-            if q <= 1:
-                raise ConfigError("q must exceed 1")
-            n = self._num("n")
-            if n < 1 or n != int(n):
-                raise ConfigError("q_grid needs N a whole number at least 1")
-            check_lattice_points(n + 1, "q_grid")
-            with np.errstate(over="ignore"):
-                _check_span(1.0, float(np.float64(q) ** n))
-            return q_grid(q, int(n))
-        if kind == "explicit":
-            pts = [_parse_number(x) for x in self.points or ()]
-            if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
-                raise ConfigError("explicit points must be strictly increasing, two or more")
-            _check_span(pts[0], pts[-1])
-            if self.dense is not None and len(self.dense) != len(pts):
-                raise ConfigError("explicit scale needs one 'dense' tag per point")
-            return explicit_scale(pts, self.dense)
-        if kind == "union":
-            if not self.of or len(self.of) < 2:
-                raise ConfigError("union scale needs at least two member descriptors")
-            built = [member.build() for member in self.of]
-            _check_span(min(s.points[0] for s in built), max(s.points[-1] for s in built))
-            out = built[0]
-            for member in built[1:]:
-                out = union_scales(out, member)
-            check_lattice_points(len(out), "union")
-            return out
+        kind, num = self.kind, self._num
+        try:
+            if kind == "integer_segment":
+                return integer_segment(num("start"), num("end"))
+            if kind in ("h_grid", "dense_mesh"):
+                make = h_grid if kind == "h_grid" else dense_mesh
+                return make(num("start"), num("end"), num("h"))
+            if kind == "q_grid":
+                return q_grid(num("q"), num("n"))
+            if kind == "explicit":
+                pts = [_parse_number(x) for x in self.points or ()]
+                if len(pts) < 2:
+                    raise ConfigError("explicit scale needs two or more points")
+                if self.dense is not None and len(self.dense) != len(pts):
+                    raise ConfigError("explicit scale needs one 'dense' tag per point")
+                return explicit_scale(pts, self.dense)
+            if kind == "union":
+                if not self.of or len(self.of) < 2:
+                    raise ConfigError("union scale needs at least two member descriptors")
+                return reduce(union_scales, [member.build() for member in self.of])
+        except DomainError as err:
+            raise ConfigError(str(err)) from err
         raise ConfigError(f"unknown scale kind '{kind}'")
 
     def describe(self) -> dict:
@@ -115,12 +90,6 @@ class ScaleSpec:
         if self.of is not None:
             out["of"] = [member.describe() for member in self.of]
         return out
-
-
-def _check_span(lo: float, hi: float) -> None:
-    """Raise ConfigError for a scale from lo to hi with a step past the float range."""
-    if not math.isfinite(float(hi) - float(lo)):
-        raise ConfigError(f"a scale from {lo:g} to {hi:g} leaves the float range")
 
 
 def _parse_range(text: str) -> tuple[float, float]:

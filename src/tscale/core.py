@@ -3,7 +3,8 @@
 A scale here is a finite, strictly increasing set of real points.  Isolated
 points carry exact calculus (the forward-difference quotient *is* the
 derivative); points tagged dense stand in for samples of a continuum and
-everything computed across them is a first-order approximation.
+everything computed across them is a first-order approximation.  A
+constructor checks its numbers, and its point count, before it allocates.
 """
 
 from __future__ import annotations
@@ -14,10 +15,35 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ScaleMismatchError
+from .errors import ConfigError, DomainError, ScaleMismatchError
 
 # Points closer than this (relative) collapse when scales are merged.
 MERGE_TOL = 1e-12
+# Most points one scale axis, or one product lattice, may have.
+MAX_LATTICE_POINTS = 10 ** 7
+
+
+def check_lattice_points(count: float, what: str) -> None:
+    """Raise ConfigError when count, a point count (or an upper bound on one)
+    worked out before allocating, exceeds MAX_LATTICE_POINTS."""
+    if not count <= MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"the {what} needs about {count:.6g} points, over the limit "
+            f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+
+
+def _check_span(lo: float, hi: float) -> None:
+    """DomainError unless the span from lo to hi lies in the float range."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise DomainError(f"a scale from {lo:g} to {hi:g} leaves the float range")
+
+
+def _finite(what: str, **numbers) -> list[float]:
+    """numbers as floats, or DomainError naming the first that is not finite."""
+    for name, x in numbers.items():
+        if not math.isfinite(x):
+            raise DomainError(f"{what} needs a finite {name}, got {x}")
+    return [float(x) for x in numbers.values()]
 
 
 def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray,
@@ -123,7 +149,8 @@ class TimeScale:
     Parameters
     ----------
     points : array of float
-        The scale's points, strictly increasing, all finite, with finite steps.
+        The scale's points, strictly increasing, all finite, with a span
+        (so every step) within the float range.
     dense : array of bool, optional
         True where the point samples a dense stretch (approximate calculus),
         False for genuinely isolated points.  Defaults to all False.
@@ -138,13 +165,9 @@ class TimeScale:
             raise DomainError("a time scale needs a one dimensional, nonempty point set")
         if not np.all(np.isfinite(pts)):
             raise DomainError("time scale points must be finite")
-        if len(pts) > 1:
-            with np.errstate(over="ignore"):
-                steps = np.diff(pts)
-            if not np.all(steps > 0):
-                raise DomainError("time scale points must be strictly increasing")
-            if not np.all(np.isfinite(steps)):
-                raise DomainError("time scale steps must lie within the float range")
+        if not np.all(pts[1:] > pts[:-1]):
+            raise DomainError("time scale points must be strictly increasing")
+        _check_span(pts[0], pts[-1])
         tags = self.dense
         if tags is None:
             tags = np.zeros(len(pts), dtype=bool)
@@ -223,19 +246,27 @@ class TimeScale:
 
 def integer_segment(start: int, end: int) -> TimeScale:
     """Consecutive integers start, start+1, ..., end."""
+    start, end = _finite("integer segment", start=start, end=end)
+    if not (start.is_integer() and end.is_integer()):
+        raise DomainError("integer segment bounds must be integers")
     if end <= start:
         raise DomainError("integer segment needs end > start")
-    return TimeScale(np.arange(start, end + 1, dtype=float))
+    check_lattice_points(end - start + 1, "integer segment")
+    return TimeScale(np.arange(int(start), int(end) + 1, dtype=float))
 
 
 def h_grid(start: float, end: float, h: float) -> TimeScale:
     """Uniform grid of step h from start up to (and including) end."""
+    start, end, h = _finite("h grid", start=start, end=end, h=h)
     if h <= 0:
         raise DomainError("step h must be positive")
     if end <= start:
         raise DomainError("h grid needs end > start")
-    n = int(math.floor((end - start) / h + 1e-9))
-    pts = start + h * np.arange(n + 1)
+    steps = (end - start) / h + 1e-9    # inf for a span past the float range
+    check_lattice_points(steps + 2, "h grid")   # start, the whole steps and end
+    n = int(steps)
+    with np.errstate(over="ignore"):    # a last point past the float range: inf
+        pts = start + h * np.arange(n + 1)
     # snap the last point so the requested endpoint is hit exactly: a last
     # full step that ends within a millionth of h of end is stretched or
     # shrunk onto it, which leaves no sliver step and no step past end
@@ -248,11 +279,15 @@ def h_grid(start: float, end: float, h: float) -> TimeScale:
 
 def q_grid(q: float, n: int) -> TimeScale:
     """Geometric scale 1, q, q^2, ..., q^n."""
+    q, n = _finite("q grid", q=q, N=n)
     if q <= 1:
         raise DomainError("q must exceed 1")
-    if n < 1:
-        raise DomainError("q grid needs at least one step")
-    return TimeScale(q ** np.arange(n + 1, dtype=float))
+    if n < 1 or not n.is_integer():
+        raise DomainError("q grid needs N a whole number at least 1")
+    check_lattice_points(n + 1, "q grid")
+    with np.errstate(over="ignore"):
+        _check_span(1.0, np.float64(q) ** n)
+    return TimeScale(q ** np.arange(n + 1))
 
 
 def explicit_scale(points: Sequence[float], dense: Sequence[bool] | None = None) -> TimeScale:
@@ -263,8 +298,8 @@ def explicit_scale(points: Sequence[float], dense: Sequence[bool] | None = None)
 
 def dense_mesh(start: float, end: float, h: float) -> TimeScale:
     """Uniform mesh tagged as a sampled dense interval."""
-    base = h_grid(start, end, h)
-    return TimeScale(base.points, np.ones(len(base), dtype=bool))
+    points = h_grid(start, end, h).points
+    return _trusted(TimeScale, points=points, dense=np.broadcast_to(True, points.shape))
 
 
 def union_scales(a: TimeScale, b: TimeScale) -> TimeScale:
@@ -274,8 +309,11 @@ def union_scales(a: TimeScale, b: TimeScale) -> TimeScale:
     A point within MERGE_TOL * (1 + |point|) of the last point kept joins it
     and ORs its tag into it; any other point is kept.  A point farther than
     that from its predecessor is kept at once, so only a chain of two or
-    more points, each near its predecessor, is walked point by point.
+    more points, each near its predecessor, is walked point by point.  The
+    span of both and their points together are checked before the merge.
     """
+    _check_span(min(a.points[0], b.points[0]), max(a.points[-1], b.points[-1]))
+    check_lattice_points(len(a) + len(b), "union")
     merged = np.concatenate((a.points, b.points))
     order = np.argsort(merged, kind="stable")
     pts = merged[order]

@@ -6,8 +6,7 @@ integrals are left-endpoint sums weighted by both graininesses.  A
 four-argument kernel, held by KernelOracle, is a dense (n1, n2, n1, n2) table
 or a sum of r separable products alpha(t1, t2) * beta(s1, s2), within the
 byte budget MAX_KERNEL_TABLE_BYTES; separable factors may hold a stack of
-instances.  MAX_LATTICE_POINTS caps an axis or a lattice before its points
-are allocated.
+instances.
 """
 
 from __future__ import annotations
@@ -240,24 +239,13 @@ class RectPartition:
 # hypothesis sweep up to three row slabs of n2 * n1 * n2 entries besides
 # smaller per-row arrays; counted as four slabs, that allows about 290 points
 # per axis.  A one-term kernel builds no slab: its 16 bytes of factors per
-# lattice point leave MAX_LATTICE_POINTS the binding limit.
+# lattice point leave core.MAX_LATTICE_POINTS the binding limit.
 MAX_KERNEL_TABLE_BYTES = 8 * 10 ** 8
-# Most points one scale axis, or one product lattice, may have.
-MAX_LATTICE_POINTS = 10 ** 7
 # Most lattice points, summed over its instances, that one stacked verify
 # pass holds.  A pass keeps a few dozen arrays of that many doubles, so the
 # limit keeps its working set near 20 MB; a larger batch runs as consecutive
 # stacks, and an instance larger than the limit runs alone.
 MAX_STACK_POINTS = 2 ** 16
-
-
-def check_lattice_points(count: float, what: str) -> None:
-    """Raise ConfigError when count, a point count (or an upper bound on one)
-    worked out before allocating, exceeds MAX_LATTICE_POINTS."""
-    if not count <= MAX_LATTICE_POINTS:
-        raise ConfigError(
-            f"the {what} needs about {count:.6g} points, over the limit "
-            f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
 def check_kernel_budget(domain: TimeScale2D, rank: int | None = None) -> None:

@@ -37,8 +37,9 @@ from .bounds import (BoundCase, BoundReport, ExponentVariant, IntegrodynamicInpu
                      bound_kernel_variants, compute_bound)
 from .config import FnSpec, ScaleSpec, draw, draw_kernel, draw_scalar, realize_1d, \
     realize_2d, realize_kernel, realize_scalar
+from .core import check_lattice_points
 from .errors import ConfigError, TscaleError
-from .grid2d import GridFn2, TimeScale2D, _cell_weights, check_lattice_points
+from .grid2d import GridFn2, TimeScale2D, _cell_weights
 
 # Each case's functions in draw order and their kind (1 or 2: monotone 1-D on that axis).
 _CASE_FUNCTIONS = {

@@ -61,7 +61,8 @@ from numpy.polynomial import polynomial as npoly
 
 from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, KernelOracle,
                     TimeScale2D, TscaleError, bounds, running_integral, verify, witnesses)
-from tscale.grid2d import check_kernel_budget, check_lattice_points
+from tscale.core import check_lattice_points
+from tscale.grid2d import check_kernel_budget
 from tscale.core import MERGE_TOL, TimeScale, _two_sum_error, neumaier_cumsum
 from tscale.exponential import PRODUCT_BLOCK
 from tscale.grid2d import _cell_weights

@@ -10,7 +10,7 @@ import pytest
 from tscale import (DomainError, GridFn2, IntegrodynamicInputs, KernelInputs,
                     KernelOracle, PointwiseInputs, ScaleMismatchError, SystemInputs,
                     TimeScale2D, bound_kernel_variants, check_hypotheses,
-                    compute_bound, explicit_scale, gronwall_2d, integer_segment,
+                    compute_bound, explicit_scale, gronwall_2d, h_grid, integer_segment,
                     q_grid)
 from tscale.bounds import ExponentVariant
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
@@ -63,6 +63,28 @@ def test_pointwise_witness_closed_form_and_dominance():
     assert not rep.violations
     assert rep.min_slack >= 0.0
     assert rep.witness.values[2, 2] == 6.0
+
+
+def test_pointwise_case_tends_to_its_continuum_limit():
+    """p = q = k = 1 on h grids of [0, 1] on both axes: as h -> 0 the witness,
+    u = 1 + iint u, tends to I0(2 sqrt(t1 t2)), and the bound 1 + A e_c, with
+    A = t1 t2 and e_c = (1 + h t2)^(t1 / h), to 1 + t1 t2 e^(t1 t2), both at
+    first order in h; the limit bound dominates the limit witness."""
+    errors = []
+    for n in (20, 40, 80, 160, 320):
+        s = h_grid(0.0, 1.0, 1.0 / n)
+        d = TimeScale2D(s, s)
+        u = witness_pointwise(ones(d), ones(d), ones(d))
+        rep = compute_bound(PointwiseInputs(ones(d), ones(d), ones(d), u=u))
+        assert rep.violation_count == 0
+        x = np.multiply.outer(s.points, s.points)
+        kx = x[:-1, :-1]    # the bound lives on kappa x kappa
+        errors.append((np.abs(u.values - np.i0(2.0 * np.sqrt(x))).max(),
+                       np.abs(rep.bound.values - (1.0 + kx * np.exp(kx))).max()))
+    orders = np.log2(np.divide(*errors[-2:]))
+    assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+    x = np.multiply.outer(*[np.linspace(0.0, 1.0, 201)] * 2)
+    assert np.all(1.0 + x * np.exp(x) >= np.i0(2.0 * np.sqrt(x)))
 
 
 def test_pointwise_bound_requires_all_three_functions():

@@ -533,23 +533,29 @@ def test_verify_rejects_a_scale_number_that_is_not_finite(tmp_path, capsys, scal
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
-@pytest.mark.parametrize("scale", [
-    "explicit:-1e308,1e308",
-    "q:1e300,2",
-    {"kind": "union", "of": ["explicit:-1e308,0", "explicit:0,1e308"]},
-], ids=["explicit", "q", "union"])
-def test_a_scale_past_the_float_range_exits_two(tmp_path, capsys, scale):
+FAR = ("error: a scale from ", "leaves the float range\n")
+COLLAPSED = ("error: ", "time scale points must be strictly increasing\n")
+
+
+@pytest.mark.parametrize("scale, message", [
+    ("explicit:-1e308,1e308", FAR),
+    ("q:1e300,2", FAR),
+    ({"kind": "union", "of": ["explicit:-1e308,0", "explicit:0,1e308"]}, FAR),
+    ("integer:9007199254740990..9007199254740999", COLLAPSED),
+    ("h:0.5,1e16..1.0000000000000002e16", COLLAPSED),
+], ids=["explicit", "q", "union", "integer-collapsed", "h-collapsed"])
+def test_a_scale_past_the_float_range_exits_two(tmp_path, capsys, scale, message):
     """Finite numbers whose scale has a step or a point past the float range
-    (graininess inf) exit 2 like other non-finite scale input; under the
-    suite's RuntimeWarning-as-error setting a warning would exit 4."""
-    message = "leaves the float range\n"
+    (graininess inf), or whose points collapse in floating point (above 2**53
+    here), exit 2 like other bad scale input; under the suite's
+    RuntimeWarning-as-error setting a warning would exit 4."""
+    head, tail = message
     if isinstance(scale, str):
         code, out, err = run_cli(capsys, "calc", "mu", "--scale", scale)
-        assert (code, out) == (2, "") and err.startswith("error: a scale from ")
-        assert err.endswith(message)
+        assert (code, out) == (2, "") and err.startswith(head) and err.endswith(tail)
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1=scale))
     code, _, err = run_cli(capsys, "verify", str(cfg))
-    assert code == 2 and err.startswith("error: a scale from ") and err.endswith(message)
+    assert code == 2 and err.startswith(head) and err.endswith(tail)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
 
@@ -604,7 +610,7 @@ def test_the_point_limit_admits_the_largest_supported_scales():
     assert len(parse_scale({"kind": "dense_mesh", "start": 0, "end": 1000,
                             "h": 0.01}).build()) == 100001
     axis = parse_scale({"kind": "h_grid", "start": 0, "end": 1, "h": 0.001}).build()
-    from tscale.grid2d import check_lattice_points
+    from tscale.core import check_lattice_points
     check_lattice_points(len(axis) * len(axis), "product lattice")
 
 
@@ -900,8 +906,8 @@ def test_converge_reads_numeric_text_as_its_number(tmp_path, capsys, monkeypatch
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "bad.csv").exists()
     # every halving is a scale of its own, within MAX_LATTICE_POINTS
-    from tscale import grid2d
-    monkeypatch.setattr(grid2d, "MAX_LATTICE_POINTS", 100)
+    from tscale import core
+    monkeypatch.setattr(core, "MAX_LATTICE_POINTS", 100)
     assert run({"start": 0, "end": 1, "h": 0.1}, "coarse") == (0, "")
     code, err = run({"start": 0, "end": 1, "h": 0.05}, "fine")
     assert code == 2 and "MAX_LATTICE_POINTS" in err

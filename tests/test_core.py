@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tscale import (DomainError, GridFn1, ScaleMismatchError, TimeScale, TimeScale2D,
+                    TscaleError, core,
                     antiderivative, cauchy_integral, circle_minus, circle_plus, comparison_bound,
                     delta_derivative, dense_mesh, exp_fn, explicit_scale, h_grid,
                     integer_segment, q_grid, regressivity, union_scales,
@@ -83,6 +85,51 @@ def test_q_grid_points_and_errors():
         q_grid(1.0, 3)
 
 
+# Constructor arguments: any float (huge, tiny, subnormal, NaN, +-inf and
+# non-whole ones among them), the float range's edges, and small integers.
+NUMBERS = st.one_of(st.floats(), st.integers(-50, 50),
+                    st.sampled_from([1e308, -1e308, 1e-300, 5e-324, 2.5, math.nan, math.inf]))
+
+
+def explicit_union(a, b):
+    return union_scales(explicit_scale(a), explicit_scale(b))
+
+
+CALLS = st.one_of(
+    *(st.tuples(st.just(make), st.tuples(*[NUMBERS] * arity))
+      for make, arity in ((integer_segment, 2), (h_grid, 3), (dense_mesh, 3), (q_grid, 2))),
+    st.tuples(st.just(explicit_scale), st.tuples(st.lists(NUMBERS, max_size=6))),
+    st.tuples(st.just(explicit_union),
+              st.tuples(*[st.lists(NUMBERS, min_size=1, max_size=4, unique=True).map(sorted)] * 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(CALLS)
+@example((h_grid, (-1e308, 1e308, 1e307)))
+@example((h_grid, (0, math.inf, 1)))
+@example((h_grid, (0, 1, math.nan)))
+@example((h_grid, (math.nan, 1, 0.1)))
+@example((q_grid, (2, 1100)))
+@example((q_grid, (1e308, 3)))
+@example((integer_segment, (0, 10 ** 16)))
+@example((q_grid, (1.5, 10 ** 12)))
+@example((explicit_scale, ([-1e308, 0, 1e308],)))
+@example((explicit_union, ([-1e308, -9e307], [9e307, 1e308])))
+def test_constructors_return_a_scale_or_raise_a_tscale_error(call):
+    """Each constructor checks its numbers before it allocates: it returns a
+    finite, strictly increasing scale within the float range and the point
+    limit, or raises TscaleError, and warns nothing."""
+    make, args = call
+    with mock.patch.object(core, "MAX_LATTICE_POINTS", 10 ** 4):
+        try:
+            s = make(*args)
+        except TscaleError:
+            return
+    pts = s.points
+    assert isinstance(s, TimeScale) and len(pts) <= 10 ** 4
+    assert math.isfinite(float(pts[-1]) - float(pts[0])) and np.all(pts[1:] > pts[:-1])
+
+
 def test_locate_names_the_missing_point():
     s = integer_segment(0, 5)
     assert s.locate(3.0) == 3
@@ -97,7 +144,7 @@ def test_locate_rejects_a_non_finite_value(value):
 
 
 def test_a_step_past_the_float_range_is_a_domain_error():
-    with pytest.raises(DomainError, match="^time scale steps must lie within the float range$"):
+    with pytest.raises(DomainError, match="^a scale from -1e[+]308 to 1e[+]308 leaves the float range$"):
         TimeScale(np.array([-1e308, 1e308]))
     with pytest.raises(DomainError, match="^time scale points must be strictly increasing$"):
         TimeScale(np.array([1e308, -1e308]))
