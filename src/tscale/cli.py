@@ -23,6 +23,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -41,11 +43,11 @@ log = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-# Points per block of a verify report, taken in order across all reports of
-# a call.  Each block is one spelling kernel call, whose fixed cost is about
-# that of spelling 900 values: enough points to spread that cost, few enough
-# that a large lattice's text and the kernel's temporaries never pile up in
-# memory.
+# Points per block of a verify report, taken in order across all reports and
+# stacks of a call.  Each block is one spelling kernel call, whose fixed cost
+# is about that of spelling 900 values: enough points to spread that cost,
+# few enough that a large lattice's text and the kernel's temporaries never
+# pile up in memory.
 _BLOCK_POINTS = 2048
 # One point of a verify report: constant bytes alternating with the index of
 # a field in (t1, t2, witness, bound, slack).  A JSON point is inlined in the
@@ -191,30 +193,37 @@ class ScenarioConfig:
 def _report_blocks(reports, json_rule: bool = False):
     """Yield the reports' rows (t1, t2, witness, bound, slack) as spelled
     columns, one block of at most _BLOCK_POINTS consecutive points at a time,
-    taken in order across all reports, which share one domain.  Each block's
-    witness, bound and slack are spelled by one kernel call, which the first
-    block shares with the domain's two axes.  Without a witness, witness and
-    slack are NaN; a slack past the float range is inf or NaN, as float
-    subtraction gives it."""
+    taken in order across all reports, which share one domain.  A report is
+    one instance or a stack of several, whose instances' rows follow one
+    another; a block is a slice of each report's flattened witness and
+    bound.  Each block's witness, bound and slack are spelled by one kernel
+    call, which the first block shares with the domain's two axes.  Without
+    a witness, witness and slack are NaN; a slack past the float range is
+    inf or NaN, as float subtraction gives it."""
     if not reports:
         return
     dom = reports[0].bound.domain
     axes = np.concatenate([dom.scale1.points, dom.scale2.points])
     n1, n2 = dom.shape
     size = n1 * n2
-    total = size * len(reports)
-    current = -1
+    total = sum(report.bound.values.size for report in reports)
+    r, start, end = -1, 0, 0    # the report in hand holds rows start..end - 1
     for lo in range(0, total, _BLOCK_POINTS):
         hi = min(lo + _BLOCK_POINTS, total)
         values = np.empty((3, hi - lo))
-        for r in range(lo // size, (hi - 1) // size + 1):
-            if r != current:    # flattened once per report, a copy if strided
-                current, report = r, reports[r]
-                witness = np.full(size, math.nan) if report.witness is None \
-                    else report.witness.values.ravel()
+        row = lo
+        while row < hi:
+            while row >= end:   # the next report, flattened once, a copy if strided
+                r += 1
+                report = reports[r]
                 bound = report.bound.values.ravel()
-            a, b = max(lo - r * size, 0), min(hi - r * size, size)
-            values[:2, r * size + a - lo:r * size + b - lo] = witness[a:b], bound[a:b]
+                witness = None if report.witness is None else report.witness.values.ravel()
+                start, end = end, end + bound.size
+            stop = min(hi, end)
+            values[0, row - lo:stop - lo] = \
+                math.nan if witness is None else witness[row - start:stop - start]
+            values[1, row - lo:stop - lo] = bound[row - start:stop - start]
+            row = stop
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(values[1], values[0], out=values[2])
         spelled = spell(np.concatenate((values.ravel(), axes)) if lo == 0 else values,
@@ -243,6 +252,67 @@ def _rows(template, columns) -> bytes:
     return flat[flat != 0].tobytes()
 
 
+# json.dumps's spellings of the floats that float.__repr__ spells otherwise.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The indent of a list item inside a field of a digest in "digests".
+_ITEM = "\n        "
+
+
+def _json_column(values: list) -> list[str] | None:
+    """Each value as json.dumps(indent=2) spells it as a field of an item of
+    a top-level list, or None unless all are of one type among float, int,
+    bool, str and list of str."""
+    kinds = set(map(type, values))
+    kind = kinds.pop()
+    if kinds:
+        return None
+    if kind is float:
+        return [_JSON_FLOATS.get(text, text) for text in map(float.__repr__, values)]
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is bool:
+        return ["true" if value else "false" for value in values]
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is list and all(type(text) is str for value in values for text in value):
+        return [f"[{_ITEM}{(',' + _ITEM).join(map(encode_basestring_ascii, value))}\n      ]"
+                if value else "[]" for value in values]
+    return None
+
+
+def _digests_text(digests: list) -> str | None:
+    """The items of digests as json.dumps(indent=2, sort_keys=True) writes
+    those of a top-level list, joined by ",\n": one spelling per value,
+    formatted one key at a time, spliced into one template per digest.  None
+    for digests that are not all dicts with one set of str keys, or with a
+    key whose values _json_column does not spell."""
+    if type(digests) is not list or not digests or any(type(d) is not dict for d in digests):
+        return None
+    keys = digests[0].keys()
+    if not keys or any(type(k) is not str for k in keys) \
+            or any(d.keys() != keys for d in digests):
+        return None
+    keys = sorted(keys)
+    columns = [_json_column(list(map(itemgetter(key), digests))) for key in keys]
+    if None in columns:
+        return None
+    fields = ",\n".join(f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                        for key in keys)
+    return ",\n".join(map(f"    {{\n{fields}\n    }}".__mod__, zip(*columns)))
+
+
+def _summary_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, with the
+    list payload["digests"] formatted by _digests_text and the rest by
+    json.dumps; digests it declines go to json.dumps whole."""
+    digests = _digests_text(payload.get("digests"))
+    if digests is None:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps({**payload, "digests": []}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "digests": []', 1)
+    return f'{head}\n  "digests": [\n{digests}\n  ]{tail}'
+
+
 def _write_csv(fh, reports) -> None:
     fh.write(b"t1,t2,witness,bound,slack\n")
     for columns in _report_blocks(reports):
@@ -252,7 +322,7 @@ def _write_csv(fh, reports) -> None:
 def _write_json(fh, payload: dict, reports) -> None:
     """payload plus the reports' rows as "points", byte for byte as
     json.dumps(indent=2, sort_keys=True) writes them, one block at a time."""
-    text = json.dumps({**payload, "points": []}, indent=2, sort_keys=True)
+    text = _summary_text({**payload, "points": []})
     head, tail = text.split('\n  "points": []', 1)
     fh.write((head + '\n  "points": [').encode())
     comma = 1   # the first point follows "[" without the separating comma
@@ -317,9 +387,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                "exponent_variant": scenario.variant_mode,
                "scale1": spec.scale1.describe(), "scale2": spec.scale2.describe()}
     _write_files(targets, [
-        lambda fh: _write_csv(fh, summary.reports),
-        lambda fh: fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()),
-    ] if csv else [lambda fh: _write_json(fh, payload, summary.reports)])
+        lambda fh: _write_csv(fh, summary.stacks),
+        lambda fh: fh.write((_summary_text(payload) + "\n").encode()),
+    ] if csv else [lambda fh: _write_json(fh, payload, summary.stacks)])
     log.info("verified %d instances in %.3f s; wrote %s",
              summary.instances_run, elapsed, ", ".join(map(str, targets)))
     if summary.instances_with_violation:

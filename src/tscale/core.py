@@ -39,9 +39,15 @@ def _check_span(lo: float, hi: float) -> None:
 
 
 def _finite(what: str, **numbers) -> list[float]:
-    """numbers as floats, or DomainError naming the first that is not finite."""
+    """numbers as floats, or DomainError naming the first that is not finite,
+    an int past the float range among them."""
     for name, x in numbers.items():
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:
+            raise DomainError(f"{what} needs a finite {name}, got an int of "
+                              f"{x.bit_length()} bits") from None
+        if not finite:
             raise DomainError(f"{what} needs a finite {name}, got {x}")
     return [float(x) for x in numbers.values()]
 
@@ -292,8 +298,11 @@ def q_grid(q: float, n: int) -> TimeScale:
 
 def explicit_scale(points: Sequence[float], dense: Sequence[bool] | None = None) -> TimeScale:
     """Scale from an explicit point list."""
-    return TimeScale(np.asarray(points, dtype=float),
-                     None if dense is None else np.asarray(dense, dtype=bool))
+    try:
+        pts = np.asarray(points, dtype=float)
+    except OverflowError:   # an int past the float range
+        raise DomainError("time scale points must be finite") from None
+    return TimeScale(pts, None if dense is None else np.asarray(dense, dtype=bool))
 
 
 def dense_mesh(start: float, end: float, h: float) -> TimeScale:

@@ -195,10 +195,12 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     window = slice(a, len(scale) - 1)
     factors = _require_regressive(mu_g, positive=True)[window]
     q = ProductLadder(factors).ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
-    weighted = np.multiply(f.values[window], mu[window])
-    weighted /= q[1:]
-    acc = neumaier_cumsum(weighted)
-    acc += x_a
-    q[1:] *= acc
+    # a value past the float range becomes inf or NaN, which _computed names
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weighted = np.multiply(f.values[window], mu[window])
+        weighted /= q[1:]
+        acc = neumaier_cumsum(weighted)
+        acc += x_a
+        q[1:] *= acc
     q[0] = x_a
     return _computed(scale.tail(a), q, "comparison bound")

@@ -19,7 +19,9 @@ the random parts of a stack's instances are drawn in stream order, each
 function realized once (a stack even of one), and the witness, the bound and
 the re-check run once per stack, each instance with its own bits.  When a
 stacked pass raises, its instances run again one at a time, so the error
-names the lowest failing instance once those before it have passed.
+names the lowest failing instance once those before it have passed.  Each
+stack's report stays whole: the report writers take it as it is, and
+VerifySummary.reports splits the stacks only when asked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -85,8 +88,10 @@ class InstanceSpec:
 class VerifySummary:
     """Aggregated outcome of a verification batch.
 
-    reports carries the full per-instance grids for callers that want to
-    write per-point rows; it is deliberately left out of to_dict().
+    stacks carries the full grids, one report per stack as it was checked
+    (see BoundReport), in instance order, for callers that want to write
+    per-point rows; reports splits them into one report per instance on
+    first access.  Both are deliberately left out of to_dict().
     """
 
     instances_run: int
@@ -94,10 +99,16 @@ class VerifySummary:
     worst_relative_violation: float
     digests: list[dict]
     variant_comparison: dict | None
-    reports: list[BoundReport] = field(default_factory=list, repr=False)
+    stacks: list[BoundReport] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def reports(self) -> list[BoundReport]:
+        """One report per instance, in instance order: each stack split once."""
+        return [part for stack in self.stacks for part in stack.unstack()]
 
     def to_dict(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "reports"}
+        return {name: value for name, value in vars(self).items()
+                if name not in ("stacks", "reports")}
 
 
 def _feedback(rng, mode: WitnessMode) -> float:
@@ -167,12 +178,12 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
     per_stack = max(1, grid2d.MAX_STACK_POINTS // points)
 
     functions = _functions(spec, dom)
-    reports, digests = [], []
+    stacks, digests = [], []
     for start in range(0, spec.count, per_stack):
         drawn = [_draw(functions, rng, spec.witness_mode)
                  for _ in range(start, min(start + per_stack, spec.count))]
         stack_reports, stack_digests = _check_instances(spec, functions, drawn, start)
-        reports += stack_reports
+        stacks += stack_reports
         digests += stack_digests
 
     comparison = None
@@ -185,7 +196,7 @@ def run_verification(spec: InstanceSpec) -> VerifySummary:
         worst_relative_violation=max(d["relative_violation"] for d in digests),
         digests=digests,
         variant_comparison=comparison,
-        reports=reports,
+        stacks=stacks,
     )
 
 
@@ -224,14 +235,16 @@ def _realize(functions: list[tuple], drawn: list[tuple]) -> tuple:
 
 def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tuple],
                      first: int) -> tuple[list[BoundReport], list[dict]]:
-    """The reports and digests of the drawn instances, numbered from first,
-    from one stacked pass.  If the pass raises, the instances are realized
-    and checked again one at a time, so the lowest failing one raises its
-    own error, prefixed with its number; a stack of one runs that way from
-    the start."""
+    """The reports and the digests of the drawn instances, numbered from
+    first: one report for the stack, from one stacked pass.  If the pass
+    raises, the instances are realized and checked again one at a time, so
+    the lowest failing one raises its own error, prefixed with its number,
+    and each has a report of its own, a stack of one; a stack of one runs
+    that way from the start."""
     if len(drawn) > 1:
         try:
-            return _check_stack(spec, _realize(functions, drawn), first)
+            report, digests = _check_stack(spec, _realize(functions, drawn), first)
+            return [report], digests
         except TscaleError:
             pass
     reports, digests = [], []
@@ -240,16 +253,16 @@ def _check_instances(spec: InstanceSpec, functions: list[tuple], drawn: list[tup
             one_report, one_digest = _check_stack(spec, _realize(functions, [one]), idx)
         except TscaleError as exc:
             raise type(exc)(f"instance {idx}: {exc}") from exc
-        reports += one_report
+        reports.append(one_report)
         digests += one_digest
     return reports, digests
 
 
 def _check_stack(spec: InstanceSpec, fields: tuple,
-                 first: int) -> tuple[list[BoundReport], list[dict]]:
+                 first: int) -> tuple[BoundReport, list[dict]]:
     """Witness, bound and re-check of one stack of instances, numbered from
-    first: one report and one digest per instance, each digest column read
-    from the stack's report at once."""
+    first: the stack's report, whole, and one digest per instance, each
+    digest column read from that report at once."""
     case = spec.case
     *coeffs, rho = fields
     variant_columns = {}
@@ -290,4 +303,4 @@ def _check_stack(spec: InstanceSpec, fields: tuple,
                "hypothesis_residual": residual.tolist(),
                "diagnostics": [list(d) for d in report.hypothesis_diagnostics],
                **variant_columns}
-    return report.unstack(), [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return report, [dict(zip(columns, row)) for row in zip(*columns.values())]

@@ -39,12 +39,16 @@ from tscale import (GridFn1, GridFn2, KernelInputs, KernelOracle,  # noqa: E402
 
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 # Reports that span many spelling blocks: one 199x199 kappa lattice (39 601
-# rows), and 40 system reports of 80 rows whose blocks cross report bounds.
+# rows); 40 system reports of 80 rows whose blocks cross report bounds; and
+# three 150x150 kappa lattices that verify checks in stacks of 2 and 1, so
+# that block 21 (rows 43 008-45 055) crosses the stack bound at row 45 000.
 MULTI_BLOCK = [
     ("pointwise-200x200", {"theorem": "pointwise", "scale1": "h:0.005,0..0.995",
                            "scale2": "h:0.005,0..0.995", "output": {}}),
     ("system-40x11x9", {"theorem": "system", "scale1": "integer:0..10",
                         "scale2": "q:2,8", "count": 40, "output": {}}),
+    ("pointwise-3x151x151", {"theorem": "pointwise", "scale1": "h:0.01,0..1.5",
+                             "scale2": "h:0.01,0..1.5", "count": 3, "output": {}}),
 ]
 
 # Kernels that no config builds, each drawn with some negative values so that

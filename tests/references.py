@@ -47,6 +47,10 @@ bit reference for the one running product; the exact sum that takes its
 significands from frexp (exact_sum_frexp) is the bit reference for the one
 that reads them from the bits; and the merge that walks the sorted points
 one at a time (union_scales_loop) is the reference for the array merge.
+The block writer that takes one report per instance (write_csv_instances,
+write_json_instances) and the summary that json.dumps formats whole
+(summary_json) are the references for the writer that takes each stack's
+report whole and the summary whose digests are formatted by column.
 """
 
 from __future__ import annotations
@@ -60,12 +64,13 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, KernelOracle,
-                    TimeScale2D, TscaleError, bounds, running_integral, verify, witnesses)
+                    TimeScale2D, TscaleError, bounds, cli, running_integral, verify, witnesses)
 from tscale.core import check_lattice_points
 from tscale.grid2d import check_kernel_budget
 from tscale.core import MERGE_TOL, TimeScale, _two_sum_error, neumaier_cumsum
 from tscale.exponential import PRODUCT_BLOCK
 from tscale.grid2d import _cell_weights
+from tscale.spelling import spell
 
 
 def cell_weights(domain) -> np.ndarray:
@@ -701,6 +706,60 @@ def write_json(fh, payload: dict, reports) -> None:
     fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def summary_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def instance_blocks(reports, json_rule: bool = False):
+    """The rows of reports of one instance each as spelled columns (t1, t2,
+    witness, bound, slack), one block of at most cli._BLOCK_POINTS points
+    at a time, taken in order across the reports."""
+    if not reports:
+        return
+    dom = reports[0].bound.domain
+    axes = np.concatenate([dom.scale1.points, dom.scale2.points])
+    n1, n2 = dom.shape
+    size = n1 * n2
+    total = size * len(reports)
+    current = -1
+    for lo in range(0, total, cli._BLOCK_POINTS):
+        hi = min(lo + cli._BLOCK_POINTS, total)
+        values = np.empty((3, hi - lo))
+        for r in range(lo // size, (hi - 1) // size + 1):
+            if r != current:
+                current, report = r, reports[r]
+                witness = np.full(size, math.nan) if report.witness is None \
+                    else report.witness.values.ravel()
+                bound = report.bound.values.ravel()
+            a, b = max(lo - r * size, 0), min(hi - r * size, size)
+            values[:2, r * size + a - lo:r * size + b - lo] = witness[a:b], bound[a:b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(values[1], values[0], out=values[2])
+        spelled = spell(np.concatenate((values.ravel(), axes)) if lo == 0 else values,
+                        json_rule)
+        if lo == 0:
+            t1, t2 = np.split(spelled[values.size:], [n1])
+        at = np.arange(lo, hi) % size
+        yield t1[at // n2], t2[at % n2], *spelled[:values.size].reshape(3, -1)
+
+
+def write_csv_instances(fh, reports) -> None:
+    fh.write(b"t1,t2,witness,bound,slack\n")
+    for columns in instance_blocks(reports):
+        fh.write(cli._rows(cli._CSV_ROW, columns))
+
+
+def write_json_instances(fh, payload: dict, reports) -> None:
+    text = summary_json({**payload, "points": []})
+    head, tail = text.split('\n  "points": []', 1)
+    fh.write((head + '\n  "points": [').encode())
+    comma = 1
+    for columns in instance_blocks(reports, json_rule=True):
+        fh.write(cli._rows(cli._JSON_ROW, columns)[comma:])
+        comma = 0
+    fh.write((("]" if comma else "\n  ]") + tail + "\n").encode())
+
+
 VALUE_CAP = 10.0
 
 
@@ -1152,7 +1211,7 @@ def run_verification_loop(spec):
         worst_relative_violation=worst,
         digests=digests,
         variant_comparison=comparison,
-        reports=reports,
+        stacks=reports,
     )
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -135,6 +136,29 @@ def test_calc_dint_past_the_float_range_exits_3(capsys, scale, upper):
                              "--fn", "const:1e308", "--from", "1", "--to", upper)
     assert (code, out) == (3, "")
     assert err == "error: sum outside the float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dderiv", "--scale", "integer:0..2", "--fn", "table:1e308,-1e308,1e308"),
+    ("dint", "--scale", "integer:0..3", "--fn", "const:1e308", "--from", "0", "--to", "3"),
+    ("exp", "--scale", "integer:0..3", "--fn", "const:1e308", "--t0", "0"),
+    ("exp", "--scale", "integer:0..2", "--fn", "table:1e308,-1e308,1e308", "--t0", "0"),
+    ("compare", "--scale", "integer:0..3", "--f", "const:1", "--g", "const:1", "--from", "0",
+     "--xa", "1e308"),
+    ("compare", "--scale", "integer:0..3", "--f", "const:1e308", "--g", "const:1",
+     "--from", "0"),
+], ids=lambda argv: "-".join(argv[:1] + argv[4:5]))
+def test_calc_on_overflowing_input_prints_one_error_and_no_warning(capsys, argv):
+    """Each calc operation on input past the float range exits 3 with one
+    error line.  Warnings are recorded here, not raised, so one that escapes
+    the arithmetic, which the command line would print, shows in the record."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "calc", *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Warning" not in err and "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_calc_rejects_non_regressive_exp(capsys):
@@ -446,7 +470,7 @@ def test_verify_exit_one_on_violation(tmp_path, capsys, monkeypatch):
         return VerifySummary(instances_run=1, instances_with_violation=1,
                              worst_relative_violation=0.5,
                              digests=[{"instance": 0}], variant_comparison=None,
-                             reports=[])
+                             stacks=[])
     monkeypatch.setattr(cli_mod, "run_verification", fake_run)
     cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path))
     code, _, _ = run_cli(capsys, "verify", str(cfg))

@@ -86,8 +86,9 @@ def test_q_grid_points_and_errors():
 
 
 # Constructor arguments: any float (huge, tiny, subnormal, NaN, +-inf and
-# non-whole ones among them), the float range's edges, and small integers.
-NUMBERS = st.one_of(st.floats(), st.integers(-50, 50),
+# non-whole ones among them), the float range's edges, small integers and
+# integers past the float range.
+NUMBERS = st.one_of(st.floats(), st.integers(-50, 50), st.integers(-10 ** 400, 10 ** 400),
                     st.sampled_from([1e308, -1e308, 1e-300, 5e-324, 2.5, math.nan, math.inf]))
 
 
@@ -113,6 +114,10 @@ CALLS = st.one_of(
 @example((q_grid, (1e308, 3)))
 @example((integer_segment, (0, 10 ** 16)))
 @example((q_grid, (1.5, 10 ** 12)))
+@example((integer_segment, (0, 10 ** 400)))
+@example((q_grid, (2, 10 ** 400)))
+@example((h_grid, (0, 10 ** 400, 1)))
+@example((explicit_scale, ([0, 10 ** 400],)))
 @example((explicit_scale, ([-1e308, 0, 1e308],)))
 @example((explicit_union, ([-1e308, -9e307], [9e307, 1e308])))
 def test_constructors_return_a_scale_or_raise_a_tscale_error(call):

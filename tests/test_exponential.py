@@ -121,6 +121,15 @@ def test_comparison_bound_accumulates_pure_forcing():
     assert np.array_equal(bound.values, s.points.astype(float))
 
 
+@pytest.mark.parametrize("x_a, f", [(1e308, 1.0), (0.0, 1e308)])
+def test_comparison_bound_past_the_float_range_raises_domain_error(x_a, f):
+    """An overflow inside the bound's arithmetic is named by DomainError, not
+    let through as a RuntimeWarning (an error under this suite's filter)."""
+    s = integer_segment(0, 3)
+    with pytest.raises(DomainError, match="comparison bound overflowed"):
+        comparison_bound(x_a, const(s, f), const(s, 1.0), 0)
+
+
 def test_comparison_bound_rejects_non_positively_regressive_coefficient():
     s = integer_segment(0, 5)
     with pytest.raises(RegressivityError, match="positive regressivity"):

@@ -1183,35 +1183,60 @@ def fake_report(domain, bound, witness=None):
         witness=None if witness is None else SimpleNamespace(values=np.asarray(witness)))
 
 
+def instances(reports) -> list:
+    """reports, each one instance or a stack of several, as one report per
+    instance."""
+    parts = []
+    for r in reports:
+        shape = (-1, *r.bound.domain.shape)
+        bounds = np.reshape(r.bound.values, shape)
+        witnesses = [None] * len(bounds) if r.witness is None \
+            else np.reshape(r.witness.values, shape)
+        parts += [fake_report(r.bound.domain, b, w) for b, w in zip(bounds, witnesses)]
+    return parts
+
+
 def assert_writers_match(reports):
+    """The writers on reports, each one instance or a stack, against the row
+    loops and the block writer of one report per instance."""
+    parts = instances(reports)
     old_csv, old_json = io.StringIO(), io.StringIO()
-    ref.write_csv(old_csv, reports)
-    ref.write_json(old_json, SUMMARY, reports)
-    # blocks of one point and of a few; of part of a report, so that a report
-    # is split across blocks; of one point more than a report, so that a
-    # block spans two reports; and the default
-    size = reports[0].bound.values.size if reports else 1
+    ref.write_csv(old_csv, parts)
+    ref.write_json(old_json, SUMMARY, parts)
+    # blocks of one point and of a few; of part of an instance, so that an
+    # instance is split across blocks; of one point more than an instance, so
+    # that a block spans two instances, of a stack or of two reports; and the
+    # default
+    size = reports[0].bound.domain.shape[0] * reports[0].bound.domain.shape[1] \
+        if reports else 1
     for block in (1, 5, size // 2 + 1, size + 1, cli._BLOCK_POINTS):
-        new_csv, new_json = io.BytesIO(), io.BytesIO()
+        new_csv, new_json, ref_csv, ref_json = (io.BytesIO() for _ in range(4))
         with mock.patch.object(cli, "_BLOCK_POINTS", block):
             cli._write_csv(new_csv, reports)
             cli._write_json(new_json, SUMMARY, reports)
-        assert new_csv.getvalue() == old_csv.getvalue().encode()
-        assert new_json.getvalue() == old_json.getvalue().encode()
+            ref.write_csv_instances(ref_csv, parts)
+            ref.write_json_instances(ref_json, SUMMARY, parts)
+        assert new_csv.getvalue() == ref_csv.getvalue() == old_csv.getvalue().encode()
+        assert new_json.getvalue() == ref_json.getvalue() == old_json.getvalue().encode()
 
 
 @st.composite
 def report_batches(draw):
-    """One to three reports on a drawn lattice, some without a witness."""
+    """One to three reports on a drawn lattice, each one instance or a stack
+    of one to three, some without a witness."""
     domain = TimeScale2D(draw(scales()), draw(scales()))
     n = domain.shape[0] * domain.shape[1]
     values = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
                       min_size=n, max_size=n)
 
-    def grid():
-        return np.reshape(draw(values), domain.shape)
-    return [fake_report(domain, grid(), draw(st.one_of(st.none(), st.builds(grid))))
-            for _ in range(draw(st.integers(1, 3)))]
+    def report():
+        stack = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+        count = math.prod(stack)
+
+        def grid():
+            return np.reshape([draw(values) for _ in range(count)], (*stack, *domain.shape))
+        return fake_report(domain, grid(), draw(st.one_of(st.none(), st.builds(grid))))
+    return [report() for _ in range(draw(st.integers(1, 3)))]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1230,6 +1255,65 @@ def test_report_writers_match_on_thin_lattices(shape):
     assert_writers_match(reports)
     assert_writers_match(reports[1:2])
     assert_writers_match([])
+    stack = fake_report(domain, np.stack((special, -special)),
+                        np.stack((special[::-1, ::-1], np.full(shape, 6.0))))
+    assert_writers_match([stack, reports[1], fake_report(domain, np.stack((special,) * 3))])
+
+
+# Digest values that a column formatter can spell wrong: NaN, the infinities
+# and signed zero; text with quotes, backslashes, control characters, "%" and
+# characters past ASCII; ints past 64 bits.  One key holds a quote, "%s" and
+# a backslash.
+DIGEST_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+DIGEST_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t%é€😀'),
+                                st.characters()), max_size=8)
+DIGEST_COLUMNS = {"instance": st.integers(), "case": DIGEST_TEXT,
+                  "min_slack": DIGEST_FLOATS, "violation_count": st.integers(0, 2 ** 70),
+                  "first_variable_dominates": st.booleans(),
+                  "diagnostics": st.lists(DIGEST_TEXT, max_size=3),
+                  'odd "%s" key\\': DIGEST_FLOATS}
+# Values that no column of one type holds.
+ODD_VALUES = st.one_of(st.none(), st.integers(), DIGEST_FLOATS, st.booleans(), DIGEST_TEXT,
+                       st.lists(st.integers(), min_size=1, max_size=2),
+                       st.dictionaries(DIGEST_TEXT, st.integers(), max_size=2))
+
+
+@st.composite
+def summaries(draw):
+    """A summary payload whose digests share a drawn set of keys, or, at
+    times, whose last digest has a key more, a key less or an odd value;
+    and whether it is left as drawn, with digests and keys, which the
+    column formatter takes."""
+    keys = draw(st.lists(st.sampled_from(sorted(DIGEST_COLUMNS)), unique=True))
+    digests = [{key: draw(DIGEST_COLUMNS[key]) for key in keys}
+               for _ in range(draw(st.integers(0, 4)))]
+    change = draw(st.sampled_from(["none", "none", "add", "drop", "odd"]))
+    if digests and change == "add":
+        digests[-1]["extra"] = draw(ODD_VALUES)
+    elif digests and keys and change in ("drop", "odd"):
+        key = draw(st.sampled_from(keys))
+        if change == "drop":
+            del digests[-1][key]
+        else:
+            digests[-1][key] = draw(ODD_VALUES)
+    plain = bool(digests and keys) and change == "none"
+    return {**SUMMARY, "digests": digests, "theorem": 'x\n  "digests": []'}, plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(summaries())
+def test_summary_text_matches_json_dumps(drawn):
+    """The summary with its digests formatted by column is json.dumps's, byte
+    for byte, in both report formats; the digests that the column formatter
+    declines go to json.dumps."""
+    payload, plain = drawn
+    if plain:
+        assert cli._digests_text(payload["digests"]) is not None
+    assert cli._summary_text(payload) == ref.summary_json(payload)
+    new, old = io.BytesIO(), io.BytesIO()
+    cli._write_json(new, payload, [])
+    ref.write_json_instances(old, payload, [])
+    assert new.getvalue() == old.getvalue()
 
 
 # -- complexity guard --------------------------------------------------------

@@ -44,9 +44,11 @@ def summary_text(summary) -> str:
 
 
 def written(summary) -> tuple[bytes, bytes]:
+    """The CSV and JSON reports written from the summary's stacks, as the
+    verify command writes them."""
     csv, js = io.BytesIO(), io.BytesIO()
-    cli_mod._write_csv(csv, summary.reports)
-    cli_mod._write_json(js, summary.to_dict(), summary.reports)
+    cli_mod._write_csv(csv, summary.stacks)
+    cli_mod._write_json(js, summary.to_dict(), summary.stacks)
     return csv.getvalue(), js.getvalue()
 
 
@@ -70,6 +72,34 @@ def test_stacked_pass_matches_the_sequential_loop(case, axis1, axis2, count, mod
     spec = InstanceSpec(case=case, scale1=parse_scale(axis1), scale2=parse_scale(axis2),
                         rng_seed=seed, count=count, witness_mode=mode)
     assert_same_outcome(run_verification(spec), ref.run_verification_loop(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(BoundCase)), AXES, AXES, st.integers(1, 7), st.integers(1, 4),
+       st.integers(1, 60), st.sampled_from(list(WitnessMode)), st.integers(0, 2 ** 32 - 1))
+def test_stacks_write_the_bytes_of_one_report_per_instance(case, axis1, axis2, count,
+                                                           per_stack, block, mode, seed):
+    """A batch split into stacks of per_stack instances by a patched
+    MAX_STACK_POINTS, written in blocks of a drawn size that cross instance
+    and stack bounds, gives the bytes of the block writer that takes one
+    report per instance, on the reports of the reference loop, and the
+    summary json.dumps writes."""
+    spec = InstanceSpec(case=case, scale1=parse_scale(axis1), scale2=parse_scale(axis2),
+                        rng_seed=seed, count=count, witness_mode=mode)
+    points = len(spec.scale1.build()) * len(spec.scale2.build())
+    with mock.patch.object(grid2d, "MAX_STACK_POINTS", per_stack * points):
+        summary = run_verification(spec)
+    parts = ref.run_verification_loop(spec).stacks
+    payload = {**summary.to_dict(), "theorem": case.value, "seed": seed}
+    assert cli_mod._summary_text(payload) == ref.summary_json(payload)
+    new_csv, new_json, old_csv, old_json = (io.BytesIO() for _ in range(4))
+    with mock.patch.object(cli_mod, "_BLOCK_POINTS", block):
+        cli_mod._write_csv(new_csv, summary.stacks)
+        cli_mod._write_json(new_json, payload, summary.stacks)
+        ref.write_csv_instances(old_csv, parts)
+        ref.write_json_instances(old_json, payload, parts)
+    assert new_csv.getvalue() == old_csv.getvalue()
+    assert new_json.getvalue() == old_json.getvalue()
 
 
 FAMILIES = {"2d": ("any", "constant", "polynomial", "exponential", "tabulated"),
@@ -212,10 +242,12 @@ def test_stacks_split_a_batch_without_changing_it(monkeypatch, case, limit, size
 
 
 @pytest.mark.parametrize("case", list(BoundCase), ids=lambda c: c.value)
-def test_a_stack_is_split_once_and_its_digests_read_from_the_stack(monkeypatch, case):
+def test_a_stack_is_split_once_and_its_digests_read_from_the_stack(tmp_path, monkeypatch,
+                                                                   case):
     """Each stack's digests come from the columns of its stacked reports, a
-    kernel stack's from both variants; only the primary report is split,
-    once, for VerifySummary.reports."""
+    kernel stack's from both variants.  Neither run_verification nor the
+    verify command splits a report: the writers take the stacks whole.
+    VerifySummary.reports splits each primary stack once, on first access."""
     spec = InstanceSpec(case=case, scale1=parse_scale("integer:0..4"),
                         scale2=parse_scale("q:2,3"), rng_seed=5, count=7,
                         witness_mode=WitnessMode.STRICT_SLACK)
@@ -228,8 +260,17 @@ def test_a_stack_is_split_once_and_its_digests_read_from_the_stack(monkeypatch, 
         return unstack(self)
 
     monkeypatch.setattr(BoundReport, "unstack", counted)
+    for fmt in ("csv", "json"):
+        config = tmp_path / f"{fmt}.cfg"
+        config.write_text(json.dumps({
+            "theorem": case.value, "scale1": "integer:0..4", "scale2": "q:2,3", "seed": 5,
+            "count": 7, "witness_mode": "strict_slack",
+            "output": {"path": str(tmp_path / fmt), "format": fmt}}))
+        assert main(["verify", str(config)]) in (0, 1)
     summary = run_verification(spec)
-    assert split == [4, 3]
+    assert split == [] and [len(s.violation_count) for s in summary.stacks] == [4, 3]
+    reports = summary.reports
+    assert split == [4, 3] and summary.reports is reports
     monkeypatch.undo()
     assert_same_outcome(summary, ref.run_verification_loop(spec))
     assert [d["instance"] for d in summary.digests] == list(range(7))
