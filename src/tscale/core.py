@@ -140,6 +140,23 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
         raise DomainError("sum outside the float range") from None
 
 
+def _plain_floats() -> np.errstate:
+    """numpy's floating-point state under which plain float64 arithmetic has
+    the bits of the same operations carried as mantissas and binary exponents.
+
+    Overflow, underflow, invalid operations and division by zero raise
+    FloatingPointError, on which the caller takes its mantissa-and-exponent
+    path.  An operation that sets none of these IEEE flags gave a normal
+    double, an exact zero, an exact subnormal, or an infinity or NaN passed
+    on exactly from an operand, and in each case the mantissa-and-exponent
+    path rounds the same exact value once, at the same step.  numpy reads
+    the flags after its ufuncs and scalar operations only, so every
+    operation inside the state must be one: Python float arithmetic sets no
+    flag that numpy checks.
+    """
+    return np.errstate(over="raise", under="raise", invalid="raise", divide="raise")
+
+
 def _trusted(cls, **fields):
     """An instance of cls holding fields, built without running its checks:
     only for fields that are known to pass them."""

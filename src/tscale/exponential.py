@@ -2,8 +2,9 @@
 
 The exponential of a coefficient p anchored at t0 is the running product of
 the factors 1 + mu*p between t0 and t, with reciprocal products left of t0.
-Every running product is carried as a mantissa and a binary exponent, so
-ratios of representable size survive prefixes beyond the range of a double.
+A running product is taken in plain floats while no IEEE flag fires, and
+otherwise carried as a mantissa and a binary exponent, so ratios of
+representable size survive prefixes beyond the range of a double.
 """
 
 from __future__ import annotations
@@ -13,14 +14,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn1, _computed, _require_one_scale, neumaier_cumsum
+from .core import GridFn1, _computed, _plain_floats, _require_one_scale, neumaier_cumsum
 from .errors import DomainError, RegressivityError
 
 # A factor 1 + mu*p counts as zero when inside this relative band.
 REGRESSIVITY_TOL = 1e-12
+# The smallest normal double.
+TINY = np.finfo(float).tiny
 # Mantissas lie within 2**±0.5, so a block's running product stays within
 # 2**±500 of its start.
 PRODUCT_BLOCK = 1000
+
+
+def _mu_p(mu: np.ndarray, p: np.ndarray, start: int = 0) -> np.ndarray:
+    """mu*p from index start on and 0 before it, or DomainError naming the
+    first index where the product overflows: an infinite mu*p would read as
+    a factor 1 + mu*p inside the zero band."""
+    out = np.zeros(len(mu))
+    try:
+        with np.errstate(over="raise"):
+            np.multiply(mu[start:], p[start:], out=out[start:])
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            i = start + int(np.argmax(np.isinf(mu[start:] * p[start:])))
+        raise DomainError(f"mu*p overflows the float range at index {i}") from None
+    return out
 
 
 def _factors(mu_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,10 +65,11 @@ def regressivity(p: GridFn1) -> RegressivityReport:
 
     Regressive means no factor 1 + mu*p sits within the relative tolerance
     band around zero; positively regressive additionally requires every
-    factor to clear the band on the positive side.
+    factor to clear the band on the positive side.  A product mu*p past the
+    float range raises DomainError.
     """
     _require_one_scale(p)
-    factors, band = _factors(p.scale.graininess * p.values)
+    factors, band = _factors(_mu_p(p.scale.graininess, p.values))
     worst = int(np.argmin(factors))
     near_zero = np.abs(factors) <= band
     return RegressivityReport(
@@ -79,14 +98,18 @@ def circle_plus(f: GridFn1, g: GridFn1) -> GridFn1:
     """Circle addition f + g + mu*f*g on a shared scale."""
     _require_one_scale(f, g)
     mu = f.scale.graininess
-    return GridFn1(f.scale, f.values + g.values + mu * f.values * g.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.values + g.values + mu * f.values * g.values
+    return _computed(f.scale, vals, "circle plus")
 
 
 def circle_minus(g: GridFn1) -> GridFn1:
     """Circle negation -g / (1 + mu*g); g must be regressive."""
     _require_one_scale(g)
-    factors = _require_regressive(g.scale.graininess * g.values)
-    return GridFn1(g.scale, -g.values / factors)
+    factors = _require_regressive(_mu_p(g.scale.graininess, g.values))
+    with np.errstate(over="ignore"):
+        vals = -g.values / factors
+    return _computed(g.scale, vals, "circle minus")
 
 
 class ProductLadder:
@@ -94,8 +117,13 @@ class ProductLadder:
     axis 0 of factors of shape (n, ...), for the ratios P[i] / P[j]; every
     other axis is a separate product.
 
-    A prefix is a mantissa times 2**exponent.  Each factor splits into a
-    mantissa of magnitude within 2**±0.5 and an integer exponent; the
+    The prefixes are first one plain running product, and a ratio one plain
+    division, under core._plain_floats: while neither raises an IEEE flag,
+    these are the bits the mantissa-and-exponent ladder below gives.  A flag
+    in either builds that ladder from the factors kept.
+
+    There a prefix is a mantissa times 2**exponent.  Each factor splits into
+    a mantissa of magnitude within 2**±0.5 and an integer exponent; the
     mantissas multiply in one running product and the exponents add.  The
     first mantissa of every later block of PRODUCT_BLOCK factors is scaled
     by the power of two that brings the running product back near 1,
@@ -109,10 +137,21 @@ class ProductLadder:
     """
 
     def __init__(self, factors: np.ndarray):
-        factors = np.asarray(factors, dtype=float)
-        self.mantissas = np.empty((len(factors) + 1,) + factors.shape[1:])
+        self.factors = np.asarray(factors, dtype=float)
+        self.plain = np.empty((len(self.factors) + 1,) + self.factors.shape[1:])
+        self.plain[0] = 1.0
+        try:
+            with _plain_floats():
+                np.multiply.accumulate(self.factors, axis=0, out=self.plain[1:])
+        except FloatingPointError:
+            self._carry_exponents()
+
+    def _carry_exponents(self) -> None:
+        """Build the mantissas and exponents, the mantissas over the plain
+        prefixes, whose first entry is already 1."""
+        factors = self.factors
+        self.mantissas, self.plain = self.plain, None
         self.exponents = np.empty(self.mantissas.shape, dtype=np.int64)
-        self.mantissas[0] = 1.0
         self.exponents[0] = 0
         mant, expo = self.mantissas[1:], self.exponents[1:]
         np.frexp(factors, out=(mant, expo))
@@ -139,15 +178,27 @@ class ProductLadder:
     @property
     def log_mode(self) -> bool:
         """Whether some finite nonzero prefix lies outside the normal doubles,
-        whose frexp exponents run -1021..1024."""
+        whose frexp exponents run -1021..1024.  Plain prefixes overflowed
+        none, but an exact subnormal one raises no flag."""
+        if self.plain is not None:
+            mags = np.abs(self.plain)
+            return bool(np.any((0.0 < mags) & (mags < TINY)))
         mant = self.mantissas
         own = np.frexp(mant)[1] + self.exponents
         return bool(np.any(np.isfinite(mant) & (mant != 0.0) & ((own < -1021) | (own > 1024))))
 
     def ratios_from(self, j: int) -> np.ndarray:
-        """P[i] / P[j] for every i, as one array."""
-        if not 0 <= j < len(self.mantissas):
+        """P[i] / P[j] for every i, as one fresh array."""
+        if not 0 <= j <= len(self.factors):
             raise DomainError(f"ladder anchor {j} out of range")
+        if self.plain is not None:
+            if j == 0:
+                return self.plain.copy()
+            try:
+                with _plain_floats():
+                    return np.divide(self.plain, self.plain[j])
+            except FloatingPointError:
+                self._carry_exponents()
         # exponents biased by 1023; P[0] = 1 needs no division, since its
         # mantissa 1 and exponent 0 are exact
         if j == 0:
@@ -173,7 +224,8 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     """
     _require_one_scale(p)
     t0 = p.scale._check_index(t0)
-    vals = ProductLadder(_require_regressive(p.scale.graininess * p.values)[:-1]).ratios_from(t0)
+    factors = _require_regressive(_mu_p(p.scale.graininess, p.values))[:-1]
+    vals = ProductLadder(factors).ratios_from(t0)
     return _computed(p.scale, vals, "scale exponential")
 
 
@@ -190,10 +242,8 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     scale = f.scale
     a = scale._check_index(a)
     mu = scale.graininess
-    mu_g = mu * g.values
-    mu_g[:a] = 0.0                     # only the window [a, n - 1) is checked
-    window = slice(a, len(scale) - 1)
-    factors = _require_regressive(mu_g, positive=True)[window]
+    window = slice(a, len(scale) - 1)  # only the window [a, n - 1) is checked
+    factors = _require_regressive(_mu_p(mu, g.values, a), positive=True)[window]
     q = ProductLadder(factors).ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
     # a value past the float range becomes inf or NaN, which _computed names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -17,8 +17,8 @@ instance.  The two-variable witnesses sweep a stack of instances at once,
 each with its own bits (see grid2d._common_stack).  The first-order
 comparison witness composes its affine steps by a two-level scan, O(n) work
 in O(log n) numpy steps: doubling within blocks of 16 steps, then over the
-block totals, about 5 full-length passes at n = 10**5 where one doubling
-scan over all steps takes 17.
+block totals, about 5 full-length rounds at n = 10**5 where one doubling
+scan over all steps takes 17, in plain floats while no IEEE flag fires.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFn1, _computed, _neumaier_cumsum, _require_one_scale, _two_sum_error
+from .core import (GridFn1, _computed, _neumaier_cumsum, _plain_floats, _require_one_scale,
+                   _two_sum_error)
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights, _common_stack
 
 # A factor's binary exponent, plus the one each product of mantissas in
 # [0.5, 1) may shed, stays within 1075 in size, so the exponent of a product
-# of up to this many factors and a B or x_a fits in int32; longer in int64.
+# of up to this many factors (the identity steps that fill the last block
+# included) and a B or x_a fits in int32; longer in int64.
 _INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075 - 1
 # Steps per block of the comparison scan, composed in log2 of it rounds.
 _BLOCK = 16
@@ -215,18 +217,83 @@ def witness_integrodynamic(a1d: GridFn1, b1d: GridFn1, c2d: GridFn2,
     return GridFn2(dom, u), GridFn2(dom, w)
 
 
-def _doubling_scan(m: np.ndarray, e: np.ndarray, b: np.ndarray,
-                   tmp: np.ndarray, etmp: np.ndarray) -> None:
+def _blocked(v: np.ndarray) -> np.ndarray:
+    """Steps in order viewed block-minor: [r, c] is step 16c + r."""
+    return v.reshape(-1, _BLOCK).T
+
+
+def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
+    """x, the comparison witness's output with x[0] = x_a, and its steps from
+    index a in block-minor layout: m = 1 + mu*g, b = mu*(f - slack) and
+    scratch tmp, each of shape (16, ceil(n/16)) for n steps; the steps past
+    n that fill the last block are the identity."""
+    pts = f.scale.points[a:]
+    n = len(pts) - 1
+    cols = -(-n // _BLOCK)
+    x = np.empty(_BLOCK * cols + 1)
+    x[0] = float(x_a)
+    # mu until the output is written; steps past n are the identity, mu = 0
+    mu = x[1:]
+    np.subtract(pts[1:], pts[:-1], out=mu[:n])
+    mu[n:] = 0.0
+    m, b, tmp = np.empty((3, _BLOCK, cols))
+    # tmp holds f - slack, then g, in step order until the scans use it
+    flat = tmp.reshape(-1)
+    np.subtract(f.values[a:-1], slack, out=flat[:n])
+    flat[n:] = 0.0
+    np.multiply(_blocked(flat), _blocked(mu), out=b)
+    flat[:n] = g.values[a:-1]
+    np.multiply(_blocked(flat), _blocked(mu), out=m)
+    m += 1.0
+    return x, m, b, tmp
+
+
+def _plain_scan(m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
     """Compose affine steps along axis 0 in place by a Hillis-Steele doubling
-    scan, in ceil(log2 len) rounds: step k maps x to m[k] * 2**e[k] * x + b[k]
-    with m[k] a mantissa, and afterwards [k] holds steps 0..k composed, its A
-    again a mantissa and an exponent.  tmp and etmp are scratch of m's and
-    e's shapes, so no round allocates."""
+    scan, in ceil(log2 len) rounds: step k maps x to m[k] * x + b[k], and
+    afterwards [k] holds steps 0..k composed.  tmp is scratch of m's shape,
+    so no round allocates."""
     n = len(m)
     d = 1
     while d < n:
-        # (m, e, b)[k] <- (m, e, b)[k] o (m, e, b)[k - d] for k >= d:
+        # (m, b)[k] <- (m, b)[k] o (m, b)[k - d] for k >= d:
         # B = A_hi * B_lo + B_hi first, while A_hi is still uncomposed
+        t = tmp[:n - d]
+        np.multiply(m[d:], b[:-d], out=t)
+        b[d:] += t
+        np.multiply(m[d:], m[:-d], out=t)
+        m[d:] = t
+        d *= 2
+
+
+def _compose_plain(x: np.ndarray, m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """Write x[k + 1], steps 0..k of _affine_steps applied to x[0], for every
+    k by the two-level scan: the doubling scan within each block (column),
+    then over the block totals in the last row, then one pass that applies
+    each total to the block after it."""
+    _plain_scan(m, b, tmp)
+    _plain_scan(m[-1], b[-1], tmp[-1])
+    # every row but the last of block c takes the steps of blocks 0..c-1,
+    # composed in the last row of column c - 1; the identity comes before
+    # block 0
+    mt, bt = (np.concatenate(([first], v[-1, :-1])) for first, v in ((1.0, m), (0.0, b)))
+    t = tmp[:-1]
+    np.multiply(m[:-1], bt, out=t)
+    b[:-1] += t
+    mt *= x[0]
+    m[:-1] *= mt
+    m[-1] *= x[0]
+    np.add(m, b, out=_blocked(x[1:]))
+
+
+def _doubling_scan(m: np.ndarray, e: np.ndarray, b: np.ndarray,
+                   tmp: np.ndarray, etmp: np.ndarray) -> None:
+    """_plain_scan with step k's A the mantissa m[k] times 2**e[k]; each
+    composed A is again a mantissa and an exponent.  etmp is scratch of e's
+    shape."""
+    n = len(m)
+    d = 1
+    while d < n:
         t, et = tmp[:n - d], etmp[:n - d]
         np.frexp(b[:-d], out=(t, et))
         t *= m[d:]
@@ -237,6 +304,32 @@ def _doubling_scan(m: np.ndarray, e: np.ndarray, b: np.ndarray,
         np.frexp(t, out=(m[d:], e[d:]))
         e[d:] += et
         d *= 2
+
+
+def _compose_exponents(x: np.ndarray, m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """_compose_plain with each composed A a mantissa times a power of two,
+    and B and x[0] split so before A multiplies them: no product underflows
+    early or overflows on its own and exact zeros stay exact, so x leaves the
+    float range only where A*x[0] or B itself does."""
+    e = np.empty(m.shape, np.int32 if m.size <= _INT32_EXPONENT_STEPS else np.int64)
+    etmp = np.empty_like(e)
+    np.frexp(m, out=(m, e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _doubling_scan(m, e, b, tmp, etmp)
+        _doubling_scan(m[-1], e[-1], b[-1], tmp[-1], etmp[-1])
+        mt, et, bt = (np.concatenate(([first], v[-1, :-1]))
+                      for first, v in ((0.5, m), (1, e), (0.0, b)))
+        mx, ex = np.frexp(x[0])
+        mb, eb = np.frexp(bt)
+        t, tt = tmp[:-1], etmp[:-1]
+        np.multiply(m[:-1], mb, out=t)
+        np.add(e[:-1], eb, out=tt)
+        b[:-1] += np.ldexp(t, tt, out=t)
+        m[:-1] *= mt * mx
+        e[:-1] += et + ex
+        m[-1] *= mx
+        e[-1] += ex
+        np.add(np.ldexp(m, e, out=m), b, out=_blocked(x[1:]))
 
 
 def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
@@ -251,12 +344,13 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     lie block-minor in a (16, ceil(n/16)) array, each block of 16 steps a
     column: a doubling scan of 4 rounds on its contiguous rows composes every
     block, the doubling scan composes the block totals in the last row, and
-    one pass applies each total to the block after it; at n = 10**5 that is
-    about 5 full-length passes, where one doubling scan takes 17.  Each
-    composed A is a mantissa times a power of two, and B and x_a are split so
-    before A multiplies them: no product underflows early or overflows on its
-    own and exact zeros stay exact, so the result leaves the float range only
-    where A*x_a or B itself does.  No factor needs to be positive or nonzero.
+    one pass applies each total to the block after it.  At n = 10**5 that is
+    about 5 full-length rounds, where one doubling scan takes 17, each of 4
+    array passes in plain floats.  The scan runs in plain floats under
+    core._plain_floats; where an IEEE flag fires, it runs again on the
+    steps rebuilt from the inputs with each composed A a mantissa and an
+    exponent (see _compose_exponents), each round then of 9 passes.  No
+    factor needs to be positive or nonzero.
     """
     _require_one_scale(f, g)
     if not np.isfinite(x_a):
@@ -265,49 +359,11 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
         raise DomainError(f"slack must be finite and nonnegative, got {slack}")
     scale = f.scale
     a = scale._check_index(a)
-    pts = scale.points[a:]
-    n = len(pts) - 1
-    cols = -(-n // _BLOCK)
-    x = np.empty(_BLOCK * cols + 1)
-    x[0] = float(x_a)
-    # mu until the output is written; steps past n are the identity, mu = 0
-    mu = x[1:]
-    np.subtract(pts[1:], pts[:-1], out=mu[:n])
-    mu[n:] = 0.0
-    m, b, tmp = np.empty((3, _BLOCK, cols))
-    e = np.empty((_BLOCK, cols), np.int32 if n <= _INT32_EXPONENT_STEPS else np.int64)
-    etmp = np.empty_like(e)
-
-    def blocked(v: np.ndarray) -> np.ndarray:
-        """Steps in order viewed block-minor: [r, c] is step 16c + r."""
-        return v.reshape(cols, _BLOCK).T
-
-    # tmp holds f - slack, then g, in step order until the scans use it
-    flat = tmp.reshape(-1)
-    np.subtract(f.values[a:-1], slack, out=flat[:n])
-    flat[n:] = 0.0
-    np.multiply(blocked(flat), blocked(mu), out=b)
-    flat[:n] = g.values[a:-1]
-    np.multiply(blocked(flat), blocked(mu), out=m)
-    m += 1.0
-    np.frexp(m, out=(m, e))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _doubling_scan(m, e, b, tmp, etmp)
-        _doubling_scan(m[-1], e[-1], b[-1], tmp[-1], etmp[-1])
-        # every row but the last of block c takes the steps of blocks
-        # 0..c-1, composed in the last row of column c - 1; the identity
-        # comes before block 0
-        mt, et, bt = (np.concatenate(([first], v[-1, :-1]))
-                      for first, v in ((0.5, m), (1, e), (0.0, b)))
-        mx, ex = np.frexp(x[0])
-        mb, eb = np.frexp(bt)
-        t, tt = tmp[:-1], etmp[:-1]
-        np.multiply(m[:-1], mb, out=t)
-        np.add(e[:-1], eb, out=tt)
-        b[:-1] += np.ldexp(t, tt, out=t)
-        m[:-1] *= mt * mx
-        e[:-1] += et + ex
-        m[-1] *= mx
-        e[-1] += ex
-        np.add(np.ldexp(m, e, out=m), b, out=blocked(x[1:]))
-    return _computed(scale.tail(a), x[:n + 1], "comparison witness")
+    x, m, b, tmp = _affine_steps(f, g, x_a, a, slack)
+    try:
+        with _plain_floats():
+            _compose_plain(x, m, b, tmp)
+    except FloatingPointError:
+        x, m, b, tmp = _affine_steps(f, g, x_a, a, slack)
+        _compose_exponents(x, m, b, tmp)
+    return _computed(scale.tail(a), x[:len(scale) - a], "comparison witness")

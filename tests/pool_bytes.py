@@ -12,7 +12,8 @@ of the bound and witness bytes and the diagnostics of each
 bound_kernel_variants report of KERNEL_PATHS, kernels that no config
 builds, then one line `calculus-1d/<scale>/<call>/<seed> <sha256>` per
 one-variable call of the calculus-1d workload on each of its scales, seeds
-0-2, and exits 1 if a config exited nonzero.  Run it on two trees and
+0-2, then one line `fallback/<case>/<call>/<seed> <sha256>` per call of
+FALLBACK_CASES, seeds 0-2, and exits 1 if a config exited nonzero.  Run it on two trees and
 diff the outputs: equal outputs mean the change kept every report byte.
 It runs the tscale of the tree it sits in.  workloads.py is compiled from
 its source and never imported, so the script writes nothing under
@@ -34,8 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tscale import (GridFn1, GridFn2, KernelInputs, KernelOracle,  # noqa: E402
-                    TimeScale2D, bound_kernel_variants, cli, integer_segment, q_grid,
-                    witness_kernel)
+                    TimeScale2D, bound_kernel_variants, cli, comparison_bound, exp_fn,
+                    integer_segment, q_grid, witness_comparison, witness_kernel)
 
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 # Reports that span many spelling blocks: one 199x199 kappa lattice (39 601
@@ -82,26 +83,84 @@ def _kernel_lines() -> list[str]:
     return lines
 
 
+def _digest(value) -> str:
+    """The sha256 of a GridFn1's points, tags and values, or of a float, or
+    the error raised."""
+    if isinstance(value, Exception):
+        return f"raised {value!r}"
+    if isinstance(value, GridFn1):
+        digest = hashlib.sha256(value.scale.points.tobytes())
+        digest.update(value.scale.dense.tobytes())
+        digest.update(value.values.tobytes())
+        return digest.hexdigest()
+    return hashlib.sha256(np.float64(value).tobytes()).hexdigest()
+
+
 def _calculus_lines(workloads: types.ModuleType) -> list[str]:
     """One line per call of a calculus-1d pass, seeds 0-2, with its inputs
-    built as the workload builds them: the sha256 of the output's points,
-    tags and values, or of the integral's float, or the error raised."""
+    built as the workload builds them."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(3):
             work = workloads.CalculusWorkload(seed, Path(tmp))
             for case, outcome in zip(work.cases, work.run_pass()):
                 for call, value in outcome.items():
-                    if isinstance(value, Exception):
-                        digest = f"raised {value!r}"
-                    elif isinstance(value, GridFn1):
-                        digest = hashlib.sha256(value.scale.points.tobytes())
-                        digest.update(value.scale.dense.tobytes())
-                        digest.update(value.values.tobytes())
-                        digest = digest.hexdigest()
-                    else:
-                        digest = hashlib.sha256(np.float64(value).tobytes()).hexdigest()
-                    lines.append(f"calculus-1d/{case.label}/{call}/{seed} {digest}")
+                    lines.append(f"calculus-1d/{case.label}/{call}/{seed} {_digest(value)}")
+    return lines
+
+
+def _through_tiny(rng) -> dict:
+    """32 factors 1 + mu*p near 1e-11, then 32 near 1e11: the running product
+    passes through about 1e-346 and comes back.  20 factors near 1e-10, then
+    10 near 1e35: every prefix is normal, but the ratio of the lowest to the
+    last is not.  Factors 1 + mu*g near 1e-5 take e_g through about 1e-315,
+    and f near 1e-10 keeps the bound's quotients finite."""
+    s = integer_segment(0, 64)
+    mags = np.concatenate((rng.uniform(1.0, 2.0, 32) * 1e-11, rng.uniform(1.0, 2.0, 32) * 1e11))
+    p = GridFn1(s, np.append(mags - 1.0, 0.0))
+    mags = np.concatenate((rng.uniform(1.0, 2.0, 20) * 1e-10, rng.uniform(1.0, 2.0, 10) * 1e35))
+    p_ratio = GridFn1(integer_segment(0, 30), np.append(mags - 1.0, 0.0))
+    g = GridFn1(s, rng.uniform(0.9e-5, 1.1e-5, len(s)) - 1.0)
+    f = GridFn1(s, rng.uniform(0.5, 1.5, len(s)) * 1e-10)
+    x_a, slack = rng.uniform(1.0, 2.0), rng.uniform(0.0, 1e-10)
+    return {"exp_fn": lambda: exp_fn(p, 0),
+            "exp_fn_anchored": lambda: exp_fn(p, 16),
+            "exp_fn_ratio": lambda: exp_fn(p_ratio, 30),
+            "comparison_bound": lambda: comparison_bound(x_a, f, g, 1),
+            "witness_comparison": lambda: witness_comparison(f, g, x_a, 0),
+            "witness_comparison_slack": lambda: witness_comparison(f, g, x_a, 0, slack)}
+
+
+def _through_huge(rng) -> dict:
+    """31 factors 1 + mu*g near 1e10, then 29 near 1e-10: the comparison
+    witness's products pass 1e308 while x, from near 1e-300, stays finite;
+    factors near 2 take e_p past 2**1000, which ratios to the middle undo."""
+    s = integer_segment(0, 60)
+    g = GridFn1(s, np.concatenate((rng.uniform(1.0, 2.0, 31) * 1e10,
+                                   rng.uniform(1.0, 2.0, 30) * 1e-10)) - 1.0)
+    f = GridFn1(s, rng.uniform(-1.0, 1.0, len(s)) * 1e-300)
+    p = GridFn1(integer_segment(0, 1600), rng.uniform(0.5, 1.5, 1601))
+    x_a = rng.uniform(1.0, 2.0) * 1e-300
+    return {"exp_fn": lambda: exp_fn(p, 800),
+            "witness_comparison": lambda: witness_comparison(f, g, x_a, 0),
+            "witness_comparison_slack": lambda: witness_comparison(f, g, x_a, 0, 1e-300)}
+
+
+# One-variable calls whose running products leave the normal doubles.
+FALLBACK_CASES = {"through-tiny": _through_tiny, "through-huge": _through_huge}
+
+
+def _fallback_lines() -> list[str]:
+    """One line per call of each FALLBACK_CASES case, seeds 0-2."""
+    lines = []
+    for name, case in FALLBACK_CASES.items():
+        for seed in range(3):
+            for call, run in case(np.random.Generator(np.random.PCG64(seed))).items():
+                try:
+                    value = run()
+                except Exception as exc:    # its repr is the digest
+                    value = exc
+                lines.append(f"fallback/{name}/{call}/{seed} {_digest(value)}")
     return lines
 
 
@@ -141,6 +200,7 @@ def main() -> int:
                             path.unlink()
     print("\n".join(_kernel_lines()))
     print("\n".join(_calculus_lines(workloads)))
+    print("\n".join(_fallback_lines()))
     return 1 if failed else 0
 
 

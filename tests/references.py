@@ -7,7 +7,9 @@ lattice point and its A and c one more each, its difference diagnostics one
 set of slices per lattice point, the compensated cumulative sum runs the Neumaier recursion
 element by element, and the first-order comparison witness takes one Python
 step per scale point; its one-level doubling scan stays as the reference
-for the two-level scan.  They cost O(N^2) per lattice and live here
+for the two-level scan, and the two-level scan that carries every composed
+A as a mantissa and an exponent (witness_comparison_exponents) is the bit
+reference for the scan in plain floats.  They cost O(N^2) per lattice and live here
 only as references for the tests.  The verify report writers build one
 tuple of floats per lattice point and format each field with its own call;
 numbers spells values with float.__repr__ one at a time, under the CSV and
@@ -313,6 +315,75 @@ def witness_comparison_doubling(f, g, x_a, a, slack=0.0) -> np.ndarray:
         np.ldexp(np.multiply(m, mx, out=tmp), e + ex, out=tmp)
         tmp += b
     return x
+
+
+# Steps per block, and the longest scan whose exponents fit in int32, of the
+# two-level comparison scan.
+SCAN_BLOCK = 16
+SCAN_INT32_STEPS = (2 ** 31 - 1) // 1075 - 1
+
+
+def witness_comparison_exponents(f, g, x_a, a, slack=0.0) -> np.ndarray:
+    """The two-level comparison scan with every composed A a mantissa and an
+    exponent and B and x_a split before A multiplies them, at every step and
+    for every input: doubling within blocks of 16 steps laid out block-minor,
+    then over the block totals, then one pass applying each total to the
+    block after it."""
+    pts = f.scale.points[a:]
+    n = len(pts) - 1
+    cols = -(-n // SCAN_BLOCK)
+    x = np.empty(SCAN_BLOCK * cols + 1)
+    x[0] = float(x_a)
+    mu = x[1:]
+    np.subtract(pts[1:], pts[:-1], out=mu[:n])
+    mu[n:] = 0.0
+    m, b, tmp = np.empty((3, SCAN_BLOCK, cols))
+    e = np.empty((SCAN_BLOCK, cols), np.int32 if n <= SCAN_INT32_STEPS else np.int64)
+    etmp = np.empty_like(e)
+
+    def blocked(v):
+        return v.reshape(cols, SCAN_BLOCK).T
+
+    def scan(m, e, b, tmp, etmp):
+        n = len(m)
+        d = 1
+        while d < n:
+            t, et = tmp[:n - d], etmp[:n - d]
+            np.frexp(b[:-d], out=(t, et))
+            t *= m[d:]
+            et += e[d:]
+            b[d:] += np.ldexp(t, et, out=t)
+            np.multiply(m[d:], m[:-d], out=t)
+            np.add(e[d:], e[:-d], out=et)
+            np.frexp(t, out=(m[d:], e[d:]))
+            e[d:] += et
+            d *= 2
+
+    flat = tmp.reshape(-1)
+    np.subtract(f.values[a:-1], slack, out=flat[:n])
+    flat[n:] = 0.0
+    np.multiply(blocked(flat), blocked(mu), out=b)
+    flat[:n] = g.values[a:-1]
+    np.multiply(blocked(flat), blocked(mu), out=m)
+    m += 1.0
+    np.frexp(m, out=(m, e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan(m, e, b, tmp, etmp)
+        scan(m[-1], e[-1], b[-1], tmp[-1], etmp[-1])
+        mt, et, bt = (np.concatenate(([first], v[-1, :-1]))
+                      for first, v in ((0.5, m), (1, e), (0.0, b)))
+        mx, ex = np.frexp(x[0])
+        mb, eb = np.frexp(bt)
+        t, tt = tmp[:-1], etmp[:-1]
+        np.multiply(m[:-1], mb, out=t)
+        np.add(e[:-1], eb, out=tt)
+        b[:-1] += np.ldexp(t, tt, out=t)
+        m[:-1] *= mt * mx
+        e[:-1] += et + ex
+        m[-1] *= mx
+        e[-1] += ex
+        np.add(np.ldexp(m, e, out=m), b, out=blocked(x[1:]))
+    return x[:n + 1]
 
 
 # Running product magnitudes beyond this trip the log-space representation.

@@ -376,6 +376,7 @@ def test_antiderivative_anchors_and_differentiates_back():
     ([1e308, 1e308, 1e308], lambda f: antiderivative(f, 2), "antiderivative"),
     ([-1e308, 1.0, 1.0], lambda f: antiderivative(f, 2, x0=1e308), "antiderivative"),
     ([1e308, 1e308, 1.0], lambda f: witness_comparison(f, f, 1e308, 0), "comparison witness"),
+    ([1e200, 1e200, 1e200], lambda f: circle_plus(f, f), "circle plus"),
 ])
 def test_calculus_past_the_float_range_names_the_operation(values, call, message):
     # under the suite's error::RuntimeWarning filter a numpy warning would fail first

@@ -37,6 +37,39 @@ def test_exp_rejects_non_regressive_coefficient():
         exp_fn(const(s, -1.0), 0)
 
 
+# mu*p = 10 * 1e308 at index 0 passes the float range
+@pytest.mark.parametrize("call", [
+    lambda p: regressivity(p),
+    lambda p: circle_minus(p),
+    lambda p: exp_fn(p, 0),
+    lambda p: comparison_bound(1.0, const(p.scale, 1.0), p, 0),
+], ids=["regressivity", "circle_minus", "exp_fn", "comparison_bound"])
+def test_an_overflowing_mu_p_is_named_not_read_as_a_zero_factor(call):
+    """An infinite mu*p would sit in the zero band (inf <= inf *
+    REGRESSIVITY_TOL); it is named instead, with no RuntimeWarning (an error
+    under this suite's filter)."""
+    p = const(explicit_scale([0.0, 10.0, 20.0]), 1e308)
+    with pytest.raises(DomainError, match=r"^mu\*p overflows the float range at index 0$"):
+        call(p)
+
+
+def test_comparison_bound_ignores_an_overflowing_mu_g_before_its_start():
+    s = explicit_scale([0.0, 10.0, 11.0, 12.0])
+    g = GridFn1(s, np.array([1e308, 1.0, 1.0, 1.0]))
+    bound = comparison_bound(1.0, const(s, 0.0), g, 1)
+    assert np.array_equal(bound.values, [1.0, 2.0, 4.0])
+
+
+def test_circle_minus_past_the_float_range_names_the_operation():
+    # mu*g = -(1 - 1e-11) leaves a factor near 1e-11, outside the zero
+    # band, and -g / 1e-11 passes the float range
+    s = explicit_scale([0.0, 1e-299, 1.0])
+    g = GridFn1(s, np.array([-(1.0 - 1e-11) * 1e299, 0.0, 0.0]))
+    assert regressivity(g).is_regressive
+    with pytest.raises(DomainError, match="^circle minus overflowed the representable range$"):
+        circle_minus(g)
+
+
 def test_exp_doubling_on_integer_segment():
     s = integer_segment(0, 5)
     e = exp_fn(const(s, 1.0), 0)

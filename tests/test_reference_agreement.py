@@ -13,7 +13,9 @@ report writers must write the same bytes as the per-row loops.  The
 first-order comparison witness composes its steps by a two-level scan and
 must agree with the point-by-point loop, and with the one-level doubling scan
 it replaced, to 1e-13 of the magnitude recursion plus a floor for gradual
-underflow.  The
+underflow; run in plain floats, or past the normal doubles on its fallback,
+it must have the bits of the scan that carries mantissas and exponents
+throughout.  The
 mantissa/exponent product ladder must have the bits of a plain running
 product while every prefix is a normal double, and agree with the log-space
 reference ladder to 1e-12 relative elsewhere.  The axis-generic coefficient
@@ -844,10 +846,16 @@ def test_comparison_witness_keeps_exact_zeros(case):
                           ref.witness_comparison_loop(*inputs))
 
 
+# 1e200 * 1e200 overflows, but x only passes through 1e-300 * 1e200
+OVERFLOWING_WINDOW = _pinned(integer_segment(0, 4), [1e-300, 0.0], [0.0, 1e200, 1e200, 0.0],
+                             0.0)
+# a factor 4, then factors near 1e-5 whose products pass below 1e-308 by
+# rounding, which sets the underflow flag; x stays near -0.8
+UNDERFLOWING_STEPS = _pinned(integer_segment(0, 80), [1.0, -0.5], [3.0, -0.99999], 2.0, 0.3)
+
+
 def test_comparison_witness_finite_past_an_overflowing_window():
-    # 1e200 * 1e200 overflows, but x only passes through 1e-300 * 1e200
-    s = integer_segment(0, 4)
-    inputs = _pinned(s, [1e-300, 0.0], [0.0, 1e200, 1e200, 0.0], 0.0)
+    inputs = OVERFLOWING_WINDOW
     x = witness_comparison(*inputs).values
     assert np.allclose(x, ref.witness_comparison_loop(*inputs), rtol=COMPARISON_TOL, atol=0)
     assert x[3] == pytest.approx(1e100, rel=1e-15)
@@ -862,10 +870,55 @@ def test_comparison_witness_raises_where_the_loop_overflows():
 
 
 def test_comparison_witness_counts_long_exponents_in_int64(monkeypatch):
-    inputs = _pinned(q_grid(1.5, 30), [1.0, -0.5], [3.0, -2.0, 0.5], 2.0, 0.3)
-    short = witness_comparison(*inputs).values
+    # products that leave the normal doubles, so that the mantissa-and-
+    # exponent scan, the one caller of np.frexp on this path, runs
+    inputs = UNDERFLOWING_STEPS
+    with mock.patch.object(np, "frexp", wraps=np.frexp) as frexp:
+        short = witness_comparison(*inputs).values
+    assert frexp.called
     monkeypatch.setattr(witnesses, "_INT32_EXPONENT_STEPS", 4)
     assert np.array_equal(witness_comparison(*inputs).values, short)
+
+
+def _assert_exponent_scan_bits(inputs) -> None:
+    x = witness_comparison(*inputs).values
+    old = ref.witness_comparison_exponents(*inputs)
+    assert np.array_equal(x.view(np.uint64), old.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparison_inputs())
+# one subnormal step that exact factors 3 carry into the normal range
+@example(inputs=_pinned(integer_segment(0, 39), 0.0, 2.0, 5e-324))
+def test_comparison_witness_has_the_exponent_scans_bits(inputs):
+    """The scan in plain floats, and where an IEEE flag fires the scan it
+    falls back to, give the bits of the scan that carries mantissas and
+    exponents throughout."""
+    _assert_exponent_scan_bits(inputs)
+
+
+@pytest.mark.parametrize("inputs", [*EXACT_ZERO_CASES.values(), OVERFLOWING_WINDOW,
+                                    UNDERFLOWING_STEPS],
+                         ids=[*EXACT_ZERO_CASES, "overflowing_window", "underflowing_steps"])
+def test_comparison_witness_has_the_exponent_scans_bits_past_the_normals(inputs):
+    _assert_exponent_scan_bits(inputs)
+
+
+def test_in_range_calculus_takes_no_exponents(monkeypatch):
+    """exp_fn, comparison_bound and witness_comparison whose running products
+    stay normal doubles run in plain floats: none calls np.frexp."""
+    s = h_grid(0.0, 10.0, 0.01)
+    rng = np.random.Generator(np.random.PCG64(3))
+    f, g = (GridFn1(s, rng.uniform(-1.0, 1.0, len(s))) for _ in "fg")
+
+    def frexp(*args, **kwargs):
+        raise AssertionError("np.frexp called")
+
+    monkeypatch.setattr(np, "frexp", frexp)
+    exp_fn(g, 500)
+    comparison_bound(1.5, f, g, 40)
+    witness_comparison(f, g, 1.5, 40)
+    witness_comparison(f, g, 1.5, 40, 0.25)
 
 
 # -- product ladder ------------------------------------------------------------
