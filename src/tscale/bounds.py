@@ -300,7 +300,7 @@ def _exp_axis(c: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
     give zeros).  c's lattice axes are its last two."""
     c_ax = c if axis == 1 else np.swapaxes(c, -1, -2)
     factors = 1.0 + mu[: c_ax.shape[-2] - 1, None] * c_ax[..., :-1, :]
-    out = np.moveaxis(ProductLadder(np.moveaxis(factors, -2, 0)).ratios_from(0), 0, -2)
+    out = np.moveaxis(ProductLadder(np.moveaxis(factors, -2, 0)).prefixes(), 0, -2)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{('first', 'second')[axis - 1]}-variable exponential overflowed")
     return out if axis == 1 else np.swapaxes(out, -1, -2)

@@ -35,7 +35,7 @@ from .config import classical_forms, parse_fn, parse_scale, realize_1d
 from .core import GridFn1, cauchy_integral, delta_derivative
 from .errors import ConfigError, DomainError
 from .exponential import comparison_bound, exp_fn
-from .spelling import WIDTH, spell
+from .spelling import _JSON_SPECIAL, WIDTH, spell
 from .verify import InstanceSpec, WitnessMode, run_verification
 
 log = logging.getLogger(__name__)
@@ -252,8 +252,6 @@ def _rows(template, columns) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-# json.dumps's spellings of the floats that float.__repr__ spells otherwise.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The indent of a list item inside a field of a digest in "digests".
 _ITEM = "\n        "
 
@@ -267,7 +265,7 @@ def _json_column(values: list) -> list[str] | None:
     if kinds:
         return None
     if kind is float:
-        return [_JSON_FLOATS.get(text, text) for text in map(float.__repr__, values)]
+        return [_JSON_SPECIAL.get(text, text) for text in map(float.__repr__, values)]
     if kind is int:
         return list(map(int.__repr__, values))
     if kind is bool:

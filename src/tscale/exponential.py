@@ -1,10 +1,11 @@
 """Regressivity checks, the circle algebra, and the scale exponential.
 
 The exponential of a coefficient p anchored at t0 is the running product of
-the factors 1 + mu*p between t0 and t, with reciprocal products left of t0.
-A running product is taken in plain floats while no IEEE flag fires, and
-otherwise carried as a mantissa and a binary exponent, so ratios of
-representable size survive prefixes beyond the range of a double.
+the factors 1 + mu*p from t0 out to t, and left of t0 the running product of
+their reciprocals from t0 back to t.  A running product is taken in plain
+floats while no IEEE flag fires, and otherwise carried as a mantissa and a
+binary exponent, so a prefix leaves the range of a double only where its
+own value does.
 """
 
 from __future__ import annotations
@@ -114,13 +115,13 @@ def circle_minus(g: GridFn1) -> GridFn1:
 
 class ProductLadder:
     """Prefix products P[k] = factors[0] * ... * factors[k-1], P[0] = 1, down
-    axis 0 of factors of shape (n, ...), for the ratios P[i] / P[j]; every
-    other axis is a separate product.
+    axis 0 of factors of shape (n, ...); every other axis is a separate
+    product.
 
-    The prefixes are first one plain running product, and a ratio one plain
-    division, under core._plain_floats: while neither raises an IEEE flag,
-    these are the bits the mantissa-and-exponent ladder below gives.  A flag
-    in either builds that ladder from the factors kept.
+    The prefixes are first one plain running product under
+    core._plain_floats: while it raises no IEEE flag, these are the bits the
+    mantissa-and-exponent ladder below gives.  A flag builds that ladder
+    from the factors kept.
 
     There a prefix is a mantissa times 2**exponent.  Each factor splits into
     a mantissa of magnitude within 2**±0.5 and an integer exponent; the
@@ -187,32 +188,18 @@ class ProductLadder:
         own = np.frexp(mant)[1] + self.exponents
         return bool(np.any(np.isfinite(mant) & (mant != 0.0) & ((own < -1021) | (own > 1024))))
 
-    def ratios_from(self, j: int) -> np.ndarray:
-        """P[i] / P[j] for every i, as one fresh array."""
-        if not 0 <= j <= len(self.factors):
-            raise DomainError(f"ladder anchor {j} out of range")
+    def prefixes(self) -> np.ndarray:
+        """P[0..n], as one fresh array."""
         if self.plain is not None:
-            if j == 0:
-                return self.plain.copy()
-            try:
-                with _plain_floats():
-                    return np.divide(self.plain, self.plain[j])
-            except FloatingPointError:
-                self._carry_exponents()
-        # exponents biased by 1023; P[0] = 1 needs no division, since its
-        # mantissa 1 and exponent 0 are exact
-        if j == 0:
-            mant, expo = self.mantissas, self.exponents + 1023
-        else:
-            mant = self.mantissas / self.mantissas[j]
-            expo = self.exponents - (self.exponents[j] - 1023)
+            return self.plain.copy()
+        expo = self.exponents + 1023        # biased as in a double's bits
         with np.errstate(over="ignore"):
             if expo.size and (expo.min() < 1 or expo.max() > 2046):
-                return np.ldexp(mant, expo - 1023)
+                return np.ldexp(self.mantissas, self.exponents)
             # 2**exponent is a normal double, built from its bits, and one
             # product rounds as ldexp does
             expo <<= 52
-            return np.multiply(mant, expo.view(np.float64), out=None if j == 0 else mant)
+            return np.multiply(self.mantissas, expo.view(np.float64))
 
 
 def exp_fn(p: GridFn1, t0: int) -> GridFn1:
@@ -220,12 +207,17 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
 
     Satisfies the dynamic equation x^{delta} = p*x with x(t0) = 1: the value
     at t right of t0 is the product of 1 + mu*p over [t0, t), and left of t0
-    the reciprocal of the product over [t, t0).
+    the reciprocal of the product over [t, t0).  Each side is one running
+    product outward from t0, left of t0 of the reciprocal factors.
     """
     _require_one_scale(p)
     t0 = p.scale._check_index(t0)
     factors = _require_regressive(_mu_p(p.scale.graininess, p.values))[:-1]
-    vals = ProductLadder(factors).ratios_from(t0)
+    vals = ProductLadder(factors[t0:]).prefixes()
+    if t0:
+        # no factor lies in the zero band, so every reciprocal is finite
+        left = ProductLadder(1.0 / factors[:t0][::-1]).prefixes()
+        vals = np.concatenate((left[:0:-1], vals))
     return _computed(p.scale, vals, "scale exponential")
 
 
@@ -244,7 +236,7 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     mu = scale.graininess
     window = slice(a, len(scale) - 1)  # only the window [a, n - 1) is checked
     factors = _require_regressive(_mu_p(mu, g.values, a), positive=True)[window]
-    q = ProductLadder(factors).ratios_from(0)          # q[k] = e_g(t_{a+k}, t_a)
+    q = ProductLadder(factors).prefixes()              # q[k] = e_g(t_{a+k}, t_a)
     # a value past the float range becomes inf or NaN, which _computed names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weighted = np.multiply(f.values[window], mu[window])

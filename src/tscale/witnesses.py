@@ -32,11 +32,6 @@ from .core import (GridFn1, _computed, _neumaier_cumsum, _plain_floats, _require
 from .errors import DomainError, ScaleMismatchError
 from .grid2d import GridFn2, KernelOracle, TimeScale2D, _cell_weights, _common_stack
 
-# A factor's binary exponent, plus the one each product of mantissas in
-# [0.5, 1) may shed, stays within 1075 in size, so the exponent of a product
-# of up to this many factors (the identity steps that fill the last block
-# included) and a B or x_a fits in int32; longer in int64.
-_INT32_EXPONENT_STEPS = (2 ** 31 - 1) // 1075 - 1
 # Steps per block of the comparison scan, composed in log2 of it rounds.
 _BLOCK = 16
 
@@ -144,11 +139,13 @@ def witness_kernel(p: GridFn2, q: GridFn2, kernel: KernelOracle,
     wmu = _cell_weights(p.domain)
     before = np.tri(n2, n2 - 1, -1)    # before[j, b] = 1 where b < j
     uw = np.empty((n1 - 1, n2 - 1))
-    for i in range(n1):
-        inner = np.einsum("jab,ab->jb", kernel.slab(i, i, n2 - 1), uw[:i])
-        u[i] = p.values[i] + rho * q.values[i] * (inner * before).sum(axis=1)
-        if i < n1 - 1:
-            uw[i] = u[i, :-1] * wmu[i]
+    # A witness past the float range needs no warning: GridFn2 rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n1):
+            inner = np.einsum("jab,ab->jb", kernel.slab(i, i, n2 - 1), uw[:i])
+            u[i] = p.values[i] + rho * q.values[i] * (inner * before).sum(axis=1)
+            if i < n1 - 1:
+                uw[i] = u[i, :-1] * wmu[i]
     return GridFn2(p.domain, u)
 
 
@@ -239,11 +236,22 @@ def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
     m, b, tmp = np.empty((3, _BLOCK, cols))
     # tmp holds f - slack, then g, in step order until the scans use it
     flat = tmp.reshape(-1)
-    np.subtract(f.values[a:-1], slack, out=flat[:n])
     flat[n:] = 0.0
-    np.multiply(_blocked(flat), _blocked(mu), out=b)
-    flat[:n] = g.values[a:-1]
-    np.multiply(_blocked(flat), _blocked(mu), out=m)
+    # an infinite step would pass through the scans: name it, as
+    # exponential._mu_p names an infinite mu*p
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(f.values[a:-1], slack, out=flat[:n])
+            np.multiply(_blocked(flat), _blocked(mu), out=b)
+            flat[:n] = g.values[a:-1]
+            np.multiply(_blocked(flat), _blocked(mu), out=m)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            for what, v in (("mu*(f - slack)", f.values[a:-1] - slack), ("mu*g", g.values[a:-1])):
+                k = a + np.flatnonzero(np.isinf(v * mu[:n]))
+                if k.size:
+                    raise DomainError(f"{what} overflows the float range at index {k[0]}") from None
+        raise
     m += 1.0
     return x, m, b, tmp
 
@@ -311,7 +319,7 @@ def _compose_exponents(x: np.ndarray, m: np.ndarray, b: np.ndarray, tmp: np.ndar
     and B and x[0] split so before A multiplies them: no product underflows
     early or overflows on its own and exact zeros stay exact, so x leaves the
     float range only where A*x[0] or B itself does."""
-    e = np.empty(m.shape, np.int32 if m.size <= _INT32_EXPONENT_STEPS else np.int64)
+    e = np.empty(m.shape, np.int64)
     etmp = np.empty_like(e)
     np.frexp(m, out=(m, e))
     with np.errstate(over="ignore", invalid="ignore"):

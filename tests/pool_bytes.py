@@ -112,8 +112,8 @@ def _calculus_lines(workloads: types.ModuleType) -> list[str]:
 def _through_tiny(rng) -> dict:
     """32 factors 1 + mu*p near 1e-11, then 32 near 1e11: the running product
     passes through about 1e-346 and comes back.  20 factors near 1e-10, then
-    10 near 1e35: every prefix is normal, but the ratio of the lowest to the
-    last is not.  Factors 1 + mu*g near 1e-5 take e_g through about 1e-315,
+    10 near 1e35: every prefix from index 0 is normal, but the reciprocal
+    products back from the last point pass below 1e-308.  Factors 1 + mu*g near 1e-5 take e_g through about 1e-315,
     and f near 1e-10 keeps the bound's quotients finite."""
     s = integer_segment(0, 64)
     mags = np.concatenate((rng.uniform(1.0, 2.0, 32) * 1e-11, rng.uniform(1.0, 2.0, 32) * 1e11))
@@ -134,7 +134,8 @@ def _through_tiny(rng) -> dict:
 def _through_huge(rng) -> dict:
     """31 factors 1 + mu*g near 1e10, then 29 near 1e-10: the comparison
     witness's products pass 1e308 while x, from near 1e-300, stays finite;
-    factors near 2 take e_p past 2**1000, which ratios to the middle undo."""
+    factors near 2 take products from index 0 past 2**1500, while exp_fn's,
+    outward from the middle, stay within 2**±800."""
     s = integer_segment(0, 60)
     g = GridFn1(s, np.concatenate((rng.uniform(1.0, 2.0, 31) * 1e10,
                                    rng.uniform(1.0, 2.0, 30) * 1e-10)) - 1.0)
@@ -146,7 +147,8 @@ def _through_huge(rng) -> dict:
             "witness_comparison_slack": lambda: witness_comparison(f, g, x_a, 0, 1e-300)}
 
 
-# One-variable calls whose running products leave the normal doubles.
+# One-variable calls whose running products, or the prefixes from index 0 of
+# their factors, leave the normal doubles.
 FALLBACK_CASES = {"through-tiny": _through_tiny, "through-huge": _through_huge}
 
 

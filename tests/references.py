@@ -45,7 +45,9 @@ pair of row slabs per row, are the reference for the sweep that builds each
 row slab once.
 The block-loop product ladder, which renormalizes its frexp mantissas every
 PRODUCT_BLOCK factors in a Python loop over blocks (BlockLadder), is the
-bit reference for the one running product; the exact sum that takes its
+bit reference for the one running product, and its ratio to the prefix at
+an anchor (exp_fn_anchored) the reference for the scale exponential that
+runs outward from its anchor; the exact sum that takes its
 significands from frexp (exact_sum_frexp) is the bit reference for the one
 that reads them from the bits; and the merge that walks the sorted points
 one at a time (union_scales_loop) is the reference for the array merge.
@@ -449,6 +451,20 @@ class BlockLadder:
         with np.errstate(over="ignore"):
             return np.ldexp(self.mantissas / self.mantissas[j],
                             self.exponents - self.exponents[j])
+
+
+def exp_fn_anchored(p, t0: int) -> np.ndarray:
+    """The scale exponential of a regressive coefficient as prefixes from
+    index 0 over the prefix at t0: a plain running product and one plain
+    division while neither raises an IEEE flag, else the block ladder's
+    ratio."""
+    factors = 1.0 + p.scale.graininess[:-1] * p.values[:-1]
+    try:
+        with np.errstate(all="raise"):
+            plain = np.concatenate(([1.0], np.cumprod(factors)))
+            return plain / plain[t0]
+    except FloatingPointError:
+        return BlockLadder(factors).ratios_from(t0)
 
 
 def exact_sum_frexp(values) -> float:

@@ -213,6 +213,18 @@ def test_kernel_witness_sees_the_sigma_corner():
     assert not rep.violations
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda d: KernelOracle.from_table(d, np.full(d.shape * 2, 1e300)),
+    lambda d: KernelOracle.separable(d, np.full((1, *d.shape), 1e300), np.ones((1, *d.shape))),
+], ids=["dense", "factored"])
+def test_kernel_witness_past_the_float_range_is_rejected_without_a_warning(kernel):
+    """Both witness branches leave a witness past the float range to GridFn2,
+    with no RuntimeWarning (an error under this suite's filter)."""
+    d = zz(4)
+    with pytest.raises(DomainError, match="^grid function values must be finite$"):
+        witness_kernel(ones(d), ones(d), kernel(d))
+
+
 def test_kernel_records_the_exponent_variant():
     d = zz(3)
     ko = KernelOracle.constant(d, 1.0)

@@ -133,13 +133,40 @@ def test_circle_minus_inverts_the_exponential():
     assert np.allclose(prod, 1.0, rtol=1e-12)
 
 
-def test_exp_long_product_switches_to_log_accumulation():
-    # prefix products reach 2^1200 (not representable) but ratios to the
-    # mid-scale anchor stay in range, and the binary exponents carry them
-    # exactly
+def test_exp_long_product_runs_outward_from_a_mid_scale_anchor():
+    # prefix products from index 0 would reach 2^1200 (not representable);
+    # the running products outward from the anchor stay within 2^±600
     s = integer_segment(0, 1200)
     e = exp_fn(const(s, 1.0), 600)
     assert np.array_equal(e.values, 2.0 ** np.arange(-600.0, 601.0))
+
+
+def test_exp_left_of_the_anchor_past_the_normals_is_exact():
+    # the reciprocal factors 1/2 run below 2^-1022, where the binary
+    # exponents carry every prefix exactly
+    s = integer_segment(0, 1030)
+    e = exp_fn(const(s, 1.0), 1030).values
+    assert e[0] == 2.0 ** -1030
+    assert np.array_equal(e, 2.0 ** np.arange(-1030.0, 1.0))
+
+
+def test_exp_of_a_calculus_1d_input_takes_no_exponents(monkeypatch):
+    """A coefficient whose integral, 800, takes products from index 0 past
+    e^800, anchored at the midpoint of that integral as the calculus-1d
+    benchmark anchors it: each side stays within about e^400, so both run in
+    plain floats and none calls np.frexp."""
+    s = dense_mesh(0.0, 1000.0, 0.01)
+    mu = np.diff(s.points)
+    vals = np.random.Generator(np.random.PCG64(11)).random(len(s)) + 0.5
+    vals *= 800.0 / float(np.dot(mu, vals[:-1]))
+    t0 = int(np.searchsorted(np.cumsum(mu * vals[:-1]), 400.0))
+
+    def frexp(*args, **kwargs):
+        raise AssertionError("np.frexp called")
+
+    monkeypatch.setattr(np, "frexp", frexp)
+    e = exp_fn(GridFn1(s, vals), t0).values
+    assert e[t0] == 1.0 and 1e-180 < e[0] < 1e-160 and 1e160 < e[-1] < 1e180
 
 
 def test_comparison_bound_doubles_with_unit_coefficient():
@@ -213,6 +240,18 @@ def test_witness_comparison_rejects_a_bad_slack(slack):
     s = integer_segment(0, 5)
     with pytest.raises(DomainError, match="slack must be finite and nonnegative"):
         witness_comparison(const(s, 1.0), const(s, 0.1), 1.0, 0, slack=slack)
+
+
+# the step from scale index 2 has mu = 1e300 - 2
+@pytest.mark.parametrize("f, g, what", [(1e200, 1.0, r"mu\*\(f - slack\)"), (1.0, 1e200, r"mu\*g")],
+                         ids=["mu_f", "mu_g"])
+def test_witness_comparison_names_an_overflowing_step(f, g, what):
+    """A step mu*(f - slack) or mu*g past the float range is named by its
+    scale index, as comparison_bound names mu*g, with no RuntimeWarning (an
+    error under this suite's filter)."""
+    s = explicit_scale([0.0, 1.0, 2.0, 1e300])
+    with pytest.raises(DomainError, match=f"^{what} overflows the float range at index 2$"):
+        witness_comparison(const(s, f), const(s, g), 1.0, 1, 0.5)
 
 
 @settings(max_examples=60, deadline=None)
