@@ -21,6 +21,8 @@ from .errors import ConfigError, DomainError, ScaleMismatchError
 MERGE_TOL = 1e-12
 # Most points one scale axis, or one product lattice, may have.
 MAX_LATTICE_POINTS = 10 ** 7
+# Terms per chunk of neumaier_cumsum: its scratch stays in cache.
+SUM_CHUNK = 8192
 
 
 def check_lattice_points(count: float, what: str) -> None:
@@ -78,7 +80,8 @@ def _neumaier_cumsum(vals: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     return np.add(total, bb, out=out)
 
 
-def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
+def neumaier_cumsum(values: Sequence[float] | np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Running sums with a Neumaier compensation term folded into each entry.
 
     Returns out[k] = sum(values[: k + 1]) computed so that the error of each
@@ -87,12 +90,32 @@ def neumaier_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     column on its own.  Prefixes and their rounding errors both accumulate
     strictly in order, so every entry is bit for bit that of the sequential
     Neumaier loop.
+
+    The sums are written to out, a fresh array by default; out may be values
+    itself, element for element, but may not overlap it otherwise.  The
+    columns run down in chunks of SUM_CHUNK terms, each continuing from the
+    last prefix and compensation of the chunk before, so the scratch is
+    three chunk-sized buffers.
     """
-    out = np.array(np.moveaxis(np.asarray(values, dtype=float), 0, -1), order="C")
-    scratch = np.empty((4, *out.shape))
-    scratch[1, ..., :1] = 0.0
-    _neumaier_cumsum(out, out, scratch)
-    return np.moveaxis(out, -1, 0)
+    vals = np.asarray(values, dtype=float)
+    if out is None:
+        out = np.empty(vals.shape)
+    n = len(vals)
+    # [0] of the prefixes and of the compensations holds the last one of the
+    # chunk before; -0.0 is the identity of IEEE addition, so the first chunk
+    # starts from nothing
+    total, comp, bb = np.empty((3, min(n, SUM_CHUNK) + 1, *vals.shape[1:]))
+    total[0] = comp[0] = -0.0
+    for lo in range(0, n, SUM_CHUNK):
+        hi = min(lo + SUM_CHUNK, n)
+        x, t, c = vals[lo:hi], total[:hi - lo + 1], comp[:hi - lo + 1]
+        t[1:] = x
+        np.add.accumulate(t, 0, out=t)
+        _two_sum_error(t[:-1], x, t[1:], c[1:], bb[:hi - lo])
+        np.add.accumulate(c, 0, out=c)
+        np.add(t[1:], c[1:], out=out[lo:hi])
+        total[0], comp[0] = t[-1], c[-1]
+    return out
 
 
 def exact_sum(values: Sequence[float] | np.ndarray) -> float:
@@ -454,11 +477,19 @@ def antiderivative(f: GridFn1, t0: int, x0: float = 0.0) -> GridFn1:
         raise DomainError(f"x0 must be finite, got {x0}")
     pts = scale.points
     out = np.empty(len(scale))
-    out[t0] = x0
+    # the increments f*mu lie where their sums go: right of t0 one place on,
+    # left of t0 in place, summed from t0 back through a reversed view
+    right, left = out[t0 + 1:], out[:t0]
     with np.errstate(over="ignore", invalid="ignore"):
-        inc = np.multiply(f.values[:-1], np.subtract(pts[1:], pts[:-1]))
+        np.subtract(pts[t0 + 1:], pts[t0:-1], out=right)
+        np.subtract(pts[1:t0 + 1], pts[:t0], out=left)
+        right *= f.values[t0:-1]
+        left *= f.values[:t0]
         if t0 < len(scale) - 1:
-            np.add(x0, neumaier_cumsum(inc[t0:]), out=out[t0 + 1:])
+            neumaier_cumsum(right, out=right)
+            right += x0
         if t0 > 0:
-            np.subtract(x0, neumaier_cumsum(inc[t0 - 1::-1])[::-1], out=out[:t0])
+            neumaier_cumsum(left[::-1], out=left[::-1])
+            np.subtract(x0, left, out=left)
+    out[t0] = x0
     return _computed(scale, out, "antiderivative")

@@ -83,7 +83,19 @@ def regressivity(p: GridFn1) -> RegressivityReport:
 
 def _require_regressive(mu_p: np.ndarray, positive: bool = False) -> np.ndarray:
     """The factors 1 + mu*p at every index of the products mu*p (the maximum
-    contributes a harmless 1), once none lies in the zero band."""
+    contributes a harmless 1), once none lies in the zero band; mu_p may be
+    overwritten with them.
+
+    fl is monotone, so no band is wider than the one at the largest |mu*p|,
+    and the smallest and largest factors are 1 plus the smallest and largest
+    mu*p.  Where every factor clears that widest band on one side (the
+    positive side if positive), none lies in its own band and the bands are
+    not built; otherwise each factor is checked against its own band.
+    """
+    lo, hi = float(mu_p.min()), float(mu_p.max())
+    widest = (max(abs(lo), abs(hi)) + 1.0) * REGRESSIVITY_TOL
+    if 1.0 + lo > widest or (not positive and 1.0 + hi < -widest):
+        return np.add(mu_p, 1.0, out=mu_p)
     factors, band = _factors(mu_p)
     bad = (factors <= band) if positive else (np.abs(factors) <= band)
     if bad.any():
@@ -239,10 +251,11 @@ def comparison_bound(x_a: float, f: GridFn1, g: GridFn1, a: int) -> GridFn1:
     q = ProductLadder(factors).prefixes()              # q[k] = e_g(t_{a+k}, t_a)
     # a value past the float range becomes inf or NaN, which _computed names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weighted = np.multiply(f.values[window], mu[window])
+        # the weights f*mu, then their running sums, written over mu, read no more
+        weighted = np.multiply(f.values[window], mu[window], out=mu[window])
         weighted /= q[1:]
-        acc = neumaier_cumsum(weighted)
-        acc += x_a
-        q[1:] *= acc
+        neumaier_cumsum(weighted, out=weighted)
+        weighted += x_a
+        q[1:] *= weighted
     q[0] = x_a
     return _computed(scale.tail(a), q, "comparison bound")

@@ -223,7 +223,8 @@ def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
     """x, the comparison witness's output with x[0] = x_a, and its steps from
     index a in block-minor layout: m = 1 + mu*g, b = mu*(f - slack) and
     scratch tmp, each of shape (16, ceil(n/16)) for n steps; the steps past
-    n that fill the last block are the identity."""
+    n that fill the last block are the identity.  Each step is formed in
+    step order and then copied once into the layout."""
     pts = f.scale.points[a:]
     n = len(pts) - 1
     cols = -(-n // _BLOCK)
@@ -234,7 +235,7 @@ def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
     np.subtract(pts[1:], pts[:-1], out=mu[:n])
     mu[n:] = 0.0
     m, b, tmp = np.empty((3, _BLOCK, cols))
-    # tmp holds f - slack, then g, in step order until the scans use it
+    # tmp holds mu*(f - slack), then 1 + mu*g, in step order until the scans use it
     flat = tmp.reshape(-1)
     flat[n:] = 0.0
     # an infinite step would pass through the scans: name it, as
@@ -242,9 +243,9 @@ def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
     try:
         with np.errstate(over="raise"):
             np.subtract(f.values[a:-1], slack, out=flat[:n])
-            np.multiply(_blocked(flat), _blocked(mu), out=b)
-            flat[:n] = g.values[a:-1]
-            np.multiply(_blocked(flat), _blocked(mu), out=m)
+            flat *= mu
+            b[...] = _blocked(flat)
+            np.multiply(g.values[a:-1], mu[:n], out=flat[:n])
     except FloatingPointError:
         with np.errstate(over="ignore"):
             for what, v in (("mu*(f - slack)", f.values[a:-1] - slack), ("mu*g", g.values[a:-1])):
@@ -252,7 +253,8 @@ def _affine_steps(f: GridFn1, g: GridFn1, x_a: float, a: int, slack: float):
                 if k.size:
                     raise DomainError(f"{what} overflows the float range at index {k[0]}") from None
         raise
-    m += 1.0
+    flat += 1.0
+    m[...] = _blocked(flat)
     return x, m, b, tmp
 
 
@@ -274,12 +276,30 @@ def _plain_scan(m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
         d *= 2
 
 
+def _block_scan(m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """_plain_scan, its rounds composed in place: each round runs d rows at a
+    time from the last row, so the rows k - d it reads are not yet composed
+    in this round.  tmp holds at least len(m) // 2 rows."""
+    n = len(m)
+    d = 1
+    while d < n:
+        hi = n
+        while hi > d:
+            lo = max(hi - d, d)
+            t = tmp[:hi - lo]
+            np.multiply(m[lo:hi], b[lo - d:hi - d], out=t)
+            b[lo:hi] += t
+            m[lo:hi] *= m[lo - d:hi - d]
+            hi = lo
+        d *= 2
+
+
 def _compose_plain(x: np.ndarray, m: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
     """Write x[k + 1], steps 0..k of _affine_steps applied to x[0], for every
     k by the two-level scan: the doubling scan within each block (column),
     then over the block totals in the last row, then one pass that applies
     each total to the block after it."""
-    _plain_scan(m, b, tmp)
+    _block_scan(m, b, tmp)
     _plain_scan(m[-1], b[-1], tmp[-1])
     # every row but the last of block c takes the steps of blocks 0..c-1,
     # composed in the last row of column c - 1; the identity comes before
@@ -291,7 +311,8 @@ def _compose_plain(x: np.ndarray, m: np.ndarray, b: np.ndarray, tmp: np.ndarray)
     mt *= x[0]
     m[:-1] *= mt
     m[-1] *= x[0]
-    np.add(m, b, out=_blocked(x[1:]))
+    m += b
+    _blocked(x[1:])[...] = m
 
 
 def _doubling_scan(m: np.ndarray, e: np.ndarray, b: np.ndarray,
@@ -353,8 +374,9 @@ def witness_comparison(f: GridFn1, g: GridFn1, x_a: float, a: int,
     column: a doubling scan of 4 rounds on its contiguous rows composes every
     block, the doubling scan composes the block totals in the last row, and
     one pass applies each total to the block after it.  At n = 10**5 that is
-    about 5 full-length rounds, where one doubling scan takes 17, each of 4
-    array passes in plain floats.  The scan runs in plain floats under
+    about 5 full-length rounds, where one doubling scan takes 17, each of 3
+    array passes in plain floats: the rounds within the blocks compose in
+    place.  The scan runs in plain floats under
     core._plain_floats; where an IEEE flag fires, it runs again on the
     steps rebuilt from the inputs with each composed A a mantissa and an
     exponent (see _compose_exponents), each round then of 9 passes.  No

@@ -55,6 +55,11 @@ The block writer that takes one report per instance (write_csv_instances,
 write_json_instances) and the summary that json.dumps formats whole
 (summary_json) are the references for the writer that takes each stack's
 report whole and the summary whose digests are formatted by column.
+The comparison scan that composes every doubling round over all rows into
+scratch and copies it back (witness_comparison_plain) is the bit reference
+for the scan whose in-block rounds run in place, and the regressivity check
+that builds every factor's band (require_regressive) the reference for the
+check that first screens the factors against the widest band.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ from tscale import (BoundCase, ConfigError, DomainError, GridFn1, GridFn2, Kerne
 from tscale.core import check_lattice_points
 from tscale.grid2d import check_kernel_budget
 from tscale.core import MERGE_TOL, TimeScale, _two_sum_error, neumaier_cumsum
-from tscale.exponential import PRODUCT_BLOCK
+from tscale.errors import RegressivityError
+from tscale.exponential import PRODUCT_BLOCK, REGRESSIVITY_TOL
 from tscale.grid2d import _cell_weights
 from tscale.spelling import spell
 
@@ -386,6 +392,75 @@ def witness_comparison_exponents(f, g, x_a, a, slack=0.0) -> np.ndarray:
         e[-1] += ex
         np.add(np.ldexp(m, e, out=m), b, out=blocked(x[1:]))
     return x[:n + 1]
+
+
+def witness_comparison_plain(f, g, x_a, a, slack=0.0) -> np.ndarray:
+    """The two-level comparison scan in plain floats with every round over
+    all rows: the steps formed by multiplying two block-minor views, each
+    doubling round computed into scratch and copied back, and x written
+    through a block-minor view; where an IEEE flag fires, the scan that
+    carries mantissas and exponents (witness_comparison_exponents)."""
+    pts = f.scale.points[a:]
+    n = len(pts) - 1
+    cols = -(-n // SCAN_BLOCK)
+    x = np.empty(SCAN_BLOCK * cols + 1)
+    x[0] = float(x_a)
+    mu = x[1:]
+    np.subtract(pts[1:], pts[:-1], out=mu[:n])
+    mu[n:] = 0.0
+    m, b, tmp = np.empty((3, SCAN_BLOCK, cols))
+
+    def blocked(v):
+        return v.reshape(cols, SCAN_BLOCK).T
+
+    def scan(m, b, tmp):
+        n = len(m)
+        d = 1
+        while d < n:
+            t = tmp[:n - d]
+            np.multiply(m[d:], b[:-d], out=t)
+            b[d:] += t
+            np.multiply(m[d:], m[:-d], out=t)
+            m[d:] = t
+            d *= 2
+
+    flat = tmp.reshape(-1)
+    flat[n:] = 0.0
+    np.subtract(f.values[a:-1], slack, out=flat[:n])
+    np.multiply(blocked(flat), blocked(mu), out=b)
+    flat[:n] = g.values[a:-1]
+    np.multiply(blocked(flat), blocked(mu), out=m)
+    m += 1.0
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
+            scan(m, b, tmp)
+            scan(m[-1], b[-1], tmp[-1])
+            mt, bt = (np.concatenate(([first], v[-1, :-1])) for first, v in ((1.0, m), (0.0, b)))
+            t = tmp[:-1]
+            np.multiply(m[:-1], bt, out=t)
+            b[:-1] += t
+            mt *= x[0]
+            m[:-1] *= mt
+            m[-1] *= x[0]
+            np.add(m, b, out=blocked(x[1:]))
+    except FloatingPointError:
+        return witness_comparison_exponents(f, g, x_a, a, slack)
+    return x[:n + 1]
+
+
+def require_regressive(mu_p, positive: bool = False) -> np.ndarray:
+    """The regressivity check that builds every factor's band: the factors
+    1 + mu*p, or RegressivityError naming the first one in its band."""
+    factors = 1.0 + mu_p
+    band = (np.abs(mu_p) + 1.0) * REGRESSIVITY_TOL
+    bad = (factors <= band) if positive else (np.abs(factors) <= band)
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "loses positive regressivity" if positive else "is not regressive"
+        raise RegressivityError(
+            f"coefficient {kind}: factor 1 + mu*p = {factors[i]:.3e} at index {i}",
+            worst_index=i, worst_factor=float(factors[i]))
+    return factors
 
 
 # Running product magnitudes beyond this trip the log-space representation.

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from tscale import BoundCase, TimeScale2D, config, grid2d, integer_segment, verify
+import tscale
+from tscale import (BoundCase, GridFn1, TimeScale2D, config, dense_mesh, grid2d,
+                    integer_segment, verify)
 from tscale.exponential import ProductLadder
 from tscale.grid2d import KernelOracle
 
@@ -61,6 +63,25 @@ def test_counting_hooks_read_live_attributes():
     tracer_mod._count_table(tracer, (oracle,), oracle.table)
     assert tracer.counts["grid2d.kernel_table.builds"] == 0
     assert tracer.counts["grid2d.kernel_table.bytes"] == oracle.table().nbytes
+
+
+def test_one_variable_sums_count_their_elements():
+    """core.neumaier_cumsum.elements adds the size of what neumaier_cumsum
+    returns, so antiderivative and comparison_bound must call the public
+    function and get back the whole run they summed: n - 1 terms for an
+    antiderivative anchored inside the scale, in two calls, and the window
+    [a, n - 1) for the comparison bound."""
+    s = dense_mesh(0.0, 1.0, 0.01)
+    n = len(s)
+    f = GridFn1(s, np.linspace(0.5, 1.5, n))
+    runs = [(lambda: tscale.antiderivative(f, 40, 1.0), n - 1, 2),
+            (lambda: tscale.comparison_bound(1.5, f, f, 30), n - 1 - 30, 1)]
+    for call, elements, calls in runs:
+        tracer = _tracer_module().Tracer()
+        with tracer.installed():
+            call()
+        assert tracer.counts["core.neumaier_cumsum.elements"] == elements
+        assert tracer.calls["core.neumaier_cumsum"] == calls
 
 
 REALIZERS = ("realize_1d", "realize_2d", "realize_kernel", "realize_scalar")

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscale import (DomainError, GridFn1, RegressivityError, circle_minus,
+import references as ref
+from tscale import (DomainError, GridFn1, RegressivityError, antiderivative, circle_minus,
                     circle_plus, comparison_bound, dense_mesh, exp_fn,
                     explicit_scale, integer_segment, q_grid, regressivity)
+from tscale import exponential
+from tscale.exponential import _factors, _require_regressive
 from tscale.witnesses import witness_comparison
 
 
@@ -267,3 +271,139 @@ def test_slacked_solutions_never_exceed_comparison_bound(seed, n):
     bound = comparison_bound(x_a, f, g, 0)
     excess = x.values - bound.values
     assert excess.max() <= 1e-9 * (1.0 + np.abs(bound.values).max())
+
+
+# -- the zero band at its edge ---------------------------------------------
+
+def _edge_products(side: str) -> tuple[float, float]:
+    """The products mu*p whose factors 1 + mu*p are the last inside and the
+    first outside the zero band on one side of zero.  Near zero the factors
+    take the grid of 2**-53 (above zero) or 2**-52 (below) that 1 + mu*p
+    has for mu*p near -1, steps of about 2**-14 of the band, so a factor at
+    the band times (1 +- 2**-20) is not representable: the nearest ones on
+    each side stand in for it."""
+    steps = np.arange(1, 40000)
+    mu_p = -1.0 + steps * 2.0 ** -53 if side == "above" else -1.0 - steps * 2.0 ** -52
+    factors, band = _factors(mu_p)
+    k = np.flatnonzero(np.abs(factors) <= band)[-1]
+    return float(mu_p[k]), float(mu_p[k + 1])
+
+
+EDGE_PRODUCTS = {side: _edge_products(side) for side in ("above", "below")}
+
+
+@pytest.mark.parametrize("side", EDGE_PRODUCTS)
+def test_a_factor_at_the_band_edge_raises_inside_and_passes_outside(side):
+    inside, outside = EDGE_PRODUCTS[side]
+    for mu_p, within in ((inside, True), (outside, False)):
+        factor, band = (float(v[0]) for v in _factors(np.array([mu_p])))
+        assert (1 - 2.0 ** -13 < abs(factor) / band <= 1) if within \
+            else (1 < abs(factor) / band < 1 + 2.0 ** -13)
+    s = integer_segment(0, 3)                       # mu = 1, so mu*p = p
+    checks = [("is not regressive", lambda p: exp_fn(p, 0))]
+    if side == "above":
+        checks.append(("loses positive regressivity",
+                       lambda p: comparison_bound(1.0, const(s, 1.0), p, 0)))
+    for kind, call in checks:
+        with pytest.raises(RegressivityError, match=f"{kind}: .* at index 1$") as err:
+            call(GridFn1(s, [0.5, inside, 0.25, 0.0]))
+        assert (err.value.worst_index, err.value.worst_factor) == (1, 1.0 + inside)
+        call(GridFn1(s, [0.5, outside, 0.25, 0.0]))
+    for mu_p, within in ((inside, True), (outside, False)):
+        report = regressivity(GridFn1(s, [0.5, mu_p, 0.25, 0.0]))
+        assert report.is_regressive is not within
+        assert report.is_positively_regressive is (side == "above" and not within)
+
+
+def test_no_factor_lies_on_its_band_edge():
+    """`factors <= band` and `factors < band` give the same verdicts on every
+    double mu*p, and so do `|factors| <= band` and `|factors| < band`: no
+    factor's magnitude equals its band.  The band is positive.  For mu*p
+    outside (-2, -0.5), |1 + mu*p| >= (1 + |mu*p|) / 3 rounds to far more than
+    the band (1 + |mu*p|) * 1e-12.  Inside it, 1 + mu*p is exact (Sterbenz)
+    and each band is at most the one at |mu*p| = 2 (fl is monotone), so an
+    equal magnitude needs |1 + mu*p| within that band: every double in that
+    interval is checked here."""
+    widest = float(_factors(np.array([2.0]))[1][0])
+    ends = np.array([-1.0 + 2 * widest, -1.0 - 2 * widest])
+    assert np.all(np.abs(1.0 + ends) > widest)
+    # the bits of doubles of one sign are in the order of their magnitudes
+    lo, hi = ends.view(np.int64)
+    mu_p = np.arange(lo, hi + 1).view(np.float64)
+    factors, band = _factors(mu_p)
+    assert np.all(np.abs(factors) != band)
+
+
+@st.composite
+def band_edge_products(draw):
+    """Products mu*p all clear of zero on one side, or mixing both sides
+    with products whose factors lie within 40 grid steps of the band edge."""
+    above, below = EDGE_PRODUCTS["above"][0], EDGE_PRODUCTS["below"][0]
+    floats = dict(allow_nan=False, allow_infinity=False)
+    clear_above, clear_below = st.floats(-0.99, 3.0, **floats), st.floats(-5.0, -1.01, **floats)
+    near = st.one_of(st.integers(-40, 40).map(lambda d: above + d * 2.0 ** -53),
+                     st.integers(-40, 40).map(lambda d: below - d * 2.0 ** -52))
+    element = draw(st.sampled_from([clear_above, clear_below,
+                                    st.one_of(near, clear_above, clear_below, st.just(0.0))]))
+    return np.array(draw(st.lists(element, min_size=1, max_size=30)))
+
+
+def _verdict(check, mu_p: np.ndarray, positive: bool):
+    try:
+        return check(mu_p.copy(), positive).view(np.uint64).tolist()
+    except RegressivityError as err:
+        return str(err), err.worst_index, err.worst_factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_edge_products(), st.booleans())
+def test_the_band_screen_agrees_with_every_band(mu_p, positive):
+    """The screen against the widest band gives the verdict, the factors,
+    and on failure the message, index and factor of the check that builds
+    every factor's band."""
+    assert _verdict(_require_regressive, mu_p, positive) == \
+        _verdict(ref.require_regressive, mu_p, positive)
+
+
+def test_clear_factors_build_no_bands(monkeypatch):
+    """Where every factor clears the widest band on one side of zero, no
+    band is built."""
+    def no_bands(mu_p):
+        raise AssertionError("bands built")
+    monkeypatch.setattr(exponential, "_factors", no_bands)
+    s = dense_mesh(0.0, 1.0, 0.01)
+    exp_fn(const(s, -90.0), 50)                     # factors 0.1 and a last 1
+    comparison_bound(1.0, const(s, 1.0), const(s, 3.0), 10)
+    # the factor 1 at the maximum lies above zero, so only products taken
+    # apart from it can all lie below
+    assert np.array_equal(_require_regressive(np.full(5, -1.9)), 1.0 + np.full(5, -1.9))
+
+
+# -- memory -----------------------------------------------------------------
+
+def _calculus_inputs():
+    """A calculus-1d-like 20 001-point mesh: a positive coefficient whose
+    exponential spans about e^100, anchored at the midpoint."""
+    s = dense_mesh(0.0, 1.0, 5e-5)
+    rng = np.random.Generator(np.random.PCG64(20001))
+    f, g, p = (GridFn1(s, rng.random(len(s)) + 0.5) for _ in range(3))
+    return s, f, g, GridFn1(s, p.values * 100.0)
+
+
+@pytest.mark.parametrize("call, budget", [
+    (lambda s, f, g, p: antiderivative(f, len(s) // 3, 0.5), 24),
+    (lambda s, f, g, p: comparison_bound(1.5, f, g, 10), 40),
+    (lambda s, f, g, p: exp_fn(p, len(s) // 2), 28),
+], ids=["antiderivative", "comparison_bound", "exp_fn"])
+def test_one_variable_calls_keep_to_their_scratch_budget(call, budget):
+    """Peak traced bytes per point of one call, its result included: the
+    sums take chunk-sized scratch and the exact screen builds no bands."""
+    inputs = _calculus_inputs()
+    call(*inputs)
+    tracemalloc.start()
+    try:
+        call(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(inputs[0]) <= budget

@@ -58,7 +58,7 @@ from tscale import (ConfigError, DomainError, FnSpec, GridFn1, GridFn2, KernelIn
                     realize_scalar, running_integral, union_scales)
 from tscale import bounds, cli, config, verify, witnesses
 from tscale.config import FN_FAMILIES, VALUE_CAP
-from tscale.core import neumaier_cumsum
+from tscale.core import SUM_CHUNK, neumaier_cumsum
 from tscale.core import MERGE_TOL, TimeScale
 from tscale.exponential import PRODUCT_BLOCK, ProductLadder
 from tscale.witnesses import (witness_comparison, witness_integrodynamic,
@@ -893,6 +893,42 @@ def test_comparison_witness_has_the_exponent_scans_bits_past_the_normals(inputs)
     _assert_exponent_scan_bits(inputs)
 
 
+@st.composite
+def blocked_comparison_inputs(draw):
+    """f, g, x_a, a and slack with n steps from a, n = 15, 0 or 1 mod 16, so
+    the last block of 16 steps is short by one, full, or holds one step; a
+    starts up to 3 points in, and slack is 0 or drawn.  The factors
+    1 + mu*g take both signs and stay within [0.5, 1.5] in magnitude."""
+    n = 16 * draw(st.integers(0, 48)) + draw(st.sampled_from([15, 16, 17]))
+    a = draw(st.integers(0, 3))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    scale = explicit_scale(np.cumsum(rng.uniform(0.05, 2.0, a + n + 1)))
+    mu = scale.graininess
+    sign = rng.choice([-1.0, 1.0], a + n + 1)
+    g = (sign * rng.uniform(0.5, 1.5, a + n + 1) - 1.0) / np.where(mu > 0, mu, 1.0)
+    slack = draw(st.sampled_from([0.0, float(rng.uniform(0.0, 1.0))]))
+    return (GridFn1(scale, rng.uniform(-2.0, 2.0, a + n + 1)), GridFn1(scale, g),
+            float(rng.uniform(-2.0, 2.0)), a, slack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_comparison_inputs())
+# a > 0 with slack, on each residue of n mod 16, and n = 1, 15, 16
+@example(inputs=_pinned(integer_segment(0, 34), 0.5, [0.25, -1.5], 1.5, 0.125)[:3] + (3, 0.125))
+@example(inputs=_pinned(integer_segment(0, 34), 0.5, [0.25, -1.5], 1.5, 0.125)[:3] + (2, 0.125))
+@example(inputs=_pinned(integer_segment(0, 35), 0.5, [0.25, -1.5], 1.5)[:3] + (2, 0.0))
+@example(inputs=_pinned(integer_segment(0, 1), 0.5, 0.25, 1.5))
+@example(inputs=_pinned(integer_segment(0, 15), 0.5, 0.25, 1.5, 0.25))
+@example(inputs=_pinned(integer_segment(0, 16), -0.5, -1.75, 1.5))
+def test_comparison_witness_has_the_all_rows_scans_bits(inputs):
+    """The in-block rounds run in place, the steps are formed in step order
+    and x is written from a contiguous sum: each composes the same values in
+    the same order as the scan over all rows, so every bit is kept."""
+    x = witness_comparison(*inputs).values
+    old = ref.witness_comparison_plain(*inputs)
+    assert np.array_equal(x.view(np.uint64), old.view(np.uint64))
+
+
 def test_in_range_calculus_takes_no_exponents(monkeypatch):
     """exp_fn, comparison_bound and witness_comparison whose running products
     stay normal doubles run in plain floats: none calls np.frexp."""
@@ -1205,10 +1241,31 @@ def cancelling(draw):
     return draw(st.permutations(vals)) if draw(st.booleans()) else vals
 
 
+def _seamed(n: int) -> np.ndarray:
+    """n terms of both signs and sizes 1e-200 to 1e200, some cancelling."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
+    vals[n // 2::7] = -vals[:len(vals[n // 2::7])]
+    return vals
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.lists(mixed, max_size=60), cancelling()))
+# chunks of SUM_CHUNK terms: one short, one full, one and one term, and four
+@example(vals=_seamed(SUM_CHUNK - 1))
+@example(vals=_seamed(SUM_CHUNK))
+@example(vals=_seamed(SUM_CHUNK + 1))
+@example(vals=_seamed(3 * SUM_CHUNK + 5))
 def test_neumaier_cumsum_is_bit_identical_to_the_loop(vals):
-    assert np.array_equal(neumaier_cumsum(vals), ref.neumaier_cumsum_loop(vals))
+    want = ref.neumaier_cumsum_loop(vals).view(np.uint64)
+    assert np.array_equal(neumaier_cumsum(vals).view(np.uint64), want)
+    # into a reversed view of fresh memory, and over the values themselves
+    arr = np.array(vals, dtype=float)
+    rev = np.empty(len(arr))[::-1]
+    assert neumaier_cumsum(arr, out=rev) is rev
+    assert np.array_equal(rev.view(np.uint64), want)
+    assert neumaier_cumsum(arr, out=arr) is arr
+    assert np.array_equal(arr.view(np.uint64), want)
 
 
 @settings(max_examples=60, deadline=None)
