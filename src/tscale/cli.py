@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundCase, ExponentVariant
-from .config import classical_forms, parse_fn, parse_scale, realize_1d
+from .config import REQUIRED, classical_forms, parse_fn, parse_scale, read_keys, realize_1d
 from .core import GridFn1, cauchy_integral, delta_derivative
 from .errors import ConfigError, DomainError
 from .exponential import comparison_bound, exp_fn
@@ -95,11 +95,8 @@ def _cmd_calc(args: argparse.Namespace) -> int:
         out = comparison_bound(args.xa, f, g, scale.locate(args.lower))
     elif op == "dderiv":
         out = delta_derivative(_fixed_fn(args.fn, scale))
-    elif op == "exp":
-        f = _fixed_fn(args.fn, scale)
-        out = exp_fn(f, scale.locate(args.t0))
-    else:
-        raise ConfigError(f"unknown calc operation '{op}'")
+    else:   # exp, the last of the parser's choices
+        out = exp_fn(_fixed_fn(args.fn, scale), scale.locate(args.t0))
     _print_rows(out.scale.points, out.values)
     return 0
 
@@ -116,12 +113,40 @@ def _read_config(path: str):
             raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-def _section(obj: dict, key: str) -> dict:
-    """obj[key] as a JSON object; absent, null or empty reads as {}."""
-    value = obj.get(key) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be a JSON object")
+def _whole(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError("must be a nonnegative integer")
     return value
+
+
+def _file_path(value) -> str:
+    if not value or not isinstance(value, str) or "\0" in value:
+        raise ValueError("must be text naming a file, without NUL characters")
+    return value
+
+
+def _functions(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("must be a JSON object")
+    return {name: parse_fn(fn) for name, fn in value.items()}
+
+
+# The key tables of the verify and converge configs and their 'output' objects.
+_OUTPUT = {"path": (_file_path, REQUIRED)}
+_VERIFY = {"theorem": ({case.value: case for case in BoundCase}, REQUIRED),
+           "scale1": (parse_scale, REQUIRED),
+           "scale2": (parse_scale, REQUIRED),
+           "functions": (_functions, {}),
+           "witness_mode": ({mode.value: mode for mode in WitnessMode}, "equality"),
+           "exponent_variant": ({v: v for v in ("first", "second", "both")}, "first"),
+           "count": (_whole, 1),
+           "seed": (_whole, 0),
+           "output": (lambda out: read_keys(out, {**_OUTPUT, "format": (
+               {"csv": "csv", "json": "json"}, "csv")}, "'output'"), REQUIRED)}
+_CONVERGE = {"operation": ({"dderiv": "dderiv", "exp": "exp"}, REQUIRED),
+             "scale": (parse_scale, REQUIRED),
+             "function": (parse_fn, REQUIRED),
+             "output": (lambda out: read_keys(out, _OUTPUT, "'output'"), REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -135,59 +160,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("verify config must be a JSON object")
-        case_name = obj.get("theorem")
-        try:
-            case = BoundCase(case_name)
-        except ValueError:
-            raise ConfigError(
-                f"'theorem' must be one of "
-                f"{', '.join(c.value for c in BoundCase)}; got {case_name!r}") from None
-        for key in ("scale1", "scale2"):
-            if key not in obj:
-                raise ConfigError(f"verify config needs '{key}'")
-        functions = {name: parse_fn(fn)
-                     for name, fn in _section(obj, "functions").items()}
-        mode_name = obj.get("witness_mode", "equality")
-        try:
-            mode = WitnessMode(mode_name)
-        except ValueError:
-            raise ConfigError(
-                f"'witness_mode' must be equality or strict_slack; "
-                f"got {mode_name!r}") from None
-        variant_mode = obj.get("exponent_variant", "first")
-        if variant_mode not in ("first", "second", "both"):
-            raise ConfigError("'exponent_variant' must be first, second, or both")
-        primary = ExponentVariant.SECOND_VARIABLE if variant_mode == "second" \
-            else ExponentVariant.FIRST_VARIABLE
-        count = obj.get("count", 1)
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ConfigError("'count' must be an integer")
-        seed = obj.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("'seed' must be a nonnegative integer")
-        out = _section(obj, "output")
-        path = out.get("path")
-        if not path:
-            raise ConfigError("verify config needs output.path")
-        if not isinstance(path, str) or "\0" in path:
-            raise ConfigError("output.path must be text naming a file, without NUL characters")
-        fmt = out.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError("output.format must be csv or json")
+        top = read_keys(obj, _VERIFY, "verify config")
+        out, variant = top.pop("output"), top.pop("exponent_variant")
         instance = InstanceSpec(
-            case=case,
-            scale1=parse_scale(obj["scale1"]),
-            scale2=parse_scale(obj["scale2"]),
-            functions=functions,
-            rng_seed=seed,
-            count=count,
-            witness_mode=mode,
-            exponent_variant=primary,
-        )
-        return cls(instance=instance, output_path=str(path),
-                   output_format=fmt, variant_mode=variant_mode)
+            case=top.pop("theorem"), rng_seed=top.pop("seed"), **top,
+            exponent_variant=ExponentVariant("second" if variant == "second" else "first"))
+        return cls(instance, out["path"], out["format"], variant)
 
 
 def _report_blocks(reports, json_rule: bool = False):
@@ -399,22 +377,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    raw = _read_config(args.config)
-    if not isinstance(raw, dict):
-        raise ConfigError("converge config must be a JSON object")
-    op = raw.get("operation")
-    if op not in ("dderiv", "exp"):
-        raise ConfigError("operation must be dderiv or exp")
-    spec = parse_scale(raw.get("scale") or {})
+    op, spec, fn, out = read_keys(_read_config(args.config), _CONVERGE, "converge config").values()
     if spec.kind != "dense_mesh":
         raise ConfigError("convergence study needs a dense_mesh scale")
     h0 = spec._num("h")
     spec.build()
-    fn = parse_fn(raw.get("function") or {})
-    path = _section(raw, "output").get("path")
-    if not path:
-        raise ConfigError("converge config needs output.path")
-    csv_path, = _targets(args.config, str(path), (".csv",))
+    csv_path, = _targets(args.config, out["path"], (".csv",))
 
     if op == "exp":
         if fn.family != "constant" or fn.value is None:
@@ -424,24 +392,19 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         f, fprime = classical_forms(fn)
 
     rows: list[tuple[float, float, float | None]] = []
-    prev_err: float | None = None
     for level in range(4):
         hk = h0 / 2 ** level
         mesh = replace(spec, h=hk).build()
         if op == "dderiv":
-            g = GridFn1.from_function(mesh, f)
-            approx = delta_derivative(g).values
+            approx = delta_derivative(GridFn1.from_function(mesh, f)).values
             ref = np.array([fprime(t) for t in mesh.points[:-1]])
         else:
-            coeff = GridFn1(mesh, np.full(len(mesh), rate))
-            approx = exp_fn(coeff, 0).values
+            approx = exp_fn(GridFn1(mesh, np.full(len(mesh), rate)), 0).values
             ref = np.exp(rate * (mesh.points - mesh.points[0]))
         err = float(np.abs(approx - ref).max())
-        order: float | None = None
-        if prev_err is not None and err > 0.0 and prev_err > 0.0:
-            order = math.log2(prev_err / err)
-        rows.append((hk, err, order))
-        prev_err = err
+        prev_err = rows[-1][1] if rows else math.nan
+        rows.append((hk, err, math.log2(prev_err / err) if err > 0.0 and prev_err > 0.0
+                     else None))
 
     text = "h,max_error,observed_order\n" + "".join(
         f"{fmt_number(hk)},{fmt_number(err)},{'' if order is None else fmt_number(order)}\n"

@@ -29,9 +29,89 @@ VALUE_CAP = 10.0
 # Smallest normal double: the floor of a sampled exponential capped in log space.
 _TINY = np.finfo(float).tiny
 
-SCALE_KINDS = ("integer_segment", "h_grid", "q_grid", "explicit", "union", "dense_mesh")
-FN_FAMILIES = ("constant", "polynomial", "exponential", "tabulated", "sin",
-               "affine_product", "any")
+# A key table maps each key a config object reads to (reader, default).  A dict
+# reads one of its keys as that key's value, None keeps the value as given, and
+# a function may raise ValueError, which the key's name completes.
+REQUIRED = object()
+
+
+def read_keys(obj, table: dict, what: str) -> dict:
+    """{key: value read} for every key of table, from obj, a JSON object: an
+    absent key reads its default, but None stays unset and REQUIRED raises.  A
+    key that table does not list raises ConfigError naming it and what."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{what} does not read '{key}'; it reads {', '.join(table)}")
+    out = {}
+    for key, (reader, default) in table.items():
+        value = obj.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{what} needs '{key}'")
+        if reader is None or (value is None and default is None):
+            out[key] = value
+        elif isinstance(reader, dict):
+            if not (isinstance(value, str) and value in reader):
+                raise ConfigError(f"'{key}' must be one of {', '.join(reader)}; got {value!r}")
+            out[key] = reader[value]
+        else:
+            try:
+                out[key] = reader(value)
+            except ValueError as exc:
+                raise ConfigError(f"'{key}' {exc}") from None
+    return out
+
+
+def _parse_number(text) -> float:
+    try:
+        x = math.nan if isinstance(text, bool) else float(text)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"'{text}' is not a finite number")
+    return x
+
+
+def _number_table(v) -> tuple:
+    """A nonempty list of finite numbers, or of equally shaped such lists, as
+    nested tuples of floats; anything else raises."""
+    if isinstance(v, (list, tuple)) and v:
+        rows = tuple(_number_table(x) if isinstance(x, (list, tuple)) else _parse_number(x)
+                     for x in v)
+        if len({np.shape(row) for row in rows}) == 1:
+            return rows
+    raise ValueError("must be a nonempty, rectangular list of finite numbers")
+
+
+def _json_list(value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError("must be a JSON list")
+    return tuple(value)
+
+
+# The keys each scale kind reads besides 'kind'.  Numbers stay as given until
+# build() parses them, so that describe() gives them back as written.
+_GIVEN = (None, None)
+SCALES = {"integer_segment": {"start": _GIVEN, "end": _GIVEN},
+          "h_grid": {"start": _GIVEN, "end": _GIVEN, "h": _GIVEN},
+          "q_grid": {"q": _GIVEN, "N": _GIVEN},
+          "explicit": {"points": (_json_list, None), "dense": (_json_list, None)},
+          "union": {"of": (lambda members: tuple(map(parse_scale, _json_list(members))), None)},
+          "dense_mesh": {"start": _GIVEN, "end": _GIVEN, "h": _GIVEN}}
+SCALE_KINDS = tuple(SCALES)
+_MAKERS = dict(integer_segment=integer_segment, h_grid=h_grid, q_grid=q_grid, dense_mesh=dense_mesh)
+
+# The keys each function family reads besides 'family': one finite number, or
+# a rectangular list of them.
+_NUMBER, _LIST = (_parse_number, None), (_number_table, None)
+FAMILIES = {"constant": {"value": _NUMBER}, "polynomial": {"coeffs": _LIST},
+            "exponential": dict.fromkeys(("amplitude", "rate", "rate1", "rate2"), _NUMBER),
+            "tabulated": {"values": _LIST}, "sin": {"omega": _NUMBER},
+            "affine_product": {"params": _LIST}, "any": {}}
+FN_FAMILIES = tuple(FAMILIES)
+_NUMBER_FIELDS, _LIST_FIELDS = (tuple(key for table in FAMILIES.values() for key in table
+                                      if table[key] is entry) for entry in (_NUMBER, _LIST))
 
 
 @dataclass(frozen=True)
@@ -45,7 +125,7 @@ class ScaleSpec:
     end: float | None = None
     h: float | None = None
     q: float | None = None
-    n: int | None = None
+    N: int | None = None
     points: tuple[float, ...] | None = None
     dense: tuple[bool, ...] | None = None
     of: tuple["ScaleSpec", ...] | None = None
@@ -57,21 +137,17 @@ class ScaleSpec:
         return _parse_number(v)
 
     def build(self) -> TimeScale:
-        kind, num = self.kind, self._num
+        kind = self.kind
         try:
-            if kind == "integer_segment":
-                return integer_segment(num("start"), num("end"))
-            if kind in ("h_grid", "dense_mesh"):
-                make = h_grid if kind == "h_grid" else dense_mesh
-                return make(num("start"), num("end"), num("h"))
-            if kind == "q_grid":
-                return q_grid(num("q"), num("n"))
+            if kind in _MAKERS:     # its table lists the constructor's arguments in order
+                return _MAKERS[kind](*map(self._num, SCALES[kind]))
             if kind == "explicit":
                 pts = [_parse_number(x) for x in self.points or ()]
                 if len(pts) < 2:
                     raise ConfigError("explicit scale needs two or more points")
-                if self.dense is not None and len(self.dense) != len(pts):
-                    raise ConfigError("explicit scale needs one 'dense' tag per point")
+                if self.dense is not None and (len(self.dense) != len(pts) or not all(
+                        isinstance(tag, bool) for tag in self.dense)):
+                    raise ConfigError("explicit scale needs a true or false 'dense' tag per point")
                 return explicit_scale(pts, self.dense)
             if kind == "union":
                 if not self.of or len(self.of) < 2:
@@ -83,12 +159,11 @@ class ScaleSpec:
 
     def describe(self) -> dict:
         out: dict = {"kind": self.kind}
-        for name in ("start", "end", "h", "q", "n", "points", "dense"):
-            v = getattr(self, name)
+        for key in SCALES.get(self.kind, ()):
+            v = getattr(self, key)
             if v is not None:
-                out["N" if name == "n" else name] = list(v) if isinstance(v, tuple) else v
-        if self.of is not None:
-            out["of"] = [member.describe() for member in self.of]
+                out[key] = [m.describe() for m in v] if key == "of" \
+                    else list(v) if isinstance(v, tuple) else v
         return out
 
 
@@ -97,16 +172,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     if not sep:
         raise ConfigError(f"expected 'start..end', got '{text}'")
     return _parse_number(lo), _parse_number(hi)
-
-
-def _parse_number(text) -> float:
-    try:
-        x = math.nan if isinstance(text, bool) else float(text)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"'{text}' is not a finite number")
-    return x
 
 
 def _scale_from_text(text: str) -> ScaleSpec:
@@ -129,19 +194,11 @@ def _scale_from_text(text: str) -> ScaleSpec:
             raise ConfigError(f"expected 'q:Q,N', got '{text}'")
         # A whole N is kept as an int, as reports spell it; build() rejects the rest.
         n = _parse_number(count)
-        return ScaleSpec("q_grid", q=_parse_number(base), n=int(n) if n.is_integer() else n)
+        return ScaleSpec("q_grid", q=_parse_number(base), N=int(n) if n.is_integer() else n)
     if kind == "explicit":
         return ScaleSpec("explicit",
                          points=tuple(_parse_number(x) for x in rest.split(",")))
     raise ConfigError(f"unknown scale kind '{kind}'")
-
-
-def _json_list(obj: dict, key: str) -> tuple | None:
-    """obj[key] as a tuple, or None when absent or null; a non-list raises."""
-    value = obj.get(key)
-    if value is not None and not isinstance(value, list):
-        raise ConfigError(f"scale '{key}' must be a JSON list")
-    return None if value is None else tuple(value)
 
 
 def parse_scale(obj) -> ScaleSpec:
@@ -151,40 +208,32 @@ def parse_scale(obj) -> ScaleSpec:
     if isinstance(obj, str):
         return _scale_from_text(obj)
     if isinstance(obj, dict):
-        kind = obj.get("kind")
+        kind, fields = obj.get("kind"), {k: v for k, v in obj.items() if k != "kind"}
         if kind not in SCALE_KINDS:
             raise ConfigError(f"unknown scale kind '{kind}'")
-        dense = _json_list(obj, "dense")
-        if not all(isinstance(d, bool) for d in dense or ()):
-            raise ConfigError("scale 'dense' entries must be true or false")
-        members = _json_list(obj, "of")
-        return ScaleSpec(
-            kind=kind,
-            start=obj.get("start"),
-            end=obj.get("end"),
-            h=obj.get("h"),
-            q=obj.get("q"),
-            n=obj.get("N", obj.get("n")),
-            points=_json_list(obj, "points"),
-            dense=dense,
-            of=tuple(parse_scale(m) for m in members) if members else None,
-        )
+        if kind == "q_grid" and "n" in fields:   # 'n' spells 'N' too
+            fields.setdefault("N", fields.pop("n"))
+        return ScaleSpec(kind, **read_keys(fields, SCALES[kind], f"{kind} scale"))
     raise ConfigError("scale descriptor must be text or an object")
 
 
-# FnSpec fields that hold one number, and those that hold a list of numbers.
-_NUMBER_FIELDS = ("value", "amplitude", "rate", "rate1", "rate2", "omega")
-_LIST_FIELDS = ("coeffs", "values", "params")
+def _fn_fields(family, given: dict) -> dict:
+    """given, the fields of a function of family, read through its table."""
+    if family not in FN_FAMILIES:
+        raise ConfigError(f"unknown function family '{family}'")
+    if given and not FAMILIES[family]:
+        raise ConfigError(f"'{next(iter(given))}' needs a 'family'; 'any' reads no fields")
+    return read_keys(given, FAMILIES[family], f"{family} function")
 
 
 @dataclass(frozen=True)
 class FnSpec:
     """Coefficient-function descriptor; family 'any' samples one at random.
 
-    Construction checks every number once: a one-number field becomes a
-    finite float, and coeffs, values and params become rectangular nested
-    tuples of finite floats, so the realizers read them as they are.  'any'
-    takes no fields, as the family it draws would ignore them.
+    Construction checks every field once: a field its family does not read
+    raises, a one-number field becomes a finite float, and coeffs, values
+    and params become rectangular nested tuples of finite floats, so the
+    realizers read them as they are.
     """
 
     family: str = "any"
@@ -199,26 +248,10 @@ class FnSpec:
     params: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FN_FAMILIES:
-            raise ConfigError(f"unknown function family '{self.family}'")
-        for name in _NUMBER_FIELDS + _LIST_FIELDS:
-            v = getattr(self, name)
-            if v is not None and self.family == "any":
-                raise ConfigError(f"'{name}' needs a 'family'; 'any' reads no fields")
-            if v is not None:
-                object.__setattr__(self, name, _parse_number(v) if name in _NUMBER_FIELDS
-                                   else _number_table(v, name))
-
-
-def _number_table(v, name: str) -> tuple:
-    """A nonempty list of finite numbers, or of equally shaped such lists, as
-    nested tuples of floats; anything else raises ConfigError."""
-    if isinstance(v, (list, tuple)) and v:
-        rows = tuple(_number_table(x, name) if isinstance(x, (list, tuple)) else _parse_number(x)
-                     for x in v)
-        if len({np.shape(row) for row in rows}) == 1:
-            return rows
-    raise ConfigError(f"'{name}' must be a nonempty, rectangular list of finite numbers")
+        given = {name: getattr(self, name) for name in _NUMBER_FIELDS + _LIST_FIELDS
+                 if getattr(self, name) is not None}
+        for name, value in _fn_fields(self.family, given).items():
+            object.__setattr__(self, name, value)
 
 
 def parse_fn(obj) -> FnSpec:
@@ -242,8 +275,8 @@ def parse_fn(obj) -> FnSpec:
             return FnSpec("tabulated", values=rest.split(","))
         raise ConfigError(f"cannot parse function '{obj}'")
     if isinstance(obj, dict):
-        return FnSpec(family=obj.get("family", "any"),
-                      **{name: obj.get(name) for name in _NUMBER_FIELDS + _LIST_FIELDS})
+        family, fields = obj.get("family", "any"), {k: v for k, v in obj.items() if k != "family"}
+        return FnSpec(family, **_fn_fields(family, fields))
     raise ConfigError("function descriptor must be text or an object")
 
 

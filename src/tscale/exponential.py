@@ -92,6 +92,8 @@ def _require_regressive(mu_p: np.ndarray, positive: bool = False) -> np.ndarray:
     positive side if positive), none lies in its own band and the bands are
     not built; otherwise each factor is checked against its own band.
     """
+    if not mu_p.size:
+        return mu_p
     lo, hi = float(mu_p.min()), float(mu_p.max())
     widest = (max(abs(lo), abs(hi)) + 1.0) * REGRESSIVITY_TOL
     if 1.0 + lo > widest or (not positive and 1.0 + hi < -widest):
@@ -224,7 +226,7 @@ def exp_fn(p: GridFn1, t0: int) -> GridFn1:
     """
     _require_one_scale(p)
     t0 = p.scale._check_index(t0)
-    factors = _require_regressive(_mu_p(p.scale.graininess, p.values))[:-1]
+    factors = _require_regressive(_mu_p(p.scale.graininess, p.values)[:-1])
     vals = ProductLadder(factors[t0:]).prefixes()
     if t0:
         # no factor lies in the zero band, so every reciprocal is finite

@@ -12,7 +12,7 @@ from tscale import (DomainError, GridFn2, IntegrodynamicInputs, KernelInputs,
                     TimeScale2D, bound_kernel_variants, check_hypotheses,
                     compute_bound, explicit_scale, gronwall_2d, h_grid, integer_segment,
                     q_grid)
-from tscale.bounds import ExponentVariant
+from tscale.bounds import BoundCase, ExponentVariant, _finish
 from tscale.witnesses import (witness_integrodynamic, witness_kernel,
                               witness_pointwise, witness_system)
 from tscale import GridFn1
@@ -395,3 +395,64 @@ def test_kernel_hypotheses_build_each_row_slab_once(monkeypatch):
         calls.clear()
         check_hypotheses(KernelInputs(p, p, kernel))
         assert calls == [(i,) for i in range(n1)] * swept
+
+
+# -- verdicts at their thresholds --------------------------------------------
+
+# A relative step of 2**-20 from a threshold: just inside it, then just outside.
+EDGE = 2.0 ** -20
+# The thresholds of bounds.py, written out here so that a change to them shows:
+# a witness violates the bound past VIOLATION_TOL * (1 + |bound|) above it, and
+# a hypothesis fails below -HYPOTHESIS_SLACK.
+VIOLATION_TOL, HYPOTHESIS_SLACK = 1e-9, 1e-12
+
+
+@pytest.mark.parametrize("bound", [0.0, 3.0, -2.0, 1e6])
+def test_a_violation_starts_just_past_the_violation_tolerance(bound):
+    """A witness above the bound by VIOLATION_TOL * (1 + |bound|) times
+    1 - 2**-20 is no violation; times 1 + 2**-20 it is one."""
+    d = zz(2)
+    values = np.full((1, *d.shape), bound)
+    for factor, count in ((1.0 - EDGE, 0), (1.0 + EDGE, 1)):
+        witness = values.copy()
+        witness[0, 1, 0] += VIOLATION_TOL * (1.0 + abs(bound)) * factor
+        report = _finish(values, d, BoundCase.POINTWISE, GridFn2(d, witness), [[]])
+        assert report.violation_count.tolist() == [count]
+        assert report.violation_at.tolist() == [d.shape[1]] * count    # (1, 0), flat
+
+
+def _one_point(d, value):
+    """Ones on d, with value at (1, 0)."""
+    values = np.ones(d.shape)
+    values[1, 0] = value
+    return GridFn2(d, values)
+
+
+# Inputs with one value at v, for each input type whose hypotheses compare it
+# with -HYPOTHESIS_SLACK, and each comparison they make.
+SLACK_SITES = {
+    "pointwise-p": lambda d, v: PointwiseInputs(p=_one_point(d, v), q=ones(d), k=ones(d)),
+    "kernel-value": lambda d, v: KernelInputs(p=ones(d), q=ones(d),
+                                              k=KernelOracle.constant(d, v)),
+    "kernel-q": lambda d, v: KernelInputs(p=ones(d), q=_one_point(d, v),
+                                          k=KernelOracle.constant(d, 1.0)),
+    "system-c1": lambda d, v: SystemInputs(c1=v, c2=1.0, h1=ones(d), h2=ones(d),
+                                           h3=ones(d), h4=ones(d)),
+    "system-h4": lambda d, v: SystemInputs(c1=1.0, c2=1.0, h1=ones(d), h2=ones(d),
+                                           h3=ones(d), h4=_one_point(d, v)),
+    # a falls by -v over a unit step: its delta derivative is v, exactly
+    "integrodynamic-a": lambda d, v: IntegrodynamicInputs(
+        a=GridFn1(d.scale1, np.array([-2.0 * v, -v, -v, -v])),
+        b=GridFn1(d.scale2, np.ones(4)), c=ones(d)),
+    "integrodynamic-c": lambda d, v: IntegrodynamicInputs(
+        a=GridFn1(d.scale1, np.ones(4)), b=GridFn1(d.scale2, np.ones(4)), c=_one_point(d, v)),
+}
+
+
+@pytest.mark.parametrize("site", SLACK_SITES.values(), ids=SLACK_SITES.keys())
+def test_a_hypothesis_fails_just_past_its_slack(site):
+    """A value of -HYPOTHESIS_SLACK times 1 - 2**-20 passes the hypothesis
+    check; times 1 + 2**-20 it gives one diagnostic."""
+    d = zz(3)
+    assert check_hypotheses(site(d, -HYPOTHESIS_SLACK * (1.0 - EDGE))) == []
+    assert len(check_hypotheses(site(d, -HYPOTHESIS_SLACK * (1.0 + EDGE)))) == 1

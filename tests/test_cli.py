@@ -24,6 +24,7 @@ import references as ref
 from tscale import TimeScale2D, integer_segment
 from tscale import cli as cli_mod
 from tscale.cli import fmt_number, main
+from tscale.config import FAMILIES, SCALES, parse_scale, read_keys
 
 
 def run_cli(capsys, *argv):
@@ -712,6 +713,94 @@ def test_verify_reports_a_whole_text_N_as_an_integer(tmp_path, capsys):
     assert type(scale1["N"]) is int
 
 
+def converge_payload(tmp_path, **overrides):
+    return {"operation": "dderiv",
+            "scale": {"kind": "dense_mesh", "start": 0, "end": 1, "h": 0.1},
+            "function": {"family": "constant", "value": 3.0},
+            "output": {"path": str(tmp_path / "conv")}, **overrides}
+
+
+UNIONED = ["integer:0..1", "integer:2..3"]
+# One key per config object that the object does not read, in a config that
+# is valid without it: command, top-level entries (those of "output" added to
+# it), the key, and the object as the error names it.
+REFUSED = {
+    "verify": ("verify", {"witness_mod": "strict_slack"}, "witness_mod", "verify config"),
+    "verify-output": ("verify", {"output": {"fromat": "json"}}, "fromat", "'output'"),
+    "integer_segment": ("verify", {"scale1": {"kind": "integer_segment", "start": 0, "end": 3,
+                                              "h": 1}}, "h", "integer_segment scale"),
+    "h_grid": ("verify", {"scale1": {"kind": "h_grid", "start": 0, "end": 1, "h": 0.5,
+                                     "q": 2}}, "q", "h_grid scale"),
+    "q_grid": ("verify", {"scale1": {"kind": "q_grid", "q": 2, "N": 3, "start": 1}},
+               "start", "q_grid scale"),
+    "explicit": ("verify", {"scale1": {"kind": "explicit", "points": [0, 1, 2],
+                                       "of": UNIONED}}, "of", "explicit scale"),
+    "union": ("verify", {"scale1": {"kind": "union", "of": UNIONED, "points": [0, 1]}},
+              "points", "union scale"),
+    "dense_mesh": ("verify", {"scale1": {"kind": "dense_mesh", "start": 0, "end": 1, "h": 0.5,
+                                         "N": 3}}, "N", "dense_mesh scale"),
+    "constant": ("verify", {"functions": {"p": {"family": "constant", "value": 1,
+                                                "rate": 0.1}}}, "rate", "constant function"),
+    "polynomial": ("verify", {"functions": {"p": {"family": "polynomial", "coeffs": [[1]],
+                                                  "values": [[1]]}}},
+                   "values", "polynomial function"),
+    "exponential": ("verify", {"functions": {"p": {"family": "exponential", "amplitude": 1,
+                                                   "value": 2}}}, "value", "exponential function"),
+    "tabulated": ("verify", {"functions": {"p": {"family": "tabulated", "coeffs": [1]}}},
+                  "coeffs", "tabulated function"),
+    "sin": ("verify", {"functions": {"p": {"family": "sin", "omega": 1, "amplitude": 2}}},
+            "amplitude", "sin function"),
+    "affine_product": ("verify", {"theorem": "kernel", "functions": {"k": {
+        "family": "affine_product", "params": [1] * 7, "omega": 1}}},
+        "omega", "affine_product function"),
+    "any": ("verify", {"functions": {"p": {"family": "any", "vlaue": 3}}}, "vlaue", "'any'"),
+    "converge": ("converge", {"verbose": True}, "verbose", "converge config"),
+    "converge-output": ("converge", {"output": {"format": "csv"}}, "format", "'output'"),
+}
+
+
+@pytest.mark.parametrize("command, entries, key, what", REFUSED.values(), ids=REFUSED.keys())
+def test_a_key_its_object_does_not_read_exits_2(tmp_path, capsys, command, entries, key, what):
+    """Each config object reads the keys of its table, and a key it does not
+    read exits 2 naming the key and the object, before anything runs."""
+    payload = (verify_payload if command == "verify" else converge_payload)(tmp_path)
+    payload.update({**entries, "output": {**payload["output"], **entries.get("output", {})}})
+    cfg = write_config(tmp_path, "c.json", payload)
+    code, _, err = run_cli(capsys, command, str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{key}'" in err and what in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def readme_configs() -> dict:
+    """The README's example configs, by the heading of their section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    found = {}
+    for section in text.split("\n### ")[1:]:
+        heading, _, body = section.partition("\n")
+        if "```json\n" in body:
+            found[heading] = json.loads(body.split("```json\n")[1].split("```")[0])
+    return found
+
+
+def test_the_benchmark_and_readme_configs_read_every_key_they_give():
+    """Every pool template and 1-D scale of benchmarks/workloads.py, and the
+    README's verify and converge examples, parse: they give only keys that
+    their objects read."""
+    import pool_bytes
+    workloads = pool_bytes._workloads()
+    for jobs in workloads.TEMPLATES.values():
+        for _, template in jobs:
+            cli_mod.ScenarioConfig.from_dict(workloads.job_config(template, 0, Path("report")))
+    for scale in workloads.SCALES_1D:
+        parse_scale(scale).build()
+    examples = readme_configs()
+    assert sorted(examples) == ["converge", "verify"]
+    cli_mod.ScenarioConfig.from_dict(examples["verify"])
+    read_keys(examples["converge"], cli_mod._CONVERGE, "converge config")
+
+
 # Valid verify configs on lattices of at most 4x4 points, one per case, with
 # every function descriptor given and list-valued scale fields to mutate.
 FUZZ_BASES = [
@@ -768,10 +857,6 @@ def mutated_configs(draw):
     """A fuzz base with one or two descriptor or scale-list entries replaced
     by junk or removed, or a function descriptor replaced by text."""
     cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
-    # Every scale object gets a points list to mutate, whether its kind reads it or not.
-    for key in ("scale1", "scale2"):
-        if isinstance(cfg[key], dict):
-            cfg[key].setdefault("points", [0, 1, 2])
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(sorted(cfg["functions"]) + ["scale1", "scale2"]))
         holder = cfg if name.startswith("scale") else cfg["functions"]
@@ -781,8 +866,12 @@ def mutated_configs(draw):
         if not isinstance(holder[name], dict):
             holder[name] = {"family": "any"} if holder is cfg["functions"] else "integer:0..1"
             continue
-        fields = ["points", "dense", "of"] if holder is cfg else \
-            sorted(set(holder[name]) | {"family", "value", "coeffs", "values", "params"})
+        if holder is cfg:   # the keys its kind reads
+            fields = sorted(SCALES[holder[name]["kind"]])
+        else:               # its own keys, and those its family reads
+            family = holder[name].get("family")
+            reads = FAMILIES.get(family, {}) if isinstance(family, str) else {}
+            fields = sorted({"family", *holder[name], *reads})
         field, junk = draw(st.sampled_from(fields)), draw(JUNK)
         if junk is MISSING:
             holder[name].pop(field, None)

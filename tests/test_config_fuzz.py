@@ -3,10 +3,12 @@
 Hypothesis starts from a valid config of each of the four cases, kernel
 batches of several instances among them, and mutates it: a key deleted, a
 value replaced by one of the wrong type, a NaN, an infinity or a number at
-the edge of the float range, or the output path pointed somewhere it cannot
-be written.  Whatever the config, the run must end without a traceback, with
-an exit code the README defines (0 success, 1 violations, 2 configuration,
-3 domain), and with exit 1 exactly when the summary counts a violation.
+the edge of the float range, the output path pointed somewhere it cannot
+be written, or a key its object does not read.  Whatever the config, the run
+must end without a traceback, with an exit code the README defines (0
+success, 1 violations, 2 configuration, 3 domain), and with exit 1 exactly
+when the summary counts a violation.  A valid config given one key that its
+object does not read exits 2 naming the key, and writes nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +88,51 @@ def output_paths(tmp_path):
         "bad\x00path", 7, ["report"]])
 
 
+def objects(obj):
+    """Every JSON object in obj, a JSON value, obj itself first if it is one."""
+    if isinstance(obj, dict):
+        yield obj
+    for value in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+        yield from objects(value)
+
+
+def misplace(draw, config) -> str:
+    """Move a key into an object that does not read it, and return the key."""
+    key = draw(st.sampled_from(["format", "seed", "h", "rate"]))
+    if key == "format":     # out of output, to the top level
+        config["format"] = config["output"].pop("format", "csv")
+    elif key == "seed":     # into output
+        config["output"]["seed"] = config.pop("seed", 0)
+    elif key == "h":        # into an integer_segment
+        config["scale2"] = {"kind": "integer_segment", "start": 0, "end": 3, "h": 0.5}
+    else:                   # into a constant
+        config.setdefault("functions", {})["p"] = {"family": "constant", "value": 0.5,
+                                                   "rate": 0.1}
+    return key
+
+
+def refuse(draw, config) -> str:
+    """Give config a key that its object does not read, and return it: a key
+    renamed by one letter, or one moved into a sibling object.  'kind' and
+    'family' stay, as they name the table that the object's keys are read by."""
+    if draw(st.booleans()):
+        return misplace(draw, config)
+    owner = draw(st.sampled_from([o for o in objects(config) if o.keys() - {"kind", "family"}]))
+    key = draw(st.sampled_from(sorted(owner.keys() - {"kind", "family"})))
+    at = draw(st.integers(0, len(key) - 1))
+    renamed = key[:at] + "Z" + key[at + 1:]     # no key holds a Z
+    owner[renamed] = owner.pop(key)
+    return renamed
+
+
+@st.composite
+def refused_configs(draw, tmp_path):
+    """A valid config with one key that its object does not read, and that key."""
+    config = copy.deepcopy(draw(st.sampled_from(BASES)))
+    config["output"]["path"] = str(tmp_path / "report")
+    return config, refuse(draw, config)
+
+
 @st.composite
 def mutated_configs(draw, tmp_path):
     config = copy.deepcopy(draw(st.sampled_from(BASES)))
@@ -98,9 +145,11 @@ def mutated_configs(draw, tmp_path):
         owner = config
         for step in parent:
             owner = owner[step]
-        action = draw(st.sampled_from(["delete", "replace", "path"]))
+        action = draw(st.sampled_from(["delete", "replace", "path", "refuse"]))
         if action == "path" and isinstance(config.get("output"), dict):
             config["output"]["path"] = draw(output_paths(tmp_path))
+        elif action == "refuse" and isinstance(config.get("output"), dict):
+            refuse(draw, config)
         elif action == "delete" and isinstance(owner, dict):
             del owner[key]
         else:
@@ -133,3 +182,17 @@ def test_mutated_verify_configs_exit_as_documented(tmp_path, capsys, monkeypatch
         assert (code == 1) == (summary["instances_with_violation"] > 0)
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_key_nothing_reads_exits_2_naming_it(tmp_path, capsys, data):
+    config, key = data.draw(refused_configs(tmp_path))
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2, (code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]

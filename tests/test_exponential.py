@@ -373,6 +373,7 @@ def test_clear_factors_build_no_bands(monkeypatch):
     monkeypatch.setattr(exponential, "_factors", no_bands)
     s = dense_mesh(0.0, 1.0, 0.01)
     exp_fn(const(s, -90.0), 50)                     # factors 0.1 and a last 1
+    exp_fn(const(s, -190.0), 50)                    # factors -0.9: the last 1 is not used
     comparison_bound(1.0, const(s, 1.0), const(s, 3.0), 10)
     # the factor 1 at the maximum lies above zero, so only products taken
     # apart from it can all lie below
