@@ -43,11 +43,11 @@ log = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-# Points per block of a verify report, taken in order across all reports and
-# stacks of a call.  Each block is one spelling kernel call, whose fixed cost
-# is about that of spelling 900 values: enough points to spread that cost,
-# few enough that a large lattice's text and the kernel's temporaries never
-# pile up in memory.
+# Points per block of a verify report, cut from each stack in turn, so that
+# no block crosses into the next stack.  Each block is one spelling kernel
+# call, whose fixed cost is about that of spelling 900 values: enough points
+# to spread that cost, few enough that a large lattice's text and the
+# kernel's temporaries never pile up in memory.
 _BLOCK_POINTS = 2048
 # One point of a verify report: constant bytes alternating with the index of
 # a field in (t1, t2, witness, bound, slack).  A JSON point is inlined in the
@@ -168,48 +168,38 @@ class ScenarioConfig:
         return cls(instance, out["path"], out["format"], variant)
 
 
-def _report_blocks(reports, json_rule: bool = False):
-    """Yield the reports' rows (t1, t2, witness, bound, slack) as spelled
-    columns, one block of at most _BLOCK_POINTS consecutive points at a time,
-    taken in order across all reports, which share one domain.  A report is
-    one instance or a stack of several, whose instances' rows follow one
-    another; a block is a slice of each report's flattened witness and
-    bound.  Each block's witness, bound and slack are spelled by one kernel
-    call, which the first block shares with the domain's two axes.  Without
-    a witness, witness and slack are NaN; a slack past the float range is
-    inf or NaN, as float subtraction gives it."""
-    if not reports:
-        return
-    dom = reports[0].bound.domain
-    axes = np.concatenate([dom.scale1.points, dom.scale2.points])
-    n1, n2 = dom.shape
-    size = n1 * n2
-    total = sum(report.bound.values.size for report in reports)
-    r, start, end = -1, 0, 0    # the report in hand holds rows start..end - 1
-    for lo in range(0, total, _BLOCK_POINTS):
-        hi = min(lo + _BLOCK_POINTS, total)
-        values = np.empty((3, hi - lo))
-        row = lo
-        while row < hi:
-            while row >= end:   # the next report, flattened once, a copy if strided
-                r += 1
-                report = reports[r]
-                bound = report.bound.values.ravel()
-                witness = None if report.witness is None else report.witness.values.ravel()
-                start, end = end, end + bound.size
-            stop = min(hi, end)
-            values[0, row - lo:stop - lo] = \
-                math.nan if witness is None else witness[row - start:stop - start]
-            values[1, row - lo:stop - lo] = bound[row - start:stop - start]
-            row = stop
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(values[1], values[0], out=values[2])
-        spelled = spell(np.concatenate((values.ravel(), axes)) if lo == 0 else values,
-                        json_rule)
-        if lo == 0:
-            t1, t2 = np.split(spelled[values.size:], [n1])
-        at = np.arange(lo, hi) % size
-        yield t1[at // n2], t2[at % n2], *spelled[:values.size].reshape(3, -1)
+def _report_blocks(stacks, template):
+    """Yield the rows (t1, t2, witness, bound, slack) of stacks, an iterable
+    of reports on one domain, as template's bytes, one block of at most
+    _BLOCK_POINTS consecutive points at a time.  Each report, one instance or
+    a stack of several whose instances' rows follow one another, is read
+    once, in order, and no block crosses into the next.  Each block's
+    witness, bound and slack are spelled by one kernel call, by the JSON rule
+    for _JSON_ROW; the first block's call spells the domain's two axes too.
+    Without a witness, witness and slack are NaN; a slack past the float
+    range is inf or NaN, as float subtraction gives it."""
+    t1 = None
+    for report in stacks:
+        bound = report.bound.values.ravel()     # flattened once, a copy if strided
+        witness = None if report.witness is None else report.witness.values.ravel()
+        for lo in range(0, bound.size, _BLOCK_POINTS):
+            hi = min(lo + _BLOCK_POINTS, bound.size)
+            values = np.empty((3, hi - lo))
+            values[0] = math.nan if witness is None else witness[lo:hi]
+            values[1] = bound[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(values[1], values[0], out=values[2])
+            if t1 is None:
+                dom = report.bound.domain
+                n1, n2 = dom.shape
+                spelled = spell(np.concatenate((values.ravel(), dom.scale1.points,
+                                                dom.scale2.points)), template is _JSON_ROW)
+                t1, t2 = np.split(spelled[values.size:], [n1])
+            else:
+                spelled = spell(values, template is _JSON_ROW)
+            at = np.arange(lo, hi) % (n1 * n2)     # each instance's rows run over the domain
+            yield _rows(template, (t1[at // n2], t2[at % n2],
+                                   *spelled[:values.size].reshape(3, -1)))
 
 
 def _rows(template, columns) -> bytes:
@@ -289,21 +279,20 @@ def _summary_text(payload: dict) -> str:
     return f'{head}\n  "digests": [\n{digests}\n  ]{tail}'
 
 
-def _write_csv(fh, reports) -> None:
+def _write_csv(fh, stacks) -> None:
     fh.write(b"t1,t2,witness,bound,slack\n")
-    for columns in _report_blocks(reports):
-        fh.write(_rows(_CSV_ROW, columns))
+    fh.writelines(_report_blocks(stacks, _CSV_ROW))
 
 
-def _write_json(fh, payload: dict, reports) -> None:
-    """payload plus the reports' rows as "points", byte for byte as
+def _write_json(fh, payload: dict, stacks) -> None:
+    """payload plus the stacks' rows as "points", byte for byte as
     json.dumps(indent=2, sort_keys=True) writes them, one block at a time."""
     text = _summary_text({**payload, "points": []})
     head, tail = text.split('\n  "points": []', 1)
     fh.write((head + '\n  "points": [').encode())
     comma = 1   # the first point follows "[" without the separating comma
-    for columns in _report_blocks(reports, json_rule=True):
-        fh.write(_rows(_JSON_ROW, columns)[comma:])
+    for block in _report_blocks(stacks, _JSON_ROW):
+        fh.write(block[comma:])
         comma = 0
     fh.write((("]" if comma else "\n  ]") + tail + "\n").encode())
 

@@ -209,6 +209,8 @@ def parse_scale(obj) -> ScaleSpec:
         return _scale_from_text(obj)
     if isinstance(obj, dict):
         kind, fields = obj.get("kind"), {k: v for k, v in obj.items() if k != "kind"}
+        if kind is None:
+            raise ConfigError(f"scale object needs 'kind', one of {', '.join(SCALE_KINDS)}")
         if kind not in SCALE_KINDS:
             raise ConfigError(f"unknown scale kind '{kind}'")
         if kind == "q_grid" and "n" in fields:   # 'n' spells 'N' too

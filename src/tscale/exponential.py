@@ -82,9 +82,10 @@ def regressivity(p: GridFn1) -> RegressivityReport:
 
 
 def _require_regressive(mu_p: np.ndarray, positive: bool = False) -> np.ndarray:
-    """The factors 1 + mu*p at every index of the products mu*p (the maximum
-    contributes a harmless 1), once none lies in the zero band; mu_p may be
-    overwritten with them.
+    """The factors 1 + mu*p at every index of the products mu*p, once none
+    lies in the zero band; mu_p may be overwritten with them.  A 0 in mu_p,
+    as the last mu gives, is a factor 1 above zero, so the bands are built
+    unless every factor lies above zero: callers pass the factors they use.
 
     fl is monotone, so no band is wider than the one at the largest |mu*p|,
     and the smallest and largest factors are 1 plus the smallest and largest
@@ -121,7 +122,10 @@ def circle_plus(f: GridFn1, g: GridFn1) -> GridFn1:
 def circle_minus(g: GridFn1) -> GridFn1:
     """Circle negation -g / (1 + mu*g); g must be regressive."""
     _require_one_scale(g)
-    factors = _require_regressive(_mu_p(g.scale.graininess, g.values))
+    # the last mu is 0, so the last factor is 1, and only the others are screened
+    factors = _mu_p(g.scale.graininess, g.values)
+    factors[:-1] = _require_regressive(factors[:-1])
+    factors[-1] = 1.0
     with np.errstate(over="ignore"):
         vals = -g.values / factors
     return _computed(g.scale, vals, "circle minus")
@@ -206,14 +210,8 @@ class ProductLadder:
         """P[0..n], as one fresh array."""
         if self.plain is not None:
             return self.plain.copy()
-        expo = self.exponents + 1023        # biased as in a double's bits
         with np.errstate(over="ignore"):
-            if expo.size and (expo.min() < 1 or expo.max() > 2046):
-                return np.ldexp(self.mantissas, self.exponents)
-            # 2**exponent is a normal double, built from its bits, and one
-            # product rounds as ldexp does
-            expo <<= 52
-            return np.multiply(self.mantissas, expo.view(np.float64))
+            return np.ldexp(self.mantissas, self.exponents)
 
 
 def exp_fn(p: GridFn1, t0: int) -> GridFn1:

@@ -39,6 +39,7 @@ MUTANTS = {
                       ["test_bounds.py"]),
     "hypothesis-slack": ("bounds.py", "HYPOTHESIS_SLACK = 1e-12", "HYPOTHESIS_SLACK = 1e-10",
                          ["test_bounds.py"]),
+    "merge-tol": ("core.py", "MERGE_TOL = 1e-12", "MERGE_TOL = 1e-10", ["test_core.py"]),
     # comparison operators and their thresholds
     "violation-over-2tol": ("bounds.py", "over = excess > tol", "over = excess > 2 * tol",
                             ["test_bounds.py"]),

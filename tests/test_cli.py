@@ -182,6 +182,21 @@ def test_calc_rejects_unparseable_scale(capsys):
     assert "unknown scale kind" in err
 
 
+@pytest.mark.parametrize("scale", [{"start": 0, "end": 3},
+                                   {"kizd": "integer_segment", "start": 0, "end": 3}],
+                         ids=["missing", "misspelled"])
+def test_a_scale_object_without_its_kind_exits_2_naming_it(tmp_path, capsys, scale):
+    """A scale object with no 'kind' exits 2 naming 'kind' and the kinds it
+    takes, not "unknown scale kind 'None'", before anything is written."""
+    cfg = write_config(tmp_path, "v.json", verify_payload(tmp_path, scale1=scale))
+    code, _, err = run_cli(capsys, "verify", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'kind'" in err and all(kind in err for kind in SCALES), err
+    assert "None" not in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -318,7 +333,7 @@ def test_verify_failed_write_leaves_no_partial_report(tmp_path, capsys, monkeypa
             yield block
 
     failing = [True]
-    # three reports of 25 kappa points: the second 20-point block spans the first two
+    # one stack of three instances of 25 kappa points, written in 20-point blocks
     monkeypatch.setattr(cli_mod, "_BLOCK_POINTS", 20)
     monkeypatch.setattr(cli_mod, "_report_blocks", fail_on_second_block)
     cfg = write_config(tmp_path, "v.json", verify_payload(

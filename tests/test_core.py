@@ -184,6 +184,27 @@ def test_union_keeps_dense_tags():
     assert bool(u.dense[list(u.points).index(0.5)])
 
 
+# A relative step of 2**-20 from the merge tolerance, written out here so that
+# a change to core.MERGE_TOL shows: a point within 1e-12 * (1 + |point|) of
+# the last point kept joins it.
+EDGE, MERGE_TOL = 2.0 ** -20, 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, 1e-300, -2.5e-7, 3e-6, -1e-5])
+def test_points_merge_just_inside_the_merge_tolerance(p):
+    """A point q at MERGE_TOL * (1 + |p|) times 1 - 2**-20 past p joins it, and
+    times 1 + 2**-20 stays apart: alone, where the vector pass decides, and
+    at the end of a chain through p + gap / 2, which the loop walks.  p stays
+    small, so that q - p keeps the gap to well within 2**-20."""
+    for factor, points in ((1.0 - EDGE, 2), (1.0 + EDGE, 3)):
+        gap = MERGE_TOL * (1.0 + abs(p)) * factor
+        q = p + gap
+        assert abs((q - p) / (MERGE_TOL * (1.0 + abs(q))) - factor) < EDGE / 1024
+        far = explicit_scale([p, 1.0])
+        assert len(union_scales(far, explicit_scale([q]))) == points
+        assert len(union_scales(far, explicit_scale([p + gap / 2, q]))) == points
+
+
 @pytest.mark.parametrize("scale", [integer_segment(0, 1), dense_mesh(0.0, 1.0, 0.25),
                                    explicit_scale([-2.0, 0.5, 1.0, 7.0], [True, False, True, True])])
 def test_kappa_and_tail_are_read_only_windows_of_the_scale(scale):

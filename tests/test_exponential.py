@@ -374,6 +374,7 @@ def test_clear_factors_build_no_bands(monkeypatch):
     s = dense_mesh(0.0, 1.0, 0.01)
     exp_fn(const(s, -90.0), 50)                     # factors 0.1 and a last 1
     exp_fn(const(s, -190.0), 50)                    # factors -0.9: the last 1 is not used
+    circle_minus(const(s, -190.0))                  # the same: the last factor is 1
     comparison_bound(1.0, const(s, 1.0), const(s, 3.0), 10)
     # the factor 1 at the maximum lies above zero, so only products taken
     # apart from it can all lie below

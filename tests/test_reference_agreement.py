@@ -1341,8 +1341,7 @@ def assert_writers_match(reports):
     ref.write_json(old_json, SUMMARY, parts)
     # blocks of one point and of a few; of part of an instance, so that an
     # instance is split across blocks; of one point more than an instance, so
-    # that a block spans two instances, of a stack or of two reports; and the
-    # default
+    # that a block spans two instances of a stack; and the default
     size = reports[0].bound.domain.shape[0] * reports[0].bound.domain.shape[1] \
         if reports else 1
     for block in (1, 5, size // 2 + 1, size + 1, cli._BLOCK_POINTS):

@@ -81,9 +81,9 @@ def test_stacks_write_the_bytes_of_one_report_per_instance(case, axis1, axis2, c
                                                            per_stack, block, mode, seed):
     """A batch split into stacks of per_stack instances by a patched
     MAX_STACK_POINTS, written in blocks of a drawn size that cross instance
-    and stack bounds, gives the bytes of the block writer that takes one
-    report per instance, on the reports of the reference loop, and the
-    summary json.dumps writes."""
+    bounds and end at each stack's, gives the bytes of the block writer
+    that takes one report per instance, on the reports of the reference
+    loop, and the summary json.dumps writes."""
     spec = InstanceSpec(case=case, scale1=parse_scale(axis1), scale2=parse_scale(axis2),
                         rng_seed=seed, count=count, witness_mode=mode)
     points = len(spec.scale1.build()) * len(spec.scale2.build())
@@ -100,6 +100,32 @@ def test_stacks_write_the_bytes_of_one_report_per_instance(case, axis1, axis2, c
         ref.write_json_instances(old_json, payload, parts)
     assert new_csv.getvalue() == old_csv.getvalue()
     assert new_json.getvalue() == old_json.getvalue()
+
+
+@pytest.mark.parametrize("case", list(BoundCase))
+def test_the_writers_read_each_stack_once_in_order(case):
+    """The writers take any iterable of stacks: an iterator over a batch
+    split into three stacks gives the bytes the list gives, and each stack's
+    rows are written before the next stack is drawn."""
+    spec = InstanceSpec(case=case, scale1=parse_scale("integer:0..4"),
+                        scale2=parse_scale("q:1.5,3"), rng_seed=5, count=5,
+                        witness_mode=WitnessMode.STRICT_SLACK)
+    with mock.patch.object(grid2d, "MAX_STACK_POINTS", 2 * 5 * 4):
+        summary = run_verification(spec)
+    assert len(summary.stacks) == 3
+    payload = summary.to_dict()
+    for write in (cli_mod._write_csv, lambda fh, stacks: cli_mod._write_json(fh, payload, stacks)):
+        listed, streamed, written_at = io.BytesIO(), io.BytesIO(), []
+
+        def drawn():
+            for stack in summary.stacks:
+                written_at.append(streamed.tell())
+                yield stack
+        with mock.patch.object(cli_mod, "_BLOCK_POINTS", 7):
+            write(listed, summary.stacks)
+            write(streamed, drawn())
+        assert streamed.getvalue() == listed.getvalue()
+        assert 0 < written_at[0] < written_at[1] < written_at[2]
 
 
 FAMILIES = {"2d": ("any", "constant", "polynomial", "exponential", "tabulated"),
